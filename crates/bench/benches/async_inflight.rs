@@ -7,8 +7,8 @@
 //! standing never-matching queries. In **async** mode every pending
 //! query is a `CoordinationFuture` held by a single `WaiterSet`; in
 //! **threads** mode every pending query parks one OS thread blocking
-//! on its sync ticket (the pre-async serving model, capped — the cap
-//! *is* the finding). Both modes then close 200 coordinating pairs
+//! in `wait_timeout` on its future (the thread-per-waiter serving
+//! model, capped — the cap *is* the finding). Both modes then close 200 coordinating pairs
 //! through the standing load and time how long the completion fan-out
 //! takes to reach every waiter. Resident-set deltas are read from
 //! `/proc/self/status`, so the headline series (in-flight count vs
@@ -40,7 +40,6 @@ fn config() -> ShardedConfig {
     ShardedConfig {
         shards: 4,
         workers: 0,
-        auto_checkpoint_bytes: 0,
         fair_drain: false,
         checkpoint: Default::default(),
         base,
@@ -149,8 +148,8 @@ fn run_async(noise: usize) -> Sample {
     }
 }
 
-/// Thread-per-waiter baseline: `noise` sync tickets, each parked on by
-/// a dedicated blocking thread (the pre-async serving model). The pair
+/// Thread-per-waiter baseline: `noise` futures, each parked on by a
+/// dedicated blocking thread. The pair
 /// fan-out is measured the same way: partners submitted, then every
 /// pair waiter thread joined.
 fn run_threads(noise: usize) -> Sample {
@@ -165,12 +164,12 @@ fn run_threads(noise: usize) -> Sample {
             .map(|r| (r.owner.clone(), r.sql.clone()))
             .collect();
         for outcome in co.submit_batch_sql(&batch) {
-            let Ok(Submission::Pending(ticket)) = outcome else {
+            let Ok(Submission::Pending(mut future)) = outcome else {
                 panic!("noise pends");
             };
             noise_threads.push(std::thread::spawn(move || {
-                // parked until the final expiry sweep disconnects it
-                let _ = ticket.receiver.recv_timeout(Duration::from_secs(120));
+                // parked until the final expiry sweep resolves it
+                let _ = future.wait_timeout(Duration::from_secs(120));
             }));
         }
     }
@@ -185,10 +184,10 @@ fn run_threads(noise: usize) -> Sample {
             .submit_sql(&request.owner, &request.sql)
             .expect("pairs are safe")
         {
-            Submission::Pending(ticket) => pair_threads.push(std::thread::spawn(move || {
-                ticket
-                    .receiver
-                    .recv_timeout(Duration::from_secs(120))
+            Submission::Pending(mut future) => pair_threads.push(std::thread::spawn(move || {
+                future
+                    .wait_timeout(Duration::from_secs(120))
+                    .and_then(CoordinationOutcome::answered)
                     .expect("pair completes")
             })),
             Submission::Answered(_) => panic!("first halves pend"),

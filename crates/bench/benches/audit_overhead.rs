@@ -47,7 +47,6 @@ fn config(audit: bool) -> ShardedConfig {
     ShardedConfig {
         shards: SHARDS,
         workers: 0,
-        auto_checkpoint_bytes: 0,
         fair_drain: false,
         checkpoint: Default::default(),
         base,

@@ -39,7 +39,6 @@ fn config() -> ShardedConfig {
     ShardedConfig {
         shards: 4,
         workers: 0,
-        auto_checkpoint_bytes: 0,
         fair_drain: false,
         checkpoint: Default::default(),
         base,

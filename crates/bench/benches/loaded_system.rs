@@ -166,7 +166,7 @@ fn bench_loaded_system(c: &mut Criterion) {
     nomatch.finish();
 
     // Companion series: arrival-driven incremental matching vs a global
-    // re-match sweep (design ablation 3 in DESIGN.md).
+    // re-match sweep (`docs/matching.md`, "Sweep pruning").
     let mut sweep = c.benchmark_group("loaded_system_retry_all_sweep");
     sweep.sample_size(10);
     for &noise in &[10usize, 100, 500] {

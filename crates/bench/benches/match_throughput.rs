@@ -35,7 +35,6 @@ fn config() -> ShardedConfig {
     ShardedConfig {
         shards: SHARDS,
         workers: 0,
-        auto_checkpoint_bytes: 0,
         fair_drain: false,
         checkpoint: Default::default(),
         base,

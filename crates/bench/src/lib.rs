@@ -1,9 +1,9 @@
 //! # youtopia-bench
 //!
-//! Shared helpers for the benchmark harness. Each experiment in
-//! DESIGN.md's index (E1–E10) has a Criterion bench target under
-//! `benches/`; this library holds the common setup code so benches and
-//! EXPERIMENTS.md stay consistent.
+//! Shared helpers for the benchmark harness. Each experiment of the
+//! `experiments` binary (E1–E10) has a Criterion bench target under
+//! `benches/`; this library holds the common setup code so the benches
+//! and that binary's report stay consistent.
 
 #![warn(missing_docs)]
 

@@ -394,7 +394,7 @@ pub struct AuditRecord {
     pub outcome: String,
     /// Submit-to-resolution latency (`None` on `submit` rows).
     pub latency_micros: Option<u64>,
-    /// Shard that accepted the query (0 on the serial coordinator).
+    /// Shard that accepted the query.
     pub shard: u32,
 }
 

@@ -1,46 +1,33 @@
-//! The coordinator: Youtopia's coordination component.
+//! The coordinator's public vocabulary — configuration, statistics,
+//! submission outcomes, the admin-interface views — and
+//! [`Coordinator`], the one-shard spelling of
+//! [`crate::ShardedCoordinator`].
 //!
-//! This is the public face of the crate. It owns the pending-query
-//! registry, runs the matcher on every arrival, applies matched groups
-//! atomically to the database (answer tuples are inserted into real
-//! answer-relation tables inside one storage transaction, alongside any
-//! application side effects registered through the apply hook), and
-//! notifies waiting submitters through channels — the "Facebook
-//! message" of the demo.
+//! The paper's architecture (Figure 2) has one coordination component
+//! between the query compiler and the execution engine. That component
+//! is [`crate::ShardedCoordinator`] (see [`crate::shard`] for routing,
+//! locking and batch draining); `Coordinator::new(db)` builds it with a
+//! single shard, which *is* the serial algorithm: one registry, arrival
+//! order, one RNG seeded with `CoordinatorConfig::seed`.
 //!
-//! Locking protocol: the coordinator's internal state sits behind one
-//! mutex, so submissions and matching are serialized (matching runs on
-//! arrival, exactly as the paper describes). **Do not call
-//! [`Coordinator::submit_sql`] while holding a
+//! **Do not submit while holding a
 //! [`youtopia_storage::ReadTransaction`] on the same database** — the
 //! apply phase needs the write lock and would deadlock with your read
 //! guard.
-//!
-//! For throughput beyond what one mutex allows, see
-//! [`crate::shard::ShardedCoordinator`], which partitions this state by
-//! answer-relation signature and reuses the same engine per shard.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
+use youtopia_storage::{Database, Tuple, Wal};
 
-use youtopia_storage::{Database, StorageResult, Transaction, Tuple, Wal};
-
-use crate::audit::{AuditConfig, AuditSink};
-use crate::compile::compile_sql;
-use crate::engine::{
-    match_graph_of, replay_coordination_frames, Arrival, CoordEvent, CoordinationLog, Engine,
-    RegStamp, ShardState, WaitMode, Waiter,
-};
-use crate::error::{CoreError, CoreResult};
-use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
-use crate::ir::{EntangledQuery, QueryId};
-use crate::lifecycle::{Clock, DeadlineHost, SubmitOptions, SweepSignal, SystemClock};
-use crate::matcher::{GroupMatch, MatchConfig, MatchStats};
-use crate::registry::Pending;
-use crate::safety::{check_safety, SafetyMode};
-use crate::tenant::{TenantOutcome, TenantRegistry};
+use crate::audit::AuditConfig;
+use crate::error::CoreResult;
+use crate::future::{CoordinationFuture, CoordinationOutcome};
+use crate::ir::QueryId;
+use crate::lifecycle::{Clock, SystemClock};
+use crate::matcher::{MatchConfig, MatchStats};
+use crate::safety::SafetyMode;
+use crate::shard::{ShardedConfig, ShardedCoordinator, SharedApplyHook};
 
 /// Which matching algorithm the coordinator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,15 +100,15 @@ pub struct SystemStats {
     /// it.
     pub wal_bytes: u64,
     /// Bytes appended to the WAL since the last coordinator
-    /// checkpoint (== `wal_bytes` until one runs). Gauge, like
-    /// `wal_bytes`; sharded coordinator only.
+    /// checkpoint (since construction when none ran yet). Gauge, like
+    /// `wal_bytes`.
     pub wal_bytes_since_checkpoint: u64,
     /// Milliseconds since the last coordinator checkpoint (since
     /// construction when none ran yet), by the coordinator's clock.
-    /// Gauge; sharded coordinator only.
+    /// Gauge.
     pub checkpoint_age_millis: u64,
-    /// Checkpoints triggered automatically by the WAL size threshold
-    /// ([`crate::ShardedConfig::auto_checkpoint_bytes`]).
+    /// Checkpoints triggered automatically by the
+    /// [`crate::CheckpointPolicy`].
     pub auto_checkpoints: u64,
 }
 
@@ -162,9 +149,25 @@ pub enum Submission {
     /// The query was answered immediately (its arrival completed a
     /// group).
     Answered(MatchNotification),
-    /// The query is pending; the ticket's channel delivers the
-    /// notification when a later arrival completes a group.
-    Pending(Ticket),
+    /// The query is pending; the future resolves when a later arrival
+    /// completes a group (or the query is cancelled, expired, or its
+    /// handle superseded by a reattach).
+    Pending(CoordinationFuture),
+}
+
+impl From<CoordinationFuture> for Submission {
+    /// The blocking conveniences' view of a handle: `Answered` when
+    /// the query's own arrival completed a group, the future otherwise
+    /// (a query registered as pending stays `Pending` even if a later
+    /// arrival of the same batch has resolved it since).
+    fn from(mut future: CoordinationFuture) -> Submission {
+        if future.answered_on_arrival() {
+            if let Some(CoordinationOutcome::Answered(n)) = future.try_take() {
+                return Submission::Answered(n);
+            }
+        }
+        Submission::Pending(future)
+    }
 }
 
 impl Submission {
@@ -172,7 +175,7 @@ impl Submission {
     pub fn id(&self) -> QueryId {
         match self {
             Submission::Answered(n) => n.id,
-            Submission::Pending(t) => t.id,
+            Submission::Pending(f) => f.id(),
         }
     }
 
@@ -183,16 +186,6 @@ impl Submission {
             Submission::Pending(_) => None,
         }
     }
-}
-
-/// Handle to a pending query.
-#[derive(Debug)]
-pub struct Ticket {
-    /// The pending query's id (usable with
-    /// [`Coordinator::cancel`]).
-    pub id: QueryId,
-    /// Receives the notification when the query is answered.
-    pub receiver: Receiver<MatchNotification>,
 }
 
 /// One potential-satisfaction edge of the match graph: `from`'s
@@ -239,11 +232,6 @@ pub struct PendingInfo {
     pub deadline: Option<u64>,
 }
 
-/// Application side effects applied atomically with a match (e.g. the
-/// travel site decrements seat counts and inserts reservation rows).
-pub type ApplyHook =
-    Box<dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()> + Send + 'static>;
-
 /// What a coordinator recovery replayed and rebuilt (diagnostics; also
 /// the measured quantity of the `recovery_replay` bench).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -268,624 +256,117 @@ pub struct RecoveryReport {
     pub sweep_micros: u64,
 }
 
-struct State {
-    shard: ShardState,
-    next_id: u64,
-    seq: u64,
-    apply_hook: Option<ApplyHook>,
-}
+/// The one-shard coordinator: a [`ShardedCoordinator`] built with
+/// `ShardedConfig { shards: 1, base: config, .. }` — one registry,
+/// serial arrival order, and an RNG seeded with `config.seed` itself
+/// (`seed ^ 0`), so seed-pinned `CHOOSE` outcomes are those of the
+/// paper's single coordination component. Everything but construction
+/// is the sharded coordinator's own surface, reached through `Deref`.
+pub struct Coordinator(ShardedCoordinator);
 
-/// The coordination component (paper, Figure 2).
-pub struct Coordinator {
-    engine: Engine,
-    state: Mutex<State>,
-    /// Notified (outside the state lock) whenever a deadline-carrying
-    /// query registers, so a [`crate::DeadlineSweeper`] re-derives its
-    /// wakeup time.
-    sweep_signal: Arc<SweepSignal>,
-    /// Optional per-tenant admission control, consulted on every
-    /// submission before a query id is allocated.
-    tenants: Mutex<Option<Arc<TenantRegistry>>>,
+fn one_shard(base: CoordinatorConfig) -> ShardedConfig {
+    ShardedConfig {
+        shards: 1,
+        base,
+        ..ShardedConfig::default()
+    }
 }
 
 impl Coordinator {
-    /// Creates a coordinator over `db` with custom options.
+    /// A one-shard coordinator over `db` with default options.
+    pub fn new(db: Database) -> Coordinator {
+        Coordinator::with_config(db, CoordinatorConfig::default())
+    }
+
+    /// A one-shard coordinator over `db` with custom options.
     pub fn with_config(db: Database, config: CoordinatorConfig) -> Coordinator {
         Coordinator::with_config_clock(db, config, Arc::new(SystemClock))
     }
 
-    /// Like [`Coordinator::with_config`], but with an explicit clock for
-    /// the audit sink's timestamps (tests inject a [`MockClock`]).
+    /// [`Coordinator::with_config`] with an injected clock (tests pass
+    /// a [`crate::MockClock`]).
     pub fn with_config_clock(
         db: Database,
         config: CoordinatorConfig,
         clock: Arc<dyn Clock>,
     ) -> Coordinator {
-        let audit = config
-            .audit
-            .enabled
-            .then(|| Arc::new(AuditSink::new(db.clone(), config.audit, clock)));
-        Coordinator {
-            state: Mutex::new(State {
-                shard: ShardState::new(config.use_const_index, config.seed),
-                next_id: 1,
-                seq: 0,
-                apply_hook: None,
-            }),
-            sweep_signal: Arc::new(SweepSignal::new()),
-            tenants: Mutex::new(None),
-            engine: Engine { db, config, audit },
-        }
+        Coordinator(ShardedCoordinator::with_clock(db, one_shard(config), clock))
     }
 
-    /// Creates a coordinator with default options.
-    pub fn new(db: Database) -> Coordinator {
-        Coordinator::with_config(db, CoordinatorConfig::default())
-    }
-
-    /// The underlying database handle.
-    pub fn db(&self) -> &Database {
-        &self.engine.db
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CoordinatorConfig {
-        &self.engine.config
-    }
-
-    /// Registers the application side-effect hook, run inside the same
-    /// transaction that inserts a match's answer tuples.
-    pub fn set_apply_hook(&self, hook: ApplyHook) {
-        self.state.lock().apply_hook = Some(hook);
-    }
-
-    /// Installs per-tenant admission control: every later submission is
-    /// checked against its tenant's quotas before registration, and
-    /// every termination updates the tenant's ledger. Queries already
-    /// pending (e.g. after [`Coordinator::recover`]) are adopted into
-    /// their tenants' in-flight counts without quota checks.
-    pub fn set_tenant_registry(&self, registry: Arc<TenantRegistry>) {
-        {
-            let state = self.state.lock();
-            for p in state.shard.registry.iter() {
-                registry.adopt(&p.owner, p.id, p.deadline);
-            }
-        }
-        *self.tenants.lock() = Some(registry);
-    }
-
-    /// The installed tenant registry, if any.
-    pub fn tenant_registry(&self) -> Option<Arc<TenantRegistry>> {
-        self.tenants.lock().clone()
-    }
-
-    /// Submits an entangled query given as SQL text.
-    pub fn submit_sql(&self, owner: &str, sql: &str) -> CoreResult<Submission> {
-        self.submit_sql_with(owner, sql, SubmitOptions::default())
-    }
-
-    /// [`Coordinator::submit_sql`] with per-submission options (e.g. a
-    /// deadline).
-    pub fn submit_sql_with(
-        &self,
-        owner: &str,
-        sql: &str,
-        opts: SubmitOptions,
-    ) -> CoreResult<Submission> {
-        let compiled = compile_sql(sql)?;
-        self.submit_with(owner, compiled, opts)
-    }
-
-    /// Submits a compiled entangled query.
-    pub fn submit(&self, owner: &str, query: EntangledQuery) -> CoreResult<Submission> {
-        self.submit_with(owner, query, SubmitOptions::default())
-    }
-
-    /// [`Coordinator::submit`] with per-submission options (e.g. a
-    /// deadline, logged with the registration and enforced by
-    /// `expire_due` sweeps).
-    pub fn submit_with(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-    ) -> CoreResult<Submission> {
-        self.submit_mode(owner, query, opts, WaitMode::Sync)
-            .map(Arrival::into_sync)
-    }
-
-    /// Submits an entangled query given as SQL text, returning a
-    /// [`CoordinationFuture`] instead of a blocking ticket.
-    pub fn submit_sql_async(&self, owner: &str, sql: &str) -> CoreResult<CoordinationFuture> {
-        self.submit_sql_async_with(owner, sql, SubmitOptions::default())
-    }
-
-    /// [`Coordinator::submit_sql_async`] with per-submission options.
-    pub fn submit_sql_async_with(
-        &self,
-        owner: &str,
-        sql: &str,
-        opts: SubmitOptions,
-    ) -> CoreResult<CoordinationFuture> {
-        let compiled = compile_sql(sql)?;
-        self.submit_async_with(owner, compiled, opts)
-    }
-
-    /// Submits a compiled entangled query asynchronously: identical
-    /// registration, logging and matching as [`Coordinator::submit`],
-    /// but the returned handle is a poll-based future whose waker fires
-    /// on match commit, cancellation or expiry — no thread needs to
-    /// block per in-flight coordination. A query answered on arrival
-    /// returns an already-resolved future.
-    pub fn submit_async(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-    ) -> CoreResult<CoordinationFuture> {
-        self.submit_async_with(owner, query, SubmitOptions::default())
-    }
-
-    /// [`Coordinator::submit_async`] with per-submission options.
-    pub fn submit_async_with(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-    ) -> CoreResult<CoordinationFuture> {
-        self.submit_mode(owner, query, opts, WaitMode::Async)
-            .map(Arrival::into_async)
-    }
-
-    fn submit_mode(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-        mode: WaitMode,
-    ) -> CoreResult<Arrival> {
-        let tenants = self.tenants.lock().clone();
-        let result = {
-            let state = &mut *self.state.lock();
-            if let Err(e) = check_safety(&query, self.engine.config.safety) {
-                state.shard.stats.rejected_unsafe += 1;
-                return Err(e);
-            }
-            // admission control runs before the query id is allocated
-            // so a quota rejection leaves no trace in the id space or
-            // the log; the reservation it makes is released (as
-            // `aborted`) if the registration never becomes durable
-            let admission = match &tenants {
-                Some(reg) => match reg.admit(owner, opts.deadline) {
-                    Ok(admission) => Some(admission),
-                    Err(e) => {
-                        state.shard.stats.rejected_quota += 1;
-                        return Err(e);
-                    }
-                },
-                None => None,
-            };
-            let qid = QueryId(state.next_id);
-            state.next_id += 1;
-            state.seq += 1;
-            // log-before-ack: the registration (deadline included) must
-            // be durable before the submission can be acknowledged (or
-            // matched) — one commit group through the WAL's pipelined
-            // group-commit writer
-            let registered = CoordEvent::QueryRegistered {
-                owner: owner.to_string(),
-                sql: query.sql.clone(),
-                qid,
-                seq: state.seq,
-                deadline: opts.deadline,
-                stamp: self.engine.audit_now().map(|at| RegStamp { at, shard: 0 }),
-            };
-            self.engine
-                .db
-                .log_event(&registered)
-                .map_err(CoreError::Storage)?;
-            // the audit submit row exists before any terminal row this
-            // very arrival could produce (a match observes below)
-            self.engine.observe(&registered);
-            let pending = Pending {
-                id: qid,
-                owner: owner.to_string(),
-                query: query.namespaced(qid),
-                seq: state.seq,
-                deadline: opts.deadline,
-            };
-            // the registration is durable: bind the reservation to its id
-            if let (Some(reg), Some(admission)) = (&tenants, admission) {
-                reg.track(admission, qid);
-            }
-            let hook = state
-                .apply_hook
-                .as_ref()
-                .map(|h| h.as_ref() as &dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>);
-            let result = self
-                .engine
-                .process_arrival_mode(&mut state.shard, pending, hook, mode);
-            self.engine.flush_audit(&mut state.shard);
-            if let Some(reg) = &tenants {
-                // the answered log carries every member of any group the
-                // arrival completed (the trigger included)
-                reg.finish_all(&state.shard.answered_log, TenantOutcome::Answered);
-            }
-            // the answered log only feeds the sharded coordinator's router
-            state.shard.answered_log.clear();
-            result
-        };
-        if opts.deadline.is_some() {
-            // outside the state lock: the sweeper re-reads the registry
-            // min, which the lock release above made visible
-            self.sweep_signal.notify();
-        }
-        result
-    }
-
-    /// Cancels a pending query ("a query whose postcondition is not
-    /// satisfied ... waits for an opportunity to retry" — until the user
-    /// gives up).
-    pub fn cancel(&self, qid: QueryId) -> CoreResult<()> {
-        let mut state = self.state.lock();
-        if state.shard.registry.get(qid).is_none() {
-            return Err(CoreError::UnknownQuery(qid.0));
-        }
-        // log-before-ack: the cancellation is durable before the entry
-        // disappears from the registry
-        let cancelled = CoordEvent::QueryCancelled {
-            qid,
-            at: self.engine.audit_now(),
-        };
-        self.engine
-            .db
-            .log_event(&cancelled)
-            .map_err(CoreError::Storage)?;
-        self.engine.observe(&cancelled);
-        state.shard.registry.remove(qid);
-        if let Some(waiter) = state.shard.waiters.remove(&qid) {
-            // a parked future must resolve, not hang forever
-            waiter.resolve_terminal(CoordinationOutcome::Cancelled);
-        }
-        drop(state);
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish(qid, TenantOutcome::Cancelled);
-        }
-        Ok(())
-    }
-
-    /// Cancels every pending query belonging to `owner` (the user
-    /// logged out / gave up). Returns how many were withdrawn (0 when
-    /// the durable log rejects the write — nothing is removed that was
-    /// not logged first).
-    pub fn cancel_owner(&self, owner: &str) -> usize {
-        let state = &mut *self.state.lock();
-        let victims: Vec<QueryId> = state
-            .shard
-            .registry
-            .iter()
-            .filter(|p| p.owner == owner)
-            .map(|p| p.id)
-            .collect();
-        let at = self.engine.audit_now();
-        let cancelled = self.engine.retire_ids(
-            &mut state.shard,
-            &victims,
-            |qid| CoordEvent::QueryCancelled { qid, at },
-            &CoordinationOutcome::Cancelled,
-        );
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&cancelled, TenantOutcome::Cancelled);
-        }
-        cancelled.len()
-    }
-
-    /// Expires pending queries whose submission sequence number is
-    /// older than `min_seq` — the legacy caller-driven sweep, now a
-    /// seq-selection over the same lifecycle helper as
-    /// [`Coordinator::expire_due`]. Returns the expired ids (empty
-    /// when the durable log rejects the write — nothing is removed
-    /// that was not logged first).
-    pub fn expire_before(&self, min_seq: u64) -> Vec<QueryId> {
-        let state = &mut *self.state.lock();
-        let victims: Vec<QueryId> = state
-            .shard
-            .registry
-            .iter()
-            .filter(|p| p.seq < min_seq)
-            .map(|p| p.id)
-            .collect();
-        let at = self.engine.audit_now();
-        let expired = self.engine.retire_ids(
-            &mut state.shard,
-            &victims,
-            |qid| CoordEvent::QueryExpired { qid, at },
-            &CoordinationOutcome::Expired,
-        );
-        state.shard.stats.expired += expired.len() as u64;
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&expired, TenantOutcome::Expired);
-        }
-        expired
-    }
-
-    /// Expires every pending query whose deadline
-    /// ([`SubmitOptions::deadline`]) is at or before `now_millis` —
-    /// the clock-driven sweep a [`crate::DeadlineSweeper`] runs in the
-    /// background. Selection is a range scan of the registry's
-    /// deadline index; each expiry is logged before the removal, and
-    /// parked waiters resolve [`CoordinationOutcome::Expired`].
-    /// Returns the expired ids.
-    pub fn expire_due(&self, now_millis: u64) -> Vec<QueryId> {
-        let state = &mut *self.state.lock();
-        let due = state.shard.registry.due_before(now_millis);
-        let at = self.engine.audit_now();
-        let expired = self.engine.retire_ids(
-            &mut state.shard,
-            &due,
-            |qid| CoordEvent::QueryExpired { qid, at },
-            &CoordinationOutcome::Expired,
-        );
-        state.shard.stats.expired += expired.len() as u64;
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&expired, TenantOutcome::Expired);
-        }
-        expired
-    }
-
-    /// The earliest deadline of any pending query (the sweeper's
-    /// wakeup hint), or `None` when nothing carries one.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.state.lock().shard.registry.min_deadline()
-    }
-
-    /// Re-issues tickets for `owner`'s still-pending queries after a
-    /// reconnect (waiter channels do not survive a crash; the pending
-    /// queries themselves do). Any previous ticket for the same query
-    /// stops receiving notifications.
-    pub fn reattach(&self, owner: &str) -> Vec<Ticket> {
-        let state = &mut *self.state.lock();
-        let mut tickets = Vec::new();
-        let ids: Vec<QueryId> = state
-            .shard
-            .registry
-            .iter()
-            .filter(|p| p.owner == owner)
-            .map(|p| p.id)
-            .collect();
-        for qid in ids {
-            let (tx, rx) = unbounded();
-            if let Some(old) = state.shard.waiters.insert(qid, Waiter::Channel(tx)) {
-                old.resolve_terminal(CoordinationOutcome::Superseded);
-            }
-            tickets.push(Ticket {
-                id: qid,
-                receiver: rx,
-            });
-        }
-        tickets
-    }
-
-    /// [`Coordinator::reattach`], async flavor: hands the reconnecting
-    /// owner a live [`CoordinationFuture`] per still-pending query —
-    /// including queries restored by [`Coordinator::recover`], whose
-    /// pre-crash waiters died with the process. Any previous handle for
-    /// the same query resolves
-    /// [`CoordinationOutcome::Superseded`].
-    pub fn reattach_async(&self, owner: &str) -> Vec<CoordinationFuture> {
-        let state = &mut *self.state.lock();
-        let mut futures = Vec::new();
-        let ids: Vec<QueryId> = state
-            .shard
-            .registry
-            .iter()
-            .filter(|p| p.owner == owner)
-            .map(|p| p.id)
-            .collect();
-        for qid in ids {
-            let shared = std::sync::Arc::new(TicketShared::default());
-            let waiter = Waiter::Future(std::sync::Arc::clone(&shared));
-            if let Some(old) = state.shard.waiters.insert(qid, waiter) {
-                old.resolve_terminal(CoordinationOutcome::Superseded);
-            }
-            futures.push(CoordinationFuture::new(qid, shared));
-        }
-        futures.sort_by_key(|f| f.id().0);
-        futures
-    }
-
-    /// Rebuilds a coordinator (database **and** pending-query state)
-    /// from a WAL: replays the storage ops into a fresh database,
-    /// folds the coordination frames into the surviving pending set,
-    /// re-compiles the surviving SQL, and re-runs matching for
-    /// arrivals whose match had not committed before the crash. The
-    /// rebuilt coordinator keeps logging to the same WAL.
-    ///
-    /// The apply hook is `None` during the recovery sweep; use
-    /// [`Coordinator::recover_with_hook`] when matches must run
-    /// application side effects.
+    /// [`ShardedCoordinator::recover`] into one shard.
     pub fn recover(
         wal: Wal,
         config: CoordinatorConfig,
     ) -> CoreResult<(Coordinator, RecoveryReport)> {
-        Self::recover_with(wal, config, None, &SystemClock)
+        Coordinator::recover_with(wal, config, None, Arc::new(SystemClock))
     }
 
-    /// [`Coordinator::recover`] with an apply hook installed *before*
-    /// the post-restore matching sweep runs.
+    /// [`ShardedCoordinator::recover_with_hook`] into one shard.
     pub fn recover_with_hook(
         wal: Wal,
         config: CoordinatorConfig,
-        hook: Option<ApplyHook>,
+        hook: Option<SharedApplyHook>,
     ) -> CoreResult<(Coordinator, RecoveryReport)> {
-        Self::recover_with(wal, config, hook, &SystemClock)
+        Coordinator::recover_with(wal, config, hook, Arc::new(SystemClock))
     }
 
-    /// The full-control recovery entry point: apply hook plus an
-    /// injected [`Clock`]. Deadlines are rebuilt from the log and any
-    /// restored query already past due *by that clock* is expired
-    /// immediately — under a [`crate::MockClock`] a test recovers "at"
-    /// an exact instant, so crashed and uncrashed runs expire at
-    /// identical times.
+    /// [`ShardedCoordinator::recover_with`] into one shard.
     pub fn recover_with(
         wal: Wal,
         config: CoordinatorConfig,
-        hook: Option<ApplyHook>,
-        clock: &dyn Clock,
+        hook: Option<SharedApplyHook>,
+        clock: Arc<dyn Clock>,
     ) -> CoreResult<(Coordinator, RecoveryReport)> {
-        let (db, frames) = Database::recover_full(wal).map_err(CoreError::Storage)?;
-        let replayed = replay_coordination_frames(&frames)?;
-        let co = Coordinator::with_config(db, config);
-        // the audit relations are transient (never checkpointed), so
-        // they rebuild from the coordination frames — before the retry
-        // sweep, whose matches are then observed live like any other
-        if let Some(audit) = &co.engine.audit {
-            audit.rebuild_from_frames(&frames);
-        }
-        let mut report = RecoveryReport {
-            events_replayed: replayed.events,
-            restored_pending: replayed.survivors.len(),
-            ..RecoveryReport::default()
-        };
-        {
-            let state = &mut *co.state.lock();
-            state.next_id = replayed.max_qid + 1;
-            state.seq = replayed.max_seq;
-            state.apply_hook = hook;
-            for survivor in replayed.survivors {
-                // the SQL compiled when it was first submitted; a
-                // failure here means the log (or the compiler) changed
-                // underneath us, which recovery must not paper over
-                let query = compile_sql(&survivor.sql)?;
-                state.shard.registry.insert(Pending {
-                    id: survivor.qid,
-                    owner: survivor.owner,
-                    query: query.namespaced(survivor.qid),
-                    seq: survivor.seq,
-                    deadline: survivor.deadline,
-                });
-                state.shard.stats.submitted += 1;
-            }
-        }
-        // arrivals that were logged but not matched before the crash:
-        // their match (if any) fires now, and is logged normally
-        let sweep_started = std::time::Instant::now();
-        co.retry_all()?;
-        report.sweep_micros = sweep_started.elapsed().as_micros() as u64;
-        let swept = co.stats();
-        report.rematched_groups = swept.groups_matched;
-        report.triggers_pruned = swept.match_work.triggers_pruned;
-        // deadlines that lapsed while the coordinator was down expire
-        // now, before any client reattaches to a dead query
-        report.expired_at_recovery = co.expire_due(clock.now_millis()).len();
-        Ok((co, report))
-    }
-
-    /// The current submission sequence number (pairs with
-    /// [`Coordinator::expire_before`]).
-    pub fn current_seq(&self) -> u64 {
-        self.state.lock().seq
-    }
-
-    /// Retries matching for every pending query (useful after database
-    /// updates add new flights/hotels). Returns the notifications of all
-    /// queries answered by the sweep.
-    pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
-        let state = &mut *self.state.lock();
-        let hook = state
-            .apply_hook
-            .as_ref()
-            .map(|h| h.as_ref() as &dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>);
-        let result = self.engine.retry_all(&mut state.shard, hook);
-        self.engine.flush_audit(&mut state.shard);
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&state.shard.answered_log, TenantOutcome::Answered);
-        }
-        state.shard.answered_log.clear();
-        result
-    }
-
-    /// Number of pending queries.
-    pub fn pending_count(&self) -> usize {
-        self.state.lock().shard.registry.len()
-    }
-
-    /// Snapshot of the pending queries for the admin interface.
-    pub fn pending_snapshot(&self) -> Vec<PendingInfo> {
-        let state = self.state.lock();
-        state
-            .shard
-            .registry
-            .iter()
-            .map(|p| PendingInfo {
-                id: p.id,
-                owner: p.owner.clone(),
-                sql: p.query.sql.clone(),
-                ir: p.query.to_string(),
-                seq: p.seq,
-                deadline: p.deadline,
-            })
-            .collect()
-    }
-
-    /// Cumulative statistics (plus the WAL-size gauge when the
-    /// database is durable). `match_work` carries the staged-pipeline
-    /// counters — candidates scanned, index-pruned, triggers pruned,
-    /// buffer-pool hits/misses — merged across every match attempt.
-    pub fn stats(&self) -> SystemStats {
-        let mut stats = self.state.lock().shard.stats;
-        stats.wal_bytes = self.engine.db.wal_len().unwrap_or(0);
-        stats.wal_bytes_since_checkpoint = stats.wal_bytes;
-        stats
-    }
-
-    /// The current *match graph*: for every pending query's positive
-    /// answer constraint, which pending heads could satisfy it
-    /// (candidate via the registry index + pairwise unifiable). This is
-    /// the "state created by the matching algorithms" the paper's
-    /// admin interface visualizes (§3.2); dangling constraints (no
-    /// edges) show exactly why a query is still waiting.
-    pub fn match_graph(&self) -> MatchGraph {
-        match_graph_of(&self.state.lock().shard.registry)
-    }
-
-    /// Reads the current content of an answer relation (empty when no
-    /// match has touched it yet).
-    pub fn answers(&self, relation: &str) -> Vec<Tuple> {
-        self.engine.answers(relation)
+        let (co, report) = ShardedCoordinator::recover_with(wal, one_shard(config), hook, clock)?;
+        Ok((Coordinator(co), report))
     }
 }
 
-impl DeadlineHost for Coordinator {
-    fn next_deadline_millis(&self) -> Option<u64> {
-        self.next_deadline()
-    }
+impl Deref for Coordinator {
+    type Target = ShardedCoordinator;
 
-    fn expire_due(&self, now_millis: u64) -> Vec<QueryId> {
-        Coordinator::expire_due(self, now_millis)
-    }
-
-    fn sweep_signal(&self) -> Arc<SweepSignal> {
-        Arc::clone(&self.sweep_signal)
+    fn deref(&self) -> &ShardedCoordinator {
+        &self.0
     }
 }
 
+impl From<Coordinator> for ShardedCoordinator {
+    fn from(co: Coordinator) -> ShardedCoordinator {
+        co.0
+    }
+}
+
+/// What the serial coordinator's unit tests checked and the sharded
+/// coordinator's (`shard.rs`) do not: run here against one shard.
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+    use std::time::Duration;
 
     use super::*;
+    use crate::error::CoreError;
+    use crate::lifecycle::{MockClock, SubmitOptions};
     use youtopia_exec::run_sql;
-    use youtopia_storage::Value;
 
-    fn flights_db() -> Database {
-        let db = Database::new();
+    fn seed_flights(db: &Database) {
         for sql in [
             "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
             "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (134, 'Paris'), \
              (136, 'Rome')",
         ] {
-            run_sql(&db, sql).unwrap();
+            run_sql(db, sql).unwrap();
         }
+    }
+
+    fn flights_db() -> Database {
+        let db = Database::new();
+        seed_flights(&db);
+        db
+    }
+
+    fn flights_db_wal() -> Database {
+        let db = Database::with_wal(Wal::in_memory());
+        seed_flights(&db);
         db
     }
 
@@ -898,111 +379,30 @@ mod tests {
     }
 
     #[test]
-    fn paper_walkthrough_end_to_end() {
+    fn coordinator_is_one_shard_of_the_sharded_coordinator() {
         let co = Coordinator::new(flights_db());
-        // Kramer submits; his constraint cannot be satisfied yet.
-        let kramer = co
-            .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+        assert_eq!(co.shard_count(), 1);
+        co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
             .unwrap();
-        let Submission::Pending(ticket) = kramer else {
-            panic!("kramer must wait")
-        };
-        assert_eq!(co.pending_count(), 1);
-
-        // Jerry submits the symmetric query: both answered at once.
-        let jerry = co
-            .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        let Submission::Answered(jn) = jerry else {
-            panic!("jerry completes the group")
-        };
-        let kn = ticket.receiver.try_recv().expect("kramer is notified");
-
-        assert_eq!(jn.group, kn.group);
-        assert_eq!(jn.answers[0].0, "Reservation");
-        let j_fno = &jn.answers[0].1.values()[1];
-        let k_fno = &kn.answers[0].1.values()[1];
-        assert_eq!(j_fno, k_fno);
-        assert!([122i64, 123, 134].contains(&j_fno.as_int().unwrap()));
-
-        // the answer relation now holds both tuples
-        assert_eq!(co.answers("Reservation").len(), 2);
-        assert_eq!(co.pending_count(), 0);
-
-        let stats = co.stats();
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.answered, 2);
-        assert_eq!(stats.groups_matched, 1);
+        // the conversion hands over the same coordinator, state included
+        let sharded: ShardedCoordinator = co.into();
+        assert_eq!(sharded.pending_count(), 1);
+        sharded.check_routing_invariants().unwrap();
     }
 
     #[test]
-    fn unsafe_queries_are_rejected_and_counted() {
-        let co = Coordinator::new(flights_db());
-        let err = co
-            .submit_sql("x", "SELECT 'X', v INTO ANSWER R CHOOSE 1")
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Unsafe(_)));
-        assert_eq!(co.stats().rejected_unsafe, 1);
-        assert_eq!(co.pending_count(), 0);
-    }
-
-    #[test]
-    fn strict_mode_rejects_constraint_bound_vars() {
-        let config = CoordinatorConfig {
-            safety: SafetyMode::Strict,
-            ..Default::default()
-        };
-        let co = Coordinator::with_config(flights_db(), config);
-        let err = co
-            .submit_sql(
-                "k",
-                "SELECT 'K', fno INTO ANSWER R WHERE ('J', fno) IN ANSWER R CHOOSE 1",
-            )
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Unsafe(_)));
-    }
-
-    #[test]
-    fn cancel_removes_pending_query() {
+    fn cancelled_query_no_longer_matches() {
         let co = Coordinator::new(flights_db());
         let s = co
             .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
             .unwrap();
-        let id = s.id();
-        co.cancel(id).unwrap();
+        co.cancel(s.id()).unwrap();
         assert_eq!(co.pending_count(), 0);
-        assert!(matches!(co.cancel(id), Err(CoreError::UnknownQuery(_))));
-        // Jerry now waits forever — no partner
+        // Jerry now waits — no partner
         let s2 = co
             .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
             .unwrap();
         assert!(matches!(s2, Submission::Pending(_)));
-    }
-
-    #[test]
-    fn retry_all_matches_after_data_arrives() {
-        let db = Database::new();
-        run_sql(
-            &db,
-            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
-        )
-        .unwrap();
-        let co = Coordinator::new(db.clone());
-        // no Paris flights yet: the pair cannot ground
-        let t1 = co
-            .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        let t2 = co
-            .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        assert!(matches!(t1, Submission::Pending(_)));
-        assert!(matches!(t2, Submission::Pending(_)));
-        assert!(co.retry_all().unwrap().is_empty());
-
-        run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
-        let notifications = co.retry_all().unwrap();
-        assert_eq!(notifications.len(), 2);
-        assert_eq!(co.pending_count(), 0);
     }
 
     #[test]
@@ -1018,29 +418,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_hook_runs_in_the_match_transaction() {
-        let db = flights_db();
-        run_sql(&db, "CREATE TABLE Log (qid INT)").unwrap();
-        let co = Coordinator::new(db.clone());
-        co.set_apply_hook(Box::new(|txn, m| {
-            for &qid in &m.members {
-                txn.insert("Log", Tuple::new(vec![Value::Int(qid.0 as i64)]))?;
-            }
-            Ok(())
-        }));
-        co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        let read = db.read();
-        assert_eq!(read.table("Log").unwrap().len(), 2);
-    }
-
-    #[test]
     fn failing_hook_reinstates_the_group() {
-        let db = flights_db();
-        let co = Coordinator::new(db.clone());
-        co.set_apply_hook(Box::new(|_, _| {
+        let co = Coordinator::new(flights_db());
+        co.set_apply_hook(Arc::new(|_, _| {
             Err(youtopia_storage::StorageError::Internal("no seats".into()))
         }));
         co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
@@ -1088,7 +468,7 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_from_threads() {
-        let co = std::sync::Arc::new(Coordinator::new(flights_db()));
+        let co = Arc::new(Coordinator::new(flights_db()));
         let mut handles = Vec::new();
         for pair in 0..8 {
             for side in 0..2 {
@@ -1099,16 +479,11 @@ mod tests {
                     } else {
                         (format!("R{pair}"), format!("L{pair}"))
                     };
-                    let sql = format!(
-                        "SELECT '{me}', fno INTO ANSWER Reservation \
-                         WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
-                         AND ('{friend}', fno) IN ANSWER Reservation CHOOSE 1"
-                    );
-                    match co.submit_sql(&me, &sql).unwrap() {
+                    match co.submit_sql(&me, &pair_sql(&me, &friend)).unwrap() {
                         Submission::Answered(n) => n,
-                        Submission::Pending(t) => t
-                            .receiver
-                            .recv_timeout(std::time::Duration::from_secs(5))
+                        Submission::Pending(mut f) => f
+                            .wait_timeout(Duration::from_secs(5))
+                            .and_then(CoordinationOutcome::answered)
                             .unwrap(),
                     }
                 }));
@@ -1131,82 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_owner_withdraws_all_of_a_users_requests() {
-        let co = Coordinator::new(flights_db());
-        co.submit_sql("kramer", &pair_sql("Kramer", "Ghost1"))
-            .unwrap();
-        co.submit_sql("kramer", &pair_sql("Kramer", "Ghost2"))
-            .unwrap();
-        co.submit_sql("elaine", &pair_sql("Elaine", "Ghost3"))
-            .unwrap();
-        assert_eq!(co.cancel_owner("kramer"), 2);
-        assert_eq!(co.pending_count(), 1);
-        assert_eq!(co.cancel_owner("kramer"), 0);
-    }
-
-    #[test]
-    fn expire_before_sweeps_old_requests() {
-        let co = Coordinator::new(flights_db());
-        co.submit_sql("a", &pair_sql("A", "GhostA")).unwrap();
-        co.submit_sql("b", &pair_sql("B", "GhostB")).unwrap();
-        let cutoff = co.current_seq(); // == 2
-        co.submit_sql("c", &pair_sql("C", "GhostC")).unwrap();
-        let expired = co.expire_before(cutoff);
-        assert_eq!(expired.len(), 1, "only the first submission predates seq 2");
-        assert_eq!(co.pending_count(), 2);
-        // expiring everything
-        let expired = co.expire_before(u64::MAX);
-        assert_eq!(expired.len(), 2);
-        assert_eq!(co.pending_count(), 0);
-    }
-
-    fn flights_db_wal() -> Database {
-        let db = Database::with_wal(youtopia_storage::Wal::in_memory());
-        for sql in [
-            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
-            "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (134, 'Paris'), \
-             (136, 'Rome')",
-        ] {
-            run_sql(&db, sql).unwrap();
-        }
-        db
-    }
-
-    #[test]
-    fn recover_restores_pending_and_completes_the_pair() {
-        let db = flights_db_wal();
-        let co = Coordinator::new(db.clone());
-        co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        let bytes = db.wal_bytes().unwrap();
-        drop(co); // "kill" the process; only the log survives
-
-        let (co2, report) = Coordinator::recover(
-            youtopia_storage::Wal::from_bytes(bytes),
-            CoordinatorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.restored_pending, 1);
-        assert_eq!(co2.pending_count(), 1);
-        let snap = co2.pending_snapshot();
-        assert_eq!(snap[0].owner, "kramer");
-
-        // the reconnecting owner gets a fresh ticket, and the pair
-        // completes exactly as it would have without the crash
-        let tickets = co2.reattach("kramer");
-        assert_eq!(tickets.len(), 1);
-        let jerry = co2
-            .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        assert!(matches!(jerry, Submission::Answered(_)));
-        tickets[0]
-            .receiver
-            .try_recv()
-            .expect("reattached waiter is notified");
-        assert_eq!(co2.answers("Reservation").len(), 2);
-    }
-
-    #[test]
     fn recover_drops_matched_and_cancelled_queries() {
         let db = flights_db_wal();
         let co = Coordinator::new(db.clone());
@@ -1222,11 +521,8 @@ mod tests {
         let bytes = db.wal_bytes().unwrap();
         drop(co);
 
-        let (co2, report) = Coordinator::recover(
-            youtopia_storage::Wal::from_bytes(bytes),
-            CoordinatorConfig::default(),
-        )
-        .unwrap();
+        let (co2, report) =
+            Coordinator::recover(Wal::from_bytes(bytes), CoordinatorConfig::default()).unwrap();
         assert_eq!(report.restored_pending, 1);
         let snap = co2.pending_snapshot();
         assert_eq!(snap.len(), 1);
@@ -1240,114 +536,16 @@ mod tests {
     }
 
     #[test]
-    fn recover_rematches_logged_but_unmatched_arrivals() {
-        // craft a log whose registrations form a completable pair that
-        // never matched (the crash hit between the registration commits
-        // and the match apply)
-        let db = flights_db_wal();
-        for (qid, owner, friend, seq) in [(1, "Kramer", "Jerry", 1), (2, "Jerry", "Kramer", 2)] {
-            db.append_coordination(
-                &CoordEvent::QueryRegistered {
-                    owner: owner.to_lowercase(),
-                    sql: pair_sql(owner, friend),
-                    qid: QueryId(qid),
-                    seq,
-                    deadline: None,
-                    stamp: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        }
-        let bytes = db.wal_bytes().unwrap();
-        drop(db);
-
-        let (co, report) = Coordinator::recover(
-            youtopia_storage::Wal::from_bytes(bytes),
-            CoordinatorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.restored_pending, 2);
-        assert_eq!(report.rematched_groups, 1, "the sweep completes the pair");
-        assert_eq!(co.pending_count(), 0);
-        assert_eq!(co.answers("Reservation").len(), 2);
-    }
-
-    #[test]
-    fn async_pair_resolves_both_futures() {
-        let co = Coordinator::new(flights_db());
-        let mut kramer = co
-            .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        assert!(!kramer.is_complete());
-        assert!(kramer.try_take().is_none(), "in flight: nothing to take");
-        let mut jerry = co
-            .submit_sql_async("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        // jerry completed the group on arrival; kramer's waker fired
-        let jn = jerry.try_take().unwrap().answered().expect("answered");
-        let kn = kramer.try_take().unwrap().answered().expect("answered");
-        assert_eq!(jn.group, kn.group);
-        assert_eq!(
-            jn.answers[0].1.values()[1],
-            kn.answers[0].1.values()[1],
-            "coordinated pair shares its flight"
-        );
-        assert_eq!(co.pending_count(), 0);
-    }
-
-    /// Regression (async-submission PR, satellite 1): `cancel` on a
-    /// query with a parked future waiter must wake it with the terminal
-    /// `Cancelled` outcome — not leave the future pending forever.
-    #[test]
-    fn cancel_wakes_parked_future_with_cancelled() {
-        let co = Coordinator::new(flights_db());
-        let mut f = co
-            .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        co.cancel(f.id()).unwrap();
-        assert_eq!(
-            f.wait_timeout(std::time::Duration::from_secs(5)),
-            Some(crate::future::CoordinationOutcome::Cancelled),
-            "cancel must resolve the parked future"
-        );
-        // cancel_owner takes the same path
-        let mut g = co
-            .submit_sql_async("elaine", &pair_sql("Elaine", "Ghost"))
-            .unwrap();
-        assert_eq!(co.cancel_owner("elaine"), 1);
-        assert_eq!(
-            g.try_take(),
-            Some(crate::future::CoordinationOutcome::Cancelled)
-        );
-    }
-
-    /// Regression (async-submission PR, satellite 1): `expire_before`
-    /// must wake a parked future waiter with `Expired`.
-    #[test]
-    fn expire_wakes_parked_future_with_expired() {
-        let co = Coordinator::new(flights_db());
-        let mut f = co.submit_sql_async("a", &pair_sql("A", "GhostA")).unwrap();
-        let expired = co.expire_before(u64::MAX);
-        assert_eq!(expired, vec![f.id()]);
-        assert_eq!(
-            f.wait_timeout(std::time::Duration::from_secs(5)),
-            Some(crate::future::CoordinationOutcome::Expired),
-            "expiry must resolve the parked future"
-        );
-    }
-
-    #[test]
     fn reattach_supersedes_previous_future() {
         let co = Coordinator::new(flights_db());
         let mut old = co
             .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
             .unwrap();
-        let mut fresh = co.reattach_async("kramer");
+        let mut fresh = co.reattach("kramer");
         assert_eq!(fresh.len(), 1);
         assert_eq!(
             old.try_take(),
-            Some(crate::future::CoordinationOutcome::Superseded),
+            Some(CoordinationOutcome::Superseded),
             "the replaced handle resolves instead of hanging"
         );
         // the fresh future receives the answer
@@ -1355,51 +553,20 @@ mod tests {
             .unwrap();
         let outcome = fresh[0].try_take().unwrap();
         assert!(outcome.answered().is_some());
-        // a sync reattach supersedes an async handle too
-        let mut h = co.submit_sql_async("b", &pair_sql("B", "GhostB")).unwrap();
-        let tickets = co.reattach("b");
-        assert_eq!(tickets.len(), 1);
-        assert_eq!(
-            h.try_take(),
-            Some(crate::future::CoordinationOutcome::Superseded)
-        );
+        // a handle from a blocking-style submit is superseded the same way
+        let Submission::Pending(mut h) = co.submit_sql("b", &pair_sql("B", "GhostB")).unwrap()
+        else {
+            panic!("no partner: must pend")
+        };
+        assert_eq!(co.reattach("b").len(), 1);
+        assert_eq!(h.try_take(), Some(CoordinationOutcome::Superseded));
     }
 
-    #[test]
-    fn recover_then_reattach_async_resumes_the_future() {
-        let db = flights_db_wal();
-        let co = Coordinator::new(db.clone());
-        let f = co
-            .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        assert!(!f.is_complete());
-        let bytes = db.wal_bytes().unwrap();
-        drop(f); // the front-end dies with its futures
-        drop(co);
-
-        let (co2, report) = Coordinator::recover(
-            youtopia_storage::Wal::from_bytes(bytes),
-            CoordinatorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.restored_pending, 1);
-        let mut futures = co2.reattach_async("kramer");
-        assert_eq!(futures.len(), 1);
-        co2.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        let outcome = futures[0]
-            .wait_timeout(std::time::Duration::from_secs(5))
-            .expect("reattached future resolves");
-        assert!(outcome.answered().is_some());
-    }
-
-    /// Deadline-lifecycle PR: `expire_due` retires exactly the pending
-    /// queries whose deadline has passed, resolves their futures with
-    /// `Expired`, and leaves deadline-less queries alone.
+    /// `expire_due` retires exactly the pending queries whose deadline
+    /// has passed, resolves their futures with `Expired`, and leaves
+    /// deadline-less queries alone.
     #[test]
     fn expire_due_sweeps_past_deadlines_only() {
-        use crate::lifecycle::SubmitOptions;
-
         let co = Coordinator::new(flights_db());
         let mut early = co
             .submit_sql_async_with(
@@ -1420,10 +587,7 @@ mod tests {
         assert!(co.expire_due(99).is_empty(), "nothing due yet");
         let expired = co.expire_due(150);
         assert_eq!(expired, vec![early.id()]);
-        assert_eq!(
-            early.try_take(),
-            Some(crate::future::CoordinationOutcome::Expired)
-        );
+        assert_eq!(early.try_take(), Some(CoordinationOutcome::Expired));
         assert_eq!(co.next_deadline(), Some(200));
         assert_eq!(co.expire_due(1_000).len(), 1);
         assert_eq!(co.pending_count(), 1, "deadline-less query survives");
@@ -1436,8 +600,6 @@ mod tests {
     /// any client can reattach to it.
     #[test]
     fn recovery_restores_and_enforces_deadlines() {
-        use crate::lifecycle::{MockClock, SubmitOptions};
-
         let db = flights_db_wal();
         let co = Coordinator::new(db.clone());
         co.submit_sql_with(
@@ -1456,12 +618,12 @@ mod tests {
         drop(co);
 
         // recover "at" t=900: a's deadline (100) lapsed while down
-        let clock = MockClock::new(900);
+        let clock = Arc::new(MockClock::new(900));
         let (co2, report) = Coordinator::recover_with(
-            youtopia_storage::Wal::from_bytes(bytes),
+            Wal::from_bytes(bytes),
             CoordinatorConfig::default(),
             None,
-            &clock,
+            clock.clone(),
         )
         .unwrap();
         assert_eq!(report.restored_pending, 2);
@@ -1474,26 +636,14 @@ mod tests {
         let bytes2 = co2.db().wal_bytes().unwrap();
         drop(co2);
         let (co3, report3) = Coordinator::recover_with(
-            youtopia_storage::Wal::from_bytes(bytes2),
+            Wal::from_bytes(bytes2),
             CoordinatorConfig::default(),
             None,
-            &clock,
+            clock,
         )
         .unwrap();
         assert_eq!(report3.restored_pending, 1);
         assert_eq!(report3.expired_at_recovery, 0);
         assert_eq!(co3.pending_count(), 1);
-    }
-
-    #[test]
-    fn matching_time_is_recorded() {
-        let co = Coordinator::new(flights_db());
-        co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap();
-        let stats = co.stats();
-        assert!(stats.matching_nanos > 0);
-        assert_eq!(stats.match_attempts, 2);
     }
 }

@@ -1,14 +1,13 @@
-//! The shared match engine: per-registry coordination logic used by
-//! both the serial [`crate::Coordinator`] and every shard of the
-//! [`crate::ShardedCoordinator`] — plus the **coordination log**, the
-//! durable event stream that makes both coordinators crash-recoverable.
+//! The match engine: the per-registry coordination logic every shard
+//! of the [`crate::ShardedCoordinator`] runs — plus the **coordination
+//! log**, the durable event stream that makes the coordinator
+//! crash-recoverable.
 //!
 //! A [`ShardState`] is one independent matching domain: a pending-query
-//! registry, the RNG that resolves `CHOOSE` nondeterminism, waiter
-//! channels, and counters. The [`Engine`] owns nothing mutable — it
-//! borrows a `ShardState` for each operation, so callers decide the
-//! locking granularity (one global mutex for the serial coordinator,
-//! one mutex per shard for the sharded one).
+//! registry, the RNG that resolves `CHOOSE` nondeterminism, the parked
+//! waiter slots, and counters. The [`Engine`] owns nothing that matching
+//! mutates — it borrows a `ShardState` for each operation, and the
+//! coordinator holds that shard's mutex around the call.
 //!
 //! # The coordination log
 //!
@@ -27,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, BytesMut};
-use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,13 +37,14 @@ use youtopia_storage::{
 };
 
 use crate::coordinator::{
-    CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind, Submission, Ticket,
+    CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind,
 };
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{Atom, QueryId, Term};
 use crate::matcher::{baseline, search, GroupMatch, MatchStats};
 use crate::registry::{Pending, Registry};
+use crate::tenant::{TenantOutcome, TenantRegistry};
 use crate::SystemStats;
 
 /// The audit annotation of a registration frame: the wall-clock submit
@@ -56,8 +56,7 @@ use crate::SystemStats;
 pub struct RegStamp {
     /// Submit time in clock milliseconds.
     pub at: u64,
-    /// Shard index that accepted the query (0 for the serial
-    /// coordinator).
+    /// Shard index that accepted the query.
     pub shard: u32,
 }
 
@@ -348,14 +347,14 @@ impl CoordEvent {
 }
 
 /// A durable sink for coordination events — the handle the
-/// coordinators log through. Implemented by
+/// coordinator logs through. Implemented by
 /// [`youtopia_storage::Database`], which submits events to its
 /// pipelined group-commit writer as one marker-delimited commit
 /// group per call and blocks until the group is synced; concurrent
-/// callers (shards draining in parallel, both coordinator flavors)
-/// share the writer's one-fsync-per-quantum discipline instead of
-/// paying a sync each. A database without a WAL accepts and drops
-/// events, so non-durable deployments pay nothing.
+/// callers (shards draining in parallel) share the writer's
+/// one-fsync-per-quantum discipline instead of paying a sync each. A
+/// database without a WAL accepts and drops events, so non-durable
+/// deployments pay nothing.
 pub trait CoordinationLog {
     /// Durably appends one event (one commit group).
     fn log_event(&self, event: &CoordEvent) -> StorageResult<()>;
@@ -469,102 +468,13 @@ pub(crate) fn replay_coordination_frames(frames: &[Vec<u8>]) -> CoreResult<Repla
 }
 
 /// A borrowed apply hook: side effects executed inside the match's
-/// storage transaction. The serial coordinator stores a `Box`, the
-/// sharded coordinator an `Arc` shared by all shards; both lend the
-/// engine a plain `&dyn Fn`.
+/// storage transaction ([`crate::SharedApplyHook`], lent as a plain
+/// `&dyn Fn`).
 pub(crate) type HookRef<'a> =
     Option<&'a dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>>;
 
-/// How a submission wants to be notified when it terminates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WaitMode {
-    /// Blocking ticket channel ([`Ticket`]): the original API.
-    Sync,
-    /// Parked waker ([`CoordinationFuture`]): the async API.
-    Async,
-}
-
-/// One parked waiter of a pending query. A match commit *answers* it;
-/// cancellation, expiry and supersession *resolve* it with the matching
-/// terminal outcome — every code path that removes a pending query must
-/// consume its waiter through one of those two methods, never drop it
-/// silently (a silently dropped future waiter would leave the future
-/// pending forever).
-#[derive(Debug)]
-pub(crate) enum Waiter {
-    /// The sync ticket's channel. Terminal outcomes other than an
-    /// answer just drop the sender: the blocked receiver observes the
-    /// disconnect, exactly as before the async API existed.
-    Channel(Sender<MatchNotification>),
-    /// The async future's completion slot.
-    Future(Arc<TicketShared>),
-}
-
-impl Waiter {
-    /// Delivers a match notification.
-    pub(crate) fn notify_answered(self, n: MatchNotification) {
-        match self {
-            // the receiver may have been dropped
-            Waiter::Channel(tx) => drop(tx.send(n)),
-            Waiter::Future(shared) => shared.complete(CoordinationOutcome::Answered(n)),
-        }
-    }
-
-    /// Resolves the waiter with a non-answer terminal outcome
-    /// (cancelled / expired / superseded).
-    pub(crate) fn resolve_terminal(self, outcome: CoordinationOutcome) {
-        match self {
-            Waiter::Channel(_) => {} // dropping the sender disconnects the ticket
-            Waiter::Future(shared) => shared.complete(outcome),
-        }
-    }
-}
-
-/// Outcome of a mode-parameterized arrival: the sync [`Submission`] or
-/// the async [`CoordinationFuture`], remembering whether the query was
-/// left pending at creation time (the sharded coordinator's placement
-/// healing keys off that).
-pub(crate) enum Arrival {
-    /// Sync submission outcome.
-    Sync(Submission),
-    /// Async submission outcome.
-    Async {
-        /// The future handed to the submitter.
-        future: CoordinationFuture,
-        /// Whether the query was registered as pending (vs answered on
-        /// arrival).
-        pending: bool,
-    },
-}
-
-impl Arrival {
-    /// Whether the arrival left the query pending.
-    pub(crate) fn is_pending(&self) -> bool {
-        match self {
-            Arrival::Sync(s) => matches!(s, Submission::Pending(_)),
-            Arrival::Async { pending, .. } => *pending,
-        }
-    }
-
-    /// Unwraps the sync variant (callers pass `WaitMode::Sync`).
-    pub(crate) fn into_sync(self) -> Submission {
-        match self {
-            Arrival::Sync(s) => s,
-            Arrival::Async { .. } => unreachable!("sync arrival produced an async outcome"),
-        }
-    }
-
-    /// Unwraps the async variant (callers pass `WaitMode::Async`).
-    pub(crate) fn into_async(self) -> CoordinationFuture {
-        match self {
-            Arrival::Async { future, .. } => future,
-            Arrival::Sync(_) => unreachable!("async arrival produced a sync outcome"),
-        }
-    }
-}
-
-/// One independent matching domain (the whole system for the serial
-/// coordinator; one shard for the sharded coordinator).
+/// One independent matching domain: one shard of the coordinator (the
+/// whole system when it has one shard).
 pub(crate) struct ShardState {
     /// Pending queries of this domain.
     pub registry: Registry,
@@ -572,12 +482,13 @@ pub(crate) struct ShardState {
     pub rng: StdRng,
     /// Counters local to this domain (merge across shards for totals).
     pub stats: SystemStats,
-    /// Parked waiters (ticket channels or future wakers) of this
-    /// domain's pending queries.
-    pub waiters: HashMap<QueryId, Waiter>,
-    /// Queries answered (removed) since the owner last drained this
-    /// log. The sharded coordinator uses it to retire router
-    /// memberships; the serial coordinator clears it after each call.
+    /// The parked completion slot of each pending query that has a
+    /// live handle. Every path that removes a pending query must
+    /// `complete` its slot with the terminal outcome, never drop it
+    /// silently — a dropped slot leaves its future pending forever.
+    pub waiters: HashMap<QueryId, Arc<TicketShared>>,
+    /// Queries answered (removed) since the coordinator last drained
+    /// this log; it retires their router memberships with it.
     pub answered_log: Vec<QueryId>,
     /// Match-commit audit events buffered under the shard lock; the
     /// owner flushes them in one storage transaction before releasing
@@ -604,8 +515,9 @@ impl ShardState {
     }
 }
 
-/// The stateless core: configuration + database handle. All mutation
-/// goes through an explicitly borrowed [`ShardState`].
+/// The core shared by all shards: configuration + database handle +
+/// the coordinator-wide sinks (audit, tenant ledger). All matching
+/// state goes through an explicitly borrowed [`ShardState`].
 pub(crate) struct Engine {
     pub db: Database,
     pub config: CoordinatorConfig,
@@ -613,9 +525,20 @@ pub(crate) struct Engine {
     /// wall-clock times and mirrors them into the `sys_audit` /
     /// `sys_tenant_latency` system relations.
     pub audit: Option<Arc<crate::audit::AuditSink>>,
+    /// Optional per-tenant admission control and ledger. Terminations
+    /// are booked here **before** the query's waiter is completed, so
+    /// a client that has seen its terminal outcome never reads a
+    /// ledger that still counts the query in flight. Lock order:
+    /// shard lock → registry.
+    pub tenants: Mutex<Option<Arc<TenantRegistry>>>,
 }
 
 impl Engine {
+    /// The installed tenant registry, if any.
+    pub(crate) fn tenants(&self) -> Option<Arc<TenantRegistry>> {
+        self.tenants.lock().clone()
+    }
+
     /// The current audit timestamp, or `None` when auditing is off —
     /// events built with this stamp encode to the pre-audit byte
     /// format exactly when the sink is disabled.
@@ -654,67 +577,37 @@ impl Engine {
 impl Engine {
     /// Registers an arrived (already safety-checked, namespaced)
     /// pending query and runs arrival-driven matching, cascading
-    /// through freshly committed answers until quiescent. `mode` picks
-    /// the notification style: a pending query parks either a ticket
-    /// channel or a future's completion slot in the waiter table. The
-    /// waiter is registered under the caller's lock on `state`, so a
-    /// completion racing in from another arrival can never miss it.
-    pub(crate) fn process_arrival_mode(
+    /// through freshly committed answers until quiescent. Returns the
+    /// query's handle: already resolved when the arrival completed a
+    /// group, otherwise parked in the waiter table — under the
+    /// caller's lock on `state`, so a completion racing in from
+    /// another arrival can never miss it.
+    pub(crate) fn process_arrival(
         &self,
         state: &mut ShardState,
         pending: Pending,
         hook: HookRef,
-        mode: WaitMode,
-    ) -> CoreResult<Arrival> {
+    ) -> CoreResult<CoordinationFuture> {
         let qid = pending.id;
         state.registry.insert(pending);
         state.stats.submitted += 1;
 
-        match self.try_match(state, qid)? {
-            Some(m) => {
-                let fresh: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
-                let mut my_notification = None;
-                for n in self.apply_and_notify(state, m, hook)? {
-                    if n.id == qid {
-                        my_notification = Some(n);
-                    }
-                }
-                let n = my_notification.ok_or_else(|| {
-                    CoreError::Internal("trigger missing from its own match".into())
-                })?;
-                // Newly committed answers may satisfy pending queries'
-                // postconditions ("the system-wide answer relation"):
-                // cascade until quiescent.
-                self.cascade(state, fresh, hook)?;
-                Ok(match mode {
-                    WaitMode::Sync => Arrival::Sync(Submission::Answered(n)),
-                    WaitMode::Async => Arrival::Async {
-                        future: CoordinationFuture::ready(qid, CoordinationOutcome::Answered(n)),
-                        pending: false,
-                    },
-                })
-            }
-            None => Ok(match mode {
-                WaitMode::Sync => {
-                    let (tx, rx) = unbounded();
-                    state.waiters.insert(qid, Waiter::Channel(tx));
-                    Arrival::Sync(Submission::Pending(Ticket {
-                        id: qid,
-                        receiver: rx,
-                    }))
-                }
-                WaitMode::Async => {
-                    let shared = Arc::new(TicketShared::default());
-                    state
-                        .waiters
-                        .insert(qid, Waiter::Future(Arc::clone(&shared)));
-                    Arrival::Async {
-                        future: CoordinationFuture::new(qid, shared),
-                        pending: true,
-                    }
-                }
-            }),
-        }
+        let Some(m) = self.try_match(state, qid)? else {
+            let shared = Arc::new(TicketShared::default());
+            state.waiters.insert(qid, Arc::clone(&shared));
+            return Ok(CoordinationFuture::new(qid, shared));
+        };
+        let fresh: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
+        let n = self
+            .apply_and_notify(state, m, hook)?
+            .into_iter()
+            .find(|n| n.id == qid)
+            .ok_or_else(|| CoreError::Internal("trigger missing from its own match".into()))?;
+        // Newly committed answers may satisfy pending queries'
+        // postconditions ("the system-wide answer relation"):
+        // cascade until quiescent.
+        self.cascade(state, fresh, hook)?;
+        Ok(CoordinationFuture::answered(n))
     }
 
     /// Re-runs matching for pending queries whose positive constraints
@@ -869,6 +762,7 @@ impl Engine {
         state.stats.answered += m.members.len() as u64;
         state.answered_log.extend_from_slice(&m.members);
 
+        let tenants = self.tenants();
         let group = m.members.clone();
         let mut notifications = Vec::with_capacity(group.len());
         for &qid in &m.members {
@@ -877,8 +771,13 @@ impl Engine {
                 group: group.clone(),
                 answers: m.answers.get(&qid).cloned().unwrap_or_default(),
             };
+            // ledger before waiter: whoever the completion wakes must
+            // already see the query as answered, not in flight
+            if let Some(reg) = &tenants {
+                reg.finish(qid, TenantOutcome::Answered);
+            }
             if let Some(waiter) = state.waiters.remove(&qid) {
-                waiter.notify_answered(n.clone());
+                waiter.complete(CoordinationOutcome::Answered(n.clone()));
             }
             notifications.push(n);
         }
@@ -965,49 +864,72 @@ impl Engine {
         out
     }
 
-    /// The shared lifecycle retirement path: durably logs `event(qid)`
-    /// for every id (one group commit), then removes each from the
-    /// registry and resolves its parked waiter with `outcome` — sync
-    /// tickets disconnect, futures resolve the terminal outcome.
-    /// Log-before-ack: when the log write fails, *nothing* is removed
-    /// and the result is empty. Returns the ids actually retired (ids
-    /// no longer pending are skipped silently, so callers may race
-    /// matches without double-delivery — the registry removal under
-    /// the caller's lock is the arbiter).
-    ///
-    /// Every bulk removal — seq-based `expire_before`, owner-wide
-    /// `cancel_owner`, deadline-driven `expire_due` — is built on this
-    /// one helper on both coordinators.
+    /// The one retirement path for cancellation and expiry: durably
+    /// logs the `why` event of every id (one group commit), then removes
+    /// each from the registry, books the tenant ledger, and completes
+    /// its parked waiter with the same outcome — in that order, so a woken
+    /// client already reads a settled ledger. Log-before-ack: when the
+    /// log write fails, *nothing* is removed and the error is
+    /// returned. Returns the ids actually retired (ids no longer
+    /// pending are skipped silently, so callers may race matches
+    /// without double-delivery — the registry removal under the
+    /// caller's lock is the arbiter); expiries are counted in the
+    /// shard's stats.
     pub(crate) fn retire_ids(
         &self,
         state: &mut ShardState,
         ids: &[QueryId],
-        event: impl Fn(QueryId) -> CoordEvent,
-        outcome: &CoordinationOutcome,
-    ) -> Vec<QueryId> {
+        why: Retirement,
+    ) -> StorageResult<Vec<QueryId>> {
         if ids.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        let events: Vec<CoordEvent> = ids.iter().map(|&qid| event(qid)).collect();
-        if self.db.log_events(&events).is_err() {
-            return Vec::new(); // unlogged removals never happen
-        }
+        let at = self.audit_now();
+        let (tenant_outcome, waiter_outcome) = match why {
+            Retirement::Cancelled => (TenantOutcome::Cancelled, CoordinationOutcome::Cancelled),
+            Retirement::Expired => (TenantOutcome::Expired, CoordinationOutcome::Expired),
+        };
+        let events: Vec<CoordEvent> = ids
+            .iter()
+            .map(|&qid| match why {
+                Retirement::Cancelled => CoordEvent::QueryCancelled { qid, at },
+                Retirement::Expired => CoordEvent::QueryExpired { qid, at },
+            })
+            .collect();
+        self.db.log_events(&events)?; // unlogged removals never happen
+        let tenants = self.tenants();
         let mut retired = Vec::with_capacity(ids.len());
         for &qid in ids {
             if state.registry.remove(qid).is_none() {
                 continue; // already answered/removed under this lock
             }
+            if let Some(reg) = &tenants {
+                reg.finish(qid, tenant_outcome);
+            }
             if let Some(waiter) = state.waiters.remove(&qid) {
-                waiter.resolve_terminal(outcome.clone());
+                waiter.complete(waiter_outcome.clone());
             }
             retired.push(qid);
+        }
+        if why == Retirement::Expired {
+            state.stats.expired += retired.len() as u64;
         }
         // the sink's open-entry map arbitrates ids that were already
         // answered (their entry is gone), so observing the whole batch
         // mirrors exactly what log replay would rebuild
         self.observe_all(&events);
-        retired
+        Ok(retired)
     }
+}
+
+/// Why [`Engine::retire_ids`] removes a pending query without an
+/// answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retirement {
+    /// Withdrawn by its owner.
+    Cancelled,
+    /// Retired by an expiry sweep.
+    Expired,
 }
 
 impl Engine {

@@ -1,17 +1,18 @@
 //! Poll-based coordination futures and the [`WaiterSet`] driver — the
-//! async submission subsystem.
+//! one waiter mechanism of the coordinator.
 //!
-//! The sync API hands every pending query a [`crate::Ticket`] whose
-//! channel the submitter *blocks* on: one OS thread per in-flight
-//! coordination. That caps a front-end far below the "thousands of
-//! in-flight coordinations" the coordination model is supposed to pay
-//! off at. The async API replaces the blocking receiver with a
-//! [`CoordinationFuture`]: a plain `std::future::Future` whose waker is
-//! parked in the coordinator's waiter table and fired by whichever code
-//! path terminates the query — a match commit, a cancellation, an
-//! expiry sweep (seq-based, or the deadline-driven `expire_due` run by
-//! the background [`crate::DeadlineSweeper`]), or a reattach that
-//! supersedes the handle.
+//! Every pending query's handle is a [`CoordinationFuture`]: a plain
+//! `std::future::Future` whose completion slot is parked in the
+//! coordinator's waiter table and completed by whichever code path
+//! terminates the query — a match commit, a cancellation, an expiry
+//! sweep (seq-based, or the deadline-driven `expire_due` run by the
+//! background [`crate::DeadlineSweeper`]), or a reattach that
+//! supersedes the handle. No thread blocks per in-flight coordination,
+//! so a front-end can hold the "thousands of in-flight coordinations"
+//! the coordination model is supposed to pay off at. The blocking
+//! `submit*` conveniences hand out the same future inside
+//! [`crate::Submission::Pending`]; callers that want to block use
+//! [`CoordinationFuture::wait_timeout`].
 //!
 //! No external async runtime is required (and none is linked): the
 //! future is poll-based over `std::task`, so it works under any
@@ -24,18 +25,18 @@
 //! # Waker lifecycle
 //!
 //! A future's shared slot ([`TicketShared`]) lives in two places: the
-//! future itself, and the owning coordinator's per-shard waiter table.
-//! The coordinator completes the slot **while holding the shard lock**
-//! (so a completion cannot race a migration moving the waiter between
-//! shards), but fires the parked waker *after* taking it out of the
-//! slot's own mutex — waker callbacks never run under a slot lock, and
-//! the slot mutex is a leaf: no coordinator lock is ever taken inside
-//! it. The first terminal outcome wins; later completions (e.g. a
-//! reattach superseding an already-answered handle) are no-ops.
-//! Dropping a future without polling it is safe — the slot completes
-//! into the void, which is exactly what a crashed front-end looks like;
-//! [`crate::ShardedCoordinator::reattach_async`] hands the reconnect a
-//! fresh future for the same query. See `docs/async.md`.
+//! future itself, and the owning shard's waiter table. The coordinator
+//! completes the slot **while holding the shard lock** (so a completion
+//! cannot race a migration moving the waiter between shards), but fires
+//! the parked waker *after* taking it out of the slot's own mutex —
+//! waker callbacks never run under a slot lock, and the slot mutex is a
+//! leaf: no coordinator lock is ever taken inside it. The first
+//! terminal outcome wins; later completions (e.g. a reattach
+//! superseding an already-answered handle) are no-ops. Dropping a
+//! future without polling it is safe — the slot completes into the
+//! void, which is exactly what a crashed front-end looks like;
+//! [`crate::ShardedCoordinator::reattach`] hands the reconnect a fresh
+//! future for the same query. See `docs/async.md`.
 
 use std::collections::HashMap;
 use std::future::Future;
@@ -47,21 +48,21 @@ use std::time::{Duration, Instant};
 use crate::coordinator::MatchNotification;
 use crate::ir::QueryId;
 
-/// Terminal result of an asynchronously submitted entangled query.
-/// Every future resolves to exactly one of these.
+/// Terminal result of a submitted entangled query. Every future
+/// resolves to exactly one of these.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordinationOutcome {
     /// The query's group matched; these are its answers.
     Answered(MatchNotification),
     /// The query was withdrawn by its owner
-    /// ([`crate::Coordinator::cancel`] /
-    /// [`crate::Coordinator::cancel_owner`]).
+    /// ([`crate::ShardedCoordinator::cancel`] /
+    /// [`crate::ShardedCoordinator::cancel_owner`]).
     Cancelled,
     /// The query was retired by an expiry sweep — a deadline-driven
     /// `expire_due` (usually run by the background
     /// [`crate::DeadlineSweeper`] when the query's
     /// [`crate::SubmitOptions::deadline`] lapses) or the legacy
-    /// seq-based [`crate::Coordinator::expire_before`].
+    /// seq-based [`crate::ShardedCoordinator::expire_before`].
     Expired,
     /// A newer handle for the same query was issued (the owner
     /// reattached); this future will never receive the answer.
@@ -81,8 +82,9 @@ impl CoordinationOutcome {
 }
 
 /// The completion slot shared between a [`CoordinationFuture`] and the
-/// coordinator's waiter table: the terminal outcome (set once) and the
-/// parked waker of whoever polled last.
+/// coordinator's waiter table: the terminal outcome (set once, moved
+/// out once — `taken` remembers that it was there) and the parked
+/// waker of whoever polled last.
 #[derive(Debug, Default)]
 pub(crate) struct TicketShared {
     slot: Mutex<Slot>,
@@ -96,24 +98,12 @@ struct Slot {
 }
 
 impl TicketShared {
-    /// A slot that is already terminal (for queries answered on
-    /// arrival).
-    pub(crate) fn completed(outcome: CoordinationOutcome) -> TicketShared {
-        TicketShared {
-            slot: Mutex::new(Slot {
-                outcome: Some(outcome),
-                taken: false,
-                waker: None,
-            }),
-        }
-    }
-
     /// Sets the terminal outcome (first writer wins) and fires the
     /// parked waker, outside the slot lock. Idempotent.
     pub(crate) fn complete(&self, outcome: CoordinationOutcome) {
         let waker = {
             let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.outcome.is_some() {
+            if slot.outcome.is_some() || slot.taken {
                 return; // the first terminal result wins
             }
             slot.outcome = Some(outcome);
@@ -125,8 +115,8 @@ impl TicketShared {
     }
 }
 
-/// A pending (or already-answered) asynchronously submitted entangled
-/// query. Resolves to its [`CoordinationOutcome`] when the coordinator
+/// The handle of a pending (or already-answered) entangled query.
+/// Resolves to its [`CoordinationOutcome`] when the coordinator
 /// terminates the query — match commit, cancel, expiry, or
 /// supersession by a reattach.
 ///
@@ -135,24 +125,44 @@ impl TicketShared {
 /// or block on a single one with
 /// [`CoordinationFuture::wait_timeout`]. The query id is available
 /// immediately via [`CoordinationFuture::id`] (usable with
-/// [`crate::Coordinator::cancel`] while in flight).
+/// [`crate::ShardedCoordinator::cancel`] while in flight).
 #[derive(Debug)]
 pub struct CoordinationFuture {
     id: QueryId,
     shared: Arc<TicketShared>,
+    /// Created already answered: the query's own arrival completed its
+    /// group, so it was never registered as pending.
+    answered_on_arrival: bool,
 }
 
 impl CoordinationFuture {
     pub(crate) fn new(id: QueryId, shared: Arc<TicketShared>) -> CoordinationFuture {
-        CoordinationFuture { id, shared }
-    }
-
-    /// A future that is already terminal (queries answered on arrival).
-    pub(crate) fn ready(id: QueryId, outcome: CoordinationOutcome) -> CoordinationFuture {
         CoordinationFuture {
             id,
-            shared: Arc::new(TicketShared::completed(outcome)),
+            shared,
+            answered_on_arrival: false,
         }
+    }
+
+    /// A future that is already answered (its arrival completed a
+    /// group).
+    pub(crate) fn answered(n: MatchNotification) -> CoordinationFuture {
+        CoordinationFuture {
+            id: n.id,
+            shared: Arc::new(TicketShared {
+                slot: Mutex::new(Slot {
+                    outcome: Some(CoordinationOutcome::Answered(n)),
+                    ..Slot::default()
+                }),
+            }),
+            answered_on_arrival: true,
+        }
+    }
+
+    /// Whether the query's own arrival completed its group (as opposed
+    /// to registering it as pending — even if it has resolved since).
+    pub(crate) fn answered_on_arrival(&self) -> bool {
+        self.answered_on_arrival
     }
 
     /// The submitted query's id.
@@ -164,27 +174,22 @@ impl CoordinationFuture {
     /// resolve on its next poll).
     pub fn is_complete(&self) -> bool {
         let slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
-        slot.outcome.is_some()
+        slot.outcome.is_some() || slot.taken
     }
 
     /// Takes the outcome if the future is complete, without a waker
-    /// (non-blocking probe; the async analogue of
-    /// [`crate::Ticket`]`.receiver.try_recv()`). Returns `None` while
-    /// in flight and after the outcome was already taken.
+    /// (non-blocking probe). Returns `None` while in flight and after
+    /// the outcome was already taken.
     pub fn try_take(&mut self) -> Option<CoordinationOutcome> {
         let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.taken {
-            return None;
-        }
-        let outcome = slot.outcome.clone()?;
+        let outcome = slot.outcome.take()?;
         slot.taken = true;
         Some(outcome)
     }
 
     /// Blocks the calling thread until the future resolves or `timeout`
-    /// elapses — the drop-in replacement for a sync ticket's
-    /// `recv_timeout`, built on a thread-parking waker (still no
-    /// runtime). Returns `None` on timeout; the future stays armed.
+    /// elapses, on a thread-parking waker (still no runtime). Returns
+    /// `None` on timeout; the future stays armed.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<CoordinationOutcome> {
         let deadline = Instant::now() + timeout;
         let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
@@ -215,7 +220,7 @@ impl Future for CoordinationFuture {
             !slot.taken,
             "CoordinationFuture polled after its outcome was taken"
         );
-        if let Some(outcome) = slot.outcome.clone() {
+        if let Some(outcome) = slot.outcome.take() {
             slot.taken = true;
             return Poll::Ready(outcome);
         }
@@ -332,7 +337,7 @@ impl WaiterSet {
     ///
     /// Returns the future previously held for the same query id, if
     /// any — e.g. the pre-reattach handle when a reconnecting front-end
-    /// inserts `reattach_async`'s fresh futures into the same set. The
+    /// inserts `reattach`'s fresh futures into the same set. The
     /// displaced future is still armed (it resolves
     /// [`CoordinationOutcome::Superseded`] in that pattern); resolve or
     /// drop it deliberately rather than letting its outcome vanish from
@@ -463,8 +468,7 @@ mod tests {
 
     #[test]
     fn ready_future_resolves_immediately() {
-        let mut f =
-            CoordinationFuture::ready(QueryId(1), CoordinationOutcome::Answered(notification(1)));
+        let mut f = CoordinationFuture::answered(notification(1));
         assert!(f.is_complete());
         assert!(matches!(
             f.try_take(),

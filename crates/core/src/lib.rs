@@ -16,8 +16,12 @@
 //!   candidate index;
 //! * [`matcher`] — the incremental group-matching algorithm plus the
 //!   exhaustive baseline, sharing a CSP-style grounding phase;
-//! * [`coordinator`] — the public facade: submit / wait / notify /
-//!   atomic application of matches to the database.
+//! * [`shard`] — the coordinator: submit / wait / notify / atomic
+//!   application of matches to the database, partitioned into shards
+//!   by answer relation; [`coordinator`] holds its vocabulary and
+//!   [`Coordinator`], the one-shard (serial) spelling;
+//! * [`future`] — the one waiter mechanism: every pending query's
+//!   handle is a [`CoordinationFuture`].
 //!
 //! ## The paper's walkthrough, end to end
 //!
@@ -37,7 +41,7 @@
 //!     "SELECT 'Kramer', fno INTO ANSWER Reservation \
 //!      WHERE fno IN (SELECT fno FROM Flights WHERE dest='Paris') \
 //!      AND ('Jerry', fno) IN ANSWER Reservation CHOOSE 1").unwrap();
-//! let Submission::Pending(ticket) = kramer else { panic!() };
+//! let Submission::Pending(mut kramer) = kramer else { panic!() };
 //!
 //! // Jerry's symmetric query arrives: both are answered jointly.
 //! let jerry = co.submit_sql("jerry",
@@ -45,7 +49,7 @@
 //!      WHERE fno IN (SELECT fno FROM Flights WHERE dest='Paris') \
 //!      AND ('Kramer', fno) IN ANSWER Reservation CHOOSE 1").unwrap();
 //! let jerry = jerry.answered().expect("group completed");
-//! let kramer = ticket.receiver.try_recv().expect("kramer notified");
+//! let kramer = kramer.try_take().and_then(|o| o.answered()).expect("kramer notified");
 //!
 //! // Same (nondeterministically chosen) Paris flight for both.
 //! assert_eq!(jerry.answers[0].1.values()[1], kramer.answers[0].1.values()[1]);
@@ -74,8 +78,8 @@ pub use audit::{
 };
 pub use compile::{compile, compile_sql};
 pub use coordinator::{
-    ApplyHook, Coordinator, CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification,
-    MatcherKind, PendingInfo, RecoveryReport, Submission, SystemStats, Ticket,
+    Coordinator, CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind,
+    PendingInfo, RecoveryReport, Submission, SystemStats,
 };
 pub use engine::{CoordEvent, CoordinationLog, RegStamp};
 pub use error::{CoreError, CoreResult};
@@ -87,6 +91,8 @@ pub use lifecycle::{
 pub use matcher::{GroupMatch, MatchConfig, MatchStats};
 pub use registry::{CandidateScan, HeadRef, Pending, Registry};
 pub use safety::{check_safety, is_self_contained, SafetyMode};
-pub use shard::{BatchOutcome, CheckpointPolicy, ShardedConfig, ShardedCoordinator};
+pub use shard::{
+    BatchOutcome, CheckpointPolicy, ShardedConfig, ShardedCoordinator, SharedApplyHook,
+};
 pub use tenant::{tenant_of, TenantOutcome, TenantQuotas, TenantRegistry, TenantStats};
 pub use unify::Subst;

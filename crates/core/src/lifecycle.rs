@@ -13,11 +13,11 @@
 //! * deadlines are durable — they ride the registration's WAL frame
 //!   (the v2 [`crate::CoordEvent::QueryRegistered`] encoding), survive
 //!   checkpoints, and are rebuilt by recovery;
-//! * both coordinators expose `expire_due(now)`, a sweep that retires
+//! * the coordinator exposes `expire_due(now)`, a sweep that retires
 //!   every pending query whose deadline has passed, logging each
 //!   expiry before the removal (log-before-ack, like every other
-//!   registry mutation) and resolving parked waiters — sync tickets
-//!   disconnect, futures resolve [`crate::CoordinationOutcome::Expired`];
+//!   registry mutation) and resolving the parked futures with
+//!   [`crate::CoordinationOutcome::Expired`];
 //! * the [`DeadlineSweeper`] drives those sweeps from a background
 //!   thread, waking only when the earliest deadline is due (a
 //!   min-deadline hint per shard keeps the idle cost at zero).
@@ -52,7 +52,7 @@ use std::time::Duration;
 use crate::ir::QueryId;
 
 /// Per-submission options. Today this carries the optional deadline;
-/// the plain `submit*` signatures are thin wrappers passing
+/// the plain `submit*` signatures are one-line conveniences passing
 /// `SubmitOptions::default()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
@@ -266,9 +266,9 @@ impl SweepSignal {
 }
 
 /// What a [`DeadlineSweeper`] needs from a coordinator. Implemented by
-/// both [`crate::Coordinator`] and [`crate::ShardedCoordinator`]; the
-/// methods are lock-free where the coordinator can make them so (the
-/// sharded `next_deadline_millis` reads per-shard monitor atomics).
+/// [`crate::ShardedCoordinator`]; the methods are lock-free where the
+/// coordinator can make them so (`next_deadline_millis` reads
+/// per-shard monitor atomics).
 pub trait DeadlineHost: Send + Sync {
     /// The earliest deadline of any pending query, or `None` when no
     /// pending query carries one.

@@ -7,7 +7,8 @@
 //! this answer constraint?*
 //!
 //! Two lookup paths exist, switchable for the ablation experiment (E10
-//! in DESIGN.md):
+//! of the `experiments` binary; see `docs/matching.md`, "The candidate
+//! index"):
 //!
 //! * **relation lookup** — all heads contributed to the constraint's
 //!   answer relation (the baseline);

@@ -1,4 +1,15 @@
-//! The sharded, batch-draining coordinator.
+//! The coordinator: Youtopia's coordination component (paper,
+//! Figure 2), sharded and batch-draining.
+//!
+//! It owns the pending-query registry, runs the matcher on every
+//! arrival, applies matched groups atomically to the database (answer
+//! tuples are inserted into real answer-relation tables inside one
+//! storage transaction, alongside any application side effects
+//! registered through the apply hook), and notifies waiting submitters
+//! through their [`CoordinationFuture`]s — the "Facebook message" of
+//! the demo. With one shard ([`crate::Coordinator`]) this is the
+//! paper's single serial component; more shards partition the same
+//! state by answer-relation signature.
 //!
 //! # Why sharding is sound
 //!
@@ -67,19 +78,18 @@
 //! pool — one scoped thread per busy shard, capped by
 //! [`ShardedConfig::workers`]. Within one shard the bucket is processed
 //! arrival-by-arrival — insert, match, cascade — which keeps per-shard
-//! semantics *identical* to the serial coordinator under a fixed seed
-//! with randomization disabled (property-tested in
-//! `tests/prop_shard_equivalence.rs`). Each shard's RNG is seeded with
-//! `seed ^ shard_id` so `CHOOSE` stays reproducible independent of
-//! drain interleaving, and each matched group still commits through one
-//! atomic storage transaction.
+//! semantics *identical* to a one-shard coordinator fed the same
+//! requests one at a time, under a fixed seed with randomization
+//! disabled (property-tested in `tests/prop_shard_equivalence.rs`).
+//! Each shard's RNG is seeded with `seed ^ shard_id` so `CHOOSE` stays
+//! reproducible independent of drain interleaving, and each matched
+//! group still commits through one atomic storage transaction.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::unbounded;
 use parking_lot::{Mutex, MutexGuard};
 
 use youtopia_storage::{Database, StorageResult, Transaction, Tuple, Wal};
@@ -88,32 +98,36 @@ use crate::audit::AuditSink;
 use crate::compile::compile_sql;
 use crate::coordinator::{
     CoordinatorConfig, MatchGraph, MatchNotification, PendingInfo, RecoveryReport, Submission,
-    SystemStats, Ticket,
+    SystemStats,
 };
 use crate::engine::{
-    match_graph_of, replay_coordination_frames, Arrival, CoordEvent, CoordinationLog, Engine,
-    RegStamp, ShardState, WaitMode, Waiter,
+    match_graph_of, replay_coordination_frames, CoordEvent, CoordinationLog, Engine, RegStamp,
+    Retirement, ShardState,
 };
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{EntangledQuery, QueryId};
 use crate::lifecycle::{Clock, DeadlineHost, SubmitOptions, SweepSignal, SystemClock};
 use crate::matcher::{GroupMatch, MatchStats};
-use crate::registry::Pending;
+use crate::registry::{Pending, Registry};
 use crate::safety::check_safety;
-use crate::tenant::{tenant_of, Admission, TenantOutcome, TenantRegistry};
+use crate::tenant::{tenant_of, Admission, TenantRegistry};
 
-/// Apply hook shared by every shard (applies can run concurrently on
-/// different shards, hence `Sync` on top of the serial hook's bounds).
+/// Application side effects applied atomically with a match (e.g. the
+/// travel site decrements seat counts and inserts reservation rows).
+/// Shared by every shard — applies can run concurrently on different
+/// shards, hence `Sync`.
 pub type SharedApplyHook =
     Arc<dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()> + Send + Sync + 'static>;
 
-/// When the background sweeper should trigger a coordinator
-/// checkpoint, evaluated on every sweep tick (so a quiet system still
-/// checkpoints on schedule — the in-line
-/// [`ShardedConfig::auto_checkpoint_bytes`] trigger only fires on
-/// write traffic). A field set to `0` disables that criterion; the
-/// default policy is fully disabled.
+/// When the coordinator should checkpoint itself
+/// ([`ShardedCoordinator::checkpoint`]). The size criterion is
+/// evaluated in-line after every group commit and on every
+/// [`crate::DeadlineSweeper`] tick; the age criterion on the tick only
+/// (so a quiet system still checkpoints on schedule, and the submit
+/// path never reads the clock for it). A field set to `0` disables
+/// that criterion; the default policy is fully disabled, and
+/// non-durable databases ignore it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint when at least this many bytes were appended to the
@@ -141,23 +155,16 @@ pub struct ShardedConfig {
     /// Worker threads used to drain a batch (`0` = one per available
     /// CPU). Capped by the number of busy shards per batch.
     pub workers: usize,
-    /// Auto-checkpoint threshold: when more than this many bytes have
-    /// been appended to the WAL since the last checkpoint, the
-    /// coordinator triggers [`ShardedCoordinator::checkpoint`] after
-    /// the group commit that crossed the line. `0` (the default)
-    /// disables auto-checkpointing; non-durable databases ignore it.
-    pub auto_checkpoint_bytes: u64,
     /// Fair tenant interleaving: when set, each batch drain reorders
     /// its bucket round-robin across tenants ([`tenant_of`] on the
     /// owner) in first-appearance order, so one tenant's storm cannot
     /// monopolize a drain quantum. Off by default — with it off the
     /// drain order (and thus the match outcome under a fixed seed) is
-    /// exactly the submission order, which the serial-equivalence
+    /// exactly the submission order, which the shard-equivalence
     /// properties pin. Workloads where every owner is its own tenant
     /// are order-identical either way.
     pub fair_drain: bool,
-    /// Sweeper-tick checkpoint policy (size and/or age), evaluated by
-    /// the [`crate::DeadlineSweeper`]'s periodic tick. Disabled by
+    /// Automatic checkpoint policy (WAL size and/or age). Disabled by
     /// default.
     pub checkpoint: CheckpointPolicy,
     /// Per-shard coordinator behavior; `base.seed` is xored with the
@@ -170,7 +177,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shards: 4,
             workers: 0,
-            auto_checkpoint_bytes: 0,
             fair_drain: false,
             checkpoint: CheckpointPolicy::default(),
             base: CoordinatorConfig::default(),
@@ -188,7 +194,7 @@ type Bucket = Vec<(usize, Pending, Option<Admission>)>;
 /// What a drain hands back: per-slot outcomes, the answered log, and
 /// the ids that may still be pending (for placement healing).
 type DrainResult = (
-    Vec<(usize, CoreResult<Arrival>)>,
+    Vec<(usize, CoreResult<CoordinationFuture>)>,
     Vec<QueryId>,
     Vec<QueryId>,
 );
@@ -309,6 +315,13 @@ impl Router {
         let mut roots: Vec<usize> = nodes.iter().map(|&n| self.find(n)).collect();
         roots.sort_unstable();
         roots.dedup();
+        self.qid_node.insert(qid, self.rel_node[first]);
+        if let [root] = roots[..] {
+            // the common case — the signature already is one component:
+            // nothing merges, nothing moves
+            self.members[root].insert(qid);
+            return (self.shard[root], Vec::new());
+        }
 
         // the surviving shard: the component with the most live queries
         // keeps its shard (cheapest migration); ties break toward the
@@ -330,7 +343,12 @@ impl Router {
                     qids: self.members[r].iter().copied().collect(),
                 });
             }
-            merged_members.extend(std::mem::take(&mut self.members[r]));
+            // small-to-large: re-hash the smaller set into the larger
+            let mut members = std::mem::take(&mut self.members[r]);
+            if members.len() > merged_members.len() {
+                std::mem::swap(&mut members, &mut merged_members);
+            }
+            merged_members.extend(members);
         }
 
         // union all roots; install the merged membership and the
@@ -342,7 +360,6 @@ impl Router {
         self.shard[root] = winner_shard;
         merged_members.insert(qid);
         self.members[root] = merged_members;
-        self.qid_node.insert(qid, self.rel_node[first]);
 
         (winner_shard, migrations)
     }
@@ -570,12 +587,14 @@ impl Drop for ShardGuard<'_> {
 // The sharded coordinator
 // ------------------------------------------------------------------ //
 
-/// A coordinator that partitions the pending registry into shards keyed
-/// by answer-relation signature and drains submissions per shard — see
-/// the module docs for the routing rule and locking protocol. The
-/// public surface mirrors [`crate::Coordinator`] plus the batch path,
-/// durable recovery ([`ShardedCoordinator::recover`]) and waiter
-/// reattachment ([`ShardedCoordinator::reattach`]).
+/// The coordination component: partitions the pending registry into
+/// shards keyed by answer-relation signature and drains submissions
+/// per shard — see the module docs for the routing rule and locking
+/// protocol. One submit entry ([`ShardedCoordinator::submit_async_with`])
+/// and one batch entry ([`ShardedCoordinator::submit_batch_async_with`])
+/// carry the whole `submit*` family; cancellation, expiry, durable
+/// recovery ([`ShardedCoordinator::recover`]) and waiter reattachment
+/// ([`ShardedCoordinator::reattach`]) complete the surface.
 pub struct ShardedCoordinator {
     engine: Engine,
     shards: Vec<ShardSlot>,
@@ -585,9 +604,6 @@ pub struct ShardedCoordinator {
     rejected_unsafe: AtomicU64,
     rejected_quota: AtomicU64,
     apply_hook: Mutex<Option<SharedApplyHook>>,
-    /// Optional per-tenant admission control, consulted on every
-    /// submission path before a query id is allocated.
-    tenants: Mutex<Option<Arc<TenantRegistry>>>,
     /// Serializes whole-owner reattaches. Each shard's swap is atomic
     /// under its own lock, but a reattach spans every shard; without
     /// the gate two concurrent reattaches for one owner interleave
@@ -606,18 +622,16 @@ pub struct ShardedCoordinator {
     /// Notified (outside any shard lock) whenever a deadline-carrying
     /// query registers; the [`crate::DeadlineSweeper`] waits on it.
     sweep_signal: Arc<SweepSignal>,
-    /// Auto-checkpoint threshold in bytes (0 = disabled).
-    auto_checkpoint_bytes: u64,
     /// WAL length right after the last checkpoint (or at
     /// construction), for the bytes-since-checkpoint gauge.
     wal_len_at_checkpoint: AtomicU64,
     /// Clock millis of the last checkpoint (or construction).
     last_checkpoint_at: AtomicU64,
-    /// Checkpoints triggered by the size threshold.
+    /// Checkpoints triggered by the policy.
     auto_checkpoints: AtomicU64,
     /// Collapses concurrent auto-checkpoint triggers into one run.
-    checkpointing: std::sync::atomic::AtomicBool,
-    /// Sweeper-tick checkpoint policy ([`ShardedConfig::checkpoint`]).
+    checkpointing: AtomicBool,
+    /// Automatic checkpoint policy ([`ShardedConfig::checkpoint`]).
     checkpoint_policy: CheckpointPolicy,
 }
 
@@ -668,22 +682,21 @@ impl ShardedCoordinator {
             rejected_unsafe: AtomicU64::new(0),
             rejected_quota: AtomicU64::new(0),
             apply_hook: Mutex::new(None),
-            tenants: Mutex::new(None),
             reattach_gate: Mutex::new(()),
             fair_drain: config.fair_drain,
             workers,
             clock,
             sweep_signal: Arc::new(SweepSignal::new()),
-            auto_checkpoint_bytes: config.auto_checkpoint_bytes,
             wal_len_at_checkpoint: AtomicU64::new(wal_len),
             last_checkpoint_at: AtomicU64::new(now),
             auto_checkpoints: AtomicU64::new(0),
-            checkpointing: std::sync::atomic::AtomicBool::new(false),
+            checkpointing: AtomicBool::new(false),
             checkpoint_policy: config.checkpoint,
             engine: Engine {
                 db,
                 config: config.base,
                 audit,
+                tenants: Mutex::new(None),
             },
         }
     }
@@ -737,81 +750,67 @@ impl ShardedCoordinator {
                 registry.adopt(&p.owner, p.id, p.deadline);
             }
         }
-        *self.tenants.lock() = Some(registry);
+        *self.engine.tenants.lock() = Some(registry);
     }
 
     /// The installed tenant registry, if any.
     pub fn tenant_registry(&self) -> Option<Arc<TenantRegistry>> {
-        self.tenants.lock().clone()
+        self.engine.tenants()
     }
 
-    /// Submits one entangled query given as SQL text.
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text with
+    /// default options, answered-or-pending view.
     pub fn submit_sql(&self, owner: &str, sql: &str) -> CoreResult<Submission> {
         self.submit_sql_with(owner, sql, SubmitOptions::default())
     }
 
-    /// [`ShardedCoordinator::submit_sql`] with per-submission options
-    /// (e.g. a deadline).
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text,
+    /// answered-or-pending view.
     pub fn submit_sql_with(
         &self,
         owner: &str,
         sql: &str,
         opts: SubmitOptions,
     ) -> CoreResult<Submission> {
-        let compiled = compile_sql(sql)?;
-        self.submit_with(owner, compiled, opts)
+        self.submit_with(owner, compile_sql(sql)?, opts)
     }
 
-    /// Submits one compiled entangled query: routes it to its shard and
-    /// runs arrival-driven matching there. Submissions routed to
-    /// different shards proceed concurrently.
-    ///
-    /// Log-before-ack: on a durable (WAL-backed) database the
-    /// registration is committed to the coordination log — under the
-    /// shard lock, so a concurrent checkpoint cannot lose it — before
-    /// the arrival is processed or acknowledged.
+    /// [`ShardedCoordinator::submit_async_with`] with default options,
+    /// answered-or-pending view.
     pub fn submit(&self, owner: &str, query: EntangledQuery) -> CoreResult<Submission> {
         self.submit_with(owner, query, SubmitOptions::default())
     }
 
-    /// [`ShardedCoordinator::submit`] with per-submission options: a
-    /// deadline rides the registration's log frame and is enforced by
-    /// `expire_due` sweeps.
+    /// [`ShardedCoordinator::submit_async_with`], answered-or-pending
+    /// view: [`Submission::Answered`] when the arrival completed a
+    /// group, otherwise the pending query's future.
     pub fn submit_with(
         &self,
         owner: &str,
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> CoreResult<Submission> {
-        self.submit_mode(owner, query, opts, WaitMode::Sync)
-            .map(Arrival::into_sync)
+        self.submit_async_with(owner, query, opts)
+            .map(Submission::from)
     }
 
-    /// Submits one entangled query given as SQL text, returning a
-    /// [`CoordinationFuture`] instead of a blocking ticket.
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text with
+    /// default options.
     pub fn submit_sql_async(&self, owner: &str, sql: &str) -> CoreResult<CoordinationFuture> {
         self.submit_sql_async_with(owner, sql, SubmitOptions::default())
     }
 
-    /// [`ShardedCoordinator::submit_sql_async`] with per-submission
-    /// options.
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text.
     pub fn submit_sql_async_with(
         &self,
         owner: &str,
         sql: &str,
         opts: SubmitOptions,
     ) -> CoreResult<CoordinationFuture> {
-        let compiled = compile_sql(sql)?;
-        self.submit_async_with(owner, compiled, opts)
+        self.submit_async_with(owner, compile_sql(sql)?, opts)
     }
 
-    /// Submits one compiled entangled query asynchronously: identical
-    /// routing, logging and matching as [`ShardedCoordinator::submit`],
-    /// but the returned handle is a poll-based future whose waker is
-    /// fired — under the owning shard's lock — by whichever path
-    /// terminates the query: a match commit, a cancellation, an expiry
-    /// sweep, or a reattach. Thousands of these can be held in flight
-    /// by one [`crate::WaiterSet`] thread.
+    /// [`ShardedCoordinator::submit_async_with`] with default options.
     pub fn submit_async(
         &self,
         owner: &str,
@@ -820,25 +819,30 @@ impl ShardedCoordinator {
         self.submit_async_with(owner, query, SubmitOptions::default())
     }
 
-    /// [`ShardedCoordinator::submit_async`] with per-submission
-    /// options.
+    /// Submits one compiled entangled query — the single submit entry;
+    /// every other `submit*` is a one-line convenience over it. Routes
+    /// the query to its shard and runs arrival-driven matching there;
+    /// submissions routed to different shards proceed concurrently. A
+    /// deadline in `opts` rides the registration's log frame and is
+    /// enforced by `expire_due` sweeps.
+    ///
+    /// The returned handle is a poll-based future, already resolved
+    /// when the arrival completed a group; otherwise it is completed —
+    /// under the owning shard's lock — by whichever path terminates
+    /// the query: a match commit, a cancellation, an expiry sweep, or
+    /// a reattach. Thousands of these can be held in flight by one
+    /// [`crate::WaiterSet`] thread.
+    ///
+    /// Log-before-ack: on a durable (WAL-backed) database the
+    /// registration is committed to the coordination log — under the
+    /// shard lock, so a concurrent checkpoint cannot lose it — before
+    /// the arrival is processed or acknowledged.
     pub fn submit_async_with(
         &self,
         owner: &str,
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> CoreResult<CoordinationFuture> {
-        self.submit_mode(owner, query, opts, WaitMode::Async)
-            .map(Arrival::into_async)
-    }
-
-    fn submit_mode(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-        mode: WaitMode,
-    ) -> CoreResult<Arrival> {
         if let Err(e) = check_safety(&query, self.engine.config.safety) {
             self.rejected_unsafe.fetch_add(1, Ordering::Relaxed);
             return Err(e);
@@ -847,7 +851,7 @@ impl ShardedCoordinator {
         // quota rejection leaves no trace in the id space, the router
         // or the log; the reservation is released (as `aborted`) if the
         // registration never becomes durable
-        let tenants = self.tenants.lock().clone();
+        let tenants = self.engine.tenants();
         let admission = match &tenants {
             Some(reg) => match reg.admit(owner, opts.deadline) {
                 Ok(admission) => Some(admission),
@@ -901,12 +905,9 @@ impl ShardedCoordinator {
                     // audit submit row before any terminal row this
                     // arrival could produce
                     self.engine.observe(&event);
-                    let result = self.engine.process_arrival_mode(
-                        &mut state,
-                        pending,
-                        hook_ref(&hook),
-                        mode,
-                    );
+                    let result = self
+                        .engine
+                        .process_arrival(&mut state, pending, hook_ref(&hook));
                     self.engine.flush_audit(&mut state);
                     (result, std::mem::take(&mut state.answered_log))
                 }
@@ -918,16 +919,10 @@ impl ShardedCoordinator {
                 }
             }
         };
-        if let Some(reg) = &tenants {
-            // the answered log carries every member of any group this
-            // arrival completed; a qid that was never tracked (the log
-            // failure above) is ignored by the ledger
-            reg.finish_all(&answered, TenantOutcome::Answered);
-        }
-        self.retire(answered);
+        self.retire(&answered);
         // heal on Err as well: an apply failure reinstates the query as
         // pending, and a concurrent merge may have re-routed it
-        if !matches!(&result, Ok(a) if !a.is_pending()) {
+        if !matches!(&result, Ok(f) if f.answered_on_arrival()) {
             self.heal_placement(shard, &[qid], &hook);
         }
         if opts.deadline.is_some() {
@@ -935,104 +930,77 @@ impl ShardedCoordinator {
             // hint read sees the published per-shard minimum
             self.sweep_signal.notify();
         }
-        self.maybe_auto_checkpoint();
+        self.checkpoint_if_due(0);
         result
     }
 
-    /// Submits a batch of `(owner, sql)` requests: compiles and
-    /// safety-checks outside any lock, routes the whole batch in one
-    /// router pass, then drains each shard's bucket on the worker pool.
-    /// Outcomes are returned in input order.
+    /// [`ShardedCoordinator::submit_batch_async_with`] over `(owner,
+    /// sql)` requests with default options, answered-or-pending view.
     pub fn submit_batch_sql(&self, requests: &[(String, String)]) -> Vec<BatchOutcome> {
-        let compiled: Vec<(String, CoreResult<EntangledQuery>)> = requests
-            .iter()
-            .map(|(owner, sql)| (owner.clone(), compile_sql(sql)))
-            .collect();
-        self.submit_batch(compiled)
+        self.submit_batch(compile_batch(requests))
     }
 
-    /// Batch submission of pre-compiled queries (entries may carry a
-    /// compile error, which is passed through to the outcome slot).
+    /// [`ShardedCoordinator::submit_batch_async_with`] with default
+    /// options, answered-or-pending view.
     pub fn submit_batch(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>)>,
     ) -> Vec<BatchOutcome> {
-        self.submit_batch_with(
-            requests
-                .into_iter()
-                .map(|(owner, q)| (owner, q, SubmitOptions::default()))
-                .collect(),
-        )
+        self.submit_batch_with(default_options(requests))
     }
 
-    /// [`ShardedCoordinator::submit_batch`] with per-entry options:
-    /// each request may carry its own deadline, logged in its
-    /// registration frame of the bucket's group commit.
+    /// [`ShardedCoordinator::submit_batch_async_with`],
+    /// answered-or-pending view.
     pub fn submit_batch_with(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
     ) -> Vec<BatchOutcome> {
-        self.submit_batch_mode(requests, WaitMode::Sync)
+        self.submit_batch_async_with(requests)
             .into_iter()
-            .map(|r| r.map(Arrival::into_sync))
+            .map(|r| r.map(Submission::from))
             .collect()
     }
 
-    /// [`ShardedCoordinator::submit_batch_sql`], async flavor: every
-    /// accepted request comes back as a [`CoordinationFuture`] (already
-    /// resolved when its arrival completed a group within the batch).
+    /// [`ShardedCoordinator::submit_batch_async_with`] over `(owner,
+    /// sql)` requests with default options.
     pub fn submit_batch_sql_async(
         &self,
         requests: &[(String, String)],
     ) -> Vec<CoreResult<CoordinationFuture>> {
-        let compiled: Vec<(String, CoreResult<EntangledQuery>)> = requests
-            .iter()
-            .map(|(owner, sql)| (owner.clone(), compile_sql(sql)))
-            .collect();
-        self.submit_batch_async(compiled)
+        self.submit_batch_async(compile_batch(requests))
     }
 
-    /// [`ShardedCoordinator::submit_batch`], async flavor. Outcomes are
-    /// returned in input order; the same routing, group-commit and
-    /// drain machinery runs underneath, so matches are identical to a
-    /// sync batch of the same requests under a fixed seed.
+    /// [`ShardedCoordinator::submit_batch_async_with`] with default
+    /// options.
     pub fn submit_batch_async(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>)>,
     ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.submit_batch_async_with(
-            requests
-                .into_iter()
-                .map(|(owner, q)| (owner, q, SubmitOptions::default()))
-                .collect(),
-        )
+        self.submit_batch_async_with(default_options(requests))
     }
 
-    /// [`ShardedCoordinator::submit_batch_async`] with per-entry
-    /// options.
+    /// Submits a batch of pre-compiled queries — the single batch
+    /// entry; every other `submit_batch*` is a one-line convenience
+    /// over it. Safety-checks outside any lock, routes the whole batch
+    /// in one router pass, then drains each shard's bucket on the
+    /// worker pool. Entries may carry a compile error, which is passed
+    /// through to the outcome slot, and their own deadline, logged in
+    /// their registration frame of the bucket's group commit. Outcomes
+    /// are returned in input order; a future is already resolved when
+    /// its arrival completed a group within the batch.
     pub fn submit_batch_async_with(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
     ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.submit_batch_mode(requests, WaitMode::Async)
-            .into_iter()
-            .map(|r| r.map(Arrival::into_async))
-            .collect()
-    }
-
-    fn submit_batch_mode(
-        &self,
-        requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
-        mode: WaitMode,
-    ) -> Vec<CoreResult<Arrival>> {
-        let mut outcomes: Vec<Option<CoreResult<Arrival>>> = Vec::with_capacity(requests.len());
+        let mut outcomes: Vec<Option<CoreResult<CoordinationFuture>>> =
+            Vec::with_capacity(requests.len());
         outcomes.resize_with(requests.len(), || None);
 
         // Phase 1 (no locks): compile outcomes + safety + tenant
         // admission, id allocation in input order so ids match a serial
         // submission of the batch (admission precedes allocation, like
         // the single-submit path, so a rejected entry burns no id).
-        let tenants = self.tenants.lock().clone();
+        let tenants = self.engine.tenants();
         let mut any_deadline = false;
         let mut accepted: Vec<(usize, Pending, BTreeSet<String>, Option<Admission>)> = Vec::new();
         for (idx, (owner, compiled, opts)) in requests.into_iter().enumerate() {
@@ -1101,95 +1069,82 @@ impl ShardedCoordinator {
 
         // Phase 3 (worker pool): drain each busy shard independently,
         // arrival-by-arrival within the bucket.
-        let busy: Vec<usize> = (0..buckets.len())
-            .filter(|&s| !buckets[s].is_empty())
-            .collect();
-        let buckets: Vec<Option<Mutex<Bucket>>> = buckets
+        let busy: Vec<(usize, Mutex<Bucket>)> = buckets
             .into_iter()
-            .map(|b| {
-                if b.is_empty() {
-                    None
-                } else {
-                    Some(Mutex::new(b))
-                }
-            })
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(shard, bucket)| (shard, Mutex::new(bucket)))
             .collect();
-        let worker_count = self.workers.min(busy.len()).max(1);
-
-        let mut drained: Vec<(usize, CoreResult<Arrival>)> = Vec::new();
+        let drains = self.fan_out(busy.len(), |i| {
+            let (shard, bucket) = &busy[i];
+            self.drain_shard(*shard, std::mem::take(&mut *bucket.lock()), &hook)
+        });
         let mut answered: Vec<QueryId> = Vec::new();
-        let mut still_pending: Vec<(usize, QueryId)> = Vec::new(); // (shard, qid)
-        let cursor = AtomicU64::new(0);
-        let worker = |results: &mut Vec<(usize, CoreResult<Arrival>)>,
-                      log: &mut Vec<QueryId>,
-                      pending_out: &mut Vec<(usize, QueryId)>| {
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                let Some(&shard) = busy.get(i) else { break };
-                let bucket = buckets[shard]
-                    .as_ref()
-                    .expect("busy shard has a bucket")
-                    .lock()
-                    .drain(..)
-                    .collect::<Vec<_>>();
-                let (mut r, mut l, maybe_pending) = self.drain_shard(shard, bucket, &hook, mode);
-                pending_out.extend(maybe_pending.into_iter().map(|qid| (shard, qid)));
-                results.append(&mut r);
-                log.append(&mut l);
+        let mut still_pending: Vec<(usize, Vec<QueryId>)> = Vec::new();
+        for ((shard, _), (results, mut log, maybe_pending)) in busy.iter().zip(drains) {
+            for (idx, outcome) in results {
+                outcomes[idx] = Some(outcome);
             }
-        };
-        if worker_count <= 1 {
-            worker(&mut drained, &mut answered, &mut still_pending);
-        } else {
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..worker_count)
-                    .map(|_| {
-                        let worker = &worker;
-                        scope.spawn(move || {
-                            let (mut r, mut l, mut p) = (Vec::new(), Vec::new(), Vec::new());
-                            worker(&mut r, &mut l, &mut p);
-                            (r, l, p)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("drain worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (mut r, mut l, mut p) in results {
-                drained.append(&mut r);
-                answered.append(&mut l);
-                still_pending.append(&mut p);
+            answered.append(&mut log);
+            if !maybe_pending.is_empty() {
+                still_pending.push((*shard, maybe_pending));
             }
         }
-        if let Some(reg) = &tenants {
-            // every member of any group the batch completed; untracked
-            // ids (log-failure slots) are ignored by the ledger
-            reg.finish_all(&answered, TenantOutcome::Answered);
-        }
-        self.retire(answered);
+        self.retire(&answered);
 
         // Phase 4: heal any placement made stale by a concurrent merge.
-        let mut by_shard: HashMap<usize, Vec<QueryId>> = HashMap::new();
-        for (shard, qid) in still_pending {
-            by_shard.entry(shard).or_default().push(qid);
-        }
-        for (shard, qids) in by_shard {
+        for (shard, qids) in still_pending {
             self.heal_placement(shard, &qids, &hook);
         }
 
         if any_deadline {
             self.sweep_signal.notify();
         }
-        self.maybe_auto_checkpoint();
+        self.checkpoint_if_due(0);
 
-        for (idx, outcome) in drained {
-            outcomes[idx] = Some(outcome);
-        }
         outcomes
             .into_iter()
             .map(|o| o.expect("every batch slot received an outcome"))
+            .collect()
+    }
+
+    /// Runs `task(i)` for every `i in 0..tasks` on the worker pool: up
+    /// to [`ShardedConfig::workers`] scoped threads claiming indices
+    /// off a shared cursor, or inline when one worker suffices.
+    /// Results come back indexed by task.
+    fn fan_out<T: Send>(&self, tasks: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let workers = self.workers.min(tasks);
+        if workers <= 1 {
+            return (0..tasks).map(task).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= tasks {
+                                return done;
+                            }
+                            done.push((i, task(i)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("pool worker panicked"))
+                .collect()
+        });
+        let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
+        for (i, result) in claimed {
+            slots[i] = Some(result);
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every task was claimed"))
             .collect()
     }
 
@@ -1208,7 +1163,6 @@ impl ShardedCoordinator {
         shard: usize,
         bucket: Bucket,
         hook: &Option<SharedApplyHook>,
-        mode: WaitMode,
     ) -> DrainResult {
         // Fair tenant interleaving reorders the bucket *before* the log
         // events are built, so the durable registration order equals
@@ -1218,7 +1172,7 @@ impl ShardedCoordinator {
         } else {
             bucket
         };
-        let tenants = self.tenants.lock().clone();
+        let tenants = self.engine.tenants();
         let mut state = self.shard_lock(shard);
         // log-before-ack, batch flavor: every registration of the
         // bucket is durable before any of its arrivals is processed
@@ -1261,10 +1215,10 @@ impl ShardedCoordinator {
             if let (Some(reg), Some(admission)) = (&tenants, admission) {
                 reg.track(admission, qid);
             }
-            let outcome =
-                self.engine
-                    .process_arrival_mode(&mut state, pending, hook_ref(hook), mode);
-            if !matches!(&outcome, Ok(a) if !a.is_pending()) {
+            let outcome = self
+                .engine
+                .process_arrival(&mut state, pending, hook_ref(hook));
+            if !matches!(&outcome, Ok(f) if f.answered_on_arrival()) {
                 maybe_pending.push(qid);
             }
             results.push((idx, outcome));
@@ -1356,16 +1310,16 @@ impl ShardedCoordinator {
             self.engine.flush_audit(&mut state);
             answered.append(&mut state.answered_log);
         }
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&answered, TenantOutcome::Answered);
-        }
-        self.retire(answered);
+        self.retire(&answered);
     }
 
     /// Re-checks where `qids` (just drained as pending on `shard`)
     /// should live according to the router, migrating and re-matching
     /// any that a concurrent component merge re-routed mid-flight.
     fn heal_placement(&self, shard: usize, qids: &[QueryId], hook: &Option<SharedApplyHook>) {
+        if self.shards.len() == 1 {
+            return; // one shard: no other placement exists
+        }
         let moves = {
             let mut router = self.router.lock();
             let mut by_target: HashMap<usize, Vec<QueryId>> = HashMap::new();
@@ -1394,87 +1348,61 @@ impl ShardedCoordinator {
 
     /// Retires answered queries from the router's membership sets.
     /// Must be called without holding any shard lock (lock order).
-    fn retire(&self, answered: Vec<QueryId>) {
+    fn retire(&self, answered: &[QueryId]) {
         if answered.is_empty() {
             return;
         }
         let mut router = self.router.lock();
-        for qid in answered {
+        for &qid in answered {
             router.purge(qid);
         }
     }
 
-    /// Cancels a pending query. The cancellation is logged before the
-    /// entry disappears from the registry (log-before-ack).
+    /// Cancels a pending query ("a query whose postcondition is not
+    /// satisfied ... waits for an opportunity to retry" — until the
+    /// user gives up). The cancellation is logged before the entry
+    /// disappears from the registry (log-before-ack).
     pub fn cancel(&self, qid: QueryId) -> CoreResult<()> {
         let mut router = self.router.lock();
-        let Some(shard) = router.shard_of_query(qid) else {
-            return Err(CoreError::UnknownQuery(qid.0));
-        };
+        let unknown = || CoreError::UnknownQuery(qid.0);
+        let shard = router.shard_of_query(qid).ok_or_else(unknown)?;
         {
             let mut state = self.shard_lock(shard);
             if state.registry.get(qid).is_none() {
-                drop(state);
-                return Err(CoreError::UnknownQuery(qid.0));
+                return Err(unknown());
             }
-            let cancelled = CoordEvent::QueryCancelled {
-                qid,
-                at: self.engine.audit_now(),
-            };
             self.engine
-                .db
-                .log_event(&cancelled)
+                .retire_ids(&mut state, &[qid], Retirement::Cancelled)
                 .map_err(CoreError::Storage)?;
-            self.engine.observe(&cancelled);
-            if let Some(waiter) = state.waiters.remove(&qid) {
-                // a parked future must resolve, not hang forever
-                waiter.resolve_terminal(CoordinationOutcome::Cancelled);
-            }
-            state.registry.remove(qid);
         }
         router.purge(qid);
-        drop(router);
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish(qid, TenantOutcome::Cancelled);
-        }
         Ok(())
     }
 
-    /// Cancels every pending query belonging to `owner`. Returns how
-    /// many were withdrawn. Log-before-ack holds per shard: each
-    /// shard's cancellations group-commit before that shard's removals
-    /// happen, and a shard whose log write fails is skipped entirely —
-    /// so the returned count may be partial under log failure, but
-    /// never includes an unlogged removal.
+    /// Cancels every pending query belonging to `owner` (the user
+    /// logged out / gave up). Returns how many were withdrawn.
+    /// Log-before-ack holds per shard: each shard's cancellations
+    /// group-commit before that shard's removals happen, and a shard
+    /// whose log write fails is skipped entirely — so the returned
+    /// count may be partial under log failure, but never includes an
+    /// unlogged removal.
     pub fn cancel_owner(&self, owner: &str) -> usize {
-        let at = self.engine.audit_now();
-        self.sweep(
-            |p| p.owner == owner,
-            |qid| CoordEvent::QueryCancelled { qid, at },
-            CoordinationOutcome::Cancelled,
-        )
+        self.sweep(Retirement::Cancelled, 0..self.shards.len(), |registry| {
+            ids_where(registry, |p| p.owner == owner)
+        })
         .len()
     }
 
     /// Expires pending queries whose submission sequence number is
-    /// older than `min_seq` — the legacy caller-driven sweep, now a
-    /// seq-selection over the same per-shard lifecycle helper as
-    /// [`ShardedCoordinator::expire_due`] (pairs with
+    /// older than `min_seq` — the caller-driven sweep (pairs with
     /// [`ShardedCoordinator::current_seq`]). Returns the expired ids;
     /// like [`ShardedCoordinator::cancel_owner`], a shard whose log
     /// write fails is skipped (partial result, never an unlogged
     /// removal).
     pub fn expire_before(&self, min_seq: u64) -> Vec<QueryId> {
-        let at = self.engine.audit_now();
-        let expired = self.sweep(
-            |p| p.seq < min_seq,
-            |qid| CoordEvent::QueryExpired { qid, at },
-            CoordinationOutcome::Expired,
-        );
-        if !expired.is_empty() {
-            self.maybe_auto_checkpoint();
-        }
-        expired
+        self.sweep(Retirement::Expired, 0..self.shards.len(), |registry| {
+            ids_where(registry, |p| p.seq < min_seq)
+        })
     }
 
     /// Expires every pending query whose deadline
@@ -1483,40 +1411,22 @@ impl ShardedCoordinator {
     /// background. Per shard: the lock-free monitor hint is consulted
     /// first (a shard whose earliest deadline lies in the future is
     /// skipped without touching its lock), then the registry's
-    /// deadline index selects the victims and the shared lifecycle
-    /// helper logs-then-removes them under the shard lock. Returns the
-    /// expired ids.
+    /// deadline index selects the victims. Returns the expired ids.
     pub fn expire_due(&self, now_millis: u64) -> Vec<QueryId> {
-        let mut victims = Vec::new();
-        for (index, slot) in self.shards.iter().enumerate() {
-            // the hint may trail an in-flight registration by one
-            // publish, but that registration's sweep-signal notify
-            // happens after its guard drop, so the sweeper always
-            // re-reads a fresh hint before sleeping
-            if slot.monitor.min_deadline.load(Ordering::Relaxed) > now_millis {
-                continue;
-            }
-            let mut state = self.shard_lock(index);
-            let due = state.registry.due_before(now_millis);
-            let at = self.engine.audit_now();
-            let expired = self.engine.retire_ids(
-                &mut state,
-                &due,
-                |qid| CoordEvent::QueryExpired { qid, at },
-                &CoordinationOutcome::Expired,
-            );
-            state.stats.expired += expired.len() as u64;
-            drop(state);
-            victims.extend(expired);
-        }
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&victims, TenantOutcome::Expired);
-        }
-        self.retire(victims.clone());
-        if !victims.is_empty() {
-            self.maybe_auto_checkpoint();
-        }
-        victims
+        // the hint may trail an in-flight registration by one publish,
+        // but that registration's sweep-signal notify happens after
+        // its guard drop, so the sweeper always re-reads a fresh hint
+        // before sleeping
+        let due = (0..self.shards.len()).filter(|&shard| {
+            self.shards[shard]
+                .monitor
+                .min_deadline
+                .load(Ordering::Relaxed)
+                <= now_millis
+        });
+        self.sweep(Retirement::Expired, due, |registry| {
+            registry.due_before(now_millis)
+        })
     }
 
     /// The earliest deadline across all shards (the sweeper's wakeup
@@ -1531,108 +1441,55 @@ impl ShardedCoordinator {
         (min != u64::MAX).then_some(min)
     }
 
-    /// Removes every pending query matching `select` through the
-    /// shared lifecycle helper ([`Engine::retire_ids`]): per shard,
-    /// one group commit of the events, then the removals — parked
-    /// waiters resolve with `outcome`, so async futures terminate
-    /// instead of hanging. Returns the removed ids.
+    /// Retires the `select`ed pending queries of each of `shards`
+    /// through [`Engine::retire_ids`]: per shard, one group commit of
+    /// the events, then the removals — the tenant ledger is booked and
+    /// parked waiters resolve with the `why` outcome, so futures
+    /// terminate instead of hanging. Returns the removed ids.
     fn sweep(
         &self,
-        select: impl Fn(&Pending) -> bool,
-        event: impl Fn(QueryId) -> CoordEvent,
-        outcome: CoordinationOutcome,
+        why: Retirement,
+        shards: impl Iterator<Item = usize>,
+        select: impl Fn(&Registry) -> Vec<QueryId>,
     ) -> Vec<QueryId> {
         let mut victims = Vec::new();
-        for shard in 0..self.shards.len() {
+        for shard in shards {
             let mut state = self.shard_lock(shard);
-            let ids: Vec<QueryId> = state
-                .registry
-                .iter()
-                .filter(|p| select(p))
-                .map(|p| p.id)
-                .collect();
-            let removed = self.engine.retire_ids(&mut state, &ids, &event, &outcome);
-            if matches!(outcome, CoordinationOutcome::Expired) {
-                state.stats.expired += removed.len() as u64;
-            }
-            drop(state);
-            victims.extend(removed);
+            let ids = select(&state.registry);
+            // a failed log write retires nothing on this shard
+            victims.extend(
+                self.engine
+                    .retire_ids(&mut state, &ids, why)
+                    .unwrap_or_default(),
+            );
         }
-        if let Some(reg) = self.tenants.lock().clone() {
-            let tenant_outcome = match &outcome {
-                CoordinationOutcome::Cancelled => Some(TenantOutcome::Cancelled),
-                CoordinationOutcome::Expired => Some(TenantOutcome::Expired),
-                _ => None,
-            };
-            if let Some(tenant_outcome) = tenant_outcome {
-                reg.finish_all(&victims, tenant_outcome);
-            }
+        self.retire(&victims);
+        if !victims.is_empty() {
+            self.checkpoint_if_due(0);
         }
-        self.retire(victims.clone());
         victims
     }
 
-    /// Re-issues tickets for `owner`'s still-pending queries after a
-    /// reconnect: waiter channels do not survive a crash (or a dropped
-    /// ticket), but the pending queries themselves do. Any previous
-    /// ticket for the same query stops receiving notifications.
-    pub fn reattach(&self, owner: &str) -> Vec<Ticket> {
-        // gate: see `reattach_gate` — without it two concurrent
-        // reattaches for one owner interleave across shards and both
-        // return live waiters for disjoint subsets
-        let _gate = self.reattach_gate.lock();
-        let mut tickets = Vec::new();
-        for shard in 0..self.shards.len() {
-            let mut state = self.shard_lock(shard);
-            let ids: Vec<QueryId> = state
-                .registry
-                .iter()
-                .filter(|p| p.owner == owner)
-                .map(|p| p.id)
-                .collect();
-            for qid in ids {
-                let (tx, rx) = unbounded();
-                if let Some(old) = state.waiters.insert(qid, Waiter::Channel(tx)) {
-                    old.resolve_terminal(CoordinationOutcome::Superseded);
-                }
-                tickets.push(Ticket {
-                    id: qid,
-                    receiver: rx,
-                });
-            }
-        }
-        tickets.sort_by_key(|t| t.id.0);
-        tickets
-    }
-
-    /// [`ShardedCoordinator::reattach`], async flavor: hands the
-    /// reconnecting owner a live [`CoordinationFuture`] per
-    /// still-pending query — including queries restored by
+    /// Hands `owner` a live [`CoordinationFuture`] per still-pending
+    /// query after a reconnect — including queries restored by
     /// [`ShardedCoordinator::recover`], whose pre-crash waiters died
     /// with the process. The fresh waiter is re-armed under the owning
     /// shard's lock, so a match racing in on another thread either sees
     /// it or has already retired the query. Any previous handle for the
     /// same query resolves [`CoordinationOutcome::Superseded`].
-    pub fn reattach_async(&self, owner: &str) -> Vec<CoordinationFuture> {
+    pub fn reattach(&self, owner: &str) -> Vec<CoordinationFuture> {
         // gate: serialize whole-owner reattaches (first-writer-wins —
-        // the loser's entire handle set resolves `Superseded`)
+        // the loser's entire handle set resolves `Superseded`); without
+        // it two concurrent reattaches for one owner interleave across
+        // shards and both return live waiters for disjoint subsets
         let _gate = self.reattach_gate.lock();
         let mut futures = Vec::new();
         for shard in 0..self.shards.len() {
             let mut state = self.shard_lock(shard);
-            let ids: Vec<QueryId> = state
-                .registry
-                .iter()
-                .filter(|p| p.owner == owner)
-                .map(|p| p.id)
-                .collect();
-            for qid in ids {
+            for qid in ids_where(&state.registry, |p| p.owner == owner) {
                 let shared = Arc::new(TicketShared::default());
-                if let Some(old) = state
-                    .waiters
-                    .insert(qid, Waiter::Future(Arc::clone(&shared)))
-                {
-                    old.resolve_terminal(CoordinationOutcome::Superseded);
+                if let Some(old) = state.waiters.insert(qid, Arc::clone(&shared)) {
+                    old.complete(CoordinationOutcome::Superseded);
                 }
                 futures.push(CoordinationFuture::new(qid, shared));
             }
@@ -1642,75 +1499,29 @@ impl ShardedCoordinator {
     }
 
     /// Retries matching for every pending query on every shard (useful
-    /// after database updates, and the workhorse of the recovery
-    /// re-match sweep). Shards hold disjoint pending sets behind
-    /// separate locks, so the sweep fans out across the worker pool —
-    /// one task per shard, claimed off a shared cursor — and each
-    /// worker runs the index-first pruned [`Engine::retry_all`] on its
-    /// shard. Results are reassembled in shard order, so notifications
-    /// and error propagation are identical to the serial sweep.
+    /// after database updates add new flights/hotels, and the
+    /// workhorse of the recovery re-match sweep). Shards hold disjoint
+    /// pending sets behind separate locks, so the sweep fans out
+    /// across the worker pool — one task per shard, each running the
+    /// index-first pruned [`Engine::retry_all`]. Results are
+    /// reassembled in shard order, so notifications and error
+    /// propagation are identical to sweeping the shards one by one.
     pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
         let hook = self.apply_hook.lock().clone();
-        let shard_count = self.shards.len();
-        let worker_count = self.workers.min(shard_count).max(1);
-
-        let mut per_shard: Vec<Option<CoreResult<Vec<MatchNotification>>>> = Vec::new();
-        per_shard.resize_with(shard_count, || None);
-        let mut answered: Vec<QueryId> = Vec::new();
-
-        let cursor = AtomicU64::new(0);
-        let worker = |results: &mut Vec<(usize, CoreResult<Vec<MatchNotification>>)>,
-                      log: &mut Vec<QueryId>| {
-            loop {
-                let shard = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                if shard >= shard_count {
-                    break;
-                }
+        let (swept, answered): (Vec<_>, Vec<_>) = self
+            .fan_out(self.shards.len(), |shard| {
                 let mut state = self.shard_lock(shard);
-                let r = self.engine.retry_all(&mut state, hook_ref(&hook));
+                let result = self.engine.retry_all(&mut state, hook_ref(&hook));
                 self.engine.flush_audit(&mut state);
-                log.append(&mut state.answered_log);
-                results.push((shard, r));
-            }
-        };
-        if worker_count <= 1 {
-            let mut results = Vec::new();
-            worker(&mut results, &mut answered);
-            for (shard, r) in results {
-                per_shard[shard] = Some(r);
-            }
-        } else {
-            let collected = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..worker_count)
-                    .map(|_| {
-                        let worker = &worker;
-                        scope.spawn(move || {
-                            let (mut r, mut l) = (Vec::new(), Vec::new());
-                            worker(&mut r, &mut l);
-                            (r, l)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("retry worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (results, mut log) in collected {
-                answered.append(&mut log);
-                for (shard, r) in results {
-                    per_shard[shard] = Some(r);
-                }
-            }
-        }
-        if let Some(reg) = self.tenants.lock().clone() {
-            reg.finish_all(&answered, TenantOutcome::Answered);
-        }
-        self.retire(answered);
+                (result, std::mem::take(&mut state.answered_log))
+            })
+            .into_iter()
+            .unzip();
+        self.retire(&answered.concat());
 
         let mut notifications = Vec::new();
-        for slot in per_shard {
-            notifications.extend(slot.expect("every shard was swept")?);
+        for result in swept {
+            notifications.extend(result?);
         }
         Ok(notifications)
     }
@@ -1828,8 +1639,8 @@ impl ShardedCoordinator {
     ///    match had not committed before the crash (those matches are
     ///    logged now, like any other).
     ///
-    /// Waiter channels do not survive; reconnecting clients obtain
-    /// fresh tickets through [`ShardedCoordinator::reattach`]. The
+    /// Waiters do not survive; reconnecting clients obtain fresh
+    /// futures through [`ShardedCoordinator::reattach`]. The
     /// rebuilt coordinator keeps logging to the same WAL.
     ///
     /// The apply hook is `None` during the recovery sweep; use
@@ -1995,32 +1806,29 @@ impl ShardedCoordinator {
         Ok(())
     }
 
-    /// Triggers [`ShardedCoordinator::checkpoint`] when the bytes
-    /// appended since the last checkpoint exceed the configured
-    /// threshold ([`ShardedConfig::auto_checkpoint_bytes`]). Called
-    /// after group commits; concurrent triggers collapse into one run.
-    /// Auto-checkpoint failures are swallowed (the log keeps growing
-    /// and the next trigger retries) — compaction is an optimization,
+    /// Runs [`ShardedCoordinator::checkpoint`] when the
+    /// [`CheckpointPolicy`] says one is due. Called in-line after
+    /// group commits with `age_millis == 0` (only the size criterion
+    /// can fire: the submit path reads no clock for this) and from the
+    /// sweeper tick with the real age. Concurrent triggers collapse
+    /// into one run. Failures are swallowed (the log keeps growing and
+    /// the next trigger retries) — compaction is an optimization,
     /// never a correctness requirement.
-    fn maybe_auto_checkpoint(&self) {
-        if self.auto_checkpoint_bytes == 0 {
+    fn checkpoint_if_due(&self, age_millis: u64) {
+        let policy = self.checkpoint_policy;
+        if policy == CheckpointPolicy::default() {
             return;
         }
         let Some(len) = self.engine.db.wal_len() else {
             return; // non-durable database: nothing to compact
         };
         let since = len.saturating_sub(self.wal_len_at_checkpoint.load(Ordering::Relaxed));
-        if since <= self.auto_checkpoint_bytes {
+        if !policy.due(since, age_millis) {
             return;
         }
         if self
             .checkpointing
-            .compare_exchange(
-                false,
-                true,
-                std::sync::atomic::Ordering::Acquire,
-                std::sync::atomic::Ordering::Relaxed,
-            )
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
             return; // another thread is already checkpointing
@@ -2028,8 +1836,7 @@ impl ShardedCoordinator {
         if self.checkpoint().is_ok() {
             self.auto_checkpoints.fetch_add(1, Ordering::Relaxed);
         }
-        self.checkpointing
-            .store(false, std::sync::atomic::Ordering::Release);
+        self.checkpointing.store(false, Ordering::Release);
     }
 
     /// Verifies the routing invariants at a quiescent point, returning
@@ -2101,39 +1908,34 @@ impl DeadlineHost for ShardedCoordinator {
                 slot.monitor.publish(&state);
             }
         }
-        // time/size checkpoint policy: evaluated here (not only after
-        // group commits) so a quiet coordinator still compacts its WAL
-        // on schedule
-        let policy = self.checkpoint_policy;
-        if policy == CheckpointPolicy::default() {
-            return;
-        }
-        let Some(len) = self.engine.db.wal_len() else {
-            return; // non-durable database: nothing to compact
-        };
-        let since = len.saturating_sub(self.wal_len_at_checkpoint.load(Ordering::Relaxed));
-        let age = now_millis.saturating_sub(self.last_checkpoint_at.load(Ordering::Relaxed));
-        if !policy.due(since, age) {
-            return;
-        }
-        if self
-            .checkpointing
-            .compare_exchange(
-                false,
-                true,
-                std::sync::atomic::Ordering::Acquire,
-                std::sync::atomic::Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return; // another thread is already checkpointing
-        }
-        if self.checkpoint().is_ok() {
-            self.auto_checkpoints.fetch_add(1, Ordering::Relaxed);
-        }
-        self.checkpointing
-            .store(false, std::sync::atomic::Ordering::Release);
+        // evaluated here too (not only after group commits) so a quiet
+        // coordinator still compacts its WAL on schedule
+        self.checkpoint_if_due(
+            now_millis.saturating_sub(self.last_checkpoint_at.load(Ordering::Relaxed)),
+        );
     }
+}
+
+/// The ids of the pending queries matching `keep`.
+fn ids_where(registry: &Registry, keep: impl Fn(&Pending) -> bool) -> Vec<QueryId> {
+    registry.iter().filter(|p| keep(p)).map(|p| p.id).collect()
+}
+
+/// Compiles a batch of `(owner, sql)` requests, keeping each entry's
+/// compile error in its slot.
+fn compile_batch(requests: &[(String, String)]) -> Vec<(String, CoreResult<EntangledQuery>)> {
+    requests
+        .iter()
+        .map(|(owner, sql)| (owner.clone(), compile_sql(sql)))
+        .collect()
+}
+
+/// Attaches default [`SubmitOptions`] to every batch entry.
+fn default_options<Q>(requests: Vec<(String, Q)>) -> Vec<(String, Q, SubmitOptions)> {
+    requests
+        .into_iter()
+        .map(|(owner, query)| (owner, query, SubmitOptions::default()))
+        .collect()
 }
 
 /// Borrows the shared hook as the engine's `&dyn Fn`.
@@ -2183,14 +1985,16 @@ mod tests {
         let a = co
             .submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
             .unwrap();
-        let Submission::Pending(ticket) = a else {
+        let Submission::Pending(mut kramer) = a else {
             panic!("kramer must wait")
         };
+        assert!(kramer.try_take().is_none(), "in flight: nothing to take");
         let b = co
             .submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
             .unwrap();
         assert!(matches!(b, Submission::Answered(_)));
-        ticket.receiver.try_recv().expect("kramer notified");
+        let kn = kramer.try_take().and_then(CoordinationOutcome::answered);
+        assert_eq!(kn.expect("kramer notified").group.len(), 2);
         assert_eq!(co.pending_count(), 0);
         assert_eq!(co.stats().groups_matched, 1);
         co.check_routing_invariants().unwrap();
@@ -2304,7 +2108,7 @@ mod tests {
                  WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
                  AND ('Y', fno) IN ANSWER RelB CHOOSE 1";
         let sub_x = co.submit_sql("x", x).unwrap();
-        let Submission::Pending(ticket_x) = sub_x else {
+        let Submission::Pending(mut future_x) = sub_x else {
             panic!("x waits")
         };
         // RelA and RelB are already one component (X touches both), so
@@ -2321,9 +2125,9 @@ mod tests {
             matches!(sub_y, Submission::Answered(_)),
             "merge makes the pair matchable"
         );
-        ticket_x
-            .receiver
-            .try_recv()
+        future_x
+            .try_take()
+            .and_then(CoordinationOutcome::answered)
             .expect("x notified after merge");
         co.check_routing_invariants().unwrap();
     }
@@ -2456,6 +2260,7 @@ mod tests {
         co.cancel(s.id()).unwrap();
         assert!(matches!(co.cancel(s.id()), Err(CoreError::UnknownQuery(_))));
         assert_eq!(co.cancel_owner("kramer"), 1);
+        assert_eq!(co.cancel_owner("kramer"), 0, "nothing left to withdraw");
         assert_eq!(co.pending_count(), 1);
         co.check_routing_invariants().unwrap();
     }
@@ -2519,10 +2324,10 @@ mod tests {
         assert_eq!(co2.answers("Done").len(), 2, "pre-crash answers replayed");
 
         // reattach before the partners arrive, then close every pair
-        let tickets: Vec<Ticket> = (0..4)
+        let futures: Vec<CoordinationFuture> = (0..4)
             .flat_map(|k| co2.reattach(&format!("l{k}")))
             .collect();
-        assert_eq!(tickets.len(), 4);
+        assert_eq!(futures.len(), 4);
         for k in 0..4 {
             let s = co2
                 .submit_sql(
@@ -2532,8 +2337,10 @@ mod tests {
                 .unwrap();
             assert!(matches!(s, Submission::Answered(_)), "pair {k} closes");
         }
-        for t in tickets {
-            t.receiver.try_recv().expect("reattached waiter notified");
+        for mut f in futures {
+            f.try_take()
+                .and_then(CoordinationOutcome::answered)
+                .expect("reattached waiter notified");
         }
         assert_eq!(co2.pending_count(), 0);
         co2.check_routing_invariants().unwrap();
@@ -2710,6 +2517,7 @@ mod tests {
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.answered, 2);
         assert_eq!(stats.groups_matched, 1);
+        assert_eq!(stats.match_attempts, 2);
         assert!(stats.matching_nanos > 0);
     }
 
@@ -2807,7 +2615,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_then_reattach_async_resumes_futures() {
+    fn recover_then_reattach_resumes_futures() {
         let db = flights_db_wal();
         let co = ShardedCoordinator::new(db.clone());
         let f0 = co
@@ -2823,7 +2631,7 @@ mod tests {
         let (co2, report) =
             ShardedCoordinator::recover(Wal::from_bytes(bytes), ShardedConfig::default()).unwrap();
         assert_eq!(report.restored_pending, 2);
-        let mut futures = co2.reattach_async("kramer");
+        let mut futures = co2.reattach("kramer");
         assert_eq!(futures.len(), 2);
         co2.submit_sql("jerry", &pair_sql_on("Res0", "Jerry", "Kramer"))
             .unwrap();

@@ -422,13 +422,6 @@ impl TenantRegistry {
         counter.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// [`finish`](TenantRegistry::finish) for a batch of ids.
-    pub fn finish_all(&self, qids: &[QueryId], outcome: TenantOutcome) {
-        for qid in qids {
-            self.finish(*qid, outcome);
-        }
-    }
-
     /// Snapshot of one tenant's counters, if it has ever been seen.
     pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
         self.inner

@@ -3,7 +3,9 @@
 //! mixed-arity relations, cancellation races, membership errors, and
 //! group-size boundary behaviour.
 
-use youtopia_core::{Coordinator, CoordinatorConfig, CoreError, MatchConfig, Submission};
+use youtopia_core::{
+    CoordinationOutcome, Coordinator, CoordinatorConfig, CoreError, MatchConfig, Submission,
+};
 use youtopia_exec::run_sql;
 use youtopia_storage::{Database, Value};
 
@@ -65,7 +67,7 @@ fn variable_partner_name_matches_anyone() {
              WHERE (leader, fno) IN ANSWER R AND leader <> 'Follower' CHOOSE 1",
         )
         .unwrap();
-    let Submission::Pending(follower_ticket) = follower else {
+    let Submission::Pending(mut follower_ticket) = follower else {
         panic!("nobody to follow yet")
     };
     let leader = co2
@@ -81,8 +83,8 @@ fn variable_partner_name_matches_anyone() {
     // ...and the *cascade* then answers the follower against the
     // leader's freshly committed tuple (the system-wide answer relation)
     let fn_ = follower_ticket
-        .receiver
-        .try_recv()
+        .try_take()
+        .and_then(CoordinationOutcome::answered)
         .expect("follower answered by the cascade");
     assert_eq!(fn_.answers[0].1.values()[1], Value::Int(3));
     let answers = co2.answers("R");
@@ -353,7 +355,7 @@ fn cascade_chains_through_multiple_rounds() {
              AND ('F1', fno) IN ANSWER R CHOOSE 1",
         )
         .unwrap();
-    let Submission::Pending(t2) = f2 else {
+    let Submission::Pending(mut t2) = f2 else {
         panic!()
     };
     let f1 = co
@@ -364,7 +366,7 @@ fn cascade_chains_through_multiple_rounds() {
              AND ('Leader', fno) IN ANSWER R CHOOSE 1",
         )
         .unwrap();
-    let Submission::Pending(t1) = f1 else {
+    let Submission::Pending(mut t1) = f1 else {
         panic!()
     };
 
@@ -384,10 +386,13 @@ fn cascade_chains_through_multiple_rounds() {
     // The leader's arrival may answer it alone (it is self-contained)
     // or pull f1/f2 into a live group; either way the cascade must
     // leave nobody pending and everyone on the leader's flight.
-    let n1 = t1.receiver.try_recv().expect("f1 answered");
+    let n1 = t1
+        .try_take()
+        .and_then(CoordinationOutcome::answered)
+        .expect("f1 answered");
     let n2 = t2
-        .receiver
-        .try_recv()
+        .try_take()
+        .and_then(CoordinationOutcome::answered)
         .expect("f2 answered via the second cascade round");
     assert_eq!(n1.answers[0].1.values()[1], youtopia_storage::Value::Int(1));
     assert_eq!(n2.answers[0].1.values()[1], youtopia_storage::Value::Int(1));

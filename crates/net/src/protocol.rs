@@ -119,7 +119,7 @@ pub enum Request {
     },
     /// Reconnects: presents the session token issued by the previous
     /// `Welcome` for `owner`; the server supersedes the stranded
-    /// session's futures via `reattach_async`.
+    /// session's futures via `reattach`.
     Resume {
         /// Must equal [`PROTOCOL_VERSION`].
         version: u16,

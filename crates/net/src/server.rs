@@ -36,7 +36,7 @@
 //! inside `submit`, and session tokens rotate on every handshake —
 //! `Resume` must present the owner's current token, and a successful
 //! resume re-arms pending queries via
-//! [`ShardedCoordinator::reattach_async`] (stale handles resolve
+//! [`ShardedCoordinator::reattach`] (stale handles resolve
 //! [`CoordinationOutcome::Superseded`]).
 
 use std::cmp::Reverse;
@@ -819,7 +819,7 @@ impl Reactor {
                         session,
                     };
                 }
-                let futures = self.co.reattach_async(&owner);
+                let futures = self.co.reattach(&owner);
                 let reattached = futures.len() as u32;
                 for future in futures {
                     self.register_future(session, future);

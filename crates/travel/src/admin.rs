@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use youtopia_core::{
-    latency_histogram, Coordinator, CoreError, RecoveryReport, Submission, AUDIT_TABLE,
+    latency_histogram, CoreError, RecoveryReport, ShardedCoordinator, Submission, AUDIT_TABLE,
 };
 use youtopia_exec::{run_statement, ExecError, ResultSet, StatementOutcome};
 use youtopia_sql::{parse_statement, Statement};
@@ -16,13 +16,13 @@ use youtopia_storage::Database;
 /// The admin console: wraps a database and its coordinator.
 pub struct AdminConsole {
     db: Database,
-    coordinator: Arc<Coordinator>,
+    coordinator: Arc<ShardedCoordinator>,
     recovery: Mutex<Option<RecoveryReport>>,
 }
 
 impl AdminConsole {
     /// Builds a console over an existing stack.
-    pub fn new(db: Database, coordinator: Arc<Coordinator>) -> AdminConsole {
+    pub fn new(db: Database, coordinator: Arc<ShardedCoordinator>) -> AdminConsole {
         AdminConsole {
             db,
             coordinator,
@@ -67,8 +67,11 @@ impl AdminConsole {
                         answers.join(", ")
                     )
                 }
-                Ok(Submission::Pending(t)) => {
-                    format!("registered as {} (waiting for coordination partners)", t.id)
+                Ok(Submission::Pending(f)) => {
+                    format!(
+                        "registered as {} (waiting for coordination partners)",
+                        f.id()
+                    )
                 }
                 Err(CoreError::Unsafe(msg)) => format!("rejected: unsafe query: {msg}"),
                 Err(e) => format!("error: {e}"),
@@ -535,14 +538,14 @@ mod tests {
     /// A console whose coordinator writes the `sys_audit` /
     /// `sys_tenant_latency` relations.
     fn audited_console() -> (TravelService, AdminConsole) {
-        use youtopia_core::{AuditConfig, CoordinatorConfig};
+        use youtopia_core::{AuditConfig, Coordinator, CoordinatorConfig};
         let s = TravelService::bootstrap_demo().unwrap();
         let config = CoordinatorConfig {
             audit: AuditConfig::enabled(),
             ..CoordinatorConfig::default()
         };
-        let co = Arc::new(Coordinator::with_config(s.db().clone(), config));
-        let console = AdminConsole::new(s.db().clone(), co);
+        let co = Coordinator::with_config(s.db().clone(), config);
+        let console = AdminConsole::new(s.db().clone(), Arc::new(co.into()));
         (s, console)
     }
 

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use youtopia_core::{
-    Coordinator, CoordinatorConfig, GroupMatch, MatchNotification, QueryId, RecoveryReport,
-    Submission, Ticket,
+    CoordinationFuture, CoordinationOutcome, Coordinator, CoordinatorConfig, GroupMatch,
+    MatchNotification, QueryId, RecoveryReport, ShardedCoordinator, Submission,
 };
 use youtopia_exec::{run_sql, StatementOutcome};
 use youtopia_storage::{Database, StorageError, Tuple, Value, Wal};
@@ -67,11 +67,13 @@ pub struct AccountView {
 /// The travel web site's middle tier.
 pub struct TravelService {
     db: Database,
-    coordinator: Arc<Coordinator>,
+    /// One shard ([`Coordinator`]): the demo site is a single serial
+    /// coordination component, on the same type the net server uses.
+    coordinator: Arc<ShardedCoordinator>,
     social: SocialGraph,
     notifier: Arc<Notifier>,
-    /// Tickets of pending submissions, polled by `deliver_ready`.
-    tickets: Mutex<Vec<(String, Ticket)>>,
+    /// Futures of pending submissions, polled by `deliver_ready`.
+    waiting: Mutex<Vec<(String, CoordinationFuture)>>,
 }
 
 impl TravelService {
@@ -86,14 +88,14 @@ impl TravelService {
 
     /// Wraps an existing database that already has the travel schema.
     pub fn over(db: Database) -> TravelResult<TravelService> {
-        let coordinator = Arc::new(Coordinator::new(db.clone()));
-        coordinator.set_apply_hook(Box::new(inventory_hook));
+        let coordinator: Arc<ShardedCoordinator> = Arc::new(Coordinator::new(db.clone()).into());
+        coordinator.set_apply_hook(Arc::new(inventory_hook));
         Ok(TravelService {
             social: SocialGraph::new(db.clone()),
             db,
             coordinator,
             notifier: Arc::new(Notifier::new()),
-            tickets: Mutex::new(Vec::new()),
+            waiting: Mutex::new(Vec::new()),
         })
     }
 
@@ -109,14 +111,14 @@ impl TravelService {
         config: CoordinatorConfig,
     ) -> TravelResult<(TravelService, RecoveryReport)> {
         let (coordinator, report) =
-            Coordinator::recover_with_hook(wal, config, Some(Box::new(inventory_hook)))?;
+            Coordinator::recover_with_hook(wal, config, Some(Arc::new(inventory_hook)))?;
         let db = coordinator.db().clone();
         let service = TravelService {
             social: SocialGraph::new(db.clone()),
             db,
-            coordinator: Arc::new(coordinator),
+            coordinator: Arc::new(coordinator.into()),
             notifier: Arc::new(Notifier::new()),
-            tickets: Mutex::new(Vec::new()),
+            waiting: Mutex::new(Vec::new()),
         };
         Ok((service, report))
     }
@@ -132,7 +134,7 @@ impl TravelService {
     }
 
     /// The coordination component (for the admin interface).
-    pub fn coordinator(&self) -> &Arc<Coordinator> {
+    pub fn coordinator(&self) -> &Arc<ShardedCoordinator> {
         &self.coordinator
     }
 
@@ -366,7 +368,7 @@ impl TravelService {
     pub fn cancel(&self, user: &str, qid: QueryId) -> TravelResult<()> {
         let _ = user;
         self.coordinator.cancel(qid)?;
-        self.tickets.lock().retain(|(_, t)| t.id != qid);
+        self.waiting.lock().retain(|(_, f)| f.id() != qid);
         Ok(())
     }
 
@@ -413,31 +415,33 @@ impl TravelService {
                 self.notifier.send(user, render_confirmation(&n));
                 BookingOutcome::Confirmed(n.answers)
             }
-            Submission::Pending(ticket) => {
-                let qid = ticket.id;
-                self.tickets.lock().push((user.to_string(), ticket));
+            Submission::Pending(future) => {
+                let qid = future.id();
+                self.waiting.lock().push((user.to_string(), future));
                 BookingOutcome::Waiting(qid)
             }
         };
-        // Partners whose tickets just fired get their "Facebook
+        // Partners whose futures just resolved get their "Facebook
         // message" now.
         self.deliver_ready();
         Ok(outcome)
     }
 
-    /// Drains completed tickets into user mailboxes. Called after every
+    /// Drains resolved futures into user mailboxes (a cancelled or
+    /// expired request just leaves the list). Called after every
     /// submission; callers may also invoke it manually (e.g. after
     /// `retry_all`).
     pub fn deliver_ready(&self) {
-        let mut tickets = self.tickets.lock();
-        let mut remaining = Vec::with_capacity(tickets.len());
-        for (user, ticket) in tickets.drain(..) {
-            match ticket.receiver.try_recv() {
-                Ok(n) => self.notifier.send(&user, render_confirmation(&n)),
-                Err(_) => remaining.push((user, ticket)),
-            }
-        }
-        *tickets = remaining;
+        self.waiting
+            .lock()
+            .retain_mut(|(user, future)| match future.try_take() {
+                Some(CoordinationOutcome::Answered(n)) => {
+                    self.notifier.send(user, render_confirmation(&n));
+                    false
+                }
+                Some(_) => false,
+                None => true,
+            });
     }
 
     /// Re-runs matching for all pending queries (after inventory

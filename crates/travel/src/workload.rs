@@ -387,7 +387,7 @@ pub struct CrashReport {
     pub wal_bytes: usize,
     /// What recovery replayed and rebuilt.
     pub recovery: youtopia_core::RecoveryReport,
-    /// Tickets re-issued to reconnecting owners after recovery.
+    /// Futures re-issued to reconnecting owners after recovery.
     pub reattached: usize,
     /// Driver outcomes for the remainder, after recovery.
     pub after: DriveReport,
@@ -759,7 +759,7 @@ mod tests {
         );
         // same end state as the sync driver under the same seed; the
         // async report's `answered` also harvests the first halves the
-        // sync report counts as `pending` (their tickets fired later)
+        // sync report counts as `pending` (their futures resolved later)
         let mut generator = WorkloadGen::new(6);
         let db = generator.build_database(50, &["Paris"]).unwrap();
         let sync_co = ShardedCoordinator::new(db);
@@ -798,7 +798,7 @@ mod tests {
         assert!(report.recovery.restored_pending > 0, "crash mid-workload");
         assert_eq!(
             report.reattached, report.recovery.restored_pending,
-            "every surviving owner reattaches one ticket per pending query"
+            "every surviving owner reattaches one future per pending query"
         );
         assert!(report.equivalent, "recovered state == uncrashed state");
         // every pair eventually closed; only noise is left pending

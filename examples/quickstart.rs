@@ -47,12 +47,12 @@ fn main() {
     let kramer = coordinator
         .submit_sql("kramer", kramer_sql)
         .expect("safe query");
-    let Submission::Pending(ticket) = kramer else {
+    let Submission::Pending(mut kramer) = kramer else {
         unreachable!("no partner yet: the query must wait");
     };
     println!(
         "  -> not answerable alone; registered as {} ({} pending)",
-        ticket.id,
+        kramer.id(),
         coordinator.pending_count()
     );
 
@@ -68,10 +68,10 @@ fn main() {
         .answered()
         .expect("the pair matches immediately");
 
-    // Kramer is notified asynchronously.
-    let kramer = ticket
-        .receiver
-        .try_recv()
+    // Kramer's future resolved when Jerry's arrival completed the group.
+    let kramer = kramer
+        .try_take()
+        .and_then(|outcome| outcome.answered())
         .expect("kramer's notification is waiting");
 
     println!("\nJointly answered (group {:?}):", jerry.group);

@@ -2,8 +2,8 @@
 //! (deadline-lifecycle PR): the background [`DeadlineSweeper`] on an
 //! injectable [`MockClock`] (no wall-clock sleeps — tests advance the
 //! clock and observe event-driven outcomes), the expiry-vs-match race
-//! regression (exactly one terminal outcome per waiter, on both
-//! coordinators), and the WAL-threshold auto-checkpoint satellite.
+//! regression (exactly one terminal outcome per waiter, at one shard
+//! and at four), and the WAL-size checkpoint policy.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,8 +11,8 @@ use std::time::Duration;
 use youtopia::core::SubmitOptions;
 use youtopia::storage::Wal;
 use youtopia::{
-    run_sql, CoordinationOutcome, Coordinator, Database, DeadlineSweeper, MockClock, ShardedConfig,
-    ShardedCoordinator, Submission,
+    run_sql, CheckpointPolicy, CoordinationOutcome, Coordinator, Database, DeadlineSweeper,
+    MockClock, ShardedConfig, ShardedCoordinator, Submission,
 };
 
 fn flights_db() -> Database {
@@ -48,14 +48,14 @@ fn pair_sql_on(rel: &str, me: &str, friend: &str) -> String {
     )
 }
 
-/// The tentpole wiring, serial flavor: a sweeper on a mock clock
+/// The tentpole wiring at one shard: a sweeper on a mock clock
 /// expires a deadline-carrying future exactly when the clock passes
 /// the deadline — driven entirely by `MockClock::advance`, which wakes
 /// the parked sweeper through the coordinator's sweep signal.
 #[test]
 fn sweeper_expires_future_on_mock_clock_serial() {
     let clock = Arc::new(MockClock::new(0));
-    let co = Arc::new(Coordinator::new(flights_db()));
+    let co: Arc<ShardedCoordinator> = Arc::new(Coordinator::new(flights_db()).into());
     let sweeper = DeadlineSweeper::spawn(co.clone(), clock.clone());
 
     let mut f = co
@@ -82,8 +82,9 @@ fn sweeper_expires_future_on_mock_clock_serial() {
 }
 
 /// Sharded flavor: deadlines on different shards expire from one
-/// sweeper; sync tickets disconnect, futures resolve `Expired`, and a
-/// deadline-less query is untouched.
+/// sweeper; every handle resolves `Expired` (the one from a blocking
+/// `submit_sql_with` included), and a deadline-less query is
+/// untouched.
 #[test]
 fn sweeper_expires_across_shards_on_mock_clock() {
     let clock = Arc::new(MockClock::new(0));
@@ -102,7 +103,7 @@ fn sweeper_expires_across_shards_on_mock_clock() {
             SubmitOptions::with_deadline(50),
         )
         .unwrap();
-    let ticket = match co
+    let mut f1 = match co
         .submit_sql_with(
             "b",
             &pair_sql_on("Res1", "B", "GhostB"),
@@ -110,7 +111,7 @@ fn sweeper_expires_across_shards_on_mock_clock() {
         )
         .unwrap()
     {
-        Submission::Pending(t) => t,
+        Submission::Pending(f) => f,
         Submission::Answered(_) => panic!("no partner: must pend"),
     };
     let mut f2 = co
@@ -124,17 +125,14 @@ fn sweeper_expires_across_shards_on_mock_clock() {
         .unwrap(); // immortal
     assert_eq!(co.next_deadline(), Some(50));
 
-    clock.advance(100); // t=100: f0 and the ticket are due, f2 is not
+    clock.advance(100); // t=100: f0 and f1 are due, f2 is not
     assert_eq!(
         f0.wait_timeout(Duration::from_secs(10)),
         Some(CoordinationOutcome::Expired)
     );
-    assert!(
-        ticket
-            .receiver
-            .recv_timeout(Duration::from_secs(10))
-            .is_err(),
-        "the expired sync ticket disconnects"
+    assert_eq!(
+        f1.wait_timeout(Duration::from_secs(10)),
+        Some(CoordinationOutcome::Expired)
     );
     assert!(!f2.is_complete(), "t=100 < 200: not due");
 
@@ -194,10 +192,10 @@ where
     }
 }
 
-/// Regression (satellite 2, async waiter): a deadline expiry racing a
-/// match commit on the same query delivers **exactly one** terminal
-/// outcome to the parked future — `Expired` xor `Answered`, each
-/// consistent with the registry's end state — on both coordinators.
+/// Regression: a deadline expiry racing a match commit on the same
+/// query delivers **exactly one** terminal outcome to the parked
+/// future — `Expired` xor `Answered`, each consistent with the
+/// registry's end state — at one shard and at four.
 #[test]
 fn expiry_racing_match_delivers_one_outcome_to_future() {
     for round in 0..20u64 {
@@ -241,57 +239,8 @@ fn expiry_racing_match_delivers_one_outcome_to_future() {
     }
 }
 
-/// Regression (satellite 2, sync ticket): the same race observed
-/// through a blocking ticket — it receives the notification xor
-/// disconnects, never both, never neither.
-#[test]
-fn expiry_racing_match_resolves_sync_ticket_once() {
-    for round in 0..40u64 {
-        let co = Arc::new(ShardedCoordinator::new(flights_db()));
-        let ticket = match co
-            .submit_sql_with(
-                "l",
-                &pair_sql_on("Res", "L", "R"),
-                SubmitOptions::with_deadline(10),
-            )
-            .unwrap()
-        {
-            Submission::Pending(t) => t,
-            Submission::Answered(_) => panic!("no partner yet"),
-        };
-        let expired = std::thread::scope(|scope| {
-            let sweeper = scope.spawn(|| co.expire_due(10));
-            let partner = scope.spawn(|| {
-                co.submit_sql("r", &pair_sql_on("Res", "R", "L")).unwrap();
-            });
-            partner.join().expect("partner thread");
-            sweeper.join().expect("sweep thread")
-        });
-        match ticket.receiver.recv_timeout(Duration::from_secs(10)) {
-            Ok(n) => {
-                assert!(expired.is_empty(), "answered ⇒ no expiry (round {round})");
-                assert_eq!(n.id, ticket.id);
-                assert_eq!(co.pending_count(), 0);
-                assert!(
-                    ticket.receiver.try_recv().is_err(),
-                    "exactly one notification (round {round})"
-                );
-            }
-            Err(_) => {
-                assert_eq!(
-                    expired,
-                    vec![ticket.id],
-                    "disconnect ⇒ expiry (round {round})"
-                );
-                assert_eq!(co.pending_count(), 1);
-            }
-        }
-        co.check_routing_invariants().unwrap();
-    }
-}
-
-/// Satellite 1: churning matched pairs past the WAL byte threshold
-/// triggers `checkpoint()` automatically; the log stays bounded, the
+/// Churning matched pairs past `CheckpointPolicy::max_wal_bytes`
+/// triggers `checkpoint()` in-line, with no sweeper running; the log stays bounded, the
 /// gauges surface through `stats()`, and recovery from the compacted
 /// log reproduces the survivors (deadlines included).
 #[test]
@@ -305,7 +254,10 @@ fn auto_checkpoint_bounds_the_wal_and_surfaces_gauges() {
         run_sql(&db, sql).unwrap();
     }
     let config = ShardedConfig {
-        auto_checkpoint_bytes: 8 * 1024,
+        checkpoint: CheckpointPolicy {
+            max_wal_bytes: 8 * 1024,
+            max_age_millis: 0,
+        },
         ..ShardedConfig::default()
     };
     let co = ShardedCoordinator::with_clock(db.clone(), config, clock.clone());

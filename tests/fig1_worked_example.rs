@@ -44,7 +44,7 @@ fn kramer_alone_is_registered_not_rejected() {
 #[test]
 fn symmetric_queries_answer_jointly_with_shared_fno() {
     let co = Coordinator::new(fig1_database());
-    let Submission::Pending(kramer_ticket) = co.submit_sql("kramer", KRAMER).unwrap() else {
+    let Submission::Pending(mut kramer) = co.submit_sql("kramer", KRAMER).unwrap() else {
         panic!("kramer waits");
     };
     let jerry = co
@@ -52,7 +52,10 @@ fn symmetric_queries_answer_jointly_with_shared_fno() {
         .unwrap()
         .answered()
         .expect("joint answer");
-    let kramer = kramer_ticket.receiver.try_recv().expect("kramer notified");
+    let kramer = kramer
+        .try_take()
+        .and_then(|outcome| outcome.answered())
+        .expect("kramer notified");
 
     let j_fno = jerry.answers[0].1.values()[1].as_int().unwrap();
     let k_fno = kramer.answers[0].1.values()[1].as_int().unwrap();

@@ -1,26 +1,25 @@
-//! Equivalence property (acceptance criterion of the async-submission
-//! PR): under a fixed seed with randomization disabled, driving a
-//! workload through `submit_async` + a [`WaiterSet`] yields the
-//! **identical** set of coordination outcomes — group members *and*
-//! answer tuples — and the identical pending set as the sync `submit`
-//! path, on both the serial and the sharded (batch-draining)
-//! coordinator. Same discipline as `prop_shard_equivalence.rs`.
+//! Equivalence property of the waiter path: under a fixed seed with
+//! randomization disabled, harvesting a workload's futures through a
+//! [`WaiterSet`] yields the **identical** coordination outcomes —
+//! group members *and* answer tuples — the same expired set and the
+//! same pending set as probing each pending handle directly
+//! (`Submission::Pending(future)` + `try_take`), through the batch
+//! drain at four shards with random deadlines and an `expire_due`
+//! sweep mixed in. Same discipline as `prop_shard_equivalence.rs`.
 //!
-//! Why this should hold exactly: the async path shares every stage of
-//! the sync path — id allocation, logging, routing, arrival-driven
-//! matching — and differs only in *how a pending query's completion is
-//! delivered* (a parked waker instead of a blocking channel). With
-//! randomization off the matcher is deterministic, so the only way the
-//! property can fail is a bug in the waiter lifecycle itself: a waker
-//! lost by a migration, a completion delivered twice, or a future left
-//! pending past its terminal event.
+//! Both sides are the same submission path (the blocking `submit*`
+//! conveniences are one-liners over the async entry), so this is one
+//! cheap case, not a matrix: the only way it can fail is a bug in the
+//! waiter lifecycle itself — a waker lost by a migration, a completion
+//! delivered twice, a future left pending past its terminal event, or
+//! `Submission::from` mis-sorting a handle.
 
 use proptest::prelude::*;
 
 use youtopia::core::{MatchConfig, SubmitOptions};
 use youtopia::{
-    compile_sql, run_sql, CoordinationOutcome, Coordinator, CoordinatorConfig, Database,
-    MatchNotification, ShardedConfig, ShardedCoordinator, Submission, WaiterSet,
+    compile_sql, run_sql, CoordinationOutcome, CoordinatorConfig, Database, MatchNotification,
+    ShardedConfig, ShardedCoordinator, Submission, WaiterSet,
 };
 
 /// One generated workload: pair requests `(me, friend, relation,
@@ -125,40 +124,11 @@ fn opts_of(deadline: &Option<u64>) -> SubmitOptions {
     }
 }
 
-/// The still-pending ids straight from the registry (tickets cannot
-/// distinguish "pending" from "expired" — both leave the channel
-/// empty, but an expired ticket's sender is gone).
+/// The still-pending ids straight from the registry.
 fn pending_ids(snapshot: Vec<youtopia::core::PendingInfo>) -> Vec<u64> {
     let mut ids: Vec<u64> = snapshot.into_iter().map(|p| p.id.0).collect();
     ids.sort_unstable();
     ids
-}
-
-/// Runs the workload through the serial coordinator's sync path:
-/// submissions (deadlines attached), then the `expire_due` sweep,
-/// then notification collection.
-fn run_serial_sync(w: &Workload, seed: u64) -> RunResult {
-    let co = Coordinator::with_config(scenario_db(), config(seed));
-    let mut tickets = Vec::new();
-    let mut outcomes = Vec::new();
-    for (me, friend, rel, dest, deadline) in &w.requests {
-        match co
-            .submit_sql_with(me, &pair_sql(me, friend, rel, dest), opts_of(deadline))
-            .unwrap()
-        {
-            Submission::Answered(n) => outcomes.push(canonical(&n)),
-            Submission::Pending(t) => tickets.push(t),
-        }
-    }
-    let mut expired: Vec<u64> = co.expire_due(w.sweep_at).iter().map(|q| q.0).collect();
-    for t in tickets {
-        if let Ok(n) = t.receiver.try_recv() {
-            outcomes.push(canonical(&n));
-        }
-    }
-    outcomes.sort();
-    expired.sort_unstable();
-    (outcomes, expired, pending_ids(co.pending_snapshot()))
 }
 
 /// Harvests a [`WaiterSet`] to quiescence and splits the result into
@@ -186,27 +156,8 @@ fn harvest(mut set: WaiterSet) -> (Vec<Outcome>, Vec<u64>, Vec<u64>) {
     (outcomes, expired, pending)
 }
 
-/// Runs the workload through the serial coordinator's async path: every
-/// submission becomes a future held in one [`WaiterSet`]; the sweep
-/// resolves due futures with `Expired`.
-fn run_serial_async(w: &Workload, seed: u64) -> RunResult {
-    let co = Coordinator::with_config(scenario_db(), config(seed));
-    let mut set = WaiterSet::new();
-    for (me, friend, rel, dest, deadline) in &w.requests {
-        let future = co
-            .submit_sql_async_with(me, &pair_sql(me, friend, rel, dest), opts_of(deadline))
-            .unwrap();
-        set.insert(future);
-    }
-    co.expire_due(w.sweep_at);
-    let (mut outcomes, expired, pending) = harvest(set);
-    outcomes.sort();
-    assert_eq!(pending, pending_ids(co.pending_snapshot()));
-    (outcomes, expired, pending)
-}
-
-/// The workload as the sharded coordinator's options-carrying batch.
-fn sharded_batch(
+/// The workload as an options-carrying batch.
+fn batch(
     w: &Workload,
 ) -> Vec<(
     String,
@@ -225,54 +176,57 @@ fn sharded_batch(
         .collect()
 }
 
-/// Runs the workload through the sharded coordinator's sync batch path.
-fn run_sharded_sync(w: &Workload, seed: u64, shards: usize) -> RunResult {
-    let co = ShardedCoordinator::with_config(
+fn coordinator(seed: u64) -> ShardedCoordinator {
+    ShardedCoordinator::with_config(
         scenario_db(),
         ShardedConfig {
-            shards,
+            shards: 4,
             workers: 4,
-            auto_checkpoint_bytes: 0,
             fair_drain: false,
             checkpoint: Default::default(),
             base: config(seed),
         },
-    );
-    let mut tickets = Vec::new();
+    )
+}
+
+/// Runs the workload through the answered-or-pending batch view,
+/// probing every pending handle directly after the sweep.
+fn run_probing_handles(w: &Workload, seed: u64) -> RunResult {
+    let co = coordinator(seed);
+    let mut handles = Vec::new();
     let mut outcomes = Vec::new();
-    for outcome in co.submit_batch_with(sharded_batch(w)) {
+    for outcome in co.submit_batch_with(batch(w)) {
         match outcome.expect("generated queries are safe") {
             Submission::Answered(n) => outcomes.push(canonical(&n)),
-            Submission::Pending(t) => tickets.push(t),
+            Submission::Pending(f) => handles.push(f),
         }
     }
-    let mut expired: Vec<u64> = co.expire_due(w.sweep_at).iter().map(|q| q.0).collect();
-    for t in tickets {
-        if let Ok(n) = t.receiver.try_recv() {
-            outcomes.push(canonical(&n));
+    let mut swept: Vec<u64> = co.expire_due(w.sweep_at).iter().map(|q| q.0).collect();
+    swept.sort_unstable();
+    let mut expired = Vec::new();
+    for mut f in handles {
+        match f.try_take() {
+            Some(CoordinationOutcome::Answered(n)) => outcomes.push(canonical(&n)),
+            Some(CoordinationOutcome::Expired) => expired.push(f.id().0),
+            Some(other) => panic!("workload never cancels, got {other:?}"),
+            None => {}
         }
     }
     outcomes.sort();
     expired.sort_unstable();
+    assert_eq!(
+        expired, swept,
+        "every swept query's handle resolved Expired"
+    );
     (outcomes, expired, pending_ids(co.pending_snapshot()))
 }
 
-/// Runs the workload through the sharded coordinator's async batch
-/// path, all futures driven by one [`WaiterSet`].
-fn run_sharded_async(w: &Workload, seed: u64, shards: usize) -> RunResult {
-    let co = ShardedCoordinator::with_config(
-        scenario_db(),
-        ShardedConfig {
-            shards,
-            workers: 4,
-            auto_checkpoint_bytes: 0,
-            fair_drain: false,
-            checkpoint: Default::default(),
-            base: config(seed),
-        },
-    );
+/// Runs the workload through the future-returning batch entry, all
+/// futures driven by one [`WaiterSet`].
+fn run_waiter_set(w: &Workload, seed: u64) -> RunResult {
+    let co = coordinator(seed);
     let mut set = WaiterSet::new();
-    for outcome in co.submit_batch_async_with(sharded_batch(w)) {
+    for outcome in co.submit_batch_async_with(batch(w)) {
         set.insert(outcome.expect("generated queries are safe"));
     }
     co.expire_due(w.sweep_at);
@@ -285,64 +239,21 @@ fn run_sharded_async(w: &Workload, seed: u64, shards: usize) -> RunResult {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The acceptance property of the async-submission PR, now with
-    /// random deadlines mixed into the workload: the async path
-    /// (`submit_async` + `WaiterSet`) yields identical matches — same
-    /// answered queries, same groups, same answer tuples — the same
-    /// expired set after the `expire_due` sweep, and an identical
-    /// pending set as the sync `submit` path, on the serial
-    /// coordinator.
+    /// A `WaiterSet` harvest and a direct probe of every pending
+    /// handle see identical matches — same answered queries, same
+    /// groups, same answer tuples — the same expired set after the
+    /// `expire_due` sweep, and an identical pending set.
     #[test]
-    fn serial_async_equals_sync(workload in arb_workload(), seed in 0u64..1000) {
-        let (sync_outcomes, sync_expired, sync_pending) = run_serial_sync(&workload, seed);
-        let (async_outcomes, async_expired, async_pending) = run_serial_async(&workload, seed);
+    fn waiter_set_harvest_equals_probing_the_handles(
+        workload in arb_workload(),
+        seed in 0u64..1000,
+    ) {
         prop_assert_eq!(
-            &sync_outcomes,
-            &async_outcomes,
-            "matches diverged on {:?}",
-            &workload
-        );
-        prop_assert_eq!(
-            &sync_expired,
-            &async_expired,
-            "expired sets diverged on {:?}",
-            &workload
-        );
-        prop_assert_eq!(
-            &sync_pending,
-            &async_pending,
-            "pending sets diverged on {:?}",
-            &workload
-        );
-    }
-
-    /// The same equivalence through the sharded coordinator's batch
-    /// drain (4 shards): async batch submission == sync batch
-    /// submission == (by `prop_shard_equivalence`) the serial path —
-    /// deadlines and the expiry sweep included.
-    #[test]
-    fn sharded_async_equals_sync(workload in arb_workload(), seed in 0u64..1000) {
-        let (sync_outcomes, sync_expired, sync_pending) = run_sharded_sync(&workload, seed, 4);
-        let (async_outcomes, async_expired, async_pending) =
-            run_sharded_async(&workload, seed, 4);
-        prop_assert_eq!(
-            &sync_outcomes,
-            &async_outcomes,
-            "matches diverged on {:?}",
-            &workload
-        );
-        prop_assert_eq!(
-            &sync_expired,
-            &async_expired,
-            "expired sets diverged on {:?}",
-            &workload
-        );
-        prop_assert_eq!(
-            &sync_pending,
-            &async_pending,
-            "pending sets diverged on {:?}",
+            run_probing_handles(&workload, seed),
+            run_waiter_set(&workload, seed),
+            "diverged on {:?}",
             &workload
         );
     }

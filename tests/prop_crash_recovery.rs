@@ -134,8 +134,8 @@ fn run_timed_step(co: &ShardedCoordinator, k: usize, timed: &TimedStep) {
         .submit_sql_with(&timed.step.me, &pair_sql(&timed.step), opts)
         .expect("generated queries are safe");
     if timed.step.cancel_if_pending {
-        if let Submission::Pending(ticket) = outcome {
-            let _ = co.cancel(ticket.id);
+        if let Submission::Pending(future) = outcome {
+            let _ = co.cancel(future.id());
         }
     }
 }
@@ -171,7 +171,6 @@ fn config(seed: u64) -> ShardedConfig {
     ShardedConfig {
         shards: 4,
         workers: 2,
-        auto_checkpoint_bytes: 0,
         fair_drain: false,
         checkpoint: Default::default(),
         base: CoordinatorConfig {
@@ -191,10 +190,10 @@ fn run_step(co: &ShardedCoordinator, step: &Step) {
         .submit_sql(&step.me, &pair_sql(step))
         .expect("generated queries are safe");
     if step.cancel_if_pending {
-        if let Submission::Pending(ticket) = outcome {
+        if let Submission::Pending(future) = outcome {
             // the partner may have raced in through a cascade; cancel
             // only what is genuinely still pending
-            let _ = co.cancel(ticket.id);
+            let _ = co.cancel(future.id());
         }
     }
 }
@@ -270,7 +269,7 @@ proptest! {
     /// workload prefix is submitted through `submit_sql_async`, every
     /// future held by a `WaiterSet` that is **dropped at the kill
     /// point** (the front-end dies with its wakers). After `recover`,
-    /// `reattach_async` hands back live futures for the still-pending
+    /// `reattach` hands back live futures for the still-pending
     /// queries; finishing the workload resolves them with exactly the
     /// answers of the uncrashed sync control run, and the end states
     /// coincide.
@@ -290,24 +289,24 @@ proptest! {
                 n.answers.iter().map(|(_, t)| t.encode().to_vec()).collect();
             control_answers.insert(n.id.0, answers);
         };
-        let mut control_tickets = Vec::new();
+        let mut control_futures = Vec::new();
         for step in &scenario.steps {
             match control
                 .submit_sql(&step.me, &pair_sql(step))
                 .expect("generated queries are safe")
             {
                 Submission::Answered(n) => record(&n),
-                Submission::Pending(ticket) => {
+                Submission::Pending(future) => {
                     if step.cancel_if_pending {
-                        let _ = control.cancel(ticket.id);
+                        let _ = control.cancel(future.id());
                     } else {
-                        control_tickets.push(ticket);
+                        control_futures.push(future);
                     }
                 }
             }
         }
-        for ticket in control_tickets {
-            if let Ok(n) = ticket.receiver.try_recv() {
+        for mut future in control_futures {
+            if let Some(CoordinationOutcome::Answered(n)) = future.try_take() {
                 record(&n);
             }
         }
@@ -341,7 +340,7 @@ proptest! {
             .collect();
         let mut waiters = WaiterSet::new();
         for owner in owners {
-            for future in recovered.reattach_async(&owner) {
+            for future in recovered.reattach(&owner) {
                 waiters.insert(future);
             }
         }

@@ -3,7 +3,7 @@
 //! each caller holding live waiters for a subset of the owner's
 //! queries.
 //!
-//! `ShardedCoordinator::reattach_async` walks the shards one lock at a
+//! `ShardedCoordinator::reattach` walks the shards one lock at a
 //! time. Unserialized, two concurrent calls could interleave: caller A
 //! re-arms shard 0, B overtakes A on shard 0 *and* shard 1, A then
 //! re-arms shard 2 — leaving A's handles live on shard 2 and B's on
@@ -71,7 +71,7 @@ fn concurrent_reattaches_cannot_split_ownership() {
                     let barrier = Arc::clone(&barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        co.reattach_async(OWNER)
+                        co.reattach(OWNER)
                     })
                 })
                 .collect();

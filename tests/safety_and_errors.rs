@@ -159,7 +159,7 @@ fn cascade_does_not_mask_apply_failures_forever() {
     // poisoning later submissions.
     let d = db();
     let co = Coordinator::new(d.clone());
-    co.set_apply_hook(Box::new(|_, _| {
+    co.set_apply_hook(std::sync::Arc::new(|_, _| {
         Err(youtopia::storage::StorageError::Internal(
             "always fails".into(),
         ))
@@ -174,7 +174,7 @@ fn cascade_does_not_mask_apply_failures_forever() {
     assert_eq!(co.pending_count(), 1);
     assert!(co.answers("R").is_empty());
     // healing the hook and retrying succeeds
-    co.set_apply_hook(Box::new(|_, _| Ok(())));
+    co.set_apply_hook(std::sync::Arc::new(|_, _| Ok(())));
     assert_eq!(co.retry_all().unwrap().len(), 1);
     assert_eq!(co.pending_count(), 0);
 }

@@ -195,7 +195,6 @@ fn sharded_submit_batch_concurrent_soak() {
         ShardedConfig {
             shards: 4,
             workers: 2,
-            auto_checkpoint_bytes: 0,
             fair_drain: false,
             checkpoint: Default::default(),
             base: CoordinatorConfig {
@@ -277,11 +276,12 @@ fn sharded_submit_batch_concurrent_soak() {
         "sweep must reach a fixpoint"
     );
 
-    // drain tickets only now: a query answered at any point (by a
-    // later batch, a concurrent thread, or the sweep) must have exactly
-    // one notification waiting in its channel — none lost, none extra
-    for ticket in tickets {
-        if let Ok(n) = ticket.receiver.try_recv() {
+    // drain the pending handles only now: a query answered at any
+    // point (by a later batch, a concurrent thread, or the sweep) must
+    // have exactly one notification waiting in its future — none lost,
+    // none extra
+    for mut ticket in tickets {
+        if let Some(youtopia::CoordinationOutcome::Answered(n)) = ticket.try_take() {
             notifications.lock().unwrap().push(n);
         }
     }
@@ -377,7 +377,6 @@ fn mixed_sync_async_soak_loses_no_completions() {
         ShardedConfig {
             shards: 4,
             workers: 2,
-            auto_checkpoint_bytes: 0,
             fair_drain: false,
             checkpoint: Default::default(),
             base: CoordinatorConfig {
@@ -553,8 +552,11 @@ fn mixed_sync_async_soak_loses_no_completions() {
 
     // ---- cross-mode accounting ------------------------------------- //
     let mut sync_answered = sync_notifications.len();
-    for ticket in sync_tickets {
-        sync_answered += usize::from(ticket.receiver.try_recv().is_ok());
+    for mut ticket in sync_tickets {
+        sync_answered += usize::from(matches!(
+            ticket.try_take(),
+            Some(CoordinationOutcome::Answered(_))
+        ));
     }
     let async_answered = completions
         .iter()
@@ -634,7 +636,7 @@ fn soak_is_deterministic_per_seed() {
 /// Session-reconnect soak (multi-tenant net PR, satellite 3): ~2,100
 /// concurrent sessions held by **one** `WaiterSet` while a churn
 /// thread randomly "disconnects" owners and reattaches them
-/// (`reattach_async` — exactly what the network server does on
+/// (`reattach` — exactly what the network server does on
 /// `Resume`), superseding the stranded handles. Run twice with the
 /// same seed — once calm (the control), once under churn — the
 /// reattached sessions must receive **exactly the control run's
@@ -677,7 +679,6 @@ fn session_reconnect_soak_delivers_control_answers() {
             ShardedConfig {
                 shards: 4,
                 workers: 2,
-                auto_checkpoint_bytes: 0,
                 fair_drain: false,
                 checkpoint: Default::default(),
                 base: CoordinatorConfig {
@@ -771,7 +772,7 @@ fn session_reconnect_soak_delivers_control_answers() {
                 let mut reattached = 0usize;
                 while !stop.load(Ordering::Acquire) {
                     let owner = &owners[rng.random_range(0..owners.len())];
-                    for future in co.reattach_async(owner) {
+                    for future in co.reattach(owner) {
                         reattached += 1;
                         if tx.send(future).is_err() {
                             return reattached;

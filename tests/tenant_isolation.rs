@@ -275,3 +275,75 @@ fn fair_drain_interleaves_tenants_round_robin() {
         .collect();
     assert_eq!(small_positions, vec![30, 31, 32]);
 }
+
+/// The tenant ledger is settled **before** a terminated query's waiter
+/// wakes (PR 11 finding: the e2e oracle saw `Expired` on the wire and
+/// then read `in_flight: 1`). `WaiterSet::set_wake_hook` runs inside
+/// the completion, under the shard lock, so whatever the hook reads is
+/// what the fastest possible client could read: for each of answered /
+/// cancelled / expired the ledger must already show the terminal count
+/// and nothing in flight.
+#[test]
+fn ledger_is_settled_before_the_waiter_wakes() {
+    use std::sync::Mutex;
+    use youtopia::core::{SubmitOptions, TenantStats};
+    use youtopia::{QueryId, WaiterSet};
+
+    type Terminate = fn(&ShardedCoordinator, QueryId);
+    type TerminalCount = fn(&TenantStats) -> u64;
+    let cases: [(&str, Terminate, TerminalCount); 3] = [
+        (
+            "answered",
+            |co, _| {
+                let closer = WorkloadGen::pair_request_on("Res", "other/b", "acme/a", "Paris");
+                let answered = co.submit_sql(&closer.owner, &closer.sql).unwrap();
+                assert!(matches!(answered, Submission::Answered(_)));
+            },
+            |s| s.answered,
+        ),
+        (
+            "cancelled",
+            |co, qid| co.cancel(qid).unwrap(),
+            |s| s.cancelled,
+        ),
+        (
+            "expired",
+            |co, qid| assert_eq!(co.expire_due(100), vec![qid]),
+            |s| s.expired,
+        ),
+    ];
+    for (name, terminate, terminal_count) in cases {
+        let db = WorkloadGen::new(7)
+            .build_database(10, &["Paris"])
+            .expect("database builds");
+        let co = ShardedCoordinator::new(db);
+        let tenants = TenantRegistry::new(TenantQuotas::unlimited());
+        co.set_tenant_registry(Arc::clone(&tenants));
+
+        let seen: Arc<Mutex<Vec<TenantStats>>> = Arc::default();
+        let mut set = WaiterSet::new();
+        set.set_wake_hook({
+            let (tenants, seen) = (Arc::clone(&tenants), Arc::clone(&seen));
+            move || {
+                let stats = tenants.tenant_stats("acme").expect("acme submitted");
+                seen.lock().unwrap().push(stats);
+            }
+        });
+        let first = WorkloadGen::pair_request_on("Res", "acme/a", "other/b", "Paris");
+        let future = co
+            .submit_sql_async_with(&first.owner, &first.sql, SubmitOptions::with_deadline(100))
+            .unwrap();
+        let qid = future.id();
+        set.insert(future);
+        assert!(set.poll_ready().is_empty(), "waker parked, still pending");
+        assert_eq!(tenants.tenant_stats("acme").unwrap().in_flight, 1);
+
+        terminate(&co, qid);
+
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 1, "{name}: the waiter woke exactly once");
+        assert_eq!(seen[0].in_flight, 0, "{name}: in flight at wake time");
+        assert_eq!(terminal_count(&seen[0]), 1, "{name}: booked at wake time");
+        assert_eq!(set.poll_ready().len(), 1, "{name}: the future resolved");
+    }
+}
