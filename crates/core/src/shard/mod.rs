@@ -1,0 +1,1234 @@
+//! The coordinator: Youtopia's coordination component (paper,
+//! Figure 2), sharded and batch-draining.
+//!
+//! It owns the pending-query registry, runs the matcher on every
+//! arrival, applies matched groups atomically to the database (answer
+//! tuples are inserted into real answer-relation tables inside one
+//! storage transaction, alongside any application side effects
+//! registered through the apply hook), and notifies waiting submitters
+//! through their [`CoordinationFuture`]s — the "Facebook message" of
+//! the demo. With one shard ([`crate::Coordinator`]) this is the
+//! paper's single serial component; more shards partition the same
+//! state by answer-relation signature.
+//!
+//! # Why sharding is sound
+//!
+//! Entangled queries interact **only** through answer relations: a
+//! member of a coordination group satisfies another member's
+//! postcondition with one of its heads, so every edge of every possible
+//! coordination group connects two queries whose answer-relation
+//! signatures ([`EntangledQuery::answer_relations`]) overlap. Queries
+//! whose signatures are *not* connected (directly or transitively) can
+//! never appear in one group, never provide each other's committed
+//! answers, and never trigger each other's cascades — the same
+//! independence between non-overlapping components that makes
+//! decomposition tractable in probabilistic-database conditioning. The
+//! pending registry can therefore be partitioned by connected component
+//! of the relation-overlap graph and matched concurrently, with no
+//! cross-shard matching pass at all.
+//!
+//! # Routing rule
+//!
+//! A union-find over answer-relation names maintains those connected
+//! components incrementally. Each arriving query unions all relations
+//! in its signature; the resulting root carries a shard assignment
+//! (round-robin at component birth). When a query's signature spans
+//! components previously assigned *different* shards, the components
+//! merge and the smaller side's pending queries are **rebalanced**
+//! (migrated) into the surviving shard, then re-matched there — an
+//! overlap means those queries can now coordinate, so they must be
+//! co-sharded from that point on. Many components can share one shard
+//! (assignment is surjective, not bijective); correctness only requires
+//! that one component never spans two shards.
+//!
+//! # Locking protocol
+//!
+//! Lock order is strictly `router → shard(i) → shard(j>i) → database`:
+//!
+//! * the **router lock** serializes routing decisions and migrations;
+//!   migrations take the two affected shard locks in ascending index
+//!   order while the router lock is held, so a migration's view of
+//!   "who lives where" is never stale;
+//! * each **shard lock** guards that shard's state (registry, RNG,
+//!   waiters, counters) while its bucket drains; a thread holding a
+//!   shard lock never takes the router lock — answered queries are
+//!   logged under the shard lock and retired from the router *after*
+//!   it is released;
+//! * the **database lock** (inside [`Database`]) is the leaf: matching
+//!   takes the shared read lock, applies take the exclusive write
+//!   lock, and no coordinator lock is ever requested while holding it.
+//!   Coordination logging no longer takes this lock at all — events
+//!   enqueue to the WAL's pipelined group-commit writer and block on
+//!   their completion slot, so shards draining concurrently share one
+//!   fsync per writer quantum instead of serializing on the database.
+//!
+//! A query routed by one thread is not yet visible in its shard's
+//! registry until that thread drains it; a concurrent migration can
+//! therefore decide placement without seeing it. Drains heal this
+//! *stale placement* after releasing the shard lock: still-pending
+//! queries are re-checked against the router and moved (and
+//! re-matched) if a merge re-routed their component mid-flight.
+//!
+//! # Batch draining
+//!
+//! [`ShardedCoordinator::submit_batch_sql`] compiles and safety-checks
+//! the whole batch outside any lock, routes it in one router pass
+//! (bucketing after all unions, so intra-batch merges cannot strand an
+//! earlier entry), then drains each shard's bucket on a small worker
+//! pool — one scoped thread per busy shard, capped by
+//! [`ShardedConfig::workers`]. Within one shard the bucket is processed
+//! arrival-by-arrival — insert, match, cascade — which keeps per-shard
+//! semantics *identical* to a one-shard coordinator fed the same
+//! requests one at a time, under a fixed seed with randomization
+//! disabled (property-tested in `tests/prop_shard_equivalence.rs`).
+//! Each shard's RNG is seeded with `seed ^ shard_id` so `CHOOSE` stays
+//! reproducible independent of drain interleaving, and each matched
+//! group still commits through one atomic storage transaction.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use parking_lot::{Mutex, MutexGuard};
+
+use youtopia_storage::{Database, StorageResult, Transaction, Tuple};
+
+use crate::audit::AuditSink;
+use crate::compile::compile_sql;
+use crate::coordinator::{
+    CoordinatorConfig, MatchGraph, MatchNotification, PendingInfo, Submission, SystemStats,
+};
+use crate::engine::{
+    match_graph_of, CoordEvent, CoordinationLog, Engine, RegStamp, Retirement, ShardState,
+};
+use crate::error::{CoreError, CoreResult};
+use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
+use crate::ir::{EntangledQuery, QueryId};
+use crate::lifecycle::{Clock, DeadlineHost, SubmitOptions, SweepSignal, SystemClock};
+use crate::matcher::{GroupMatch, MatchStats};
+use crate::registry::{Pending, Registry};
+use crate::safety::check_safety;
+use crate::tenant::TenantRegistry;
+
+mod batch;
+mod checkpoint;
+mod recovery;
+mod router;
+
+pub use batch::BatchOutcome;
+pub use checkpoint::CheckpointPolicy;
+use router::Router;
+
+/// Application side effects applied atomically with a match (e.g. the
+/// travel site decrements seat counts and inserts reservation rows).
+/// Shared by every shard — applies can run concurrently on different
+/// shards, hence `Sync`.
+pub type SharedApplyHook =
+    Arc<dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()> + Send + Sync + 'static>;
+
+/// Construction options for [`ShardedCoordinator`].
+#[derive(Debug, Clone, Copy)]
+pub struct ShardedConfig {
+    /// Number of shards (independent matching domains). More shards
+    /// shrink each cascade/sweep scan and raise drain parallelism.
+    pub shards: usize,
+    /// Worker threads used to drain a batch (`0` = one per available
+    /// CPU). Capped by the number of busy shards per batch.
+    pub workers: usize,
+    /// Fair tenant interleaving: when set, each batch drain reorders
+    /// its bucket round-robin across tenants ([`crate::tenant_of`] on the
+    /// owner) in first-appearance order, so one tenant's storm cannot
+    /// monopolize a drain quantum. Off by default — with it off the
+    /// drain order (and thus the match outcome under a fixed seed) is
+    /// exactly the submission order, which the shard-equivalence
+    /// properties pin. Workloads where every owner is its own tenant
+    /// are order-identical either way.
+    pub fair_drain: bool,
+    /// Automatic checkpoint policy (WAL size and/or age). Disabled by
+    /// default.
+    pub checkpoint: CheckpointPolicy,
+    /// Per-shard coordinator behavior; `base.seed` is xored with the
+    /// shard id to seed each shard's RNG.
+    pub base: CoordinatorConfig,
+}
+
+impl Default for ShardedConfig {
+    fn default() -> Self {
+        ShardedConfig {
+            shards: 4,
+            workers: 0,
+            fair_drain: false,
+            checkpoint: CheckpointPolicy::default(),
+            base: CoordinatorConfig::default(),
+        }
+    }
+}
+
+// ------------------------------------------------------------------ //
+// Per-shard monitoring counters (lock-free read paths)
+// ------------------------------------------------------------------ //
+
+/// A lock-free mirror of one shard's monitoring counters, refreshed
+/// with relaxed stores every time the shard lock is released (see
+/// [`ShardGuard`]). Monitoring reads ([`ShardedCoordinator::stats`],
+/// [`ShardedCoordinator::pending_count`],
+/// [`ShardedCoordinator::pending_per_shard`]) load these atomics and
+/// never contend with draining; [`ShardedCoordinator::pending_snapshot`]
+/// remains the consistent (locking) slow path.
+struct ShardMonitor {
+    pending: AtomicUsize,
+    /// Earliest deadline of this shard's pending queries, in clock
+    /// millis; `u64::MAX` when none carries one. The deadline
+    /// sweeper's lock-free wakeup hint: `expire_due` skips a shard
+    /// whose hint lies in the future without touching its lock.
+    min_deadline: AtomicU64,
+    submitted: AtomicU64,
+    answered: AtomicU64,
+    expired: AtomicU64,
+    groups_matched: AtomicU64,
+    match_attempts: AtomicU64,
+    matching_nanos: AtomicU64,
+    candidates_considered: AtomicU64,
+    committed_considered: AtomicU64,
+    unify_attempts: AtomicU64,
+    unify_successes: AtomicU64,
+    groundings_attempted: AtomicU64,
+    rows_scanned: AtomicU64,
+    nodes_expanded: AtomicU64,
+    subsets_tested: AtomicU64,
+    candidates_scanned: AtomicU64,
+    index_pruned: AtomicU64,
+    triggers_pruned: AtomicU64,
+    pool_hits: AtomicU64,
+    pool_misses: AtomicU64,
+}
+
+impl Default for ShardMonitor {
+    fn default() -> Self {
+        ShardMonitor {
+            pending: AtomicUsize::new(0),
+            min_deadline: AtomicU64::new(u64::MAX),
+            submitted: AtomicU64::new(0),
+            answered: AtomicU64::new(0),
+            expired: AtomicU64::new(0),
+            groups_matched: AtomicU64::new(0),
+            match_attempts: AtomicU64::new(0),
+            matching_nanos: AtomicU64::new(0),
+            candidates_considered: AtomicU64::new(0),
+            committed_considered: AtomicU64::new(0),
+            unify_attempts: AtomicU64::new(0),
+            unify_successes: AtomicU64::new(0),
+            groundings_attempted: AtomicU64::new(0),
+            rows_scanned: AtomicU64::new(0),
+            nodes_expanded: AtomicU64::new(0),
+            subsets_tested: AtomicU64::new(0),
+            candidates_scanned: AtomicU64::new(0),
+            index_pruned: AtomicU64::new(0),
+            triggers_pruned: AtomicU64::new(0),
+            pool_hits: AtomicU64::new(0),
+            pool_misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl ShardMonitor {
+    fn publish(&self, state: &ShardState) {
+        self.pending.store(state.registry.len(), Ordering::Relaxed);
+        self.min_deadline.store(
+            state.registry.min_deadline().unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        let s = &state.stats;
+        self.submitted.store(s.submitted, Ordering::Relaxed);
+        self.answered.store(s.answered, Ordering::Relaxed);
+        self.expired.store(s.expired, Ordering::Relaxed);
+        self.groups_matched
+            .store(s.groups_matched, Ordering::Relaxed);
+        self.match_attempts
+            .store(s.match_attempts, Ordering::Relaxed);
+        self.matching_nanos
+            .store(s.matching_nanos as u64, Ordering::Relaxed);
+        let w = &s.match_work;
+        self.candidates_considered
+            .store(w.candidates_considered, Ordering::Relaxed);
+        self.committed_considered
+            .store(w.committed_considered, Ordering::Relaxed);
+        self.unify_attempts
+            .store(w.unify_attempts, Ordering::Relaxed);
+        self.unify_successes
+            .store(w.unify_successes, Ordering::Relaxed);
+        self.groundings_attempted
+            .store(w.groundings_attempted, Ordering::Relaxed);
+        self.rows_scanned.store(w.rows_scanned, Ordering::Relaxed);
+        self.nodes_expanded
+            .store(w.nodes_expanded, Ordering::Relaxed);
+        self.subsets_tested
+            .store(w.subsets_tested, Ordering::Relaxed);
+        self.candidates_scanned
+            .store(w.candidates_scanned, Ordering::Relaxed);
+        self.index_pruned.store(w.index_pruned, Ordering::Relaxed);
+        self.triggers_pruned
+            .store(w.triggers_pruned, Ordering::Relaxed);
+        self.pool_hits.store(w.pool_hits, Ordering::Relaxed);
+        self.pool_misses.store(w.pool_misses, Ordering::Relaxed);
+    }
+
+    fn stats(&self) -> SystemStats {
+        SystemStats {
+            submitted: self.submitted.load(Ordering::Relaxed),
+            rejected_unsafe: 0, // tracked globally, not per shard
+            rejected_quota: 0,  // tracked globally, not per shard
+            answered: self.answered.load(Ordering::Relaxed),
+            expired: self.expired.load(Ordering::Relaxed),
+            groups_matched: self.groups_matched.load(Ordering::Relaxed),
+            match_attempts: self.match_attempts.load(Ordering::Relaxed),
+            matching_nanos: self.matching_nanos.load(Ordering::Relaxed) as u128,
+            match_work: MatchStats {
+                candidates_considered: self.candidates_considered.load(Ordering::Relaxed),
+                committed_considered: self.committed_considered.load(Ordering::Relaxed),
+                unify_attempts: self.unify_attempts.load(Ordering::Relaxed),
+                unify_successes: self.unify_successes.load(Ordering::Relaxed),
+                groundings_attempted: self.groundings_attempted.load(Ordering::Relaxed),
+                rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
+                nodes_expanded: self.nodes_expanded.load(Ordering::Relaxed),
+                subsets_tested: self.subsets_tested.load(Ordering::Relaxed),
+                candidates_scanned: self.candidates_scanned.load(Ordering::Relaxed),
+                index_pruned: self.index_pruned.load(Ordering::Relaxed),
+                triggers_pruned: self.triggers_pruned.load(Ordering::Relaxed),
+                pool_hits: self.pool_hits.load(Ordering::Relaxed),
+                pool_misses: self.pool_misses.load(Ordering::Relaxed),
+            },
+            // log-surface gauges are coordinator-wide, not per shard;
+            // ShardedCoordinator::stats sets them after merging
+            wal_bytes: 0,
+            wal_bytes_since_checkpoint: 0,
+            checkpoint_age_millis: 0,
+            auto_checkpoints: 0,
+        }
+    }
+}
+
+/// One shard: its mutable state behind the shard lock, plus the
+/// lock-free monitor mirror.
+struct ShardSlot {
+    state: Mutex<ShardState>,
+    monitor: ShardMonitor,
+}
+
+/// A shard-lock guard that republishes the shard's monitor counters
+/// when dropped, so the lock-free read paths stay fresh no matter
+/// which code path mutated the shard.
+struct ShardGuard<'a> {
+    state: MutexGuard<'a, ShardState>,
+    monitor: &'a ShardMonitor,
+}
+
+impl Deref for ShardGuard<'_> {
+    type Target = ShardState;
+    fn deref(&self) -> &ShardState {
+        &self.state
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ShardState {
+        &mut self.state
+    }
+}
+
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        self.monitor.publish(&self.state);
+    }
+}
+
+// ------------------------------------------------------------------ //
+// The sharded coordinator
+// ------------------------------------------------------------------ //
+
+/// The coordination component: partitions the pending registry into
+/// shards keyed by answer-relation signature and drains submissions
+/// per shard — see the module docs for the routing rule and locking
+/// protocol. One submit entry ([`ShardedCoordinator::submit_async_with`])
+/// and one batch entry ([`ShardedCoordinator::submit_batch_async_with`])
+/// carry the whole `submit*` family; cancellation, expiry, durable
+/// recovery ([`ShardedCoordinator::recover`]) and waiter reattachment
+/// ([`ShardedCoordinator::reattach`]) complete the surface.
+pub struct ShardedCoordinator {
+    engine: Engine,
+    shards: Vec<ShardSlot>,
+    router: Mutex<Router>,
+    next_id: AtomicU64,
+    seq: AtomicU64,
+    rejected_unsafe: AtomicU64,
+    rejected_quota: AtomicU64,
+    apply_hook: Mutex<Option<SharedApplyHook>>,
+    /// Serializes whole-owner reattaches. Each shard's swap is atomic
+    /// under its own lock, but a reattach spans every shard; without
+    /// the gate two concurrent reattaches for one owner interleave
+    /// across shards and both come back holding live waiters for
+    /// disjoint subsets. Held before any shard lock (lock order:
+    /// gate → shard(i)).
+    reattach_gate: Mutex<()>,
+    /// Round-robin tenant interleaving in batch drains
+    /// ([`ShardedConfig::fair_drain`]).
+    fair_drain: bool,
+    workers: usize,
+    /// The coordinator clock (checkpoint age, recovery expiry); tests
+    /// inject a [`crate::MockClock`] via
+    /// [`ShardedCoordinator::with_clock`].
+    clock: Arc<dyn Clock>,
+    /// Notified (outside any shard lock) whenever a deadline-carrying
+    /// query registers; the [`crate::DeadlineSweeper`] waits on it.
+    sweep_signal: Arc<SweepSignal>,
+    /// WAL length right after the last checkpoint (or at
+    /// construction), for the bytes-since-checkpoint gauge.
+    wal_len_at_checkpoint: AtomicU64,
+    /// Clock millis of the last checkpoint (or construction).
+    last_checkpoint_at: AtomicU64,
+    /// Checkpoints triggered by the policy.
+    auto_checkpoints: AtomicU64,
+    /// Collapses concurrent auto-checkpoint triggers into one run.
+    checkpointing: AtomicBool,
+    /// Automatic checkpoint policy ([`ShardedConfig::checkpoint`]).
+    checkpoint_policy: CheckpointPolicy,
+}
+
+impl ShardedCoordinator {
+    /// Creates a sharded coordinator over `db` (timed by the system
+    /// clock).
+    pub fn with_config(db: Database, config: ShardedConfig) -> ShardedCoordinator {
+        Self::with_clock(db, config, Arc::new(SystemClock))
+    }
+
+    /// [`ShardedCoordinator::with_config`] with an injected clock —
+    /// checkpoint-age accounting and recovery expiry read this clock,
+    /// so deadline tests run on a [`crate::MockClock`] with no
+    /// wall-clock sleeps.
+    pub fn with_clock(
+        db: Database,
+        config: ShardedConfig,
+        clock: Arc<dyn Clock>,
+    ) -> ShardedCoordinator {
+        let shards = config.shards.max(1);
+        let workers = if config.workers == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            config.workers
+        };
+        let wal_len = db.wal_len().unwrap_or(0);
+        let now = clock.now_millis();
+        let audit = config
+            .base
+            .audit
+            .enabled
+            .then(|| Arc::new(AuditSink::new(db.clone(), config.base.audit, clock.clone())));
+        ShardedCoordinator {
+            shards: (0..shards)
+                .map(|i| ShardSlot {
+                    state: Mutex::new(ShardState::new(
+                        config.base.use_const_index,
+                        config.base.seed ^ i as u64,
+                    )),
+                    monitor: ShardMonitor::default(),
+                })
+                .collect(),
+            router: Mutex::new(Router::new(shards)),
+            next_id: AtomicU64::new(1),
+            seq: AtomicU64::new(0),
+            rejected_unsafe: AtomicU64::new(0),
+            rejected_quota: AtomicU64::new(0),
+            apply_hook: Mutex::new(None),
+            reattach_gate: Mutex::new(()),
+            fair_drain: config.fair_drain,
+            workers,
+            clock,
+            sweep_signal: Arc::new(SweepSignal::new()),
+            wal_len_at_checkpoint: AtomicU64::new(wal_len),
+            last_checkpoint_at: AtomicU64::new(now),
+            auto_checkpoints: AtomicU64::new(0),
+            checkpointing: AtomicBool::new(false),
+            checkpoint_policy: config.checkpoint,
+            engine: Engine {
+                db,
+                config: config.base,
+                audit,
+                tenants: Mutex::new(None),
+            },
+        }
+    }
+
+    /// A sharded coordinator with the default four shards.
+    pub fn new(db: Database) -> ShardedCoordinator {
+        ShardedCoordinator::with_config(db, ShardedConfig::default())
+    }
+
+    /// The underlying database handle.
+    pub fn db(&self) -> &Database {
+        &self.engine.db
+    }
+
+    /// The per-shard coordinator configuration.
+    pub fn config(&self) -> &CoordinatorConfig {
+        &self.engine.config
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Locks one shard; the returned guard republishes the shard's
+    /// monitor counters on drop.
+    fn shard_lock(&self, shard: usize) -> ShardGuard<'_> {
+        let slot = &self.shards[shard];
+        ShardGuard {
+            state: slot.state.lock(),
+            monitor: &slot.monitor,
+        }
+    }
+
+    /// Registers the application side-effect hook, shared by all
+    /// shards and run inside each match's storage transaction.
+    pub fn set_apply_hook(&self, hook: SharedApplyHook) {
+        *self.apply_hook.lock() = Some(hook);
+    }
+
+    /// Installs per-tenant admission control: every later submission is
+    /// checked against its tenant's quotas before a query id is
+    /// allocated, and every termination updates the tenant's ledger.
+    /// Queries already pending (e.g. after
+    /// [`ShardedCoordinator::recover`]) are adopted into their tenants'
+    /// in-flight counts without quota checks.
+    pub fn set_tenant_registry(&self, registry: Arc<TenantRegistry>) {
+        for shard in 0..self.shards.len() {
+            let state = self.shard_lock(shard);
+            for p in state.registry.iter() {
+                registry.adopt(&p.owner, p.id, p.deadline);
+            }
+        }
+        *self.engine.tenants.lock() = Some(registry);
+    }
+
+    /// The installed tenant registry, if any.
+    pub fn tenant_registry(&self) -> Option<Arc<TenantRegistry>> {
+        self.engine.tenants()
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text with
+    /// default options, answered-or-pending view.
+    pub fn submit_sql(&self, owner: &str, sql: &str) -> CoreResult<Submission> {
+        self.submit_sql_with(owner, sql, SubmitOptions::default())
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text,
+    /// answered-or-pending view.
+    pub fn submit_sql_with(
+        &self,
+        owner: &str,
+        sql: &str,
+        opts: SubmitOptions,
+    ) -> CoreResult<Submission> {
+        self.submit_with(owner, compile_sql(sql)?, opts)
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`] with default options,
+    /// answered-or-pending view.
+    pub fn submit(&self, owner: &str, query: EntangledQuery) -> CoreResult<Submission> {
+        self.submit_with(owner, query, SubmitOptions::default())
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`], answered-or-pending
+    /// view: [`Submission::Answered`] when the arrival completed a
+    /// group, otherwise the pending query's future.
+    pub fn submit_with(
+        &self,
+        owner: &str,
+        query: EntangledQuery,
+        opts: SubmitOptions,
+    ) -> CoreResult<Submission> {
+        self.submit_async_with(owner, query, opts)
+            .map(Submission::from)
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text with
+    /// default options.
+    pub fn submit_sql_async(&self, owner: &str, sql: &str) -> CoreResult<CoordinationFuture> {
+        self.submit_sql_async_with(owner, sql, SubmitOptions::default())
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`] over SQL text.
+    pub fn submit_sql_async_with(
+        &self,
+        owner: &str,
+        sql: &str,
+        opts: SubmitOptions,
+    ) -> CoreResult<CoordinationFuture> {
+        self.submit_async_with(owner, compile_sql(sql)?, opts)
+    }
+
+    /// [`ShardedCoordinator::submit_async_with`] with default options.
+    pub fn submit_async(
+        &self,
+        owner: &str,
+        query: EntangledQuery,
+    ) -> CoreResult<CoordinationFuture> {
+        self.submit_async_with(owner, query, SubmitOptions::default())
+    }
+
+    /// Submits one compiled entangled query — the single submit entry;
+    /// every other `submit*` is a one-line convenience over it. Routes
+    /// the query to its shard and runs arrival-driven matching there;
+    /// submissions routed to different shards proceed concurrently. A
+    /// deadline in `opts` rides the registration's log frame and is
+    /// enforced by `expire_due` sweeps.
+    ///
+    /// The returned handle is a poll-based future, already resolved
+    /// when the arrival completed a group; otherwise it is completed —
+    /// under the owning shard's lock — by whichever path terminates
+    /// the query: a match commit, a cancellation, an expiry sweep, or
+    /// a reattach. Thousands of these can be held in flight by one
+    /// [`crate::WaiterSet`] thread.
+    ///
+    /// Log-before-ack: on a durable (WAL-backed) database the
+    /// registration is committed to the coordination log — under the
+    /// shard lock, so a concurrent checkpoint cannot lose it — before
+    /// the arrival is processed or acknowledged.
+    pub fn submit_async_with(
+        &self,
+        owner: &str,
+        query: EntangledQuery,
+        opts: SubmitOptions,
+    ) -> CoreResult<CoordinationFuture> {
+        if let Err(e) = check_safety(&query, self.engine.config.safety) {
+            self.rejected_unsafe.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
+        // admission control runs before the query id is allocated so a
+        // quota rejection leaves no trace in the id space, the router
+        // or the log; the reservation is released (as `aborted`) if the
+        // registration never becomes durable
+        let tenants = self.engine.tenants();
+        let admission = match &tenants {
+            Some(reg) => match reg.admit(owner, opts.deadline) {
+                Ok(admission) => Some(admission),
+                Err(e) => {
+                    self.rejected_quota.fetch_add(1, Ordering::Relaxed);
+                    return Err(e);
+                }
+            },
+            None => None,
+        };
+        let relations = query.answer_relations();
+        let qid = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let pending = Pending {
+            id: qid,
+            owner: owner.to_string(),
+            query: query.namespaced(qid),
+            seq,
+            deadline: opts.deadline,
+        };
+        let hook = self.apply_hook.lock().clone();
+
+        let (shard, moves) = {
+            let mut router = self.router.lock();
+            let (shard, migrations) = router.route(qid, &relations);
+            let moves = self.apply_migrations(&mut router, &migrations);
+            (shard, moves)
+        };
+        self.rematch_moved(moves, &hook);
+
+        let (result, answered) = {
+            let mut state = self.shard_lock(shard);
+            let event = CoordEvent::QueryRegistered {
+                owner: owner.to_string(),
+                sql: query.sql.clone(),
+                qid,
+                seq,
+                deadline: opts.deadline,
+                stamp: self.engine.audit_now().map(|at| RegStamp {
+                    at,
+                    shard: shard as u32,
+                }),
+            };
+            match self.engine.db.log_event(&event) {
+                Ok(()) => {
+                    // the registration is durable: bind the tenant
+                    // reservation to its id
+                    if let (Some(reg), Some(admission)) = (&tenants, admission) {
+                        reg.track(admission, qid);
+                    }
+                    // audit submit row before any terminal row this
+                    // arrival could produce
+                    self.engine.observe(&event);
+                    let result = self
+                        .engine
+                        .process_arrival(&mut state, pending, hook_ref(&hook));
+                    self.engine.flush_audit(&mut state);
+                    (result, std::mem::take(&mut state.answered_log))
+                }
+                Err(e) => {
+                    // never registered: retire the routed-but-unlogged id
+                    // so the router does not leak its membership (the
+                    // still-held admission rolls back on drop below)
+                    (Err(CoreError::Storage(e)), vec![qid])
+                }
+            }
+        };
+        self.retire(&answered);
+        // heal on Err as well: an apply failure reinstates the query as
+        // pending, and a concurrent merge may have re-routed it
+        if !matches!(&result, Ok(f) if f.answered_on_arrival()) {
+            self.heal_placement(shard, &[qid], &hook);
+        }
+        if opts.deadline.is_some() {
+            // after every shard lock is released: the sweeper's next
+            // hint read sees the published per-shard minimum
+            self.sweep_signal.notify();
+        }
+        self.checkpoint_if_due(0);
+        result
+    }
+
+    /// Cancels a pending query ("a query whose postcondition is not
+    /// satisfied ... waits for an opportunity to retry" — until the
+    /// user gives up). The cancellation is logged before the entry
+    /// disappears from the registry (log-before-ack).
+    pub fn cancel(&self, qid: QueryId) -> CoreResult<()> {
+        let mut router = self.router.lock();
+        let unknown = || CoreError::UnknownQuery(qid.0);
+        let shard = router.shard_of_query(qid).ok_or_else(unknown)?;
+        {
+            let mut state = self.shard_lock(shard);
+            if state.registry.get(qid).is_none() {
+                return Err(unknown());
+            }
+            self.engine
+                .retire_ids(&mut state, &[qid], Retirement::Cancelled)
+                .map_err(CoreError::Storage)?;
+        }
+        router.purge(qid);
+        Ok(())
+    }
+
+    /// Cancels every pending query belonging to `owner` (the user
+    /// logged out / gave up). Returns how many were withdrawn.
+    /// Log-before-ack holds per shard: each shard's cancellations
+    /// group-commit before that shard's removals happen, and a shard
+    /// whose log write fails is skipped entirely — so the returned
+    /// count may be partial under log failure, but never includes an
+    /// unlogged removal.
+    pub fn cancel_owner(&self, owner: &str) -> usize {
+        self.sweep(Retirement::Cancelled, 0..self.shards.len(), |registry| {
+            ids_where(registry, |p| p.owner == owner)
+        })
+        .len()
+    }
+
+    /// Expires pending queries whose submission sequence number is
+    /// older than `min_seq` — the caller-driven sweep (pairs with
+    /// [`ShardedCoordinator::current_seq`]). Returns the expired ids;
+    /// like [`ShardedCoordinator::cancel_owner`], a shard whose log
+    /// write fails is skipped (partial result, never an unlogged
+    /// removal).
+    pub fn expire_before(&self, min_seq: u64) -> Vec<QueryId> {
+        self.sweep(Retirement::Expired, 0..self.shards.len(), |registry| {
+            ids_where(registry, |p| p.seq < min_seq)
+        })
+    }
+
+    /// Expires every pending query whose deadline
+    /// ([`SubmitOptions::deadline`]) is at or before `now_millis` —
+    /// the clock-driven sweep a [`crate::DeadlineSweeper`] runs in the
+    /// background. Per shard: the lock-free monitor hint is consulted
+    /// first (a shard whose earliest deadline lies in the future is
+    /// skipped without touching its lock), then the registry's
+    /// deadline index selects the victims. Returns the expired ids.
+    pub fn expire_due(&self, now_millis: u64) -> Vec<QueryId> {
+        // the hint may trail an in-flight registration by one publish,
+        // but that registration's sweep-signal notify happens after
+        // its guard drop, so the sweeper always re-reads a fresh hint
+        // before sleeping
+        let due = (0..self.shards.len()).filter(|&shard| {
+            self.shards[shard]
+                .monitor
+                .min_deadline
+                .load(Ordering::Relaxed)
+                <= now_millis
+        });
+        self.sweep(Retirement::Expired, due, |registry| {
+            registry.due_before(now_millis)
+        })
+    }
+
+    /// The earliest deadline across all shards (the sweeper's wakeup
+    /// hint). Lock-free: reads the per-shard monitor atomics.
+    pub fn next_deadline(&self) -> Option<u64> {
+        let min = self
+            .shards
+            .iter()
+            .map(|s| s.monitor.min_deadline.load(Ordering::Relaxed))
+            .min()
+            .unwrap_or(u64::MAX);
+        (min != u64::MAX).then_some(min)
+    }
+
+    /// Retires the `select`ed pending queries of each of `shards`
+    /// through [`Engine::retire_ids`]: per shard, one group commit of
+    /// the events, then the removals — the tenant ledger is booked and
+    /// parked waiters resolve with the `why` outcome, so futures
+    /// terminate instead of hanging. Returns the removed ids.
+    fn sweep(
+        &self,
+        why: Retirement,
+        shards: impl Iterator<Item = usize>,
+        select: impl Fn(&Registry) -> Vec<QueryId>,
+    ) -> Vec<QueryId> {
+        let mut victims = Vec::new();
+        for shard in shards {
+            let mut state = self.shard_lock(shard);
+            let ids = select(&state.registry);
+            // a failed log write retires nothing on this shard
+            victims.extend(
+                self.engine
+                    .retire_ids(&mut state, &ids, why)
+                    .unwrap_or_default(),
+            );
+        }
+        self.retire(&victims);
+        if !victims.is_empty() {
+            self.checkpoint_if_due(0);
+        }
+        victims
+    }
+
+    /// Hands `owner` a live [`CoordinationFuture`] per still-pending
+    /// query after a reconnect — including queries restored by
+    /// [`ShardedCoordinator::recover`], whose pre-crash waiters died
+    /// with the process. The fresh waiter is re-armed under the owning
+    /// shard's lock, so a match racing in on another thread either sees
+    /// it or has already retired the query. Any previous handle for the
+    /// same query resolves [`CoordinationOutcome::Superseded`].
+    pub fn reattach(&self, owner: &str) -> Vec<CoordinationFuture> {
+        // gate: serialize whole-owner reattaches (first-writer-wins —
+        // the loser's entire handle set resolves `Superseded`); without
+        // it two concurrent reattaches for one owner interleave across
+        // shards and both return live waiters for disjoint subsets
+        let _gate = self.reattach_gate.lock();
+        let mut futures = Vec::new();
+        for shard in 0..self.shards.len() {
+            let mut state = self.shard_lock(shard);
+            for qid in ids_where(&state.registry, |p| p.owner == owner) {
+                let shared = Arc::new(TicketShared::default());
+                if let Some(old) = state.waiters.insert(qid, Arc::clone(&shared)) {
+                    old.complete(CoordinationOutcome::Superseded);
+                }
+                futures.push(CoordinationFuture::new(qid, shared));
+            }
+        }
+        futures.sort_by_key(|f| f.id().0);
+        futures
+    }
+
+    /// Retries matching for every pending query on every shard (useful
+    /// after database updates add new flights/hotels, and the
+    /// workhorse of the recovery re-match sweep). Shards hold disjoint
+    /// pending sets behind separate locks, so the sweep fans out
+    /// across the worker pool — one task per shard, each running the
+    /// index-first pruned [`Engine::retry_all`]. Results are
+    /// reassembled in shard order, so notifications and error
+    /// propagation are identical to sweeping the shards one by one.
+    pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
+        let hook = self.apply_hook.lock().clone();
+        let (swept, answered): (Vec<_>, Vec<_>) = self
+            .fan_out(self.shards.len(), |shard| {
+                let mut state = self.shard_lock(shard);
+                let result = self.engine.retry_all(&mut state, hook_ref(&hook));
+                self.engine.flush_audit(&mut state);
+                (result, std::mem::take(&mut state.answered_log))
+            })
+            .into_iter()
+            .unzip();
+        self.retire(&answered.concat());
+
+        let mut notifications = Vec::new();
+        for result in swept {
+            notifications.extend(result?);
+        }
+        Ok(notifications)
+    }
+
+    /// Total number of pending queries across shards. Lock-free: sums
+    /// the per-shard monitor atomics, so monitoring never contends with
+    /// draining (may trail an in-flight drain by one publish).
+    pub fn pending_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.monitor.pending.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Pending queries per shard (diagnostics / load inspection).
+    /// Lock-free, like [`ShardedCoordinator::pending_count`].
+    pub fn pending_per_shard(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.monitor.pending.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Merged statistics across shards (plus global safety rejections
+    /// and the log-surface gauges: WAL size, bytes and time since the
+    /// last checkpoint, auto-checkpoint count — the first slice of the
+    /// log-aware admin surface). Lock-free: reads the per-shard
+    /// monitor atomics; counters may trail an in-flight drain by one
+    /// publish.
+    pub fn stats(&self) -> SystemStats {
+        let mut total = SystemStats::default();
+        for shard in &self.shards {
+            total.merge(&shard.monitor.stats());
+        }
+        total.rejected_unsafe += self.rejected_unsafe.load(Ordering::Relaxed);
+        total.rejected_quota += self.rejected_quota.load(Ordering::Relaxed);
+        total.wal_bytes = self.engine.db.wal_len().unwrap_or(0);
+        total.wal_bytes_since_checkpoint = total
+            .wal_bytes
+            .saturating_sub(self.wal_len_at_checkpoint.load(Ordering::Relaxed));
+        total.checkpoint_age_millis = self
+            .clock
+            .now_millis()
+            .saturating_sub(self.last_checkpoint_at.load(Ordering::Relaxed));
+        total.auto_checkpoints = self.auto_checkpoints.load(Ordering::Relaxed);
+        total
+    }
+
+    /// The current submission sequence number.
+    pub fn current_seq(&self) -> u64 {
+        self.seq.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot of all pending queries, sorted by id.
+    pub fn pending_snapshot(&self) -> Vec<PendingInfo> {
+        let mut all: Vec<PendingInfo> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                s.state
+                    .lock()
+                    .registry
+                    .iter()
+                    .map(|p| PendingInfo {
+                        id: p.id,
+                        owner: p.owner.clone(),
+                        sql: p.query.sql.clone(),
+                        ir: p.query.to_string(),
+                        seq: p.seq,
+                        deadline: p.deadline,
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        all.sort_by_key(|p| p.id.0);
+        all
+    }
+
+    /// The union of the per-shard match graphs. Co-sharding guarantees
+    /// no potential-satisfaction edge ever crosses shards, so this is
+    /// the complete system match graph.
+    pub fn match_graph(&self) -> MatchGraph {
+        let mut graph = MatchGraph::default();
+        for shard in &self.shards {
+            let part = match_graph_of(&shard.state.lock().registry);
+            graph.edges.extend(part.edges);
+            graph.dangling.extend(part.dangling);
+        }
+        graph
+    }
+
+    /// Reads the current content of an answer relation.
+    pub fn answers(&self, relation: &str) -> Vec<Tuple> {
+        self.engine.answers(relation)
+    }
+}
+
+impl DeadlineHost for ShardedCoordinator {
+    fn next_deadline_millis(&self) -> Option<u64> {
+        self.next_deadline()
+    }
+
+    fn expire_due(&self, now_millis: u64) -> Vec<QueryId> {
+        ShardedCoordinator::expire_due(self, now_millis)
+    }
+
+    fn sweep_signal(&self) -> Arc<SweepSignal> {
+        Arc::clone(&self.sweep_signal)
+    }
+
+    fn sweep_tick(&self, now_millis: u64) {
+        // refresh the lock-free monitor mirrors so admin gauge reads
+        // stay live on an idle system (no drain has released a shard
+        // lock to republish them). try_lock only: a busy shard's own
+        // guard drop publishes fresher numbers anyway, and the sweeper
+        // must never stall behind a drain.
+        for slot in &self.shards {
+            if let Some(state) = slot.state.try_lock() {
+                slot.monitor.publish(&state);
+            }
+        }
+        // evaluated here too (not only after group commits) so a quiet
+        // coordinator still compacts its WAL on schedule
+        self.checkpoint_if_due(
+            now_millis.saturating_sub(self.last_checkpoint_at.load(Ordering::Relaxed)),
+        );
+    }
+}
+
+/// The ids of the pending queries matching `keep`.
+fn ids_where(registry: &Registry, keep: impl Fn(&Pending) -> bool) -> Vec<QueryId> {
+    registry.iter().filter(|p| keep(p)).map(|p| p.id).collect()
+}
+
+/// Borrows the shared hook as the engine's `&dyn Fn`.
+type HookDyn<'a> = &'a dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>;
+
+fn hook_ref(hook: &Option<SharedApplyHook>) -> Option<HookDyn<'_>> {
+    hook.as_ref()
+        .map(|h| h.as_ref() as &dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>)
+}
+
+/// Fixtures shared by the unit tests of this module's files.
+#[cfg(test)]
+mod testing {
+    use youtopia_exec::run_sql;
+    use youtopia_storage::{Database, Wal};
+
+    pub(super) fn flights_db() -> Database {
+        let db = Database::new();
+        for sql in [
+            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
+            "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (134, 'Paris'), \
+             (136, 'Rome')",
+        ] {
+            run_sql(&db, sql).unwrap();
+        }
+        db
+    }
+
+    pub(super) fn pair_sql_on(rel: &str, me: &str, friend: &str) -> String {
+        format!(
+            "SELECT '{me}', fno INTO ANSWER {rel} \
+             WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+             AND ('{friend}', fno) IN ANSWER {rel} CHOOSE 1"
+        )
+    }
+
+    pub(super) fn flights_db_wal() -> Database {
+        let db = Database::with_wal(Wal::in_memory());
+        for sql in [
+            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
+            "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (134, 'Paris'), \
+             (136, 'Rome')",
+        ] {
+            run_sql(&db, sql).unwrap();
+        }
+        db
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use youtopia_exec::run_sql;
+
+    use super::testing::*;
+    use super::*;
+
+    #[test]
+    fn pair_coordination_end_to_end() {
+        let co = ShardedCoordinator::new(flights_db());
+        let a = co
+            .submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
+            .unwrap();
+        let Submission::Pending(mut kramer) = a else {
+            panic!("kramer must wait")
+        };
+        assert!(kramer.try_take().is_none(), "in flight: nothing to take");
+        let b = co
+            .submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
+            .unwrap();
+        assert!(matches!(b, Submission::Answered(_)));
+        let kn = kramer.try_take().and_then(CoordinationOutcome::answered);
+        assert_eq!(kn.expect("kramer notified").group.len(), 2);
+        assert_eq!(co.pending_count(), 0);
+        assert_eq!(co.stats().groups_matched, 1);
+        co.check_routing_invariants().unwrap();
+    }
+
+    #[test]
+    fn unsafe_queries_are_rejected_and_counted() {
+        let co = ShardedCoordinator::new(flights_db());
+        let err = co
+            .submit_sql("x", "SELECT 'X', v INTO ANSWER R CHOOSE 1")
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Unsafe(_)));
+        assert_eq!(co.stats().rejected_unsafe, 1);
+        assert_eq!(co.pending_count(), 0);
+    }
+
+    #[test]
+    fn cancel_and_cancel_owner() {
+        let co = ShardedCoordinator::new(flights_db());
+        let s = co
+            .submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
+            .unwrap();
+        co.submit_sql("kramer", &pair_sql_on("Res2", "Kramer", "Jerry2"))
+            .unwrap();
+        co.submit_sql("elaine", &pair_sql_on("Res3", "Elaine", "Ghost"))
+            .unwrap();
+        co.cancel(s.id()).unwrap();
+        assert!(matches!(co.cancel(s.id()), Err(CoreError::UnknownQuery(_))));
+        assert_eq!(co.cancel_owner("kramer"), 1);
+        assert_eq!(co.cancel_owner("kramer"), 0, "nothing left to withdraw");
+        assert_eq!(co.pending_count(), 1);
+        co.check_routing_invariants().unwrap();
+    }
+
+    #[test]
+    fn retry_all_matches_after_data_arrives() {
+        let db = Database::new();
+        run_sql(
+            &db,
+            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
+        )
+        .unwrap();
+        let co = ShardedCoordinator::new(db.clone());
+        co.submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
+            .unwrap();
+        co.submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
+            .unwrap();
+        assert!(co.retry_all().unwrap().is_empty());
+        run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
+        assert_eq!(co.retry_all().unwrap().len(), 2);
+        assert_eq!(co.pending_count(), 0);
+        co.check_routing_invariants().unwrap();
+    }
+
+    #[test]
+    fn expire_before_sweeps_old_requests_across_shards() {
+        let co = ShardedCoordinator::new(flights_db());
+        co.submit_sql("a", &pair_sql_on("Res0", "A", "GhostA"))
+            .unwrap();
+        co.submit_sql("b", &pair_sql_on("Res1", "B", "GhostB"))
+            .unwrap();
+        let cutoff = co.current_seq();
+        co.submit_sql("c", &pair_sql_on("Res2", "C", "GhostC"))
+            .unwrap();
+        let expired = co.expire_before(cutoff);
+        assert_eq!(expired.len(), 1);
+        assert_eq!(co.pending_count(), 2);
+        assert_eq!(co.expire_before(u64::MAX).len(), 2);
+        assert_eq!(co.pending_count(), 0);
+        co.check_routing_invariants().unwrap();
+    }
+
+    #[test]
+    fn lock_free_monitors_track_state() {
+        let co = ShardedCoordinator::new(flights_db());
+        co.submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
+            .unwrap();
+        assert_eq!(co.pending_count(), 1);
+        assert_eq!(co.pending_per_shard().iter().sum::<usize>(), 1);
+        assert_eq!(co.stats().submitted, 1);
+        co.submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
+            .unwrap();
+        assert_eq!(co.pending_count(), 0);
+        let stats = co.stats();
+        assert_eq!(stats.submitted, 2);
+        assert_eq!(stats.answered, 2);
+        assert_eq!(stats.groups_matched, 1);
+        assert_eq!(stats.match_attempts, 2);
+        assert!(stats.matching_nanos > 0);
+    }
+
+    /// Regression (async-submission PR, satellite 1): sharded `cancel`
+    /// and `expire_before` must wake parked future waiters with their
+    /// terminal outcomes.
+    #[test]
+    fn sharded_cancel_and_expire_wake_parked_futures() {
+        use crate::future::CoordinationOutcome;
+
+        let co = ShardedCoordinator::new(flights_db());
+        let mut a = co
+            .submit_sql_async("a", &pair_sql_on("Res0", "A", "GhostA"))
+            .unwrap();
+        let mut b = co
+            .submit_sql_async("b", &pair_sql_on("Res1", "B", "GhostB"))
+            .unwrap();
+        let mut c = co
+            .submit_sql_async("c", &pair_sql_on("Res2", "C", "GhostC"))
+            .unwrap();
+        co.cancel(a.id()).unwrap();
+        assert_eq!(
+            a.wait_timeout(std::time::Duration::from_secs(5)),
+            Some(CoordinationOutcome::Cancelled)
+        );
+        assert_eq!(co.cancel_owner("b"), 1);
+        assert_eq!(b.try_take(), Some(CoordinationOutcome::Cancelled));
+        assert_eq!(co.expire_before(u64::MAX).len(), 1);
+        assert_eq!(c.try_take(), Some(CoordinationOutcome::Expired));
+        co.check_routing_invariants().unwrap();
+    }
+
+    #[test]
+    fn apply_hook_runs_in_the_match_transaction() {
+        let db = flights_db();
+        run_sql(&db, "CREATE TABLE Log (qid INT)").unwrap();
+        let co = ShardedCoordinator::new(db.clone());
+        co.set_apply_hook(Arc::new(|txn, m| {
+            for &qid in &m.members {
+                txn.insert(
+                    "Log",
+                    Tuple::new(vec![youtopia_storage::Value::Int(qid.0 as i64)]),
+                )?;
+            }
+            Ok(())
+        }));
+        co.submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
+            .unwrap();
+        co.submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
+            .unwrap();
+        assert_eq!(db.read().table("Log").unwrap().len(), 2);
+    }
+
+    /// An idle coordinator's lock-free gauge mirrors can go stale (no
+    /// drain releases a shard lock to republish them); the sweeper tick
+    /// must refresh every shard's monitor from its true registry.
+    #[test]
+    fn sweep_tick_republishes_stale_monitor_gauges() {
+        let co = ShardedCoordinator::new(flights_db());
+        co.submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
+            .unwrap();
+        assert_eq!(co.pending_count(), 1);
+
+        // simulate a stale mirror: clobber every shard's published
+        // gauges (the test module sees the private atomics)
+        for slot in &co.shards {
+            slot.monitor.pending.store(99, Ordering::Relaxed);
+            slot.monitor.min_deadline.store(0, Ordering::Relaxed);
+        }
+        assert_ne!(co.pending_count(), 1, "reads serve the stale mirror");
+
+        co.sweep_tick(0);
+        assert_eq!(co.pending_count(), 1, "tick republished the registry");
+        assert_eq!(co.pending_per_shard().iter().sum::<usize>(), 1);
+        let min = co
+            .shards
+            .iter()
+            .map(|s| s.monitor.min_deadline.load(Ordering::Relaxed))
+            .min()
+            .unwrap();
+        assert_eq!(min, u64::MAX, "no deadline set: sentinel restored");
+    }
+}
