@@ -2,11 +2,12 @@
 //! sharding PR. Measures end-to-end submission throughput of a
 //! multi-relation pair workload over a standing noise load, comparing
 //!
-//! * the **serial** coordinator (one global mutex, cascade scans every
-//!   pending query), against
-//! * the **sharded** coordinator (4 shards; routing by answer-relation
-//!   signature confines every cascade scan and match attempt to one
-//!   shard's registry).
+//! * the **serial** series: `Coordinator`, i.e. one shard (one registry
+//!   behind one lock, cascade scans every pending query), fed one
+//!   request at a time, against
+//! * the **sharded** series: 4 shards fed batches (routing by
+//!   answer-relation signature confines every cascade scan and match
+//!   attempt to one shard's registry).
 //!
 //! The headline numbers — requests/second for both configurations and
 //! their ratio — are written to `BENCH_sharded.json` at the repository
@@ -39,7 +40,7 @@ fn storm_workload(noise: usize) -> (Vec<Request>, Vec<Request>) {
     (noise_reqs, storm)
 }
 
-/// Serial throughput: per-arrival submission through the global mutex.
+/// Serial throughput: per-arrival submission through the one shard.
 /// Returns (elapsed seconds, answered count).
 fn run_serial(noise: usize) -> (f64, usize) {
     let stack = build_stack(7, FLIGHTS, &["Paris", "Rome"], CoordinatorConfig::default());

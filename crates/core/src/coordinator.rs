@@ -337,7 +337,7 @@ impl From<Coordinator> for ShardedCoordinator {
 }
 
 /// What the serial coordinator's unit tests checked and the sharded
-/// coordinator's (`shard.rs`) do not: run here against one shard.
+/// coordinator's (`shard/`) do not: run here against one shard.
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;

@@ -1,9 +1,9 @@
 //! Async front-end demo: thousands of in-flight coordinations, one
 //! waiter thread, zero threads blocked per query.
 //!
-//! The sync API parks one OS thread per pending entangled query (a
-//! blocking ticket channel). This example is the reason the async API
-//! exists: a front-end submits a few thousand coordinations with
+//! Blocking on each pending entangled query's handle would park one OS
+//! thread per query. This example is the reason every handle is a
+//! future: a front-end submits a few thousand coordinations with
 //! `submit_batch_sql_async`, holds every resulting
 //! `CoordinationFuture` in a single `WaiterSet`, and harvests
 //! completions as partners arrive, cancels fire, and an expiry sweep

@@ -113,7 +113,7 @@ fn measure_sharded(noise: usize, trials: usize) -> f64 {
         ];
         let report = drive_batched(&coordinator, &batch, batch.len());
         // within a batch the pair's first half reports Pending (its
-        // notification arrives through the ticket); only the closing
+        // notification arrives through its future); only the closing
         // half and the lonely arrival differ in outcome
         assert_eq!(report.answered, 1, "probe pair must match");
         assert_eq!(report.pending, 2);

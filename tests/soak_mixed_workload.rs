@@ -167,7 +167,7 @@ fn randomized_mixed_workload_preserves_invariants() {
 ///
 /// * no deadlock (the test completes) and no lost notification — every
 ///   query the coordinator counts as answered delivered its
-///   notification either inline or through its ticket;
+///   notification either inline or through its future;
 /// * every committed answer tuple traces to exactly one group: answer
 ///   rows across all relations equal the total notified answers, with
 ///   no duplicate (owner, flight) rows;
@@ -298,7 +298,7 @@ fn sharded_submit_batch_concurrent_soak() {
         "answered + pending partitions submissions"
     );
     // no lost notification: every answered query's notification was
-    // observed exactly once (inline, via ticket, or via the sweep)
+    // observed exactly once (inline, via its future, or via the sweep)
     let mut answered_ids: Vec<u64> = notifications.iter().map(|n| n.id.0).collect();
     answered_ids.sort_unstable();
     let unique = answered_ids.len();
@@ -574,7 +574,7 @@ fn mixed_sync_async_soak_loses_no_completions() {
     assert_eq!(
         stats.answered as usize,
         async_answered + sync_answered,
-        "every answered query notified exactly one waiter (future or ticket)"
+        "every answered query notified exactly one waiter"
     );
     assert_eq!(
         async_cancelled, cancelled_total,
