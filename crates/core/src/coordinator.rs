@@ -72,7 +72,7 @@ impl Default for CoordinatorConfig {
 
 /// Cumulative system counters, exposed to the admin interface and the
 /// benchmark harness.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SystemStats {
     /// Entangled queries accepted (registered or answered).
     pub submitted: u64,

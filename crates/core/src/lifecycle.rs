@@ -267,8 +267,8 @@ impl SweepSignal {
 
 /// What a [`DeadlineSweeper`] needs from a coordinator. Implemented by
 /// [`crate::ShardedCoordinator`]; the methods are lock-free where the
-/// coordinator can make them so (`next_deadline_millis` reads
-/// per-shard monitor atomics).
+/// coordinator can make them so (`next_deadline_millis` reads the
+/// per-shard deadline hints).
 pub trait DeadlineHost: Send + Sync {
     /// The earliest deadline of any pending query, or `None` when no
     /// pending query carries one.
@@ -285,10 +285,11 @@ pub trait DeadlineHost: Send + Sync {
     fn sweep_signal(&self) -> Arc<SweepSignal>;
 
     /// Periodic housekeeping, called once per sweeper wakeup right
-    /// after the expiry sweep: hosts refresh monitoring gauges and
-    /// evaluate time-based maintenance policies (e.g.
-    /// [`crate::shard::CheckpointPolicy`]) here. The default does
-    /// nothing.
+    /// after the expiry sweep: hosts evaluate time-based maintenance
+    /// policies here (the coordinator runs its
+    /// [`crate::shard::CheckpointPolicy`] and nothing else — its gauges
+    /// are published by every shard-lock release and need no refresh).
+    /// The default does nothing.
     fn sweep_tick(&self, _now_millis: u64) {}
 }
 
@@ -323,7 +324,7 @@ impl DeadlineSweeper {
                     let seen = signal.generation();
                     let now = clock.now_millis();
                     let expired = host.expire_due(now);
-                    swept.fetch_add(expired.len() as u64, Ordering::Relaxed);
+                    swept.fetch_add(expired.len() as u64, Ordering::Release);
                     host.sweep_tick(clock.now_millis());
                     let timeout = match host.next_deadline_millis() {
                         Some(d) if d <= clock.now_millis() => {
@@ -357,9 +358,11 @@ impl DeadlineSweeper {
         }
     }
 
-    /// Total queries expired by this sweeper's sweeps.
+    /// Total queries expired by this sweeper's sweeps. A sweep is
+    /// counted after its shard locks are released, so a reader that
+    /// sees it counted also sees the gauges that sweep published.
     pub fn swept(&self) -> u64 {
-        self.swept.load(Ordering::Relaxed)
+        self.swept.load(Ordering::Acquire)
     }
 
     /// Stops the sweeper thread and joins it.

@@ -18,6 +18,7 @@ use crate::registry::Pending;
 use crate::safety::check_safety;
 use crate::tenant::{tenant_of, Admission};
 
+use super::router::signature;
 use super::{hook_ref, ShardedCoordinator, SharedApplyHook};
 
 /// Per-request outcome of a batch submission.
@@ -157,7 +158,7 @@ impl ShardedCoordinator {
                 },
                 None => None,
             };
-            let relations = query.answer_relations();
+            let relations = signature(&query);
             let qid = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
             let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
             any_deadline |= opts.deadline.is_some();

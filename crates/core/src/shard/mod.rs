@@ -51,9 +51,15 @@
 //!   "who lives where" is never stale;
 //! * each **shard lock** guards that shard's state (registry, RNG,
 //!   waiters, counters) while its bucket drains; a thread holding a
-//!   shard lock never takes the router lock — answered queries are
-//!   logged under the shard lock and retired from the router *after*
-//!   it is released;
+//!   shard lock never takes the router lock — answered and cancelled
+//!   queries are logged under the shard lock and retired from the
+//!   router *after* it is released. Every shard lock is taken through
+//!   `shard_lock`, whose guard publishes the shard on release: the
+//!   pending count and earliest deadline into two atomics (the
+//!   lock-free reads), the counters into the shard's stats record;
+//! * each shard's **stats record** is a leaf mutex holding the
+//!   counters as of the last release: nothing is taken while it is
+//!   held, so [`ShardedCoordinator::stats`] waits for no drain;
 //! * the **database lock** (inside [`Database`]) is the leaf: matching
 //!   takes the shared read lock, applies take the exclusive write
 //!   lock, and no coordinator lock is ever requested while holding it.
@@ -61,6 +67,8 @@
 //!   enqueue to the WAL's pipelined group-commit writer and block on
 //!   their completion slot, so shards draining concurrently share one
 //!   fsync per writer quantum instead of serializing on the database.
+//!   The WAL length the log gauges read is an atomic the writer sets
+//!   after each sync, so no monitoring read waits for an fsync.
 //!
 //! A query routed by one thread is not yet visible in its shard's
 //! registry until that thread drains it; a concurrent migration can
@@ -105,7 +113,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{EntangledQuery, QueryId};
 use crate::lifecycle::{Clock, DeadlineHost, SubmitOptions, SweepSignal, SystemClock};
-use crate::matcher::{GroupMatch, MatchStats};
+use crate::matcher::GroupMatch;
 use crate::registry::{Pending, Registry};
 use crate::safety::check_safety;
 use crate::tenant::TenantRegistry;
@@ -165,162 +173,37 @@ impl Default for ShardedConfig {
 }
 
 // ------------------------------------------------------------------ //
-// Per-shard monitoring counters (lock-free read paths)
+// One shard and its published stats record
 // ------------------------------------------------------------------ //
 
-/// A lock-free mirror of one shard's monitoring counters, refreshed
-/// with relaxed stores every time the shard lock is released (see
-/// [`ShardGuard`]). Monitoring reads ([`ShardedCoordinator::stats`],
+/// One shard: its mutable state behind the shard lock, plus what the
+/// last release of that lock published (see [`ShardGuard`]). Monitoring
+/// reads ([`ShardedCoordinator::stats`],
 /// [`ShardedCoordinator::pending_count`],
-/// [`ShardedCoordinator::pending_per_shard`]) load these atomics and
-/// never contend with draining; [`ShardedCoordinator::pending_snapshot`]
-/// remains the consistent (locking) slow path.
-struct ShardMonitor {
+/// [`ShardedCoordinator::pending_per_shard`]) read only the published
+/// part and never contend with draining;
+/// [`ShardedCoordinator::pending_snapshot`] remains the consistent
+/// (locking) slow path.
+struct ShardSlot {
+    state: Mutex<ShardState>,
+    /// Pending queries of this shard.
     pending: AtomicUsize,
     /// Earliest deadline of this shard's pending queries, in clock
     /// millis; `u64::MAX` when none carries one. The deadline
     /// sweeper's lock-free wakeup hint: `expire_due` skips a shard
     /// whose hint lies in the future without touching its lock.
     min_deadline: AtomicU64,
-    submitted: AtomicU64,
-    answered: AtomicU64,
-    expired: AtomicU64,
-    groups_matched: AtomicU64,
-    match_attempts: AtomicU64,
-    matching_nanos: AtomicU64,
-    candidates_considered: AtomicU64,
-    committed_considered: AtomicU64,
-    unify_attempts: AtomicU64,
-    unify_successes: AtomicU64,
-    groundings_attempted: AtomicU64,
-    rows_scanned: AtomicU64,
-    nodes_expanded: AtomicU64,
-    subsets_tested: AtomicU64,
-    candidates_scanned: AtomicU64,
-    index_pruned: AtomicU64,
-    triggers_pruned: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
+    /// A copy of `state.stats`. A leaf lock: nothing is taken while it
+    /// is held.
+    stats: Mutex<SystemStats>,
 }
 
-impl Default for ShardMonitor {
-    fn default() -> Self {
-        ShardMonitor {
-            pending: AtomicUsize::new(0),
-            min_deadline: AtomicU64::new(u64::MAX),
-            submitted: AtomicU64::new(0),
-            answered: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            groups_matched: AtomicU64::new(0),
-            match_attempts: AtomicU64::new(0),
-            matching_nanos: AtomicU64::new(0),
-            candidates_considered: AtomicU64::new(0),
-            committed_considered: AtomicU64::new(0),
-            unify_attempts: AtomicU64::new(0),
-            unify_successes: AtomicU64::new(0),
-            groundings_attempted: AtomicU64::new(0),
-            rows_scanned: AtomicU64::new(0),
-            nodes_expanded: AtomicU64::new(0),
-            subsets_tested: AtomicU64::new(0),
-            candidates_scanned: AtomicU64::new(0),
-            index_pruned: AtomicU64::new(0),
-            triggers_pruned: AtomicU64::new(0),
-            pool_hits: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ShardMonitor {
-    fn publish(&self, state: &ShardState) {
-        self.pending.store(state.registry.len(), Ordering::Relaxed);
-        self.min_deadline.store(
-            state.registry.min_deadline().unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        let s = &state.stats;
-        self.submitted.store(s.submitted, Ordering::Relaxed);
-        self.answered.store(s.answered, Ordering::Relaxed);
-        self.expired.store(s.expired, Ordering::Relaxed);
-        self.groups_matched
-            .store(s.groups_matched, Ordering::Relaxed);
-        self.match_attempts
-            .store(s.match_attempts, Ordering::Relaxed);
-        self.matching_nanos
-            .store(s.matching_nanos as u64, Ordering::Relaxed);
-        let w = &s.match_work;
-        self.candidates_considered
-            .store(w.candidates_considered, Ordering::Relaxed);
-        self.committed_considered
-            .store(w.committed_considered, Ordering::Relaxed);
-        self.unify_attempts
-            .store(w.unify_attempts, Ordering::Relaxed);
-        self.unify_successes
-            .store(w.unify_successes, Ordering::Relaxed);
-        self.groundings_attempted
-            .store(w.groundings_attempted, Ordering::Relaxed);
-        self.rows_scanned.store(w.rows_scanned, Ordering::Relaxed);
-        self.nodes_expanded
-            .store(w.nodes_expanded, Ordering::Relaxed);
-        self.subsets_tested
-            .store(w.subsets_tested, Ordering::Relaxed);
-        self.candidates_scanned
-            .store(w.candidates_scanned, Ordering::Relaxed);
-        self.index_pruned.store(w.index_pruned, Ordering::Relaxed);
-        self.triggers_pruned
-            .store(w.triggers_pruned, Ordering::Relaxed);
-        self.pool_hits.store(w.pool_hits, Ordering::Relaxed);
-        self.pool_misses.store(w.pool_misses, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> SystemStats {
-        SystemStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected_unsafe: 0, // tracked globally, not per shard
-            rejected_quota: 0,  // tracked globally, not per shard
-            answered: self.answered.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            groups_matched: self.groups_matched.load(Ordering::Relaxed),
-            match_attempts: self.match_attempts.load(Ordering::Relaxed),
-            matching_nanos: self.matching_nanos.load(Ordering::Relaxed) as u128,
-            match_work: MatchStats {
-                candidates_considered: self.candidates_considered.load(Ordering::Relaxed),
-                committed_considered: self.committed_considered.load(Ordering::Relaxed),
-                unify_attempts: self.unify_attempts.load(Ordering::Relaxed),
-                unify_successes: self.unify_successes.load(Ordering::Relaxed),
-                groundings_attempted: self.groundings_attempted.load(Ordering::Relaxed),
-                rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
-                nodes_expanded: self.nodes_expanded.load(Ordering::Relaxed),
-                subsets_tested: self.subsets_tested.load(Ordering::Relaxed),
-                candidates_scanned: self.candidates_scanned.load(Ordering::Relaxed),
-                index_pruned: self.index_pruned.load(Ordering::Relaxed),
-                triggers_pruned: self.triggers_pruned.load(Ordering::Relaxed),
-                pool_hits: self.pool_hits.load(Ordering::Relaxed),
-                pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            },
-            // log-surface gauges are coordinator-wide, not per shard;
-            // ShardedCoordinator::stats sets them after merging
-            wal_bytes: 0,
-            wal_bytes_since_checkpoint: 0,
-            checkpoint_age_millis: 0,
-            auto_checkpoints: 0,
-        }
-    }
-}
-
-/// One shard: its mutable state behind the shard lock, plus the
-/// lock-free monitor mirror.
-struct ShardSlot {
-    state: Mutex<ShardState>,
-    monitor: ShardMonitor,
-}
-
-/// A shard-lock guard that republishes the shard's monitor counters
-/// when dropped, so the lock-free read paths stay fresh no matter
-/// which code path mutated the shard.
+/// A shard-lock guard that publishes the shard when dropped. Every
+/// shard lock is taken through [`ShardedCoordinator::shard_lock`], so
+/// every mutation is published by the release that ends it.
 struct ShardGuard<'a> {
     state: MutexGuard<'a, ShardState>,
-    monitor: &'a ShardMonitor,
+    slot: &'a ShardSlot,
 }
 
 impl Deref for ShardGuard<'_> {
@@ -338,7 +221,13 @@ impl DerefMut for ShardGuard<'_> {
 
 impl Drop for ShardGuard<'_> {
     fn drop(&mut self) {
-        self.monitor.publish(&self.state);
+        let registry = &self.state.registry;
+        self.slot.pending.store(registry.len(), Ordering::Relaxed);
+        self.slot.min_deadline.store(
+            registry.min_deadline().unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        *self.slot.stats.lock() = self.state.stats;
     }
 }
 
@@ -432,7 +321,9 @@ impl ShardedCoordinator {
                         config.base.use_const_index,
                         config.base.seed ^ i as u64,
                     )),
-                    monitor: ShardMonitor::default(),
+                    pending: AtomicUsize::new(0),
+                    min_deadline: AtomicU64::new(u64::MAX),
+                    stats: Mutex::default(),
                 })
                 .collect(),
             router: Mutex::new(Router::new(shards)),
@@ -480,13 +371,12 @@ impl ShardedCoordinator {
         self.shards.len()
     }
 
-    /// Locks one shard; the returned guard republishes the shard's
-    /// monitor counters on drop.
+    /// Locks one shard; the returned guard publishes the shard on drop.
     fn shard_lock(&self, shard: usize) -> ShardGuard<'_> {
         let slot = &self.shards[shard];
         ShardGuard {
             state: slot.state.lock(),
-            monitor: &slot.monitor,
+            slot,
         }
     }
 
@@ -621,7 +511,7 @@ impl ShardedCoordinator {
             },
             None => None,
         };
-        let relations = query.answer_relations();
+        let relations = router::signature(&query);
         let qid = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let pending = Pending {
@@ -696,21 +586,28 @@ impl ShardedCoordinator {
     /// Cancels a pending query ("a query whose postcondition is not
     /// satisfied ... waits for an opportunity to retry" — until the
     /// user gives up). The cancellation is logged before the entry
-    /// disappears from the registry (log-before-ack).
+    /// disappears from the registry (log-before-ack). The router lock
+    /// is held only to find the query's shard, never across the log
+    /// write or the waiter's wake; a query that a concurrent merge
+    /// moved meanwhile is looked up again on its new shard.
     pub fn cancel(&self, qid: QueryId) -> CoreResult<()> {
-        let mut router = self.router.lock();
         let unknown = || CoreError::UnknownQuery(qid.0);
-        let shard = router.shard_of_query(qid).ok_or_else(unknown)?;
-        {
+        let mut shard = self.router.lock().shard_of_query(qid).ok_or_else(unknown)?;
+        loop {
             let mut state = self.shard_lock(shard);
-            if state.registry.get(qid).is_none() {
-                return Err(unknown());
+            if state.registry.get(qid).is_some() {
+                self.engine
+                    .retire_ids(&mut state, &[qid], Retirement::Cancelled)
+                    .map_err(CoreError::Storage)?;
+                break;
             }
-            self.engine
-                .retire_ids(&mut state, &[qid], Retirement::Cancelled)
-                .map_err(CoreError::Storage)?;
+            drop(state);
+            match self.router.lock().shard_of_query(qid) {
+                Some(moved) if moved != shard => shard = moved,
+                _ => return Err(unknown()),
+            }
         }
-        router.purge(qid);
+        self.retire(&[qid]);
         Ok(())
     }
 
@@ -743,7 +640,7 @@ impl ShardedCoordinator {
     /// Expires every pending query whose deadline
     /// ([`SubmitOptions::deadline`]) is at or before `now_millis` —
     /// the clock-driven sweep a [`crate::DeadlineSweeper`] runs in the
-    /// background. Per shard: the lock-free monitor hint is consulted
+    /// background. Per shard: the lock-free deadline hint is consulted
     /// first (a shard whose earliest deadline lies in the future is
     /// skipped without touching its lock), then the registry's
     /// deadline index selects the victims. Returns the expired ids.
@@ -752,25 +649,20 @@ impl ShardedCoordinator {
         // but that registration's sweep-signal notify happens after
         // its guard drop, so the sweeper always re-reads a fresh hint
         // before sleeping
-        let due = (0..self.shards.len()).filter(|&shard| {
-            self.shards[shard]
-                .monitor
-                .min_deadline
-                .load(Ordering::Relaxed)
-                <= now_millis
-        });
+        let due = (0..self.shards.len())
+            .filter(|&shard| self.shards[shard].min_deadline.load(Ordering::Relaxed) <= now_millis);
         self.sweep(Retirement::Expired, due, |registry| {
             registry.due_before(now_millis)
         })
     }
 
     /// The earliest deadline across all shards (the sweeper's wakeup
-    /// hint). Lock-free: reads the per-shard monitor atomics.
+    /// hint). Lock-free: reads the per-shard deadline hints.
     pub fn next_deadline(&self) -> Option<u64> {
         let min = self
             .shards
             .iter()
-            .map(|s| s.monitor.min_deadline.load(Ordering::Relaxed))
+            .map(|s| s.min_deadline.load(Ordering::Relaxed))
             .min()
             .unwrap_or(u64::MAX);
         (min != u64::MAX).then_some(min)
@@ -862,12 +754,12 @@ impl ShardedCoordinator {
     }
 
     /// Total number of pending queries across shards. Lock-free: sums
-    /// the per-shard monitor atomics, so monitoring never contends with
+    /// the per-shard pending counts, so monitoring never contends with
     /// draining (may trail an in-flight drain by one publish).
     pub fn pending_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.monitor.pending.load(Ordering::Relaxed))
+            .map(|s| s.pending.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -876,20 +768,21 @@ impl ShardedCoordinator {
     pub fn pending_per_shard(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.monitor.pending.load(Ordering::Relaxed))
+            .map(|s| s.pending.load(Ordering::Relaxed))
             .collect()
     }
 
     /// Merged statistics across shards (plus global safety rejections
     /// and the log-surface gauges: WAL size, bytes and time since the
     /// last checkpoint, auto-checkpoint count — the first slice of the
-    /// log-aware admin surface). Lock-free: reads the per-shard
-    /// monitor atomics; counters may trail an in-flight drain by one
+    /// log-aware admin surface). Takes each shard's stats record (a
+    /// leaf lock) in turn and no shard lock, so it never waits for a
+    /// drain or an fsync; counters may trail an in-flight drain by one
     /// publish.
     pub fn stats(&self) -> SystemStats {
         let mut total = SystemStats::default();
         for shard in &self.shards {
-            total.merge(&shard.monitor.stats());
+            total.merge(&shard.stats.lock());
         }
         total.rejected_unsafe += self.rejected_unsafe.load(Ordering::Relaxed);
         total.rejected_quota += self.rejected_quota.load(Ordering::Relaxed);
@@ -912,12 +805,9 @@ impl ShardedCoordinator {
 
     /// Snapshot of all pending queries, sorted by id.
     pub fn pending_snapshot(&self) -> Vec<PendingInfo> {
-        let mut all: Vec<PendingInfo> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.state
-                    .lock()
+        let mut all: Vec<PendingInfo> = (0..self.shards.len())
+            .flat_map(|shard| {
+                self.shard_lock(shard)
                     .registry
                     .iter()
                     .map(|p| PendingInfo {
@@ -940,8 +830,8 @@ impl ShardedCoordinator {
     /// the complete system match graph.
     pub fn match_graph(&self) -> MatchGraph {
         let mut graph = MatchGraph::default();
-        for shard in &self.shards {
-            let part = match_graph_of(&shard.state.lock().registry);
+        for shard in 0..self.shards.len() {
+            let part = match_graph_of(&self.shard_lock(shard).registry);
             graph.edges.extend(part.edges);
             graph.dangling.extend(part.dangling);
         }
@@ -968,16 +858,6 @@ impl DeadlineHost for ShardedCoordinator {
     }
 
     fn sweep_tick(&self, now_millis: u64) {
-        // refresh the lock-free monitor mirrors so admin gauge reads
-        // stay live on an idle system (no drain has released a shard
-        // lock to republish them). try_lock only: a busy shard's own
-        // guard drop publishes fresher numbers anyway, and the sweeper
-        // must never stall behind a drain.
-        for slot in &self.shards {
-            if let Some(state) = slot.state.try_lock() {
-                slot.monitor.publish(&state);
-            }
-        }
         // evaluated here too (not only after group commits) so a quiet
         // coordinator still compacts its WAL on schedule
         self.checkpoint_if_due(
@@ -1202,33 +1082,160 @@ mod tests {
         assert_eq!(db.read().table("Log").unwrap().len(), 2);
     }
 
-    /// An idle coordinator's lock-free gauge mirrors can go stale (no
-    /// drain releases a shard lock to republish them); the sweeper tick
-    /// must refresh every shard's monitor from its true registry.
+    /// `cancel` holds no router lock while it wakes the waiter: a wake
+    /// hook that has another thread look up a route gets its answer.
     #[test]
-    fn sweep_tick_republishes_stale_monitor_gauges() {
-        let co = ShardedCoordinator::new(flights_db());
-        co.submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
-            .unwrap();
-        assert_eq!(co.pending_count(), 1);
+    fn cancel_wakes_the_waiter_without_holding_the_router() {
+        use std::sync::mpsc;
+        use std::time::Duration;
 
-        // simulate a stale mirror: clobber every shard's published
-        // gauges (the test module sees the private atomics)
-        for slot in &co.shards {
-            slot.monitor.pending.store(99, Ordering::Relaxed);
-            slot.monitor.min_deadline.store(0, Ordering::Relaxed);
+        use crate::future::WaiterSet;
+
+        let co = Arc::new(ShardedCoordinator::new(flights_db()));
+        let future = co
+            .submit_sql_async("a", &pair_sql_on("Res0", "A", "Ghost"))
+            .unwrap();
+        let qid = future.id();
+        type Lookup = (Option<usize>, std::thread::JoinHandle<()>);
+        let routed: Arc<Mutex<Vec<Lookup>>> = Arc::default();
+        let mut set = WaiterSet::new();
+        set.set_wake_hook({
+            let (co, routed) = (Arc::clone(&co), Arc::clone(&routed));
+            move || {
+                let (tx, rx) = mpsc::channel();
+                let co = Arc::clone(&co);
+                let lookup = std::thread::spawn(move || {
+                    let _ = tx.send(co.shard_of_relation("Res0"));
+                });
+                let answer = rx.recv_timeout(Duration::from_secs(5)).ok().flatten();
+                routed.lock().push((answer, lookup));
+            }
+        });
+        set.insert(future);
+        assert!(set.poll_ready().is_empty(), "waker parked, still pending");
+
+        co.cancel(qid).unwrap();
+
+        let mut routed = std::mem::take(&mut *routed.lock());
+        assert_eq!(routed.len(), 1, "the waiter woke exactly once");
+        let (answer, lookup) = routed.pop().expect("one lookup");
+        lookup.join().expect("the lookup thread finished");
+        assert!(
+            answer.is_some(),
+            "the router lookup returned while cancel was waking the waiter"
+        );
+        assert_eq!(set.poll_ready().len(), 1, "the future resolved");
+    }
+
+    /// One stats record per shard: after every mutating path, at one
+    /// shard and at four, `stats()` equals the merge of the shards' own
+    /// counters field for field, and the pending and deadline hints
+    /// equal what the registries hold.
+    #[test]
+    fn published_stats_equal_the_shard_state_after_every_path() {
+        use youtopia_storage::Wal;
+
+        fn assert_published(co: &ShardedCoordinator, after: &str) {
+            let mut merged = SystemStats::default();
+            let mut pending = Vec::new();
+            let mut deadline = None::<u64>;
+            for slot in &co.shards {
+                let state = slot.state.lock();
+                merged.merge(&state.stats);
+                pending.push(state.registry.len());
+                deadline = deadline
+                    .into_iter()
+                    .chain(state.registry.min_deadline())
+                    .min();
+            }
+            // the rejection counters and log gauges are coordinator-wide
+            let shard_part = SystemStats {
+                rejected_unsafe: 0,
+                rejected_quota: 0,
+                wal_bytes: 0,
+                wal_bytes_since_checkpoint: 0,
+                checkpoint_age_millis: 0,
+                auto_checkpoints: 0,
+                ..co.stats()
+            };
+            assert_eq!(shard_part, merged, "stats after {after}");
+            assert_eq!(co.pending_per_shard(), pending, "pending after {after}");
+            assert_eq!(co.pending_count(), pending.iter().sum::<usize>());
+            assert_eq!(co.next_deadline(), deadline, "deadline after {after}");
         }
-        assert_ne!(co.pending_count(), 1, "reads serve the stale mirror");
+        let oslo = |me: &str, friend: &str| {
+            format!(
+                "SELECT '{me}', fno INTO ANSWER ResOslo \
+                 WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Oslo') \
+                 AND ('{friend}', fno) IN ANSWER ResOslo CHOOSE 1"
+            )
+        };
 
-        co.sweep_tick(0);
-        assert_eq!(co.pending_count(), 1, "tick republished the registry");
-        assert_eq!(co.pending_per_shard().iter().sum::<usize>(), 1);
-        let min = co
-            .shards
-            .iter()
-            .map(|s| s.monitor.min_deadline.load(Ordering::Relaxed))
-            .min()
-            .unwrap();
-        assert_eq!(min, u64::MAX, "no deadline set: sentinel restored");
+        for shards in [1, 4] {
+            let config = ShardedConfig {
+                shards,
+                ..Default::default()
+            };
+            let db = flights_db_wal();
+            let co = ShardedCoordinator::with_config(db.clone(), config);
+            assert_published(&co, "construction");
+
+            co.submit_sql("a", &pair_sql_on("Res0", "A", "B")).unwrap();
+            co.submit_sql("b", &pair_sql_on("Res0", "B", "A")).unwrap();
+            let lone = co
+                .submit_sql("c", &pair_sql_on("Res1", "C", "Ghost"))
+                .unwrap();
+            assert_published(&co, "submit");
+
+            co.submit_batch_sql(&[
+                ("d".into(), pair_sql_on("Res2", "D", "E")),
+                ("e".into(), pair_sql_on("Res2", "E", "D")),
+                ("f".into(), pair_sql_on("Res3", "F", "Ghost")),
+            ]);
+            assert_published(&co, "batch");
+
+            co.cancel(lone.id()).unwrap();
+            assert_published(&co, "cancel");
+            assert_eq!(co.cancel_owner("f"), 1);
+            assert_published(&co, "cancel_owner");
+
+            let deadline = SubmitOptions::with_deadline(10);
+            co.submit_sql_with("g", &pair_sql_on("Res4", "G", "Ghost"), deadline)
+                .unwrap();
+            assert_published(&co, "a submit with a deadline");
+            assert_eq!(co.expire_due(10).len(), 1);
+            assert_published(&co, "expire_due");
+
+            co.submit_sql("h", &pair_sql_on("Res5", "H", "Ghost"))
+                .unwrap();
+            assert_eq!(co.expire_before(co.current_seq() + 1).len(), 1);
+            assert_published(&co, "expire_before");
+
+            co.submit_sql("i", &oslo("I", "J")).unwrap();
+            co.submit_sql("j", &oslo("J", "I")).unwrap();
+            run_sql(&db, "INSERT INTO Flights VALUES (200, 'Oslo')").unwrap();
+            assert_eq!(co.retry_all().unwrap().len(), 2);
+            assert_published(&co, "retry_all");
+
+            // two components, then a query whose signature spans both
+            co.submit_sql("x", &pair_sql_on("RelA", "X", "GhostX"))
+                .unwrap();
+            co.submit_sql("y", &pair_sql_on("RelB", "Y", "GhostY"))
+                .unwrap();
+            let bridge = "SELECT 'Z', fno INTO ANSWER RelA, 'Z', fno INTO ANSWER RelB \
+                          WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                          AND ('GhostZ', fno) IN ANSWER RelA CHOOSE 1";
+            co.submit_sql("z", bridge).unwrap();
+            co.check_routing_invariants().unwrap();
+            assert_published(&co, "a merge");
+
+            co.checkpoint().unwrap();
+            assert_published(&co, "checkpoint");
+
+            let wal = Wal::from_bytes(db.wal_bytes().unwrap());
+            let (recovered, report) = ShardedCoordinator::recover(wal, config).unwrap();
+            assert_eq!(report.restored_pending, 3);
+            assert_published(&recovered, "recovery");
+        }
     }
 }

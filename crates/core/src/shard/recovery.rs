@@ -14,6 +14,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::lifecycle::{Clock, SystemClock};
 use crate::registry::Pending;
 
+use super::router::signature;
 use super::{ShardedConfig, ShardedCoordinator, SharedApplyHook};
 
 impl ShardedCoordinator {
@@ -110,8 +111,7 @@ impl ShardedCoordinator {
         {
             let mut router = co.router.lock();
             for p in &restored {
-                let relations = p.query.answer_relations();
-                let _ = router.route(p.id, &relations);
+                let _ = router.route(p.id, &signature(&p.query));
             }
             let mut by_shard: HashMap<usize, Vec<Pending>> = HashMap::new();
             for p in restored {

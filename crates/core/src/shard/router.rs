@@ -7,9 +7,26 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use youtopia_storage::Tuple;
 
-use crate::ir::QueryId;
+use crate::ir::{EntangledQuery, QueryId};
 
 use super::{hook_ref, ShardedCoordinator, SharedApplyHook};
+
+/// The pseudo-relation that stands for the signature of a query with
+/// no answer relation. Signatures are lowercased, so no real relation
+/// name can equal it.
+const NO_ANSWER_RELATION: &str = "<No Answer Relation>";
+
+/// The router's key for `query`: its lowercased answer-relation
+/// signature ([`EntangledQuery::answer_relations`]), or
+/// [`NO_ANSWER_RELATION`] when it has none. Such a query coordinates
+/// with nobody, but it is routed and tracked like any other.
+pub(super) fn signature(query: &EntangledQuery) -> BTreeSet<String> {
+    let mut relations = query.answer_relations();
+    if relations.is_empty() {
+        relations.insert(NO_ANSWER_RELATION.to_string());
+    }
+    relations
+}
 
 /// A pending-query migration decided while merging two relation
 /// components.
@@ -81,10 +98,10 @@ impl Router {
         n
     }
 
-    /// Routes a query over its (lowercased) answer-relation signature:
-    /// unions the signature into one component, decides the surviving
-    /// shard, and reports which already-routed queries must migrate
-    /// because their component just changed shards.
+    /// Routes a query over its [`signature`]: unions the signature
+    /// into one component, decides the surviving shard, and reports
+    /// which already-routed queries must migrate because their
+    /// component just changed shards.
     pub(super) fn route(
         &mut self,
         qid: QueryId,
@@ -96,18 +113,11 @@ impl Router {
             // ~5% of a cheap arrival, measured)
             return (0, Vec::new());
         }
-        let Some(first) = relations.iter().next() else {
-            // no answer relations at all: the query coordinates with
-            // nobody; spread it round-robin
-            let s = self.next_rr;
-            self.next_rr = (self.next_rr + 1) % self.num_shards;
-            return (s, Vec::new());
-        };
         let nodes: Vec<usize> = relations.iter().map(|r| self.node_for(r)).collect();
         let mut roots: Vec<usize> = nodes.iter().map(|&n| self.find(n)).collect();
         roots.sort_unstable();
         roots.dedup();
-        self.qid_node.insert(qid, self.rel_node[first]);
+        self.qid_node.insert(qid, nodes[0]);
         if let [root] = roots[..] {
             // the common case — the signature already is one component:
             // nothing merges, nothing moves
@@ -360,10 +370,9 @@ impl ShardedCoordinator {
         // the lock order forbids taking the router lock while holding
         // a shard lock
         let mut placements: Vec<(usize, QueryId, BTreeSet<String>)> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let state = shard.state.lock();
-            for p in state.registry.iter() {
-                placements.push((si, p.id, p.query.answer_relations()));
+        for si in 0..self.shards.len() {
+            for p in self.shard_lock(si).registry.iter() {
+                placements.push((si, p.id, signature(&p.query)));
             }
         }
         let mut router = self.router.lock();
@@ -604,6 +613,49 @@ mod tests {
         // all 7 pending queries live together now
         assert_eq!(co.pending_per_shard()[home], 7);
         assert_eq!(co.pending_count(), 7);
+    }
+
+    /// A query with no answer relation coordinates with nobody, but at
+    /// more than one shard it is still routed and tracked like any
+    /// other: a batch returns its outcome and `cancel` finds it.
+    #[test]
+    fn query_without_answer_relations_is_routed_and_cancellable() {
+        use crate::compile::compile_sql;
+        use crate::ir::EntangledQuery;
+
+        let co = ShardedCoordinator::with_config(
+            flights_db(),
+            ShardedConfig {
+                shards: 4,
+                ..Default::default()
+            },
+        );
+        // no heads and no constraints; the one membership selects no
+        // row, so the query pends
+        let lone = EntangledQuery {
+            heads: Vec::new(),
+            constraints: Vec::new(),
+            ..compile_sql(
+                "SELECT 'X', fno INTO ANSWER R \
+                 WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Nowhere') CHOOSE 1",
+            )
+            .unwrap()
+        };
+        assert!(lone.answer_relations().is_empty());
+
+        let mut outcomes = co.submit_batch(vec![("batch".to_string(), Ok(lone.clone()))]);
+        let Some(Ok(Submission::Pending(batched))) = outcomes.pop() else {
+            panic!("the batch entry pends")
+        };
+        let single = co.submit("single", lone).unwrap();
+        assert!(matches!(single, Submission::Pending(_)));
+        assert_eq!(co.pending_count(), 2);
+        co.check_routing_invariants().unwrap();
+
+        co.cancel(batched.id()).unwrap();
+        co.cancel(single.id()).unwrap();
+        assert_eq!(co.pending_count(), 0);
+        co.check_routing_invariants().unwrap();
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! * a submit-rate token bucket (`rate_burst` capacity, `rate_per_sec`
 //!   refill) charged one token per accepted submission.
 //!
-//! Accounting follows the `ShardMonitor` discipline: per-tenant
-//! counters are plain atomics bumped on the submit/terminate paths and
-//! read lock-free by [`TenantRegistry::stats`], so the ledger
+//! Accounting: per-tenant counters are plain atomics bumped on the
+//! submit/terminate paths and read lock-free by
+//! [`TenantRegistry::stats`], so the ledger
 //!
 //! ```text
 //! submitted == answered + cancelled + expired + aborted + in_flight

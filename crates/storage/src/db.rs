@@ -152,10 +152,12 @@ impl Database {
     }
 
     /// Current WAL size in bytes (`None` without a WAL; works for file
-    /// and memory sinks). Feeds the coordinator's auto-checkpoint
-    /// threshold and the admin-surface log gauges.
+    /// and memory sinks): the length the group-commit writer has
+    /// synced, exact for every commit that has returned. Takes no lock, so it never waits for an fsync. Feeds
+    /// the coordinator's auto-checkpoint threshold and the
+    /// admin-surface log gauges.
     pub fn wal_len(&self) -> Option<u64> {
-        self.log.as_ref()?.with_wal(|wal| wal.len_bytes().ok())
+        Some(self.log.as_ref()?.synced_len())
     }
 
     /// Durably appends one opaque coordination payload to the WAL as
@@ -945,6 +947,54 @@ mod tests {
         let (_, coordination) =
             Database::recover_full(Wal::from_bytes(db.wal_bytes().unwrap())).unwrap();
         assert_eq!(coordination, vec![b"compacted".to_vec()]);
+    }
+
+    /// `wal_len` takes no lock: it returns while another thread holds
+    /// the log (as the group-commit writer does across its fsync).
+    #[test]
+    fn wal_len_returns_while_the_log_is_held() {
+        let db = Database::with_wal(Wal::in_memory());
+        db.append_coordination(b"reg q1").unwrap();
+        let expected = db.wal_len();
+        let log = db.log.clone().expect("durable database");
+        let (answer, reader) = log.with_wal(|_held| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let db = db.clone();
+            let reader = std::thread::spawn(move || {
+                let _ = tx.send(db.wal_len());
+            });
+            (rx.recv_timeout(std::time::Duration::from_secs(5)), reader)
+        });
+        reader.join().expect("the reader thread finished");
+        assert_eq!(answer, Ok(expected));
+    }
+
+    /// `wal_len` is exact as soon as a commit returns and right after a
+    /// checkpoint rewrite.
+    #[test]
+    fn wal_len_is_exact_after_commit_and_checkpoint() {
+        let db = Database::with_wal(Wal::in_memory());
+        let exact = |db: &Database| Some(db.wal_bytes().unwrap().len() as u64);
+        assert_eq!(db.wal_len(), Some(0));
+        db.with_txn(|txn| {
+            txn.create_table("Flights", flights_schema())?;
+            txn.insert("Flights", row(122, "Paris")).map(|_| ())
+        })
+        .unwrap();
+        assert_eq!(db.wal_len(), exact(&db));
+        db.append_coordination_batch(&[b"reg q1".as_slice(), b"reg q2"])
+            .unwrap();
+        assert_eq!(db.wal_len(), exact(&db));
+        let before = db.wal_len().unwrap();
+        db.checkpoint_with_coordination(&[b"reg q2".as_slice()])
+            .unwrap();
+        assert_eq!(db.wal_len(), exact(&db));
+        assert!(db.wal_len().unwrap() < before, "the rewrite dropped q1");
+        // a recovered database starts from the replayed log's length
+        let (recovered, _) =
+            Database::recover_full(Wal::from_bytes(db.wal_bytes().unwrap())).unwrap();
+        assert_eq!(recovered.wal_len(), exact(&db));
+        assert_eq!(Database::new().wal_len(), None);
     }
 
     #[test]

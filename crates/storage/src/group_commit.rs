@@ -26,6 +26,7 @@
 //! disk. Requests that carry no ordering dependency (coordination
 //! event batches) enqueue lock-free with respect to the database.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -115,6 +116,10 @@ struct Shared {
     state: Mutex<QueueState>,
     work: Condvar,
     wal: Mutex<Wal>,
+    /// The log's length as of the writer's last sync or the last
+    /// [`GroupCommit::with_wal`] — stored while the log lock is held,
+    /// read without it.
+    synced_len: AtomicU64,
     quantum: Duration,
 }
 
@@ -136,6 +141,7 @@ impl GroupCommit {
                 poisoned: None,
             }),
             work: Condvar::new(),
+            synced_len: AtomicU64::new(wal.len_bytes().unwrap_or(0)),
             wal: Mutex::new(wal),
             quantum: config.quantum,
         });
@@ -193,7 +199,25 @@ impl GroupCommit {
     /// yet on disk was not yet acknowledged, so it must land after
     /// the rewritten snapshot).
     pub fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
-        f(&mut lock(&self.shared.wal))
+        let mut wal = lock(&self.shared.wal);
+        let result = f(&mut wal);
+        self.shared.publish_len(&wal);
+        result
+    }
+
+    /// The log's length in bytes as the writer last synced it (or as
+    /// the last [`GroupCommit::with_wal`] left it). Takes no lock, so
+    /// it never waits for an fsync; it covers every group whose
+    /// [`GroupCommit::commit`] has returned.
+    pub(crate) fn synced_len(&self) -> u64 {
+        self.shared.synced_len.load(Ordering::Acquire)
+    }
+}
+
+impl Shared {
+    fn publish_len(&self, wal: &Wal) {
+        self.synced_len
+            .store(wal.len_bytes().unwrap_or(0), Ordering::Release);
     }
 }
 
@@ -261,6 +285,8 @@ fn writer_loop(shared: &Shared) {
             }
         }
         let sync_result = wal.sync();
+        // before any slot completes: a committer sees its own bytes
+        shared.publish_len(&wal);
         drop(wal);
 
         if let Some((_, e)) = &failed {

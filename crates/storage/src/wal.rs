@@ -416,9 +416,9 @@ enum WalSink {
 pub struct Wal {
     sink: WalSink,
     /// Cached log length in bytes, maintained by every append, reset
-    /// and tail truncation — so [`Wal::len_bytes`] (polled by the
-    /// coordinator's auto-checkpoint threshold after every group
-    /// commit) never needs a file-metadata syscall.
+    /// and tail truncation — so [`Wal::len_bytes`] (read by the
+    /// group-commit writer after every sync, to publish the length
+    /// `Database::wal_len` serves) never needs a file-metadata syscall.
     len_hint: u64,
 }
 
@@ -664,9 +664,9 @@ impl Wal {
     }
 
     /// Current log size in bytes, for both sinks — served from the
-    /// maintained length cache, so polling it (the coordinator's
-    /// auto-checkpoint threshold checks after every group commit)
-    /// costs no syscall.
+    /// maintained length cache, so the group-commit writer's read after
+    /// every sync costs no syscall (debug builds cross-check it against
+    /// the sink).
     pub fn len_bytes(&self) -> StorageResult<u64> {
         #[cfg(debug_assertions)]
         {

@@ -141,10 +141,13 @@ fn sweeper_expires_across_shards_on_mock_clock() {
         f2.wait_timeout(Duration::from_secs(10)),
         Some(CoordinationOutcome::Expired)
     );
+    // the waiter wakes under the shard lock; the pending and deadline
+    // gauges are published when the sweep releases it, before the
+    // sweeper counts the sweep
+    assert!(eventually(|| sweeper.swept() == 3));
     assert_eq!(co.pending_count(), 1, "the deadline-less query survives");
     assert_eq!(co.next_deadline(), None);
     co.check_routing_invariants().unwrap();
-    assert!(eventually(|| sweeper.swept() == 3));
     sweeper.shutdown();
 }
 
