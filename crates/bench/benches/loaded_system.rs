@@ -96,7 +96,7 @@ fn bench_loaded_system(c: &mut Criterion) {
         });
     }
     // the sharded coordinator under the same standing load: the closing
-    // arrival's match and cascade scan only its own shard (~noise/4)
+    // arrival is matched against its own shard only (~noise/4)
     for &noise in &[0usize, 10, 100, 500, 1000] {
         group.bench_with_input(BenchmarkId::new("sharded4", noise), &noise, |b, &noise| {
             b.iter_batched(

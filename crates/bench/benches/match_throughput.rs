@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
+use youtopia_bench::provenance_json;
 use youtopia_core::{CoordinatorConfig, ShardedConfig, ShardedCoordinator};
 use youtopia_travel::{drive_batched, WorkloadGen};
 
@@ -87,6 +88,7 @@ fn headline_series() {
         let scanned = after.match_work.candidates_scanned - before.match_work.candidates_scanned;
         let index_pruned = after.match_work.index_pruned - before.match_work.index_pruned;
         let triggers_pruned = after.match_work.triggers_pruned - before.match_work.triggers_pruned;
+        let cascade_scanned = after.match_work.cascade_scanned - before.match_work.cascade_scanned;
         let pool_hits = after.match_work.pool_hits - before.match_work.pool_hits;
         let pool_misses = after.match_work.pool_misses - before.match_work.pool_misses;
         let prune_rate = index_pruned as f64 / (index_pruned + scanned).max(1) as f64;
@@ -102,15 +104,17 @@ fn headline_series() {
              \"candidates_scanned\": {scanned},\n      \
              \"index_pruned\": {index_pruned},\n      \
              \"triggers_pruned\": {triggers_pruned},\n      \
+             \"cascade_scanned\": {cascade_scanned},\n      \
              \"index_prune_rate\": {prune_rate:.4},\n      \
              \"pool_hits\": {pool_hits},\n      \"pool_misses\": {pool_misses}\n    }}"
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"match_throughput\",\n  \"workload\": {{\n    \
+        "{{\n  \"bench\": \"match_throughput\",\n  {},\n  \"workload\": {{\n    \
          \"relations\": {RELATIONS},\n    \"flights\": {FLIGHTS},\n    \
          \"shards\": {SHARDS},\n    \"batch\": {BATCH},\n    \"pairs\": {PAIRS}\n  }},\n  \
          \"series\": [\n{}\n  ]\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_match.json");

@@ -3,11 +3,10 @@
 //! multi-relation pair workload over a standing noise load, comparing
 //!
 //! * the **serial** series: `Coordinator`, i.e. one shard (one registry
-//!   behind one lock, cascade scans every pending query), fed one
-//!   request at a time, against
+//!   behind one lock), fed one request at a time, against
 //! * the **sharded** series: 4 shards fed batches (routing by
-//!   answer-relation signature confines every cascade scan and match
-//!   attempt to one shard's registry).
+//!   answer-relation signature confines every match attempt and
+//!   cascade to one shard's registry).
 //!
 //! The headline numbers — requests/second for both configurations and
 //! their ratio — are written to `BENCH_sharded.json` at the repository
@@ -20,7 +19,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
-use youtopia_bench::{build_sharded_stack, build_stack, preload_noise_sharded};
+use youtopia_bench::{build_sharded_stack, build_stack, preload_noise_sharded, provenance_json};
 use youtopia_core::{CoordinatorConfig, ShardedConfig};
 use youtopia_travel::{drive_batched, Request, WorkloadGen};
 
@@ -113,7 +112,8 @@ fn headline_comparison() {
     println!("speedup   : {speedup:.2}x\n");
 
     let json = format!(
-        "{{\n  \"bench\": \"sharded_throughput\",\n  \"workload\": {{\n    \"pairs\": {PAIRS},\n    \"requests\": {requests},\n    \"relations\": {RELATIONS},\n    \"standing_noise\": {noise},\n    \"flights\": {FLIGHTS},\n    \"batch_size\": {BATCH}\n  }},\n  \"serial\": {{\n    \"seconds\": {serial_secs:.6},\n    \"requests_per_sec\": {serial_rps:.1}\n  }},\n  \"sharded\": {{\n    \"shards\": {SHARDS},\n    \"seconds\": {sharded_secs:.6},\n    \"requests_per_sec\": {sharded_rps:.1}\n  }},\n  \"speedup\": {speedup:.3}\n}}\n"
+        "{{\n  \"bench\": \"sharded_throughput\",\n  {},\n  \"workload\": {{\n    \"pairs\": {PAIRS},\n    \"requests\": {requests},\n    \"relations\": {RELATIONS},\n    \"standing_noise\": {noise},\n    \"flights\": {FLIGHTS},\n    \"batch_size\": {BATCH}\n  }},\n  \"serial\": {{\n    \"seconds\": {serial_secs:.6},\n    \"requests_per_sec\": {serial_rps:.1}\n  }},\n  \"sharded\": {{\n    \"shards\": {SHARDS},\n    \"seconds\": {sharded_secs:.6},\n    \"requests_per_sec\": {sharded_rps:.1}\n  }},\n  \"speedup\": {speedup:.3}\n}}\n",
+        provenance_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");
     std::fs::write(path, json).expect("write BENCH_sharded.json");

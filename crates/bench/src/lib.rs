@@ -103,6 +103,25 @@ pub fn preload_noise_sharded(
     assert_eq!(report.pending, noise);
 }
 
+/// The provenance fields a committed `BENCH_*.json` starts with:
+/// `"commit"`, the checkout's `HEAD` when the bench ran (`unknown`
+/// outside a git checkout), and `"nproc"`, the CPUs it could use.
+/// Returned as JSON members without braces, for splicing.
+pub fn provenance_json() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_string(),
+        );
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("\"commit\": \"{commit}\",\n  \"nproc\": {nproc}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

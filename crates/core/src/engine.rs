@@ -43,7 +43,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{Atom, QueryId, Term};
 use crate::matcher::{baseline, search, GroupMatch, MatchStats};
-use crate::registry::{Pending, Registry};
+use crate::registry::{index_key, Pending, Registry};
 use crate::tenant::{TenantOutcome, TenantRegistry};
 use crate::SystemStats;
 
@@ -610,12 +610,19 @@ impl Engine {
         Ok(CoordinationFuture::answered(n))
     }
 
-    /// Re-runs matching for pending queries whose positive constraints
-    /// could unify with freshly committed answer tuples, repeating until
-    /// no further matches fire. Cheap pre-filter: a constraint is only
-    /// retried when template unification against a fresh tuple succeeds.
-    /// Apply failures (e.g. inventory races) leave the group pending and
-    /// do not abort the cascade.
+    /// Re-runs matching for pending queries that freshly committed
+    /// answer tuples may have made matchable, repeating until no
+    /// further matches fire. Each round's triggers come from
+    /// [`cascade_triggers`]: the registry's waiting index names the
+    /// queries with a positive constraint filed under a key some fresh
+    /// tuple carries (the candidate index answers the opposite question
+    /// for the matcher), and only those whose constraint then unifies
+    /// with a fresh tuple are retried, in ascending id order. That is
+    /// the list a walk of the whole registry would produce, in the same
+    /// order, so `CHOOSE` draws do not depend on how the triggers were
+    /// found; the work no longer grows with the number of queries
+    /// waiting on other keys. Apply failures (e.g. inventory races)
+    /// leave the group pending and do not abort the cascade.
     pub(crate) fn cascade(
         &self,
         state: &mut ShardState,
@@ -625,28 +632,12 @@ impl Engine {
         if !self.config.match_config.use_committed_answers {
             return Ok(());
         }
+        let mut triggers = Vec::new();
         while !fresh.is_empty() {
-            let triggers: Vec<QueryId> = state
-                .registry
-                .iter()
-                .filter(|p| {
-                    p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
-                        fresh.iter().any(|(rel, tuple)| {
-                            c.atom.relation.eq_ignore_ascii_case(rel)
-                                && c.atom.arity() == tuple.arity()
-                                && {
-                                    let mut s = crate::unify::Subst::new();
-                                    c.atom.terms.iter().zip(tuple.values()).all(|(t, v)| {
-                                        s.unify_terms(t, &crate::ir::Term::Const(v.clone()))
-                                    })
-                                }
-                        })
-                    })
-                })
-                .map(|p| p.id)
-                .collect();
+            state.stats.match_work.cascade_scanned +=
+                cascade_triggers(&state.registry, &fresh, &mut triggers);
             fresh.clear();
-            for qid in triggers {
+            for &qid in &triggers {
                 if state.registry.get(qid).is_none() {
                     continue; // answered earlier in this round
                 }
@@ -922,6 +913,43 @@ impl Engine {
     }
 }
 
+/// One cascade round's triggers, into `out` (cleared first): the
+/// pending queries with a positive constraint that unifies with some
+/// tuple of `fresh`, ascending by id. The waiting index proposes a
+/// superset ([`Registry::waiting_on`]); after sorting and
+/// deduplication, [`waits_on_fresh`] keeps exactly the queries a walk
+/// of the registry would keep. Returns the number of postings drawn
+/// from the index (`MatchStats::cascade_scanned`).
+fn cascade_triggers(registry: &Registry, fresh: &[(String, Tuple)], out: &mut Vec<QueryId>) -> u64 {
+    out.clear();
+    for (relation, tuple) in fresh {
+        registry.waiting_on(relation, tuple.values(), out);
+    }
+    let drawn = out.len() as u64;
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|&qid| registry.get(qid).is_some_and(|p| waits_on_fresh(p, fresh)));
+    drawn
+}
+
+/// The cascade's trigger predicate: some positive constraint of `p`
+/// unifies with some fresh tuple (same relation up to ASCII case, same
+/// arity, every term unifiable with the tuple's value).
+fn waits_on_fresh(p: &Pending, fresh: &[(String, Tuple)]) -> bool {
+    p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
+        fresh.iter().any(|(rel, tuple)| {
+            c.atom.relation.eq_ignore_ascii_case(rel) && c.atom.arity() == tuple.arity() && {
+                let mut s = crate::unify::Subst::new();
+                c.atom
+                    .terms
+                    .iter()
+                    .zip(tuple.values())
+                    .all(|(t, v)| s.unify_terms(t, &Term::Const(v.clone())))
+            }
+        })
+    })
+}
+
 /// Why [`Engine::retire_ids`] removes a pending query without an
 /// answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -983,13 +1011,12 @@ pub(crate) fn match_graph_of(registry: &Registry) -> MatchGraph {
 /// used by the re-match sweep to refute "a committed tuple could
 /// satisfy this constraint" without rescanning tables per trigger.
 ///
-/// Per relation it records the arities seen and, per position, the set
-/// of stored values *expanded* through [`numeric_keys`] so that the
-/// `Int`/`Float` bridge of [`Value::sql_eq`] is captured by plain hash
-/// lookups. Both the stored values and the probed constant are
-/// expanded, which makes the per-position test a superset of
-/// unify-equality (`sql_eq || ==`): the probe may say "maybe" for a
-/// tuple that does not unify, but never "no" for one that does.
+/// Per relation it records the arities seen and, per position, the
+/// [`index_key`]s of the stored values — the registry's canonical key,
+/// under which unify-equal values (`sql_eq || ==`, e.g. `Int(3)` and
+/// `Float(3.0)`) coincide. The per-position test is therefore a
+/// superset of unify-equality: the probe may say "maybe" for a tuple
+/// that does not unify, but never "no" for one that does.
 pub(crate) struct CommittedProbe {
     relations: HashMap<String, RelationProbe>,
 }
@@ -998,23 +1025,6 @@ pub(crate) struct CommittedProbe {
 struct RelationProbe {
     arities: HashSet<usize>,
     by_pos: HashMap<usize, HashSet<Value>>,
-}
-
-/// Hash keys equivalent to `v` under SQL numeric bridging. Integral
-/// floats round-trip through `i64` so `Int(3)`, `Float(3.0)`, and
-/// `Float(-0.0)`/`Float(0.0)` all share a key.
-fn numeric_keys(v: &Value) -> Vec<Value> {
-    match v {
-        Value::Int(i) => vec![Value::Int(*i), Value::Float(*i as f64)],
-        Value::Float(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 => {
-            vec![
-                Value::Float(*f),
-                Value::Int(*f as i64),
-                Value::Float((*f as i64) as f64),
-            ]
-        }
-        other => vec![other.clone()],
-    }
 }
 
 impl CommittedProbe {
@@ -1038,7 +1048,11 @@ impl CommittedProbe {
                 let values = tuple.values();
                 probe.arities.insert(values.len());
                 for (pos, v) in values.iter().enumerate() {
-                    probe.by_pos.entry(pos).or_default().extend(numeric_keys(v));
+                    probe
+                        .by_pos
+                        .entry(pos)
+                        .or_default()
+                        .insert(index_key(v).into_owned());
                 }
             }
         }
@@ -1047,7 +1061,7 @@ impl CommittedProbe {
 
     /// Whether some committed tuple *might* unify with `atom`: the
     /// relation has a tuple of matching arity whose every
-    /// constant-constrained position holds a bridged-equal value.
+    /// constant-constrained position holds a value with the same key.
     /// Positions are tested independently, so this is an
     /// over-approximation — exactly what soundness of pruning needs.
     pub(crate) fn may_satisfy(&self, atom: &Atom) -> bool {
@@ -1061,7 +1075,7 @@ impl CommittedProbe {
             Term::Const(v) => probe
                 .by_pos
                 .get(&pos)
-                .is_some_and(|set| numeric_keys(v).iter().any(|k| set.contains(k))),
+                .is_some_and(|set| set.contains(&*index_key(v))),
             _ => true,
         })
     }
@@ -1424,5 +1438,187 @@ mod tests {
         .collect();
         let replayed = replay_coordination_frames(&frames).unwrap();
         assert!(replayed.survivors.is_empty());
+    }
+
+    // ------------------------------------------------------------------ //
+    // The cascade's triggers: waiting index == registry walk
+    // ------------------------------------------------------------------ //
+
+    use proptest::prelude::*;
+
+    use crate::ir::{AnswerConstraint, EntangledQuery};
+
+    /// The oracle: the walk the cascade used to run after every match —
+    /// every pending query, in id order, kept when [`waits_on_fresh`].
+    fn cascade_triggers_by_walk(registry: &Registry, fresh: &[(String, Tuple)]) -> Vec<QueryId> {
+        registry
+            .iter()
+            .filter(|p| waits_on_fresh(p, fresh))
+            .map(|p| p.id)
+            .collect()
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::from("A")),
+            Just(Value::from("B")),
+            Just(Value::Int(0)),
+            Just(Value::Int(3)),
+            Just(Value::Float(3.0)),
+            Just(Value::Float(0.0)),
+            Just(Value::Float(-0.0)),
+        ]
+    }
+
+    /// Relation names that differ only in case, and one that differs.
+    fn arb_relation() -> impl Strategy<Value = String> {
+        prop_oneof![Just("R"), Just("r"), Just("S")].prop_map(String::from)
+    }
+
+    fn arb_term() -> impl Strategy<Value = Term> {
+        prop_oneof![
+            arb_value().prop_map(Term::Const),
+            // a small variable pool, so a constraint may repeat one
+            (0u8..2).prop_map(|i| Term::var(format!("v{i}"))),
+        ]
+    }
+
+    /// A positive or (one time in four) negated constraint of arity
+    /// 1–3; all-variable constraints come up on their own.
+    fn arb_constraint() -> impl Strategy<Value = AnswerConstraint> {
+        (
+            arb_relation(),
+            proptest::collection::vec(arb_term(), 1..4),
+            0u8..4,
+        )
+            .prop_map(|(relation, terms, n)| AnswerConstraint {
+                atom: Atom::new(relation, terms),
+                negated: n == 0,
+            })
+    }
+
+    fn arb_fresh() -> impl Strategy<Value = Vec<(String, Tuple)>> {
+        proptest::collection::vec(
+            (arb_relation(), proptest::collection::vec(arb_value(), 1..4))
+                .prop_map(|(relation, values)| (relation, Tuple::new(values))),
+            1..5,
+        )
+    }
+
+    fn waiting_query(id: u64, constraints: &[AnswerConstraint]) -> Pending {
+        let qid = QueryId(id);
+        let query = EntangledQuery {
+            heads: vec![Atom::new("R", vec![Term::var("v0")])],
+            memberships: Vec::new(),
+            filters: Vec::new(),
+            constraints: constraints.to_vec(),
+            choose: 1,
+            sql: String::new(),
+        };
+        Pending {
+            id: qid,
+            owner: format!("u{id}"),
+            query: query.namespaced(qid),
+            seq: id,
+            deadline: None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The waiting index yields the walk's trigger list, element for
+        /// element and in order, across rounds that remove and
+        /// re-insert queries — so every `CHOOSE` draw of a cascade is
+        /// what the walk would have drawn.
+        #[test]
+        fn cascade_triggers_by_index_equal_the_walk(
+            queries in proptest::collection::vec(
+                proptest::collection::vec(arb_constraint(), 0..4),
+                1..12,
+            ),
+            rounds in proptest::collection::vec(
+                (arb_fresh(), proptest::collection::vec(0usize..12, 0..4)),
+                1..5,
+            ),
+        ) {
+            for mut registry in [Registry::new(), Registry::without_const_index()] {
+                for (i, constraints) in queries.iter().enumerate() {
+                    registry.insert(waiting_query(i as u64 + 1, constraints));
+                }
+                let mut by_index = Vec::new();
+                for (fresh, toggles) in &rounds {
+                    cascade_triggers(&registry, fresh, &mut by_index);
+                    prop_assert_eq!(&by_index, &cascade_triggers_by_walk(&registry, fresh));
+                    // removes and re-inserts between rounds
+                    for &t in toggles {
+                        let i = t % queries.len();
+                        let qid = QueryId(i as u64 + 1);
+                        if registry.remove(qid).is_none() {
+                            registry.insert(waiting_query(qid.0, &queries[i]));
+                        }
+                    }
+                    registry.check_index_invariants();
+                }
+            }
+        }
+    }
+
+    /// The cascade after a match reads the postings filed under the
+    /// fresh tuples' keys and nothing else: queries waiting on other
+    /// partners on the same relation cost it nothing, however many.
+    #[test]
+    fn cascade_scan_is_independent_of_standing_queries() {
+        use crate::{CoordinationOutcome, Coordinator};
+        use youtopia_exec::run_sql;
+
+        let request = |me: &str, friends: &[&str]| {
+            let mut sql = format!(
+                "SELECT '{me}', fno INTO ANSWER Reservation \
+                 WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')"
+            );
+            for friend in friends {
+                sql.push_str(&format!(" AND ('{friend}', fno) IN ANSWER Reservation"));
+            }
+            sql + " CHOOSE 1"
+        };
+        let cascade_scanned_over = |standing: usize| {
+            let db = Database::new();
+            run_sql(
+                &db,
+                "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)",
+            )
+            .unwrap();
+            run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
+            let co = Coordinator::new(db);
+            let noise: Vec<(String, String)> = (0..standing)
+                .map(|i| {
+                    (
+                        format!("n{i}"),
+                        request(&format!("N{i}"), &[&format!("Ghost{i}")]),
+                    )
+                })
+                .collect();
+            co.submit_batch_sql(&noise);
+            // waits on Jerry's tuple alone: the pair's commit answers it
+            let mut follower = co
+                .submit_sql_async("elaine", &request("Elaine", &["Jerry"]))
+                .unwrap();
+            co.submit_sql("kramer", &request("Kramer", &["Jerry"]))
+                .unwrap();
+            co.submit_sql("jerry", &request("Jerry", &["Kramer"]))
+                .unwrap()
+                .answered()
+                .expect("the pair matches");
+            assert!(matches!(
+                follower.try_take(),
+                Some(CoordinationOutcome::Answered(_))
+            ));
+            assert_eq!(co.pending_count(), standing);
+            co.stats().match_work.cascade_scanned
+        };
+        let small = cascade_scanned_over(100);
+        assert_eq!(small, 1, "one posting: Elaine's, under 'Jerry'");
+        assert_eq!(cascade_scanned_over(10_000), small);
     }
 }

@@ -12,8 +12,10 @@
 //! * [`mod@compile`] — lowers parsed entangled SQL into the IR ([`ir`]);
 //! * [`safety`] — the range-restriction analysis that keeps matching
 //!   tractable (after the companion technical paper);
-//! * [`registry`] — the pending-query store with a constant-position
-//!   candidate index;
+//! * [`registry`] — the pending-query store, indexed both ways: heads
+//!   by constant position (which heads could satisfy a constraint) and
+//!   constraints by first constant (which pending queries a committed
+//!   tuple could satisfy);
 //! * [`matcher`] — the incremental group-matching algorithm plus the
 //!   exhaustive baseline, sharing a CSP-style grounding phase;
 //! * [`shard`] — the coordinator: submit / wait / notify / atomic

@@ -118,9 +118,14 @@ pub struct MatchStats {
     /// Posting-list entries and committed rows examined by the staged
     /// candidate scans.
     pub candidates_scanned: u64,
-    /// Candidates the constant-position index (or the committed-table
-    /// constant prefilter) eliminated before unification.
+    /// Examined candidates the constant-position index (or the
+    /// committed-table constant prefilter) rejected before unification.
+    /// Postings the index never walked are not counted.
     pub index_pruned: u64,
+    /// Waiting-index postings the cascade drew after committed matches
+    /// (before deduplication and the unify check): the cascade's whole
+    /// scan, which does not grow with queries waiting on other keys.
+    pub cascade_scanned: u64,
     /// Whole match attempts skipped because the candidate index proved
     /// some positive obligation unsatisfiable (sweep pruning).
     pub triggers_pruned: u64,
@@ -143,6 +148,7 @@ impl MatchStats {
         self.subsets_tested += other.subsets_tested;
         self.candidates_scanned += other.candidates_scanned;
         self.index_pruned += other.index_pruned;
+        self.cascade_scanned += other.cascade_scanned;
         self.triggers_pruned += other.triggers_pruned;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;

@@ -2,23 +2,39 @@
 //!
 //! Queries whose postconditions are not yet satisfiable "are not
 //! rejected, but rather get registered in the system for possible later
-//! execution" (paper, Section 2.1). The registry stores them and answers
-//! the matcher's central question: *which pending heads could satisfy
-//! this answer constraint?*
+//! execution" (paper, Section 2.1). The registry stores them and keeps
+//! two indexes over them, one for each side of the join between heads
+//! and answer constraints:
 //!
-//! Two lookup paths exist, switchable for the ablation experiment (E10
-//! of the `experiments` binary; see `docs/matching.md`, "The candidate
-//! index"):
+//! * the **candidate index** answers the matcher's question *which
+//!   pending heads could satisfy this answer constraint?* Two lookup
+//!   paths exist, switchable for the ablation experiment (E10 of the
+//!   `experiments` binary; see `docs/matching.md`, "The candidate
+//!   index"): the *relation lookup* returns all heads contributed to the
+//!   constraint's answer relation (the baseline); the *constant-position
+//!   index* keeps, for every position where the constraint has a
+//!   constant, only heads carrying the same constant or a variable
+//!   there. That typically cuts candidates from *all queries on the
+//!   relation* to *the handful naming the right partner* (e.g. the index
+//!   on position 0 of `Reservation('Jerry', ?fno)` returns only Jerry's
+//!   own queries).
+//! * the **waiting index** answers the cascade's mirror question *which
+//!   pending queries could this committed tuple satisfy?*
+//!   ([`Registry::waiting_on`]). Every positive answer constraint is
+//!   filed once, under its relation and its first constant position, or
+//!   in the relation's unkeyed list when it has no constant
+//!   (`docs/matching.md`, "The waiting index"). It is always on: the
+//!   E10 ablation concerns the head side only.
 //!
-//! * **relation lookup** — all heads contributed to the constraint's
-//!   answer relation (the baseline);
-//! * **constant-position index** — for every position where the
-//!   constraint has a constant, a candidate head must carry either the
-//!   same constant or a variable there. Maintained incrementally, this
-//!   typically cuts candidates from *all queries on the relation* to
-//!   *the handful naming the right partner* (e.g. the index on position
-//!   0 of `Reservation('Jerry', ?fno)` returns only Jerry's own queries).
+//! Both key constants through `index_key`, so values that unify
+//! (`Int(3)` and `Float(3.0)`) share a posting and every lookup stays a
+//! superset of what unification accepts. Both keep every posting in one
+//! layout, `Posting`: a sorted, duplicate-free `Vec`. Only
+//! [`Registry::insert`] and [`Registry::remove`] touch them, so
+//! reinstatement after a failed apply, shard migration and recovery
+//! keep them exact with no code of their own.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use youtopia_storage::Value;
@@ -26,21 +42,134 @@ use youtopia_storage::Value;
 use crate::ir::{Atom, EntangledQuery, QueryId, Term};
 
 /// Counters filled in by the candidate-scan paths: how many posting
-/// entries were examined and how many candidates the index eliminated
+/// entries were examined and how many of those the index rejected
 /// before unification ever saw them. Merged into
 /// [`crate::matcher::MatchStats`] by the callers.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CandidateScan {
     /// Posting-list entries examined.
     pub scanned: u64,
-    /// Candidates eliminated by the index (constant-position or arity
-    /// mismatch) without attempting unification.
+    /// Examined entries rejected by the index (a clashing constant at a
+    /// non-driver position, or an arity mismatch) without attempting
+    /// unification. Postings never walked are not counted.
     pub pruned: u64,
+}
+
+/// The canonical hash key of a constant in every index: `Int(i)` maps
+/// to the `Float` it `sql_eq`s and `-0.0` to `0.0`; everything else is
+/// its own key. Unification compares constants with `sql_eq || ==`
+/// (`unify.rs`), and any two values equal under that share a key, so
+/// a lookup by key never misses a value that unifies.
+pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
+    match v {
+        Value::Int(i) => Cow::Owned(Value::Float(*i as f64)),
+        Value::Float(f) if *f == 0.0 => Cow::Owned(Value::Float(0.0)),
+        other => Cow::Borrowed(other),
+    }
+}
+
+/// A posting list: sorted, duplicate-free entries in one `Vec`.
+/// Lookups and merges walk a slice; `insert` and `remove` binary-search
+/// their slot and shift the tail, which costs nothing at the end, where
+/// ascending query ids land.
+#[derive(Debug)]
+struct Posting<T>(Vec<T>);
+
+impl<T> Default for Posting<T> {
+    fn default() -> Self {
+        Posting(Vec::new())
+    }
+}
+
+impl<T: Ord + Copy> Posting<T> {
+    fn insert(&mut self, x: T) {
+        if let Err(at) = self.0.binary_search(&x) {
+            self.0.insert(at, x);
+        }
+    }
+
+    fn remove(&mut self, x: &T) {
+        if let Ok(at) = self.0.binary_search(x) {
+            self.0.remove(at);
+        }
+    }
+
+    fn set(&mut self, x: T, member: bool) {
+        if member {
+            self.insert(x);
+        } else {
+            self.remove(&x);
+        }
+    }
+
+    fn contains(&self, x: &T) -> bool {
+        self.0.binary_search(x).is_ok()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, T>> {
+        self.0.iter().copied()
+    }
+}
+
+/// position -> `index_key` of a constant -> posting. Positions are
+/// small and dense (an atom's arity), so the outer level is a `Vec`.
+type KeyedPostings<T> = Vec<HashMap<Value, Posting<T>>>;
+
+/// The slot for `pos`, growing `slots` to reach it.
+fn slot<T: Default>(slots: &mut Vec<T>, pos: usize) -> &mut T {
+    if slots.len() <= pos {
+        slots.resize_with(pos + 1, T::default);
+    }
+    &mut slots[pos]
+}
+
+/// Adds `x` to the posting at `map[pos][key]` (`member`) or removes it
+/// from there, dropping the posting once it is empty.
+fn set_keyed<T: Ord + Copy>(
+    map: &mut KeyedPostings<T>,
+    pos: usize,
+    key: Cow<'_, Value>,
+    x: T,
+    member: bool,
+) {
+    let by_key = slot(map, pos);
+    match by_key.get_mut(key.as_ref()) {
+        Some(posting) => {
+            posting.set(x, member);
+            if posting.is_empty() {
+                by_key.remove(key.as_ref());
+            }
+        }
+        None if member => {
+            by_key.insert(key.into_owned(), Posting(vec![x]));
+        }
+        None => {}
+    }
+}
+
+/// Where a positive constraint is filed in the waiting index: its first
+/// constant position and value, or `None` for the unkeyed list.
+/// Selectivity is unknown at insert time; the first position is a
+/// deterministic choice, and any constant position keeps lookups a
+/// superset.
+fn waiting_slot(atom: &Atom) -> Option<(usize, &Value)> {
+    atom.terms
+        .iter()
+        .enumerate()
+        .find_map(|(pos, t)| t.as_const().map(|v| (pos, v)))
 }
 
 /// The (constant-posting, variable-posting) pair backing one constant
 /// position of a constraint during candidate resolution.
-type PostingPair<'a> = (Option<&'a BTreeSet<HeadRef>>, Option<&'a BTreeSet<HeadRef>>);
+type PostingPair<'a> = (Option<&'a Posting<HeadRef>>, Option<&'a Posting<HeadRef>>);
 
 /// A registered pending query.
 #[derive(Debug, Clone)]
@@ -70,20 +199,25 @@ pub struct HeadRef {
     pub head_idx: usize,
 }
 
+/// Both indexes of one answer relation. Postings are sorted, so
+/// candidate resolution merges and intersects them directly — the
+/// deterministic output order falls out of the iteration instead of a
+/// final sort, and intersection is membership probes against the
+/// non-driver positions.
 #[derive(Debug, Default)]
 struct RelationIndex {
     /// All heads on this relation.
-    heads: BTreeSet<HeadRef>,
-    /// position -> constant value -> heads with that constant there.
-    ///
-    /// Posting sets are `BTreeSet` so candidate resolution can merge and
-    /// intersect *sorted* lists directly — the deterministic output order
-    /// falls out of the iteration instead of a final sort, and
-    /// intersection is membership probes against the non-driver
-    /// positions rather than allocating per-position `HashSet`s.
-    by_const: HashMap<usize, HashMap<Value, BTreeSet<HeadRef>>>,
+    heads: Posting<HeadRef>,
+    /// Heads with a constant at a position, by its `index_key`.
+    by_const: KeyedPostings<HeadRef>,
     /// position -> heads with a variable there.
-    by_var: HashMap<usize, BTreeSet<HeadRef>>,
+    by_var: Vec<Posting<HeadRef>>,
+    /// Queries with a positive constraint on this relation, by the
+    /// position and `index_key` of the constraint's first constant.
+    waiting: KeyedPostings<QueryId>,
+    /// Queries with a constant-free positive constraint on this
+    /// relation.
+    unkeyed: Posting<QueryId>,
 }
 
 /// The pending-query store.
@@ -125,70 +259,63 @@ impl Registry {
         relation.to_ascii_lowercase()
     }
 
-    /// Registers a pending query (its variables must already be
-    /// namespaced).
-    pub fn insert(&mut self, pending: Pending) {
+    /// Files (`member`) or unfiles every index entry of `pending`: each
+    /// head in the candidate index, each positive constraint in the
+    /// waiting index. Consecutive atoms on one relation (a pair
+    /// query's head and constraint) share one lookup of its index.
+    fn file(&mut self, pending: &Pending, member: bool) {
         let qid = pending.id;
-        for (head_idx, head) in pending.query.heads.iter().enumerate() {
-            let href = HeadRef { qid, head_idx };
-            let rel = self
-                .relations
-                .entry(Self::rel_key(&head.relation))
-                .or_default();
-            rel.heads.insert(href);
-            for (pos, term) in head.terms.iter().enumerate() {
+        let heads = pending.query.heads.iter().enumerate();
+        let heads = heads.map(|(head_idx, head)| (head, Some(HeadRef { qid, head_idx })));
+        // a query waits on its positive answer constraints
+        let waits = pending.query.constraints.iter().filter(|c| !c.negated);
+        let waits = waits.map(|c| (&c.atom, None));
+        let mut current: Option<(&str, &mut RelationIndex)> = None;
+        for (atom, head) in heads.chain(waits) {
+            if !current
+                .as_ref()
+                .is_some_and(|(name, _)| name.eq_ignore_ascii_case(&atom.relation))
+            {
+                let rel = self.relations.entry(Self::rel_key(&atom.relation));
+                current = Some((&atom.relation, rel.or_default()));
+            }
+            let (_, rel) = current.as_mut().expect("looked up above");
+            let Some(href) = head else {
+                match waiting_slot(atom) {
+                    Some((pos, v)) => set_keyed(&mut rel.waiting, pos, index_key(v), qid, member),
+                    None => rel.unkeyed.set(qid, member),
+                }
+                continue;
+            };
+            rel.heads.set(href, member);
+            for (pos, term) in atom.terms.iter().enumerate() {
                 match term {
-                    Term::Const(v) => {
-                        rel.by_const
-                            .entry(pos)
-                            .or_default()
-                            .entry(v.clone())
-                            .or_default()
-                            .insert(href);
-                    }
-                    Term::Var(_) => {
-                        rel.by_var.entry(pos).or_default().insert(href);
-                    }
+                    Term::Const(v) => set_keyed(&mut rel.by_const, pos, index_key(v), href, member),
+                    Term::Var(_) => slot(&mut rel.by_var, pos).set(href, member),
                 }
             }
         }
-        if let Some(deadline) = pending.deadline {
-            self.deadlines.insert((deadline, qid.0));
-        }
-        self.queries.insert(qid.0, pending);
     }
 
-    /// Removes a pending query (answered, cancelled or expired).
+    /// Registers a pending query (its variables must already be
+    /// namespaced): files every head in the candidate index and every
+    /// positive constraint in the waiting index.
+    pub fn insert(&mut self, pending: Pending) {
+        self.file(&pending, true);
+        if let Some(deadline) = pending.deadline {
+            self.deadlines.insert((deadline, pending.id.0));
+        }
+        self.queries.insert(pending.id.0, pending);
+    }
+
+    /// Removes a pending query (answered, cancelled or expired) from
+    /// the store and both indexes.
     pub fn remove(&mut self, qid: QueryId) -> Option<Pending> {
         let pending = self.queries.remove(&qid.0)?;
         if let Some(deadline) = pending.deadline {
             self.deadlines.remove(&(deadline, qid.0));
         }
-        for (head_idx, head) in pending.query.heads.iter().enumerate() {
-            let href = HeadRef { qid, head_idx };
-            if let Some(rel) = self.relations.get_mut(&Self::rel_key(&head.relation)) {
-                rel.heads.remove(&href);
-                for (pos, term) in head.terms.iter().enumerate() {
-                    match term {
-                        Term::Const(v) => {
-                            if let Some(by_val) = rel.by_const.get_mut(&pos) {
-                                if let Some(set) = by_val.get_mut(v) {
-                                    set.remove(&href);
-                                    if set.is_empty() {
-                                        by_val.remove(v);
-                                    }
-                                }
-                            }
-                        }
-                        Term::Var(_) => {
-                            if let Some(set) = rel.by_var.get_mut(&pos) {
-                                set.remove(&href);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.file(&pending, false);
         Some(pending)
     }
 
@@ -216,6 +343,26 @@ impl Registry {
     pub fn head(&self, href: HeadRef) -> Option<&Atom> {
         self.get(href.qid)
             .and_then(|p| p.query.heads.get(href.head_idx))
+    }
+
+    /// Appends to `out` every pending query with a positive answer
+    /// constraint that the tuple `values` on `relation` could satisfy:
+    /// the waiting postings under `(p, index_key(values[p]))` for each
+    /// position `p`, plus the relation's unkeyed list. A constraint the
+    /// tuple satisfies has its first constant unify-equal to the
+    /// tuple's value there, hence the same key, so the result is a
+    /// superset of the queries with a unifying constraint. Unsorted
+    /// and possibly repeating; the cascade sorts and deduplicates.
+    pub(crate) fn waiting_on(&self, relation: &str, values: &[Value], out: &mut Vec<QueryId>) {
+        let Some(rel) = self.relations.get(&Self::rel_key(relation)) else {
+            return;
+        };
+        out.extend(rel.unkeyed.iter());
+        for (pos, v) in values.iter().enumerate() {
+            if let Some(posting) = rel.waiting.get(pos).and_then(|m| m.get(&*index_key(v))) {
+                out.extend(posting.iter());
+            }
+        }
     }
 
     /// Candidate heads that could satisfy `constraint` (a positive
@@ -300,10 +447,10 @@ impl Registry {
                 let Term::Const(v) = term else { continue };
                 let consts_empty = rel
                     .by_const
-                    .get(&pos)
-                    .and_then(|m| m.get(v))
-                    .is_none_or(BTreeSet::is_empty);
-                if consts_empty && rel.by_var.get(&pos).is_none_or(BTreeSet::is_empty) {
+                    .get(pos)
+                    .and_then(|m| m.get(&*index_key(v)))
+                    .is_none_or(Posting::is_empty);
+                if consts_empty && rel.by_var.get(pos).is_none_or(Posting::is_empty) {
                     return false;
                 }
             }
@@ -331,13 +478,12 @@ impl Registry {
         if self.use_const_index {
             for (pos, term) in constraint.terms.iter().enumerate() {
                 let Term::Const(v) = term else { continue };
-                let cs = rel.by_const.get(&pos).and_then(|m| m.get(v));
-                let vs = rel.by_var.get(&pos);
-                let len = cs.map_or(0, BTreeSet::len) + vs.map_or(0, BTreeSet::len);
+                let cs = rel.by_const.get(pos).and_then(|m| m.get(&*index_key(v)));
+                let vs = rel.by_var.get(pos);
+                let len = cs.map_or(0, Posting::len) + vs.map_or(0, Posting::len);
                 if len == 0 {
-                    // no head is compatible at this position: the whole
-                    // relation's head set is pruned without a scan
-                    scan.pruned += rel.heads.len() as u64;
+                    // no head is compatible at this position: nothing
+                    // to walk, so nothing is counted
                     return;
                 }
                 if len < driver_len {
@@ -350,7 +496,7 @@ impl Registry {
         if pos_sets.is_empty() {
             // no constant positions (or index ablated): every head on
             // the relation is a candidate, modulo arity
-            for href in rel.heads.iter().copied() {
+            for href in rel.heads.iter() {
                 scan.scanned += 1;
                 if self
                     .head(href)
@@ -364,8 +510,8 @@ impl Registry {
             return;
         }
         let (dcs, dvs) = pos_sets[driver];
-        let mut consts = dcs.into_iter().flatten().copied().peekable();
-        let mut vars = dvs.into_iter().flatten().copied().peekable();
+        let mut consts = dcs.into_iter().flat_map(Posting::iter).peekable();
+        let mut vars = dvs.into_iter().flat_map(Posting::iter).peekable();
         // merge the driver's two sorted (disjoint) posting lists
         let merged = std::iter::from_fn(move || match (consts.peek(), vars.peek()) {
             (Some(&x), Some(&y)) => {
@@ -415,13 +561,12 @@ impl Registry {
     }
 
     /// All pending heads on `relation` regardless of constants (the
-    /// baseline lookup; also used by the naive matcher).
+    /// baseline lookup; also used by the naive matcher), in sorted
+    /// (deterministic) order.
     pub fn heads_on_relation(&self, relation: &str) -> Vec<HeadRef> {
-        let Some(rel) = self.relations.get(&Self::rel_key(relation)) else {
-            return Vec::new();
-        };
-        // BTreeSet iteration is already in sorted (deterministic) order
-        rel.heads.iter().copied().collect()
+        self.relations
+            .get(&Self::rel_key(relation))
+            .map_or_else(Vec::new, |rel| rel.heads.iter().collect())
     }
 }
 
@@ -695,6 +840,268 @@ mod tests {
         );
         assert!(out.is_empty());
         assert_eq!(scan2.scanned, 0);
-        assert_eq!(scan2.pruned, 2);
+        assert_eq!(
+            scan2.pruned, 0,
+            "no posting walked, nothing counted as pruned"
+        );
+        // a driver entry rejected at another constant position is
+        // examined and pruned: ('Jerry', 1) walks Jerry's one head and
+        // drops it for its flight
+        let mut scan3 = CandidateScan::default();
+        reg.insert(pending(
+            3,
+            "jerry",
+            "SELECT 'Jerry', 2 INTO ANSWER Reservation CHOOSE 1",
+        ));
+        reg.insert(pending(
+            4,
+            "elaine",
+            "SELECT 'Elaine', 1 INTO ANSWER Reservation CHOOSE 1",
+        ));
+        reg.remove(QueryId(2));
+        reg.candidates_for_into(
+            &Atom::new(
+                "Reservation",
+                vec![Term::constant("Jerry"), Term::constant(1i64)],
+            ),
+            &mut out,
+            &mut scan3,
+        );
+        assert!(out.is_empty());
+        assert_eq!((scan3.scanned, scan3.pruned), (1, 1));
+    }
+
+    /// A query with the given heads and answer constraints (no
+    /// memberships), built without SQL so constants of any type appear.
+    fn query_of(id: u64, heads: Vec<Atom>, constraints: Vec<(Atom, bool)>) -> Pending {
+        Pending {
+            id: QueryId(id),
+            owner: format!("u{id}"),
+            query: EntangledQuery {
+                heads,
+                memberships: Vec::new(),
+                filters: Vec::new(),
+                constraints: constraints
+                    .into_iter()
+                    .map(|(atom, negated)| crate::ir::AnswerConstraint { atom, negated })
+                    .collect(),
+                choose: 1,
+                sql: String::new(),
+            },
+            seq: id,
+            deadline: None,
+        }
+    }
+
+    fn atom(relation: &str, values: &[Value]) -> Atom {
+        Atom::new(relation, values.iter().cloned().map(Term::Const).collect())
+    }
+
+    #[test]
+    fn unify_equal_constants_share_a_key() {
+        // head R('A', 3) satisfies ('A', 3.0) IN ANSWER R, and the other
+        // way round. 0, 0.0 and -0.0 share a key too: 0 unifies with
+        // both floats, which do not unify with each other, so the index
+        // returns a superset there
+        let a = Value::from("A");
+        let mut reg = Registry::new();
+        reg.insert(query_of(
+            1,
+            vec![atom("R", &[a.clone(), Value::Int(3)])],
+            vec![],
+        ));
+        reg.insert(query_of(
+            2,
+            vec![atom("R", &[a.clone(), Value::Float(3.0)])],
+            vec![],
+        ));
+        reg.insert(query_of(
+            3,
+            vec![atom("R", &[a.clone(), Value::Float(-0.0)])],
+            vec![],
+        ));
+        let hits = |v: Value| -> Vec<u64> {
+            let c = atom("R", &[a.clone(), v]);
+            assert!(reg.has_candidates(&c));
+            reg.candidates_for(&c).iter().map(|h| h.qid.0).collect()
+        };
+        assert_eq!(hits(Value::Float(3.0)), vec![1, 2]);
+        assert_eq!(hits(Value::Int(3)), vec![1, 2]);
+        assert_eq!(hits(Value::Int(0)), vec![3]);
+        assert_eq!(hits(Value::Float(0.0)), vec![3]);
+        // and unification accepts the pair the index now returns
+        let mut s = crate::unify::Subst::new();
+        assert!(s.unify_atoms(
+            &atom("R", &[a.clone(), Value::Float(3.0)]),
+            reg.head(HeadRef {
+                qid: QueryId(1),
+                head_idx: 0
+            })
+            .unwrap()
+        ));
+        // and the waiting side keys the same way
+        reg.insert(query_of(
+            4,
+            vec![],
+            vec![(atom("r", &[a.clone(), Value::Float(3.0)]), false)],
+        ));
+        let mut out = Vec::new();
+        reg.waiting_on("R", &[a, Value::Int(3)], &mut out);
+        assert_eq!(out, vec![QueryId(4)]);
+        reg.check_index_invariants();
+    }
+
+    #[test]
+    fn waiting_index_files_each_positive_constraint_once() {
+        let (a, b) = (Value::from("A"), Value::from("B"));
+        let mut reg = Registry::new();
+        // keyed on its first constant, position 1
+        reg.insert(query_of(
+            1,
+            vec![],
+            vec![(
+                Atom::new("R", vec![Term::var("x"), Term::Const(a.clone())]),
+                false,
+            )],
+        ));
+        // no constant: the unkeyed list
+        reg.insert(query_of(
+            2,
+            vec![],
+            vec![(Atom::new("R", vec![Term::var("x"), Term::var("y")]), false)],
+        ));
+        // negated constraints wait on nothing
+        reg.insert(query_of(
+            3,
+            vec![],
+            vec![(atom("R", &[a.clone(), a.clone()]), true)],
+        ));
+        let probe = |reg: &Registry, values: &[Value]| {
+            let mut out = Vec::new();
+            reg.waiting_on("r", values, &mut out);
+            out.sort_unstable();
+            out.iter().map(|q| q.0).collect::<Vec<_>>()
+        };
+        assert_eq!(probe(&reg, &[b.clone(), a.clone()]), vec![1, 2]);
+        assert_eq!(
+            probe(&reg, &[a.clone(), b.clone()]),
+            vec![2],
+            "key at the wrong position"
+        );
+        reg.remove(QueryId(2));
+        assert_eq!(probe(&reg, &[b.clone(), a.clone()]), vec![1]);
+        reg.remove(QueryId(1));
+        assert!(probe(&reg, &[b, a]).is_empty());
+        let mut out = Vec::new();
+        reg.waiting_on("Ghost", &[], &mut out);
+        assert!(out.is_empty(), "relation never seen");
+        reg.check_index_invariants();
+    }
+
+    #[test]
+    fn postings_stay_sorted_and_duplicate_free() {
+        let mut p = Posting::default();
+        for x in [5u64, 1, 3, 5, 1] {
+            p.insert(x);
+        }
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 3, 5]);
+        assert!(p.contains(&3) && !p.contains(&4));
+        p.remove(&3);
+        p.remove(&4);
+        assert_eq!((p.len(), p.iter().collect::<Vec<_>>()), (2, vec![1, 5]));
+        p.remove(&1);
+        p.remove(&5);
+        assert!(p.is_empty());
+    }
+
+    impl Registry {
+        /// Every posting entry of both indexes as a
+        /// `(relation, index, position, key, qid, head)` row — a form
+        /// that ignores empty postings and map slots, which removal may
+        /// leave behind. Panics when a posting is not strictly sorted.
+        fn filed(&self) -> BTreeSet<(String, &'static str, usize, String, u64, usize)> {
+            fn rows<T: Ord + Copy + std::fmt::Debug>(
+                out: &mut BTreeSet<(String, &'static str, usize, String, u64, usize)>,
+                rel: &str,
+                index: &'static str,
+                pos: usize,
+                key: String,
+                posting: &Posting<T>,
+                split: impl Fn(T) -> (u64, usize),
+            ) {
+                assert!(
+                    posting.0.windows(2).all(|w| w[0] < w[1]),
+                    "posting {rel}/{index}/{pos}/{key} unsorted: {posting:?}"
+                );
+                for x in posting.iter() {
+                    let (qid, head) = split(x);
+                    out.insert((rel.to_string(), index, pos, key.clone(), qid, head));
+                }
+            }
+            let href = |h: HeadRef| (h.qid.0, h.head_idx);
+            let qid = |q: QueryId| (q.0, 0);
+            let mut out = BTreeSet::new();
+            for (rel, idx) in &self.relations {
+                rows(&mut out, rel, "heads", 0, String::new(), &idx.heads, href);
+                for (pos, by_key) in idx.by_const.iter().enumerate() {
+                    for (key, posting) in by_key {
+                        rows(
+                            &mut out,
+                            rel,
+                            "const",
+                            pos,
+                            format!("{key:?}"),
+                            posting,
+                            href,
+                        );
+                    }
+                }
+                for (pos, posting) in idx.by_var.iter().enumerate() {
+                    rows(&mut out, rel, "var", pos, String::new(), posting, href);
+                }
+                for (pos, by_key) in idx.waiting.iter().enumerate() {
+                    for (key, posting) in by_key {
+                        rows(
+                            &mut out,
+                            rel,
+                            "waiting",
+                            pos,
+                            format!("{key:?}"),
+                            posting,
+                            qid,
+                        );
+                    }
+                }
+                rows(
+                    &mut out,
+                    rel,
+                    "unkeyed",
+                    0,
+                    String::new(),
+                    &idx.unkeyed,
+                    qid,
+                );
+            }
+            out
+        }
+
+        /// Asserts that the incrementally maintained indexes (candidate,
+        /// waiting, deadline) equal the ones a fresh registry builds from
+        /// the pending queries alone.
+        pub(crate) fn check_index_invariants(&self) {
+            let mut rebuilt = Registry {
+                use_const_index: self.use_const_index,
+                ..Registry::default()
+            };
+            for pending in self.queries.values() {
+                rebuilt.insert(pending.clone());
+            }
+            assert_eq!(
+                self.filed(),
+                rebuilt.filed(),
+                "indexes diverge from a rebuild"
+            );
+            assert_eq!(self.deadlines, rebuilt.deadlines, "deadline index diverges");
+        }
     }
 }

@@ -138,7 +138,7 @@ pub type SharedApplyHook =
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
     /// Number of shards (independent matching domains). More shards
-    /// shrink each cascade/sweep scan and raise drain parallelism.
+    /// shrink each sweep scan and raise drain parallelism.
     pub shards: usize,
     /// Worker threads used to drain a batch (`0` = one per available
     /// CPU). Capped by the number of busy shards per batch.
@@ -1236,6 +1236,67 @@ mod tests {
             let (recovered, report) = ShardedCoordinator::recover(wal, config).unwrap();
             assert_eq!(report.restored_pending, 3);
             assert_published(&recovered, "recovery");
+        }
+    }
+
+    /// Both registry indexes, candidate and waiting, stay equal to a
+    /// rebuild through the paths that re-insert a query without a new
+    /// registration: reinstatement after a failed apply (on arrival and
+    /// inside a cascade) and a component merge's migration.
+    #[test]
+    fn registry_indexes_survive_reinstatement_and_migration() {
+        fn check_indexes(co: &ShardedCoordinator) {
+            for slot in &co.shards {
+                slot.state.lock().registry.check_index_invariants();
+            }
+        }
+        for shards in [1, 4] {
+            let config = ShardedConfig {
+                shards,
+                ..Default::default()
+            };
+            let co = ShardedCoordinator::with_config(flights_db(), config);
+            // fails every apply while set, and always a lone query's
+            let failing = Arc::new(AtomicBool::new(true));
+            co.set_apply_hook(Arc::new({
+                let failing = Arc::clone(&failing);
+                move |_, m| {
+                    if failing.load(Ordering::Relaxed) || m.size() == 1 {
+                        Err(youtopia_storage::StorageError::Internal("no seats".into()))
+                    } else {
+                        Ok(())
+                    }
+                }
+            }));
+            let res = |me: &str, friend: &str| pair_sql_on("Reservation", me, friend);
+            co.submit_sql("kramer", &res("Kramer", "Jerry")).unwrap();
+            co.submit_sql("elaine", &res("Elaine", "Jerry")).unwrap();
+            assert!(co.submit_sql("jerry", &res("Jerry", "Kramer")).is_err());
+            assert_eq!(co.pending_count(), 3, "the pair is reinstated");
+            check_indexes(&co);
+
+            assert_eq!(co.cancel_owner("jerry"), 1);
+            failing.store(false, Ordering::Relaxed);
+            co.submit_sql("jerry", &res("Jerry", "Kramer"))
+                .unwrap()
+                .answered()
+                .expect("the pair matches");
+            // the commit cascades to Elaine, whose lone apply fails
+            assert_eq!(co.pending_count(), 1, "Elaine is reinstated");
+            assert_eq!(co.stats().groups_matched, 1);
+            check_indexes(&co);
+
+            // two components, then a query whose signature spans both
+            co.submit_sql("x", &pair_sql_on("RelA", "X", "GhostX"))
+                .unwrap();
+            co.submit_sql("y", &pair_sql_on("RelB", "Y", "GhostY"))
+                .unwrap();
+            let bridge = "SELECT 'Z', fno INTO ANSWER RelA, 'Z', fno INTO ANSWER RelB \
+                          WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                          AND ('GhostZ', fno) IN ANSWER RelA CHOOSE 1";
+            co.submit_sql("z", bridge).unwrap();
+            co.check_routing_invariants().unwrap();
+            check_indexes(&co);
         }
     }
 }

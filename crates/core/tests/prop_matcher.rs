@@ -27,6 +27,7 @@ use youtopia_storage::{Database, Value};
 fn arb_term() -> impl Strategy<Value = Term> {
     prop_oneof![
         (0i64..4).prop_map(|i| Term::Const(Value::Int(i))),
+        Just(Term::Const(Value::Float(3.0))),
         "[ab]".prop_map(|s| Term::Const(Value::Str(s))),
         (0u8..4).prop_map(|i| Term::Var(Var::new(format!("v{i}")))),
     ]
@@ -249,10 +250,10 @@ proptest! {
 
     #[test]
     fn registry_candidates_are_a_superset_of_unifiable_heads(
-        scenario in arb_scenario(),
+        scenario in arb_multi_scenario(),
         constraint in arb_constraint(),
     ) {
-        let reg = registry_for(&scenario);
+        let reg = registry_for_multi(&scenario, true);
         let candidates = reg.candidates_for(&constraint);
         // brute force: every pending head that unifies must be listed
         for pending in reg.iter() {
@@ -274,37 +275,53 @@ proptest! {
 // Matcher ablation: the staged pipeline (batched candidate resolution,
 // pooled scratch, index-first trigger pruning) must be observationally
 // identical to the exhaustive baseline — same matchability, same
-// members, same answers — on multi-relation workloads, with the
-// candidate index both on and off.
+// members, same answers — on multi-relation workloads whose partner
+// keys mix strings with `3` and `3.0`, with the candidate index both on
+// and off.
 // --------------------------------------------------------------------- //
 
 #[derive(Debug, Clone)]
 struct MultiScenario {
     /// (me, friend, dest, answer-relation) — pair requests spread over
     /// several answer relations, so the per-relation index actually
-    /// partitions the registry.
-    requests: Vec<(String, String, String, String)>,
+    /// partitions the registry. Names are drawn from [`arb_key`], so
+    /// `3` may wait for `3.0`.
+    requests: Vec<(Value, Value, String, String)>,
+}
+
+/// A partner key: a name, or one of two numbers that unify with each
+/// other (`3 = 3.0` under SQL's numeric bridge) though they differ as
+/// values — the case an index keyed on exact values gets wrong.
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::from("A")),
+        Just(Value::from("B")),
+        Just(Value::from("C")),
+        Just(Value::from("D")),
+        Just(Value::Int(3)),
+        Just(Value::Float(3.0)),
+    ]
 }
 
 fn arb_multi_scenario() -> impl Strategy<Value = MultiScenario> {
-    let name = prop_oneof![Just("A"), Just("B"), Just("C"), Just("D")];
     let dest = prop_oneof![Just("Paris"), Just("Rome")];
     let rel = prop_oneof![Just("Reservation"), Just("Lodging"), Just("Tour")];
-    proptest::collection::vec((name.clone(), name, dest, rel), 1..7).prop_map(|reqs| {
+    proptest::collection::vec((arb_key(), arb_key(), dest, rel), 1..7).prop_map(|reqs| {
         MultiScenario {
             requests: reqs
                 .into_iter()
-                .map(|(a, b, d, r)| (a.to_string(), b.to_string(), d.to_string(), r.to_string()))
+                .map(|(a, b, d, r)| (a, b, d.to_string(), r.to_string()))
                 .collect(),
         }
     })
 }
 
-fn multi_pair_sql(me: &str, friend: &str, dest: &str, rel: &str) -> String {
+fn multi_pair_sql(me: &Value, friend: &Value, dest: &str, rel: &str) -> String {
+    let (me, friend) = (me.sql_literal(), friend.sql_literal());
     format!(
-        "SELECT '{me}', fno INTO ANSWER {rel} \
+        "SELECT {me}, fno INTO ANSWER {rel} \
          WHERE fno IN (SELECT fno FROM Flights WHERE dest = '{dest}') \
-         AND ('{friend}', fno) IN ANSWER {rel} CHOOSE 1"
+         AND ({friend}, fno) IN ANSWER {rel} CHOOSE 1"
     )
 }
 
@@ -321,7 +338,7 @@ fn registry_for_multi(scenario: &MultiScenario, use_const_index: bool) -> Regist
             .namespaced(id);
         reg.insert(Pending {
             id,
-            owner: me.clone(),
+            owner: me.to_string(),
             query: q,
             seq: id.0,
             deadline: None,
@@ -377,14 +394,14 @@ proptest! {
 }
 
 fn arb_constraint() -> impl Strategy<Value = Atom> {
-    let name_term = prop_oneof![
-        Just(Term::constant("A")),
-        Just(Term::constant("B")),
-        Just(Term::constant("C")),
-        Just(Term::var("who")),
+    let name_term = prop_oneof![arb_key().prop_map(Term::Const), Just(Term::var("who")),];
+    let fno_term = prop_oneof![
+        (1i64..4).prop_map(Term::constant),
+        Just(Term::constant(3.0)),
+        Just(Term::var("f")),
     ];
-    let fno_term = prop_oneof![(1i64..4).prop_map(Term::constant), Just(Term::var("f")),];
-    (name_term, fno_term).prop_map(|(n, f)| Atom::new("Reservation", vec![n, f]))
+    let rel = prop_oneof![Just("Reservation"), Just("Lodging"), Just("Tour")];
+    (rel, name_term, fno_term).prop_map(|(r, n, f)| Atom::new(r, vec![n, f]))
 }
 
 // --------------------------------------------------------------------- //

@@ -76,7 +76,7 @@ fn measure(matcher: MatcherKind, noise: usize, trials: usize) -> (f64, u64) {
 
 /// The sharded variant: the same standing load, spread over four
 /// relation families, probed through batched submission. The closing
-/// arrival's match and cascade only scan the probe's own shard.
+/// arrival is matched against the probe's own shard only.
 fn measure_sharded(noise: usize, trials: usize) -> f64 {
     const RELATIONS: usize = 4;
     let mut gen = WorkloadGen::new(42);
