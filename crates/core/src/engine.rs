@@ -42,6 +42,7 @@ use crate::coordinator::{
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{Atom, QueryId, Term};
+use crate::matcher::ground::MembershipCache;
 use crate::matcher::{baseline, search, GroupMatch, MatchStats};
 use crate::registry::{index_key, Pending, Registry};
 use crate::tenant::{TenantOutcome, TenantRegistry};
@@ -478,6 +479,9 @@ pub(crate) type HookRef<'a> =
 pub(crate) struct ShardState {
     /// Pending queries of this domain.
     pub registry: Registry,
+    /// Membership subquery results reused across this domain's
+    /// groundings while the tables they read are unchanged.
+    pub memberships: MembershipCache,
     /// Resolves `CHOOSE` nondeterminism for this domain.
     pub rng: StdRng,
     /// Counters local to this domain (merge across shards for totals).
@@ -506,6 +510,7 @@ impl ShardState {
         };
         ShardState {
             registry,
+            memberships: MembershipCache::default(),
             rng: StdRng::seed_from_u64(seed),
             stats: SystemStats::default(),
             waiters: HashMap::new(),
@@ -671,20 +676,22 @@ impl Engine {
             let read = self.db.read();
             let mut work = MatchStats::default();
             let r = match self.config.matcher {
-                MatcherKind::Incremental => search::match_query(
+                MatcherKind::Incremental => search::match_query_with(
                     &state.registry,
                     read.catalog(),
                     trigger,
                     &self.config.match_config,
                     &mut state.rng,
+                    &mut state.memberships,
                     &mut work,
                 ),
-                MatcherKind::Naive => baseline::match_query_naive(
+                MatcherKind::Naive => baseline::match_query_naive_with(
                     &state.registry,
                     read.catalog(),
                     trigger,
                     &self.config.match_config,
                     &mut state.rng,
+                    &mut state.memberships,
                     &mut work,
                 ),
             };

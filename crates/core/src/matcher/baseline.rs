@@ -13,7 +13,7 @@ use youtopia_storage::Catalog;
 
 use crate::error::CoreResult;
 use crate::ir::QueryId;
-use crate::matcher::ground::ground_group;
+use crate::matcher::ground::{ground_group, MembershipCache};
 use crate::matcher::{GroupMatch, MatchConfig, MatchStats};
 use crate::registry::Registry;
 use crate::unify::Subst;
@@ -25,6 +25,29 @@ pub fn match_query_naive(
     trigger: QueryId,
     config: &MatchConfig,
     rng: &mut StdRng,
+    stats: &mut MatchStats,
+) -> CoreResult<Option<GroupMatch>> {
+    let mut memberships = MembershipCache::default();
+    match_query_naive_with(
+        registry,
+        catalog,
+        trigger,
+        config,
+        rng,
+        &mut memberships,
+        stats,
+    )
+}
+
+/// [`match_query_naive`] reading membership rows through a long-lived
+/// cache.
+pub(crate) fn match_query_naive_with(
+    registry: &Registry,
+    catalog: &Catalog,
+    trigger: QueryId,
+    config: &MatchConfig,
+    rng: &mut StdRng,
+    memberships: &mut MembershipCache,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
     if registry.get(trigger).is_none() {
@@ -41,7 +64,17 @@ pub fn match_query_naive(
     for extra in 0..=max_extra {
         let mut combo: Vec<usize> = Vec::with_capacity(extra);
         if let Some(m) = combos(
-            registry, catalog, trigger, &others, extra, 0, &mut combo, config, rng, stats,
+            registry,
+            catalog,
+            trigger,
+            &others,
+            extra,
+            0,
+            &mut combo,
+            config,
+            rng,
+            memberships,
+            stats,
         )? {
             return Ok(Some(m));
         }
@@ -60,6 +93,7 @@ fn combos(
     combo: &mut Vec<usize>,
     config: &MatchConfig,
     rng: &mut StdRng,
+    memberships: &mut MembershipCache,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
     if combo.len() == want {
@@ -67,7 +101,7 @@ fn combos(
         group.push(trigger);
         group.sort();
         stats.subsets_tested += 1;
-        return try_subset(registry, catalog, &group, config, rng, stats);
+        return try_subset(registry, catalog, &group, config, rng, memberships, stats);
     }
     for i in from..others.len() {
         combo.push(i);
@@ -81,6 +115,7 @@ fn combos(
             combo,
             config,
             rng,
+            memberships,
             stats,
         )? {
             return Ok(Some(m));
@@ -98,6 +133,7 @@ fn try_subset(
     group: &[QueryId],
     config: &MatchConfig,
     rng: &mut StdRng,
+    memberships: &mut MembershipCache,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
     // collect all positive obligations of all members
@@ -121,6 +157,7 @@ fn try_subset(
         &mut Subst::new(),
         config,
         rng,
+        memberships,
         stats,
     )
 }
@@ -135,10 +172,20 @@ fn assign_providers(
     subst: &mut Subst,
     config: &MatchConfig,
     rng: &mut StdRng,
+    memberships: &mut MembershipCache,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
     if next == obligations.len() {
-        return ground_group(registry, catalog, group, subst, config, rng, stats);
+        return ground_group(
+            registry,
+            catalog,
+            group,
+            subst,
+            config,
+            rng,
+            memberships,
+            stats,
+        );
     }
     let (qid, cidx) = obligations[next];
     let constraint = {
@@ -168,6 +215,7 @@ fn assign_providers(
                 subst,
                 config,
                 rng,
+                memberships,
                 stats,
             )? {
                 return Ok(Some(m));
@@ -205,6 +253,7 @@ fn assign_providers(
                     subst,
                     config,
                     rng,
+                    memberships,
                     stats,
                 )? {
                     return Ok(Some(m));

@@ -14,8 +14,10 @@
 //! 5. every head grounds to a concrete tuple (each query receives its
 //!    `CHOOSE 1` answer).
 //!
-//! Two implementations share the grounding phase
-//! ([`ground::GroundingProblem`]):
+//! Two implementations share the grounding phase ([`ground`]), which
+//! reads membership rows through the calling shard's membership cache
+//! (the public entry points below use a fresh one per call, which
+//! yields the same answers and draws):
 //!
 //! * [`search::match_query`] — the incremental matcher: grows a group
 //!   outward from the newly arrived query, using the registry's
@@ -109,8 +111,16 @@ pub struct MatchStats {
     pub unify_successes: u64,
     /// Grounding phases entered (structurally closed groups found).
     pub groundings_attempted: u64,
-    /// Membership rows scanned during grounding.
+    /// Membership rows read during grounding: the result rows of every
+    /// subquery that ran, plus every row the compatibility filter and
+    /// the negative-membership check examined. Rows a grounding reuses
+    /// from the membership cache count only when examined.
     pub rows_scanned: u64,
+    /// Membership subqueries executed (cache misses and uncacheable
+    /// subqueries).
+    pub membership_evals: u64,
+    /// Membership subqueries answered from the cache without running.
+    pub membership_hits: u64,
     /// Search nodes expanded (structural branches).
     pub nodes_expanded: u64,
     /// Subsets tested (naive matcher only).
@@ -144,6 +154,8 @@ impl MatchStats {
         self.unify_successes += other.unify_successes;
         self.groundings_attempted += other.groundings_attempted;
         self.rows_scanned += other.rows_scanned;
+        self.membership_evals += other.membership_evals;
+        self.membership_hits += other.membership_hits;
         self.nodes_expanded += other.nodes_expanded;
         self.subsets_tested += other.subsets_tested;
         self.candidates_scanned += other.candidates_scanned;
@@ -200,11 +212,14 @@ mod tests {
         let b = MatchStats {
             candidates_considered: 2,
             rows_scanned: 5,
+            membership_evals: 1,
+            membership_hits: 4,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.candidates_considered, 3);
         assert_eq!(a.rows_scanned, 5);
+        assert_eq!((a.membership_evals, a.membership_hits), (1, 4));
     }
 
     #[test]

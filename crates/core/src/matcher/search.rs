@@ -14,7 +14,7 @@
 //! via [`Subst::mark`]/[`Subst::undo_to`], group/obligation truncation —
 //! instead of cloning at every branch. **Stage 3**, once every
 //! constraint in the group has a provider, is the shared grounding
-//! phase ([`ground_group`]).
+//! phase (`ground_group`).
 //!
 //! Only groups *containing the trigger* are explored — queries that
 //! could have matched among themselves earlier already had their chance
@@ -30,7 +30,7 @@ use youtopia_storage::{Catalog, Value};
 
 use crate::error::CoreResult;
 use crate::ir::{Atom, QueryId, Term};
-use crate::matcher::ground::ground_group;
+use crate::matcher::ground::{ground_group, MembershipCache};
 use crate::matcher::pool::{BufferPool, Reusable};
 use crate::matcher::{GroupMatch, MatchConfig, MatchStats};
 use crate::registry::{CandidateScan, HeadRef, Registry};
@@ -100,6 +100,28 @@ pub fn match_query(
     rng: &mut StdRng,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
+    let mut memberships = MembershipCache::default();
+    match_query_with(
+        registry,
+        catalog,
+        trigger,
+        config,
+        rng,
+        &mut memberships,
+        stats,
+    )
+}
+
+/// [`match_query`] reading membership rows through a long-lived cache.
+pub(crate) fn match_query_with(
+    registry: &Registry,
+    catalog: &Catalog,
+    trigger: QueryId,
+    config: &MatchConfig,
+    rng: &mut StdRng,
+    memberships: &mut MembershipCache,
+    stats: &mut MatchStats,
+) -> CoreResult<Option<GroupMatch>> {
     let Some(pending) = registry.get(trigger) else {
         return Ok(None);
     };
@@ -132,7 +154,15 @@ pub fn match_query(
     let mut scratch = SCRATCH_POOL.with(|p| p.get(stats));
     scratch.group.insert(trigger);
     push_positive_obligations(registry, trigger, &mut scratch.obligations);
-    let result = solve(registry, catalog, &mut scratch, config, rng, stats);
+    let result = solve(
+        registry,
+        catalog,
+        &mut scratch,
+        config,
+        rng,
+        memberships,
+        stats,
+    );
     SCRATCH_POOL.with(|p| p.put(scratch));
     result
 }
@@ -186,6 +216,7 @@ fn solve(
     scratch: &mut SearchScratch,
     config: &MatchConfig,
     rng: &mut StdRng,
+    memberships: &mut MembershipCache,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
     stats.nodes_expanded += 1;
@@ -199,12 +230,21 @@ fn solve(
             &mut scratch.subst,
             config,
             rng,
+            memberships,
             stats,
         );
     };
     let mut bufs = NODE_POOL.with(|p| p.get(stats));
     let result = solve_obligation(
-        registry, catalog, scratch, obligation, &mut bufs, config, rng, stats,
+        registry,
+        catalog,
+        scratch,
+        obligation,
+        &mut bufs,
+        config,
+        rng,
+        memberships,
+        stats,
     );
     NODE_POOL.with(|p| p.put(bufs));
     if let Ok(None) = &result {
@@ -222,6 +262,7 @@ fn solve_obligation(
     bufs: &mut NodeBufs,
     config: &MatchConfig,
     rng: &mut StdRng,
+    memberships: &mut MembershipCache,
     stats: &mut MatchStats,
 ) -> CoreResult<Option<GroupMatch>> {
     let constraint_atom = {
@@ -310,7 +351,7 @@ fn solve_obligation(
                 // a committed tuple adds no member and no obligations
             }
         }
-        if let Some(m) = solve(registry, catalog, scratch, config, rng, stats)? {
+        if let Some(m) = solve(registry, catalog, scratch, config, rng, memberships, stats)? {
             return Ok(Some(m));
         }
         // Backtrack: unwind everything this provider did to the scratch.

@@ -691,6 +691,48 @@ mod tests {
     }
 
     #[test]
+    fn aborted_txn_leaves_a_fresh_version() {
+        let db = populated();
+        let before = db.read().table("Flights").unwrap().version();
+        let mut txn = db.begin();
+        txn.insert("Flights", row(200, "Oslo")).unwrap();
+        txn.delete("Flights", RowId(0)).unwrap();
+        txn.update("Flights", RowId(1), row(123, "Lyon")).unwrap();
+        let inside = txn.table("Flights").unwrap().version();
+        txn.abort();
+        let after = db.read().table("Flights").unwrap().version();
+        // the undo path mutates too: the restored content gets a
+        // version neither the pre-transaction nor the aborted state had
+        assert_ne!(after, before);
+        assert_ne!(after, inside);
+        // a dropped-then-restored table is the same content, moved back
+        let mut txn = db.begin();
+        txn.drop_table("Flights").unwrap();
+        txn.abort();
+        assert_eq!(db.read().table("Flights").unwrap().version(), after);
+    }
+
+    #[test]
+    fn recovered_tables_take_fresh_versions() {
+        let db = Database::with_wal(Wal::in_memory());
+        db.with_txn(|txn| {
+            txn.create_table("Flights", flights_schema())?;
+            txn.insert("Flights", row(122, "Paris"))?;
+            txn.insert("Flights", row(123, "Paris"))?;
+            txn.delete("Flights", RowId(0))
+        })
+        .unwrap();
+        let live = db.read().table("Flights").unwrap().version();
+        let bytes = db.wal_bytes().unwrap();
+        let (recovered, _) = Database::recover_full(Wal::from_bytes(bytes.clone())).unwrap();
+        let (again, _) = Database::recover_full(Wal::from_bytes(bytes)).unwrap();
+        let v1 = recovered.read().table("Flights").unwrap().version();
+        let v2 = again.read().table("Flights").unwrap().version();
+        assert_eq!(recovered.read().table("Flights").unwrap().len(), 1);
+        assert!(v1 != live && v2 != live && v1 != v2);
+    }
+
+    #[test]
     fn drop_on_uncommitted_txn_rolls_back() {
         let db = populated();
         {

@@ -1,8 +1,19 @@
 //! The row store: a table of tuples addressed by [`RowId`], with
 //! attached secondary indexes kept in sync on every mutation.
+//!
+//! Every table carries a content [`Table::version`], drawn from one
+//! process-wide counter: creating a table, and every mutation of its
+//! rows or indexes, takes a fresh value. Indexes count as content
+//! because the access-path chooser probes them, so they decide the
+//! order a `SELECT` returns rows in. Only `Clone` copies a version, and
+//! it copies the content with it, so two tables with one version hold
+//! the same rows and indexes — across drop-and-recreate and across
+//! databases. Readers use it to reuse a query result while the tables
+//! it read are unchanged.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{StorageError, StorageResult};
 use crate::index::{Index, IndexKind};
@@ -23,6 +34,17 @@ impl fmt::Display for RowId {
     }
 }
 
+/// The source of every table's content version.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+/// A value no table has carried before. `Relaxed` suffices: every
+/// `fetch_add` on one atomic returns a distinct value whatever the
+/// ordering, and the counter publishes no other data — a table's
+/// content reaches readers through the database lock.
+fn fresh_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A heap table: schema, rows, and secondary indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -31,6 +53,7 @@ pub struct Table {
     rows: BTreeMap<u64, Tuple>,
     next_row_id: u64,
     indexes: Vec<Index>,
+    version: u64,
 }
 
 impl Table {
@@ -44,6 +67,7 @@ impl Table {
             rows: BTreeMap::new(),
             next_row_id: 0,
             indexes: Vec::new(),
+            version: fresh_version(),
         };
         if !table.schema.primary_key().is_empty() {
             let pk_cols = table.schema.primary_key().to_vec();
@@ -65,6 +89,13 @@ impl Table {
     /// Table schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The content version (see the module docs): changes whenever the
+    /// rows or indexes do, and no other table ever carries the same
+    /// value with different content.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Number of live rows.
@@ -100,6 +131,7 @@ impl Table {
                 .expect("uniqueness was pre-checked; insert cannot fail");
         }
         self.rows.insert(rid.0, tuple);
+        self.version = fresh_version();
         Ok(rid)
     }
 
@@ -117,6 +149,7 @@ impl Table {
         }
         self.rows.insert(rid.0, tuple);
         self.next_row_id = self.next_row_id.max(rid.0 + 1);
+        self.version = fresh_version();
         Ok(())
     }
 
@@ -134,6 +167,7 @@ impl Table {
         for idx in &mut self.indexes {
             idx.remove(&tuple, rid);
         }
+        self.version = fresh_version();
         Ok(tuple)
     }
 
@@ -164,6 +198,7 @@ impl Table {
                 .expect("uniqueness was pre-checked; insert cannot fail");
         }
         self.rows.insert(rid.0, tuple);
+        self.version = fresh_version();
         Ok(old)
     }
 
@@ -199,6 +234,7 @@ impl Table {
             idx.insert(tuple, RowId(rid))?;
         }
         self.indexes.push(idx);
+        self.version = fresh_version();
         Ok(())
     }
 
@@ -210,6 +246,7 @@ impl Table {
             .position(|i| i.name() == index_name)
             .ok_or_else(|| StorageError::IndexNotFound(index_name.to_string()))?;
         self.indexes.remove(pos);
+        self.version = fresh_version();
         Ok(())
     }
 
@@ -248,6 +285,7 @@ impl Table {
         for idx in &mut self.indexes {
             idx.clear();
         }
+        self.version = fresh_version();
     }
 }
 
@@ -449,6 +487,64 @@ mod tests {
             .insert(Tuple::new(vec![Value::Int(8), Value::from("y")]))
             .unwrap();
         assert_eq!(rid, RowId(101));
+    }
+
+    #[test]
+    fn version_changes_on_every_mutation_path() {
+        let mut t = flights();
+        let row = |fno: i64, dest: &str| Tuple::new(vec![Value::Int(fno), Value::from(dest)]);
+        let mut seen = vec![t.version()];
+        let mut step = |t: &Table, what: &str| {
+            assert!(!seen.contains(&t.version()), "{what} reused a version");
+            seen.push(t.version());
+        };
+        t.insert(row(200, "Oslo")).unwrap();
+        step(&t, "insert");
+        t.insert_at(RowId(50), row(201, "Oslo")).unwrap();
+        step(&t, "insert_at");
+        t.update(RowId(50), row(201, "Lyon")).unwrap();
+        step(&t, "update");
+        t.delete(RowId(50)).unwrap();
+        step(&t, "delete");
+        t.create_index("by_dest", &["dest"], false, IndexKind::Hash)
+            .unwrap();
+        step(&t, "create_index");
+        t.drop_index("by_dest").unwrap();
+        step(&t, "drop_index");
+        t.truncate();
+        step(&t, "truncate");
+    }
+
+    #[test]
+    fn version_is_unchanged_by_reads_and_failed_mutations() {
+        let mut t = flights();
+        let v = t.version();
+        assert_eq!(t.scan().count(), 4);
+        assert!(t.get(RowId(0)).is_some());
+        assert_eq!(t.rows_where_eq(1, &Value::from("Paris")).len(), 3);
+        assert!(t.index("Flights_pk").is_some());
+        assert_eq!(
+            t.clone().version(),
+            v,
+            "a clone carries its content's version"
+        );
+        // rejected mutations leave the content, and so the version, alone
+        assert!(t
+            .insert(Tuple::new(vec![Value::Int(122), Value::from("Oslo")]))
+            .is_err());
+        assert!(t.delete(RowId(99)).is_err());
+        assert!(t.drop_index("nope").is_err());
+        assert_eq!(t.version(), v);
+    }
+
+    #[test]
+    fn recreated_table_never_reuses_a_version() {
+        let first = flights();
+        let again = flights();
+        assert_ne!(first.version(), again.version());
+        let empty = Table::new("Flights", first.schema().clone());
+        assert_ne!(empty.version(), first.version());
+        assert_ne!(empty.version(), again.version());
     }
 
     #[test]

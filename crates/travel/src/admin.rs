@@ -188,7 +188,8 @@ impl AdminConsole {
         format!(
             "submitted={} answered={} pending={} groups={} rejected_unsafe={} \
              match_attempts={} matching_ms={:.3}\n\
-             work: candidates={} unify={}/{} groundings={} rows_scanned={} nodes={}",
+             work: candidates={} unify={}/{} groundings={} rows_scanned={} \
+             membership_evals={} membership_hits={} nodes={}",
             s.submitted,
             s.answered,
             self.coordinator.pending_count(),
@@ -201,6 +202,8 @@ impl AdminConsole {
             s.match_work.unify_attempts,
             s.match_work.groundings_attempted,
             s.match_work.rows_scanned,
+            s.match_work.membership_evals,
+            s.match_work.membership_hits,
             s.match_work.nodes_expanded,
         )
     }
@@ -481,6 +484,22 @@ mod tests {
         let out2 = c.render_stats();
         assert!(out2.contains("submitted=1"), "{out2}");
         assert!(out2.contains("groups=1"), "{out2}");
+        assert!(
+            out2.contains("membership_evals=1 membership_hits=0"),
+            "{out2}"
+        );
+        // the same membership again: its table is unchanged, so it is
+        // answered from the cache
+        c.execute_as(
+            "b",
+            "SELECT 'B', fno INTO ANSWER R \
+             WHERE fno IN (SELECT fno FROM Flights) CHOOSE 1",
+        );
+        let out3 = c.render_stats();
+        assert!(
+            out3.contains("membership_evals=1 membership_hits=1"),
+            "{out3}"
+        );
     }
 
     #[test]
