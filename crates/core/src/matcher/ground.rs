@@ -53,7 +53,6 @@ const MEMBERSHIP_CACHE_ENTRIES: usize = 64;
 type Rows = Arc<[Vec<Value>]>;
 
 /// One cached membership result.
-#[derive(Debug)]
 struct CachedMembership {
     select: Select,
     /// Every table the subquery reads (FROM and JOIN atoms, nested
@@ -67,7 +66,7 @@ struct CachedMembership {
 /// table it read keeps the version it had (module docs). Errors are
 /// never cached, and a subquery naming a missing table runs uncached,
 /// so both surface exactly as an uncached run would raise them.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct MembershipCache {
     entries: VecDeque<CachedMembership>,
 }
