@@ -12,14 +12,22 @@
 //! # The coordination log
 //!
 //! Every registry mutation is recorded as a [`CoordEvent`] in the
-//! storage WAL **before it is acknowledged** (the log-before-ack
-//! invariant): registrations, cancellations and expirations are
-//! appended through the [`CoordinationLog`] group-commit handle, and a
+//! storage WAL, and nothing that depends on it is acknowledged before
+//! the log covers it: registrations, cancellations and expirations are
+//! group-committed through the [`Database`] writer, and a
 //! [`CoordEvent::MatchCommitted`] frame rides *inside* the storage
 //! transaction that inserts the match's answer tuples, so a match and
 //! its answers are exactly as durable as each other. Replaying the log
 //! (`registered − (matched ∪ cancelled ∪ expired)`) reconstructs the
 //! pending set; see `docs/recovery.md`.
+//!
+//! Each log write is enqueued under the same locks either way; the
+//! caller's [`Ack`] decides whether it then waits. [`Ack::Wait`] blocks
+//! until the group is durable and keeps today's rollback paths, so
+//! whoever the call returns to may acknowledge at once.
+//! [`Ack::Pipelined`] returns after the enqueue: the caller holds every
+//! acknowledgement until [`Database::durable_lsn`] reaches the
+//! [`Database::enqueued_lsn`] it read after the call.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -347,34 +355,16 @@ impl CoordEvent {
     }
 }
 
-/// A durable sink for coordination events — the handle the
-/// coordinator logs through. Implemented by
-/// [`youtopia_storage::Database`], which submits events to its
-/// pipelined group-commit writer as one marker-delimited commit
-/// group per call and blocks until the group is synced; concurrent
-/// callers (shards draining in parallel) share the writer's
-/// one-fsync-per-quantum discipline instead of paying a sync each. A
-/// database without a WAL accepts and drops events, so non-durable
-/// deployments pay nothing.
-pub trait CoordinationLog {
-    /// Durably appends one event (one commit group).
-    fn log_event(&self, event: &CoordEvent) -> StorageResult<()>;
-
-    /// Durably appends a batch of events as **one** commit group —
-    /// the batch-submission fast path: the whole bucket becomes
-    /// durable atomically with respect to crash replay.
-    fn log_events(&self, events: &[CoordEvent]) -> StorageResult<()>;
-}
-
-impl CoordinationLog for Database {
-    fn log_event(&self, event: &CoordEvent) -> StorageResult<()> {
-        self.append_coordination(&event.encode())
-    }
-
-    fn log_events(&self, events: &[CoordEvent]) -> StorageResult<()> {
-        let payloads: Vec<Vec<u8>> = events.iter().map(CoordEvent::encode).collect();
-        self.append_coordination_batch(&payloads)
-    }
+/// How a log write on the submit and cancel paths completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ack {
+    /// Block until the group is durable; a failed write rolls back
+    /// before anything is acknowledged.
+    Wait,
+    /// Return once the group is enqueued. Only a synchronous enqueue
+    /// failure (a poisoned writer) rolls back; the caller holds its
+    /// acknowledgements until the log covers them.
+    Pipelined,
 }
 
 /// One registration that survived log replay (never matched, cancelled
@@ -567,6 +557,17 @@ impl Engine {
         }
     }
 
+    /// Group-commits `events` as one marker-delimited group, waiting
+    /// for durability under [`Ack::Wait`] only. No-op without a WAL.
+    pub(crate) fn log(&self, events: &[CoordEvent], ack: Ack) -> StorageResult<()> {
+        let payloads: Vec<Vec<u8>> = events.iter().map(CoordEvent::encode).collect();
+        let lsn = self.db.enqueue_coordination_batch(&payloads)?;
+        match ack {
+            Ack::Wait => self.db.wait_durable(lsn),
+            Ack::Pipelined => Ok(()),
+        }
+    }
+
     /// Writes the shard's buffered match-commit audit events in one
     /// batch. Owners call this before releasing the shard lock so
     /// reads that follow the lock observe their own audit rows.
@@ -592,6 +593,7 @@ impl Engine {
         state: &mut ShardState,
         pending: Pending,
         hook: HookRef,
+        ack: Ack,
     ) -> CoreResult<CoordinationFuture> {
         let qid = pending.id;
         state.registry.insert(pending);
@@ -604,14 +606,14 @@ impl Engine {
         };
         let fresh: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
         let n = self
-            .apply_and_notify(state, m, hook)?
+            .apply_and_notify(state, m, hook, ack)?
             .into_iter()
             .find(|n| n.id == qid)
             .ok_or_else(|| CoreError::Internal("trigger missing from its own match".into()))?;
         // Newly committed answers may satisfy pending queries'
         // postconditions ("the system-wide answer relation"):
         // cascade until quiescent.
-        self.cascade(state, fresh, hook)?;
+        self.cascade(state, fresh, hook, ack)?;
         Ok(CoordinationFuture::answered(n))
     }
 
@@ -633,6 +635,7 @@ impl Engine {
         state: &mut ShardState,
         mut fresh: Vec<(String, Tuple)>,
         hook: HookRef,
+        ack: Ack,
     ) -> CoreResult<()> {
         if !self.config.match_config.use_committed_answers {
             return Ok(());
@@ -648,7 +651,7 @@ impl Engine {
                 }
                 if let Some(m) = self.try_match(state, qid)? {
                     let new_tuples: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
-                    match self.apply_and_notify(state, m, hook) {
+                    match self.apply_and_notify(state, m, hook, ack) {
                         Ok(_) => fresh.extend(new_tuples),
                         Err(CoreError::Storage(_)) => {
                             // group reinstated by apply_and_notify; it
@@ -703,14 +706,16 @@ impl Engine {
     }
 
     /// Removes the matched queries, applies the match to the database
-    /// (answer-relation inserts + apply hook, one transaction), and
-    /// builds per-member notifications. On apply failure the members are
+    /// (answer-relation inserts + apply hook, one transaction, whose
+    /// commit waits for the log under [`Ack::Wait`] only), and builds
+    /// per-member notifications. On apply failure the members are
     /// re-registered and the error propagates.
     pub(crate) fn apply_and_notify(
         &self,
         state: &mut ShardState,
         m: GroupMatch,
         hook: HookRef,
+        ack: Ack,
     ) -> CoreResult<Vec<MatchNotification>> {
         let mut removed = Vec::with_capacity(m.members.len());
         for &qid in &m.members {
@@ -738,7 +743,10 @@ impl Engine {
             // the match commit rides the same transaction as its answer
             // writes: both reach the WAL atomically, or neither does
             txn.log_coordination(commit_event.encode())?;
-            txn.commit()
+            match ack {
+                Ack::Wait => txn.commit(),
+                Ack::Pipelined => txn.commit_pipelined().map(drop),
+            }
         })();
 
         if let Err(e) = apply_result {
@@ -813,7 +821,7 @@ impl Engine {
                     continue;
                 }
                 if let Some(m) = self.try_match(state, qid)? {
-                    notifications.extend(self.apply_and_notify(state, m, hook)?);
+                    notifications.extend(self.apply_and_notify(state, m, hook, Ack::Wait)?);
                     matched_any = true;
                     skip = self.prunable_triggers(state);
                 }
@@ -862,22 +870,23 @@ impl Engine {
         out
     }
 
-    /// The one retirement path for cancellation and expiry: durably
-    /// logs the `why` event of every id (one group commit), then removes
-    /// each from the registry, books the tenant ledger, and completes
-    /// its parked waiter with the same outcome — in that order, so a woken
-    /// client already reads a settled ledger. Log-before-ack: when the
-    /// log write fails, *nothing* is removed and the error is
-    /// returned. Returns the ids actually retired (ids no longer
-    /// pending are skipped silently, so callers may race matches
-    /// without double-delivery — the registry removal under the
-    /// caller's lock is the arbiter); expiries are counted in the
+    /// The one retirement path for cancellation and expiry: logs the
+    /// `why` event of every id (one group commit, waited for under
+    /// [`Ack::Wait`]), then removes each from the registry, books the
+    /// tenant ledger, and completes its parked waiter with the same
+    /// outcome — in that order, so a woken client already reads a
+    /// settled ledger. When the log write fails, *nothing* is removed
+    /// and the error is returned. Returns the ids actually retired
+    /// (ids no longer pending are skipped silently, so callers may race
+    /// matches without double-delivery — the registry removal under
+    /// the caller's lock is the arbiter); expiries are counted in the
     /// shard's stats.
     pub(crate) fn retire_ids(
         &self,
         state: &mut ShardState,
         ids: &[QueryId],
         why: Retirement,
+        ack: Ack,
     ) -> StorageResult<Vec<QueryId>> {
         if ids.is_empty() {
             return Ok(Vec::new());
@@ -894,7 +903,7 @@ impl Engine {
                 Retirement::Expired => CoordEvent::QueryExpired { qid, at },
             })
             .collect();
-        self.db.log_events(&events)?; // unlogged removals never happen
+        self.log(&events, ack)?; // unlogged removals never happen
         let tenants = self.tenants();
         let mut retired = Vec::with_capacity(ids.len());
         for &qid in ids {

@@ -83,7 +83,7 @@ pub use coordinator::{
     Coordinator, CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind,
     PendingInfo, RecoveryReport, Submission, SystemStats,
 };
-pub use engine::{CoordEvent, CoordinationLog, RegStamp};
+pub use engine::{CoordEvent, RegStamp};
 pub use error::{CoreError, CoreResult};
 pub use future::{CoordinationFuture, CoordinationOutcome, WaiterSet};
 pub use ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use crate::compile::compile_sql;
 use crate::coordinator::Submission;
-use crate::engine::{CoordEvent, CoordinationLog, RegStamp};
+use crate::engine::{Ack, CoordEvent, RegStamp};
 use crate::error::{CoreError, CoreResult};
 use crate::future::CoordinationFuture;
 use crate::ir::{EntangledQuery, QueryId};
@@ -326,7 +326,7 @@ impl ShardedCoordinator {
                 stamp,
             })
             .collect();
-        if let Err(e) = self.engine.db.log_events(&events) {
+        if let Err(e) = self.engine.log(&events, Ack::Wait) {
             // none were registered: fail every slot and retire the
             // routed-but-unlogged ids from the router (via the
             // answered log, whose entries the caller purges). The
@@ -350,9 +350,9 @@ impl ShardedCoordinator {
             if let (Some(reg), Some(admission)) = (&tenants, admission) {
                 reg.track(admission, qid);
             }
-            let outcome = self
-                .engine
-                .process_arrival(&mut state, pending, hook_ref(hook));
+            let outcome =
+                self.engine
+                    .process_arrival(&mut state, pending, hook_ref(hook), Ack::Wait);
             if !matches!(&outcome, Ok(f) if f.answered_on_arrival()) {
                 maybe_pending.push(qid);
             }

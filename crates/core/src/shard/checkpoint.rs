@@ -43,7 +43,10 @@ impl ShardedCoordinator {
     /// stop occupying log space. Holding the router lock and every
     /// shard lock (in index order) excludes every mutation path —
     /// including the log appends they perform — so the snapshot is
-    /// consistent with the rewritten log.
+    /// consistent with the rewritten log. Still quiesced, the storage
+    /// checkpoint first waits until every enqueued log group is
+    /// durable: a pipelined match's answer rows are already in the
+    /// snapshot, so its group must not land after it.
     pub fn checkpoint(&self) -> CoreResult<()> {
         let _router = self.router.lock();
         let guards: Vec<ShardGuard<'_>> =
@@ -285,5 +288,105 @@ mod tests {
         // another tick inside the fresh window does nothing
         co.sweep_tick(clock.now_millis());
         assert_eq!(co.stats().auto_checkpoints, 1);
+    }
+
+    /// What recovery rebuilds, in a comparable form: every answer
+    /// relation's rows and the surviving pending queries.
+    fn recovered_state(bytes: Vec<u8>) -> (Vec<Vec<String>>, Vec<(String, String)>) {
+        let (co, _) =
+            ShardedCoordinator::recover(Wal::from_bytes(bytes), ShardedConfig::default()).unwrap();
+        let answers = ["Res0", "Res1", "Res2", "Lone"]
+            .iter()
+            .map(|rel| {
+                let mut rows: Vec<String> =
+                    co.answers(rel).iter().map(|t| format!("{t:?}")).collect();
+                rows.sort();
+                rows
+            })
+            .collect();
+        let pending = co
+            .pending_snapshot()
+            .into_iter()
+            .map(|p| (p.owner, p.sql))
+            .collect();
+        (answers, pending)
+    }
+
+    /// The arrivals both runs submit: a lone query, then pairs whose
+    /// closers commit matches.
+    fn race_arrivals() -> Vec<(String, String)> {
+        let mut arrivals = vec![("lone".to_string(), pair_sql_on("Lone", "L", "Ghost"))];
+        for p in 0..6 {
+            let rel = format!("Res{}", p % 3);
+            let (a, b) = (format!("A{p}"), format!("B{p}"));
+            arrivals.push((a.clone(), pair_sql_on(&rel, &a, &b)));
+            arrivals.push((b.clone(), pair_sql_on(&rel, &b, &a)));
+        }
+        arrivals
+    }
+
+    /// A checkpoint that races pipelined submits drains the log before
+    /// it snapshots: the queued match groups reach the old log instead
+    /// of landing after the snapshot (which already holds their answer
+    /// rows) and replaying twice. Recovery equals a control run that
+    /// waited for every write.
+    #[test]
+    fn checkpoint_racing_pipelined_submits_recovers_like_the_control() {
+        use std::sync::mpsc;
+        use std::sync::Mutex;
+        use std::time::Duration;
+
+        use crate::lifecycle::SubmitOptions;
+
+        let control = {
+            let db = flights_db_wal();
+            let co = ShardedCoordinator::new(db.clone());
+            for (owner, sql) in race_arrivals() {
+                co.submit_sql(&owner, &sql).unwrap();
+            }
+            co.checkpoint().unwrap();
+            recovered_state(db.wal_bytes().unwrap())
+        };
+        assert_eq!(control.1.len(), 1, "only the lone query survives");
+
+        let db = flights_db_wal();
+        let co = Arc::new(ShardedCoordinator::new(db.clone()));
+        // the writer's first wake hook call parks it until the gate
+        // opens, so the groups enqueued meanwhile stay queued
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((entered_tx, gate_rx)));
+        let hook: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+            if let Some((entered, gate)) = gate.lock().unwrap().take() {
+                entered.send(()).unwrap();
+                gate.recv().unwrap();
+            }
+        });
+        db.add_durable_hook(Arc::downgrade(&hook));
+
+        let mut arrivals = race_arrivals().into_iter();
+        let (owner, sql) = arrivals.next().unwrap();
+        co.submit_sql_pipelined(&owner, &sql, SubmitOptions::default())
+            .unwrap();
+        entered_rx.recv().unwrap();
+        for (owner, sql) in arrivals {
+            co.submit_sql_pipelined(&owner, &sql, SubmitOptions::default())
+                .unwrap();
+        }
+        assert!(
+            db.durable_lsn() < db.enqueued_lsn(),
+            "the matches are queued"
+        );
+        let checkpoint = {
+            let co = Arc::clone(&co);
+            std::thread::spawn(move || co.checkpoint())
+        };
+        // without the drain the checkpoint finishes here, before the
+        // queued groups are written
+        std::thread::sleep(Duration::from_millis(50));
+        gate_tx.send(()).unwrap();
+        checkpoint.join().unwrap().unwrap();
+        db.wait_durable(db.enqueued_lsn()).unwrap();
+        assert_eq!(recovered_state(db.wal_bytes().unwrap()), control);
     }
 }

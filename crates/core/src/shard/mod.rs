@@ -63,10 +63,11 @@
 //! * the **database lock** (inside [`Database`]) is the leaf: matching
 //!   takes the shared read lock, applies take the exclusive write
 //!   lock, and no coordinator lock is ever requested while holding it.
-//!   Coordination logging no longer takes this lock at all — events
-//!   enqueue to the WAL's pipelined group-commit writer and block on
-//!   their completion slot, so shards draining concurrently share one
-//!   fsync per writer quantum instead of serializing on the database.
+//!   Coordination logging never takes this lock — events enqueue to
+//!   the WAL's pipelined group-commit writer and wait for their LSN
+//!   to become durable (the pipelined entries do not wait at all), so
+//!   shards draining concurrently share one fsync per writer quantum
+//!   instead of serializing on the database.
 //!   The WAL length the log gauges read is an atomic the writer sets
 //!   after each sync, so no monitoring read waits for an fsync.
 //!
@@ -106,9 +107,7 @@ use crate::compile::compile_sql;
 use crate::coordinator::{
     CoordinatorConfig, MatchGraph, MatchNotification, PendingInfo, Submission, SystemStats,
 };
-use crate::engine::{
-    match_graph_of, CoordEvent, CoordinationLog, Engine, RegStamp, Retirement, ShardState,
-};
+use crate::engine::{match_graph_of, Ack, CoordEvent, Engine, RegStamp, Retirement, ShardState};
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{EntangledQuery, QueryId};
@@ -485,12 +484,51 @@ impl ShardedCoordinator {
     /// Log-before-ack: on a durable (WAL-backed) database the
     /// registration is committed to the coordination log — under the
     /// shard lock, so a concurrent checkpoint cannot lose it — before
-    /// the arrival is processed or acknowledged.
+    /// the arrival is processed or acknowledged, and a match it
+    /// completes returns only once durable.
     pub fn submit_async_with(
         &self,
         owner: &str,
         query: EntangledQuery,
         opts: SubmitOptions,
+    ) -> CoreResult<CoordinationFuture> {
+        self.submit_one(owner, query, opts, Ack::Wait)
+    }
+
+    /// [`ShardedCoordinator::submit_sql_async_with`] without waiting
+    /// for the log: the registration and any match the arrival
+    /// completes are enqueued to the WAL writer under the same locks
+    /// and in the same order, and the call returns without waiting for
+    /// an fsync. Nothing the call produced may be acknowledged until
+    /// [`Database::durable_lsn`] reaches the [`Database::enqueued_lsn`]
+    /// read after it returns.
+    ///
+    /// In-process caveat: futures this call completes — the returned
+    /// one when the arrival closed a group, and the waiting members'
+    /// parked ones — resolve, and the match's answer rows are readable,
+    /// before the log holds them. Call it only when every future the
+    /// coordinator hands out is owned by one caller that applies the
+    /// same hold (the network reactor). If the write then fails, those
+    /// effects stay in memory without a log record; every later log
+    /// write fails, and a restart recovers the log's state.
+    pub fn submit_sql_pipelined(
+        &self,
+        owner: &str,
+        sql: &str,
+        opts: SubmitOptions,
+    ) -> CoreResult<CoordinationFuture> {
+        self.submit_one(owner, compile_sql(sql)?, opts, Ack::Pipelined)
+    }
+
+    /// The one submit body behind [`ShardedCoordinator::submit_async_with`]
+    /// and [`ShardedCoordinator::submit_sql_pipelined`]; `ack` decides
+    /// whether its log writes wait for durability.
+    fn submit_one(
+        &self,
+        owner: &str,
+        query: EntangledQuery,
+        opts: SubmitOptions,
+        ack: Ack,
     ) -> CoreResult<CoordinationFuture> {
         if let Err(e) = check_safety(&query, self.engine.config.safety) {
             self.rejected_unsafe.fetch_add(1, Ordering::Relaxed);
@@ -544,9 +582,9 @@ impl ShardedCoordinator {
                     shard: shard as u32,
                 }),
             };
-            match self.engine.db.log_event(&event) {
+            match self.engine.log(std::slice::from_ref(&event), ack) {
                 Ok(()) => {
-                    // the registration is durable: bind the tenant
+                    // the registration is logged: bind the tenant
                     // reservation to its id
                     if let (Some(reg), Some(admission)) = (&tenants, admission) {
                         reg.track(admission, qid);
@@ -554,9 +592,9 @@ impl ShardedCoordinator {
                     // audit submit row before any terminal row this
                     // arrival could produce
                     self.engine.observe(&event);
-                    let result = self
-                        .engine
-                        .process_arrival(&mut state, pending, hook_ref(&hook));
+                    let result =
+                        self.engine
+                            .process_arrival(&mut state, pending, hook_ref(&hook), ack);
                     self.engine.flush_audit(&mut state);
                     (result, std::mem::take(&mut state.answered_log))
                 }
@@ -591,13 +629,28 @@ impl ShardedCoordinator {
     /// write or the waiter's wake; a query that a concurrent merge
     /// moved meanwhile is looked up again on its new shard.
     pub fn cancel(&self, qid: QueryId) -> CoreResult<()> {
+        self.cancel_one(qid, Ack::Wait)
+    }
+
+    /// [`ShardedCoordinator::cancel`] without waiting for the log: the
+    /// cancel frame is enqueued under the shard lock, and the query is
+    /// removed and its future resolved `Cancelled` before the frame is
+    /// durable. The caller holds the acknowledgement until
+    /// [`Database::durable_lsn`] reaches the [`Database::enqueued_lsn`]
+    /// read after the call; the in-process caveat of
+    /// [`ShardedCoordinator::submit_sql_pipelined`] applies.
+    pub fn cancel_pipelined(&self, qid: QueryId) -> CoreResult<()> {
+        self.cancel_one(qid, Ack::Pipelined)
+    }
+
+    fn cancel_one(&self, qid: QueryId, ack: Ack) -> CoreResult<()> {
         let unknown = || CoreError::UnknownQuery(qid.0);
         let mut shard = self.router.lock().shard_of_query(qid).ok_or_else(unknown)?;
         loop {
             let mut state = self.shard_lock(shard);
             if state.registry.get(qid).is_some() {
                 self.engine
-                    .retire_ids(&mut state, &[qid], Retirement::Cancelled)
+                    .retire_ids(&mut state, &[qid], Retirement::Cancelled, ack)
                     .map_err(CoreError::Storage)?;
                 break;
             }
@@ -686,7 +739,7 @@ impl ShardedCoordinator {
             // a failed log write retires nothing on this shard
             victims.extend(
                 self.engine
-                    .retire_ids(&mut state, &ids, why)
+                    .retire_ids(&mut state, &ids, why, Ack::Wait)
                     .unwrap_or_default(),
             );
         }

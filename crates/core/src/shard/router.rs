@@ -7,6 +7,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use youtopia_storage::Tuple;
 
+use crate::engine::Ack;
 use crate::ir::{EntangledQuery, QueryId};
 
 use super::{hook_ref, ShardedCoordinator, SharedApplyHook};
@@ -288,10 +289,12 @@ impl ShardedCoordinator {
                     let fresh: Vec<(String, Tuple)> = gm.all_answers().cloned().collect();
                     if self
                         .engine
-                        .apply_and_notify(&mut state, gm, hook_ref(hook))
+                        .apply_and_notify(&mut state, gm, hook_ref(hook), Ack::Wait)
                         .is_ok()
                     {
-                        let _ = self.engine.cascade(&mut state, fresh, hook_ref(hook));
+                        let _ = self
+                            .engine
+                            .cascade(&mut state, fresh, hook_ref(hook), Ack::Wait);
                         skip = self.engine.prunable_triggers(&state);
                     } // on Err the group was reinstated and stays pending
                 }

@@ -29,6 +29,26 @@
 //! behind a shared writer lock. Shed sessions lose nothing durable:
 //! their pending queries stay registered and a `Resume` recovers them.
 //!
+//! ## Commit-pending frames
+//!
+//! The reactor never waits for the log. Submits and cancels go through
+//! the coordinator's pipelined entries
+//! ([`ShardedCoordinator::submit_sql_pipelined`],
+//! [`ShardedCoordinator::cancel_pipelined`]), which enqueue their
+//! registration, cancel and match groups to the WAL writer and return.
+//! Every frame the reactor queues is stamped with the database's
+//! enqueued LSN at that moment — it can reflect nothing the log was not
+//! yet asked to hold — and a connection's frames are written only up to
+//! the durable LSN, in order. The rest wait in the connection's
+//! *commit-pending* queue while the reactor keeps decoding every
+//! session, so one group commit covers all their submits. The writer's
+//! wake hook pokes the poller's eventfd after each sync, and each
+//! connection's newly covered frames — a reply plus the pushes of the
+//! same tick — leave in one `write_vectored`. Held frames count against
+//! [`ServerConfig::max_outbound_bytes`]. If the writer fails, every
+//! held frame becomes an [`ErrorCode::Internal`] reply and its session
+//! closes. Without a WAL every stamp is 0 and nothing is held.
+//!
 //! ## Tenancy and session tokens
 //!
 //! Unchanged from the threaded front-end: the server installs its
@@ -41,7 +61,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,6 +87,9 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// How long a closing connection may take to drain its final frames
 /// before the reactor force-closes it.
 const CLOSE_LINGER_MILLIS: u64 = 5_000;
+
+/// Frames handed to one `write_vectored` call.
+const MAX_IOVECS: usize = 64;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -182,11 +205,20 @@ impl NetServer {
             set.set_wake_hook(move || waker.wake());
         }
 
+        // the log writer wakes the reactor after every sync, so held
+        // frames leave as soon as the log covers them
+        let durable_hook: Arc<dyn Fn() + Send + Sync> = {
+            let waker = poller.waker();
+            Arc::new(move || waker.wake())
+        };
+        co.db().add_durable_hook(Arc::downgrade(&durable_hook));
+
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
 
         let mut reactor = Reactor {
             co,
+            _durable_hook: durable_hook,
             tenants,
             clock,
             config,
@@ -200,6 +232,7 @@ impl NetServer {
             next_gen: 0,
             route: HashMap::new(),
             session_conn: HashMap::new(),
+            holding: Vec::new(),
             timers: BinaryHeap::new(),
             events: Vec::new(),
             stats: Arc::clone(&stats),
@@ -291,6 +324,16 @@ enum ConnState {
     Established { owner: String, session: u64 },
 }
 
+/// A queued frame the log does not cover yet.
+struct Held {
+    /// The database's enqueued LSN when the frame was queued.
+    stamp: u64,
+    /// The reply's correlation id, for the error that replaces it if
+    /// the log writer fails.
+    corr: u64,
+    frame: Vec<u8>,
+}
+
 /// One connection's reactor-side state: a few hundred bytes plus
 /// whatever is actually buffered, replacing a handler thread's stack.
 struct Conn {
@@ -303,6 +346,9 @@ struct Conn {
     /// of the front frame has already been written.
     out: VecDeque<Vec<u8>>,
     front_off: usize,
+    /// Commit-pending frames, in order, behind everything in `out`.
+    held: VecDeque<Held>,
+    /// Bytes in `out` (unwritten) and `held`.
     out_bytes: usize,
     /// Whether `EPOLLOUT` interest is currently registered.
     writable_armed: bool,
@@ -323,6 +369,8 @@ struct Conn {
 
 struct Reactor {
     co: Arc<ShardedCoordinator>,
+    /// Registered weakly with the log writer; dropped with the reactor.
+    _durable_hook: Arc<dyn Fn() + Send + Sync>,
     tenants: Arc<TenantRegistry>,
     clock: Arc<dyn Clock>,
     config: ServerConfig,
@@ -342,6 +390,9 @@ struct Reactor {
     route: HashMap<QueryId, u64>,
     /// Live session token → connection slot.
     session_conn: HashMap<u64, usize>,
+    /// Slots whose connection holds commit-pending frames (may repeat
+    /// or name a closed slot; checked on release).
+    holding: Vec<usize>,
     /// `(due_millis, slot, gen)` min-heap; entries are validated
     /// lazily against the connection's `next_timer_due` on pop.
     timers: BinaryHeap<Reverse<(u64, usize, u64)>>,
@@ -359,6 +410,7 @@ impl Reactor {
             for (qid, outcome) in self.set.poll_ready() {
                 self.deliver(qid, outcome);
             }
+            self.release_held();
             self.process_timers();
             let timeout = self.next_timeout();
             let mut events = std::mem::take(&mut self.events);
@@ -519,6 +571,7 @@ impl Reactor {
             inbuf: FrameBuf::new(),
             out: VecDeque::new(),
             front_off: 0,
+            held: VecDeque::new(),
             out_bytes: 0,
             writable_armed: false,
             state: ConnState::Handshake,
@@ -604,8 +657,11 @@ impl Reactor {
     }
 
     /// Frames and queues a response, writing as much as the socket
-    /// will take right now. Overflowing the queue sheds the peer.
+    /// will take right now — or holding it, commit-pending, until the
+    /// log covers everything enqueued to it so far. Overflowing the
+    /// queue sheds the peer.
     fn enqueue(&mut self, slot: usize, resp: &Response) {
+        let stamp = self.co.db().enqueued_lsn();
         let frame = encode_frame(&resp.encode());
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
@@ -641,12 +697,90 @@ impl Reactor {
         self.stats
             .queued_bytes
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        conn.out.push_back(frame);
-        self.flush(slot);
+        if conn.held.is_empty() && stamp <= self.co.db().durable_lsn() {
+            conn.out.push_back(frame);
+            self.flush(slot);
+            return;
+        }
+        if conn.held.is_empty() {
+            self.holding.push(slot);
+        }
+        conn.held.push_back(Held {
+            stamp,
+            corr: corr_of(resp),
+            frame,
+        });
     }
 
-    /// Writes queued frames until the socket stops accepting, then
-    /// reconciles `EPOLLOUT` interest with whether anything is left.
+    /// Moves every commit-pending frame the log now covers into its
+    /// connection's write queue and flushes each such connection once.
+    /// After a log failure, frames the log will never cover become
+    /// `Internal` errors and their sessions close.
+    fn release_held(&mut self) {
+        if self.holding.is_empty() {
+            return;
+        }
+        // the failure first: once it is set, the durable LSN is final
+        let failure = self.co.db().log_failure();
+        let durable = self.co.db().durable_lsn();
+        let mut slots = std::mem::take(&mut self.holding);
+        slots.sort_unstable();
+        slots.dedup();
+        for slot in slots {
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                continue;
+            };
+            while conn.held.front().is_some_and(|h| h.stamp <= durable) {
+                let held = conn.held.pop_front().expect("checked above");
+                conn.out.push_back(held.frame);
+            }
+            if !conn.held.is_empty() {
+                match &failure {
+                    Some(e) => self.fail_held(slot, &e.to_string()),
+                    None => self.holding.push(slot),
+                }
+            }
+            self.flush(slot);
+        }
+    }
+
+    /// Replaces a connection's commit-pending frames with `Internal`
+    /// errors (the log writer failed, so they will never be covered)
+    /// and closes the session once they are written.
+    fn fail_held(&mut self, slot: usize, cause: &str) {
+        let now = self.clock.now_millis();
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        for held in std::mem::take(&mut conn.held) {
+            let frame = encode_frame(
+                &Response::Error {
+                    corr: held.corr,
+                    code: ErrorCode::Internal,
+                    message: format!("log write failed: {cause}"),
+                }
+                .encode(),
+            );
+            conn.out_bytes = conn.out_bytes - held.frame.len() + frame.len();
+            self.stats
+                .queued_bytes
+                .fetch_sub(held.frame.len() as u64, Ordering::Relaxed);
+            self.stats
+                .queued_bytes
+                .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            conn.out.push_back(frame);
+        }
+        if !conn.closing {
+            conn.closing = true;
+            conn.linger_due = now.saturating_add(CLOSE_LINGER_MILLIS);
+            let due = conn.linger_due;
+            self.arm_timer(slot, due);
+        }
+    }
+
+    /// Writes queued frames, up to [`MAX_IOVECS`] per `write_vectored`,
+    /// until the socket stops accepting, then reconciles `EPOLLOUT`
+    /// interest with whether anything is left.
     fn flush(&mut self, slot: usize) {
         let mut failed = false;
         let mut close_now = false;
@@ -654,19 +788,34 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return;
             };
-            while let Some(front) = conn.out.front() {
-                match (&conn.stream).write(&front[conn.front_off..]) {
+            while !conn.out.is_empty() {
+                let written = {
+                    let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
+                    for (slice, frame) in slices.iter_mut().zip(&conn.out) {
+                        *slice = IoSlice::new(frame);
+                    }
+                    slices[0] = IoSlice::new(&conn.out[0][conn.front_off..]);
+                    let n = conn.out.len().min(MAX_IOVECS);
+                    (&conn.stream).write_vectored(&slices[..n])
+                };
+                match written {
                     Ok(0) => {
                         failed = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.front_off += n;
                         conn.out_bytes -= n;
                         self.stats
                             .queued_bytes
                             .fetch_sub(n as u64, Ordering::Relaxed);
-                        if conn.front_off == front.len() {
+                        let mut left = n;
+                        while let Some(front) = conn.out.front() {
+                            let rest = front.len() - conn.front_off;
+                            if left < rest {
+                                conn.front_off += left;
+                                break;
+                            }
+                            left -= rest;
                             conn.out.pop_front();
                             conn.front_off = 0;
                         }
@@ -696,7 +845,7 @@ impl Reactor {
                 {
                     conn.writable_armed = want_writable;
                 }
-                close_now = conn.closing && conn.out.is_empty();
+                close_now = conn.closing && conn.out.is_empty() && conn.held.is_empty();
             }
         }
         if failed || close_now {
@@ -714,7 +863,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return; // enqueue shed it
         };
-        if conn.out.is_empty() {
+        if conn.out.is_empty() && conn.held.is_empty() {
             self.close(slot);
             return;
         }
@@ -860,7 +1009,7 @@ impl Reactor {
                     self.clock.now_millis() + self.config.connection_timeout_millis
                 });
                 let opts = SubmitOptions::with_deadline(deadline);
-                match self.co.submit_sql_async_with(owner, &sql, opts) {
+                match self.co.submit_sql_pipelined(owner, &sql, opts) {
                     Ok(mut future) => {
                         let qid = future.id();
                         if let Some(outcome) = future.try_take() {
@@ -883,7 +1032,7 @@ impl Reactor {
                 }
             }
             Request::Cancel { corr, qid } => {
-                let resp = match self.co.cancel(QueryId(qid)) {
+                let resp = match self.co.cancel_pipelined(QueryId(qid)) {
                     Ok(()) => Response::CancelOk { corr },
                     Err(e) => error_reply(corr, &e),
                 };
@@ -955,6 +1104,20 @@ fn convert_outcome(outcome: CoordinationOutcome) -> Outcome {
         CoordinationOutcome::Cancelled => Outcome::Cancelled,
         CoordinationOutcome::Expired => Outcome::Expired,
         CoordinationOutcome::Superseded => Outcome::Superseded,
+    }
+}
+
+/// A response's correlation id (0 for frames that carry none).
+fn corr_of(resp: &Response) -> u64 {
+    match resp {
+        Response::Welcome { .. } => 0,
+        Response::Accepted { corr, .. }
+        | Response::Done { corr, .. }
+        | Response::CancelOk { corr }
+        | Response::StatsReply { corr, .. }
+        | Response::ByeOk { corr }
+        | Response::Error { corr, .. }
+        | Response::AuditReply { corr, .. } => *corr,
     }
 }
 

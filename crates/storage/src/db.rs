@@ -11,12 +11,15 @@
 //! Durability rides the pipelined group-commit writer
 //! ([`crate::group_commit::GroupCommit`]): every commit group — a
 //! transaction's redo records, a coordination event batch — is
-//! enqueued to one writer thread that appends it as a marker-delimited
-//! group and syncs once per quantum, acknowledging the committer
-//! through a per-request completion slot. Coordination appends no
-//! longer touch the catalog lock at all; transaction commits enqueue
-//! while still holding it (so log order extends commit order) and
-//! block until durable.
+//! enqueued to one writer thread under the next LSN, appended as a
+//! marker-delimited group and synced once per quantum. Coordination
+//! appends never touch the catalog lock; transaction commits enqueue
+//! while still holding it, so log order extends commit order.
+//! [`Transaction::commit`] and [`Database::append_coordination_batch`]
+//! block until their group is durable; [`Transaction::commit_pipelined`]
+//! and [`Database::enqueue_coordination_batch`] return its LSN at once,
+//! for a caller that holds its acknowledgements until
+//! [`Database::durable_lsn`] covers them.
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
 
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
-use crate::group_commit::{GroupCommit, GroupCommitConfig};
+use crate::group_commit::{GroupCommit, GroupCommitConfig, WakeHook};
 use crate::index::IndexKind;
 use crate::schema::Schema;
 use crate::table::{RowId, Table};
@@ -153,11 +156,70 @@ impl Database {
 
     /// Current WAL size in bytes (`None` without a WAL; works for file
     /// and memory sinks): the length the group-commit writer has
-    /// synced, exact for every commit that has returned. Takes no lock, so it never waits for an fsync. Feeds
-    /// the coordinator's auto-checkpoint threshold and the
-    /// admin-surface log gauges.
+    /// synced, exact for every durable commit. Takes no lock, so it
+    /// never waits for an fsync. Feeds the coordinator's
+    /// auto-checkpoint threshold and the admin-surface log gauges.
     pub fn wal_len(&self) -> Option<u64> {
         Some(self.log.as_ref()?.synced_len())
+    }
+
+    /// Syncs the group-commit writer has issued (`None` without a
+    /// WAL). Lock-free.
+    pub fn wal_syncs(&self) -> Option<u64> {
+        Some(self.log.as_ref()?.syncs())
+    }
+
+    /// Commit groups the group-commit writer has appended (`None`
+    /// without a WAL). Lock-free.
+    pub fn wal_groups(&self) -> Option<u64> {
+        Some(self.log.as_ref()?.groups())
+    }
+
+    /// LSN of the last commit group enqueued to the log; 0 without a
+    /// WAL. A reply that reflects state as of now is safe to send once
+    /// [`Database::durable_lsn`] reaches this value. Lock-free.
+    pub fn enqueued_lsn(&self) -> u64 {
+        self.log.as_ref().map_or(0, |log| log.enqueued_lsn())
+    }
+
+    /// Every commit group up to this LSN is durable; 0 without a WAL.
+    /// Never passes a group that failed. Lock-free.
+    pub fn durable_lsn(&self) -> u64 {
+        self.log.as_ref().map_or(0, |log| log.durable_lsn())
+    }
+
+    /// The error that poisoned the log writer, if one did: no group
+    /// past [`Database::durable_lsn`] will ever be durable, and every
+    /// later log write fails. `None` without a WAL.
+    pub fn log_failure(&self) -> Option<StorageError> {
+        self.log.as_ref()?.failure()
+    }
+
+    /// Registers a hook the log writer calls after every batch it
+    /// finishes, durable or failed — the signal to re-read
+    /// [`Database::durable_lsn`]. Held weakly: dropping the hook
+    /// unregisters it. No-op without a WAL.
+    pub fn add_durable_hook(&self, hook: WakeHook) {
+        if let Some(log) = &self.log {
+            log.add_wake_hook(hook);
+        }
+    }
+
+    /// Blocks until every commit group up to `lsn` is durable; the
+    /// writer's failure if it never will be.
+    pub fn wait_durable(&self, lsn: u64) -> StorageResult<()> {
+        match &self.log {
+            Some(log) => log.wait_durable(lsn),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs `f` with the log held exclusively (`None` without a WAL):
+    /// the writer appends nothing meanwhile, while commits keep
+    /// enqueueing behind it. An introspection and fault-injection
+    /// hook; checkpoints use the same lock.
+    pub fn with_log<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> Option<R> {
+        Some(self.log.as_ref()?.with_wal(f))
     }
 
     /// Durably appends one opaque coordination payload to the WAL as
@@ -174,14 +236,22 @@ impl Database {
     /// writer quantum instead of paying one each. Never takes the
     /// catalog lock. No-op without a WAL.
     pub fn append_coordination_batch<P: AsRef<[u8]>>(&self, payloads: &[P]) -> StorageResult<()> {
+        let lsn = self.enqueue_coordination_batch(payloads)?;
+        self.wait_durable(lsn)
+    }
+
+    /// [`Database::append_coordination_batch`] without the wait:
+    /// enqueues the group and returns its LSN (0 without a WAL, or for
+    /// an empty batch). Fails at once when the writer is poisoned.
+    pub fn enqueue_coordination_batch<P: AsRef<[u8]>>(&self, payloads: &[P]) -> StorageResult<u64> {
         let Some(log) = &self.log else {
-            return Ok(());
+            return Ok(0);
         };
         let records: Vec<WalRecord> = payloads
             .iter()
             .map(|p| WalRecord::Coordination(p.as_ref().to_vec()))
             .collect();
-        log.commit(records)
+        log.enqueue(records)
     }
 
     /// Starts a read transaction (shared lock for the guard's lifetime).
@@ -281,6 +351,11 @@ impl Database {
         // take the write lock so no transaction commit interleaves
         // with the rewrite (commits enqueue under this lock)
         let inner = self.inner.write();
+        // drain first: a pipelined commit's rows are already in the
+        // catalog the snapshot copies, so its group must reach the old
+        // log (which the rewrite replaces) rather than land after the
+        // snapshot and replay a second time
+        log.wait_durable(log.enqueued_lsn())?;
         // build the snapshot from the locked state (transient system
         // relations are derived state and stay out of the log)
         let mut ops = Vec::new();
@@ -307,9 +382,9 @@ impl Database {
         // replay + reset + rewrite under ONE log-lock hold: the writer
         // thread must not append a queued group between reading the old
         // coordination frames and the reset that would destroy it.
-        // Requests still queued when we rewrite are fine — they are not
-        // yet acknowledged and land *after* the snapshot, where they
-        // belong.
+        // A coordination group enqueued after the drain (by a caller
+        // that holds no lock the checkpoint holds) is not in the
+        // snapshot and lands after it, where it belongs.
         log.with_wal(|wal| {
             // preserve the log's coordination frames unless the caller
             // supplied a compacted replacement set
@@ -566,19 +641,45 @@ impl Transaction {
     /// refuses). On WAL failure the transaction is rolled back and the
     /// error returned.
     pub fn commit(mut self) -> StorageResult<()> {
-        self.check_open()?;
-        if let Some(log) = self.log.take() {
-            let redo = std::mem::take(&mut self.redo);
-            if !redo.is_empty() {
-                if let Err(e) = log.commit(redo) {
-                    self.rollback();
-                    self.finished = true;
-                    return Err(e);
-                }
+        let lsn = self.enqueue_redo()?;
+        if let Some(log) = &self.log {
+            if let Err(e) = log.wait_durable(lsn) {
+                self.rollback();
+                self.finished = true;
+                return Err(e);
             }
         }
         self.finished = true;
         Ok(())
+    }
+
+    /// Commits without waiting for the log: enqueues the redo group
+    /// under the database lock (so log order still extends commit
+    /// order), releases the lock and returns the group's LSN (0 when
+    /// nothing was logged). Only a synchronous enqueue failure — a
+    /// poisoned writer — rolls back. Other threads see the changes
+    /// before they are durable; the caller must hold every
+    /// acknowledgement until [`Database::durable_lsn`] reaches the LSN.
+    /// If the group then fails, the changes stay in memory, absent
+    /// from the log, and every later log write fails.
+    pub fn commit_pipelined(mut self) -> StorageResult<u64> {
+        let lsn = self.enqueue_redo()?;
+        self.finished = true;
+        Ok(lsn)
+    }
+
+    /// Enqueues the redo records as one commit group; on a synchronous
+    /// failure rolls back and closes the transaction.
+    fn enqueue_redo(&mut self) -> StorageResult<u64> {
+        self.check_open()?;
+        let redo = std::mem::take(&mut self.redo);
+        let Some(log) = &self.log else {
+            return Ok(0);
+        };
+        log.enqueue(redo).inspect_err(|_| {
+            self.rollback();
+            self.finished = true;
+        })
     }
 
     /// Aborts: rolls back all mutations and releases the lock.

@@ -2,15 +2,29 @@
 //!
 //! One dedicated writer thread per durable [`crate::db::Database`]
 //! absorbs append requests from every committer — shard registration
-//! batches, serial-coordinator events, and transaction redo groups —
-//! into a single queue. Each quantum it drains the queue, appends the
-//! queued groups as marker-delimited commits (each group's records
-//! followed by one [`WalRecord::CommitBoundary`] frame), syncs the log
-//! **once**, and then acknowledges every request through its own
-//! completion slot. N concurrent committers therefore cost ~1 fsync
-//! per quantum instead of N, while each committer still blocks until
-//! its own group is durable — the log-before-ack discipline of the
-//! coordination layer is unchanged.
+//! batches, cancellations, and transaction redo groups — into a single
+//! queue. Each group is numbered in queue order: its **LSN** (log
+//! sequence number, starting at 1). Each quantum the writer drains the
+//! queue, appends the queued groups as marker-delimited commits (each
+//! group's records followed by one [`WalRecord::CommitBoundary`]
+//! frame), syncs the log **once**, publishes the highest LSN that is
+//! now durable, and runs the registered wake hooks. N concurrent
+//! committers therefore cost ~1 fsync per quantum instead of N.
+//!
+//! A committer chooses how to wait:
+//!
+//! * [`GroupCommit::commit`] enqueues and blocks until its LSN is
+//!   durable — log-before-ack for callers that acknowledge on return;
+//! * [`GroupCommit::enqueue`] returns the LSN at once. A caller that
+//!   holds every acknowledgement until [`GroupCommit::durable_lsn`]
+//!   reaches the LSN it depends on (the network reactor) never waits
+//!   on an fsync itself, so one sync covers the groups of every session
+//!   it served meanwhile.
+//!
+//! One watermark is enough: a committer that must be ordered after its
+//! own reads (a transaction) enqueues while still holding the database
+//! lock, so queue order extends lock order, and the writer makes
+//! groups durable in queue order.
 //!
 //! The latency/throughput knob is [`GroupCommitConfig::quantum`]: with
 //! a zero quantum (the default) the writer syncs as soon as it has at
@@ -20,23 +34,24 @@
 //! requests per sync, trading per-commit latency for fewer fsyncs
 //! under bursty load.
 //!
-//! Ordering: a committer that must be ordered after its own reads
-//! (a transaction) enqueues while still holding the database lock, so
-//! queue order extends lock order; the writer preserves queue order on
-//! disk. Requests that carry no ordering dependency (coordination
-//! event batches) enqueue lock-free with respect to the database.
+//! Failure: the first group that fails to append, or whose sync fails,
+//! **poisons** the writer. The durable LSN never passes that group,
+//! every waiter on it or a later LSN gets the error, every later
+//! enqueue fails synchronously, and the writer appends nothing more —
+//! after a failed `fdatasync` the kernel may have dropped the dirty
+//! pages, so a later successful sync proves nothing about them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::error::{StorageError, StorageResult};
 use crate::wal::{Wal, WalRecord};
 
-/// Locks ignoring lock poisoning: the writer completes every slot it
-/// took responsibility for even if another thread panicked, and the
-/// queue/result state is valid at every await point.
+/// Locks ignoring lock poisoning: the writer publishes every batch's
+/// outcome even if another thread panicked, and the queue state is
+/// valid at every await point.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -59,67 +74,45 @@ impl Default for GroupCommitConfig {
     }
 }
 
-/// A per-request completion slot: the writer parks the request's
-/// outcome here and wakes the committer blocked in [`Slot::wait`].
-pub struct Slot {
-    result: Mutex<Option<StorageResult<()>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn ready(result: StorageResult<()>) -> std::sync::Arc<Slot> {
-        let slot = Slot::new();
-        *lock(&slot.result) = Some(result);
-        std::sync::Arc::new(slot)
-    }
-
-    fn complete(&self, result: StorageResult<()>) {
-        *lock(&self.result) = Some(result);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the writer has made this request's commit group
-    /// durable (or failed trying) and returns the outcome.
-    pub fn wait(&self) -> StorageResult<()> {
-        let mut guard = lock(&self.result);
-        while guard.is_none() {
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        guard.clone().expect("checked above")
-    }
-}
+/// A callback the writer runs after every batch it finishes, durable
+/// or failed. Held weakly: dropping the last strong reference
+/// unregisters it.
+pub type WakeHook = Weak<dyn Fn() + Send + Sync>;
 
 struct Request {
+    lsn: u64,
     records: Vec<WalRecord>,
-    slot: std::sync::Arc<Slot>,
 }
 
 struct QueueState {
     queue: Vec<Request>,
     shutdown: bool,
-    /// Set on the first append failure: the log may hold a partial
-    /// group, so further appends would mis-frame it. Fail fast.
-    poisoned: Option<String>,
+    /// The first LSN that will never be durable, and why. Set once.
+    failed: Option<(u64, StorageError)>,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
     work: Condvar,
+    /// Signalled (with `state` locked) whenever `durable` advances or
+    /// the writer fails.
+    durable_changed: Condvar,
     wal: Mutex<Wal>,
     /// The log's length as of the writer's last sync or the last
     /// [`GroupCommit::with_wal`] — stored while the log lock is held,
     /// read without it.
     synced_len: AtomicU64,
+    /// LSN of the last group enqueued (0 before the first); advanced
+    /// only with `state` locked, read without it.
+    enqueued: AtomicU64,
+    /// Every group up to this LSN is durable.
+    durable: AtomicU64,
+    /// Set after `durable` took its final value, when `state.failed`
+    /// is set.
+    poisoned: AtomicBool,
+    syncs: AtomicU64,
+    groups: AtomicU64,
+    hooks: Mutex<Vec<WakeHook>>,
     quantum: Duration,
 }
 
@@ -138,11 +131,18 @@ impl GroupCommit {
             state: Mutex::new(QueueState {
                 queue: Vec::new(),
                 shutdown: false,
-                poisoned: None,
+                failed: None,
             }),
             work: Condvar::new(),
+            durable_changed: Condvar::new(),
             synced_len: AtomicU64::new(wal.len_bytes().unwrap_or(0)),
             wal: Mutex::new(wal),
+            enqueued: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            syncs: AtomicU64::new(0),
+            groups: AtomicU64::new(0),
+            hooks: Mutex::new(Vec::new()),
             quantum: config.quantum,
         });
         let writer_shared = shared.clone();
@@ -156,48 +156,112 @@ impl GroupCommit {
         }
     }
 
-    /// Enqueues one commit group and returns its completion slot
-    /// without blocking. The group is appended in queue order, sealed
-    /// with a commit-boundary marker, and acknowledged after the
-    /// quantum's single sync.
-    pub fn submit(&self, records: Vec<WalRecord>) -> std::sync::Arc<Slot> {
+    /// Enqueues one commit group and returns its LSN without blocking.
+    /// The group is appended in queue order, sealed with a
+    /// commit-boundary marker, and durable once
+    /// [`GroupCommit::durable_lsn`] reaches the LSN. An empty group
+    /// touches nothing and returns 0, which is always durable. Fails at
+    /// once on a poisoned or shut-down writer.
+    pub fn enqueue(&self, records: Vec<WalRecord>) -> StorageResult<u64> {
         if records.is_empty() {
-            return Slot::ready(Ok(()));
+            return Ok(0);
         }
-        let slot = std::sync::Arc::new(Slot::new());
-        {
+        let lsn = {
             let mut state = lock(&self.shared.state);
-            if let Some(msg) = &state.poisoned {
-                slot.complete(Err(StorageError::WalIo(format!(
-                    "log writer poisoned: {msg}"
-                ))));
-                return slot;
+            if let Some((_, e)) = &state.failed {
+                return Err(poisoned(e));
             }
             if state.shutdown {
-                slot.complete(Err(StorageError::WalIo("log writer shut down".into())));
-                return slot;
+                return Err(StorageError::WalIo("log writer shut down".into()));
             }
-            state.queue.push(Request {
-                records,
-                slot: slot.clone(),
-            });
-        }
-        self.shared.work.notify_all();
-        slot
+            let lsn = self.shared.enqueued.load(Ordering::Relaxed) + 1;
+            self.shared.enqueued.store(lsn, Ordering::Release);
+            state.queue.push(Request { lsn, records });
+            lsn
+        };
+        self.shared.work.notify_one();
+        Ok(lsn)
     }
 
-    /// Synchronous facade: enqueue one commit group and block until
-    /// it is durable. Empty groups complete immediately.
+    /// Blocks until every group up to `lsn` is durable, or returns the
+    /// writer's failure if `lsn` can never be.
+    pub fn wait_durable(&self, lsn: u64) -> StorageResult<()> {
+        if self.shared.durable.load(Ordering::Acquire) >= lsn {
+            return Ok(());
+        }
+        let mut state = lock(&self.shared.state);
+        loop {
+            if self.shared.durable.load(Ordering::Acquire) >= lsn {
+                return Ok(());
+            }
+            if let Some((bad, e)) = &state.failed {
+                if *bad == lsn {
+                    return Err(e.clone());
+                }
+                if *bad < lsn {
+                    return Err(poisoned(e));
+                }
+            }
+            state = self
+                .shared
+                .durable_changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Synchronous facade: enqueue one commit group and block until it
+    /// is durable. Empty groups complete immediately.
     pub fn commit(&self, records: Vec<WalRecord>) -> StorageResult<()> {
-        self.submit(records).wait()
+        let lsn = self.enqueue(records)?;
+        self.wait_durable(lsn)
+    }
+
+    /// LSN of the last group enqueued (0 before the first). Lock-free.
+    pub fn enqueued_lsn(&self) -> u64 {
+        self.shared.enqueued.load(Ordering::Acquire)
+    }
+
+    /// Every group up to this LSN is durable. Lock-free; never passes
+    /// a group that failed.
+    pub fn durable_lsn(&self) -> u64 {
+        self.shared.durable.load(Ordering::Acquire)
+    }
+
+    /// The error that poisoned the writer, if one did. When this
+    /// returns `Some`, [`GroupCommit::durable_lsn`] has its final
+    /// value. Lock-free until the writer has failed.
+    pub fn failure(&self) -> Option<StorageError> {
+        if !self.shared.poisoned.load(Ordering::Acquire) {
+            return None;
+        }
+        lock(&self.shared.state)
+            .failed
+            .as_ref()
+            .map(|(_, e)| e.clone())
+    }
+
+    /// Registers a hook the writer calls after every batch it
+    /// finishes (see [`WakeHook`]).
+    pub fn add_wake_hook(&self, hook: WakeHook) {
+        lock(&self.shared.hooks).push(hook);
+    }
+
+    /// Syncs the writer has issued, one per batch.
+    pub fn syncs(&self) -> u64 {
+        self.shared.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Commit groups the writer has appended.
+    pub fn groups(&self) -> u64 {
+        self.shared.groups.load(Ordering::Relaxed)
     }
 
     /// Runs `f` with exclusive access to the underlying log — the
     /// checkpoint/recovery/introspection escape hatch. Queued requests
-    /// are not lost: the writer appends them after `f` returns, which
-    /// is exactly the order a checkpoint rewrite needs (a request not
-    /// yet on disk was not yet acknowledged, so it must land after
-    /// the rewritten snapshot).
+    /// are not lost: the writer appends them after `f` returns. A
+    /// rewrite that must not be followed by groups it already reflects
+    /// (a checkpoint) waits for the queue to drain first.
     pub fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
         let mut wal = lock(&self.shared.wal);
         let result = f(&mut wal);
@@ -207,11 +271,14 @@ impl GroupCommit {
 
     /// The log's length in bytes as the writer last synced it (or as
     /// the last [`GroupCommit::with_wal`] left it). Takes no lock, so
-    /// it never waits for an fsync; it covers every group whose
-    /// [`GroupCommit::commit`] has returned.
+    /// it never waits for an fsync; it covers every durable group.
     pub(crate) fn synced_len(&self) -> u64 {
         self.shared.synced_len.load(Ordering::Acquire)
     }
+}
+
+fn poisoned(e: &StorageError) -> StorageError {
+    StorageError::WalIo(format!("log writer poisoned: {e}"))
 }
 
 impl Shared {
@@ -219,32 +286,26 @@ impl Shared {
         self.synced_len
             .store(wal.len_bytes().unwrap_or(0), Ordering::Release);
     }
+
+    /// Runs every live hook and forgets the dead ones.
+    fn wake_hooks(&self) {
+        lock(&self.hooks).retain(|hook| hook.upgrade().map(|hook| hook()).is_some());
+    }
 }
 
 impl Drop for GroupCommit {
     fn drop(&mut self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
         if let Some(writer) = self.writer.take() {
             let _ = writer.join();
-        }
-        // the writer drains the queue before exiting, but complete any
-        // stragglers (e.g. enqueued against a poisoned writer) loudly
-        let mut state = lock(&self.shared.state);
-        for request in state.queue.drain(..) {
-            request
-                .slot
-                .complete(Err(StorageError::WalIo("log writer shut down".into())));
         }
     }
 }
 
 fn writer_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let (batch, poisoned) = {
             let mut state = lock(&shared.state);
             while state.queue.is_empty() && !state.shutdown {
                 state = shared
@@ -264,59 +325,70 @@ fn writer_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
-            std::mem::take(&mut state.queue)
+            (std::mem::take(&mut state.queue), state.failed.is_some())
         };
+        if poisoned {
+            // queued before the failure was known: never written, and
+            // their waiters already read the failure
+            continue;
+        }
+        let first = batch.first().expect("batches are non-empty").lsn;
+        let last = batch.last().expect("batches are non-empty").lsn;
 
         let mut wal = lock(&shared.wal);
-        // Append every group, each sealed by its marker; sync once.
-        // On an append failure the log may hold a partial group, so
-        // stop appending (later groups would mis-frame) and poison.
-        let mut failed: Option<(usize, StorageError)> = None;
-        for (i, request) in batch.iter().enumerate() {
-            let appended = (|| {
-                for record in &request.records {
-                    wal.append_record(record)?;
-                }
-                wal.append_commit_boundary()
-            })();
-            if let Err(e) = appended {
-                failed = Some((i, e));
+        // Append every group, each sealed by its marker; sync once. On
+        // an append failure the log may hold a partial group, so stop
+        // appending (later groups would mis-frame); the groups before
+        // it can still become durable.
+        let mut failure: Option<(u64, StorageError)> = None;
+        let mut appended = 0;
+        for request in &batch {
+            let result = request
+                .records
+                .iter()
+                .try_for_each(|record| wal.append_record(record))
+                .and_then(|()| wal.append_commit_boundary());
+            if let Err(e) = result {
+                failure = Some((request.lsn, e));
                 break;
             }
+            appended += 1;
         }
-        let sync_result = wal.sync();
-        // before any slot completes: a committer sees its own bytes
+        let synced = wal.sync();
+        shared.syncs.fetch_add(1, Ordering::Relaxed);
+        shared.groups.fetch_add(appended, Ordering::Relaxed);
+        // before any waiter wakes: a committer sees its own bytes
         shared.publish_len(&wal);
         drop(wal);
+        if let Err(e) = synced {
+            // nothing this sync covered is known to be on disk
+            failure = Some((first, e));
+        }
 
-        if let Some((_, e)) = &failed {
-            lock(&shared.state).poisoned = Some(e.to_string());
+        let durable = failure.as_ref().map_or(last, |(bad, _)| bad - 1);
+        {
+            let mut state = lock(&shared.state);
+            shared.durable.store(durable, Ordering::Release);
+            if let Some(failure) = failure {
+                state.failed.get_or_insert(failure);
+                shared.poisoned.store(true, Ordering::Release);
+            }
         }
-        let failed_at = failed.as_ref().map(|(i, _)| *i).unwrap_or(batch.len());
-        for (i, request) in batch.into_iter().enumerate() {
-            let outcome = match (&failed, i.cmp(&failed_at)) {
-                // fully appended before any failure: durability is
-                // whatever the sync said
-                (_, std::cmp::Ordering::Less) => sync_result.clone(),
-                (Some((_, e)), std::cmp::Ordering::Equal) => Err(e.clone()),
-                (Some((_, e)), std::cmp::Ordering::Greater) => {
-                    Err(StorageError::WalIo(format!("log writer poisoned: {e}")))
-                }
-                (None, _) => sync_result.clone(),
-            };
-            request.slot.complete(outcome);
-        }
+        shared.durable_changed.notify_all();
+        shared.wake_hooks();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::wal::WalRecord;
 
     #[test]
     fn concurrent_commits_are_marker_delimited_and_ordered_per_committer() {
-        let gc = std::sync::Arc::new(GroupCommit::spawn(
+        let gc = Arc::new(GroupCommit::spawn(
             Wal::in_memory(),
             GroupCommitConfig::default(),
         ));
@@ -337,7 +409,9 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let gc = std::sync::Arc::into_inner(gc).expect("all clones joined");
+        let gc = Arc::into_inner(gc).expect("all clones joined");
+        assert_eq!(gc.groups(), 32);
+        assert!(gc.syncs() <= 32);
         let records = gc.with_wal(|wal| wal.replay_records()).unwrap();
         assert_eq!(records.len(), 4 * 8 * 2);
         // the two frames of one group are adjacent: marker-delimited
@@ -374,6 +448,7 @@ mod tests {
         let gc = GroupCommit::spawn(Wal::in_memory(), GroupCommitConfig::default());
         gc.commit(Vec::new()).unwrap();
         assert_eq!(gc.with_wal(|wal| wal.len_bytes()).unwrap(), 0);
+        assert_eq!((gc.enqueued_lsn(), gc.syncs(), gc.groups()), (0, 0, 0));
     }
 
     #[test]
@@ -389,5 +464,90 @@ mod tests {
         }
         let records = gc.with_wal(|wal| wal.replay_records()).unwrap();
         assert_eq!(records.len(), 5);
+    }
+
+    /// Groups enqueued while the log is held share one sync once it is
+    /// released; the durable LSN covers them all and the hook runs.
+    #[test]
+    fn enqueued_groups_become_durable_together_and_wake_the_hook() {
+        let gc = Arc::new(GroupCommit::spawn(
+            Wal::in_memory(),
+            GroupCommitConfig::default(),
+        ));
+        let woken = Arc::new(AtomicU64::new(0));
+        let hook: Arc<dyn Fn() + Send + Sync> = {
+            let woken = woken.clone();
+            Arc::new(move || {
+                woken.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        gc.add_wake_hook(Arc::downgrade(&hook));
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = {
+            let gc = gc.clone();
+            std::thread::spawn(move || {
+                gc.with_wal(|_| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            })
+        };
+        held_rx.recv().unwrap();
+        // the first group may be taken by the writer, which then blocks
+        // on the held log; the rest queue behind it
+        let lsns: Vec<u64> = (0u8..6)
+            .map(|i| gc.enqueue(vec![WalRecord::Coordination(vec![i])]).unwrap())
+            .collect();
+        assert_eq!(lsns, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(gc.enqueued_lsn(), 6);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            gc.durable_lsn(),
+            0,
+            "nothing is durable while the log is held"
+        );
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        gc.wait_durable(6).unwrap();
+        assert_eq!(gc.durable_lsn(), 6);
+        assert!(gc.syncs() <= 2, "one sync per batch: {}", gc.syncs());
+        assert_eq!(gc.groups(), 6);
+        // hooks run after the waiters wake; a later batch is ordered
+        // after them
+        gc.commit(vec![WalRecord::Coordination(vec![8])]).unwrap();
+        assert!(woken.load(Ordering::SeqCst) >= 1);
+        // a dropped hook is forgotten
+        drop(hook);
+        for i in 9u8..11 {
+            gc.commit(vec![WalRecord::Coordination(vec![i])]).unwrap();
+        }
+        assert!(lock(&gc.shared.hooks).is_empty());
+    }
+
+    /// A failed sync poisons the writer: nothing the failed sync
+    /// covered is acknowledged, and every later commit fails — even
+    /// though the sink's next sync would succeed.
+    #[test]
+    fn a_failed_sync_fails_every_later_commit() {
+        let gc = GroupCommit::spawn(Wal::failing_sync_at(2), GroupCommitConfig::default());
+        gc.commit(vec![WalRecord::Coordination(vec![1])]).unwrap();
+        assert!(
+            gc.commit(vec![WalRecord::Coordination(vec![2])]).is_err(),
+            "the failed sync's group is not acknowledged"
+        );
+        for i in 3u8..6 {
+            assert!(
+                gc.commit(vec![WalRecord::Coordination(vec![i])]).is_err(),
+                "commit {i} after a failed sync must fail"
+            );
+        }
+        assert_eq!(
+            gc.durable_lsn(),
+            1,
+            "the durable LSN stops before the failure"
+        );
+        assert!(gc.failure().is_some());
+        assert!(gc.enqueue(vec![WalRecord::Coordination(vec![7])]).is_err());
     }
 }

@@ -420,6 +420,10 @@ pub struct Wal {
     /// group-commit writer after every sync, to publish the length
     /// `Database::wal_len` serves) never needs a file-metadata syscall.
     len_hint: u64,
+    /// The failing sink of unit tests: `(syncs so far, the 1-based
+    /// sync call that fails)`.
+    #[cfg(test)]
+    fail_sync: Option<(u32, u32)>,
 }
 
 impl Wal {
@@ -438,6 +442,8 @@ impl Wal {
         Ok(Wal {
             sink: WalSink::File(file),
             len_hint,
+            #[cfg(test)]
+            fail_sync: None,
         })
     }
 
@@ -446,6 +452,18 @@ impl Wal {
         Wal {
             sink: WalSink::Memory(Vec::new()),
             len_hint: 0,
+            #[cfg(test)]
+            fail_sync: None,
+        }
+    }
+
+    /// An in-memory WAL whose `n`th sync (1-based) fails once; every
+    /// other call succeeds.
+    #[cfg(test)]
+    pub(crate) fn failing_sync_at(n: u32) -> Wal {
+        Wal {
+            fail_sync: Some((0, n)),
+            ..Wal::in_memory()
         }
     }
 
@@ -456,6 +474,8 @@ impl Wal {
         Wal {
             sink: WalSink::Memory(bytes),
             len_hint,
+            #[cfg(test)]
+            fail_sync: None,
         }
     }
 
@@ -501,6 +521,13 @@ impl Wal {
 
     /// Flushes buffered bytes to stable storage (no-op for memory sinks).
     pub fn sync(&mut self) -> StorageResult<()> {
+        #[cfg(test)]
+        if let Some((calls, fail_at)) = &mut self.fail_sync {
+            *calls += 1;
+            if calls == fail_at {
+                return Err(StorageError::WalIo("injected sync failure".into()));
+            }
+        }
         if let WalSink::File(f) = &mut self.sink {
             f.sync_data()
                 .map_err(|e| StorageError::WalIo(e.to_string()))?;

@@ -283,11 +283,13 @@ impl AdminConsole {
         let s = self.coordinator.stats();
         format!(
             "gauges: wal_bytes={} wal_bytes_since_checkpoint={} checkpoint_age_millis={} \
-             auto_checkpoints={} pending={}",
+             auto_checkpoints={} wal_syncs={} wal_groups={} pending={}",
             s.wal_bytes,
             s.wal_bytes_since_checkpoint,
             s.checkpoint_age_millis,
             s.auto_checkpoints,
+            self.db.wal_syncs().unwrap_or(0),
+            self.db.wal_groups().unwrap_or(0),
             self.coordinator.pending_count(),
         )
     }
@@ -640,6 +642,17 @@ mod tests {
         assert!(out.contains("events_replayed="), "{out}");
         assert!(out.contains("sweep_micros="), "{out}");
         assert!(console.execute("SHOW PENDING").contains("owner=kramer"));
+
+        // the crashed site's writer counted one sync per group it wrote
+        // (nothing else was committing), and the gauges line shows them
+        let syncs = db.wal_syncs().unwrap();
+        assert!(syncs > 0);
+        assert_eq!(db.wal_groups(), Some(syncs));
+        let gauges = AdminConsole::new(db.clone(), site.coordinator().clone()).execute("gauges");
+        assert!(
+            gauges.contains(&format!("wal_syncs={syncs} wal_groups={syncs}")),
+            "{gauges}"
+        );
     }
 
     #[test]
@@ -648,6 +661,7 @@ mod tests {
         let out = c.execute("gauges");
         assert!(out.contains("wal_bytes="), "{out}");
         assert!(out.contains("checkpoint_age_millis="), "{out}");
+        assert!(out.contains("wal_syncs=0 wal_groups=0"), "{out}");
         assert!(out.contains("pending=0"), "{out}");
     }
 

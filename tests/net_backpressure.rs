@@ -286,3 +286,97 @@ fn shed_is_independent_of_the_clock() {
     );
     drop(server);
 }
+
+/// Commit-pending frames count against the outbound bound: replies the
+/// log has not covered yet are held, not written, so a peer that reads
+/// everything it is sent is still shed once they pass
+/// `max_outbound_bytes` — the hold never buffers without bound.
+#[test]
+fn commit_pending_frames_count_against_the_bound() {
+    let db = WorkloadGen::new(0x5EED)
+        .build_database_with_wal(50, &["Paris", "Rome"], youtopia::storage::Wal::in_memory())
+        .expect("database builds");
+    let co = Arc::new(ShardedCoordinator::new(db.clone()));
+    let clock: Arc<dyn Clock> = Arc::new(SystemClock);
+    let server = NetServer::spawn(
+        co,
+        TenantRegistry::new(TenantQuotas::default()),
+        ServerConfig {
+            max_outbound_bytes: 8 * 1024,
+            ..ServerConfig::default()
+        },
+        clock,
+    )
+    .expect("server binds");
+
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+    let hello = Request::Hello {
+        version: youtopia::net::PROTOCOL_VERSION,
+        owner: "held/peer".into(),
+    };
+    peer.write_all(&youtopia::net::encode_frame(&hello.encode()))
+        .expect("handshake");
+    let mut reader = FrameReader::new(peer.try_clone().expect("clone peer"));
+    assert!(matches!(
+        reader.read_event().expect("welcome"),
+        ReadEvent::Frame(_)
+    ));
+
+    // hold the log: the submit's registration is enqueued but never
+    // durable, so every reply from here on is commit-pending
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let holder = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            db.with_log(|_| {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        })
+    };
+    held_rx.recv().expect("log held");
+    let submit = Request::Submit {
+        corr: 1,
+        deadline: None,
+        sql: WorkloadGen::pair_request_on("Reservation0", "held/peer", "ghost", "Paris").sql,
+    };
+    peer.write_all(&youtopia::net::encode_frame(&submit.encode()))
+        .expect("submit");
+    let stats = youtopia::net::encode_frame(&Request::Stats { corr: 2 }.encode());
+    for _ in 0..1_000 {
+        if peer.write_all(&stats).is_err() {
+            break;
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().slow_peer_disconnects == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.stats().slow_peer_disconnects,
+        1,
+        "held replies never reached the bound: {:?}",
+        server.stats()
+    );
+    assert_eq!(server.stats().queued_bytes, 0, "the shed released the hold");
+    // only the shed notice was written; nothing held ever left
+    peer.set_read_timeout(Some(Duration::from_secs(5))).ok();
+    let mut seen = Vec::new();
+    while let Ok(ReadEvent::Frame(payload)) = reader.read_event() {
+        seen.push(Response::decode(&payload).expect("decodes"));
+    }
+    assert!(
+        matches!(
+            seen.as_slice(),
+            [Response::Error {
+                code: youtopia::net::ErrorCode::Backpressure,
+                ..
+            }]
+        ),
+        "{seen:?}"
+    );
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+    drop(server);
+}
