@@ -163,17 +163,12 @@ impl AuditSink {
         })
     }
 
-    /// Mirrors one coordination event into the audit relations.
-    /// Events without audit stamps (written while auditing was off)
-    /// are ignored, as are terminal events whose registration was
-    /// never seen — the open-entry map is the arbiter, which makes
-    /// live observation and log-replay rebuilds agree exactly.
-    pub(crate) fn observe(&self, event: &CoordEvent) {
-        self.observe_batch(std::slice::from_ref(event));
-    }
-
-    /// Mirrors a batch of events in one storage transaction (the
-    /// batch-drain and rebuild fast path).
+    /// Mirrors coordination events into the audit relations, in one
+    /// storage transaction. Events without audit stamps (written while
+    /// auditing was off) are ignored, as are terminal events whose
+    /// registration was never seen — the open-entry map is the arbiter,
+    /// which makes live observation and log-replay rebuilds agree
+    /// exactly.
     pub(crate) fn observe_batch(&self, events: &[CoordEvent]) {
         if !self.config.enabled || events.is_empty() {
             return;
@@ -530,22 +525,22 @@ mod tests {
     #[test]
     fn lifecycle_produces_submit_and_terminal_rows() {
         let (db, sink) = sink(AuditConfig::enabled());
-        sink.observe(&reg(1, "acme/alice", 1_000, 2));
-        sink.observe(&reg(2, "acme/bob", 1_010, 0));
-        sink.observe(&reg(3, "zebra/carol", 1_020, 1));
-        sink.observe(&CoordEvent::MatchCommitted {
+        sink.observe_batch(&[reg(1, "acme/alice", 1_000, 2)]);
+        sink.observe_batch(&[reg(2, "acme/bob", 1_010, 0)]);
+        sink.observe_batch(&[reg(3, "zebra/carol", 1_020, 1)]);
+        sink.observe_batch(&[CoordEvent::MatchCommitted {
             qids: vec![QueryId(1)],
             answer_writes: Vec::new(),
             at: Some(1_500),
-        });
-        sink.observe(&CoordEvent::QueryCancelled {
+        }]);
+        sink.observe_batch(&[CoordEvent::QueryCancelled {
             qid: QueryId(2),
             at: Some(1_600),
-        });
-        sink.observe(&CoordEvent::QueryExpired {
+        }]);
+        sink.observe_batch(&[CoordEvent::QueryExpired {
             qid: QueryId(3),
             at: Some(1_700),
-        });
+        }]);
 
         let acme = tenant_audit(&db, "acme", 100);
         assert_eq!(acme.len(), 4); // 2 submits + 2 terminals
@@ -575,18 +570,18 @@ mod tests {
     #[test]
     fn unstamped_events_and_unknown_qids_are_ignored() {
         let (db, sink) = sink(AuditConfig::enabled());
-        sink.observe(&CoordEvent::QueryRegistered {
+        sink.observe_batch(&[CoordEvent::QueryRegistered {
             owner: "a/x".into(),
             sql: "q".into(),
             qid: QueryId(1),
             seq: 1,
             deadline: None,
             stamp: None, // logged while auditing was off
-        });
-        sink.observe(&CoordEvent::QueryCancelled {
+        }]);
+        sink.observe_batch(&[CoordEvent::QueryCancelled {
             qid: QueryId(99), // never registered
             at: Some(10),
-        });
+        }]);
         assert!(tenant_audit(&db, "a", 100).is_empty());
     }
 
@@ -599,7 +594,7 @@ mod tests {
         };
         let (db, sink) = sink(config);
         for i in 0..40 {
-            sink.observe(&reg(i, "t/u", 1_000 + i, 0));
+            sink.observe_batch(&[reg(i, "t/u", 1_000 + i, 0)]);
         }
         let rows = tenant_audit(&db, "t", 1000);
         assert!(
@@ -631,7 +626,7 @@ mod tests {
 
         let (db_live, live) = sink(AuditConfig::enabled());
         for e in &events {
-            live.observe(e);
+            live.observe_batch(std::slice::from_ref(e));
         }
 
         let frames: Vec<Vec<u8>> = events.iter().map(CoordEvent::encode).collect();
@@ -652,7 +647,7 @@ mod tests {
     #[test]
     fn disabled_sink_writes_nothing() {
         let (db, sink) = sink(AuditConfig::default());
-        sink.observe(&reg(1, "t/u", 1_000, 0));
+        sink.observe_batch(&[reg(1, "t/u", 1_000, 0)]);
         assert!(tenant_audit(&db, "t", 100).is_empty());
     }
 }

@@ -541,16 +541,8 @@ impl Engine {
         self.audit.as_ref().map(|a| a.now())
     }
 
-    /// Mirrors one logged event into the audit relations (no-op when
-    /// auditing is off).
-    pub(crate) fn observe(&self, event: &CoordEvent) {
-        if let Some(audit) = &self.audit {
-            audit.observe(event);
-        }
-    }
-
-    /// Mirrors a batch of logged events into the audit relations (one
-    /// storage transaction for the whole batch).
+    /// Mirrors logged events into the audit relations, in one storage
+    /// transaction (no-op when auditing is off).
     pub(crate) fn observe_all(&self, events: &[CoordEvent]) {
         if let Some(audit) = &self.audit {
             audit.observe_batch(events);

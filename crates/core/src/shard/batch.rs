@@ -1,9 +1,11 @@
-//! The batch pipeline: route a whole batch in one router pass, then
-//! drain each shard's bucket on the worker pool (see "Batch draining"
-//! in the [module docs](super)).
+//! The one arrival path: every submission, a single one included (a
+//! batch of one), is admitted, routed in one router pass and drained
+//! shard by shard on the worker pool (see "Batch draining" in the
+//! [module docs](super)).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -16,7 +18,7 @@ use crate::ir::{EntangledQuery, QueryId};
 use crate::lifecycle::SubmitOptions;
 use crate::registry::Pending;
 use crate::safety::check_safety;
-use crate::tenant::{tenant_of, Admission};
+use crate::tenant::{tenant_of, Admission, TenantRegistry};
 
 use super::router::signature;
 use super::{hook_ref, ShardedCoordinator, SharedApplyHook};
@@ -25,7 +27,7 @@ use super::{hook_ref, ShardedCoordinator, SharedApplyHook};
 pub type BatchOutcome = CoreResult<Submission>;
 
 /// One shard's drain bucket: `(input index, prepared pending query,
-/// tenant admission to bind once the registration is durable)`.
+/// tenant admission to bind once the registration is logged)`.
 type Bucket = Vec<(usize, Pending, Option<Admission>)>;
 
 /// What a drain hands back: per-slot outcomes, the answered log, and
@@ -68,16 +70,7 @@ impl ShardedCoordinator {
     /// [`ShardedCoordinator::submit_batch_async_with`] over `(owner,
     /// sql)` requests with default options, answered-or-pending view.
     pub fn submit_batch_sql(&self, requests: &[(String, String)]) -> Vec<BatchOutcome> {
-        self.submit_batch(compile_batch(requests))
-    }
-
-    /// [`ShardedCoordinator::submit_batch_async_with`] with default
-    /// options, answered-or-pending view.
-    pub fn submit_batch(
-        &self,
-        requests: Vec<(String, CoreResult<EntangledQuery>)>,
-    ) -> Vec<BatchOutcome> {
-        self.submit_batch_with(default_options(requests))
+        self.submit_batch_with(compile_batch(requests))
     }
 
     /// [`ShardedCoordinator::submit_batch_async_with`],
@@ -98,39 +91,49 @@ impl ShardedCoordinator {
         &self,
         requests: &[(String, String)],
     ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.submit_batch_async(compile_batch(requests))
+        self.submit_batch_async_with(compile_batch(requests))
     }
 
-    /// [`ShardedCoordinator::submit_batch_async_with`] with default
-    /// options.
-    pub fn submit_batch_async(
-        &self,
-        requests: Vec<(String, CoreResult<EntangledQuery>)>,
-    ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.submit_batch_async_with(default_options(requests))
-    }
-
-    /// Submits a batch of pre-compiled queries — the single batch
-    /// entry; every other `submit_batch*` is a one-line convenience
-    /// over it. Safety-checks outside any lock, routes the whole batch
-    /// in one router pass, then drains each shard's bucket on the
-    /// worker pool. Entries may carry a compile error, which is passed
-    /// through to the outcome slot, and their own deadline, logged in
-    /// their registration frame of the bucket's group commit. Outcomes
-    /// are returned in input order; a future is already resolved when
-    /// its arrival completed a group within the batch.
+    /// Submits a batch of pre-compiled queries. Entries may carry a
+    /// compile error, which is passed through to the outcome slot, and
+    /// their own deadline, logged in their registration frame of the
+    /// bucket's group commit. Outcomes are returned in input order; a
+    /// future is already resolved when its arrival completed a group
+    /// within the batch.
+    ///
+    /// Log-before-ack: every registration of a shard's bucket is
+    /// committed to the coordination log — under the shard lock, so a
+    /// concurrent checkpoint cannot lose it — before any of its
+    /// arrivals is processed, and a match an arrival completes returns
+    /// only once durable.
     pub fn submit_batch_async_with(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
+    ) -> Vec<CoreResult<CoordinationFuture>> {
+        self.arrive(requests, Ack::Wait)
+    }
+
+    /// The one arrival path behind every `submit*` entry (a single
+    /// submit is a batch of one). Safety-checks and admits outside any
+    /// lock, routes the whole batch in one router pass, then drains
+    /// each shard's bucket on the worker pool; `ack` decides whether
+    /// the bucket's log writes wait for durability.
+    pub(super) fn arrive(
+        &self,
+        requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
+        ack: Ack,
     ) -> Vec<CoreResult<CoordinationFuture>> {
         let mut outcomes: Vec<Option<CoreResult<CoordinationFuture>>> =
             Vec::with_capacity(requests.len());
         outcomes.resize_with(requests.len(), || None);
 
         // Phase 1 (no locks): compile outcomes + safety + tenant
-        // admission, id allocation in input order so ids match a serial
-        // submission of the batch (admission precedes allocation, like
-        // the single-submit path, so a rejected entry burns no id).
+        // admission, then id allocation in input order, so ids match a
+        // serial submission of the batch. Admission control runs before
+        // the id is allocated, so a quota rejection leaves no trace in
+        // the id space, the router or the log; the reservation is
+        // released (as `aborted`) if the registration never reaches
+        // the log.
         let tenants = self.engine.tenants();
         let mut any_deadline = false;
         let mut accepted: Vec<(usize, Pending, BTreeSet<String>, Option<Admission>)> = Vec::new();
@@ -181,15 +184,13 @@ impl ShardedCoordinator {
         let mut all_moves: HashMap<usize, Vec<QueryId>> = HashMap::new();
         {
             let mut router = self.router.lock();
-            let mut routed = Vec::with_capacity(accepted.len());
-            for (idx, pending, relations, admission) in accepted {
-                let (_, migrations) = router.route(pending.id, &relations);
+            for (_, pending, relations, _) in &accepted {
+                let (_, migrations) = router.route(pending.id, relations);
                 for (shard, mut qids) in self.apply_migrations(&mut router, &migrations) {
                     all_moves.entry(shard).or_default().append(&mut qids);
                 }
-                routed.push((idx, pending, admission));
             }
-            for (idx, pending, admission) in routed {
+            for (idx, pending, _, admission) in accepted {
                 let shard = router
                     .shard_of_query(pending.id)
                     .expect("query was routed in this pass");
@@ -208,7 +209,8 @@ impl ShardedCoordinator {
             .collect();
         let drains = self.fan_out(busy.len(), |i| {
             let (shard, bucket) = &busy[i];
-            self.drain_shard(*shard, std::mem::take(&mut *bucket.lock()), &hook)
+            let bucket = std::mem::take(&mut *bucket.lock());
+            self.drain_shard(*shard, bucket, &hook, &tenants, ack)
         });
         let mut answered: Vec<QueryId> = Vec::new();
         let mut still_pending: Vec<(usize, Vec<QueryId>)> = Vec::new();
@@ -229,6 +231,8 @@ impl ShardedCoordinator {
         }
 
         if any_deadline {
+            // after every shard lock is released: the sweeper's next
+            // hint read sees the published per-shard minimum
             self.sweep_signal.notify();
         }
         self.checkpoint_if_due(0);
@@ -283,21 +287,22 @@ impl ShardedCoordinator {
             .collect()
     }
 
-    /// Drains one shard's bucket under its lock: group-commits the
-    /// bucket's registrations to the coordination log as one
-    /// marker-delimited commit group (buckets draining on other
-    /// shards share the pipeline writer's fsync), then
+    /// Drains one shard's bucket under its lock: commits the bucket's
+    /// registrations to the coordination log as one marker-delimited
+    /// group (buckets draining on other shards share the writer's
+    /// fsync), waiting for it under [`Ack::Wait`] only, then runs
     /// insert → match → cascade per arrival, in bucket (= submission)
-    /// order. Returns the per-request outcomes,
-    /// the answered-query log, and the ids that may still be pending
-    /// afterwards (`Pending` outcomes, plus `Err` outcomes — an apply
-    /// failure reinstates the query), which the caller must
-    /// placement-heal.
+    /// order. Returns the per-request outcomes, the answered-query log,
+    /// and the ids that may still be pending afterwards (`Pending`
+    /// outcomes, plus `Err` outcomes — an apply failure reinstates the
+    /// query), which the caller must placement-heal.
     fn drain_shard(
         &self,
         shard: usize,
         bucket: Bucket,
         hook: &Option<SharedApplyHook>,
+        tenants: &Option<Arc<TenantRegistry>>,
+        ack: Ack,
     ) -> DrainResult {
         // Fair tenant interleaving reorders the bucket *before* the log
         // events are built, so the durable registration order equals
@@ -307,10 +312,7 @@ impl ShardedCoordinator {
         } else {
             bucket
         };
-        let tenants = self.engine.tenants();
         let mut state = self.shard_lock(shard);
-        // log-before-ack, batch flavor: every registration of the
-        // bucket is durable before any of its arrivals is processed
         let stamp = self.engine.audit_now().map(|at| RegStamp {
             at,
             shard: shard as u32,
@@ -326,7 +328,7 @@ impl ShardedCoordinator {
                 stamp,
             })
             .collect();
-        if let Err(e) = self.engine.log(&events, Ack::Wait) {
+        if let Err(e) = self.engine.log(&events, ack) {
             // none were registered: fail every slot and retire the
             // routed-but-unlogged ids from the router (via the
             // answered log, whose entries the caller purges). The
@@ -346,13 +348,13 @@ impl ShardedCoordinator {
         let mut maybe_pending = Vec::new();
         for (idx, pending, admission) in bucket {
             let qid = pending.id;
-            // durably registered: bind the tenant reservation to its id
-            if let (Some(reg), Some(admission)) = (&tenants, admission) {
+            // registered: bind the tenant reservation to its id
+            if let (Some(reg), Some(admission)) = (tenants, admission) {
                 reg.track(admission, qid);
             }
-            let outcome =
-                self.engine
-                    .process_arrival(&mut state, pending, hook_ref(hook), Ack::Wait);
+            let outcome = self
+                .engine
+                .process_arrival(&mut state, pending, hook_ref(hook), ack);
             if !matches!(&outcome, Ok(f) if f.answered_on_arrival()) {
                 maybe_pending.push(qid);
             }
@@ -365,20 +367,14 @@ impl ShardedCoordinator {
     }
 }
 
-/// Compiles a batch of `(owner, sql)` requests, keeping each entry's
-/// compile error in its slot.
-fn compile_batch(requests: &[(String, String)]) -> Vec<(String, CoreResult<EntangledQuery>)> {
+/// Compiles a batch of `(owner, sql)` requests with default options,
+/// keeping each entry's compile error in its slot.
+fn compile_batch(
+    requests: &[(String, String)],
+) -> Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)> {
     requests
         .iter()
-        .map(|(owner, sql)| (owner.clone(), compile_sql(sql)))
-        .collect()
-}
-
-/// Attaches default [`SubmitOptions`] to every batch entry.
-fn default_options<Q>(requests: Vec<(String, Q)>) -> Vec<(String, Q, SubmitOptions)> {
-    requests
-        .into_iter()
-        .map(|(owner, query)| (owner, query, SubmitOptions::default()))
+        .map(|(owner, sql)| (owner.clone(), compile_sql(sql), SubmitOptions::default()))
         .collect()
 }
 

@@ -80,10 +80,11 @@
 //!
 //! # Batch draining
 //!
-//! [`ShardedCoordinator::submit_batch_sql`] compiles and safety-checks
-//! the whole batch outside any lock, routes it in one router pass
-//! (bucketing after all unions, so intra-batch merges cannot strand an
-//! earlier entry), then drains each shard's bucket on a small worker
+//! Every submission takes one arrival path, in `batch.rs`; a single
+//! submit is a batch of one. It safety-checks and admits the whole
+//! batch outside any lock, routes it in one router pass (bucketing
+//! after all unions, so intra-batch merges cannot strand an earlier
+//! entry), then drains each shard's bucket on a small worker
 //! pool — one scoped thread per busy shard, capped by
 //! [`ShardedConfig::workers`]. Within one shard the bucket is processed
 //! arrival-by-arrival — insert, match, cascade — which keeps per-shard
@@ -107,14 +108,13 @@ use crate::compile::compile_sql;
 use crate::coordinator::{
     CoordinatorConfig, MatchGraph, MatchNotification, PendingInfo, Submission, SystemStats,
 };
-use crate::engine::{match_graph_of, Ack, CoordEvent, Engine, RegStamp, Retirement, ShardState};
+use crate::engine::{match_graph_of, Ack, Engine, Retirement, ShardState};
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{EntangledQuery, QueryId};
 use crate::lifecycle::{Clock, DeadlineHost, SubmitOptions, SweepSignal, SystemClock};
 use crate::matcher::GroupMatch;
 use crate::registry::{Pending, Registry};
-use crate::safety::check_safety;
 use crate::tenant::TenantRegistry;
 
 mod batch;
@@ -237,10 +237,11 @@ impl Drop for ShardGuard<'_> {
 /// The coordination component: partitions the pending registry into
 /// shards keyed by answer-relation signature and drains submissions
 /// per shard — see the module docs for the routing rule and locking
-/// protocol. One submit entry ([`ShardedCoordinator::submit_async_with`])
-/// and one batch entry ([`ShardedCoordinator::submit_batch_async_with`])
-/// carry the whole `submit*` family; cancellation, expiry, durable
-/// recovery ([`ShardedCoordinator::recover`]) and waiter reattachment
+/// protocol. One arrival path carries the whole `submit*` family: a
+/// single submit ([`ShardedCoordinator::submit_async_with`]) is a batch
+/// of one ([`ShardedCoordinator::submit_batch_async_with`]).
+/// Cancellation, expiry, durable recovery
+/// ([`ShardedCoordinator::recover`]) and waiter reattachment
 /// ([`ShardedCoordinator::reattach`]) complete the surface.
 pub struct ShardedCoordinator {
     engine: Engine,
@@ -413,32 +414,15 @@ impl ShardedCoordinator {
     }
 
     /// [`ShardedCoordinator::submit_async_with`] over SQL text,
-    /// answered-or-pending view.
+    /// answered-or-pending view: [`Submission::Answered`] when the
+    /// arrival completed a group, otherwise the pending query's future.
     pub fn submit_sql_with(
         &self,
         owner: &str,
         sql: &str,
         opts: SubmitOptions,
     ) -> CoreResult<Submission> {
-        self.submit_with(owner, compile_sql(sql)?, opts)
-    }
-
-    /// [`ShardedCoordinator::submit_async_with`] with default options,
-    /// answered-or-pending view.
-    pub fn submit(&self, owner: &str, query: EntangledQuery) -> CoreResult<Submission> {
-        self.submit_with(owner, query, SubmitOptions::default())
-    }
-
-    /// [`ShardedCoordinator::submit_async_with`], answered-or-pending
-    /// view: [`Submission::Answered`] when the arrival completed a
-    /// group, otherwise the pending query's future.
-    pub fn submit_with(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-    ) -> CoreResult<Submission> {
-        self.submit_async_with(owner, query, opts)
+        self.submit_sql_async_with(owner, sql, opts)
             .map(Submission::from)
     }
 
@@ -458,21 +442,13 @@ impl ShardedCoordinator {
         self.submit_async_with(owner, compile_sql(sql)?, opts)
     }
 
-    /// [`ShardedCoordinator::submit_async_with`] with default options.
-    pub fn submit_async(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-    ) -> CoreResult<CoordinationFuture> {
-        self.submit_async_with(owner, query, SubmitOptions::default())
-    }
-
-    /// Submits one compiled entangled query — the single submit entry;
-    /// every other `submit*` is a one-line convenience over it. Routes
-    /// the query to its shard and runs arrival-driven matching there;
-    /// submissions routed to different shards proceed concurrently. A
-    /// deadline in `opts` rides the registration's log frame and is
-    /// enforced by `expire_due` sweeps.
+    /// Submits one compiled entangled query: a batch of one on the
+    /// arrival path of [`ShardedCoordinator::submit_batch_async_with`],
+    /// so it is admitted, logged, matched and healed exactly like a
+    /// batch entry. Routes the query to its shard and runs
+    /// arrival-driven matching there; submissions routed to different
+    /// shards proceed concurrently. A deadline in `opts` rides the
+    /// registration's log frame and is enforced by `expire_due` sweeps.
     ///
     /// The returned handle is a poll-based future, already resolved
     /// when the arrival completed a group; otherwise it is completed —
@@ -480,12 +456,6 @@ impl ShardedCoordinator {
     /// the query: a match commit, a cancellation, an expiry sweep, or
     /// a reattach. Thousands of these can be held in flight by one
     /// [`crate::WaiterSet`] thread.
-    ///
-    /// Log-before-ack: on a durable (WAL-backed) database the
-    /// registration is committed to the coordination log — under the
-    /// shard lock, so a concurrent checkpoint cannot lose it — before
-    /// the arrival is processed or acknowledged, and a match it
-    /// completes returns only once durable.
     pub fn submit_async_with(
         &self,
         owner: &str,
@@ -520,9 +490,7 @@ impl ShardedCoordinator {
         self.submit_one(owner, compile_sql(sql)?, opts, Ack::Pipelined)
     }
 
-    /// The one submit body behind [`ShardedCoordinator::submit_async_with`]
-    /// and [`ShardedCoordinator::submit_sql_pipelined`]; `ack` decides
-    /// whether its log writes wait for durability.
+    /// A batch of one through the arrival path (`arrive`, in `batch.rs`).
     fn submit_one(
         &self,
         owner: &str,
@@ -530,95 +498,9 @@ impl ShardedCoordinator {
         opts: SubmitOptions,
         ack: Ack,
     ) -> CoreResult<CoordinationFuture> {
-        if let Err(e) = check_safety(&query, self.engine.config.safety) {
-            self.rejected_unsafe.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        // admission control runs before the query id is allocated so a
-        // quota rejection leaves no trace in the id space, the router
-        // or the log; the reservation is released (as `aborted`) if the
-        // registration never becomes durable
-        let tenants = self.engine.tenants();
-        let admission = match &tenants {
-            Some(reg) => match reg.admit(owner, opts.deadline) {
-                Ok(admission) => Some(admission),
-                Err(e) => {
-                    self.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        let relations = router::signature(&query);
-        let qid = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let pending = Pending {
-            id: qid,
-            owner: owner.to_string(),
-            query: query.namespaced(qid),
-            seq,
-            deadline: opts.deadline,
-        };
-        let hook = self.apply_hook.lock().clone();
-
-        let (shard, moves) = {
-            let mut router = self.router.lock();
-            let (shard, migrations) = router.route(qid, &relations);
-            let moves = self.apply_migrations(&mut router, &migrations);
-            (shard, moves)
-        };
-        self.rematch_moved(moves, &hook);
-
-        let (result, answered) = {
-            let mut state = self.shard_lock(shard);
-            let event = CoordEvent::QueryRegistered {
-                owner: owner.to_string(),
-                sql: query.sql.clone(),
-                qid,
-                seq,
-                deadline: opts.deadline,
-                stamp: self.engine.audit_now().map(|at| RegStamp {
-                    at,
-                    shard: shard as u32,
-                }),
-            };
-            match self.engine.log(std::slice::from_ref(&event), ack) {
-                Ok(()) => {
-                    // the registration is logged: bind the tenant
-                    // reservation to its id
-                    if let (Some(reg), Some(admission)) = (&tenants, admission) {
-                        reg.track(admission, qid);
-                    }
-                    // audit submit row before any terminal row this
-                    // arrival could produce
-                    self.engine.observe(&event);
-                    let result =
-                        self.engine
-                            .process_arrival(&mut state, pending, hook_ref(&hook), ack);
-                    self.engine.flush_audit(&mut state);
-                    (result, std::mem::take(&mut state.answered_log))
-                }
-                Err(e) => {
-                    // never registered: retire the routed-but-unlogged id
-                    // so the router does not leak its membership (the
-                    // still-held admission rolls back on drop below)
-                    (Err(CoreError::Storage(e)), vec![qid])
-                }
-            }
-        };
-        self.retire(&answered);
-        // heal on Err as well: an apply failure reinstates the query as
-        // pending, and a concurrent merge may have re-routed it
-        if !matches!(&result, Ok(f) if f.answered_on_arrival()) {
-            self.heal_placement(shard, &[qid], &hook);
-        }
-        if opts.deadline.is_some() {
-            // after every shard lock is released: the sweeper's next
-            // hint read sees the published per-shard minimum
-            self.sweep_signal.notify();
-        }
-        self.checkpoint_if_due(0);
-        result
+        self.arrive(vec![(owner.to_string(), Ok(query), opts)], ack)
+            .pop()
+            .expect("a batch of one has one outcome")
     }
 
     /// Cancels a pending query ("a query whose postcondition is not

@@ -625,6 +625,7 @@ mod tests {
     fn query_without_answer_relations_is_routed_and_cancellable() {
         use crate::compile::compile_sql;
         use crate::ir::EntangledQuery;
+        use crate::lifecycle::SubmitOptions;
 
         let co = ShardedCoordinator::with_config(
             flights_db(),
@@ -646,12 +647,18 @@ mod tests {
         };
         assert!(lone.answer_relations().is_empty());
 
-        let mut outcomes = co.submit_batch(vec![("batch".to_string(), Ok(lone.clone()))]);
+        let mut outcomes = co.submit_batch_with(vec![(
+            "batch".to_string(),
+            Ok(lone.clone()),
+            SubmitOptions::default(),
+        )]);
         let Some(Ok(Submission::Pending(batched))) = outcomes.pop() else {
             panic!("the batch entry pends")
         };
-        let single = co.submit("single", lone).unwrap();
-        assert!(matches!(single, Submission::Pending(_)));
+        let mut single = co
+            .submit_async_with("single", lone, SubmitOptions::default())
+            .unwrap();
+        assert!(single.try_take().is_none(), "the single entry pends");
         assert_eq!(co.pending_count(), 2);
         co.check_routing_invariants().unwrap();
 

@@ -1,30 +1,45 @@
-//! Equivalence property: with `randomize` off and a fixed seed, the
-//! coordinator at four shards fed one batch produces the **identical**
-//! coordination outcomes — group members *and* answer tuples, query
-//! ids, sequence numbers and pending snapshot — as the coordinator at
-//! one shard fed the same requests one at a time (the paper's serial
-//! component), on randomized travel workloads.
+//! Equivalence property of the one arrival path: a single submit is a
+//! batch of one, so how a workload is cut into calls must not matter.
+//! With `randomize` off and a fixed seed, the same requests fed one at
+//! a time (the paper's serial component), in any chunking of batches,
+//! or as one batch — at one shard or four — produce the **identical**
+//! coordination outcomes (group members *and* answer tuples), query
+//! ids, sequence numbers, pending snapshot, tenant ledger and
+//! coordination log, on randomized travel workloads.
 //!
 //! Why this should hold exactly: ids are allocated in submission order
-//! in both modes; a batch drain processes each shard's bucket
-//! arrival-by-arrival, which is precisely the serial algorithm
-//! restricted to that shard; and queries on different shards can never
-//! interact (disjoint answer relations, so neither pending heads nor
-//! committed answers cross over). With randomization disabled the
-//! matcher is deterministic, so the per-shard runs reproduce the
-//! one-shard run verbatim.
+//! in every mode; a drain processes each shard's bucket
+//! arrival-by-arrival, inserting a query into the registry only when
+//! its turn comes, which is precisely the serial algorithm restricted
+//! to that shard; and queries on different shards can never interact
+//! (disjoint answer relations, so neither pending heads nor committed
+//! answers cross over). With randomization disabled the matcher is
+//! deterministic, so every cut reproduces the one-at-a-time run
+//! verbatim.
+//!
+//! The log is compared frame by frame, not as one byte string: a batch
+//! commits its bucket's registrations as one group ahead of the
+//! bucket's matches, and shards draining concurrently interleave their
+//! groups. So commit markers are dropped, registration frames are
+//! compared as a set, and every other frame is compared in log order
+//! per relation it writes — one relation lives on one shard, whose
+//! drain order is the arrival order.
 //!
 //! The one-shard side is in turn pinned to a golden captured from the
 //! serial `Coordinator` implementation this coordinator replaced
 //! (parent commit 5f192d2): same ids, seqs, snapshot order, counters,
 //! and the same seed-by-seed `CHOOSE` picks with randomization *on*.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use youtopia::core::MatchConfig;
+use youtopia::core::{MatchConfig, TenantStats};
+use youtopia::storage::{Wal, WalOp, WalRecord};
 use youtopia::{
-    run_sql, CoordinationOutcome, Coordinator, CoordinatorConfig, Database, MatchNotification,
-    ShardedConfig, ShardedCoordinator, Submission,
+    run_sql, CoordEvent, CoordinationOutcome, Coordinator, CoordinatorConfig, Database,
+    MatchNotification, ShardedConfig, ShardedCoordinator, Submission, TenantQuotas, TenantRegistry,
 };
 
 /// One generated workload: pair requests `(me, friend, relation, dest)`
@@ -49,8 +64,9 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
     })
 }
 
+/// A durable scenario database: the log comparison reads its WAL.
 fn scenario_db() -> Database {
-    let db = Database::new();
+    let db = Database::with_wal(Wal::in_memory());
     run_sql(
         &db,
         "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)",
@@ -103,12 +119,128 @@ fn canonical(n: &MatchNotification) -> Outcome {
     (n.id.0, group, answers)
 }
 
-/// `(outcomes, still-pending ids, pending snapshot as (id, seq, owner))`.
-type Run = (Vec<Outcome>, Vec<u64>, Vec<(u64, u64, String)>);
+/// The coordination log in the form every cut of a workload agrees on
+/// (see the module docs): registration payloads sorted, every other
+/// record in log order under the lowercased relation it writes.
+#[derive(Debug, PartialEq)]
+struct Log {
+    registrations: Vec<Vec<u8>>,
+    effects: BTreeMap<String, Vec<WalRecord>>,
+}
 
-/// Collects every notification (immediate or delivered through a
-/// pending handle), the still-pending ids, and the pending snapshot.
-fn collect(co: &ShardedCoordinator, submissions: Vec<Submission>) -> Run {
+fn read_log(db: &Database) -> Log {
+    let bytes = db.wal_bytes().expect("a durable database");
+    let (records, _) = Wal::decode_records(&bytes).expect("the log decodes");
+    let mut log = Log {
+        registrations: Vec::new(),
+        effects: BTreeMap::new(),
+    };
+    for record in records {
+        let relation = match &record {
+            WalRecord::CommitBoundary => continue,
+            WalRecord::Coordination(payload) => match CoordEvent::decode(payload) {
+                Ok(CoordEvent::QueryRegistered { .. }) => {
+                    log.registrations.push(payload.clone());
+                    continue;
+                }
+                Ok(CoordEvent::MatchCommitted { answer_writes, .. }) => answer_writes
+                    .first()
+                    .map_or_else(String::new, |(rel, _)| rel.clone()),
+                other => panic!("no cancel, expiry or watermark here: {other:?}"),
+            },
+            WalRecord::Storage(
+                WalOp::CreateTable { name: table, .. }
+                | WalOp::DropTable { name: table }
+                | WalOp::Insert { table, .. }
+                | WalOp::Update { table, .. }
+                | WalOp::Delete { table, .. },
+            ) => table.clone(),
+        };
+        log.effects
+            .entry(relation.to_ascii_lowercase())
+            .or_default()
+            .push(record);
+    }
+    log.registrations.sort();
+    log
+}
+
+/// Everything one run is compared on.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// Every notification, immediate or delivered through a handle.
+    outcomes: Vec<Outcome>,
+    /// The still-pending ids.
+    pending: Vec<u64>,
+    /// The pending snapshot as `(id, seq, owner)`.
+    snapshot: Vec<(u64, u64, String)>,
+    /// The tenant ledger.
+    ledger: Vec<TenantStats>,
+    log: Log,
+}
+
+/// How a workload is cut into calls.
+#[derive(Debug, Clone)]
+enum Feed {
+    /// One `submit_sql` per request.
+    Singles,
+    /// One `submit_batch_sql` per chunk, chunk sizes cycled over the
+    /// workload (`vec![usize::MAX]` is one batch).
+    Chunks(Vec<usize>),
+}
+
+fn one_batch() -> Feed {
+    Feed::Chunks(vec![usize::MAX])
+}
+
+fn arb_chunks() -> impl Strategy<Value = Feed> {
+    proptest::collection::vec(1usize..5, 1..6).prop_map(Feed::Chunks)
+}
+
+/// Runs the workload through `shards` shards, cut into calls by `feed`.
+fn run(w: &Workload, seed: u64, shards: usize, feed: &Feed) -> Run {
+    let db = scenario_db();
+    let co = ShardedCoordinator::with_config(
+        db.clone(),
+        ShardedConfig {
+            shards,
+            workers: 4,
+            fair_drain: false,
+            checkpoint: Default::default(),
+            base: config(seed),
+        },
+    );
+    let tenants = TenantRegistry::new(TenantQuotas::unlimited());
+    co.set_tenant_registry(Arc::clone(&tenants));
+    let requests: Vec<(String, String)> = w
+        .requests
+        .iter()
+        .map(|(me, friend, rel, dest)| (me.clone(), pair_sql(me, friend, rel, dest)))
+        .collect();
+    let safe = "generated queries are safe";
+    let submissions: Vec<Submission> = match feed {
+        Feed::Singles => requests
+            .iter()
+            .map(|(owner, sql)| co.submit_sql(owner, sql).expect(safe))
+            .collect(),
+        Feed::Chunks(sizes) => {
+            let mut submissions = Vec::new();
+            let mut rest = &requests[..];
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                let outcomes = co.submit_batch_sql(chunk);
+                submissions.extend(outcomes.into_iter().map(|o| o.expect(safe)));
+                rest = tail;
+            }
+            submissions
+        }
+    };
+    co.check_routing_invariants()
+        .expect("routing invariants hold");
+
     let mut outcomes = Vec::new();
     let mut pending = Vec::new();
     for submission in submissions {
@@ -128,46 +260,13 @@ fn collect(co: &ShardedCoordinator, submissions: Vec<Submission>) -> Run {
         .into_iter()
         .map(|p| (p.id.0, p.seq, p.owner))
         .collect();
-    (outcomes, pending, snapshot)
-}
-
-/// Runs the workload through one shard, one request at a time: the
-/// serial algorithm.
-fn run_serial(w: &Workload, seed: u64) -> Run {
-    let co = Coordinator::with_config(scenario_db(), config(seed));
-    let submissions = w
-        .requests
-        .iter()
-        .map(|(me, friend, rel, dest)| co.submit_sql(me, &pair_sql(me, friend, rel, dest)).unwrap())
-        .collect();
-    collect(&co, submissions)
-}
-
-/// Runs the workload through `shards` shards as one batch.
-fn run_batch(w: &Workload, seed: u64, shards: usize) -> Run {
-    let co = ShardedCoordinator::with_config(
-        scenario_db(),
-        ShardedConfig {
-            shards,
-            workers: 4,
-            fair_drain: false,
-            checkpoint: Default::default(),
-            base: config(seed),
-        },
-    );
-    let batch: Vec<(String, String)> = w
-        .requests
-        .iter()
-        .map(|(me, friend, rel, dest)| (me.clone(), pair_sql(me, friend, rel, dest)))
-        .collect();
-    let submissions = co
-        .submit_batch_sql(&batch)
-        .into_iter()
-        .map(|outcome| outcome.expect("generated queries are safe"))
-        .collect();
-    co.check_routing_invariants()
-        .expect("routing invariants hold");
-    collect(&co, submissions)
+    Run {
+        outcomes,
+        pending,
+        snapshot,
+        ledger: tenants.stats(),
+        log: read_log(&db),
+    }
 }
 
 proptest! {
@@ -176,13 +275,14 @@ proptest! {
     /// The acceptance property of sharding: four shards draining a
     /// batch and one shard taking arrivals one at a time yield
     /// identical matches — same answered queries, same groups, same
-    /// answer tuples — and identical pending sets (ids, seqs, order),
-    /// under a fixed seed with randomization disabled.
+    /// answer tuples — identical pending sets (ids, seqs, order), the
+    /// same ledger and the same log frames, under a fixed seed with
+    /// randomization disabled.
     #[test]
     fn sharded_batch_equals_one_shard_serial(workload in arb_workload(), seed in 0u64..1000) {
         prop_assert_eq!(
-            run_serial(&workload, seed),
-            run_batch(&workload, seed, 4),
+            run(&workload, seed, 1, &Feed::Singles),
+            run(&workload, seed, 4, &one_batch()),
             "diverged on {:?}",
             &workload
         );
@@ -192,7 +292,29 @@ proptest! {
     /// shard the batch drain *is* the arrival-by-arrival algorithm.
     #[test]
     fn one_shard_batch_equals_one_shard_serial(workload in arb_workload(), seed in 0u64..200) {
-        prop_assert_eq!(run_serial(&workload, seed), run_batch(&workload, seed, 1));
+        prop_assert_eq!(
+            run(&workload, seed, 1, &Feed::Singles),
+            run(&workload, seed, 1, &one_batch())
+        );
+    }
+
+    /// Any chunking == singles == one batch, at one shard and at four.
+    #[test]
+    fn any_chunking_equals_singles_and_one_batch(
+        workload in arb_workload(),
+        chunks in arb_chunks(),
+        seed in 0u64..1000,
+        shards in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let singles = run(&workload, seed, shards, &Feed::Singles);
+        prop_assert_eq!(
+            &singles,
+            &run(&workload, seed, shards, &chunks),
+            "{:?} diverged on {:?}",
+            &chunks,
+            &workload
+        );
+        prop_assert_eq!(&singles, &run(&workload, seed, shards, &one_batch()));
     }
 }
 

@@ -161,7 +161,7 @@ fn randomized_mixed_workload_preserves_invariants() {
 }
 
 /// Concurrency soak for the sharded coordinator: several threads
-/// hammer `submit_batch` with interleaved halves of coordinating pairs
+/// hammer `submit_batch_sql` with interleaved halves of coordinating pairs
 /// spread over multiple relation families, plus standing noise. At
 /// quiescence:
 ///
