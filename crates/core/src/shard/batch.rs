@@ -197,7 +197,7 @@ impl ShardedCoordinator {
                 buckets[shard].push((idx, pending, admission));
             }
         }
-        self.rematch_moved(all_moves, &hook);
+        self.rematch_moved(all_moves, &hook, ack);
 
         // Phase 3 (worker pool): drain each busy shard independently,
         // arrival-by-arrival within the bucket.
@@ -227,7 +227,7 @@ impl ShardedCoordinator {
 
         // Phase 4: heal any placement made stale by a concurrent merge.
         for (shard, qids) in still_pending {
-            self.heal_placement(shard, &qids, &hook);
+            self.heal_placement(shard, &qids, &hook, ack);
         }
 
         if any_deadline {

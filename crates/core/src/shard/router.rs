@@ -261,12 +261,14 @@ impl ShardedCoordinator {
     /// merge that triggered the migration may have made them matchable
     /// against their new shard's pending set. Runs *without* the router
     /// lock; matching, applies and cascades happen under the shard lock
-    /// only, exactly like a drain. Best-effort: apply failures leave
-    /// the group pending, like a cascade round.
+    /// only, exactly like a drain, and their log writes follow the
+    /// arrival's `ack`. Best-effort: apply failures leave the group
+    /// pending, like a cascade round.
     pub(super) fn rematch_moved(
         &self,
         moves: HashMap<usize, Vec<QueryId>>,
         hook: &Option<SharedApplyHook>,
+        ack: Ack,
     ) {
         let mut answered = Vec::new();
         for (shard, qids) in moves {
@@ -289,12 +291,10 @@ impl ShardedCoordinator {
                     let fresh: Vec<(String, Tuple)> = gm.all_answers().cloned().collect();
                     if self
                         .engine
-                        .apply_and_notify(&mut state, gm, hook_ref(hook), Ack::Wait)
+                        .apply_and_notify(&mut state, gm, hook_ref(hook), ack)
                         .is_ok()
                     {
-                        let _ = self
-                            .engine
-                            .cascade(&mut state, fresh, hook_ref(hook), Ack::Wait);
+                        let _ = self.engine.cascade(&mut state, fresh, hook_ref(hook), ack);
                         skip = self.engine.prunable_triggers(&state);
                     } // on Err the group was reinstated and stays pending
                 }
@@ -307,12 +307,14 @@ impl ShardedCoordinator {
 
     /// Re-checks where `qids` (just drained as pending on `shard`)
     /// should live according to the router, migrating and re-matching
-    /// any that a concurrent component merge re-routed mid-flight.
+    /// any that a concurrent component merge re-routed mid-flight; the
+    /// re-match's log writes follow `ack`.
     pub(super) fn heal_placement(
         &self,
         shard: usize,
         qids: &[QueryId],
         hook: &Option<SharedApplyHook>,
+        ack: Ack,
     ) {
         let moves = {
             let mut router = self.router.lock();
@@ -337,7 +339,7 @@ impl ShardedCoordinator {
                 .collect();
             self.apply_migrations(&mut router, &migrations)
         };
-        self.rematch_moved(moves, hook);
+        self.rematch_moved(moves, hook, ack);
     }
 
     /// Retires answered queries from the router's membership sets.
@@ -665,6 +667,89 @@ mod tests {
         co.cancel(batched.id()).unwrap();
         co.cancel(single.id()).unwrap();
         assert_eq!(co.pending_count(), 0);
+        co.check_routing_invariants().unwrap();
+    }
+
+    /// A pipelined arrival that merges components re-matches the moved
+    /// queries without waiting for the log, as it does its own
+    /// registration: the call returns while the log is held, and the
+    /// moved pair's futures resolve once it is released.
+    #[test]
+    fn pipelined_merge_does_not_wait_for_the_log() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        use crate::lifecycle::SubmitOptions;
+
+        let db = flights_db_wal();
+        let co = std::sync::Arc::new(ShardedCoordinator::with_config(
+            db.clone(),
+            ShardedConfig {
+                shards: 4,
+                ..Default::default()
+            },
+        ));
+        // a pair with no flight to share yet, on the smaller component
+        let lyon = |me: &str, friend: &str| {
+            format!(
+                "SELECT '{me}', fno INTO ANSWER RelA \
+                 WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Lyon') \
+                 AND ('{friend}', fno) IN ANSWER RelA CHOOSE 1"
+            )
+        };
+        let mut p = co.submit_sql_async("p", &lyon("P", "Q")).unwrap();
+        let mut q = co.submit_sql_async("q", &lyon("Q", "P")).unwrap();
+        for k in 0..3 {
+            co.submit_sql("n", &pair_sql_on("RelB", &format!("N{k}"), "Ghost"))
+                .unwrap();
+        }
+        assert_ne!(co.shard_of_relation("RelA"), co.shard_of_relation("RelB"));
+        // the flight appears, but nothing re-matches the pair yet
+        youtopia_exec::run_sql(&db, "INSERT INTO Flights VALUES (140, 'Lyon')").unwrap();
+        assert_eq!(co.pending_count(), 5);
+
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                db.with_log(|_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            })
+        };
+        held_rx.recv().unwrap();
+        // the bridge merges RelA into RelB's shard; the moved pair
+        // matches there
+        let (done_tx, done_rx) = mpsc::channel();
+        let bridge = {
+            let co = co.clone();
+            std::thread::spawn(move || {
+                let sql = "SELECT 'B', fno INTO ANSWER RelA, 'B', fno INTO ANSWER RelB \
+                           WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                           AND ('GhostB', fno) IN ANSWER RelA CHOOSE 1";
+                let outcome = co.submit_sql_pipelined("b", sql, SubmitOptions::default());
+                done_tx.send(outcome.is_ok()).unwrap();
+            })
+        };
+        let returned = done_rx.recv_timeout(Duration::from_secs(2));
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        bridge.join().unwrap();
+        assert_eq!(
+            returned,
+            Ok(true),
+            "the pipelined bridge waited for the log"
+        );
+
+        for future in [&mut p, &mut q] {
+            assert!(matches!(
+                future.wait_timeout(Duration::from_secs(5)),
+                Some(CoordinationOutcome::Answered(_))
+            ));
+        }
+        assert_eq!(co.pending_count(), 4);
         co.check_routing_invariants().unwrap();
     }
 
