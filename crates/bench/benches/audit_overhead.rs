@@ -2,9 +2,9 @@
 //! match-throughput hot path (acceptance criterion of the
 //! observability PR: ≤ 5% regression with auditing enabled).
 //!
-//! The workload is the `match_throughput` storm — a sharded
-//! coordinator pre-loaded with `standing` never-matching registrations
-//! absorbs a storm of matched pairs — run twice per load: once with
+//! The workload is a batched pair storm: a sharded coordinator
+//! pre-loaded with `standing` never-matching registrations absorbs a
+//! storm of matched pairs, run twice per load: once with
 //! the audit sink disabled (the default) and once enabled. With
 //! auditing on, every submission inserts a `sys_audit` row inside its
 //! registration transaction and every match/cancel/expire resolves it

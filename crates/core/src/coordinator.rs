@@ -232,8 +232,8 @@ pub struct PendingInfo {
     pub deadline: Option<u64>,
 }
 
-/// What a coordinator recovery replayed and rebuilt (diagnostics; also
-/// the measured quantity of the `recovery_replay` bench).
+/// What a coordinator recovery replayed and rebuilt (diagnostics; the
+/// e2e `recovery` workload reports it as `core.recover_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Coordination events decoded from the log.
