@@ -22,10 +22,11 @@
 //! * `cargo run --example quickstart` — the paper's Jerry & Kramer
 //!   walkthrough (Figure 1);
 //! * `cargo run --example travel_site` — every §3.1 demo scenario;
-//! * `cargo run --example loaded_system` — the §3 scalability
-//!   demonstration;
 //! * `cargo run --example admin_cli` — the §3.2 SQL command line
-//!   (scripted session or `--interactive`).
+//!   (scripted session or `--interactive`);
+//! * `cargo run --release -p youtopia-bench --bin experiments` — the
+//!   paper-reproduction experiments E1–E10, E7 being the §3
+//!   scalability demonstration.
 
 pub use youtopia_core as core;
 pub use youtopia_exec as exec;
