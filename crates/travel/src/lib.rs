@@ -58,6 +58,5 @@ pub use notify::{Message, Notifier};
 pub use social::SocialGraph;
 pub use travel::{AccountView, BookingOutcome, FlightPrefs, TravelService};
 pub use workload::{
-    drive_async, drive_batched, drive_concurrent, run_crash_restart, AsyncDriveReport, CrashReport,
-    CrashScenario, DriveReport, Request, WorkloadGen,
+    drive_batched, run_crash_restart, CrashReport, CrashScenario, DriveReport, Request, WorkloadGen,
 };

@@ -9,41 +9,20 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use youtopia_core::{
-    CoordinationOutcome, ShardedConfig, ShardedCoordinator, Submission, SubmitOptions, WaiterSet,
-};
+use youtopia_core::{ShardedConfig, ShardedCoordinator, Submission};
 use youtopia_exec::run_sql;
 use youtopia_storage::Database;
 
 use crate::error::{TravelError, TravelResult};
 use crate::model::install_schema;
 
-/// One entangled submission: who submits what (and until when).
+/// One entangled submission: who submits what.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Submitting user.
     pub owner: String,
     /// The entangled SQL.
     pub sql: String,
-    /// Optional absolute deadline (clock milliseconds), passed through
-    /// as [`SubmitOptions::deadline`]. `None` for the classic
-    /// wait-forever workloads.
-    pub deadline: Option<u64>,
-}
-
-impl Request {
-    /// Attaches an absolute deadline to the request.
-    pub fn with_deadline(mut self, deadline_millis: u64) -> Request {
-        self.deadline = Some(deadline_millis);
-        self
-    }
-
-    /// The request's submission options.
-    pub fn opts(&self) -> SubmitOptions {
-        SubmitOptions {
-            deadline: self.deadline,
-        }
-    }
 }
 
 /// Deterministic workload generator.
@@ -125,7 +104,6 @@ impl WorkloadGen {
                  WHERE fno IN (SELECT fno FROM Flights WHERE dest = '{dest}') \
                  AND ('{friend}', fno) IN ANSWER Reservation CHOOSE 1"
             ),
-            deadline: None,
         }
     }
 
@@ -174,7 +152,6 @@ impl WorkloadGen {
             requests.push(Request {
                 owner: me.clone(),
                 sql,
-                deadline: None,
             });
         }
         requests.shuffle(&mut self.rng);
@@ -192,7 +169,6 @@ impl WorkloadGen {
                  WHERE fno IN (SELECT fno FROM Flights WHERE dest = '{dest}') \
                  AND ('{friend}', fno) IN ANSWER {relation} CHOOSE 1"
             ),
-            deadline: None,
         }
     }
 
@@ -271,29 +247,6 @@ impl WorkloadGen {
             .collect()
     }
 
-    /// `count` never-matching queries that each carry an absolute
-    /// deadline drawn uniformly from `deadline_range` (clock millis),
-    /// spread over `relations` answer relations — the due load of the
-    /// `expiry_storm` bench and the deadline soak: they pend until a
-    /// sweep retires them.
-    pub fn deadline_storm(
-        &mut self,
-        count: usize,
-        dest: &str,
-        relations: usize,
-        deadline_range: std::ops::Range<u64>,
-    ) -> Vec<Request> {
-        let relations = relations.max(1);
-        (0..count)
-            .map(|i| {
-                let rel = format!("Reservation{}", i % relations);
-                let deadline = self.rng.random_range(deadline_range.clone());
-                Self::pair_request_on(&rel, &format!("bounded{i}"), &format!("never{i}"), dest)
-                    .with_deadline(deadline)
-            })
-            .collect()
-    }
-
     /// A flight+hotel pair request (two answer relations per query).
     pub fn pair_flight_hotel(me: &str, friend: &str, dest: &str) -> Request {
         Request {
@@ -306,7 +259,6 @@ impl WorkloadGen {
                  AND ('{friend}', fno) IN ANSWER Reservation \
                  AND ('{friend}', hid) IN ANSWER HotelReservation CHOOSE 1"
             ),
-            deadline: None,
         }
     }
 
@@ -331,7 +283,6 @@ impl WorkloadGen {
         Request {
             owner: me.to_string(),
             sql: format!("SELECT {heads}{body} CHOOSE 1"),
-            deadline: None,
         }
     }
 }
@@ -501,23 +452,6 @@ pub struct DriveReport {
     pub rejected: usize,
 }
 
-impl DriveReport {
-    fn absorb(&mut self, outcome: &youtopia_core::shard::BatchOutcome) {
-        match outcome {
-            Ok(Submission::Answered(_)) => self.answered += 1,
-            Ok(Submission::Pending(_)) => self.pending += 1,
-            Err(_) => self.rejected += 1,
-        }
-    }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: DriveReport) {
-        self.answered += other.answered;
-        self.pending += other.pending;
-        self.rejected += other.rejected;
-    }
-}
-
 /// Submits `requests` to the sharded coordinator in batches of
 /// `batch_size`, draining matching per shard per batch (the batched
 /// submission mode of the workload driver).
@@ -526,125 +460,21 @@ pub fn drive_batched(
     requests: &[Request],
     batch_size: usize,
 ) -> DriveReport {
-    let batch_size = batch_size.max(1);
     let mut report = DriveReport::default();
-    for chunk in requests.chunks(batch_size) {
-        for outcome in coordinator.submit_batch_with(compile_batch(chunk)) {
-            report.absorb(&outcome);
-        }
-    }
-    report
-}
-
-/// Compiles a request chunk into the sharded coordinator's
-/// options-carrying batch form (deadlines ride along per entry).
-fn compile_batch(
-    chunk: &[Request],
-) -> Vec<(
-    String,
-    youtopia_core::CoreResult<youtopia_core::EntangledQuery>,
-    SubmitOptions,
-)> {
-    chunk
-        .iter()
-        .map(|r| {
-            (
-                r.owner.clone(),
-                youtopia_core::compile_sql(&r.sql),
-                r.opts(),
-            )
-        })
-        .collect()
-}
-
-/// What [`drive_async`] observed: the per-request outcome counts, the
-/// completions harvested so far, the set still holding the in-flight
-/// futures, and the high-water mark of futures held at once.
-pub struct AsyncDriveReport {
-    /// Outcome counts, comparable to [`drive_batched`]'s report:
-    /// `answered` counts harvested [`CoordinationOutcome::Answered`]
-    /// completions, `pending` the futures still in flight.
-    pub drive: DriveReport,
-    /// Every completion harvested during the drive, in harvest order.
-    pub completed: Vec<(youtopia_core::QueryId, CoordinationOutcome)>,
-    /// The in-flight futures (drive them further, cancel them, or drop
-    /// them to simulate a dying front-end).
-    pub waiters: WaiterSet,
-    /// Most futures held in flight at any point during the drive — the
-    /// quantity the async API exists to scale (thousands per thread,
-    /// where the sync API needs a thread per waiter).
-    pub max_in_flight: usize,
-}
-
-/// Submits `requests` asynchronously in batches of `batch_size`,
-/// holding every pending coordination as a [`CoordinationFuture`] in
-/// one [`WaiterSet`] — no thread ever blocks per waiter, so one driver
-/// thread sustains thousands of in-flight coordinations. Completions
-/// are harvested (non-blocking) between batches and once more at the
-/// end; futures still in flight ride along in the returned report.
-pub fn drive_async(
-    coordinator: &ShardedCoordinator,
-    requests: &[Request],
-    batch_size: usize,
-) -> AsyncDriveReport {
-    let batch_size = batch_size.max(1);
-    let mut report = DriveReport::default();
-    let mut waiters = WaiterSet::new();
-    let mut completed = Vec::new();
-    let mut max_in_flight = 0usize;
-    for chunk in requests.chunks(batch_size) {
-        for outcome in coordinator.submit_batch_async_with(compile_batch(chunk)) {
+    for chunk in requests.chunks(batch_size.max(1)) {
+        let chunk: Vec<(String, String)> = chunk
+            .iter()
+            .map(|r| (r.owner.clone(), r.sql.clone()))
+            .collect();
+        for outcome in coordinator.submit_batch_sql(&chunk) {
             match outcome {
-                Ok(future) => {
-                    waiters.insert(future);
-                }
+                Ok(Submission::Answered(_)) => report.answered += 1,
+                Ok(Submission::Pending(_)) => report.pending += 1,
                 Err(_) => report.rejected += 1,
             }
         }
-        max_in_flight = max_in_flight.max(waiters.len());
-        completed.extend(waiters.poll_ready());
     }
-    completed.extend(waiters.poll_ready());
-    report.answered = completed
-        .iter()
-        .filter(|(_, o)| matches!(o, CoordinationOutcome::Answered(_)))
-        .count();
-    report.pending = waiters.len();
-    AsyncDriveReport {
-        drive: report,
-        completed,
-        waiters,
-        max_in_flight,
-    }
-}
-
-/// Splits `requests` across `threads` submitter threads, each driving
-/// its slice through [`drive_batched`] concurrently (the concurrent
-/// submission mode of the workload driver). Interleaving across
-/// threads is nondeterministic, as real traffic is.
-pub fn drive_concurrent(
-    coordinator: &ShardedCoordinator,
-    requests: &[Request],
-    threads: usize,
-    batch_size: usize,
-) -> DriveReport {
-    let threads = threads.max(1);
-    let chunk = requests.len().div_ceil(threads).max(1);
-    let reports = std::thread::scope(|scope| {
-        let handles: Vec<_> = requests
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || drive_batched(coordinator, slice, batch_size)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("submitter thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut total = DriveReport::default();
-    for r in reports {
-        total.merge(r);
-    }
-    total
+    report
 }
 
 #[cfg(test)]
@@ -738,47 +568,6 @@ mod tests {
         assert_eq!(report.pending, 6);
         assert_eq!(report.rejected, 0);
         assert_eq!(co.pending_count(), 0);
-        co.check_routing_invariants().unwrap();
-    }
-
-    #[test]
-    fn async_driver_matches_pairs_and_tracks_in_flight() {
-        let mut generator = WorkloadGen::new(6);
-        let db = generator.build_database(50, &["Paris"]).unwrap();
-        let co = ShardedCoordinator::new(db);
-        let reqs = generator.pair_storm_multi(6, "Paris", 3);
-        let report = drive_async(&co, &reqs, 4);
-        assert_eq!(report.drive.answered, 12, "all 6 pairs close");
-        assert_eq!(report.drive.pending, 0);
-        assert_eq!(report.drive.rejected, 0);
-        assert!(report.waiters.is_empty());
-        assert!(
-            report.max_in_flight >= 6,
-            "all first halves were in flight at once (saw {})",
-            report.max_in_flight
-        );
-        // same end state as the sync driver under the same seed; the
-        // async report's `answered` also harvests the first halves the
-        // sync report counts as `pending` (their futures resolved later)
-        let mut generator = WorkloadGen::new(6);
-        let db = generator.build_database(50, &["Paris"]).unwrap();
-        let sync_co = ShardedCoordinator::new(db);
-        let sync = drive_batched(&sync_co, &generator.pair_storm_multi(6, "Paris", 3), 4);
-        assert_eq!(report.drive.answered, sync.answered + sync.pending);
-        assert_eq!(co.pending_count(), sync_co.pending_count());
-        co.check_routing_invariants().unwrap();
-    }
-
-    #[test]
-    fn concurrent_driver_reports_all_requests() {
-        let mut generator = WorkloadGen::new(7);
-        let db = generator.build_database(50, &["Paris"]).unwrap();
-        let co = ShardedCoordinator::new(db);
-        let reqs = generator.noise_multi(40, "Paris", 4);
-        let report = drive_concurrent(&co, &reqs, 4, 5);
-        assert_eq!(report.pending, 40);
-        assert_eq!(report.answered + report.rejected, 0);
-        assert_eq!(co.pending_count(), 40);
         co.check_routing_invariants().unwrap();
     }
 
