@@ -22,6 +22,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
+use youtopia_bench::provenance_json;
 use youtopia_core::{
     AuditConfig, CoordinatorConfig, ShardedConfig, ShardedCoordinator, AUDIT_TABLE,
 };
@@ -145,10 +146,11 @@ fn headline_series() {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"audit_overhead\",\n  \"claim\": \"audit adds <= 5% to \
+        "{{\n  \"bench\": \"audit_overhead\",\n  {},\n  \"claim\": \"audit adds <= 5% to \
          match-path latency\",\n  \"workload\": {{\n    \"relations\": {RELATIONS},\n    \
          \"flights\": {FLIGHTS},\n    \"shards\": {SHARDS},\n    \"batch\": {BATCH},\n    \
          \"pairs\": {PAIRS}\n  }},\n  \"series\": [\n{}\n  ]\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");

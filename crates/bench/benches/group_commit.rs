@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use youtopia_bench::provenance_json;
 use youtopia_core::{ShardedConfig, ShardedCoordinator};
 use youtopia_storage::group_commit::{GroupCommit, GroupCommitConfig};
 use youtopia_storage::{Wal, WalRecord};
@@ -172,7 +173,8 @@ fn headline_comparison() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"group_commit\",\n  \"workload\": {{\n    \"threads\": {threads},\n    \"commits_per_thread\": {COMMITS_PER_THREAD},\n    \"records_per_commit\": {RECORDS_PER_COMMIT},\n    \"payload_bytes\": {PAYLOAD_BYTES},\n    \"sink\": \"temp file (fsync real)\"\n  }},\n  \"fsync_per_commit\": {{\n    \"seconds\": {per_commit_secs:.6},\n    \"commits_per_sec\": {per_commit_cps:.1}\n  }},\n  \"pipelined\": {{\n    \"quantum\": \"0 (sync immediately, batch what queued)\",\n    \"seconds\": {pipelined_secs:.6},\n    \"commits_per_sec\": {pipelined_cps:.1}\n  }},\n  \"speedup\": {speedup:.3},\n  \"sharded_file_wal\": {{\n    \"shards\": 4,\n    \"requests\": {requests},\n    \"seconds\": {sharded_secs:.6},\n    \"requests_per_sec\": {sharded_rps:.1}\n  }}\n}}\n"
+        "{{\n  \"bench\": \"group_commit\",\n  {},\n  \"workload\": {{\n    \"threads\": {threads},\n    \"commits_per_thread\": {COMMITS_PER_THREAD},\n    \"records_per_commit\": {RECORDS_PER_COMMIT},\n    \"payload_bytes\": {PAYLOAD_BYTES},\n    \"sink\": \"temp file (fsync real)\"\n  }},\n  \"fsync_per_commit\": {{\n    \"seconds\": {per_commit_secs:.6},\n    \"commits_per_sec\": {per_commit_cps:.1}\n  }},\n  \"pipelined\": {{\n    \"quantum\": \"0 (sync immediately, batch what queued)\",\n    \"seconds\": {pipelined_secs:.6},\n    \"commits_per_sec\": {pipelined_cps:.1}\n  }},\n  \"speedup\": {speedup:.3},\n  \"sharded_file_wal\": {{\n    \"shards\": 4,\n    \"requests\": {requests},\n    \"seconds\": {sharded_secs:.6},\n    \"requests_per_sec\": {sharded_rps:.1}\n  }}\n}}\n",
+        provenance_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_groupcommit.json");
     std::fs::write(path, json).expect("write BENCH_groupcommit.json");

@@ -105,20 +105,42 @@ pub fn preload_noise_sharded(
 
 /// The provenance fields a committed `BENCH_*.json` starts with:
 /// `"commit"`, the checkout's `HEAD` when the bench ran (`unknown`
-/// outside a git checkout), and `"nproc"`, the CPUs it could use.
-/// Returned as JSON members without braces, for splicing.
+/// outside a git checkout, `-dirty` appended when tracked files differ
+/// from it), and `"nproc"`, the CPUs it could use. Returned as JSON
+/// members without braces, for splicing.
 pub fn provenance_json() -> String {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |out| String::from_utf8_lossy(&out.stdout).trim().to_string(),
-        );
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let head = git(&["rev-parse", "--short=12", "HEAD"]);
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]).unwrap_or_default();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    provenance_fields(head.as_deref(), &status, nproc)
+}
+
+/// [`provenance_json`]'s fields from `git rev-parse` output (`None`
+/// outside a checkout) and `git status --porcelain` output. Changes to
+/// the root `BENCH_*.json` artifacts do not make the tree dirty: a bench
+/// run rewrites them, and the next bench of the same run must still
+/// stamp the clean commit.
+pub fn provenance_fields(head: Option<&str>, status: &str, nproc: usize) -> String {
+    let artifact =
+        |path: &str| !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json");
+    let dirty = status
+        .lines()
+        .filter_map(|line| line.get(3..))
+        .map(|path| path.rsplit(" -> ").next().unwrap_or(path))
+        .any(|path| !artifact(path));
+    let commit = match head.map(str::trim) {
+        Some(hash) if !hash.is_empty() => format!("{hash}{}", if dirty { "-dirty" } else { "" }),
+        _ => "unknown".to_string(),
+    };
     format!("\"commit\": \"{commit}\",\n  \"nproc\": {nproc}")
 }
 
@@ -136,6 +158,22 @@ mod tests {
         assert_eq!(answered, 5, "each second half closes a pair");
         assert_eq!(pending, 5);
         assert_eq!(stack.coordinator.pending_count(), 0);
+    }
+
+    #[test]
+    fn provenance_marks_a_tree_that_differs_from_head() {
+        let clean = provenance_fields(Some("0123456789ab\n"), "", 2);
+        assert_eq!(clean, "\"commit\": \"0123456789ab\",\n  \"nproc\": 2");
+        let edited = " M crates/core/src/engine.rs\n";
+        assert!(provenance_fields(Some("0123456789ab"), edited, 2)
+            .starts_with("\"commit\": \"0123456789ab-dirty\""));
+        let staged_rename = "R  docs/a.md -> docs/b.md\n";
+        assert!(provenance_fields(Some("0123456789ab"), staged_rename, 2).contains("-dirty"));
+        // rewritten artifacts alone leave the stamp clean
+        let artifacts = " M BENCH_sharded.json\n M BENCH_audit.json\n";
+        assert_eq!(provenance_fields(Some("0123456789ab"), artifacts, 2), clean);
+        assert!(provenance_fields(None, edited, 4)
+            .starts_with("\"commit\": \"unknown\",\n  \"nproc\": 4"));
     }
 
     #[test]
