@@ -147,7 +147,50 @@ pub fn provenance_fields(head: Option<&str>, status: &str, nproc: usize) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use youtopia_core::{MatchConfig, MatchStats, MatcherKind};
     use youtopia_travel::WorkloadGen;
+
+    /// The match work one lonely arrival costs over `noise` standing
+    /// queries, at E7's group bound of 3. It names the standing
+    /// `noise0` as its friend, so the indexed matcher has one candidate
+    /// head to examine, but `noise0` waits for someone else.
+    fn lonely_arrival_work(matcher: MatcherKind, noise: usize) -> MatchStats {
+        let config = CoordinatorConfig {
+            matcher,
+            match_config: MatchConfig {
+                max_group_size: 3,
+                ..MatchConfig::default()
+            },
+            ..CoordinatorConfig::default()
+        };
+        let stack = build_stack(7, 200, &["Paris", "Rome"], config);
+        let mut gen = WorkloadGen::new(8);
+        preload_noise(&stack.coordinator, &mut gen, noise, "Paris");
+        let before = stack.coordinator.stats().match_work;
+        let lonely = WorkloadGen::pair_request("lonely", "noise0", "Paris");
+        assert_eq!(submit_all(&stack.coordinator, &[lonely]), (0, 1));
+        let after = stack.coordinator.stats().match_work;
+        MatchStats {
+            subsets_tested: after.subsets_tested - before.subsets_tested,
+            candidates_scanned: after.candidates_scanned - before.candidates_scanned,
+            ..MatchStats::default()
+        }
+    }
+
+    /// E7's shape on work counters rather than time: the naive
+    /// baseline tests every subset of up to two standing queries with
+    /// the arrival, while the indexed matcher's scan does not grow
+    /// with the standing load.
+    #[test]
+    fn loaded_system_work_grows_only_for_the_naive_matcher() {
+        for n in [10u64, 50] {
+            let naive = lonely_arrival_work(MatcherKind::Naive, n as usize);
+            assert_eq!(naive.subsets_tested, 1 + n + n * (n - 1) / 2, "n = {n}");
+        }
+        let scanned = |n| lonely_arrival_work(MatcherKind::Incremental, n).candidates_scanned;
+        assert!(scanned(10) > 0);
+        assert_eq!(scanned(10), scanned(50));
+    }
 
     #[test]
     fn stack_builds_and_matches_pairs() {
