@@ -129,7 +129,7 @@ pub fn provenance_json() -> String {
 /// the root `BENCH_*.json` artifacts do not make the tree dirty: a bench
 /// run rewrites them, and the next bench of the same run must still
 /// stamp the clean commit.
-pub fn provenance_fields(head: Option<&str>, status: &str, nproc: usize) -> String {
+fn provenance_fields(head: Option<&str>, status: &str, nproc: usize) -> String {
     let artifact =
         |path: &str| !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json");
     let dirty = status
