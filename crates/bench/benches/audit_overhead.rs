@@ -48,7 +48,6 @@ fn config(audit: bool) -> ShardedConfig {
     ShardedConfig {
         shards: SHARDS,
         workers: 0,
-        fair_drain: false,
         checkpoint: Default::default(),
         base,
     }

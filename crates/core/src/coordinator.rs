@@ -280,17 +280,7 @@ impl Coordinator {
 
     /// A one-shard coordinator over `db` with custom options.
     pub fn with_config(db: Database, config: CoordinatorConfig) -> Coordinator {
-        Coordinator::with_config_clock(db, config, Arc::new(SystemClock))
-    }
-
-    /// [`Coordinator::with_config`] with an injected clock (tests pass
-    /// a [`crate::MockClock`]).
-    pub fn with_config_clock(
-        db: Database,
-        config: CoordinatorConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Coordinator {
-        Coordinator(ShardedCoordinator::with_clock(db, one_shard(config), clock))
+        Coordinator(ShardedCoordinator::with_config(db, one_shard(config)))
     }
 
     /// [`ShardedCoordinator::recover`] into one shard.
@@ -299,15 +289,6 @@ impl Coordinator {
         config: CoordinatorConfig,
     ) -> CoreResult<(Coordinator, RecoveryReport)> {
         Coordinator::recover_with(wal, config, None, Arc::new(SystemClock))
-    }
-
-    /// [`ShardedCoordinator::recover_with_hook`] into one shard.
-    pub fn recover_with_hook(
-        wal: Wal,
-        config: CoordinatorConfig,
-        hook: Option<SharedApplyHook>,
-    ) -> CoreResult<(Coordinator, RecoveryReport)> {
-        Coordinator::recover_with(wal, config, hook, Arc::new(SystemClock))
     }
 
     /// [`ShardedCoordinator::recover_with`] into one shard.
@@ -344,8 +325,10 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::engine::Ack;
     use crate::error::CoreError;
     use crate::lifecycle::{MockClock, SubmitOptions};
+    use crate::shard::testing::single;
     use youtopia_exec::run_sql;
 
     fn seed_flights(db: &Database) {
@@ -538,9 +521,14 @@ mod tests {
     #[test]
     fn reattach_supersedes_previous_future() {
         let co = Coordinator::new(flights_db());
-        let mut old = co
-            .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
+        let mut old = single(
+            &co,
+            "kramer",
+            &pair_sql("Kramer", "Jerry"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
         let mut fresh = co.reattach("kramer");
         assert_eq!(fresh.len(), 1);
         assert_eq!(
@@ -568,17 +556,20 @@ mod tests {
     #[test]
     fn expire_due_sweeps_past_deadlines_only() {
         let co = Coordinator::new(flights_db());
-        let mut early = co
-            .submit_sql_async_with(
-                "a",
-                &pair_sql("A", "GhostA"),
-                SubmitOptions::with_deadline(100),
-            )
-            .unwrap();
-        co.submit_sql_with(
+        let mut early = single(
+            &co,
+            "a",
+            &pair_sql("A", "GhostA"),
+            SubmitOptions::with_deadline(100),
+            Ack::Wait,
+        )
+        .unwrap();
+        single(
+            &co,
             "b",
             &pair_sql("B", "GhostB"),
             SubmitOptions::with_deadline(200),
+            Ack::Wait,
         )
         .unwrap();
         co.submit_sql("c", &pair_sql("C", "GhostC")).unwrap();
@@ -602,16 +593,20 @@ mod tests {
     fn recovery_restores_and_enforces_deadlines() {
         let db = flights_db_wal();
         let co = Coordinator::new(db.clone());
-        co.submit_sql_with(
+        single(
+            &co,
             "a",
             &pair_sql("A", "GhostA"),
             SubmitOptions::with_deadline(100),
+            Ack::Wait,
         )
         .unwrap();
-        co.submit_sql_with(
+        single(
+            &co,
             "b",
             &pair_sql("B", "GhostB"),
             SubmitOptions::with_deadline(5_000),
+            Ack::Wait,
         )
         .unwrap();
         let bytes = db.wal_bytes().unwrap();

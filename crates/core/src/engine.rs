@@ -355,15 +355,30 @@ impl CoordEvent {
     }
 }
 
-/// How a log write on the submit and cancel paths completes.
+/// How a log write on the submit and cancel paths completes — the
+/// second argument of [`crate::ShardedCoordinator::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ack {
+pub enum Ack {
     /// Block until the group is durable; a failed write rolls back
-    /// before anything is acknowledged.
+    /// before anything is acknowledged, so whoever the call returns to
+    /// may acknowledge at once.
     Wait,
-    /// Return once the group is enqueued. Only a synchronous enqueue
-    /// failure (a poisoned writer) rolls back; the caller holds its
-    /// acknowledgements until the log covers them.
+    /// Return once the group is enqueued: the registration and any
+    /// match the arrival completes are enqueued to the WAL writer under
+    /// the same locks and in the same order as under [`Ack::Wait`], but
+    /// no fsync is awaited. Only a synchronous enqueue failure (a
+    /// poisoned writer) rolls back. Nothing the call produced may be
+    /// acknowledged until [`Database::durable_lsn`] reaches the
+    /// [`Database::enqueued_lsn`] read after it returns.
+    ///
+    /// In-process caveat: futures the call completes — the returned
+    /// one when the arrival closed a group, and the waiting members'
+    /// parked ones — resolve, and the match's answer rows are readable,
+    /// before the log holds them. Use it only when every future the
+    /// coordinator hands out is owned by one caller that applies the
+    /// same hold (the network reactor). If the write then fails, those
+    /// effects stay in memory without a log record; every later log
+    /// write fails, and a restart recovers the log's state.
     Pipelined,
 }
 
@@ -1577,7 +1592,8 @@ mod tests {
     /// partners on the same relation cost it nothing, however many.
     #[test]
     fn cascade_scan_is_independent_of_standing_queries() {
-        use crate::{CoordinationOutcome, Coordinator};
+        use crate::shard::testing::single;
+        use crate::{compile_sql, CoordinationOutcome, Coordinator, SubmitOptions};
         use youtopia_exec::run_sql;
 
         let request = |me: &str, friends: &[&str]| {
@@ -1599,19 +1615,22 @@ mod tests {
             .unwrap();
             run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
             let co = Coordinator::new(db);
-            let noise: Vec<(String, String)> = (0..standing)
+            let noise = (0..standing)
                 .map(|i| {
-                    (
-                        format!("n{i}"),
-                        request(&format!("N{i}"), &[&format!("Ghost{i}")]),
-                    )
+                    let sql = request(&format!("N{i}"), &[&format!("Ghost{i}")]);
+                    (format!("n{i}"), compile_sql(&sql), SubmitOptions::default())
                 })
                 .collect();
-            co.submit_batch_sql(&noise);
+            co.submit(noise, Ack::Wait);
             // waits on Jerry's tuple alone: the pair's commit answers it
-            let mut follower = co
-                .submit_sql_async("elaine", &request("Elaine", &["Jerry"]))
-                .unwrap();
+            let mut follower = single(
+                &co,
+                "elaine",
+                &request("Elaine", &["Jerry"]),
+                SubmitOptions::default(),
+                Ack::Wait,
+            )
+            .unwrap();
             co.submit_sql("kramer", &request("Kramer", &["Jerry"]))
                 .unwrap();
             co.submit_sql("jerry", &request("Jerry", &["Kramer"]))

@@ -9,9 +9,9 @@
 //! background [`crate::DeadlineSweeper`]), or a reattach that
 //! supersedes the handle. No thread blocks per in-flight coordination,
 //! so a front-end can hold the "thousands of in-flight coordinations"
-//! the coordination model is supposed to pay off at. The blocking
-//! `submit*` conveniences hand out the same future inside
-//! [`crate::Submission::Pending`]; callers that want to block use
+//! the coordination model is supposed to pay off at.
+//! [`crate::ShardedCoordinator::submit_sql`] hands out the same future
+//! inside [`crate::Submission::Pending`]; callers that want to block use
 //! [`CoordinationFuture::wait_timeout`].
 //!
 //! No external async runtime is required (and none is linked): the

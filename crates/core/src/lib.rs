@@ -83,7 +83,7 @@ pub use coordinator::{
     Coordinator, CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind,
     PendingInfo, RecoveryReport, Submission, SystemStats,
 };
-pub use engine::{CoordEvent, RegStamp};
+pub use engine::{Ack, CoordEvent, RegStamp};
 pub use error::{CoreError, CoreResult};
 pub use future::{CoordinationFuture, CoordinationOutcome, WaiterSet};
 pub use ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};
@@ -93,8 +93,6 @@ pub use lifecycle::{
 pub use matcher::{GroupMatch, MatchConfig, MatchStats};
 pub use registry::{CandidateScan, HeadRef, Pending, Registry};
 pub use safety::{check_safety, is_self_contained, SafetyMode};
-pub use shard::{
-    BatchOutcome, CheckpointPolicy, ShardedConfig, ShardedCoordinator, SharedApplyHook,
-};
+pub use shard::{CheckpointPolicy, ShardedConfig, ShardedCoordinator, SharedApplyHook};
 pub use tenant::{tenant_of, TenantOutcome, TenantQuotas, TenantRegistry, TenantStats};
 pub use unify::Subst;

@@ -51,9 +51,10 @@ use std::time::Duration;
 
 use crate::ir::QueryId;
 
-/// Per-submission options. Today this carries the optional deadline;
-/// the plain `submit*` signatures are one-line conveniences passing
-/// `SubmitOptions::default()`.
+/// Per-submission options, the third field of each
+/// [`crate::ShardedCoordinator::submit`] request. Today this carries
+/// the optional deadline; [`crate::ShardedCoordinator::submit_sql`]
+/// passes `SubmitOptions::default()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// Absolute deadline in milliseconds (in the coordinator clock's

@@ -9,8 +9,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::compile::compile_sql;
-use crate::coordinator::Submission;
 use crate::engine::{Ack, CoordEvent, RegStamp};
 use crate::error::{CoreError, CoreResult};
 use crate::future::CoordinationFuture;
@@ -18,13 +16,10 @@ use crate::ir::{EntangledQuery, QueryId};
 use crate::lifecycle::SubmitOptions;
 use crate::registry::Pending;
 use crate::safety::check_safety;
-use crate::tenant::{tenant_of, Admission, TenantRegistry};
+use crate::tenant::{Admission, TenantRegistry};
 
 use super::router::signature;
 use super::{hook_ref, ShardedCoordinator, SharedApplyHook};
-
-/// Per-request outcome of a batch submission.
-pub type BatchOutcome = CoreResult<Submission>;
 
 /// One shard's drain bucket: `(input index, prepared pending query,
 /// tenant admission to bind once the registration is logged)`.
@@ -38,87 +33,32 @@ type DrainResult = (
     Vec<QueryId>,
 );
 
-/// Reorders a drain bucket round-robin across tenants, tenants ordered
-/// by first appearance and each tenant's own entries kept in
-/// submission order ([`ShardedConfig::fair_drain`]). A bucket whose
-/// owners are all distinct tenants comes back unchanged.
-fn fair_interleave(bucket: Bucket) -> Bucket {
-    let mut queues: Vec<std::collections::VecDeque<(usize, Pending, Option<Admission>)>> =
-        Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let total = bucket.len();
-    for entry in bucket {
-        let tenant = tenant_of(&entry.1.owner).to_string();
-        let qi = *index.entry(tenant).or_insert_with(|| {
-            queues.push(std::collections::VecDeque::new());
-            queues.len() - 1
-        });
-        queues[qi].push_back(entry);
-    }
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        for queue in &mut queues {
-            if let Some(entry) = queue.pop_front() {
-                out.push(entry);
-            }
-        }
-    }
-    out
-}
-
 impl ShardedCoordinator {
-    /// [`ShardedCoordinator::submit_batch_async_with`] over `(owner,
-    /// sql)` requests with default options, answered-or-pending view.
-    pub fn submit_batch_sql(&self, requests: &[(String, String)]) -> Vec<BatchOutcome> {
-        self.submit_batch_with(compile_batch(requests))
-    }
-
-    /// [`ShardedCoordinator::submit_batch_async_with`],
-    /// answered-or-pending view.
-    pub fn submit_batch_with(
-        &self,
-        requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
-    ) -> Vec<BatchOutcome> {
-        self.submit_batch_async_with(requests)
-            .into_iter()
-            .map(|r| r.map(Submission::from))
-            .collect()
-    }
-
-    /// [`ShardedCoordinator::submit_batch_async_with`] over `(owner,
-    /// sql)` requests with default options.
-    pub fn submit_batch_sql_async(
-        &self,
-        requests: &[(String, String)],
-    ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.submit_batch_async_with(compile_batch(requests))
-    }
-
-    /// Submits a batch of pre-compiled queries. Entries may carry a
-    /// compile error, which is passed through to the outcome slot, and
-    /// their own deadline, logged in their registration frame of the
-    /// bucket's group commit. Outcomes are returned in input order; a
-    /// future is already resolved when its arrival completed a group
-    /// within the batch.
+    /// Submits a batch of `(owner, query, options)` requests — the one
+    /// submit entry (a single submit is a batch of one). Entries may
+    /// carry a compile error (pass [`crate::compile_sql`]'s result),
+    /// which lands in the entry's outcome slot, and their own deadline,
+    /// logged in their registration frame and enforced by `expire_due`
+    /// sweeps. Outcomes are returned in input order.
     ///
-    /// Log-before-ack: every registration of a shard's bucket is
-    /// committed to the coordination log — under the shard lock, so a
-    /// concurrent checkpoint cannot lose it — before any of its
-    /// arrivals is processed, and a match an arrival completes returns
-    /// only once durable.
-    pub fn submit_batch_async_with(
-        &self,
-        requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
-    ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.arrive(requests, Ack::Wait)
-    }
-
-    /// The one arrival path behind every `submit*` entry (a single
-    /// submit is a batch of one). Safety-checks and admits outside any
-    /// lock, routes the whole batch in one router pass, then drains
-    /// each shard's bucket on the worker pool; `ack` decides whether
-    /// the bucket's log writes wait for durability.
-    pub(super) fn arrive(
+    /// Safety-checks and admits outside any lock, routes the whole
+    /// batch in one router pass, then drains each shard's bucket on the
+    /// worker pool, arrival by arrival; entries routed to different
+    /// shards proceed concurrently. Log-before-ack: every registration
+    /// of a shard's bucket is enqueued to the coordination log — under
+    /// the shard lock, so a concurrent checkpoint cannot lose it —
+    /// before any of its arrivals is processed; `ack` decides whether
+    /// those writes, and the commit of any match an arrival completes,
+    /// wait for durability ([`Ack::Wait`]) or only for the enqueue
+    /// ([`Ack::Pipelined`]).
+    ///
+    /// Each returned handle is a poll-based future, already resolved
+    /// when its arrival completed a group within the batch; otherwise
+    /// it is completed — under the owning shard's lock — by whichever
+    /// path terminates the query: a match commit, a cancellation, an
+    /// expiry sweep, or a reattach. Thousands of these can be held in
+    /// flight by one [`crate::WaiterSet`] thread.
+    pub fn submit(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
         ack: Ack,
@@ -304,14 +244,6 @@ impl ShardedCoordinator {
         tenants: &Option<Arc<TenantRegistry>>,
         ack: Ack,
     ) -> DrainResult {
-        // Fair tenant interleaving reorders the bucket *before* the log
-        // events are built, so the durable registration order equals
-        // the processing order, exactly as in the unfair drain.
-        let bucket = if self.fair_drain {
-            fair_interleave(bucket)
-        } else {
-            bucket
-        };
         let mut state = self.shard_lock(shard);
         let stamp = self.engine.audit_now().map(|at| RegStamp {
             at,
@@ -367,27 +299,20 @@ impl ShardedCoordinator {
     }
 }
 
-/// Compiles a batch of `(owner, sql)` requests with default options,
-/// keeping each entry's compile error in its slot.
-fn compile_batch(
-    requests: &[(String, String)],
-) -> Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)> {
-    requests
-        .iter()
-        .map(|(owner, sql)| (owner.clone(), compile_sql(sql), SubmitOptions::default()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::compile::compile_sql;
     use crate::coordinator::Submission;
+    use crate::engine::Ack;
+    use crate::error::CoreResult;
+    use crate::ir::EntangledQuery;
+    use crate::lifecycle::SubmitOptions;
     use crate::shard::testing::*;
     use crate::shard::ShardedCoordinator;
 
-    #[test]
-    fn batch_matches_pairs_and_reports_in_order() {
-        let co = ShardedCoordinator::new(flights_db());
-        let requests: Vec<(String, String)> = (0..8)
+    /// 4 pairs over 4 relations: first halves, then second halves.
+    fn four_pairs() -> Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)> {
+        (0..8)
             .map(|k| {
                 let rel = format!("Res{}", k % 4);
                 let (me, friend) = if k < 4 {
@@ -395,10 +320,20 @@ mod tests {
                 } else {
                     (format!("R{}", k - 4), format!("L{}", k - 4))
                 };
-                (me.clone(), pair_sql_on(&rel, &me, &friend))
+                let sql = pair_sql_on(&rel, &me, &friend);
+                (me, compile_sql(&sql), SubmitOptions::default())
             })
+            .collect()
+    }
+
+    #[test]
+    fn batch_matches_pairs_and_reports_in_order() {
+        let co = ShardedCoordinator::new(flights_db());
+        let outcomes: Vec<_> = co
+            .submit(four_pairs(), Ack::Wait)
+            .into_iter()
+            .map(|r| r.map(Submission::from))
             .collect();
-        let outcomes = co.submit_batch_sql(&requests);
         assert_eq!(outcomes.len(), 8);
         for outcome in &outcomes[..4] {
             assert!(
@@ -422,21 +357,10 @@ mod tests {
         use crate::future::WaiterSet;
 
         let co = ShardedCoordinator::new(flights_db());
-        // 4 pairs over 4 relations: first halves pend, second halves
-        // close each group during the same batch drain
-        let requests: Vec<(String, String)> = (0..8)
-            .map(|k| {
-                let rel = format!("Res{}", k % 4);
-                let (me, friend) = if k < 4 {
-                    (format!("L{k}"), format!("R{k}"))
-                } else {
-                    (format!("R{}", k - 4), format!("L{}", k - 4))
-                };
-                (me.clone(), pair_sql_on(&rel, &me, &friend))
-            })
-            .collect();
+        // first halves pend, second halves close each group during the
+        // same batch drain
         let mut set = WaiterSet::new();
-        for outcome in co.submit_batch_sql_async(&requests) {
+        for outcome in co.submit(four_pairs(), Ack::Wait) {
             set.insert(outcome.expect("batch queries are safe"));
         }
         assert_eq!(set.len(), 8);

@@ -336,6 +336,7 @@ mod tests {
         use std::sync::Mutex;
         use std::time::Duration;
 
+        use crate::engine::Ack;
         use crate::lifecycle::SubmitOptions;
 
         let control = {
@@ -366,12 +367,10 @@ mod tests {
 
         let mut arrivals = race_arrivals().into_iter();
         let (owner, sql) = arrivals.next().unwrap();
-        co.submit_sql_pipelined(&owner, &sql, SubmitOptions::default())
-            .unwrap();
+        single(&co, &owner, &sql, SubmitOptions::default(), Ack::Pipelined).unwrap();
         entered_rx.recv().unwrap();
         for (owner, sql) in arrivals {
-            co.submit_sql_pipelined(&owner, &sql, SubmitOptions::default())
-                .unwrap();
+            single(&co, &owner, &sql, SubmitOptions::default(), Ack::Pipelined).unwrap();
         }
         assert!(
             db.durable_lsn() < db.enqueued_lsn(),

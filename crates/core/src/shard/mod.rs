@@ -80,12 +80,13 @@
 //!
 //! # Batch draining
 //!
-//! Every submission takes one arrival path, in `batch.rs`; a single
-//! submit is a batch of one. It safety-checks and admits the whole
-//! batch outside any lock, routes it in one router pass (bucketing
-//! after all unions, so intra-batch merges cannot strand an earlier
-//! entry), then drains each shard's bucket on a small worker
-//! pool — one scoped thread per busy shard, capped by
+//! Every submission takes one arrival path,
+//! [`ShardedCoordinator::submit`] in `batch.rs`; a single submit is a
+//! batch of one. It safety-checks and admits the whole batch outside
+//! any lock, routes it in one router pass (bucketing after all unions,
+//! so intra-batch merges cannot strand an earlier entry), then drains
+//! each shard's bucket on a small worker pool — one scoped thread per
+//! busy shard, capped by
 //! [`ShardedConfig::workers`]. Within one shard the bucket is processed
 //! arrival-by-arrival — insert, match, cascade — which keeps per-shard
 //! semantics *identical* to a one-shard coordinator fed the same
@@ -122,7 +123,6 @@ mod checkpoint;
 mod recovery;
 mod router;
 
-pub use batch::BatchOutcome;
 pub use checkpoint::CheckpointPolicy;
 use router::Router;
 
@@ -142,15 +142,6 @@ pub struct ShardedConfig {
     /// Worker threads used to drain a batch (`0` = one per available
     /// CPU). Capped by the number of busy shards per batch.
     pub workers: usize,
-    /// Fair tenant interleaving: when set, each batch drain reorders
-    /// its bucket round-robin across tenants ([`crate::tenant_of`] on the
-    /// owner) in first-appearance order, so one tenant's storm cannot
-    /// monopolize a drain quantum. Off by default — with it off the
-    /// drain order (and thus the match outcome under a fixed seed) is
-    /// exactly the submission order, which the shard-equivalence
-    /// properties pin. Workloads where every owner is its own tenant
-    /// are order-identical either way.
-    pub fair_drain: bool,
     /// Automatic checkpoint policy (WAL size and/or age). Disabled by
     /// default.
     pub checkpoint: CheckpointPolicy,
@@ -164,7 +155,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shards: 4,
             workers: 0,
-            fair_drain: false,
             checkpoint: CheckpointPolicy::default(),
             base: CoordinatorConfig::default(),
         }
@@ -237,10 +227,11 @@ impl Drop for ShardGuard<'_> {
 /// The coordination component: partitions the pending registry into
 /// shards keyed by answer-relation signature and drains submissions
 /// per shard — see the module docs for the routing rule and locking
-/// protocol. One arrival path carries the whole `submit*` family: a
-/// single submit ([`ShardedCoordinator::submit_async_with`]) is a batch
-/// of one ([`ShardedCoordinator::submit_batch_async_with`]).
-/// Cancellation, expiry, durable recovery
+/// protocol. One entry, [`ShardedCoordinator::submit`], takes a batch
+/// of requests and an [`Ack`]; [`ShardedCoordinator::submit_sql`] is
+/// the paper's one-call API over it (a batch of one).
+/// Cancellation ([`ShardedCoordinator::cancel`],
+/// [`ShardedCoordinator::cancel_pipelined`]), expiry, durable recovery
 /// ([`ShardedCoordinator::recover`]) and waiter reattachment
 /// ([`ShardedCoordinator::reattach`]) complete the surface.
 pub struct ShardedCoordinator {
@@ -259,9 +250,6 @@ pub struct ShardedCoordinator {
     /// disjoint subsets. Held before any shard lock (lock order:
     /// gate → shard(i)).
     reattach_gate: Mutex<()>,
-    /// Round-robin tenant interleaving in batch drains
-    /// ([`ShardedConfig::fair_drain`]).
-    fair_drain: bool,
     workers: usize,
     /// The coordinator clock (checkpoint age, recovery expiry); tests
     /// inject a [`crate::MockClock`] via
@@ -333,7 +321,6 @@ impl ShardedCoordinator {
             rejected_quota: AtomicU64::new(0),
             apply_hook: Mutex::new(None),
             reattach_gate: Mutex::new(()),
-            fair_drain: config.fair_drain,
             workers,
             clock,
             sweep_signal: Arc::new(SweepSignal::new()),
@@ -402,103 +389,34 @@ impl ShardedCoordinator {
         *self.engine.tenants.lock() = Some(registry);
     }
 
-    /// The installed tenant registry, if any.
-    pub fn tenant_registry(&self) -> Option<Arc<TenantRegistry>> {
-        self.engine.tenants()
-    }
-
-    /// [`ShardedCoordinator::submit_async_with`] over SQL text with
-    /// default options, answered-or-pending view.
+    /// Submits one entangled query as SQL text with default options —
+    /// the paper's one-call API. A batch of one on
+    /// [`ShardedCoordinator::submit`] under [`Ack::Wait`], viewed as
+    /// answered-or-pending: [`Submission::Answered`] when the arrival
+    /// completed a group, otherwise the pending query's future.
     pub fn submit_sql(&self, owner: &str, sql: &str) -> CoreResult<Submission> {
-        self.submit_sql_with(owner, sql, SubmitOptions::default())
-    }
-
-    /// [`ShardedCoordinator::submit_async_with`] over SQL text,
-    /// answered-or-pending view: [`Submission::Answered`] when the
-    /// arrival completed a group, otherwise the pending query's future.
-    pub fn submit_sql_with(
-        &self,
-        owner: &str,
-        sql: &str,
-        opts: SubmitOptions,
-    ) -> CoreResult<Submission> {
-        self.submit_sql_async_with(owner, sql, opts)
+        let request = (
+            owner.to_string(),
+            compile_sql(sql),
+            SubmitOptions::default(),
+        );
+        self.submit(vec![request], Ack::Wait)
+            .pop()
+            .expect("a batch of one has one outcome")
             .map(Submission::from)
     }
 
-    /// [`ShardedCoordinator::submit_async_with`] over SQL text with
-    /// default options.
-    pub fn submit_sql_async(&self, owner: &str, sql: &str) -> CoreResult<CoordinationFuture> {
-        self.submit_sql_async_with(owner, sql, SubmitOptions::default())
-    }
-
-    /// [`ShardedCoordinator::submit_async_with`] over SQL text.
-    pub fn submit_sql_async_with(
-        &self,
-        owner: &str,
-        sql: &str,
-        opts: SubmitOptions,
-    ) -> CoreResult<CoordinationFuture> {
-        self.submit_async_with(owner, compile_sql(sql)?, opts)
-    }
-
-    /// Submits one compiled entangled query: a batch of one on the
-    /// arrival path of [`ShardedCoordinator::submit_batch_async_with`],
-    /// so it is admitted, logged, matched and healed exactly like a
-    /// batch entry. Routes the query to its shard and runs
-    /// arrival-driven matching there; submissions routed to different
-    /// shards proceed concurrently. A deadline in `opts` rides the
-    /// registration's log frame and is enforced by `expire_due` sweeps.
-    ///
-    /// The returned handle is a poll-based future, already resolved
-    /// when the arrival completed a group; otherwise it is completed —
-    /// under the owning shard's lock — by whichever path terminates
-    /// the query: a match commit, a cancellation, an expiry sweep, or
-    /// a reattach. Thousands of these can be held in flight by one
-    /// [`crate::WaiterSet`] thread.
+    /// Submits one compiled query: a batch of one on
+    /// [`ShardedCoordinator::submit`] under [`Ack::Wait`]. Kept only for
+    /// the e2e benchmark harness (`crates/bench/src/bin/e2e/trace.rs`);
+    /// it goes when that harness calls `submit`.
     pub fn submit_async_with(
         &self,
         owner: &str,
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> CoreResult<CoordinationFuture> {
-        self.submit_one(owner, query, opts, Ack::Wait)
-    }
-
-    /// [`ShardedCoordinator::submit_sql_async_with`] without waiting
-    /// for the log: the registration and any match the arrival
-    /// completes are enqueued to the WAL writer under the same locks
-    /// and in the same order, and the call returns without waiting for
-    /// an fsync. Nothing the call produced may be acknowledged until
-    /// [`Database::durable_lsn`] reaches the [`Database::enqueued_lsn`]
-    /// read after it returns.
-    ///
-    /// In-process caveat: futures this call completes — the returned
-    /// one when the arrival closed a group, and the waiting members'
-    /// parked ones — resolve, and the match's answer rows are readable,
-    /// before the log holds them. Call it only when every future the
-    /// coordinator hands out is owned by one caller that applies the
-    /// same hold (the network reactor). If the write then fails, those
-    /// effects stay in memory without a log record; every later log
-    /// write fails, and a restart recovers the log's state.
-    pub fn submit_sql_pipelined(
-        &self,
-        owner: &str,
-        sql: &str,
-        opts: SubmitOptions,
-    ) -> CoreResult<CoordinationFuture> {
-        self.submit_one(owner, compile_sql(sql)?, opts, Ack::Pipelined)
-    }
-
-    /// A batch of one through the arrival path (`arrive`, in `batch.rs`).
-    fn submit_one(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-        ack: Ack,
-    ) -> CoreResult<CoordinationFuture> {
-        self.arrive(vec![(owner.to_string(), Ok(query), opts)], ack)
+        self.submit(vec![(owner.to_string(), Ok(query), opts)], Ack::Wait)
             .pop()
             .expect("a batch of one has one outcome")
     }
@@ -519,8 +437,8 @@ impl ShardedCoordinator {
     /// removed and its future resolved `Cancelled` before the frame is
     /// durable. The caller holds the acknowledgement until
     /// [`Database::durable_lsn`] reaches the [`Database::enqueued_lsn`]
-    /// read after the call; the in-process caveat of
-    /// [`ShardedCoordinator::submit_sql_pipelined`] applies.
+    /// read after the call; the in-process caveat of [`Ack::Pipelined`]
+    /// applies.
     pub fn cancel_pipelined(&self, qid: QueryId) -> CoreResult<()> {
         self.cancel_one(qid, Ack::Pipelined)
     }
@@ -814,13 +732,34 @@ fn hook_ref(hook: &Option<SharedApplyHook>) -> Option<HookDyn<'_>> {
         .map(|h| h.as_ref() as &dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>)
 }
 
-/// Fixtures shared by the unit tests of this module's files.
+/// Fixtures shared by the crate's unit tests.
 #[cfg(test)]
-mod testing {
+pub(crate) mod testing {
     use youtopia_exec::run_sql;
     use youtopia_storage::{Database, Wal};
 
-    pub(super) fn flights_db() -> Database {
+    use super::ShardedCoordinator;
+    use crate::compile::compile_sql;
+    use crate::engine::Ack;
+    use crate::error::CoreResult;
+    use crate::future::CoordinationFuture;
+    use crate::lifecycle::SubmitOptions;
+
+    /// Submits one SQL query through [`ShardedCoordinator::submit`], a
+    /// batch of one.
+    pub(crate) fn single(
+        co: &ShardedCoordinator,
+        owner: &str,
+        sql: &str,
+        opts: SubmitOptions,
+        ack: Ack,
+    ) -> CoreResult<CoordinationFuture> {
+        co.submit(vec![(owner.to_string(), compile_sql(sql), opts)], ack)
+            .pop()
+            .expect("a batch of one has one outcome")
+    }
+
+    pub(crate) fn flights_db() -> Database {
         let db = Database::new();
         for sql in [
             "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
@@ -832,7 +771,7 @@ mod testing {
         db
     }
 
-    pub(super) fn pair_sql_on(rel: &str, me: &str, friend: &str) -> String {
+    pub(crate) fn pair_sql_on(rel: &str, me: &str, friend: &str) -> String {
         format!(
             "SELECT '{me}', fno INTO ANSWER {rel} \
              WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
@@ -840,7 +779,7 @@ mod testing {
         )
     }
 
-    pub(super) fn flights_db_wal() -> Database {
+    pub(crate) fn flights_db_wal() -> Database {
         let db = Database::with_wal(Wal::in_memory());
         for sql in [
             "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
@@ -975,15 +914,30 @@ mod tests {
         use crate::future::CoordinationOutcome;
 
         let co = ShardedCoordinator::new(flights_db());
-        let mut a = co
-            .submit_sql_async("a", &pair_sql_on("Res0", "A", "GhostA"))
-            .unwrap();
-        let mut b = co
-            .submit_sql_async("b", &pair_sql_on("Res1", "B", "GhostB"))
-            .unwrap();
-        let mut c = co
-            .submit_sql_async("c", &pair_sql_on("Res2", "C", "GhostC"))
-            .unwrap();
+        let mut a = single(
+            &co,
+            "a",
+            &pair_sql_on("Res0", "A", "GhostA"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
+        let mut b = single(
+            &co,
+            "b",
+            &pair_sql_on("Res1", "B", "GhostB"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
+        let mut c = single(
+            &co,
+            "c",
+            &pair_sql_on("Res2", "C", "GhostC"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
         co.cancel(a.id()).unwrap();
         assert_eq!(
             a.wait_timeout(std::time::Duration::from_secs(5)),
@@ -1027,9 +981,14 @@ mod tests {
         use crate::future::WaiterSet;
 
         let co = Arc::new(ShardedCoordinator::new(flights_db()));
-        let future = co
-            .submit_sql_async("a", &pair_sql_on("Res0", "A", "Ghost"))
-            .unwrap();
+        let future = single(
+            &co,
+            "a",
+            &pair_sql_on("Res0", "A", "Ghost"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
         let qid = future.id();
         type Lookup = (Option<usize>, std::thread::JoinHandle<()>);
         let routed: Arc<Mutex<Vec<Lookup>>> = Arc::default();
@@ -1122,11 +1081,22 @@ mod tests {
                 .unwrap();
             assert_published(&co, "submit");
 
-            co.submit_batch_sql(&[
-                ("d".into(), pair_sql_on("Res2", "D", "E")),
-                ("e".into(), pair_sql_on("Res2", "E", "D")),
-                ("f".into(), pair_sql_on("Res3", "F", "Ghost")),
-            ]);
+            let batch = [
+                ("d", "Res2", "D", "E"),
+                ("e", "Res2", "E", "D"),
+                ("f", "Res3", "F", "Ghost"),
+            ]
+            .into_iter()
+            .map(|(owner, rel, me, friend)| {
+                let sql = pair_sql_on(rel, me, friend);
+                (
+                    owner.to_string(),
+                    compile_sql(&sql),
+                    SubmitOptions::default(),
+                )
+            })
+            .collect();
+            co.submit(batch, Ack::Wait);
             assert_published(&co, "batch");
 
             co.cancel(lone.id()).unwrap();
@@ -1135,8 +1105,14 @@ mod tests {
             assert_published(&co, "cancel_owner");
 
             let deadline = SubmitOptions::with_deadline(10);
-            co.submit_sql_with("g", &pair_sql_on("Res4", "G", "Ghost"), deadline)
-                .unwrap();
+            single(
+                &co,
+                "g",
+                &pair_sql_on("Res4", "G", "Ghost"),
+                deadline,
+                Ack::Wait,
+            )
+            .unwrap();
             assert_published(&co, "a submit with a deadline");
             assert_eq!(co.expire_due(10).len(), 1);
             assert_published(&co, "expire_due");

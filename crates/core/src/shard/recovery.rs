@@ -38,7 +38,7 @@ impl ShardedCoordinator {
     /// rebuilt coordinator keeps logging to the same WAL.
     ///
     /// The apply hook is `None` during the recovery sweep; use
-    /// [`ShardedCoordinator::recover_with_hook`] when matches must run
+    /// [`ShardedCoordinator::recover_with`] when matches must run
     /// application side effects.
     pub fn recover(
         wal: Wal,
@@ -47,18 +47,9 @@ impl ShardedCoordinator {
         Self::recover_with(wal, config, None, Arc::new(SystemClock))
     }
 
-    /// [`ShardedCoordinator::recover`] with an apply hook installed
-    /// *before* the post-restore matching sweep runs.
-    pub fn recover_with_hook(
-        wal: Wal,
-        config: ShardedConfig,
-        hook: Option<SharedApplyHook>,
-    ) -> CoreResult<(ShardedCoordinator, RecoveryReport)> {
-        Self::recover_with(wal, config, hook, Arc::new(SystemClock))
-    }
-
-    /// The full-control recovery entry point: apply hook plus an
-    /// injected [`Clock`]. Deadlines are rebuilt from the log into
+    /// The full-control recovery entry point: an apply hook, installed
+    /// *before* the post-restore matching sweep runs, plus an injected
+    /// [`Clock`]. Deadlines are rebuilt from the log into
     /// each survivor's registry entry, and — after the rematch sweep —
     /// anything already past due *by that clock* is expired
     /// immediately, so no client can reattach to a query that should
@@ -150,9 +141,10 @@ mod tests {
     use youtopia_storage::Wal;
 
     use crate::coordinator::Submission;
-    use crate::engine::CoordEvent;
+    use crate::engine::{Ack, CoordEvent};
     use crate::future::{CoordinationFuture, CoordinationOutcome};
     use crate::ir::QueryId;
+    use crate::lifecycle::SubmitOptions;
     use crate::shard::testing::*;
     use crate::shard::{ShardedConfig, ShardedCoordinator};
 
@@ -272,12 +264,22 @@ mod tests {
     fn recover_then_reattach_resumes_futures() {
         let db = flights_db_wal();
         let co = ShardedCoordinator::new(db.clone());
-        let f0 = co
-            .submit_sql_async("kramer", &pair_sql_on("Res0", "Kramer", "Jerry"))
-            .unwrap();
-        let f1 = co
-            .submit_sql_async("kramer", &pair_sql_on("Res1", "Kramer", "Elaine"))
-            .unwrap();
+        let f0 = single(
+            &co,
+            "kramer",
+            &pair_sql_on("Res0", "Kramer", "Jerry"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
+        let f1 = single(
+            &co,
+            "kramer",
+            &pair_sql_on("Res1", "Kramer", "Elaine"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
         let bytes = db.wal_bytes().unwrap();
         drop((f0, f1)); // the front-end dies with its futures
         drop(co);

@@ -413,7 +413,9 @@ mod tests {
     use std::collections::BTreeSet;
 
     use crate::coordinator::Submission;
+    use crate::engine::Ack;
     use crate::future::CoordinationOutcome;
+    use crate::lifecycle::SubmitOptions;
     use crate::shard::testing::*;
     use crate::shard::{ShardedConfig, ShardedCoordinator};
 
@@ -627,7 +629,6 @@ mod tests {
     fn query_without_answer_relations_is_routed_and_cancellable() {
         use crate::compile::compile_sql;
         use crate::ir::EntangledQuery;
-        use crate::lifecycle::SubmitOptions;
 
         let co = ShardedCoordinator::with_config(
             flights_db(),
@@ -649,12 +650,17 @@ mod tests {
         };
         assert!(lone.answer_relations().is_empty());
 
-        let mut outcomes = co.submit_batch_with(vec![(
-            "batch".to_string(),
-            Ok(lone.clone()),
-            SubmitOptions::default(),
-        )]);
-        let Some(Ok(Submission::Pending(batched))) = outcomes.pop() else {
+        let mut outcomes = co.submit(
+            vec![(
+                "batch".to_string(),
+                Ok(lone.clone()),
+                SubmitOptions::default(),
+            )],
+            Ack::Wait,
+        );
+        let Some(Ok(Submission::Pending(batched))) =
+            outcomes.pop().map(|r| r.map(Submission::from))
+        else {
             panic!("the batch entry pends")
         };
         let mut single = co
@@ -679,8 +685,6 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        use crate::lifecycle::SubmitOptions;
-
         let db = flights_db_wal();
         let co = std::sync::Arc::new(ShardedCoordinator::with_config(
             db.clone(),
@@ -697,8 +701,22 @@ mod tests {
                  AND ('{friend}', fno) IN ANSWER RelA CHOOSE 1"
             )
         };
-        let mut p = co.submit_sql_async("p", &lyon("P", "Q")).unwrap();
-        let mut q = co.submit_sql_async("q", &lyon("Q", "P")).unwrap();
+        let mut p = single(
+            &co,
+            "p",
+            &lyon("P", "Q"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
+        let mut q = single(
+            &co,
+            "q",
+            &lyon("Q", "P"),
+            SubmitOptions::default(),
+            Ack::Wait,
+        )
+        .unwrap();
         for k in 0..3 {
             co.submit_sql("n", &pair_sql_on("RelB", &format!("N{k}"), "Ghost"))
                 .unwrap();
@@ -729,7 +747,7 @@ mod tests {
                 let sql = "SELECT 'B', fno INTO ANSWER RelA, 'B', fno INTO ANSWER RelB \
                            WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
                            AND ('GhostB', fno) IN ANSWER RelA CHOOSE 1";
-                let outcome = co.submit_sql_pipelined("b", sql, SubmitOptions::default());
+                let outcome = single(&co, "b", sql, SubmitOptions::default(), Ack::Pipelined);
                 done_tx.send(outcome.is_ok()).unwrap();
             })
         };
@@ -769,7 +787,7 @@ mod tests {
         let x = "SELECT 'X', fno INTO ANSWER RelA \
                  WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
                  AND ('Y', fno) IN ANSWER RelB CHOOSE 1";
-        let mut fx = co.submit_sql_async("x", x).unwrap();
+        let mut fx = single(&co, "x", x, SubmitOptions::default(), Ack::Wait).unwrap();
         co.submit_sql("noise", &pair_sql_on("RelC", "N", "GhostN"))
             .unwrap();
         let y = "SELECT 'Y', fno INTO ANSWER RelB, 'Y', fno INTO ANSWER RelC \

@@ -116,11 +116,6 @@ impl Subst {
         self.value.get(&self.root(v))
     }
 
-    /// True when `v` is bound to a constant.
-    pub fn is_bound(&self, v: &Var) -> bool {
-        self.lookup(v).is_some()
-    }
-
     /// Resolves a term: a bound variable becomes its constant, an
     /// unbound variable is normalized to its class root.
     pub fn resolve(&self, t: &Term) -> Term {

@@ -43,7 +43,7 @@
 //! deadline sweeper: every submission carries a deadline (explicit or
 //! the server's connection-timeout default), so stranded queries
 //! expire rather than leak. See `docs/networking.md` for the full
-//! protocol and fairness story.
+//! protocol and tenant-isolation story.
 
 #![warn(missing_docs)]
 

@@ -33,7 +33,7 @@
 //!
 //! The reactor never waits for the log. Submits and cancels go through
 //! the coordinator's pipelined entries
-//! ([`ShardedCoordinator::submit_sql_pipelined`],
+//! ([`ShardedCoordinator::submit`] under [`Ack::Pipelined`],
 //! [`ShardedCoordinator::cancel_pipelined`]), which enqueue their
 //! registration, cancel and match groups to the WAL writer and return.
 //! Every frame the reactor queues is stamped with the database's
@@ -69,8 +69,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use youtopia_core::{
-    tenant_of, Clock, CoordinationOutcome, CoreError, DeadlineHost, DeadlineSweeper, QueryId,
-    ShardedCoordinator, SubmitOptions, TenantRegistry, TenantStats, WaiterSet,
+    compile_sql, tenant_of, Ack, Clock, CoordinationOutcome, CoreError, DeadlineHost,
+    DeadlineSweeper, QueryId, ShardedCoordinator, SubmitOptions, TenantRegistry, TenantStats,
+    WaiterSet,
 };
 
 use crate::error::NetResult;
@@ -1008,8 +1009,13 @@ impl Reactor {
                 let deadline = deadline.unwrap_or_else(|| {
                     self.clock.now_millis() + self.config.connection_timeout_millis
                 });
-                let opts = SubmitOptions::with_deadline(deadline);
-                match self.co.submit_sql_pipelined(owner, &sql, opts) {
+                let request = (
+                    owner.to_string(),
+                    compile_sql(&sql),
+                    SubmitOptions::with_deadline(deadline),
+                );
+                let outcome = self.co.submit(vec![request], Ack::Pipelined).pop();
+                match outcome.expect("a batch of one has one outcome") {
                     Ok(mut future) => {
                         let qid = future.id();
                         if let Some(outcome) = future.try_take() {

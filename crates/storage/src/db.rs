@@ -140,11 +140,6 @@ impl Database {
         Ok((db, coordination))
     }
 
-    /// Whether this database logs to a WAL (i.e. is durable).
-    pub fn has_wal(&self) -> bool {
-        self.log.is_some()
-    }
-
     /// A copy of the raw WAL bytes (memory-backed WALs only; used by
     /// crash-recovery tests that "kill" a process by dropping it and
     /// keep only what had reached the log).

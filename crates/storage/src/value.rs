@@ -76,14 +76,6 @@ impl Value {
         }
     }
 
-    /// Interprets the value as a boolean if possible.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Interprets the value as an integer if possible.
     pub fn as_int(&self) -> Option<i64> {
         match self {

@@ -14,13 +14,13 @@ use parking_lot::Mutex;
 
 use youtopia_core::{
     CoordinationFuture, CoordinationOutcome, Coordinator, CoordinatorConfig, GroupMatch,
-    MatchNotification, QueryId, RecoveryReport, ShardedCoordinator, Submission,
+    MatchNotification, QueryId, RecoveryReport, ShardedCoordinator, Submission, SystemClock,
 };
 use youtopia_exec::{run_sql, StatementOutcome};
 use youtopia_storage::{Database, StorageError, Tuple, Value, Wal};
 
 use crate::error::{TravelError, TravelResult};
-use crate::model::{self, sql_str, Flight, Hotel};
+use crate::model::{self, sql_str, Flight};
 use crate::notify::Notifier;
 use crate::social::SocialGraph;
 
@@ -110,8 +110,12 @@ impl TravelService {
         wal: Wal,
         config: CoordinatorConfig,
     ) -> TravelResult<(TravelService, RecoveryReport)> {
-        let (coordinator, report) =
-            Coordinator::recover_with_hook(wal, config, Some(Arc::new(inventory_hook)))?;
+        let (coordinator, report) = Coordinator::recover_with(
+            wal,
+            config,
+            Some(Arc::new(inventory_hook)),
+            Arc::new(SystemClock),
+        )?;
         let db = coordinator.db().clone();
         let service = TravelService {
             social: SocialGraph::new(db.clone()),
@@ -161,18 +165,6 @@ impl TravelService {
             unreachable!()
         };
         rs.rows.iter().map(Flight::from_tuple).collect()
-    }
-
-    /// Hotels in `city`, sorted by price.
-    pub fn search_hotels(&self, city: &str) -> TravelResult<Vec<Hotel>> {
-        let sql = format!(
-            "SELECT * FROM Hotels WHERE city = {} ORDER BY price",
-            sql_str(city)
-        );
-        let StatementOutcome::Rows(rs) = run_sql(&self.db, &sql)? else {
-            unreachable!()
-        };
-        rs.rows.iter().map(Hotel::from_tuple).collect()
     }
 
     /// The "browse flights and see your friends' bookings" view

@@ -9,7 +9,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use youtopia_core::{ShardedConfig, ShardedCoordinator, Submission};
+use youtopia_core::{
+    compile_sql, Ack, ShardedConfig, ShardedCoordinator, Submission, SubmitOptions,
+};
 use youtopia_exec::run_sql;
 use youtopia_storage::Database;
 
@@ -214,7 +216,7 @@ impl WorkloadGen {
     /// answer relations. Returned interleaved — each pair's first half
     /// directly followed by its closer — so a driver can time
     /// per-pair completion latency. The building block of the
-    /// multi-tenant fairness and noisy-neighbor scenarios.
+    /// multi-tenant noisy-neighbor scenarios.
     pub fn tenant_pairs(tenant: &str, pairs: usize, dest: &str, relations: usize) -> Vec<Request> {
         let relations = relations.max(1);
         let mut out = Vec::with_capacity(pairs * 2);
@@ -462,12 +464,18 @@ pub fn drive_batched(
 ) -> DriveReport {
     let mut report = DriveReport::default();
     for chunk in requests.chunks(batch_size.max(1)) {
-        let chunk: Vec<(String, String)> = chunk
+        let chunk = chunk
             .iter()
-            .map(|r| (r.owner.clone(), r.sql.clone()))
+            .map(|r| {
+                (
+                    r.owner.clone(),
+                    compile_sql(&r.sql),
+                    SubmitOptions::default(),
+                )
+            })
             .collect();
-        for outcome in coordinator.submit_batch_sql(&chunk) {
-            match outcome {
+        for outcome in coordinator.submit(chunk, Ack::Wait) {
+            match outcome.map(Submission::from) {
                 Ok(Submission::Answered(_)) => report.answered += 1,
                 Ok(Submission::Pending(_)) => report.pending += 1,
                 Err(_) => report.rejected += 1,
@@ -480,7 +488,6 @@ pub fn drive_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use youtopia_core::compile_sql;
 
     #[test]
     fn database_builder_is_deterministic() {

@@ -3,8 +3,8 @@
 //!
 //! Blocking on each pending entangled query's handle would park one OS
 //! thread per query. This example is the reason every handle is a
-//! future: a front-end submits a few thousand coordinations with
-//! `submit_batch_sql_async`, holds every resulting
+//! future: a front-end submits a few thousand coordinations in
+//! batches through `submit`, holds every resulting
 //! `CoordinationFuture` in a single `WaiterSet`, and harvests
 //! completions as partners arrive, cancels fire, and an expiry sweep
 //! retires the stragglers — all on one thread. At the end, every
@@ -19,7 +19,9 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use youtopia::travel::WorkloadGen;
-use youtopia::{CoordinationOutcome, QueryId, ShardedCoordinator, WaiterSet};
+use youtopia::{
+    compile_sql, Ack, CoordinationOutcome, QueryId, ShardedCoordinator, SubmitOptions, WaiterSet,
+};
 
 const NOISE: usize = 3000; // standing load: queries whose partner never comes
 const PAIRS: usize = 400; // coordinations that do complete
@@ -51,11 +53,17 @@ fn main() {
     requests.extend(first_halves.to_vec());
     let mut submitted = 0usize;
     for chunk in requests.chunks(BATCH) {
-        let batch: Vec<(String, String)> = chunk
+        let batch = chunk
             .iter()
-            .map(|r| (r.owner.clone(), r.sql.clone()))
+            .map(|r| {
+                (
+                    r.owner.clone(),
+                    compile_sql(&r.sql),
+                    SubmitOptions::default(),
+                )
+            })
             .collect();
-        for outcome in co.submit_batch_sql_async(&batch) {
+        for outcome in co.submit(batch, Ack::Wait) {
             set.insert(outcome.expect("generated queries are safe"));
             submitted += 1;
         }
@@ -72,11 +80,17 @@ fn main() {
 
     // ---- phase 2: partners arrive, completions fan out ------------- //
     for chunk in second_halves.chunks(BATCH) {
-        let batch: Vec<(String, String)> = chunk
+        let batch = chunk
             .iter()
-            .map(|r| (r.owner.clone(), r.sql.clone()))
+            .map(|r| {
+                (
+                    r.owner.clone(),
+                    compile_sql(&r.sql),
+                    SubmitOptions::default(),
+                )
+            })
             .collect();
-        for outcome in co.submit_batch_sql_async(&batch) {
+        for outcome in co.submit(batch, Ack::Wait) {
             set.insert(outcome.expect("generated queries are safe"));
             submitted += 1;
         }

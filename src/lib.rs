@@ -36,7 +36,7 @@ pub use youtopia_storage as storage;
 pub use youtopia_travel as travel;
 
 pub use youtopia_core::{
-    compile_sql, latency_histogram, tenant_audit, AuditConfig, AuditRecord, CheckpointPolicy,
+    compile_sql, latency_histogram, tenant_audit, Ack, AuditConfig, AuditRecord, CheckpointPolicy,
     Clock, CoordEvent, CoordinationFuture, CoordinationOutcome, Coordinator, CoordinatorConfig,
     DeadlineHost, DeadlineSweeper, GroupMatch, LatencyBucket, MatchNotification, MatcherKind,
     MockClock, QueryId, RecoveryReport, RegStamp, SafetyMode, ShardedConfig, ShardedCoordinator,

@@ -146,3 +146,61 @@ fn randomize_off_is_deterministic_across_seeds() {
         "with randomize=false the choice is fixed: {seen:?}"
     );
 }
+
+/// Today's `CHOOSE 1` distribution is uniform per *decision*, not over
+/// the valid groundings. Flight 1 has one hotel and flight 2 has nine,
+/// so the ten valid `(flight, hotel)` groundings would give flight 1 a
+/// share of 0.1 if sampled uniformly; the fail-first membership (the
+/// two Paris flights) is drawn first, so each flight gets half. The
+/// bound is 5σ of a binomial at p = 0.5.
+#[test]
+fn choose_is_uniform_per_decision_not_per_grounding() {
+    let flights_and_hotels = || {
+        let db = Database::new();
+        for sql in [
+            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)",
+            "INSERT INTO Flights VALUES (1, 'Paris'), (2, 'Paris'), (3, 'Rome')",
+            "CREATE TABLE Hotels (hid INT PRIMARY KEY, fno INT)",
+            "INSERT INTO Hotels VALUES (10, 1), (20, 2), (21, 2), (22, 2), (23, 2), (24, 2), \
+             (25, 2), (26, 2), (27, 2), (28, 2)",
+        ] {
+            run_sql(&db, sql).unwrap();
+        }
+        db
+    };
+    let seeds = 2_000u64;
+    let mut first = 0u64;
+    for seed in 0..seeds {
+        let co = Coordinator::with_config(
+            flights_and_hotels(),
+            CoordinatorConfig {
+                seed,
+                ..Default::default()
+            },
+        );
+        let n = co
+            .submit_sql(
+                "solo",
+                "SELECT 'solo', f, h INTO ANSWER R \
+                 WHERE f IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                 AND (f, h) IN (SELECT fno, hid FROM Hotels) CHOOSE 1",
+            )
+            .unwrap()
+            .answered()
+            .expect("a self-contained query answers on arrival");
+        let values = n.answers[0].1.values();
+        let (f, h) = (values[1].as_int().unwrap(), values[2].as_int().unwrap());
+        assert!(
+            (f == 1 && h == 10) || (f == 2 && (20..=28).contains(&h)),
+            "only valid groundings are chosen: ({f}, {h})"
+        );
+        first += u64::from(f == 1);
+    }
+    let share = first as f64 / seeds as f64;
+    let sigma = (0.25 / seeds as f64).sqrt();
+    assert!(
+        (share - 0.5).abs() <= 5.0 * sigma,
+        "flight 1 share {share:.3}, expected 0.5 ± {:.3}",
+        5.0 * sigma
+    );
+}

@@ -8,11 +8,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use youtopia::core::SubmitOptions;
+use youtopia::core::{CoreResult, SubmitOptions};
 use youtopia::storage::Wal;
 use youtopia::{
-    run_sql, CheckpointPolicy, CoordinationOutcome, Coordinator, Database, DeadlineSweeper,
-    MockClock, ShardedConfig, ShardedCoordinator, Submission,
+    compile_sql, run_sql, Ack, CheckpointPolicy, CoordinationFuture, CoordinationOutcome,
+    Coordinator, Database, DeadlineSweeper, MockClock, ShardedConfig, ShardedCoordinator,
+    Submission,
 };
 
 fn flights_db() -> Database {
@@ -40,6 +41,18 @@ fn eventually(cond: impl Fn() -> bool) -> bool {
     cond()
 }
 
+/// Submits one SQL query with `opts`: a batch of one on `submit`.
+fn single(
+    co: &ShardedCoordinator,
+    owner: &str,
+    sql: &str,
+    opts: SubmitOptions,
+) -> CoreResult<CoordinationFuture> {
+    co.submit(vec![(owner.to_string(), compile_sql(sql), opts)], Ack::Wait)
+        .pop()
+        .expect("a batch of one has one outcome")
+}
+
 fn pair_sql_on(rel: &str, me: &str, friend: &str) -> String {
     format!(
         "SELECT '{me}', fno INTO ANSWER {rel} \
@@ -58,13 +71,13 @@ fn sweeper_expires_future_on_mock_clock_serial() {
     let co: Arc<ShardedCoordinator> = Arc::new(Coordinator::new(flights_db()).into());
     let sweeper = DeadlineSweeper::spawn(co.clone(), clock.clone());
 
-    let mut f = co
-        .submit_sql_async_with(
-            "kramer",
-            &pair_sql_on("Res", "Kramer", "Jerry"),
-            SubmitOptions::with_deadline(100),
-        )
-        .unwrap();
+    let mut f = single(
+        &co,
+        "kramer",
+        &pair_sql_on("Res", "Kramer", "Jerry"),
+        SubmitOptions::with_deadline(100),
+    )
+    .unwrap();
     assert!(!f.is_complete(), "deadline lies in the mock future");
 
     clock.advance(99); // t=99: not due — the sweep must not fire it
@@ -82,8 +95,8 @@ fn sweeper_expires_future_on_mock_clock_serial() {
 }
 
 /// Sharded flavor: deadlines on different shards expire from one
-/// sweeper; every handle resolves `Expired` (the one from a blocking
-/// `submit_sql_with` included), and a deadline-less query is
+/// sweeper; every handle resolves `Expired` (the one viewed through
+/// `Submission::from` included), and a deadline-less query is
 /// untouched.
 #[test]
 fn sweeper_expires_across_shards_on_mock_clock() {
@@ -96,31 +109,32 @@ fn sweeper_expires_across_shards_on_mock_clock() {
     let sweeper = DeadlineSweeper::spawn(co.clone(), clock.clone());
 
     // four relation families → four shards; staggered deadlines
-    let mut f0 = co
-        .submit_sql_async_with(
-            "a",
-            &pair_sql_on("Res0", "A", "GhostA"),
-            SubmitOptions::with_deadline(50),
-        )
-        .unwrap();
-    let mut f1 = match co
-        .submit_sql_with(
-            "b",
-            &pair_sql_on("Res1", "B", "GhostB"),
-            SubmitOptions::with_deadline(80),
-        )
-        .unwrap()
+    let mut f0 = single(
+        &co,
+        "a",
+        &pair_sql_on("Res0", "A", "GhostA"),
+        SubmitOptions::with_deadline(50),
+    )
+    .unwrap();
+    let mut f1 = match single(
+        &co,
+        "b",
+        &pair_sql_on("Res1", "B", "GhostB"),
+        SubmitOptions::with_deadline(80),
+    )
+    .map(Submission::from)
+    .unwrap()
     {
         Submission::Pending(f) => f,
         Submission::Answered(_) => panic!("no partner: must pend"),
     };
-    let mut f2 = co
-        .submit_sql_async_with(
-            "c",
-            &pair_sql_on("Res2", "C", "GhostC"),
-            SubmitOptions::with_deadline(200),
-        )
-        .unwrap();
+    let mut f2 = single(
+        &co,
+        "c",
+        &pair_sql_on("Res2", "C", "GhostC"),
+        SubmitOptions::with_deadline(200),
+    )
+    .unwrap();
     co.submit_sql("d", &pair_sql_on("Res3", "D", "GhostD"))
         .unwrap(); // immortal
     assert_eq!(co.next_deadline(), Some(50));
@@ -205,7 +219,8 @@ fn expiry_racing_match_delivers_one_outcome_to_future() {
         let co = Coordinator::new(flights_db());
         race_future_once(
             || {
-                co.submit_sql_async_with(
+                single(
+                    &co,
                     "l",
                     &pair_sql_on("Res", "L", "R"),
                     SubmitOptions::with_deadline(10),
@@ -224,7 +239,8 @@ fn expiry_racing_match_delivers_one_outcome_to_future() {
         let co = ShardedCoordinator::new(flights_db());
         race_future_once(
             || {
-                co.submit_sql_async_with(
+                single(
+                    &co,
                     "l",
                     &pair_sql_on("Res", "L", "R"),
                     SubmitOptions::with_deadline(10),
@@ -266,7 +282,8 @@ fn auto_checkpoint_bounds_the_wal_and_surfaces_gauges() {
     let co = ShardedCoordinator::with_clock(db.clone(), config, clock.clone());
 
     // a survivor with a deadline, then heavy matched churn
-    co.submit_sql_with(
+    single(
+        &co,
         "s",
         &pair_sql_on("Surv", "S", "Ghost"),
         SubmitOptions::with_deadline(999_999),
@@ -306,13 +323,13 @@ fn auto_checkpoint_bounds_the_wal_and_surfaces_gauges() {
         run_sql(&control_db, sql).unwrap();
     }
     let control = ShardedCoordinator::new(control_db.clone());
-    control
-        .submit_sql_with(
-            "s",
-            &pair_sql_on("Surv", "S", "Ghost"),
-            SubmitOptions::with_deadline(999_999),
-        )
-        .unwrap();
+    single(
+        &control,
+        "s",
+        &pair_sql_on("Surv", "S", "Ghost"),
+        SubmitOptions::with_deadline(999_999),
+    )
+    .unwrap();
     for p in 0..60 {
         control
             .submit_sql("l", &pair_sql_on("Res", &format!("L{p}"), &format!("R{p}")))
@@ -375,8 +392,11 @@ fn batch_deadlines_survive_checkpoint_and_recovery() {
             )
         })
         .collect();
-    for outcome in co.submit_batch_with(batch) {
-        assert!(matches!(outcome, Ok(Submission::Pending(_))));
+    for outcome in co.submit(batch, Ack::Wait) {
+        assert!(matches!(
+            outcome.map(Submission::from),
+            Ok(Submission::Pending(_))
+        ));
     }
     assert_eq!(co.next_deadline(), Some(100));
     co.checkpoint().unwrap();

@@ -7,16 +7,16 @@
 //! drain at four shards with random deadlines and an `expire_due`
 //! sweep mixed in. Same discipline as `prop_shard_equivalence.rs`.
 //!
-//! Both sides are the same submission path (the blocking `submit*`
-//! conveniences are one-liners over the async entry), so this is one
-//! cheap case, not a matrix: the only way it can fail is a bug in the
-//! waiter lifecycle itself — a waker lost by a migration, a completion
+//! Both sides are the same submission path (one `submit` call; the
+//! answered-or-pending side only maps it through `Submission::from`),
+//! so this is one cheap case, not a matrix: the only way it can fail
+//! is a bug in the waiter lifecycle itself — a waker lost by a migration, a completion
 //! delivered twice, a future left pending past its terminal event, or
 //! `Submission::from` mis-sorting a handle.
 
 use proptest::prelude::*;
 
-use youtopia::core::{MatchConfig, SubmitOptions};
+use youtopia::core::{Ack, MatchConfig, SubmitOptions};
 use youtopia::{
     compile_sql, run_sql, CoordinationOutcome, CoordinatorConfig, Database, MatchNotification,
     ShardedConfig, ShardedCoordinator, Submission, WaiterSet,
@@ -182,7 +182,6 @@ fn coordinator(seed: u64) -> ShardedCoordinator {
         ShardedConfig {
             shards: 4,
             workers: 4,
-            fair_drain: false,
             checkpoint: Default::default(),
             base: config(seed),
         },
@@ -195,8 +194,11 @@ fn run_probing_handles(w: &Workload, seed: u64) -> RunResult {
     let co = coordinator(seed);
     let mut handles = Vec::new();
     let mut outcomes = Vec::new();
-    for outcome in co.submit_batch_with(batch(w)) {
-        match outcome.expect("generated queries are safe") {
+    for outcome in co.submit(batch(w), Ack::Wait) {
+        match outcome
+            .map(Submission::from)
+            .expect("generated queries are safe")
+        {
             Submission::Answered(n) => outcomes.push(canonical(&n)),
             Submission::Pending(f) => handles.push(f),
         }
@@ -226,7 +228,7 @@ fn run_probing_handles(w: &Workload, seed: u64) -> RunResult {
 fn run_waiter_set(w: &Workload, seed: u64) -> RunResult {
     let co = coordinator(seed);
     let mut set = WaiterSet::new();
-    for outcome in co.submit_batch_async_with(batch(w)) {
+    for outcome in co.submit(batch(w), Ack::Wait) {
         set.insert(outcome.expect("generated queries are safe"));
     }
     co.expire_due(w.sweep_at);

@@ -18,12 +18,25 @@
 
 use proptest::prelude::*;
 
-use youtopia::core::{latency_bucket, MatchConfig, SubmitOptions};
+use youtopia::core::{latency_bucket, CoreResult, MatchConfig, SubmitOptions};
 use youtopia::storage::{Wal, WalRecord};
 use youtopia::{
-    latency_histogram, run_sql, tenant_audit, AuditConfig, AuditRecord, CoordEvent,
-    CoordinatorConfig, Database, MockClock, ShardedConfig, ShardedCoordinator, Submission,
+    compile_sql, latency_histogram, run_sql, tenant_audit, Ack, AuditConfig, AuditRecord,
+    CoordEvent, CoordinationFuture, CoordinatorConfig, Database, MockClock, ShardedConfig,
+    ShardedCoordinator, Submission,
 };
+
+/// Submits one SQL query with `opts`: a batch of one on `submit`.
+fn single(
+    co: &ShardedCoordinator,
+    owner: &str,
+    sql: &str,
+    opts: SubmitOptions,
+) -> CoreResult<CoordinationFuture> {
+    co.submit(vec![(owner.to_string(), compile_sql(sql), opts)], Ack::Wait)
+        .pop()
+        .expect("a batch of one has one outcome")
+}
 
 /// One generated workload step: a pair request, optionally cancelled
 /// right after submission (exercising `QueryCancelled` frames).
@@ -130,8 +143,8 @@ fn run_timed_step(co: &ShardedCoordinator, k: usize, timed: &TimedStep) {
     let opts = SubmitOptions {
         deadline: timed.deadline_slack.map(|s| sweep_time(k + s as usize)),
     };
-    let outcome = co
-        .submit_sql_with(&timed.step.me, &pair_sql(&timed.step), opts)
+    let outcome = single(co, &timed.step.me, &pair_sql(&timed.step), opts)
+        .map(Submission::from)
         .expect("generated queries are safe");
     if timed.step.cancel_if_pending {
         if let Submission::Pending(future) = outcome {
@@ -171,7 +184,6 @@ fn config(seed: u64) -> ShardedConfig {
     ShardedConfig {
         shards: 4,
         workers: 2,
-        fair_drain: false,
         checkpoint: Default::default(),
         base: CoordinatorConfig {
             match_config: MatchConfig {
@@ -266,7 +278,7 @@ proptest! {
     }
 
     /// Async flavor of the crash property (async-submission PR): the
-    /// workload prefix is submitted through `submit_sql_async`, every
+    /// workload prefix is submitted as futures, every
     /// future held by a `WaiterSet` that is **dropped at the kill
     /// point** (the front-end dies with its wakers). After `recover`,
     /// `reattach` hands back live futures for the still-pending
@@ -316,8 +328,7 @@ proptest! {
         let co = ShardedCoordinator::with_config(db.clone(), cfg);
         let mut waiters = WaiterSet::new();
         for step in &scenario.steps[..cut] {
-            let future = co
-                .submit_sql_async(&step.me, &pair_sql(step))
+            let future = single(&co, &step.me, &pair_sql(step), SubmitOptions::default())
                 .expect("generated queries are safe");
             if step.cancel_if_pending && !future.is_complete() {
                 let _ = co.cancel(future.id());
@@ -346,8 +357,7 @@ proptest! {
         }
         prop_assert_eq!(waiters.len(), recovered.pending_count());
         for step in &scenario.steps[cut..] {
-            let future = recovered
-                .submit_sql_async(&step.me, &pair_sql(step))
+            let future = single(&recovered, &step.me, &pair_sql(step), SubmitOptions::default())
                 .expect("generated queries are safe");
             if step.cancel_if_pending && !future.is_complete() {
                 let _ = recovered.cancel(future.id());

@@ -38,8 +38,9 @@ use proptest::prelude::*;
 use youtopia::core::{MatchConfig, TenantStats};
 use youtopia::storage::{Wal, WalOp, WalRecord};
 use youtopia::{
-    run_sql, CoordEvent, CoordinationOutcome, Coordinator, CoordinatorConfig, Database,
-    MatchNotification, ShardedConfig, ShardedCoordinator, Submission, TenantQuotas, TenantRegistry,
+    compile_sql, run_sql, Ack, CoordEvent, CoordinationOutcome, Coordinator, CoordinatorConfig,
+    Database, MatchNotification, ShardedConfig, ShardedCoordinator, Submission, SubmitOptions,
+    TenantQuotas, TenantRegistry,
 };
 
 /// One generated workload: pair requests `(me, friend, relation, dest)`
@@ -184,7 +185,7 @@ struct Run {
 enum Feed {
     /// One `submit_sql` per request.
     Singles,
-    /// One `submit_batch_sql` per chunk, chunk sizes cycled over the
+    /// One `submit` per chunk, chunk sizes cycled over the
     /// workload (`vec![usize::MAX]` is one batch).
     Chunks(Vec<usize>),
 }
@@ -205,7 +206,6 @@ fn run(w: &Workload, seed: u64, shards: usize, feed: &Feed) -> Run {
         ShardedConfig {
             shards,
             workers: 4,
-            fair_drain: false,
             checkpoint: Default::default(),
             base: config(seed),
         },
@@ -231,8 +231,16 @@ fn run(w: &Workload, seed: u64, shards: usize, feed: &Feed) -> Run {
                     break;
                 }
                 let (chunk, tail) = rest.split_at(size.min(rest.len()));
-                let outcomes = co.submit_batch_sql(chunk);
-                submissions.extend(outcomes.into_iter().map(|o| o.expect(safe)));
+                let chunk = chunk
+                    .iter()
+                    .map(|(owner, sql)| (owner.clone(), compile_sql(sql), SubmitOptions::default()))
+                    .collect();
+                let outcomes = co.submit(chunk, Ack::Wait);
+                submissions.extend(
+                    outcomes
+                        .into_iter()
+                        .map(|o| Submission::from(o.expect(safe))),
+                );
                 rest = tail;
             }
             submissions

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use youtopia::travel::WorkloadGen;
-use youtopia::{ShardedConfig, ShardedCoordinator};
+use youtopia::{compile_sql, Ack, ShardedConfig, ShardedCoordinator, SubmitOptions};
 
 const OWNER: &str = "dup/owner";
 const QUERIES: usize = 32;
@@ -51,10 +51,13 @@ fn concurrent_reattaches_cannot_split_ownership() {
             "Paris",
         )
         .sql;
-        pending.push(
-            co.submit_sql_async(OWNER, &sql)
-                .expect("query registers pending"),
+        let request = (
+            OWNER.to_string(),
+            compile_sql(&sql),
+            SubmitOptions::default(),
         );
+        let outcome = co.submit(vec![request], Ack::Wait).pop().unwrap();
+        pending.push(outcome.expect("query registers pending"));
     }
     assert!(pending.iter().all(|f| !f.is_complete()));
     let all_qids: Vec<u64> = pending.iter().map(|f| f.id().0).collect();

@@ -12,8 +12,20 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use youtopia::core::{CoreResult, EntangledQuery};
 use youtopia::travel::{FlightPrefs, TravelService};
-use youtopia::{run_sql, StatementOutcome};
+use youtopia::{compile_sql, run_sql, Ack, StatementOutcome, SubmitOptions};
+
+/// `(owner, sql)` pairs as requests of `ShardedCoordinator::submit`,
+/// with default options.
+fn compiled(
+    batch: &[(String, String)],
+) -> Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)> {
+    batch
+        .iter()
+        .map(|(owner, sql)| (owner.clone(), compile_sql(sql), SubmitOptions::default()))
+        .collect()
+}
 
 fn seats_by_flight(s: &TravelService) -> std::collections::HashMap<i64, i64> {
     let StatementOutcome::Rows(rs) = run_sql(s.db(), "SELECT fno, seats FROM Flights").unwrap()
@@ -161,7 +173,7 @@ fn randomized_mixed_workload_preserves_invariants() {
 }
 
 /// Concurrency soak for the sharded coordinator: several threads
-/// hammer `submit_batch_sql` with interleaved halves of coordinating pairs
+/// hammer batch `submit`s with interleaved halves of coordinating pairs
 /// spread over multiple relation families, plus standing noise. At
 /// quiescence:
 ///
@@ -195,7 +207,6 @@ fn sharded_submit_batch_concurrent_soak() {
         ShardedConfig {
             shards: 4,
             workers: 2,
-            fair_drain: false,
             checkpoint: Default::default(),
             base: CoordinatorConfig {
                 match_config: MatchConfig {
@@ -251,8 +262,11 @@ fn sharded_submit_batch_concurrent_soak() {
                 scope.spawn(move || {
                     let mut tickets = Vec::new();
                     for batch in work {
-                        for outcome in co.submit_batch_sql(&batch) {
-                            match outcome.expect("soak queries are safe") {
+                        for outcome in co.submit(compiled(&batch), Ack::Wait) {
+                            match outcome
+                                .map(Submission::from)
+                                .expect("soak queries are safe")
+                            {
                                 Submission::Answered(n) => notifications.lock().unwrap().push(n),
                                 Submission::Pending(t) => tickets.push(t),
                             }
@@ -344,8 +358,8 @@ fn sharded_submit_batch_concurrent_soak() {
 }
 
 /// Mixed sync/async soak (async-submission PR): four submitter threads
-/// — two submitting through `submit_batch_sql_async`, two through the
-/// sync batch path — hammer one sharded coordinator while a single
+/// — two holding `submit`'s futures, two viewing them through
+/// `Submission::from` — hammer one sharded coordinator while a single
 /// `WaiterSet` thread holds every async future in flight (standing
 /// noise pushes it past 2k at once) and random cancels race the
 /// matches. At quiescence every async future must have resolved
@@ -377,7 +391,6 @@ fn mixed_sync_async_soak_loses_no_completions() {
         ShardedConfig {
             shards: 4,
             workers: 2,
-            fair_drain: false,
             checkpoint: Default::default(),
             base: CoordinatorConfig {
                 match_config: MatchConfig {
@@ -454,7 +467,7 @@ fn mixed_sync_async_soak_loses_no_completions() {
                             .iter()
                             .map(|(owner, sql, _)| (owner.clone(), sql.clone()))
                             .collect();
-                        let outcomes = co.submit_batch_sql_async(&batch);
+                        let outcomes = co.submit(compiled(&batch), Ack::Wait);
                         for (outcome, (_, _, cancellable)) in outcomes.into_iter().zip(chunk) {
                             let future = outcome.expect("soak queries are safe");
                             let qid = future.id();
@@ -488,8 +501,11 @@ fn mixed_sync_async_soak_loses_no_completions() {
                         })
                         .collect();
                     for chunk in requests.chunks(BATCH) {
-                        for outcome in co.submit_batch_sql(chunk) {
-                            match outcome.expect("soak queries are safe") {
+                        for outcome in co.submit(compiled(chunk), Ack::Wait) {
+                            match outcome
+                                .map(Submission::from)
+                                .expect("soak queries are safe")
+                            {
                                 Submission::Answered(n) => notifications.push(n),
                                 Submission::Pending(ticket) => tickets.push(ticket),
                             }
@@ -679,7 +695,6 @@ fn session_reconnect_soak_delivers_control_answers() {
             ShardedConfig {
                 shards: 4,
                 workers: 2,
-                fair_drain: false,
                 checkpoint: Default::default(),
                 base: CoordinatorConfig {
                     match_config: MatchConfig {
@@ -751,7 +766,7 @@ fn session_reconnect_soak_delivers_control_answers() {
         }
         for chunk in requests.chunks(BATCH) {
             // batch outcomes come back in submission order: zip to owners
-            let outcomes = co.submit_batch_sql_async(chunk);
+            let outcomes = co.submit(compiled(chunk), Ack::Wait);
             for (outcome, (owner, _)) in outcomes.into_iter().zip(chunk) {
                 let future = outcome.expect("soak queries are safe");
                 owner_of.insert(future.id().0, owner.clone());
