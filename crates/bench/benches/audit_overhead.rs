@@ -15,14 +15,12 @@
 //! `BENCH_audit.json` at the repository root.
 //!
 //! Run with: `cargo bench -p youtopia-bench --bench audit_overhead`
-//! (`YOUTOPIA_BENCH_FAST=1` skips the headline series, so CI never
-//! rewrites the committed artifact with foreign-hardware numbers.)
+//! (`YOUTOPIA_BENCH_FAST=1` runs the headline without writing the
+//! artifact.)
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-
-use youtopia_bench::provenance_json;
+use youtopia_bench::{provenance_json, write_bench_json};
 use youtopia_core::{
     AuditConfig, CoordinatorConfig, ShardedConfig, ShardedCoordinator, AUDIT_TABLE,
 };
@@ -128,7 +126,7 @@ fn paired_rates(standing: usize) -> (f64, f64, f64, usize) {
 }
 
 /// The headline series, written to `BENCH_audit.json`.
-fn headline_series() {
+fn main() {
     let mut rows = Vec::new();
     for &standing in &[1000usize, 4000] {
         let (off_rate, on_rate, overhead, ledger_rows) = paired_rates(standing);
@@ -152,36 +150,5 @@ fn headline_series() {
         provenance_json(),
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
-    std::fs::write(path, json).expect("write BENCH_audit.json");
-    println!("wrote {path}");
+    write_bench_json("BENCH_audit.json", &json);
 }
-
-fn bench_audit_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("audit_overhead");
-    group.sample_size(10);
-
-    for audit in [false, true] {
-        let label = if audit { "on" } else { "off" };
-        group.throughput(Throughput::Elements(128));
-        group.bench_with_input(
-            BenchmarkId::new("pair_storm", label),
-            &audit,
-            |b, &audit| {
-                b.iter_batched(
-                    || loaded_coordinator(500, audit),
-                    |(co, mut generator)| run_storm(&co, &mut generator, 64),
-                    BatchSize::PerIteration,
-                );
-            },
-        );
-    }
-    group.finish();
-
-    if std::env::var_os("YOUTOPIA_BENCH_FAST").is_none() {
-        headline_series();
-    }
-}
-
-criterion_group!(benches, bench_audit_overhead);
-criterion_main!(benches);

@@ -15,19 +15,18 @@
 //! The headline numbers — commits/second for both disciplines, their
 //! ratio, and an end-to-end sharded-submission run on a file-backed
 //! WAL — are written to `BENCH_groupcommit.json` at the repository
-//! root. A criterion group reports the same comparison across thread
-//! counts.
+//! root.
 //!
 //! Run with: `cargo bench -p youtopia-bench --bench group_commit`
+//! (`YOUTOPIA_BENCH_FAST=1` runs the headline without writing the
+//! artifact.)
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
-use youtopia_bench::provenance_json;
+use youtopia_bench::{provenance_json, write_bench_json};
 use youtopia_core::{ShardedConfig, ShardedCoordinator};
 use youtopia_storage::group_commit::{GroupCommit, GroupCommitConfig};
 use youtopia_storage::{Wal, WalRecord};
@@ -149,7 +148,7 @@ fn run_sharded_file_wal() -> (f64, usize, usize) {
 }
 
 /// The headline comparison, written to `BENCH_groupcommit.json`.
-fn headline_comparison() {
+fn main() {
     let threads = HEADLINE_THREADS;
     let commits = threads * COMMITS_PER_THREAD;
 
@@ -176,37 +175,5 @@ fn headline_comparison() {
         "{{\n  \"bench\": \"group_commit\",\n  {},\n  \"workload\": {{\n    \"threads\": {threads},\n    \"commits_per_thread\": {COMMITS_PER_THREAD},\n    \"records_per_commit\": {RECORDS_PER_COMMIT},\n    \"payload_bytes\": {PAYLOAD_BYTES},\n    \"sink\": \"temp file (fsync real)\"\n  }},\n  \"fsync_per_commit\": {{\n    \"seconds\": {per_commit_secs:.6},\n    \"commits_per_sec\": {per_commit_cps:.1}\n  }},\n  \"pipelined\": {{\n    \"quantum\": \"0 (sync immediately, batch what queued)\",\n    \"seconds\": {pipelined_secs:.6},\n    \"commits_per_sec\": {pipelined_cps:.1}\n  }},\n  \"speedup\": {speedup:.3},\n  \"sharded_file_wal\": {{\n    \"shards\": 4,\n    \"requests\": {requests},\n    \"seconds\": {sharded_secs:.6},\n    \"requests_per_sec\": {sharded_rps:.1}\n  }}\n}}\n",
         provenance_json()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_groupcommit.json");
-    std::fs::write(path, json).expect("write BENCH_groupcommit.json");
-    println!("wrote {path}");
+    write_bench_json("BENCH_groupcommit.json", &json);
 }
-
-fn bench_group_commit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("group_commit_file_wal");
-    group.sample_size(10);
-
-    for &threads in &[1usize, 4, 8] {
-        group.throughput(Throughput::Elements((threads * COMMITS_PER_THREAD) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("fsync_per_commit", threads),
-            &threads,
-            |b, &threads| b.iter(|| run_fsync_per_commit(threads)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pipelined", threads),
-            &threads,
-            |b, &threads| b.iter(|| run_pipelined(threads)),
-        );
-    }
-    group.finish();
-
-    // the headline (median-of-three full runs + committed JSON artifact)
-    // is skipped in fast/smoke mode so CI stays quick and never rewrites
-    // BENCH_groupcommit.json with numbers from foreign hardware
-    if std::env::var_os("YOUTOPIA_BENCH_FAST").is_none() {
-        headline_comparison();
-    }
-}
-
-criterion_group!(benches, bench_group_commit);
-criterion_main!(benches);

@@ -10,21 +10,21 @@
 //!
 //! The headline numbers — requests/second for both configurations and
 //! their ratio — are written to `BENCH_sharded.json` at the repository
-//! root so the result is a committed artifact. A criterion group also
-//! reports per-storm submission latency across noise levels.
+//! root so the result is a committed artifact.
 //!
 //! Run with: `cargo bench -p youtopia-bench --bench sharded_throughput`
+//! (`YOUTOPIA_BENCH_FAST=1` runs the headline without writing the
+//! artifact.)
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-
-use youtopia_bench::{build_sharded_stack, build_stack, preload_noise_sharded, provenance_json};
+use youtopia_bench::{
+    build_sharded_stack, build_stack, preload_noise_sharded, provenance_json, write_bench_json,
+};
 use youtopia_core::{CoordinatorConfig, ShardedConfig};
 use youtopia_travel::{drive_batched, Request, WorkloadGen};
 
-/// Workload shape shared by the headline comparison and the criterion
-/// series: `PAIRS` coordinating pairs spread over `RELATIONS` answer
+/// Workload shape: `PAIRS` coordinating pairs spread over `RELATIONS` answer
 /// relations, arriving on top of a standing noise load.
 const RELATIONS: usize = 8;
 const PAIRS: usize = 250;
@@ -92,7 +92,7 @@ fn median_of_three(run: impl Fn(usize) -> (f64, usize), noise: usize) -> (f64, u
 }
 
 /// The headline comparison, written to `BENCH_sharded.json`.
-fn headline_comparison() {
+fn main() {
     let noise = 6000;
     let requests = PAIRS * 2;
 
@@ -115,33 +115,5 @@ fn headline_comparison() {
         "{{\n  \"bench\": \"sharded_throughput\",\n  {},\n  \"workload\": {{\n    \"pairs\": {PAIRS},\n    \"requests\": {requests},\n    \"relations\": {RELATIONS},\n    \"standing_noise\": {noise},\n    \"flights\": {FLIGHTS},\n    \"batch_size\": {BATCH}\n  }},\n  \"serial\": {{\n    \"seconds\": {serial_secs:.6},\n    \"requests_per_sec\": {serial_rps:.1}\n  }},\n  \"sharded\": {{\n    \"shards\": {SHARDS},\n    \"seconds\": {sharded_secs:.6},\n    \"requests_per_sec\": {sharded_rps:.1}\n  }},\n  \"speedup\": {speedup:.3}\n}}\n",
         provenance_json()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");
-    std::fs::write(path, json).expect("write BENCH_sharded.json");
-    println!("wrote {path}");
+    write_bench_json("BENCH_sharded.json", &json);
 }
-
-fn bench_sharded_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharded_throughput_storm");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements((PAIRS * 2) as u64));
-
-    for &noise in &[0usize, 1000, 4000] {
-        group.bench_with_input(BenchmarkId::new("serial", noise), &noise, |b, &noise| {
-            b.iter_batched(|| noise, run_serial, BatchSize::PerIteration);
-        });
-        group.bench_with_input(BenchmarkId::new("sharded4", noise), &noise, |b, &noise| {
-            b.iter_batched(|| noise, run_sharded, BatchSize::PerIteration);
-        });
-    }
-    group.finish();
-
-    // the headline (median-of-three full runs + committed JSON artifact)
-    // is skipped in fast/smoke mode so CI stays quick and never rewrites
-    // BENCH_sharded.json with numbers from foreign hardware
-    if std::env::var_os("YOUTOPIA_BENCH_FAST").is_none() {
-        headline_comparison();
-    }
-}
-
-criterion_group!(benches, bench_sharded_throughput);
-criterion_main!(benches);

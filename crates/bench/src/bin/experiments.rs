@@ -3,9 +3,10 @@
 //!
 //! Run with: `cargo run --release -p youtopia-bench --bin experiments`
 //!
-//! Unlike the Criterion benches (statistical, HTML reports), this
-//! runner gives one compact text report; its own output is the record
-//! of the experiments.
+//! This is the one printing surface of the paper's experiments; its
+//! own output is their record. Each claim is asserted on work counters
+//! by a test in `youtopia-bench`'s library (`docs/matching.md`, "Paper
+//! experiments").
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -389,8 +390,8 @@ fn e9_choose_distribution() {
 fn e10_ablation() {
     println!("== E10: matcher ablation (pair close on 200 standing pending) ==");
     println!(
-        "  {:>22} | {:>10} | {:>12}",
-        "variant", "ms/close", "candidates"
+        "  {:>22} | {:>10} | {:>12} | {:>14}",
+        "variant", "ms/close", "candidates", "rows_scanned"
     );
     let variants: &[(&str, bool, bool)] = &[
         ("index ON,  fc ON", true, true),
@@ -400,6 +401,7 @@ fn e10_ablation() {
     ];
     for &(name, use_idx, fc) in variants {
         let mut last_candidates = 0u64;
+        let mut last_rows = 0u64;
         let ms = mean_ms(
             5,
             || {
@@ -420,13 +422,15 @@ fn e10_ablation() {
                 (co, WorkloadGen::pair_request("probeB", "probeA", "Paris"))
             },
             |(co, closing)| {
-                let before = co.stats().match_work.candidates_considered;
+                let before = co.stats().match_work;
                 let sub = co.submit_sql(&closing.owner, &closing.sql).unwrap();
                 assert!(matches!(sub, Submission::Answered(_)));
-                last_candidates = co.stats().match_work.candidates_considered - before;
+                let after = co.stats().match_work;
+                last_candidates = after.candidates_considered - before.candidates_considered;
+                last_rows = after.rows_scanned - before.rows_scanned;
             },
         );
-        println!("  {name:>22} | {ms:>10.3} | {last_candidates:>12}");
+        println!("  {name:>22} | {ms:>10.3} | {last_candidates:>12} | {last_rows:>14}");
     }
     println!(
         "  (index OFF candidate work grows linearly with the pending set; at this \
@@ -435,9 +439,13 @@ fn e10_ablation() {
          more pending queries)"
     );
 
-    // Forward checking pays off where grounding has many interacting
-    // memberships: group-of-8 close latency.
-    println!("\n  forward checking on group-of-8 grounding:");
+    // Both measured sides of forward checking; the library test
+    // `forward_checking_pays_only_where_grounding_backtracks` asserts them.
+    println!(
+        "  (forward checking costs rows above: nothing backtracks, and its \
+         fail-first pick\n   filters every unassigned domain)"
+    );
+    println!("\n  forward checking on group-of-8 grounding (nothing backtracks either):");
     println!(
         "  {:>22} | {:>10} | {:>14}",
         "variant", "ms/close", "rows_scanned"
@@ -473,5 +481,8 @@ fn e10_ablation() {
         );
         println!("  {name:>22} | {ms:>10.3} | {rows:>14}");
     }
-    println!();
+    println!(
+        "  (it pays where grounding backtracks: one flight of 100 with all 50 hotels \
+         reads\n   400 vs 2 960 rows per grounding, mean of 50 seeds)\n"
+    );
 }

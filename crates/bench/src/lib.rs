@@ -1,9 +1,11 @@
 //! # youtopia-bench
 //!
-//! Shared helpers for the benchmark harness. Each experiment of the
-//! `experiments` binary (E1–E10) has a Criterion bench target under
-//! `benches/`; this library holds the common setup code so the benches
-//! and that binary's report stay consistent.
+//! Shared helpers for the benchmark crate: the stack setup of the
+//! `experiments` binary (the paper's experiments E1–E10, printed) and
+//! of the three paired benches under `benches/`, which write the
+//! committed `BENCH_*.json` artifacts. The test module asserts the
+//! experiments' paper claims on match-work counters
+//! (`docs/matching.md`, "Paper experiments").
 
 #![warn(missing_docs)]
 
@@ -124,6 +126,22 @@ pub fn provenance_json() -> String {
     provenance_fields(head.as_deref(), &status, nproc)
 }
 
+/// Writes a paired bench's headline `json` to `file` at the repository
+/// root. With `YOUTOPIA_BENCH_FAST` set the headline still runs and
+/// prints, but the committed artifact is left alone, so a smoke run
+/// never rewrites it with another machine's numbers.
+pub fn write_bench_json(file: &str, json: &str) {
+    if std::env::var_os("YOUTOPIA_BENCH_FAST").is_some() {
+        println!("YOUTOPIA_BENCH_FAST is set: {file} not written");
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {}", path.display());
+}
+
 /// [`provenance_json`]'s fields from `git rev-parse` output (`None`
 /// outside a checkout) and `git status --porcelain` output. Changes to
 /// the root `BENCH_*.json` artifacts do not make the tree dirty: a bench
@@ -148,7 +166,54 @@ fn provenance_fields(head: Option<&str>, status: &str, nproc: usize) -> String {
 mod tests {
     use super::*;
     use youtopia_core::{MatchConfig, MatchStats, MatcherKind};
+    use youtopia_exec::run_sql;
     use youtopia_travel::WorkloadGen;
+
+    /// The match work `f` makes `co` do: the delta of its `match_work`
+    /// counters. Fields no test reads stay zero.
+    fn work_of(co: &Coordinator, f: impl FnOnce()) -> MatchStats {
+        let before = co.stats().match_work;
+        f();
+        let after = co.stats().match_work;
+        MatchStats {
+            candidates_considered: after.candidates_considered - before.candidates_considered,
+            unify_attempts: after.unify_attempts - before.unify_attempts,
+            groundings_attempted: after.groundings_attempted - before.groundings_attempted,
+            rows_scanned: after.rows_scanned - before.rows_scanned,
+            nodes_expanded: after.nodes_expanded - before.nodes_expanded,
+            subsets_tested: after.subsets_tested - before.subsets_tested,
+            candidates_scanned: after.candidates_scanned - before.candidates_scanned,
+            ..MatchStats::default()
+        }
+    }
+
+    /// The stack an `experiments` section builds: `flights` Paris
+    /// flights from `seed`, and the generator that built them (its
+    /// draws shuffle the section's requests).
+    fn paris(seed: u64, flights: usize, config: CoordinatorConfig) -> (Coordinator, WorkloadGen) {
+        let mut gen = WorkloadGen::new(seed);
+        let db = gen.build_database(flights, &["Paris"]).expect("builds");
+        (Coordinator::with_config(db, config), gen)
+    }
+
+    /// Submits every request but the last, which must all stay
+    /// pending, and returns the work of the last, which must close the
+    /// group.
+    fn close_work(co: &Coordinator, mut requests: Vec<Request>) -> MatchStats {
+        let closing = requests.pop().expect("a closing request");
+        assert_eq!(submit_all(co, &requests), (0, requests.len()));
+        work_of(co, || assert_eq!(submit_all(co, &[closing]), (1, 0)))
+    }
+
+    fn forward_checking(on: bool) -> CoordinatorConfig {
+        CoordinatorConfig {
+            match_config: MatchConfig {
+                forward_checking: on,
+                ..MatchConfig::default()
+            },
+            ..CoordinatorConfig::default()
+        }
+    }
 
     /// The match work one lonely arrival costs over `noise` standing
     /// queries, at E7's group bound of 3. It names the standing
@@ -166,15 +231,10 @@ mod tests {
         let stack = build_stack(7, 200, &["Paris", "Rome"], config);
         let mut gen = WorkloadGen::new(8);
         preload_noise(&stack.coordinator, &mut gen, noise, "Paris");
-        let before = stack.coordinator.stats().match_work;
         let lonely = WorkloadGen::pair_request("lonely", "noise0", "Paris");
-        assert_eq!(submit_all(&stack.coordinator, &[lonely]), (0, 1));
-        let after = stack.coordinator.stats().match_work;
-        MatchStats {
-            subsets_tested: after.subsets_tested - before.subsets_tested,
-            candidates_scanned: after.candidates_scanned - before.candidates_scanned,
-            ..MatchStats::default()
-        }
+        work_of(&stack.coordinator, || {
+            assert_eq!(submit_all(&stack.coordinator, &[lonely]), (0, 1))
+        })
     }
 
     /// E7's shape on work counters rather than time: the naive
@@ -190,6 +250,174 @@ mod tests {
         let scanned = |n| lonely_arrival_work(MatcherKind::Incremental, n).candidates_scanned;
         assert!(scanned(10) > 0);
         assert_eq!(scanned(10), scanned(50));
+    }
+
+    /// E3: a pair whose queries carry c = 1 + k answer constraints
+    /// closes in one grounding, with structural work linear in c (two
+    /// candidates per constraint, one node each plus the root) and
+    /// grounding work independent of c: the k extra constraints share
+    /// the one `fno` membership.
+    #[test]
+    fn constraint_count_work_is_linear_in_constraints() {
+        let mut rows = Vec::new();
+        for extra in [0u64, 1, 2, 4, 8] {
+            let c = 1 + extra;
+            let (co, _) = paris(19, 100, CoordinatorConfig::default());
+            let pair = |me, friend| {
+                WorkloadGen::pair_with_constraint_count(me, friend, "Paris", extra as usize)
+            };
+            let work = close_work(&co, vec![pair("a", "b"), pair("b", "a")]);
+            assert_eq!(work.groundings_attempted, 1, "c = {c}");
+            assert_eq!(work.candidates_considered, 2 * c, "c = {c}");
+            assert_eq!(work.nodes_expanded, 2 * c + 1, "c = {c}");
+            rows.push(work.rows_scanned);
+        }
+        assert!(rows.iter().all(|&r| r == rows[0]), "rows_scanned {rows:?}");
+    }
+
+    /// E4: per submit, a storm of p simultaneous pairs costs the same
+    /// structural work at p = 10 and p = 200. The candidate scan does
+    /// not, yet: the two committed-answer scans in `search.rs` walk
+    /// every committed `Reservation` row, 2p^2 + p entries over the
+    /// storm (10.5 vs 200.5 per submit). Without committed answers it is
+    /// 1.5 per submit at both loads. Answer-index probes (ROADMAP item
+    /// 2(a)) turn the growth into equality.
+    #[test]
+    fn simultaneous_pairs_work_per_submit_is_independent_of_load() {
+        let storm = |p: u64, use_committed_answers| {
+            let config = CoordinatorConfig {
+                match_config: MatchConfig {
+                    use_committed_answers,
+                    ..MatchConfig::default()
+                },
+                ..CoordinatorConfig::default()
+            };
+            let (co, mut gen) = paris(17, 100, config);
+            let requests = gen.pair_storm(p as usize, "Paris");
+            let expected = (p as usize, p as usize);
+            work_of(&co, || assert_eq!(submit_all(&co, &requests), expected))
+        };
+        for p in [10u64, 200] {
+            let work = storm(p, true);
+            // 1.0, 1.0 and 1.5 per submit, over 2p submits
+            assert_eq!(work.candidates_considered, 2 * p, "p = {p}");
+            assert_eq!(work.unify_attempts, 2 * p, "p = {p}");
+            assert_eq!(work.nodes_expanded, 3 * p, "p = {p}");
+            assert_eq!(work.candidates_scanned, 2 * p * p + p, "p = {p}");
+            assert_eq!(storm(p, false).candidates_scanned, 3 * p, "p = {p}");
+        }
+    }
+
+    /// E5: a group of n, each member naming the n - 1 others, closes in
+    /// one grounding with n(n - 1) candidates, one node each plus the
+    /// root. The grounding's rows grow with n (400 at n = 2, 13 700 at
+    /// n = 16).
+    #[test]
+    fn group_size_work_grows_with_the_constraint_graph() {
+        let mut rows = Vec::new();
+        for n in [2u64, 3, 4, 6, 8, 12, 16] {
+            let (co, mut gen) = paris(13, 100, CoordinatorConfig::default());
+            let work = close_work(&co, gen.group(0, n as usize, "Paris"));
+            assert_eq!(work.groundings_attempted, 1, "n = {n}");
+            assert_eq!(work.candidates_considered, n * (n - 1), "n = {n}");
+            assert_eq!(work.nodes_expanded, n * (n - 1) + 1, "n = {n}");
+            rows.push(work.rows_scanned);
+        }
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "rows_scanned {rows:?}"
+        );
+    }
+
+    /// E10's pair close on 200 standing queries, with the constant
+    /// index and forward checking set as given.
+    fn ablation_close(use_const_index: bool, fc: bool) -> MatchStats {
+        let config = CoordinatorConfig {
+            use_const_index,
+            ..forward_checking(fc)
+        };
+        let (co, mut gen) = paris(29, 200, config);
+        preload_noise(&co, &mut gen, 200, "Paris");
+        let pair = |me, friend| WorkloadGen::pair_request(me, friend, "Paris");
+        close_work(
+            &co,
+            vec![pair("probeA", "probeB"), pair("probeB", "probeA")],
+        )
+    }
+
+    /// E10, constant index: with it on the close considers and unifies
+    /// the partner's head alone (2), with it off every standing head
+    /// (346), under either forward-checking setting.
+    #[test]
+    fn ablation_const_index_cuts_candidate_work() {
+        for fc in [true, false] {
+            let (on, off) = (ablation_close(true, fc), ablation_close(false, fc));
+            assert!(
+                on.candidates_considered < off.candidates_considered,
+                "fc {fc}"
+            );
+            assert!(on.unify_attempts < off.unify_attempts, "fc {fc}");
+        }
+    }
+
+    /// E10, forward checking. On E10's own workloads nothing
+    /// backtracks, and fail-first's filter passes over every unassigned
+    /// domain cost rows: 800 vs 600 on the pair, 3 700 vs 900 on the
+    /// group of 8. It pays where a wrong early pick fails late: one
+    /// flight of 100 has all 50 hotels. Without forward checking,
+    /// grounding draws flights in query order and filters the hotels
+    /// for each; with it, the smaller `(f, h)` domain goes first and
+    /// binds the flight. Summed over 50 seeds the rows are 20 000 vs
+    /// 148 000.
+    #[test]
+    fn forward_checking_pays_only_where_grounding_backtracks() {
+        let on = ablation_close(true, true).rows_scanned;
+        let off = ablation_close(true, false).rows_scanned;
+        assert!(on > off, "E10 pair: {on} vs {off}");
+        let group_of_8 = |fc| {
+            let (co, mut gen) = paris(13, 100, forward_checking(fc));
+            close_work(&co, gen.group(0, 8, "Paris")).rows_scanned
+        };
+        let (on, off) = (group_of_8(true), group_of_8(false));
+        assert!(on > off, "E10 group of 8: {on} vs {off}");
+
+        let one_flight_has_the_hotels = |fc: bool| -> u64 {
+            let flights: Vec<String> = (0..100).map(|f| format!("({f}, 'Paris')")).collect();
+            let hotels: Vec<String> = (0..50).map(|h| format!("({h}, 57)")).collect();
+            (0..50)
+                .map(|seed| {
+                    let db = Database::new();
+                    for sql in [
+                        "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)".to_string(),
+                        format!("INSERT INTO Flights VALUES {}", flights.join(", ")),
+                        "CREATE TABLE Hotels (hid INT PRIMARY KEY, fno INT)".to_string(),
+                        format!("INSERT INTO Hotels VALUES {}", hotels.join(", ")),
+                    ] {
+                        run_sql(&db, &sql).expect("setup");
+                    }
+                    let co = Coordinator::with_config(
+                        db,
+                        CoordinatorConfig {
+                            seed,
+                            ..forward_checking(fc)
+                        },
+                    );
+                    let solo = Request {
+                        owner: "solo".into(),
+                        sql: "SELECT 'solo', f, h INTO ANSWER R \
+                              WHERE f IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                              AND (f, h) IN (SELECT fno, hid FROM Hotels) CHOOSE 1"
+                            .into(),
+                    };
+                    work_of(&co, || assert_eq!(submit_all(&co, &[solo]), (1, 0))).rows_scanned
+                })
+                .sum()
+        };
+        let (on, off) = (
+            one_flight_has_the_hotels(true),
+            one_flight_has_the_hotels(false),
+        );
+        assert!(on < off, "one flight has the hotels: {on} vs {off}");
     }
 
     #[test]
