@@ -9,7 +9,7 @@
 //!   and syncs before acknowledging, so N committers pay N fsyncs;
 //! * **pipelined** — the [`GroupCommit`] writer thread absorbs all
 //!   committers into one queue and syncs each drained batch once, so
-//!   concurrent commits share a single fsync per quantum while every
+//!   concurrent commits share a single fsync per batch while every
 //!   committer still blocks until its own group is durable.
 //!
 //! The headline numbers — commits/second for both disciplines, their
@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use youtopia_bench::{provenance_json, write_bench_json};
 use youtopia_core::{ShardedConfig, ShardedCoordinator};
-use youtopia_storage::group_commit::{GroupCommit, GroupCommitConfig};
+use youtopia_storage::group_commit::GroupCommit;
 use youtopia_storage::{Wal, WalRecord};
 use youtopia_travel::{drive_batched, WorkloadGen};
 
@@ -95,7 +95,6 @@ fn run_pipelined(threads: usize) -> f64 {
     let path = scratch_path("pipelined");
     let gc = Arc::new(GroupCommit::spawn(
         Wal::open(&path).expect("open scratch wal"),
-        GroupCommitConfig::default(),
     ));
     let started = Instant::now();
     std::thread::scope(|scope| {

@@ -40,8 +40,7 @@ use rand::SeedableRng;
 
 use youtopia_storage::codec::{get_str, get_u64, put_str};
 use youtopia_storage::{
-    Catalog, Column, DataType, Database, Schema, StorageError, StorageResult, Transaction, Tuple,
-    Value,
+    Column, DataType, Database, Schema, StorageError, StorageResult, Transaction, Tuple,
 };
 
 use crate::coordinator::{
@@ -49,10 +48,11 @@ use crate::coordinator::{
 };
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
-use crate::ir::{Atom, QueryId, Term};
+use crate::ir::{QueryId, Term};
+use crate::matcher::committed::CommittedProbe;
 use crate::matcher::ground::MembershipCache;
 use crate::matcher::{baseline, search, GroupMatch, MatchStats};
-use crate::registry::{index_key, Pending, Registry};
+use crate::registry::{Pending, Registry};
 use crate::tenant::{TenantOutcome, TenantRegistry};
 use crate::SystemStats;
 
@@ -644,9 +644,6 @@ impl Engine {
         hook: HookRef,
         ack: Ack,
     ) -> CoreResult<()> {
-        if !self.config.match_config.use_committed_answers {
-            return Ok(());
-        }
         let mut triggers = Vec::new();
         while !fresh.is_empty() {
             state.stats.match_work.cascade_scanned +=
@@ -851,25 +848,20 @@ impl Engine {
         if !state.registry.uses_const_index() {
             return out; // index ablation: sweep every trigger
         }
-        let use_committed = self.config.match_config.use_committed_answers;
         let read = self.db.read();
-        let probe = if use_committed {
-            let rels = state.registry.iter().flat_map(|p| {
-                p.query
-                    .constraints
-                    .iter()
-                    .filter(|c| !c.negated)
-                    .map(|c| c.atom.relation.as_str())
-            });
-            Some(CommittedProbe::build(read.catalog(), rels))
-        } else {
-            None
-        };
+        let rels = state.registry.iter().flat_map(|p| {
+            p.query
+                .constraints
+                .iter()
+                .filter(|c| !c.negated)
+                .map(|c| c.atom.relation.as_str())
+        });
+        let probe = CommittedProbe::build(read.catalog(), rels);
         for p in state.registry.iter() {
-            let unmatchable = p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
-                !state.registry.has_candidates(&c.atom)
-                    && probe.as_ref().is_none_or(|pr| !pr.may_satisfy(&c.atom))
-            });
+            let unmatchable =
+                p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
+                    !state.registry.has_candidates(&c.atom) && !probe.may_satisfy(&c.atom)
+                });
             if unmatchable {
                 out.insert(p.id);
             }
@@ -1028,80 +1020,6 @@ pub(crate) fn match_graph_of(registry: &Registry) -> MatchGraph {
         }
     }
     MatchGraph { edges, dangling }
-}
-
-/// Value-keyed summary of the committed tuples of a set of relations,
-/// used by the re-match sweep to refute "a committed tuple could
-/// satisfy this constraint" without rescanning tables per trigger.
-///
-/// Per relation it records the arities seen and, per position, the
-/// [`index_key`]s of the stored values — the registry's canonical key,
-/// under which unify-equal values (`sql_eq || ==`, e.g. `Int(3)` and
-/// `Float(3.0)`) coincide. The per-position test is therefore a
-/// superset of unify-equality: the probe may say "maybe" for a tuple
-/// that does not unify, but never "no" for one that does.
-pub(crate) struct CommittedProbe {
-    relations: HashMap<String, RelationProbe>,
-}
-
-#[derive(Default)]
-struct RelationProbe {
-    arities: HashSet<usize>,
-    by_pos: HashMap<usize, HashSet<Value>>,
-}
-
-impl CommittedProbe {
-    /// Scans each named relation once (missing tables are simply absent,
-    /// so every probe against them answers "no tuple").
-    pub(crate) fn build<'a>(
-        catalog: &Catalog,
-        rels: impl IntoIterator<Item = &'a str>,
-    ) -> CommittedProbe {
-        let mut relations: HashMap<String, RelationProbe> = HashMap::new();
-        for rel in rels {
-            let key = rel.to_ascii_lowercase();
-            if relations.contains_key(&key) {
-                continue;
-            }
-            let Ok(table) = catalog.table(rel) else {
-                continue;
-            };
-            let probe = relations.entry(key).or_default();
-            for (_, tuple) in table.scan() {
-                let values = tuple.values();
-                probe.arities.insert(values.len());
-                for (pos, v) in values.iter().enumerate() {
-                    probe
-                        .by_pos
-                        .entry(pos)
-                        .or_default()
-                        .insert(index_key(v).into_owned());
-                }
-            }
-        }
-        CommittedProbe { relations }
-    }
-
-    /// Whether some committed tuple *might* unify with `atom`: the
-    /// relation has a tuple of matching arity whose every
-    /// constant-constrained position holds a value with the same key.
-    /// Positions are tested independently, so this is an
-    /// over-approximation — exactly what soundness of pruning needs.
-    pub(crate) fn may_satisfy(&self, atom: &Atom) -> bool {
-        let Some(probe) = self.relations.get(&atom.relation.to_ascii_lowercase()) else {
-            return false;
-        };
-        if !probe.arities.contains(&atom.terms.len()) {
-            return false;
-        }
-        atom.terms.iter().enumerate().all(|(pos, term)| match term {
-            Term::Const(v) => probe
-                .by_pos
-                .get(&pos)
-                .is_some_and(|set| set.contains(&*index_key(v))),
-            _ => true,
-        })
-    }
 }
 
 /// Creates the answer-relation table on first use. Columns are named
@@ -1469,7 +1387,7 @@ mod tests {
 
     use proptest::prelude::*;
 
-    use crate::ir::{AnswerConstraint, EntangledQuery};
+    use crate::ir::{AnswerConstraint, Atom, EntangledQuery};
 
     /// The oracle: the walk the cascade used to run after every match —
     /// every pending query, in id order, kept when [`waits_on_fresh`].

@@ -87,9 +87,7 @@ pub use engine::{Ack, CoordEvent, RegStamp};
 pub use error::{CoreError, CoreResult};
 pub use future::{CoordinationFuture, CoordinationOutcome, WaiterSet};
 pub use ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};
-pub use lifecycle::{
-    Clock, DeadlineHost, DeadlineSweeper, MockClock, SubmitOptions, SweepSignal, SystemClock,
-};
+pub use lifecycle::{Clock, DeadlineSweeper, MockClock, SubmitOptions, SweepSignal, SystemClock};
 pub use matcher::{GroupMatch, MatchConfig, MatchStats};
 pub use registry::{CandidateScan, HeadRef, Pending, Registry};
 pub use safety::{check_safety, is_self_contained, SafetyMode};

@@ -35,9 +35,9 @@
 //! # Wakeup protocol
 //!
 //! The sweeper loops: sweep (`expire_due(now)`), read the earliest
-//! remaining deadline, then wait on the host's [`SweepSignal`] — with a
-//! timeout to that deadline under a real clock, indefinitely under a
-//! mock clock or when nothing carries a deadline. The signal's
+//! remaining deadline, then wait on the coordinator's [`SweepSignal`] —
+//! with a timeout to that deadline under a real clock, indefinitely
+//! under a mock clock or when nothing carries a deadline. The signal's
 //! generation counter is snapshotted *before* the sweep, so a deadline
 //! registered while the sweeper was sweeping makes the wait return
 //! immediately instead of being missed. Registrations notify the
@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::ir::QueryId;
+use crate::shard::ShardedCoordinator;
 
 /// Per-submission options, the third field of each
 /// [`crate::ShardedCoordinator::submit`] request. Today this carries
@@ -266,39 +266,12 @@ impl SweepSignal {
     }
 }
 
-/// What a [`DeadlineSweeper`] needs from a coordinator. Implemented by
-/// [`crate::ShardedCoordinator`]; the methods are lock-free where the
-/// coordinator can make them so (`next_deadline_millis` reads the
-/// per-shard deadline hints).
-pub trait DeadlineHost: Send + Sync {
-    /// The earliest deadline of any pending query, or `None` when no
-    /// pending query carries one.
-    fn next_deadline_millis(&self) -> Option<u64>;
-
-    /// Retires every pending query whose deadline is at or before
-    /// `now_millis` (logged before removal; waiters resolve
-    /// [`crate::CoordinationOutcome::Expired`]). Returns the expired
-    /// ids.
-    fn expire_due(&self, now_millis: u64) -> Vec<QueryId>;
-
-    /// The signal this coordinator notifies when a deadline-carrying
-    /// query registers (the sweeper waits on it).
-    fn sweep_signal(&self) -> Arc<SweepSignal>;
-
-    /// Periodic housekeeping, called once per sweeper wakeup right
-    /// after the expiry sweep: hosts evaluate time-based maintenance
-    /// policies here (the coordinator runs its
-    /// [`crate::shard::CheckpointPolicy`] and nothing else — its gauges
-    /// are published by every shard-lock release and need no refresh).
-    /// The default does nothing.
-    fn sweep_tick(&self, _now_millis: u64) {}
-}
-
-/// A background thread that drives `expire_due` sweeps off the host's
-/// min-deadline hint: it wakes when the earliest deadline is due
-/// (system clock) or when the host/clock notifies it (new earlier
-/// deadline, mock-clock advance), sweeps, and goes back to sleep. A
-/// host with no deadlines costs the sweeper zero CPU.
+/// A background thread that drives a coordinator's `expire_due` sweeps
+/// off its min-deadline hint: it wakes when the earliest deadline is
+/// due (system clock) or when the coordinator or clock notifies it (new
+/// earlier deadline, mock-clock advance), sweeps, runs the
+/// coordinator's `sweep_tick` housekeeping, and goes back to sleep. A
+/// coordinator with no deadlines costs the sweeper zero CPU.
 ///
 /// Dropping the sweeper shuts the thread down and joins it.
 pub struct DeadlineSweeper {
@@ -308,9 +281,9 @@ pub struct DeadlineSweeper {
 }
 
 impl DeadlineSweeper {
-    /// Spawns a sweeper over `host`, timed by `clock`.
-    pub fn spawn(host: Arc<dyn DeadlineHost>, clock: Arc<dyn Clock>) -> DeadlineSweeper {
-        let signal = host.sweep_signal();
+    /// Spawns a sweeper over `co`, timed by `clock`.
+    pub fn spawn(co: Arc<ShardedCoordinator>, clock: Arc<dyn Clock>) -> DeadlineSweeper {
+        let signal = Arc::clone(&co.sweep_signal);
         clock.attach(Arc::clone(&signal));
         let swept = Arc::new(AtomicU64::new(0));
         let handle = {
@@ -324,10 +297,10 @@ impl DeadlineSweeper {
                     // wait below returns immediately
                     let seen = signal.generation();
                     let now = clock.now_millis();
-                    let expired = host.expire_due(now);
+                    let expired = co.expire_due(now);
                     swept.fetch_add(expired.len() as u64, Ordering::Release);
-                    host.sweep_tick(clock.now_millis());
-                    let timeout = match host.next_deadline_millis() {
+                    co.sweep_tick(clock.now_millis());
+                    let timeout = match co.next_deadline() {
                         Some(d) if d <= clock.now_millis() => {
                             if expired.is_empty() {
                                 // a due deadline the sweep could not

@@ -225,41 +225,39 @@ fn assign_providers(
     }
     // ... and, matching the incremental matcher's semantics, committed
     // answer tuples already in the relation
-    if config.use_committed_answers {
-        if let Ok(table) = catalog.table(&constraint.relation) {
-            for (_, tuple) in table.scan() {
-                if tuple.arity() != constraint.arity() {
-                    continue;
-                }
-                stats.committed_considered += 1;
-                stats.unify_attempts += 1;
-                let mark = subst.mark();
-                let ok = constraint
-                    .terms
-                    .iter()
-                    .zip(tuple.values())
-                    .all(|(t, v)| subst.unify_terms(t, &crate::ir::Term::Const(v.clone())));
-                if !ok {
-                    subst.undo_to(mark);
-                    continue;
-                }
-                stats.unify_successes += 1;
-                if let Some(m) = assign_providers(
-                    registry,
-                    catalog,
-                    group,
-                    obligations,
-                    next + 1,
-                    subst,
-                    config,
-                    rng,
-                    memberships,
-                    stats,
-                )? {
-                    return Ok(Some(m));
-                }
-                subst.undo_to(mark);
+    if let Ok(table) = catalog.table(&constraint.relation) {
+        for (_, tuple) in table.scan() {
+            if tuple.arity() != constraint.arity() {
+                continue;
             }
+            stats.committed_considered += 1;
+            stats.unify_attempts += 1;
+            let mark = subst.mark();
+            let ok = constraint
+                .terms
+                .iter()
+                .zip(tuple.values())
+                .all(|(t, v)| subst.unify_terms(t, &crate::ir::Term::Const(v.clone())));
+            if !ok {
+                subst.undo_to(mark);
+                continue;
+            }
+            stats.unify_successes += 1;
+            if let Some(m) = assign_providers(
+                registry,
+                catalog,
+                group,
+                obligations,
+                next + 1,
+                subst,
+                config,
+                rng,
+                memberships,
+                stats,
+            )? {
+                return Ok(Some(m));
+            }
+            subst.undo_to(mark);
         }
     }
     Ok(None)

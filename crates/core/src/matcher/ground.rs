@@ -34,10 +34,11 @@ use youtopia_storage::{Catalog, Tuple, Value};
 
 use crate::error::{CoreError, CoreResult};
 use crate::ir::{Atom, Filter, QueryId, Term};
+use crate::matcher::committed;
 use crate::matcher::pool::BufferPool;
 use crate::matcher::{GroupMatch, MatchConfig, MatchStats};
 use crate::registry::Registry;
-use crate::unify::Subst;
+use crate::unify::{unify_eq, Subst};
 
 thread_local! {
     /// Row-index scratch buffers for the fail-first filtering passes.
@@ -293,7 +294,7 @@ impl GroundingProblem {
         stats: &mut MatchStats,
     ) -> CoreResult<Option<GroupMatch>> {
         if unassigned.is_empty() {
-            return self.finalize(subst, catalog, config, stats);
+            return self.finalize(subst, catalog, stats);
         }
         let mut best_rows = ROW_POOL.with(|p| p.get(stats));
         let mut trial_rows = ROW_POOL.with(|p| p.get(stats));
@@ -397,13 +398,12 @@ impl GroundingProblem {
                 }
             }
         }
-        let same = |a: &Value, b: &Value| a.sql_eq(b) || a == b;
         for (row_pos, row) in domain.rows.iter().enumerate() {
             stats.rows_scanned += 1;
-            if constants.iter().all(|&(pos, c)| same(c, &row[pos]))
+            if constants.iter().all(|&(pos, c)| unify_eq(c, &row[pos]))
                 && repeats
                     .iter()
-                    .all(|&(first, later)| same(&row[first], &row[later]))
+                    .all(|&(first, later)| unify_eq(&row[first], &row[later]))
             {
                 out.push(row_pos);
             }
@@ -415,7 +415,6 @@ impl GroundingProblem {
         &self,
         subst: &Subst,
         catalog: &Catalog,
-        config: &MatchConfig,
         stats: &mut MatchStats,
     ) -> CoreResult<Option<GroupMatch>> {
         // 1. every head must ground (each query gets its CHOOSE 1 tuple)
@@ -445,16 +444,15 @@ impl GroundingProblem {
             let present = neg
                 .rows
                 .iter()
-                .position(|row| row.iter().zip(&values).all(|(a, b)| a.sql_eq(b) || a == b));
+                .position(|row| row.iter().zip(&values).all(|(a, b)| unify_eq(a, b)));
             stats.rows_scanned += present.map_or(neg.rows.len(), |pos| pos + 1) as u64;
             if present.is_some() {
                 return Ok(None);
             }
         }
 
-        // 4. negative answer constraints: the ground atom must not be
-        //    among the group's joint answers, nor (when the system-wide
-        //    reading is active) among already-committed answers
+        // 4. negative answer constraints: the ground atom must be neither
+        //    among the group's joint answers nor a committed answer
         for neg in &self.neg_constraints {
             let Some(values) = subst.ground_atom(neg) else {
                 return Ok(None);
@@ -462,28 +460,20 @@ impl GroundingProblem {
             let violated = ground_heads.iter().any(|(_, rel, head_vals)| {
                 rel.eq_ignore_ascii_case(&neg.relation)
                     && head_vals.len() == values.len()
-                    && head_vals
-                        .iter()
-                        .zip(&values)
-                        .all(|(a, b)| a.sql_eq(b) || a == b)
+                    && head_vals.iter().zip(&values).all(|(a, b)| unify_eq(a, b))
             });
             if violated {
                 return Ok(None);
             }
-            if config.use_committed_answers {
-                if let Ok(table) = catalog.table(&neg.relation) {
-                    let committed = table.scan().any(|(_, tuple)| {
-                        tuple.arity() == values.len()
-                            && tuple
-                                .values()
-                                .iter()
-                                .zip(&values)
-                                .all(|(a, b)| a.sql_eq(b) || a == b)
-                    });
-                    if committed {
-                        return Ok(None);
-                    }
-                }
+            let ground = Atom::new(
+                neg.relation.as_str(),
+                values.into_iter().map(Term::Const).collect(),
+            );
+            if committed::compatible(catalog, &ground, stats)
+                .next()
+                .is_some()
+            {
+                return Ok(None);
             }
         }
 

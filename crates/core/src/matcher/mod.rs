@@ -14,6 +14,14 @@
 //! 5. every head grounds to a concrete tuple (each query receives its
 //!    `CHOOSE 1` answer).
 //!
+//! Answer constraints are evaluated against the *system-wide* answer
+//! relation — "an individual query can only be answered if the
+//! system-wide answer relation satisfies a postcondition" — so a tuple
+//! an earlier match committed satisfies a positive constraint (and
+//! violates a negative one) just as a member's head does. That is what
+//! lets Jerry coordinate with a booking Kramer already holds. The
+//! incremental matcher reads committed tuples only through `committed`.
+//!
 //! Two implementations share the grounding phase ([`ground`]), which
 //! reads membership rows through the calling shard's membership cache
 //! (the public entry points below use a fresh one per call, which
@@ -27,6 +35,7 @@
 //!   the comparison baseline for experiment E7/E10.
 
 pub mod baseline;
+pub(crate) mod committed;
 pub mod ground;
 pub mod pool;
 pub mod search;
@@ -75,15 +84,6 @@ pub struct MatchConfig {
     /// nondeterminism of the paper). Tests disable this for
     /// reproducibility; the coordinator seeds its own RNG.
     pub randomize: bool,
-    /// Evaluate answer constraints against the *system-wide* answer
-    /// relation: besides pending heads, already-committed answer tuples
-    /// can satisfy a positive constraint (and violate a negative one).
-    /// This is the paper's reading — "an individual query can only be
-    /// answered if the system-wide answer relation satisfies a
-    /// postcondition" — and is what lets Jerry coordinate with a
-    /// booking Kramer already holds. Disable for strictly live-query
-    /// coordination.
-    pub use_committed_answers: bool,
 }
 
 impl Default for MatchConfig {
@@ -92,7 +92,6 @@ impl Default for MatchConfig {
             max_group_size: 16,
             forward_checking: true,
             randomize: true,
-            use_committed_answers: true,
         }
     }
 }

@@ -30,6 +30,7 @@ use youtopia_storage::{Catalog, Value};
 
 use crate::error::CoreResult;
 use crate::ir::{Atom, QueryId, Term};
+use crate::matcher::committed;
 use crate::matcher::ground::{ground_group, MembershipCache};
 use crate::matcher::pool::{BufferPool, Reusable};
 use crate::matcher::{GroupMatch, MatchConfig, MatchStats};
@@ -43,9 +44,8 @@ struct Obligation {
     cidx: usize,
 }
 
-/// A provider for one constraint: a live pending head, or (under
-/// `use_committed_answers`) a ground tuple already committed to the
-/// answer relation.
+/// A provider for one constraint: a live pending head, or a ground
+/// tuple already committed to the answer relation.
 enum Provider {
     Head(HeadRef),
     Committed(Vec<Value>),
@@ -143,8 +143,8 @@ pub(crate) fn match_query_with(
         registry.candidates_for_batch(&atoms, &mut batch, &mut scan);
         stats.absorb_scan(&scan);
         for (atom, cands) in atoms.iter().zip(&batch) {
-            let satisfiable = !cands.is_empty()
-                || (config.use_committed_answers && committed_can_satisfy(catalog, atom, stats));
+            let satisfiable =
+                !cands.is_empty() || committed::compatible(catalog, atom, stats).next().is_some();
             if !satisfiable {
                 stats.triggers_pruned += 1;
                 return Ok(None);
@@ -165,32 +165,6 @@ pub(crate) fn match_query_with(
     );
     SCRATCH_POOL.with(|p| p.put(scratch));
     result
-}
-
-/// True when some committed answer tuple could satisfy `atom`: arity
-/// matches and every constant position is sql-compatible with the
-/// tuple's value there. A superset test — unification decides the rest.
-fn committed_can_satisfy(catalog: &Catalog, atom: &Atom, stats: &mut MatchStats) -> bool {
-    let Ok(table) = catalog.table(&atom.relation) else {
-        return false;
-    };
-    for (_, tuple) in table.scan() {
-        stats.candidates_scanned += 1;
-        if tuple.arity() == atom.arity() && tuple_compatible(atom, tuple.values()) {
-            return true;
-        }
-        stats.index_pruned += 1;
-    }
-    false
-}
-
-/// Constant prefilter for committed tuples: a tuple whose value clashes
-/// with one of the atom's constants can never unify with it.
-fn tuple_compatible(atom: &Atom, values: &[Value]) -> bool {
-    atom.terms.iter().zip(values).all(|(t, v)| match t {
-        Term::Const(c) => c.sql_eq(v) || c == v,
-        Term::Var(_) => true,
-    })
 }
 
 fn push_positive_obligations(registry: &Registry, qid: QueryId, out: &mut Vec<Obligation>) {
@@ -280,29 +254,17 @@ fn solve_obligation(
     };
 
     // Assemble providers into the pooled node buffers: index-resolved
-    // pending heads, then committed tuples surviving the constant
-    // prefilter (a clashing tuple could never unify — skip it before
-    // cloning its values).
+    // pending heads, then the committed tuples whose constants agree (a
+    // clashing tuple could never unify — skip it before cloning its
+    // values).
     let NodeBufs { heads, providers } = bufs;
     let mut scan = CandidateScan::default();
     registry.candidates_for_into(&lookup_atom, heads, &mut scan);
     stats.absorb_scan(&scan);
     providers.clear();
     providers.extend(heads.drain(..).map(Provider::Head));
-    if config.use_committed_answers {
-        if let Ok(table) = catalog.table(&lookup_atom.relation) {
-            for (_, tuple) in table.scan() {
-                stats.candidates_scanned += 1;
-                if tuple.arity() != lookup_atom.arity() {
-                    continue;
-                }
-                if !tuple_compatible(&lookup_atom, tuple.values()) {
-                    stats.index_pruned += 1;
-                    continue;
-                }
-                providers.push(Provider::Committed(tuple.values().to_vec()));
-            }
-        }
+    for tuple in committed::compatible(catalog, &lookup_atom, stats) {
+        providers.push(Provider::Committed(tuple.values().to_vec()));
     }
     if config.randomize {
         providers.shuffle(rng);

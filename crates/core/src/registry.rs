@@ -57,9 +57,9 @@ pub struct CandidateScan {
 
 /// The canonical hash key of a constant in every index: `Int(i)` maps
 /// to the `Float` it `sql_eq`s and `-0.0` to `0.0`; everything else is
-/// its own key. Unification compares constants with `sql_eq || ==`
-/// (`unify.rs`), and any two values equal under that share a key, so
-/// a lookup by key never misses a value that unifies.
+/// its own key. Unification compares constants with
+/// [`crate::unify::unify_eq`], and any two values equal under it share
+/// a key, so a lookup by key never misses a value that unifies.
 pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
     match v {
         Value::Int(i) => Cow::Owned(Value::Float(*i as f64)),
@@ -946,9 +946,31 @@ mod tests {
             vec![(atom("r", &[a.clone(), Value::Float(3.0)]), false)],
         ));
         let mut out = Vec::new();
-        reg.waiting_on("R", &[a, Value::Int(3)], &mut out);
+        reg.waiting_on("R", &[a.clone(), Value::Int(3)], &mut out);
         assert_eq!(out, vec![QueryId(4)]);
         reg.check_index_invariants();
+        // the contract itself: any two constants that unify share a key
+        let values = [
+            a,
+            Value::from("3"),
+            Value::Int(0),
+            Value::Int(3),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(3.0),
+            Value::Float(i64::MAX as f64),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::Null,
+        ];
+        for x in &values {
+            for y in &values {
+                if crate::unify::unify_eq(x, y) {
+                    assert_eq!(index_key(x), index_key(y), "{x:?} unifies with {y:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ mod tests {
 
     use youtopia_storage::Wal;
 
-    use crate::lifecycle::{Clock, DeadlineHost};
+    use crate::lifecycle::Clock;
     use crate::shard::testing::*;
     use crate::shard::{CheckpointPolicy, ShardedConfig, ShardedCoordinator};
 

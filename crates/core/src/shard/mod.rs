@@ -66,7 +66,7 @@
 //!   Coordination logging never takes this lock — events enqueue to
 //!   the WAL's pipelined group-commit writer and wait for their LSN
 //!   to become durable (the pipelined entries do not wait at all), so
-//!   shards draining concurrently share one fsync per writer quantum
+//!   shards draining concurrently share one fsync per writer batch
 //!   instead of serializing on the database.
 //!   The WAL length the log gauges read is an atomic the writer sets
 //!   after each sync, so no monitoring read waits for an fsync.
@@ -113,7 +113,7 @@ use crate::engine::{match_graph_of, Ack, Engine, Retirement, ShardState};
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{EntangledQuery, QueryId};
-use crate::lifecycle::{Clock, DeadlineHost, SubmitOptions, SweepSignal, SystemClock};
+use crate::lifecycle::{Clock, SubmitOptions, SweepSignal, SystemClock};
 use crate::matcher::GroupMatch;
 use crate::registry::{Pending, Registry};
 use crate::tenant::TenantRegistry;
@@ -257,7 +257,7 @@ pub struct ShardedCoordinator {
     clock: Arc<dyn Clock>,
     /// Notified (outside any shard lock) whenever a deadline-carrying
     /// query registers; the [`crate::DeadlineSweeper`] waits on it.
-    sweep_signal: Arc<SweepSignal>,
+    pub(crate) sweep_signal: Arc<SweepSignal>,
     /// WAL length right after the last checkpoint (or at
     /// construction), for the bytes-since-checkpoint gauge.
     wal_len_at_checkpoint: AtomicU64,
@@ -695,24 +695,14 @@ impl ShardedCoordinator {
     pub fn answers(&self, relation: &str) -> Vec<Tuple> {
         self.engine.answers(relation)
     }
-}
 
-impl DeadlineHost for ShardedCoordinator {
-    fn next_deadline_millis(&self) -> Option<u64> {
-        self.next_deadline()
-    }
-
-    fn expire_due(&self, now_millis: u64) -> Vec<QueryId> {
-        ShardedCoordinator::expire_due(self, now_millis)
-    }
-
-    fn sweep_signal(&self) -> Arc<SweepSignal> {
-        Arc::clone(&self.sweep_signal)
-    }
-
-    fn sweep_tick(&self, now_millis: u64) {
-        // evaluated here too (not only after group commits) so a quiet
-        // coordinator still compacts its WAL on schedule
+    /// Periodic housekeeping the [`crate::DeadlineSweeper`] runs once
+    /// per wakeup, right after the expiry sweep: the
+    /// [`CheckpointPolicy`] and nothing else (gauges are published by
+    /// every shard-lock release and need no refresh). Evaluated here
+    /// too, not only after group commits, so a quiet coordinator still
+    /// compacts its WAL on schedule.
+    pub(crate) fn sweep_tick(&self, now_millis: u64) {
         self.checkpoint_if_due(
             now_millis.saturating_sub(self.last_checkpoint_at.load(Ordering::Relaxed)),
         );

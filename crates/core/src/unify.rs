@@ -15,6 +15,14 @@ use youtopia_storage::Value;
 
 use crate::ir::{Atom, Term, Var};
 
+/// Whether two constants unify: `sql_eq` (which bridges `Int` and
+/// `Float`), or plain equality (which `NULL` needs, since `sql_eq`
+/// never holds for it). Every constant comparison the matchers make
+/// goes through this one test.
+pub(crate) fn unify_eq(a: &Value, b: &Value) -> bool {
+    a.sql_eq(b) || a == b
+}
+
 /// One reversible mutation, recorded by `bind`/`union` so `undo_to` can
 /// restore the exact prior state.
 #[derive(Debug, Clone)]
@@ -136,7 +144,7 @@ impl Subst {
     pub fn bind(&mut self, v: &Var, value: Value) -> bool {
         let root = self.root(v);
         match self.value.get(&root) {
-            Some(existing) => existing.sql_eq(&value) || existing == &value,
+            Some(existing) => unify_eq(existing, &value),
             None => {
                 self.value.insert(root.clone(), value);
                 self.journal.push(UndoEntry::Bound(root));
@@ -156,7 +164,7 @@ impl Subst {
         let va = self.value.get(&ra).cloned();
         let vb = self.value.get(&rb).cloned();
         match (va, vb) {
-            (Some(x), Some(y)) if !(x.sql_eq(&y) || x == y) => false,
+            (Some(x), Some(y)) if !unify_eq(&x, &y) => false,
             (va, vb) => {
                 // rb becomes the root of the merged class
                 self.parent.insert(ra.clone(), rb.clone());
@@ -175,7 +183,7 @@ impl Subst {
     /// Unifies two terms under the current substitution.
     pub fn unify_terms(&mut self, a: &Term, b: &Term) -> bool {
         match (self.resolve(a), self.resolve(b)) {
-            (Term::Const(x), Term::Const(y)) => x.sql_eq(&y) || x == y,
+            (Term::Const(x), Term::Const(y)) => unify_eq(&x, &y),
             (Term::Const(x), Term::Var(v)) | (Term::Var(v), Term::Const(x)) => self.bind(&v, x),
             (Term::Var(v), Term::Var(w)) => self.union(&v, &w),
         }

@@ -280,36 +280,6 @@ fn duplicate_queries_all_complete_via_cascade() {
 }
 
 #[test]
-fn duplicate_queries_pair_disjointly_without_committed_matching() {
-    // With the system-wide reading disabled, constraints are satisfied
-    // only by live pending queries: two disjoint pairs must form.
-    let config = CoordinatorConfig {
-        match_config: MatchConfig {
-            use_committed_answers: false,
-            ..MatchConfig::default()
-        },
-        ..Default::default()
-    };
-    let co = Coordinator::with_config(flights_db(), config);
-    let pair = |me: &str, friend: &str| {
-        format!(
-            "SELECT '{me}', fno INTO ANSWER R \
-             WHERE fno IN (SELECT fno FROM Flights WHERE dest='Paris') \
-             AND ('{friend}', fno) IN ANSWER R CHOOSE 1"
-        )
-    };
-    co.submit_sql("a", &pair("A", "B")).unwrap();
-    co.submit_sql("a", &pair("A", "B")).unwrap();
-    let first = co.submit_sql("b", &pair("B", "A")).unwrap();
-    assert!(first.answered().is_some());
-    assert_eq!(co.pending_count(), 1, "one copy of A still waits");
-    let second = co.submit_sql("b", &pair("B", "A")).unwrap();
-    assert!(second.answered().is_some());
-    assert_eq!(co.pending_count(), 0);
-    assert_eq!(co.answers("R").len(), 4);
-}
-
-#[test]
 fn committed_answers_satisfy_later_constraints_directly() {
     // Kramer books first (self-contained); Jerry's later "same flight
     // as Kramer" request is answered immediately against Kramer's
@@ -424,6 +394,46 @@ fn negative_constraints_see_committed_answers() {
         .answered()
         .expect("flight 2 is still allowed");
     assert_eq!(b.answers[0].1.values()[1], Value::Int(2));
+}
+
+#[test]
+fn negative_constraint_scans_of_committed_answers_are_counted() {
+    // The check above reads committed answers; it counts its rows like
+    // every other candidate scan. In order, B's grounding tries flight
+    // 1, whose ('A', 1) is the one committed row (one row scanned, a
+    // hit), then flight 2, whose ('A', 2) clashes with it (one scanned,
+    // one pruned).
+    let config = CoordinatorConfig {
+        match_config: MatchConfig {
+            randomize: false,
+            ..MatchConfig::default()
+        },
+        ..Default::default()
+    };
+    let co = Coordinator::with_config(flights_db(), config);
+    co.submit_sql(
+        "a",
+        "SELECT 'A', fno INTO ANSWER R \
+         WHERE fno IN (SELECT fno FROM Flights WHERE fno = 1) CHOOSE 1",
+    )
+    .unwrap()
+    .answered()
+    .unwrap();
+    let before = co.stats().match_work;
+    let b = co
+        .submit_sql(
+            "b",
+            "SELECT 'B', fno INTO ANSWER R \
+             WHERE fno IN (SELECT fno FROM Flights WHERE dest='Paris') \
+             AND ('A', fno) NOT IN ANSWER R CHOOSE 1",
+        )
+        .unwrap()
+        .answered()
+        .expect("flight 2 is still allowed");
+    assert_eq!(b.answers[0].1.values()[1], Value::Int(2));
+    let after = co.stats().match_work;
+    assert_eq!(after.candidates_scanned - before.candidates_scanned, 2);
+    assert_eq!(after.index_pruned - before.index_pruned, 1);
 }
 
 #[test]

@@ -69,9 +69,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use youtopia_core::{
-    compile_sql, tenant_of, Ack, Clock, CoordinationOutcome, CoreError, DeadlineHost,
-    DeadlineSweeper, QueryId, ShardedCoordinator, SubmitOptions, TenantRegistry, TenantStats,
-    WaiterSet,
+    compile_sql, tenant_of, Ack, Clock, CoordinationOutcome, CoreError, DeadlineSweeper, QueryId,
+    ShardedCoordinator, SubmitOptions, TenantRegistry, TenantStats, WaiterSet,
 };
 
 use crate::error::NetResult;
@@ -187,8 +186,7 @@ impl NetServer {
         clock: Arc<dyn Clock>,
     ) -> NetResult<NetServer> {
         co.set_tenant_registry(Arc::clone(&tenants));
-        let sweeper =
-            DeadlineSweeper::spawn(Arc::clone(&co) as Arc<dyn DeadlineHost>, Arc::clone(&clock));
+        let sweeper = DeadlineSweeper::spawn(Arc::clone(&co), Arc::clone(&clock));
 
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;

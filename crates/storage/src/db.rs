@@ -12,9 +12,10 @@
 //! ([`crate::group_commit::GroupCommit`]): every commit group — a
 //! transaction's redo records, a coordination event batch — is
 //! enqueued to one writer thread under the next LSN, appended as a
-//! marker-delimited group and synced once per quantum. Coordination
-//! appends never touch the catalog lock; transaction commits enqueue
-//! while still holding it, so log order extends commit order.
+//! marker-delimited group and synced once with every group queued
+//! beside it. Coordination appends never touch the catalog lock;
+//! transaction commits enqueue while still holding it, so log order
+//! extends commit order.
 //! [`Transaction::commit`] and [`Database::append_coordination_batch`]
 //! block until their group is durable; [`Transaction::commit_pipelined`]
 //! and [`Database::enqueue_coordination_batch`] return its LSN at once,
@@ -27,7 +28,7 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
 
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
-use crate::group_commit::{GroupCommit, GroupCommitConfig, WakeHook};
+use crate::group_commit::{GroupCommit, WakeHook};
 use crate::index::IndexKind;
 use crate::schema::Schema;
 use crate::table::{RowId, Table};
@@ -85,19 +86,13 @@ impl Database {
     }
 
     /// Creates an empty database that logs committed work to `wal`
-    /// through the group-commit pipeline (default quantum).
+    /// through the group-commit pipeline.
     pub fn with_wal(wal: Wal) -> Database {
-        Self::with_wal_config(wal, GroupCommitConfig::default())
-    }
-
-    /// Creates an empty database that logs to `wal` with an explicit
-    /// group-commit configuration (the sync-quantum latency knob).
-    pub fn with_wal_config(wal: Wal, config: GroupCommitConfig) -> Database {
         Database {
             inner: Arc::new(RwLock::new(DbInner {
                 catalog: Catalog::new(),
             })),
-            log: Some(Arc::new(GroupCommit::spawn(wal, config))),
+            log: Some(Arc::new(GroupCommit::spawn(wal))),
         }
     }
 
@@ -111,16 +106,7 @@ impl Database {
     /// Rebuilds a database by replaying a WAL and returns the log's
     /// coordination payloads (in log order) alongside it, so the
     /// coordination layer can rebuild *its* state from the same log.
-    pub fn recover_full(wal: Wal) -> StorageResult<(Database, Vec<Vec<u8>>)> {
-        Self::recover_full_config(wal, GroupCommitConfig::default())
-    }
-
-    /// [`Database::recover_full`] with an explicit group-commit
-    /// configuration for the post-recovery writer.
-    pub fn recover_full_config(
-        mut wal: Wal,
-        config: GroupCommitConfig,
-    ) -> StorageResult<(Database, Vec<Vec<u8>>)> {
+    pub fn recover_full(mut wal: Wal) -> StorageResult<(Database, Vec<Vec<u8>>)> {
         // replay (and truncate any damaged suffix) before the writer
         // thread takes ownership of the log
         let records = wal.replay_records()?;
@@ -135,7 +121,7 @@ impl Database {
         }
         let db = Database {
             inner: Arc::new(RwLock::new(DbInner { catalog })),
-            log: Some(Arc::new(GroupCommit::spawn(wal, config))),
+            log: Some(Arc::new(GroupCommit::spawn(wal))),
         };
         Ok((db, coordination))
     }
@@ -228,7 +214,7 @@ impl Database {
     /// marker-delimited commit group via the pipelined writer; blocks
     /// until the group is durable. Concurrent callers (e.g. several
     /// shards draining registration buckets) share one fsync per
-    /// writer quantum instead of paying one each. Never takes the
+    /// writer batch instead of paying one each. Never takes the
     /// catalog lock. No-op without a WAL.
     pub fn append_coordination_batch<P: AsRef<[u8]>>(&self, payloads: &[P]) -> StorageResult<()> {
         let lsn = self.enqueue_coordination_batch(payloads)?;

@@ -4,12 +4,13 @@
 //! absorbs append requests from every committer — shard registration
 //! batches, cancellations, and transaction redo groups — into a single
 //! queue. Each group is numbered in queue order: its **LSN** (log
-//! sequence number, starting at 1). Each quantum the writer drains the
-//! queue, appends the queued groups as marker-delimited commits (each
-//! group's records followed by one [`WalRecord::CommitBoundary`]
+//! sequence number, starting at 1). Whenever it wakes, the writer drains
+//! the queue, appends the queued groups as marker-delimited commits
+//! (each group's records followed by one [`WalRecord::CommitBoundary`]
 //! frame), syncs the log **once**, publishes the highest LSN that is
-//! now durable, and runs the registered wake hooks. N concurrent
-//! committers therefore cost ~1 fsync per quantum instead of N.
+//! now durable, and runs the registered wake hooks. N committers that
+//! queue during one sync therefore share the next fsync instead of
+//! paying N.
 //!
 //! A committer chooses how to wait:
 //!
@@ -26,13 +27,9 @@
 //! lock, so queue order extends lock order, and the writer makes
 //! groups durable in queue order.
 //!
-//! The latency/throughput knob is [`GroupCommitConfig::quantum`]: with
-//! a zero quantum (the default) the writer syncs as soon as it has at
-//! least one request, and batching arises naturally from whatever
-//! queued while the previous sync was in flight; a positive quantum
-//! makes the writer linger that long after waking to absorb more
-//! requests per sync, trading per-commit latency for fewer fsyncs
-//! under bursty load.
+//! The writer never lingers: it syncs as soon as it has at least one
+//! request, and batching arises from whatever queued while the
+//! previous sync was in flight.
 //!
 //! Failure: the first group that fails to append, or whose sync fails,
 //! **poisons** the writer. The durable LSN never passes that group,
@@ -44,7 +41,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::error::{StorageError, StorageResult};
 use crate::wal::{Wal, WalRecord};
@@ -54,24 +50,6 @@ use crate::wal::{Wal, WalRecord};
 /// valid at every await point.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Tuning for the pipelined writer.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupCommitConfig {
-    /// How long the writer lingers after waking before it writes and
-    /// syncs the absorbed batch. `Duration::ZERO` (default) syncs
-    /// immediately; batching still happens for requests that queued
-    /// while the previous sync was running.
-    pub quantum: Duration,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
-            quantum: Duration::ZERO,
-        }
-    }
 }
 
 /// A callback the writer runs after every batch it finishes, durable
@@ -113,7 +91,6 @@ struct Shared {
     syncs: AtomicU64,
     groups: AtomicU64,
     hooks: Mutex<Vec<WakeHook>>,
-    quantum: Duration,
 }
 
 /// Handle to one pipelined writer (one per durable database). Cloned
@@ -126,7 +103,7 @@ pub struct GroupCommit {
 
 impl GroupCommit {
     /// Wraps `wal` and starts the writer thread.
-    pub fn spawn(wal: Wal, config: GroupCommitConfig) -> GroupCommit {
+    pub fn spawn(wal: Wal) -> GroupCommit {
         let shared = std::sync::Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: Vec::new(),
@@ -143,7 +120,6 @@ impl GroupCommit {
             syncs: AtomicU64::new(0),
             groups: AtomicU64::new(0),
             hooks: Mutex::new(Vec::new()),
-            quantum: config.quantum,
         });
         let writer_shared = shared.clone();
         let writer = std::thread::Builder::new()
@@ -316,15 +292,6 @@ fn writer_loop(shared: &Shared) {
             if state.queue.is_empty() {
                 break; // shutdown with nothing left to drain
             }
-            if !shared.quantum.is_zero() && !state.shutdown {
-                // linger one quantum to absorb more requests into
-                // this sync (more wake-ups may land meanwhile)
-                state = shared
-                    .work
-                    .wait_timeout(state, shared.quantum)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
             (std::mem::take(&mut state.queue), state.failed.is_some())
         };
         if poisoned {
@@ -382,16 +349,14 @@ fn writer_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
+    use std::time::Duration;
 
     use super::*;
     use crate::wal::WalRecord;
 
     #[test]
     fn concurrent_commits_are_marker_delimited_and_ordered_per_committer() {
-        let gc = Arc::new(GroupCommit::spawn(
-            Wal::in_memory(),
-            GroupCommitConfig::default(),
-        ));
+        let gc = Arc::new(GroupCommit::spawn(Wal::in_memory()));
         let threads: Vec<_> = (0u8..4)
             .map(|t| {
                 let gc = gc.clone();
@@ -445,35 +410,17 @@ mod tests {
 
     #[test]
     fn empty_groups_complete_without_touching_the_log() {
-        let gc = GroupCommit::spawn(Wal::in_memory(), GroupCommitConfig::default());
+        let gc = GroupCommit::spawn(Wal::in_memory());
         gc.commit(Vec::new()).unwrap();
         assert_eq!(gc.with_wal(|wal| wal.len_bytes()).unwrap(), 0);
         assert_eq!((gc.enqueued_lsn(), gc.syncs(), gc.groups()), (0, 0, 0));
-    }
-
-    #[test]
-    fn positive_quantum_still_acknowledges_every_commit() {
-        let gc = GroupCommit::spawn(
-            Wal::in_memory(),
-            GroupCommitConfig {
-                quantum: Duration::from_millis(2),
-            },
-        );
-        for i in 0u8..5 {
-            gc.commit(vec![WalRecord::Coordination(vec![i])]).unwrap();
-        }
-        let records = gc.with_wal(|wal| wal.replay_records()).unwrap();
-        assert_eq!(records.len(), 5);
     }
 
     /// Groups enqueued while the log is held share one sync once it is
     /// released; the durable LSN covers them all and the hook runs.
     #[test]
     fn enqueued_groups_become_durable_together_and_wake_the_hook() {
-        let gc = Arc::new(GroupCommit::spawn(
-            Wal::in_memory(),
-            GroupCommitConfig::default(),
-        ));
+        let gc = Arc::new(GroupCommit::spawn(Wal::in_memory()));
         let woken = Arc::new(AtomicU64::new(0));
         let hook: Arc<dyn Fn() + Send + Sync> = {
             let woken = woken.clone();
@@ -530,7 +477,7 @@ mod tests {
     /// though the sink's next sync would succeed.
     #[test]
     fn a_failed_sync_fails_every_later_commit() {
-        let gc = GroupCommit::spawn(Wal::failing_sync_at(2), GroupCommitConfig::default());
+        let gc = GroupCommit::spawn(Wal::failing_sync_at(2));
         gc.commit(vec![WalRecord::Coordination(vec![1])]).unwrap();
         assert!(
             gc.commit(vec![WalRecord::Coordination(vec![2])]).is_err(),

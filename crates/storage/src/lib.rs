@@ -62,7 +62,6 @@ pub mod prelude {
     pub use crate::catalog::Catalog;
     pub use crate::db::{is_transient, Database, ReadTransaction, Transaction, TRANSIENT_PREFIX};
     pub use crate::error::{StorageError, StorageResult};
-    pub use crate::group_commit::GroupCommitConfig;
     pub use crate::index::{Index, IndexKind};
     pub use crate::schema::{Column, DataType, Schema};
     pub use crate::table::{RowId, Table};

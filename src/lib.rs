@@ -38,9 +38,9 @@ pub use youtopia_travel as travel;
 pub use youtopia_core::{
     compile_sql, latency_histogram, tenant_audit, Ack, AuditConfig, AuditRecord, CheckpointPolicy,
     Clock, CoordEvent, CoordinationFuture, CoordinationOutcome, Coordinator, CoordinatorConfig,
-    DeadlineHost, DeadlineSweeper, GroupMatch, LatencyBucket, MatchNotification, MatcherKind,
-    MockClock, QueryId, RecoveryReport, RegStamp, SafetyMode, ShardedConfig, ShardedCoordinator,
-    Submission, SubmitOptions, SystemClock, TenantQuotas, TenantRegistry, WaiterSet, AUDIT_TABLE,
+    DeadlineSweeper, GroupMatch, LatencyBucket, MatchNotification, MatcherKind, MockClock, QueryId,
+    RecoveryReport, RegStamp, SafetyMode, ShardedConfig, ShardedCoordinator, Submission,
+    SubmitOptions, SystemClock, TenantQuotas, TenantRegistry, WaiterSet, AUDIT_TABLE,
     LATENCY_TABLE,
 };
 pub use youtopia_exec::{run_sql, StatementOutcome};
