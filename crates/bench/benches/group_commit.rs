@@ -77,7 +77,7 @@ fn run_fsync_per_commit(threads: usize) -> f64 {
                     for record in commit_group(t, i) {
                         wal.append_record(&record).expect("append");
                     }
-                    wal.append_commit_boundary().expect("seal");
+                    wal.append_record(&WalRecord::CommitBoundary).expect("seal");
                     wal.sync().expect("sync");
                 }
             });
@@ -102,7 +102,8 @@ fn run_pipelined(threads: usize) -> f64 {
             let gc = gc.clone();
             scope.spawn(move || {
                 for i in 0..COMMITS_PER_THREAD {
-                    gc.commit(commit_group(t, i)).expect("pipelined commit");
+                    let lsn = gc.enqueue(commit_group(t, i)).expect("enqueue");
+                    gc.wait_durable(lsn).expect("pipelined commit");
                 }
             });
         }

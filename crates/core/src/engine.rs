@@ -38,7 +38,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use youtopia_storage::codec::{get_str, get_u64, put_str};
+use youtopia_storage::codec::{get_opt_u64, get_str, get_u64, put_opt_u64, put_str};
 use youtopia_storage::{
     Column, DataType, Database, Schema, StorageError, StorageResult, Transaction, Tuple,
 };
@@ -179,13 +179,7 @@ impl CoordEvent {
                     put_str(&mut buf, sql);
                     buf.put_u64(qid.0);
                     buf.put_u64(*seq);
-                    match deadline {
-                        Some(deadline) => {
-                            buf.put_u8(1);
-                            buf.put_u64(*deadline);
-                        }
-                        None => buf.put_u8(0),
-                    }
+                    put_opt_u64(&mut buf, *deadline);
                     buf.put_u64(stamp.at);
                     buf.put_u32(stamp.shard);
                 } else {
@@ -258,20 +252,7 @@ impl CoordEvent {
                 let seq = get_u64(buf)?;
                 let deadline = match tag {
                     5 => Some(get_u64(buf)?),
-                    6 => {
-                        if buf.remaining() < 1 {
-                            return Err(StorageError::WalCorrupt("truncated deadline flag".into()));
-                        }
-                        match buf.get_u8() {
-                            0 => None,
-                            1 => Some(get_u64(buf)?),
-                            f => {
-                                return Err(StorageError::WalCorrupt(format!(
-                                    "bad deadline flag {f}"
-                                )))
-                            }
-                        }
-                    }
+                    6 => get_opt_u64(buf)?,
                     _ => None, // v1 frame: registered before deadlines existed
                 };
                 let stamp = if tag == 6 {

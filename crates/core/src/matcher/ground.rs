@@ -1243,7 +1243,7 @@ mod tests {
             Step::CreateIndex => sql(db, "CREATE INDEX by_dest ON Flights (dest)".into()),
             Step::Recover => {
                 let wal = youtopia_storage::Wal::from_bytes(db.wal_bytes().unwrap());
-                *db = Database::recover_full(wal).unwrap().0;
+                *db = Database::recover(wal).unwrap().0;
             }
             Step::Recreate => {
                 let rows: Vec<Tuple> = db

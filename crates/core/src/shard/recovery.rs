@@ -60,7 +60,7 @@ impl ShardedCoordinator {
         hook: Option<SharedApplyHook>,
         clock: Arc<dyn Clock>,
     ) -> CoreResult<(ShardedCoordinator, RecoveryReport)> {
-        let (db, frames) = Database::recover_full(wal).map_err(CoreError::Storage)?;
+        let (db, frames) = Database::recover(wal).map_err(CoreError::Storage)?;
         let replayed = replay_coordination_frames(&frames)?;
         let co = ShardedCoordinator::with_clock(db, config, clock);
         if let Some(hook) = hook {
@@ -204,18 +204,16 @@ mod tests {
         // the match apply): the recovery sweep completes it
         let db = flights_db_wal();
         for (qid, me, friend, seq) in [(1, "X", "Y", 1), (2, "Y", "X", 2)] {
-            db.append_coordination(
-                &CoordEvent::QueryRegistered {
-                    owner: me.to_lowercase(),
-                    sql: pair_sql_on("Res", me, friend),
-                    qid: QueryId(qid),
-                    seq,
-                    deadline: None,
-                    stamp: None,
-                }
-                .encode(),
-            )
-            .unwrap();
+            db.append_coordination_batch(&[CoordEvent::QueryRegistered {
+                owner: me.to_lowercase(),
+                sql: pair_sql_on("Res", me, friend),
+                qid: QueryId(qid),
+                seq,
+                deadline: None,
+                stamp: None,
+            }
+            .encode()])
+                .unwrap();
         }
         let bytes = db.wal_bytes().unwrap();
         drop(db);

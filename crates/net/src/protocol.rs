@@ -30,7 +30,7 @@
 use bytes::{Buf, BufMut, BytesMut};
 
 use youtopia_core::AuditRecord;
-use youtopia_storage::codec::{get_str, get_u64, put_str};
+use youtopia_storage::codec::{get_opt_u64, get_str, get_u64, put_opt_u64, put_str};
 use youtopia_storage::Tuple;
 
 use crate::error::NetError;
@@ -43,17 +43,9 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// protocol error, rejected before any allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// FNV-1a over the big-endian length prefix followed by the payload —
-/// the WAL's frame checksum, reimplemented here so the two framing
-/// layers stay bit-identical (the WAL's own copy is private to it).
-pub fn frame_checksum(len: u32, payload: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for b in len.to_be_bytes().iter().chain(payload) {
-        hash ^= *b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
+/// The frame checksum: the WAL's, so the two framing layers are
+/// bit-identical.
+pub use youtopia_storage::wal::frame_checksum;
 
 /// Wraps a payload in a frame: `len | checksum | payload`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
@@ -384,40 +376,8 @@ fn finish(buf: &[u8]) -> Result<(), NetError> {
     }
 }
 
-fn put_deadline(out: &mut BytesMut, deadline: Option<u64>) {
-    match deadline {
-        Some(d) => {
-            out.put_u8(1);
-            out.put_u64(d);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn get_deadline(buf: &mut &[u8]) -> Result<Option<u64>, NetError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u64_checked(buf)?)),
-        other => Err(NetError::Frame(format!("bad deadline flag {other}"))),
-    }
-}
-
-fn put_opt_u64(out: &mut BytesMut, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.put_u8(1);
-            out.put_u64(v);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn get_opt_u64(buf: &mut &[u8]) -> Result<Option<u64>, NetError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u64_checked(buf)?)),
-        other => Err(NetError::Frame(format!("bad option flag {other}"))),
-    }
+fn get_opt_u64_checked(buf: &mut &[u8]) -> Result<Option<u64>, NetError> {
+    get_opt_u64(buf).map_err(|e| NetError::Frame(e.to_string()))
 }
 
 fn put_audit_row(out: &mut BytesMut, row: &AuditRecord) {
@@ -439,9 +399,9 @@ fn get_audit_row(buf: &mut &[u8]) -> Result<AuditRecord, NetError> {
         owner: get_str_checked(buf)?,
         kind: get_str_checked(buf)?,
         submitted_at: get_u64_checked(buf)?,
-        resolved_at: get_opt_u64(buf)?,
+        resolved_at: get_opt_u64_checked(buf)?,
         outcome: get_str_checked(buf)?,
-        latency_micros: get_opt_u64(buf)?,
+        latency_micros: get_opt_u64_checked(buf)?,
         shard: get_u32_checked(buf)?,
     })
 }
@@ -474,7 +434,7 @@ impl Request {
             } => {
                 out.put_u8(3);
                 out.put_u64(*corr);
-                put_deadline(&mut out, *deadline);
+                put_opt_u64(&mut out, *deadline);
                 put_str(&mut out, sql);
             }
             Request::Cancel { corr, qid } => {
@@ -519,7 +479,7 @@ impl Request {
             },
             3 => Request::Submit {
                 corr: get_u64_checked(&mut buf)?,
-                deadline: get_deadline(&mut buf)?,
+                deadline: get_opt_u64_checked(&mut buf)?,
                 sql: get_str_checked(&mut buf)?,
             },
             4 => Request::Cancel {
@@ -877,6 +837,24 @@ mod tests {
         let (payload, consumed) = split_frame(&framed).unwrap().unwrap();
         assert_eq!(consumed, framed.len());
         Request::decode(&payload).unwrap()
+    }
+
+    /// A WAL frame is a protocol frame: the bytes the log appends for
+    /// one record split back into that record's payload.
+    #[test]
+    fn wal_frames_split_as_protocol_frames() {
+        use youtopia_storage::{Wal, WalRecord};
+        let mut wal = Wal::in_memory();
+        wal.append_record(&WalRecord::Coordination(b"register q1".to_vec()))
+            .unwrap();
+        let logged = wal.raw_bytes().unwrap();
+        let (payload, consumed) = split_frame(logged).unwrap().unwrap();
+        assert_eq!(consumed, logged.len());
+        // coordination tag, u32 length, then the bytes
+        let mut expected = vec![5, 0, 0, 0, 11];
+        expected.extend_from_slice(b"register q1");
+        assert_eq!(payload, expected);
+        assert_eq!(encode_frame(&payload), logged);
     }
 
     #[test]

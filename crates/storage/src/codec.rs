@@ -35,3 +35,27 @@ pub fn get_u64(buf: &mut &[u8]) -> StorageResult<u64> {
     }
     Ok(buf.get_u64())
 }
+
+/// Appends an optional `u64`: a `0` flag byte, or a `1` flag byte and
+/// the big-endian value.
+pub fn put_opt_u64(buf: &mut BytesMut, v: Option<u64>) {
+    match v {
+        Some(v) => {
+            buf.put_u8(1);
+            buf.put_u64(v);
+        }
+        None => buf.put_u8(0),
+    }
+}
+
+/// Reads an optional `u64` written by [`put_opt_u64`].
+pub fn get_opt_u64(buf: &mut &[u8]) -> StorageResult<Option<u64>> {
+    if buf.remaining() < 1 {
+        return Err(StorageError::WalCorrupt("truncated option flag".into()));
+    }
+    match buf.get_u8() {
+        0 => Ok(None),
+        1 => Ok(Some(get_u64(buf)?)),
+        f => Err(StorageError::WalCorrupt(format!("bad option flag {f}"))),
+    }
+}

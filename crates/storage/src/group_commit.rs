@@ -12,15 +12,15 @@
 //! queue during one sync therefore share the next fsync instead of
 //! paying N.
 //!
-//! A committer chooses how to wait:
+//! [`GroupCommit::enqueue`] returns the group's LSN at once, and a
+//! committer chooses how to wait for it:
 //!
-//! * [`GroupCommit::commit`] enqueues and blocks until its LSN is
-//!   durable — log-before-ack for callers that acknowledge on return;
-//! * [`GroupCommit::enqueue`] returns the LSN at once. A caller that
-//!   holds every acknowledgement until [`GroupCommit::durable_lsn`]
-//!   reaches the LSN it depends on (the network reactor) never waits
-//!   on an fsync itself, so one sync covers the groups of every session
-//!   it served meanwhile.
+//! * [`GroupCommit::wait_durable`] blocks until the LSN is durable —
+//!   log-before-ack for callers that acknowledge on return;
+//! * a caller that holds every acknowledgement until
+//!   [`GroupCommit::durable_lsn`] reaches the LSN it depends on (the
+//!   network reactor) never waits on an fsync itself, so one sync
+//!   covers the groups of every session it served meanwhile.
 //!
 //! One watermark is enough: a committer that must be ordered after its
 //! own reads (a transaction) enqueues while still holding the database
@@ -112,7 +112,7 @@ impl GroupCommit {
             }),
             work: Condvar::new(),
             durable_changed: Condvar::new(),
-            synced_len: AtomicU64::new(wal.len_bytes().unwrap_or(0)),
+            synced_len: AtomicU64::new(wal.len_bytes()),
             wal: Mutex::new(wal),
             enqueued: AtomicU64::new(0),
             durable: AtomicU64::new(0),
@@ -186,13 +186,6 @@ impl GroupCommit {
         }
     }
 
-    /// Synchronous facade: enqueue one commit group and block until it
-    /// is durable. Empty groups complete immediately.
-    pub fn commit(&self, records: Vec<WalRecord>) -> StorageResult<()> {
-        let lsn = self.enqueue(records)?;
-        self.wait_durable(lsn)
-    }
-
     /// LSN of the last group enqueued (0 before the first). Lock-free.
     pub fn enqueued_lsn(&self) -> u64 {
         self.shared.enqueued.load(Ordering::Acquire)
@@ -259,8 +252,7 @@ fn poisoned(e: &StorageError) -> StorageError {
 
 impl Shared {
     fn publish_len(&self, wal: &Wal) {
-        self.synced_len
-            .store(wal.len_bytes().unwrap_or(0), Ordering::Release);
+        self.synced_len.store(wal.len_bytes(), Ordering::Release);
     }
 
     /// Runs every live hook and forgets the dead ones.
@@ -314,7 +306,7 @@ fn writer_loop(shared: &Shared) {
                 .records
                 .iter()
                 .try_for_each(|record| wal.append_record(record))
-                .and_then(|()| wal.append_commit_boundary());
+                .and_then(|()| wal.append_record(&WalRecord::CommitBoundary));
             if let Err(e) = result {
                 failure = Some((request.lsn, e));
                 break;
@@ -352,7 +344,11 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::wal::WalRecord;
+
+    /// Enqueues one group and waits until it is durable.
+    fn durable_commit(gc: &GroupCommit, records: Vec<WalRecord>) -> StorageResult<()> {
+        gc.wait_durable(gc.enqueue(records)?)
+    }
 
     #[test]
     fn concurrent_commits_are_marker_delimited_and_ordered_per_committer() {
@@ -362,10 +358,13 @@ mod tests {
                 let gc = gc.clone();
                 std::thread::spawn(move || {
                     for i in 0u8..8 {
-                        gc.commit(vec![
-                            WalRecord::Coordination(vec![t, i, 0]),
-                            WalRecord::Coordination(vec![t, i, 1]),
-                        ])
+                        durable_commit(
+                            &gc,
+                            vec![
+                                WalRecord::Coordination(vec![t, i, 0]),
+                                WalRecord::Coordination(vec![t, i, 1]),
+                            ],
+                        )
                         .unwrap();
                     }
                 })
@@ -411,8 +410,8 @@ mod tests {
     #[test]
     fn empty_groups_complete_without_touching_the_log() {
         let gc = GroupCommit::spawn(Wal::in_memory());
-        gc.commit(Vec::new()).unwrap();
-        assert_eq!(gc.with_wal(|wal| wal.len_bytes()).unwrap(), 0);
+        durable_commit(&gc, Vec::new()).unwrap();
+        assert_eq!(gc.with_wal(|wal| wal.len_bytes()), 0);
         assert_eq!((gc.enqueued_lsn(), gc.syncs(), gc.groups()), (0, 0, 0));
     }
 
@@ -462,12 +461,12 @@ mod tests {
         assert_eq!(gc.groups(), 6);
         // hooks run after the waiters wake; a later batch is ordered
         // after them
-        gc.commit(vec![WalRecord::Coordination(vec![8])]).unwrap();
+        durable_commit(&gc, vec![WalRecord::Coordination(vec![8])]).unwrap();
         assert!(woken.load(Ordering::SeqCst) >= 1);
         // a dropped hook is forgotten
         drop(hook);
         for i in 9u8..11 {
-            gc.commit(vec![WalRecord::Coordination(vec![i])]).unwrap();
+            durable_commit(&gc, vec![WalRecord::Coordination(vec![i])]).unwrap();
         }
         assert!(lock(&gc.shared.hooks).is_empty());
     }
@@ -478,14 +477,14 @@ mod tests {
     #[test]
     fn a_failed_sync_fails_every_later_commit() {
         let gc = GroupCommit::spawn(Wal::failing_sync_at(2));
-        gc.commit(vec![WalRecord::Coordination(vec![1])]).unwrap();
+        durable_commit(&gc, vec![WalRecord::Coordination(vec![1])]).unwrap();
         assert!(
-            gc.commit(vec![WalRecord::Coordination(vec![2])]).is_err(),
+            durable_commit(&gc, vec![WalRecord::Coordination(vec![2])]).is_err(),
             "the failed sync's group is not acknowledged"
         );
         for i in 3u8..6 {
             assert!(
-                gc.commit(vec![WalRecord::Coordination(vec![i])]).is_err(),
+                durable_commit(&gc, vec![WalRecord::Coordination(vec![i])]).is_err(),
                 "commit {i} after a failed sync must fail"
             );
         }

@@ -79,8 +79,8 @@
 //! commit boundary.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::Path;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -133,8 +133,9 @@ pub enum WalOp {
 
 /// Frame checksum: fnv1a over the big-endian length field followed by
 /// the payload, so a bit flip in the length prefix fails verification
-/// instead of silently re-framing the log.
-fn frame_checksum(len: u32, payload: &[u8]) -> u32 {
+/// instead of silently re-framing the log. The network protocol frames
+/// its messages with the same function.
+pub fn frame_checksum(len: u32, payload: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c9dc5;
     for b in len.to_be_bytes().iter().chain(payload) {
         hash ^= *b as u32;
@@ -405,114 +406,120 @@ impl WalRecord {
     }
 }
 
-/// The backing sink of a WAL: a real file or an in-memory buffer
-/// (useful in tests and benches).
+/// The backing sink of a WAL: a real file (with the path a checkpoint
+/// renames its replacement over) or an in-memory buffer (useful in
+/// tests and benches).
 enum WalSink {
-    File(File),
+    File { file: File, path: PathBuf },
     Memory(Vec<u8>),
+}
+
+/// Injected failures of unit tests, each `(calls so far, the 1-based
+/// call that fails)`.
+#[cfg(test)]
+#[derive(Default)]
+struct Faults {
+    sync: Option<(u32, u32)>,
+    append: Option<(u32, u32)>,
+}
+
+#[cfg(test)]
+fn inject(fault: &mut Option<(u32, u32)>, what: &str) -> StorageResult<()> {
+    if let Some((calls, fail_at)) = fault {
+        *calls += 1;
+        if calls == fail_at {
+            return Err(StorageError::WalIo(format!("injected {what} failure")));
+        }
+    }
+    Ok(())
+}
+
+/// Appends one checksummed frame around `payload`.
+fn put_frame(out: &mut impl BufMut, payload: &[u8]) {
+    out.put_u32(payload.len() as u32);
+    out.put_u32(frame_checksum(payload.len() as u32, payload));
+    out.put_slice(payload);
+}
+
+fn io_err(e: std::io::Error) -> StorageError {
+    StorageError::WalIo(e.to_string())
 }
 
 /// An append-only redo log.
 pub struct Wal {
     sink: WalSink,
-    /// Cached log length in bytes, maintained by every append, reset
+    /// Cached log length in bytes, maintained by every append, rewrite
     /// and tail truncation — so [`Wal::len_bytes`] (read by the
     /// group-commit writer after every sync, to publish the length
     /// `Database::wal_len` serves) never needs a file-metadata syscall.
     len_hint: u64,
-    /// The failing sink of unit tests: `(syncs so far, the 1-based
-    /// sync call that fails)`.
     #[cfg(test)]
-    fail_sync: Option<(u32, u32)>,
+    faults: Faults,
 }
 
 impl Wal {
+    fn with_sink(sink: WalSink, len_hint: u64) -> Wal {
+        Wal {
+            sink,
+            len_hint,
+            #[cfg(test)]
+            faults: Faults::default(),
+        }
+    }
+
     /// Opens (or creates) a file-backed WAL in append mode.
     pub fn open(path: impl AsRef<Path>) -> StorageResult<Wal> {
+        let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .read(true)
-            .open(path)
-            .map_err(|e| StorageError::WalIo(e.to_string()))?;
-        let len_hint = file
-            .metadata()
-            .map(|m| m.len())
-            .map_err(|e| StorageError::WalIo(e.to_string()))?;
-        Ok(Wal {
-            sink: WalSink::File(file),
-            len_hint,
-            #[cfg(test)]
-            fail_sync: None,
-        })
+            .open(&path)
+            .map_err(io_err)?;
+        let len_hint = file.metadata().map_err(io_err)?.len();
+        Ok(Wal::with_sink(WalSink::File { file, path }, len_hint))
     }
 
     /// Creates an in-memory WAL.
     pub fn in_memory() -> Wal {
-        Wal {
-            sink: WalSink::Memory(Vec::new()),
-            len_hint: 0,
-            #[cfg(test)]
-            fail_sync: None,
-        }
+        Wal::from_bytes(Vec::new())
     }
 
     /// An in-memory WAL whose `n`th sync (1-based) fails once; every
     /// other call succeeds.
     #[cfg(test)]
     pub(crate) fn failing_sync_at(n: u32) -> Wal {
-        Wal {
-            fail_sync: Some((0, n)),
-            ..Wal::in_memory()
-        }
+        let mut wal = Wal::in_memory();
+        wal.faults.sync = Some((0, n));
+        wal
+    }
+
+    /// Arms a one-shot fault: the `n`th frame (1-based) this WAL
+    /// appends or rewrites from now on fails.
+    #[cfg(test)]
+    pub(crate) fn fail_append_at(&mut self, n: u32) {
+        self.faults.append = Some((0, n));
     }
 
     /// Creates an in-memory WAL over existing log bytes (e.g. bytes
     /// salvaged from a "killed" process in crash-recovery tests).
     pub fn from_bytes(bytes: Vec<u8>) -> Wal {
         let len_hint = bytes.len() as u64;
-        Wal {
-            sink: WalSink::Memory(bytes),
-            len_hint,
-            #[cfg(test)]
-            fail_sync: None,
-        }
+        Wal::with_sink(WalSink::Memory(bytes), len_hint)
     }
 
-    /// Appends one storage operation as a checksummed frame.
-    pub fn append(&mut self, op: &WalOp) -> StorageResult<()> {
-        self.append_payload(&op.encode())
-    }
-
-    /// Appends one record (storage or coordination) as a checksummed
-    /// frame.
+    /// Appends one record as a checksummed frame. A commit group is
+    /// its records followed by one [`WalRecord::CommitBoundary`],
+    /// appended before [`Wal::sync`]; replay rolls a damaged suffix
+    /// back to the last complete marker.
     pub fn append_record(&mut self, record: &WalRecord) -> StorageResult<()> {
-        self.append_payload(&record.encode())
-    }
-
-    /// Appends one opaque coordination payload as a checksummed frame.
-    pub fn append_coordination(&mut self, payload: &[u8]) -> StorageResult<()> {
-        self.append_record(&WalRecord::Coordination(payload.to_vec()))
-    }
-
-    /// Appends a commit-boundary marker frame, sealing everything
-    /// since the previous marker as one commit group. Call before
-    /// [`Wal::sync`]; replay rolls a damaged suffix back to the last
-    /// complete marker.
-    pub fn append_commit_boundary(&mut self) -> StorageResult<()> {
-        self.append_record(&WalRecord::CommitBoundary)
-    }
-
-    fn append_payload(&mut self, payload: &[u8]) -> StorageResult<()> {
+        #[cfg(test)]
+        inject(&mut self.faults.append, "append")?;
+        let payload = record.encode();
         let mut frame = BytesMut::with_capacity(payload.len() + 8);
-        frame.put_u32(payload.len() as u32);
-        frame.put_u32(frame_checksum(payload.len() as u32, payload));
-        frame.put_slice(payload);
+        put_frame(&mut frame, &payload);
         match &mut self.sink {
-            WalSink::File(f) => {
-                f.write_all(&frame)
-                    .map_err(|e| StorageError::WalIo(e.to_string()))?;
-            }
+            WalSink::File { file, .. } => file.write_all(&frame).map_err(io_err)?,
             WalSink::Memory(buf) => buf.extend_from_slice(&frame),
         }
         self.len_hint += frame.len() as u64;
@@ -522,63 +529,66 @@ impl Wal {
     /// Flushes buffered bytes to stable storage (no-op for memory sinks).
     pub fn sync(&mut self) -> StorageResult<()> {
         #[cfg(test)]
-        if let Some((calls, fail_at)) = &mut self.fail_sync {
-            *calls += 1;
-            if calls == fail_at {
-                return Err(StorageError::WalIo("injected sync failure".into()));
-            }
-        }
-        if let WalSink::File(f) = &mut self.sink {
-            f.sync_data()
-                .map_err(|e| StorageError::WalIo(e.to_string()))?;
+        inject(&mut self.faults.sync, "sync")?;
+        if let WalSink::File { file, .. } = &mut self.sink {
+            file.sync_data().map_err(io_err)?;
         }
         Ok(())
     }
 
-    /// Discards all frames (used by checkpointing, which immediately
-    /// re-appends a snapshot of the live state).
-    pub fn reset(&mut self) -> StorageResult<()> {
+    /// Replaces the whole log with `records` sealed as one commit group
+    /// (the checkpoint's rewrite). A file log is replaced by rename: the
+    /// snapshot goes to a sibling file, is synced, and is renamed over
+    /// the log, so a crash or an error at any point leaves either the
+    /// old log or the complete snapshot, never a prefix of it.
+    pub(crate) fn rewrite(&mut self, records: &[WalRecord]) -> StorageResult<()> {
+        let mut snapshot = Vec::new();
+        for record in records.iter().chain([&WalRecord::CommitBoundary]) {
+            #[cfg(test)]
+            inject(&mut self.faults.append, "append")?;
+            put_frame(&mut snapshot, &record.encode());
+        }
+        let len = snapshot.len() as u64;
         match &mut self.sink {
-            WalSink::File(f) => {
-                f.set_len(0)
-                    .map_err(|e| StorageError::WalIo(e.to_string()))?;
-                use std::io::Seek;
-                f.seek(std::io::SeekFrom::Start(0))
-                    .map_err(|e| StorageError::WalIo(e.to_string()))?;
+            WalSink::Memory(buf) => {
+                *buf = snapshot;
+                self.len_hint = len;
+                Ok(())
             }
-            WalSink::Memory(buf) => buf.clear(),
+            WalSink::File { file, path } => {
+                let mut temp = path.clone().into_os_string();
+                temp.push(".rewrite");
+                let temp = PathBuf::from(temp);
+                let replacement = write_synced(&temp, &snapshot)
+                    .and_then(|f| std::fs::rename(&temp, &*path).map(|()| f))
+                    .inspect_err(|_| {
+                        let _ = std::fs::remove_file(&temp);
+                    })
+                    .map_err(io_err)?;
+                // the renamed descriptor now names the log
+                *file = replacement;
+                self.len_hint = len;
+                sync_parent_dir(path).map_err(io_err)
+            }
         }
-        self.len_hint = 0;
-        Ok(())
     }
 
-    /// Reads every complete storage operation currently in the log,
-    /// skipping coordination frames (see [`Wal::replay_records`]).
-    pub fn replay(&mut self) -> StorageResult<Vec<WalOp>> {
-        Ok(self
-            .replay_records()?
-            .into_iter()
-            .filter_map(WalRecord::storage)
-            .collect())
-    }
-
-    /// Reads every complete record currently in the log.
+    /// Reads every complete record currently in the log (see
+    /// [`Wal::decode_records`]), skipping commit-boundary markers.
+    /// Callers that want only storage ops or only coordination
+    /// payloads filter with [`WalRecord::storage`] or
+    /// [`WalRecord::coordination`].
     ///
-    /// A torn *tail* (crash mid-append: a partial final frame, or a
-    /// final frame whose checksum does not verify) is **truncated
-    /// away**, so the log recovers to its last consistent prefix and
-    /// subsequent appends produce a clean log again. Corruption
-    /// *before* the final frame is reported as
-    /// [`StorageError::WalCorrupt`].
+    /// A damaged suffix (crash mid-append) is **truncated away**, so
+    /// the log recovers to its last consistent prefix and subsequent
+    /// appends produce a clean log again. Corruption the decode
+    /// reports is returned as [`StorageError::WalCorrupt`].
     pub fn replay_records(&mut self) -> StorageResult<Vec<WalRecord>> {
         let bytes = match &mut self.sink {
-            WalSink::File(f) => {
+            WalSink::File { file, .. } => {
                 let mut v = Vec::new();
-                use std::io::Seek;
-                f.seek(std::io::SeekFrom::Start(0))
-                    .map_err(|e| StorageError::WalIo(e.to_string()))?;
-                f.read_to_end(&mut v)
-                    .map_err(|e| StorageError::WalIo(e.to_string()))?;
+                file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+                file.read_to_end(&mut v).map_err(io_err)?;
                 v
             }
             WalSink::Memory(buf) => buf.clone(),
@@ -588,27 +598,15 @@ impl Wal {
             // torn tail: drop the partial frame so future appends are
             // framed correctly (append mode writes at the physical end)
             match &mut self.sink {
-                WalSink::File(f) => {
-                    f.set_len(consumed as u64)
-                        .map_err(|e| StorageError::WalIo(e.to_string()))?;
-                    f.sync_data()
-                        .map_err(|e| StorageError::WalIo(e.to_string()))?;
+                WalSink::File { file, .. } => {
+                    file.set_len(consumed as u64).map_err(io_err)?;
+                    file.sync_data().map_err(io_err)?;
                 }
                 WalSink::Memory(buf) => buf.truncate(consumed),
             }
             self.len_hint = consumed as u64;
         }
         Ok(records)
-    }
-
-    /// Decodes a raw byte stream of frames into storage ops, skipping
-    /// coordination frames (exposed for tests).
-    pub fn decode_stream(bytes: &[u8]) -> StorageResult<Vec<WalOp>> {
-        Ok(Self::decode_records(bytes)?
-            .0
-            .into_iter()
-            .filter_map(WalRecord::storage)
-            .collect())
     }
 
     /// Decodes a raw byte stream of frames, returning the records
@@ -682,19 +680,11 @@ impl Wal {
         Ok((records, offset))
     }
 
-    /// Raw length in bytes (memory sinks only; for tests).
-    pub fn raw_len(&self) -> Option<usize> {
-        match &self.sink {
-            WalSink::Memory(buf) => Some(buf.len()),
-            WalSink::File(_) => None,
-        }
-    }
-
     /// Current log size in bytes, for both sinks — served from the
     /// maintained length cache, so the group-commit writer's read after
     /// every sync costs no syscall (debug builds cross-check it against
     /// the sink).
-    pub fn len_bytes(&self) -> StorageResult<u64> {
+    pub(crate) fn len_bytes(&self) -> u64 {
         #[cfg(debug_assertions)]
         {
             // cross-check the cache against the sink's real length —
@@ -702,22 +692,45 @@ impl Wal {
             // only; skipped if the syscall itself fails)
             let actual = match &self.sink {
                 WalSink::Memory(buf) => Some(buf.len() as u64),
-                WalSink::File(f) => f.metadata().ok().map(|m| m.len()),
+                WalSink::File { file, .. } => file.metadata().ok().map(|m| m.len()),
             };
             if let Some(actual) = actual {
                 debug_assert_eq!(self.len_hint, actual, "len_hint out of sync with sink");
             }
         }
-        Ok(self.len_hint)
+        self.len_hint
     }
 
     /// Raw bytes (memory sinks only; for tests).
     pub fn raw_bytes(&self) -> Option<&[u8]> {
         match &self.sink {
             WalSink::Memory(buf) => Some(buf),
-            WalSink::File(_) => None,
+            WalSink::File { .. } => None,
         }
     }
+}
+
+/// Creates (or empties) `path`, writes `bytes` and syncs them. The
+/// handle is opened like [`Wal::open`]'s, for reading and appending.
+fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<File> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .read(true)
+        .open(path)?;
+    file.set_len(0)?;
+    file.write_all(bytes)?;
+    file.sync_data()?;
+    Ok(file)
+}
+
+/// Makes a rename inside `path`'s directory durable.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -733,6 +746,28 @@ mod tests {
             ],
             &["fno"],
         )
+    }
+
+    /// Appends each op as a storage record.
+    fn append_ops(wal: &mut Wal, ops: &[WalOp]) {
+        for op in ops {
+            wal.append_record(&WalRecord::Storage(op.clone())).unwrap();
+        }
+    }
+
+    /// The storage ops of a replay or decode, coordination skipped.
+    fn ops_of(records: Vec<WalRecord>) -> Vec<WalOp> {
+        records.into_iter().filter_map(WalRecord::storage).collect()
+    }
+
+    /// The storage ops a raw byte stream decodes to.
+    fn decode_ops(bytes: &[u8]) -> StorageResult<Vec<WalOp>> {
+        Ok(ops_of(Wal::decode_records(bytes)?.0))
+    }
+
+    /// The storage ops a replay yields (truncating a damaged suffix).
+    fn replay_ops(wal: &mut Wal) -> Vec<WalOp> {
+        ops_of(wal.replay_records().unwrap())
     }
 
     fn sample_ops() -> Vec<WalOp> {
@@ -764,10 +799,8 @@ mod tests {
     #[test]
     fn memory_wal_roundtrip() {
         let mut wal = Wal::in_memory();
-        for op in sample_ops() {
-            wal.append(&op).unwrap();
-        }
-        let replayed = wal.replay().unwrap();
+        append_ops(&mut wal, &sample_ops());
+        let replayed = replay_ops(&mut wal);
         assert_eq!(replayed, sample_ops());
     }
 
@@ -779,41 +812,35 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::open(&path).unwrap();
-            for op in sample_ops() {
-                wal.append(&op).unwrap();
-            }
+            append_ops(&mut wal, &sample_ops());
             wal.sync().unwrap();
         }
         // reopen and replay
         let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap(), sample_ops());
+        assert_eq!(replay_ops(&mut wal), sample_ops());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_final_frame_is_tolerated() {
         let mut wal = Wal::in_memory();
-        for op in sample_ops() {
-            wal.append(&op).unwrap();
-        }
+        append_ops(&mut wal, &sample_ops());
         let bytes = wal.raw_bytes().unwrap().to_vec();
         // chop off the last 3 bytes: final frame is torn
         let truncated = &bytes[..bytes.len() - 3];
-        let ops = Wal::decode_stream(truncated).unwrap();
+        let ops = decode_ops(truncated).unwrap();
         assert_eq!(ops.len(), sample_ops().len() - 1);
     }
 
     #[test]
     fn corruption_is_detected() {
         let mut wal = Wal::in_memory();
-        for op in sample_ops() {
-            wal.append(&op).unwrap();
-        }
+        append_ops(&mut wal, &sample_ops());
         let mut bytes = wal.raw_bytes().unwrap().to_vec();
         // flip a byte inside the first frame's payload
         bytes[10] ^= 0xff;
         assert!(matches!(
-            Wal::decode_stream(&bytes),
+            decode_ops(&bytes),
             Err(StorageError::WalCorrupt(_))
         ));
     }
@@ -821,53 +848,52 @@ mod tests {
     #[test]
     fn empty_log_replays_to_nothing() {
         let mut wal = Wal::in_memory();
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(replay_ops(&mut wal).is_empty());
     }
 
     #[test]
     fn coordination_frames_roundtrip_and_interleave() {
         let mut wal = Wal::in_memory();
-        wal.append(&sample_ops()[0]).unwrap();
-        wal.append_coordination(b"register q1").unwrap();
-        wal.append(&sample_ops()[1]).unwrap();
-        wal.append_coordination(b"").unwrap(); // empty payloads are legal
+        append_ops(&mut wal, &sample_ops()[..1]);
+        wal.append_record(&WalRecord::Coordination(b"register q1".to_vec()))
+            .unwrap();
+        append_ops(&mut wal, &sample_ops()[1..2]);
+        // empty payloads are legal
+        wal.append_record(&WalRecord::Coordination(Vec::new()))
+            .unwrap();
         let records = wal.replay_records().unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(records[1], WalRecord::Coordination(b"register q1".to_vec()));
         assert_eq!(records[3], WalRecord::Coordination(Vec::new()));
         // storage-only replay skips the coordination frames
-        assert_eq!(wal.replay().unwrap(), sample_ops()[..2].to_vec());
+        assert_eq!(replay_ops(&mut wal), sample_ops()[..2].to_vec());
     }
 
     #[test]
     fn torn_tail_is_truncated_so_appends_recover() {
         let mut wal = Wal::in_memory();
-        for op in sample_ops() {
-            wal.append(&op).unwrap();
-        }
+        append_ops(&mut wal, &sample_ops());
         let mut bytes = wal.raw_bytes().unwrap().to_vec();
         bytes.truncate(bytes.len() - 3); // tear the final frame
         let mut torn = Wal::from_bytes(bytes);
-        let ops = torn.replay().unwrap();
+        let ops = replay_ops(&mut torn);
         assert_eq!(ops.len(), sample_ops().len() - 1);
         // the torn bytes are gone: appending after replay yields a
         // clean log instead of mid-frame garbage
-        torn.append(&sample_ops()[0]).unwrap();
-        let ops = torn.replay().unwrap();
+        append_ops(&mut torn, &sample_ops()[..1]);
+        let ops = replay_ops(&mut torn);
         assert_eq!(ops.len(), sample_ops().len());
     }
 
     #[test]
     fn corrupt_final_frame_is_treated_as_torn() {
         let mut wal = Wal::in_memory();
-        for op in sample_ops() {
-            wal.append(&op).unwrap();
-        }
+        append_ops(&mut wal, &sample_ops());
         let mut bytes = wal.raw_bytes().unwrap().to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // checksum failure confined to the tail
         let mut torn = Wal::from_bytes(bytes);
-        assert_eq!(torn.replay().unwrap().len(), sample_ops().len() - 1);
+        assert_eq!(replay_ops(&mut torn).len(), sample_ops().len() - 1);
     }
 
     /// A marker log of two commit groups. Returns the bytes, the
@@ -876,18 +902,18 @@ mod tests {
     fn two_group_log() -> (Vec<u8>, usize, Vec<usize>) {
         let mut wal = Wal::in_memory();
         // group 1: create + one insert, sealed
-        wal.append(&sample_ops()[0]).unwrap();
-        wal.append(&sample_ops()[1]).unwrap();
-        wal.append_commit_boundary().unwrap();
-        let group1_end = wal.raw_len().unwrap();
+        append_ops(&mut wal, &sample_ops()[..1]);
+        append_ops(&mut wal, &sample_ops()[1..2]);
+        wal.append_record(&WalRecord::CommitBoundary).unwrap();
+        let group1_end = wal.raw_bytes().unwrap().len();
         // group 2: a multi-frame batch, sealed
         let mut frame_starts = Vec::new();
         for op in &sample_ops()[2..4] {
-            frame_starts.push(wal.raw_len().unwrap());
-            wal.append(op).unwrap();
+            frame_starts.push(wal.raw_bytes().unwrap().len());
+            append_ops(&mut wal, std::slice::from_ref(op));
         }
-        frame_starts.push(wal.raw_len().unwrap());
-        wal.append_commit_boundary().unwrap();
+        frame_starts.push(wal.raw_bytes().unwrap().len());
+        wal.append_record(&WalRecord::CommitBoundary).unwrap();
         (wal.raw_bytes().unwrap().to_vec(), group1_end, frame_starts)
     }
 
@@ -896,8 +922,7 @@ mod tests {
         let (bytes, _, _) = two_group_log();
         let (records, consumed) = Wal::decode_records(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
-        let ops: Vec<WalOp> = records.into_iter().filter_map(WalRecord::storage).collect();
-        assert_eq!(ops, sample_ops()[..4].to_vec());
+        assert_eq!(ops_of(records), sample_ops()[..4].to_vec());
     }
 
     #[test]
@@ -909,20 +934,14 @@ mod tests {
         bytes[frame_starts[0] + 8] ^= 0xff;
         let (records, consumed) = Wal::decode_records(&bytes).unwrap();
         assert_eq!(consumed, group1_end);
-        assert_eq!(
-            records
-                .into_iter()
-                .filter_map(WalRecord::storage)
-                .collect::<Vec<_>>(),
-            sample_ops()[..2].to_vec()
-        );
+        assert_eq!(ops_of(records), sample_ops()[..2].to_vec());
         // and the truncated log is appendable again
         let mut wal = Wal::from_bytes(bytes);
-        assert_eq!(wal.replay().unwrap().len(), 2);
-        assert_eq!(wal.raw_len(), Some(group1_end));
-        wal.append(&sample_ops()[4]).unwrap();
-        wal.append_commit_boundary().unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 3);
+        assert_eq!(replay_ops(&mut wal).len(), 2);
+        assert_eq!(wal.raw_bytes().map(<[u8]>::len), Some(group1_end));
+        append_ops(&mut wal, &sample_ops()[4..]);
+        wal.append_record(&WalRecord::CommitBoundary).unwrap();
+        assert_eq!(replay_ops(&mut wal).len(), 3);
     }
 
     #[test]
@@ -952,9 +971,7 @@ mod tests {
         // a v1 log (no markers anywhere) keeps its full contents and
         // the legacy tear semantics
         let mut wal = Wal::in_memory();
-        for op in sample_ops() {
-            wal.append(&op).unwrap();
-        }
+        append_ops(&mut wal, &sample_ops());
         let bytes = wal.raw_bytes().unwrap().to_vec();
         let (records, consumed) = Wal::decode_records(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
@@ -972,10 +989,10 @@ mod tests {
 
         let mut wal = Wal::open(&path).unwrap();
         // open reconciles the hint with the on-disk length as-is
-        assert_eq!(wal.len_bytes().unwrap(), (bytes.len() - 5) as u64);
+        assert_eq!(wal.len_bytes(), (bytes.len() - 5) as u64);
         // replay truncates the damaged group and the hint follows
         wal.replay_records().unwrap();
-        assert_eq!(wal.len_bytes().unwrap(), group1_end as u64);
+        assert_eq!(wal.len_bytes(), group1_end as u64);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             group1_end as u64,
@@ -984,19 +1001,21 @@ mod tests {
         drop(wal);
         // a later process observes the reconciled length directly
         let wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.len_bytes().unwrap(), group1_end as u64);
+        assert_eq!(wal.len_bytes(), group1_end as u64);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn schema_with_pk_survives_roundtrip() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalOp::CreateTable {
-            name: "T".into(),
-            schema: sample_schema(),
-        })
-        .unwrap();
-        match &wal.replay().unwrap()[0] {
+        append_ops(
+            &mut wal,
+            &[WalOp::CreateTable {
+                name: "T".into(),
+                schema: sample_schema(),
+            }],
+        );
+        match &replay_ops(&mut wal)[0] {
             WalOp::CreateTable { schema, .. } => {
                 assert_eq!(schema.primary_key(), &[0]);
                 assert!(schema.columns()[1].nullable);

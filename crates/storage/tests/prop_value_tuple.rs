@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use youtopia_storage::{Column, DataType, Schema, Table, Tuple, Value, Wal, WalOp};
+use youtopia_storage::{Column, DataType, Schema, Table, Tuple, Value, Wal, WalOp, WalRecord};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -130,14 +130,20 @@ proptest! {
     fn wal_roundtrips_arbitrary_op_sequences(ops in proptest::collection::vec(arb_wal_op(), 0..20)) {
         let mut wal = Wal::in_memory();
         for op in &ops {
-            wal.append(op).unwrap();
+            wal.append_record(&WalRecord::Storage(op.clone())).unwrap();
         }
-        prop_assert_eq!(wal.replay().unwrap(), ops);
+        let replayed: Vec<WalOp> = wal
+            .replay_records()
+            .unwrap()
+            .into_iter()
+            .filter_map(WalRecord::storage)
+            .collect();
+        prop_assert_eq!(replayed, ops);
     }
 
     #[test]
     fn wal_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Wal::decode_stream(&bytes);
+        let _ = Wal::decode_records(&bytes);
     }
 
     #[test]
@@ -147,13 +153,14 @@ proptest! {
     ) {
         let mut wal = Wal::in_memory();
         for op in &ops {
-            wal.append(op).unwrap();
+            wal.append_record(&WalRecord::Storage(op.clone())).unwrap();
         }
         let bytes = wal.raw_bytes().unwrap();
         let cut = (bytes.len() as f64 * cut_fraction) as usize;
         // a truncated log either decodes a prefix of the ops or reports
         // corruption; it must never panic or invent ops
-        if let Ok(decoded) = Wal::decode_stream(&bytes[..cut]) {
+        if let Ok((records, _)) = Wal::decode_records(&bytes[..cut]) {
+            let decoded: Vec<WalOp> = records.into_iter().filter_map(WalRecord::storage).collect();
             prop_assert!(decoded.len() <= ops.len());
             prop_assert_eq!(&decoded[..], &ops[..decoded.len()]);
         }

@@ -78,7 +78,7 @@ fn corpus_bytes() -> (Vec<u8>, Vec<usize>) {
     let mut boundaries = vec![0usize];
     for record in corpus_records() {
         wal.append_record(&record).unwrap();
-        boundaries.push(wal.raw_len().unwrap());
+        boundaries.push(wal.raw_bytes().unwrap().len());
     }
     (wal.raw_bytes().unwrap().to_vec(), boundaries)
 }
@@ -111,9 +111,14 @@ fn truncated_memory_wal_is_appendable_after_replay() {
         let mut wal = Wal::from_bytes(bytes[..cut].to_vec());
         let recovered = wal.replay_records().unwrap();
         assert_eq!(recovered.len(), corpus_records().len() - 1, "cut at {cut}");
-        assert_eq!(wal.raw_len(), Some(last_start), "torn bytes truncated");
+        assert_eq!(
+            wal.raw_bytes().map(<[u8]>::len),
+            Some(last_start),
+            "torn bytes truncated"
+        );
         // the log is clean again: appending and replaying roundtrips
-        wal.append_coordination(b"post-crash").unwrap();
+        wal.append_record(&WalRecord::Coordination(b"post-crash".to_vec()))
+            .unwrap();
         let replayed = wal.replay_records().unwrap();
         assert_eq!(replayed.len(), corpus_records().len());
         assert_eq!(
@@ -141,10 +146,10 @@ fn truncated_file_wal_is_truncated_on_disk_and_appendable() {
             assert_eq!(recovered.len(), corpus_records().len() - 1, "cut at {cut}");
             // the torn bytes are gone from disk
             assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, last_start);
-            wal.append(&WalOp::Delete {
+            wal.append_record(&WalRecord::Storage(WalOp::Delete {
                 table: "Flights".into(),
                 rid: 0,
-            })
+            }))
             .unwrap();
             wal.sync().unwrap();
         }
@@ -170,15 +175,15 @@ fn marker_corpus() -> (Vec<u8>, usize, Vec<usize>) {
     for record in &group1 {
         wal.append_record(record).unwrap();
     }
-    wal.append_commit_boundary().unwrap();
-    let group1_end = wal.raw_len().unwrap();
+    wal.append_record(&WalRecord::CommitBoundary).unwrap();
+    let group1_end = wal.raw_bytes().unwrap().len();
     let mut starts = Vec::new();
     for record in &group2 {
-        starts.push(wal.raw_len().unwrap());
+        starts.push(wal.raw_bytes().unwrap().len());
         wal.append_record(record).unwrap();
     }
-    starts.push(wal.raw_len().unwrap());
-    wal.append_commit_boundary().unwrap();
+    starts.push(wal.raw_bytes().unwrap().len());
+    wal.append_record(&WalRecord::CommitBoundary).unwrap();
     (wal.raw_bytes().unwrap().to_vec(), group1_end, starts)
 }
 
@@ -205,14 +210,15 @@ fn multi_frame_tear_rolls_back_to_the_last_commit_marker() {
                 .unwrap_or_else(|e| panic!("{shape}, torn frame at {frame}: {e}"));
             assert_eq!(recovered, group1, "{shape}, torn frame at {frame}");
             assert_eq!(
-                wal.raw_len(),
+                wal.raw_bytes().map(<[u8]>::len),
                 Some(group1_end),
                 "{shape}: truncated to the last commit boundary"
             );
             // a subsequent (marker-sealed, as the group-commit writer
             // always writes) append produces a clean log again
-            wal.append_coordination(b"post-crash").unwrap();
-            wal.append_commit_boundary().unwrap();
+            wal.append_record(&WalRecord::Coordination(b"post-crash".to_vec()))
+                .unwrap();
+            wal.append_record(&WalRecord::CommitBoundary).unwrap();
             let replayed = wal.replay_records().unwrap();
             assert_eq!(replayed.len(), group1.len() + 1);
             assert_eq!(
@@ -233,7 +239,7 @@ fn unsynced_group_without_its_marker_rolls_back_cleanly() {
     let mut wal = Wal::from_bytes(bytes[..starts[2]].to_vec());
     let recovered = wal.replay_records().unwrap();
     assert_eq!(recovered, all[..all.len() - 2]);
-    assert_eq!(wal.raw_len(), Some(group1_end));
+    assert_eq!(wal.raw_bytes().map(<[u8]>::len), Some(group1_end));
 }
 
 #[test]
@@ -251,7 +257,7 @@ fn corrupt_final_frame_with_trailing_garbage_recovers_on_marker_logs() {
     let mut wal = Wal::from_bytes(damaged);
     let recovered = wal.replay_records().unwrap();
     assert_eq!(recovered, all[..all.len() - 2]);
-    assert_eq!(wal.raw_len(), Some(group1_end));
+    assert_eq!(wal.raw_bytes().map(<[u8]>::len), Some(group1_end));
 
     // the same pattern on a legacy (marker-free) log stays loud: with
     // no boundary to roll back to it is indistinguishable from

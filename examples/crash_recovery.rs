@@ -16,7 +16,7 @@
 //! Exits non-zero (panics) if the recovered run diverges from the
 //! uncrashed one — CI runs this as the recovery smoke test.
 
-use youtopia::storage::Wal;
+use youtopia::storage::{Wal, WalRecord};
 use youtopia::travel::{run_crash_restart, CrashScenario};
 use youtopia::{ShardedConfig, ShardedCoordinator};
 
@@ -129,10 +129,12 @@ fn main() {
     // splice the torn group onto the synced log: two coordination
     // frames plus the marker, with the FIRST frame's payload damaged
     let mut side = Wal::in_memory();
-    side.append_coordination(&[0u8; 24]).expect("side frame k");
-    side.append_coordination(&[1u8; 16])
+    side.append_record(&WalRecord::Coordination(vec![0u8; 24]))
+        .expect("side frame k");
+    side.append_record(&WalRecord::Coordination(vec![1u8; 16]))
         .expect("side frame k+1");
-    side.append_commit_boundary().expect("side marker");
+    side.append_record(&WalRecord::CommitBoundary)
+        .expect("side marker");
     let mut group = side.raw_bytes().expect("memory sink").to_vec();
     group[8] ^= 0xff; // tear frame k; frame k+1 and the marker stay intact
     let mut bytes = std::fs::read(&wal_path).expect("read wal");

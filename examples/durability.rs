@@ -72,7 +72,7 @@ fn main() {
 
     // ---- session 2: recover and verify -------------------------------- //
     println!("session 2: recovering from the WAL");
-    let recovered =
+    let (recovered, _) =
         Database::recover(Wal::open(&wal_path).expect("reopen wal")).expect("replay succeeds");
     let StatementOutcome::Rows(rs) = run_sql(&recovered, "SELECT * FROM Reservation").unwrap()
     else {
@@ -95,7 +95,7 @@ fn main() {
     assert!(after < before, "dead updates were dropped");
 
     // the compacted log still recovers to the same state
-    let again = Database::recover(Wal::open(&wal_path).unwrap()).unwrap();
+    let (again, _) = Database::recover(Wal::open(&wal_path).unwrap()).unwrap();
     let StatementOutcome::Rows(rs2) = run_sql(&again, "SELECT COUNT(*) FROM Reservation").unwrap()
     else {
         unreachable!()

@@ -124,7 +124,7 @@ fn wal_recovery_preserves_coordinated_answers() {
     }
 
     // crash-restart: replay the WAL into a fresh database
-    let recovered = Database::recover(youtopia::storage::Wal::open(&path).unwrap()).unwrap();
+    let (recovered, _) = Database::recover(youtopia::storage::Wal::open(&path).unwrap()).unwrap();
     {
         let read = recovered.read();
         let reservation = read.table("Reservation").unwrap();
@@ -138,7 +138,8 @@ fn wal_recovery_preserves_coordinated_answers() {
 
     // checkpointing compacts the log without changing recovered state
     recovered.checkpoint().unwrap();
-    let after_checkpoint = Database::recover(youtopia::storage::Wal::open(&path).unwrap()).unwrap();
+    let (after_checkpoint, _) =
+        Database::recover(youtopia::storage::Wal::open(&path).unwrap()).unwrap();
     let read = after_checkpoint.read();
     assert_eq!(read.table("Reservation").unwrap().len(), 2);
     assert_eq!(read.table("Flights").unwrap().len(), 1);

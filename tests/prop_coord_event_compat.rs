@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
-use youtopia::storage::{Tuple, Value, Wal};
+use youtopia::storage::{Tuple, Value, Wal, WalRecord};
 use youtopia::{CoordEvent, MockClock, QueryId, RegStamp, ShardedConfig, ShardedCoordinator};
 
 fn pair_sql(me: &str, friend: &str) -> String {
@@ -187,12 +187,12 @@ proptest! {
 fn v1_wal_recovers_with_no_deadlines() {
     let mut wal = Wal::in_memory();
     for (qid, me, friend, seq) in [(1u64, "A", "GhostA", 1u64), (2, "B", "GhostB", 2)] {
-        wal.append_coordination(&v1_registered_bytes(
+        wal.append_record(&WalRecord::Coordination(v1_registered_bytes(
             &me.to_lowercase(),
             &pair_sql(me, friend),
             qid,
             seq,
-        ))
+        )))
         .unwrap();
     }
     let bytes = wal.raw_bytes().unwrap().to_vec();
@@ -216,10 +216,15 @@ fn v1_wal_recovers_with_no_deadlines() {
 #[test]
 fn mixed_v1_v2_wal_restores_per_query_deadlines() {
     let mut wal = Wal::in_memory();
-    wal.append_coordination(&v1_registered_bytes("a", &pair_sql("A", "GhostA"), 1, 1))
-        .unwrap();
-    wal.append_coordination(
-        &CoordEvent::QueryRegistered {
+    wal.append_record(&WalRecord::Coordination(v1_registered_bytes(
+        "a",
+        &pair_sql("A", "GhostA"),
+        1,
+        1,
+    )))
+    .unwrap();
+    wal.append_record(&WalRecord::Coordination(
+        CoordEvent::QueryRegistered {
             owner: "b".into(),
             sql: pair_sql("B", "GhostB"),
             qid: QueryId(2),
@@ -228,7 +233,7 @@ fn mixed_v1_v2_wal_restores_per_query_deadlines() {
             stamp: None,
         }
         .encode(),
-    )
+    ))
     .unwrap();
     let bytes = wal.raw_bytes().unwrap().to_vec();
 

@@ -504,10 +504,12 @@ proptest! {
         // frame torn — tear each frame in turn (frame k torn with
         // frame k+1 intact models the out-of-order persistence)
         let mut side = Wal::in_memory();
-        side.append_coordination(&[0u8; 24]).unwrap();
-        let frame_starts = [0usize, side.raw_len().unwrap()];
-        side.append_coordination(&[1u8; 16]).unwrap();
-        side.append_commit_boundary().unwrap();
+        side.append_record(&WalRecord::Coordination(vec![0u8; 24]))
+            .unwrap();
+        let frame_starts = [0usize, side.raw_bytes().unwrap().len()];
+        side.append_record(&WalRecord::Coordination(vec![1u8; 16]))
+            .unwrap();
+        side.append_record(&WalRecord::CommitBoundary).unwrap();
         let group = side.raw_bytes().unwrap().to_vec();
 
         for tear_at in frame_starts {
