@@ -22,12 +22,15 @@
 //! connection owns a bounded outbound queue: a response is written
 //! straight to the socket while the kernel accepts it, the remainder
 //! is queued, and `EPOLLOUT` interest is armed **only while the queue
-//! is non-empty**. A peer that stops reading while completions keep
-//! arriving fills its queue to [`ServerConfig::max_outbound_bytes`]
-//! and is shed — a best-effort [`ErrorCode::Backpressure`] frame, then
-//! disconnect — so one slow reader can no longer stall every session
-//! behind a shared writer lock. Shed sessions lose nothing durable:
-//! their pending queries stay registered and a `Resume` recovers them.
+//! is non-empty**. Every accepted socket sets `TCP_NODELAY`: each flush
+//! is already one `write_vectored`, and on an idle session Nagle only
+//! held a push behind the peer's delayed ACK (~40 ms). A peer that
+//! stops reading while completions keep arriving fills its queue to
+//! [`ServerConfig::max_outbound_bytes`] and is shed — a best-effort
+//! [`ErrorCode::Backpressure`] frame, then disconnect — so one slow
+//! reader can no longer stall every session behind a shared writer
+//! lock. Shed sessions lose nothing durable: their pending queries
+//! stay registered and a `Resume` recovers them.
 //!
 //! ## Commit-pending frames
 //!
@@ -47,7 +50,8 @@
 //! same tick — leave in one `write_vectored`. Held frames count against
 //! [`ServerConfig::max_outbound_bytes`]. If the writer fails, every
 //! held frame becomes an [`ErrorCode::Internal`] reply and its session
-//! closes. Without a WAL every stamp is 0 and nothing is held.
+//! closes. Without a WAL every stamp is 0, nothing is held, and each
+//! frame is written as it is queued.
 //!
 //! ## Tenancy and session tokens
 //!
@@ -547,6 +551,11 @@ impl Reactor {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Nagle would hold a small write behind an unacknowledged one
+        // until an idle peer's delayed ACK, ~40 ms later: a waiting
+        // session's `Done` push behind its `Accepted`. Each flush already
+        // hands everything queued to one `write_vectored`.
+        stream.set_nodelay(true).ok();
         if let Some(bytes) = self.config.send_buffer_bytes {
             let _ = set_send_buffer(stream.as_raw_fd(), bytes);
         }
