@@ -559,11 +559,13 @@ impl Registry {
             .map(|&(_, qid)| QueryId(qid))
             .collect()
     }
+}
 
-    /// All pending heads on `relation` regardless of constants (the
-    /// baseline lookup; also used by the naive matcher), in sorted
-    /// (deterministic) order.
-    pub fn heads_on_relation(&self, relation: &str) -> Vec<HeadRef> {
+#[cfg(test)]
+impl Registry {
+    /// All pending heads on `relation` regardless of constants, in
+    /// sorted (deterministic) order.
+    fn heads_on_relation(&self, relation: &str) -> Vec<HeadRef> {
         self.relations
             .get(&Self::rel_key(relation))
             .map_or_else(Vec::new, |rel| rel.heads.iter().collect())

@@ -184,8 +184,9 @@ impl ShardedCoordinator {
     }
 
     /// Runs `task(i)` for every `i in 0..tasks` on the worker pool: up
-    /// to [`ShardedConfig::workers`] scoped threads claiming indices
-    /// off a shared cursor, or inline when one worker suffices.
+    /// to [`ShardedConfig::workers`] claimants take indices off a
+    /// shared cursor — the calling thread and `workers - 1` scoped
+    /// threads — or the caller alone when one worker suffices.
     /// Results come back indexed by task.
     pub(super) fn fan_out<T: Send>(
         &self,
@@ -197,25 +198,23 @@ impl ShardedCoordinator {
             return (0..tasks).map(task).collect();
         }
         let cursor = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= tasks {
+                    return done;
+                }
+                done.push((i, task(i)));
+            }
+        };
         let claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= tasks {
-                                return done;
-                            }
-                            done.push((i, task(i)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pool worker panicked"))
-                .collect()
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+            let mut claimed = claim();
+            for h in handles {
+                claimed.extend(h.join().expect("pool worker panicked"));
+            }
+            claimed
         });
         let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
         for (i, result) in claimed {
@@ -324,6 +323,33 @@ mod tests {
                 (me, compile_sql(&sql), SubmitOptions::default())
             })
             .collect()
+    }
+
+    #[test]
+    fn fan_out_returns_results_indexed_by_task() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        use crate::shard::ShardedConfig;
+
+        for workers in [1, 2, 4] {
+            let config = ShardedConfig {
+                workers,
+                ..ShardedConfig::default()
+            };
+            let co = ShardedCoordinator::with_config(flights_db(), config);
+            // none, one, fewer than the workers, as many, and more
+            for tasks in [0, 1, workers - 1, workers, 3 * workers + 1] {
+                let runs = AtomicUsize::new(0);
+                let results = co.fan_out(tasks, |i| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    std::thread::yield_now();
+                    (i, i * i)
+                });
+                let expected: Vec<_> = (0..tasks).map(|i| (i, i * i)).collect();
+                assert_eq!(results, expected, "workers {workers}, tasks {tasks}");
+                assert_eq!(runs.into_inner(), tasks, "each task runs once");
+            }
+        }
     }
 
     #[test]

@@ -85,8 +85,9 @@
 //! batch of one. It safety-checks and admits the whole batch outside
 //! any lock, routes it in one router pass (bucketing after all unions,
 //! so intra-batch merges cannot strand an earlier entry), then drains
-//! each shard's bucket on a small worker pool — one scoped thread per
-//! busy shard, capped by
+//! each shard's bucket on a small worker pool: the calling thread
+//! takes a share itself beside one scoped thread per further busy
+//! shard, capped by
 //! [`ShardedConfig::workers`]. Within one shard the bucket is processed
 //! arrival-by-arrival — insert, match, cascade — which keeps per-shard
 //! semantics *identical* to a one-shard coordinator fed the same

@@ -1,9 +1,10 @@
 //! Recovery: rebuilding the coordinator — database, router, shards —
 //! from the WAL (see `docs/recovery.md`).
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use youtopia_storage::{Database, Wal};
 
@@ -17,6 +18,11 @@ use crate::registry::Pending;
 use super::router::signature;
 use super::{ShardedConfig, ShardedCoordinator, SharedApplyHook};
 
+/// Survivors per recompile task on the worker pool: enough that a
+/// task's claim and result vector cost nothing beside its compiles,
+/// few enough that the claimants finish close together.
+const RECOMPILE_CHUNK: usize = 256;
+
 impl ShardedCoordinator {
     /// Rebuilds a sharded coordinator (database **and** coordination
     /// state) from a WAL:
@@ -25,10 +31,15 @@ impl ShardedCoordinator {
     ///    included);
     /// 2. the coordination frames fold into the surviving pending set
     ///    (`registered − (matched ∪ cancelled ∪ expired)`);
-    /// 3. each survivor's SQL is re-compiled, routed through a rebuilt
-    ///    union-find router, and re-registered on its shard — with the
-    ///    same `seed ^ shard_id` RNG discipline as a fresh coordinator,
-    ///    so subsequent `CHOOSE` behavior is reproducible;
+    /// 3. the survivors' SQL is re-compiled in chunks on the worker
+    ///    pool (a compile failure reports the first failing survivor in
+    ///    seq order; each keeps the compact `namespaced` copy, since the
+    ///    parser's original holds over-allocated buffers that would
+    ///    raise peak RSS), routed in seq order through a rebuilt
+    ///    union-find router, and re-registered shard by shard on the
+    ///    pool — with the same `seed ^ shard_id` RNG discipline as a
+    ///    fresh coordinator, so subsequent `CHOOSE` behavior is
+    ///    reproducible;
     /// 4. a matching sweep re-runs arrivals that were logged but whose
     ///    match had not committed before the crash (those matches are
     ///    logged now, like any other).
@@ -80,15 +91,29 @@ impl ShardedCoordinator {
             ..RecoveryReport::default()
         };
 
-        // re-compile outside any lock; a failure means the log (or the
-        // compiler) changed underneath us, which recovery must surface
+        // re-compile outside any lock, in contiguous chunks on the
+        // worker pool; a failure means the log (or the compiler)
+        // changed underneath us, which recovery must surface — the
+        // first in seq order, as a one-by-one rebuild would. Each
+        // survivor keeps the compact `namespaced` copy: the parser's
+        // over-allocated original is dropped inside the task.
+        let chunks: Vec<_> = replayed.survivors.chunks(RECOMPILE_CHUNK).collect();
+        let compiled = co.fan_out(chunks.len(), |c| {
+            chunks[c]
+                .iter()
+                .map(|s| compile_sql(&s.sql).map(|q| q.namespaced(s.qid)))
+                .collect::<Vec<_>>()
+        });
         let mut restored: Vec<Pending> = Vec::with_capacity(replayed.survivors.len());
-        for survivor in replayed.survivors {
-            let query = compile_sql(&survivor.sql)?;
+        for (survivor, query) in replayed
+            .survivors
+            .into_iter()
+            .zip(compiled.into_iter().flatten())
+        {
             restored.push(Pending {
                 id: survivor.qid,
                 owner: survivor.owner,
-                query: query.namespaced(survivor.qid),
+                query: query?,
                 seq: survivor.seq,
                 deadline: survivor.deadline,
             });
@@ -98,27 +123,30 @@ impl ShardedCoordinator {
         // survivor on its final shard. Routing first and inserting
         // after means intra-rebuild component merges never migrate
         // anything (the registries are still empty), exactly like the
-        // batch path's route-then-bucket discipline.
+        // batch path's route-then-bucket discipline. Each shard's
+        // bucket then registers under its own lock on the worker pool,
+        // in seq order within the shard.
+        let mut buckets: Vec<Mutex<Vec<Pending>>> =
+            (0..co.shards.len()).map(|_| Mutex::default()).collect();
         {
             let mut router = co.router.lock();
             for p in &restored {
                 let _ = router.route(p.id, &signature(&p.query));
             }
-            let mut by_shard: HashMap<usize, Vec<Pending>> = HashMap::new();
             for p in restored {
                 let shard = router
                     .shard_of_query(p.id)
                     .expect("survivor was routed in this pass");
-                by_shard.entry(shard).or_default().push(p);
-            }
-            for (shard, entries) in by_shard {
-                let mut state = co.shard_lock(shard);
-                for p in entries {
-                    state.stats.submitted += 1;
-                    state.registry.insert(p);
-                }
+                buckets[shard].get_mut().push(p);
             }
         }
+        co.fan_out(buckets.len(), |shard| {
+            let mut state = co.shard_lock(shard);
+            for p in std::mem::take(&mut *buckets[shard].lock()) {
+                state.stats.submitted += 1;
+                state.registry.insert(p);
+            }
+        });
 
         // re-run matching for arrivals that were logged but not yet
         // matched; any match that fires commits and logs normally
@@ -138,15 +166,175 @@ impl ShardedCoordinator {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use youtopia_storage::Wal;
 
-    use crate::coordinator::Submission;
+    use crate::compile::compile_sql;
+    use crate::coordinator::{RecoveryReport, Submission};
     use crate::engine::{Ack, CoordEvent};
+    use crate::error::CoreResult;
     use crate::future::{CoordinationFuture, CoordinationOutcome};
     use crate::ir::QueryId;
-    use crate::lifecycle::SubmitOptions;
+    use crate::lifecycle::{MockClock, SubmitOptions};
     use crate::shard::testing::*;
     use crate::shard::{ShardedConfig, ShardedCoordinator};
+
+    use super::RECOMPILE_CHUNK;
+
+    /// Recovers `bytes` on four shards with `workers` pool threads, at
+    /// clock instant 2 000.
+    fn recover_on(
+        bytes: &[u8],
+        workers: usize,
+    ) -> CoreResult<(ShardedCoordinator, RecoveryReport)> {
+        let config = ShardedConfig {
+            shards: 4,
+            workers,
+            ..ShardedConfig::default()
+        };
+        ShardedCoordinator::recover_with(
+            Wal::from_bytes(bytes.to_vec()),
+            config,
+            None,
+            Arc::new(MockClock::new(2_000)),
+        )
+    }
+
+    fn registered(qid: u64, sql: String) -> Vec<u8> {
+        CoordEvent::QueryRegistered {
+            owner: format!("u{qid}"),
+            sql,
+            qid: QueryId(qid),
+            seq: qid,
+            deadline: None,
+            stamp: None,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn parallel_rebuild_matches_the_serial_one() {
+        // 1 200 first halves over 8 relations, every fifth with a
+        // deadline (every tenth already past due at recovery), plus
+        // one matched pair, one cancel, and a logged-but-unmatched pair
+        // for the sweep to close
+        const N: usize = 1_200;
+        let db = flights_db_wal();
+        let config = ShardedConfig {
+            shards: 4,
+            ..ShardedConfig::default()
+        };
+        let co =
+            ShardedCoordinator::with_clock(db.clone(), config, Arc::new(MockClock::new(1_000)));
+        let requests = (0..N)
+            .map(|i| {
+                let deadline = match i % 10 {
+                    0 => Some(1_500),
+                    5 => Some(1_000_000),
+                    _ => None,
+                };
+                let sql = pair_sql_on(&format!("Res{}", i % 8), &format!("U{i}"), &format!("G{i}"));
+                (
+                    format!("u{i}"),
+                    compile_sql(&sql),
+                    SubmitOptions { deadline },
+                )
+            })
+            .collect();
+        for outcome in co.submit(requests, Ack::Wait) {
+            outcome.expect("every first half registers");
+        }
+        co.submit_sql("m1", &pair_sql_on("Done", "M1", "M2"))
+            .unwrap();
+        co.submit_sql("m2", &pair_sql_on("Done", "M2", "M1"))
+            .unwrap();
+        co.cancel(QueryId(3)).unwrap();
+        drop(co);
+        db.append_coordination_batch(&[
+            registered(5_001, pair_sql_on("Late", "X", "Y")),
+            registered(5_002, pair_sql_on("Late", "Y", "X")),
+        ])
+        .unwrap();
+        let bytes = db.wal_bytes().unwrap();
+        // the recompile spans more chunks than workers
+        const _: () = assert!(N > 4 * RECOMPILE_CHUNK);
+
+        let (serial, serial_report) = recover_on(&bytes, 1).unwrap();
+        let (parallel, parallel_report) = recover_on(&bytes, 4).unwrap();
+        assert_eq!(serial_report.restored_pending, N + 1);
+        assert_eq!(serial_report.rematched_groups, 1);
+        assert_eq!(serial_report.expired_at_recovery, N / 10);
+        assert_eq!(
+            serial_report.restored_pending,
+            parallel_report.restored_pending
+        );
+        assert_eq!(
+            serial_report.rematched_groups,
+            parallel_report.rematched_groups
+        );
+        assert_eq!(
+            serial_report.expired_at_recovery,
+            parallel_report.expired_at_recovery
+        );
+        assert_eq!(serial.pending_snapshot(), parallel.pending_snapshot());
+        assert_eq!(serial.pending_per_shard(), parallel.pending_per_shard());
+        assert_eq!(serial.stats().submitted, parallel.stats().submitted);
+        parallel.check_routing_invariants().unwrap();
+
+        // the next allocation, then partners closing every 7th pair
+        let next = |co: &ShardedCoordinator| {
+            co.submit_sql("n", &pair_sql_on("Next", "N", "Nobody"))
+                .unwrap()
+                .id()
+        };
+        assert_eq!(next(&serial), next(&parallel));
+        for i in (1..N).step_by(7).filter(|i| i % 10 != 0) {
+            let sql = pair_sql_on(&format!("Res{}", i % 8), &format!("G{i}"), &format!("U{i}"));
+            let a = serial.submit_sql(&format!("g{i}"), &sql).unwrap();
+            let b = parallel.submit_sql(&format!("g{i}"), &sql).unwrap();
+            assert_eq!(a.id(), b.id());
+            assert_eq!(
+                matches!(a, Submission::Answered(_)),
+                matches!(b, Submission::Answered(_)),
+                "pair {i} closes the same way"
+            );
+        }
+        for rel in (0..8)
+            .map(|k| format!("Res{k}"))
+            .chain(["Done".into(), "Late".into()])
+        {
+            assert_eq!(serial.answers(&rel), parallel.answers(&rel), "{rel}");
+        }
+        assert_eq!(serial.pending_snapshot(), parallel.pending_snapshot());
+    }
+
+    #[test]
+    fn parallel_rebuild_reports_the_first_compile_error_in_seq_order() {
+        const N: u64 = 3 * RECOMPILE_CHUNK as u64;
+        let (early, late) = (10, N - 10);
+        let bad = |qid: u64| format!("SELECT 'K', t{qid}.x INTO ANSWER R CHOOSE 1");
+        let db = flights_db_wal();
+        let frames: Vec<Vec<u8>> = (1..=N)
+            .map(|qid| {
+                let sql = if qid == early || qid == late {
+                    bad(qid)
+                } else {
+                    pair_sql_on(&format!("Res{}", qid % 3), &format!("U{qid}"), "G")
+                };
+                registered(qid, sql)
+            })
+            .collect();
+        db.append_coordination_batch(&frames).unwrap();
+        let bytes = db.wal_bytes().unwrap();
+
+        let expected = compile_sql(&bad(early)).unwrap_err();
+        assert_ne!(expected, compile_sql(&bad(late)).unwrap_err());
+        for workers in [1, 4] {
+            let err = recover_on(&bytes, workers).err().expect("recovery fails");
+            assert_eq!(err, expected, "workers = {workers}");
+        }
+    }
 
     #[test]
     fn recover_restores_shards_router_and_completes_pairs() {

@@ -190,7 +190,7 @@ impl Subst {
     }
 
     /// Unifies two equal-length tuples of terms.
-    pub fn unify_tuples(&mut self, a: &[Term], b: &[Term]) -> bool {
+    fn unify_tuples(&mut self, a: &[Term], b: &[Term]) -> bool {
         if a.len() != b.len() {
             return false;
         }
@@ -231,9 +231,12 @@ impl Subst {
             })
             .collect()
     }
+}
 
-    /// Number of variable classes tracked (diagnostics).
-    pub fn tracked_vars(&self) -> usize {
+#[cfg(test)]
+impl Subst {
+    /// Number of variable classes tracked.
+    fn tracked_vars(&self) -> usize {
         let mut roots: std::collections::HashSet<Var> = std::collections::HashSet::new();
         for v in self.parent.keys() {
             roots.insert(self.root(v));

@@ -477,7 +477,8 @@ impl Expr {
     }
 
     /// Rebuilds a conjunction from conjuncts (returns `None` when empty).
-    pub fn conjoin(exprs: Vec<Expr>) -> Option<Expr> {
+    #[cfg(test)]
+    fn conjoin(exprs: Vec<Expr>) -> Option<Expr> {
         exprs.into_iter().reduce(|acc, e| acc.and(e))
     }
 }

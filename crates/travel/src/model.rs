@@ -5,7 +5,9 @@
 //! hotels, users and the friend graph).
 
 use youtopia_exec::{run_sql, StatementOutcome};
-use youtopia_storage::{Database, Tuple, Value};
+#[cfg(test)]
+use youtopia_storage::Value;
+use youtopia_storage::{Database, Tuple};
 
 use crate::error::{TravelError, TravelResult};
 
@@ -184,7 +186,8 @@ pub fn sql_str(s: &str) -> String {
 }
 
 /// Renders a `Value` for SQL text generation.
-pub fn sql_value(v: &Value) -> String {
+#[cfg(test)]
+fn sql_value(v: &Value) -> String {
     v.sql_literal()
 }
 

@@ -250,7 +250,8 @@ impl WorkloadGen {
     }
 
     /// A flight+hotel pair request (two answer relations per query).
-    pub fn pair_flight_hotel(me: &str, friend: &str, dest: &str) -> Request {
+    #[cfg(test)]
+    fn pair_flight_hotel(me: &str, friend: &str, dest: &str) -> Request {
         Request {
             owner: me.to_string(),
             sql: format!(
