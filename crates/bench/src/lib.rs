@@ -319,35 +319,16 @@ mod tests {
         );
     }
 
-    /// E10's pair close on 200 standing queries, with the constant
-    /// index and forward checking set as given.
-    fn ablation_close(use_const_index: bool, fc: bool) -> MatchStats {
-        let config = CoordinatorConfig {
-            use_const_index,
-            ..forward_checking(fc)
-        };
-        let (co, mut gen) = paris(29, 200, config);
+    /// E10's pair close on 200 standing queries, with forward checking
+    /// set as given.
+    fn ablation_close(fc: bool) -> MatchStats {
+        let (co, mut gen) = paris(29, 200, forward_checking(fc));
         preload_noise(&co, &mut gen, 200, "Paris");
         let pair = |me, friend| WorkloadGen::pair_request(me, friend, "Paris");
         close_work(
             &co,
             vec![pair("probeA", "probeB"), pair("probeB", "probeA")],
         )
-    }
-
-    /// E10, constant index: with it on the close considers and unifies
-    /// the partner's head alone (2), with it off every standing head
-    /// (346), under either forward-checking setting.
-    #[test]
-    fn ablation_const_index_cuts_candidate_work() {
-        for fc in [true, false] {
-            let (on, off) = (ablation_close(true, fc), ablation_close(false, fc));
-            assert!(
-                on.candidates_considered < off.candidates_considered,
-                "fc {fc}"
-            );
-            assert!(on.unify_attempts < off.unify_attempts, "fc {fc}");
-        }
     }
 
     /// E10, forward checking. On E10's own workloads nothing
@@ -361,8 +342,8 @@ mod tests {
     /// 148 000.
     #[test]
     fn forward_checking_pays_only_where_grounding_backtracks() {
-        let on = ablation_close(true, true).rows_scanned;
-        let off = ablation_close(true, false).rows_scanned;
+        let on = ablation_close(true).rows_scanned;
+        let off = ablation_close(false).rows_scanned;
         assert!(on > off, "E10 pair: {on} vs {off}");
         let group_of_8 = |fc| {
             let (co, mut gen) = paris(13, 100, forward_checking(fc));

@@ -46,8 +46,6 @@ pub struct CoordinatorConfig {
     pub safety: SafetyMode,
     /// Matcher tuning (group-size bound, forward checking, randomize).
     pub match_config: MatchConfig,
-    /// Use the registry's constant-position index (E10 ablation).
-    pub use_const_index: bool,
     /// Which matcher runs on arrival.
     pub matcher: MatcherKind,
     /// RNG seed for the nondeterministic `CHOOSE`.
@@ -62,7 +60,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             safety: SafetyMode::Relaxed,
             match_config: MatchConfig::default(),
-            use_const_index: true,
             matcher: MatcherKind::Incremental,
             seed: 0xD3C0_FFEE,
             audit: AuditConfig::default(),

@@ -488,14 +488,9 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(use_const_index: bool, seed: u64) -> ShardState {
-        let registry = if use_const_index {
-            Registry::new()
-        } else {
-            Registry::without_const_index()
-        };
+    pub(crate) fn new(seed: u64) -> ShardState {
         ShardState {
-            registry,
+            registry: Registry::new(),
             memberships: MembershipCache::default(),
             rng: StdRng::seed_from_u64(seed),
             stats: SystemStats::default(),
@@ -826,9 +821,6 @@ impl Engine {
     /// "no" when no provider can exist.
     pub(crate) fn prunable_triggers(&self, state: &ShardState) -> HashSet<QueryId> {
         let mut out = HashSet::new();
-        if !state.registry.uses_const_index() {
-            return out; // index ablation: sweep every trigger
-        }
         let read = self.db.read();
         let rels = state.registry.iter().flat_map(|p| {
             p.query
@@ -1464,24 +1456,23 @@ mod tests {
                 1..5,
             ),
         ) {
-            for mut registry in [Registry::new(), Registry::without_const_index()] {
-                for (i, constraints) in queries.iter().enumerate() {
-                    registry.insert(waiting_query(i as u64 + 1, constraints));
-                }
-                let mut by_index = Vec::new();
-                for (fresh, toggles) in &rounds {
-                    cascade_triggers(&registry, fresh, &mut by_index);
-                    prop_assert_eq!(&by_index, &cascade_triggers_by_walk(&registry, fresh));
-                    // removes and re-inserts between rounds
-                    for &t in toggles {
-                        let i = t % queries.len();
-                        let qid = QueryId(i as u64 + 1);
-                        if registry.remove(qid).is_none() {
-                            registry.insert(waiting_query(qid.0, &queries[i]));
-                        }
+            let mut registry = Registry::new();
+            for (i, constraints) in queries.iter().enumerate() {
+                registry.insert(waiting_query(i as u64 + 1, constraints));
+            }
+            let mut by_index = Vec::new();
+            for (fresh, toggles) in &rounds {
+                cascade_triggers(&registry, fresh, &mut by_index);
+                prop_assert_eq!(&by_index, &cascade_triggers_by_walk(&registry, fresh));
+                // removes and re-inserts between rounds
+                for &t in toggles {
+                    let i = t % queries.len();
+                    let qid = QueryId(i as u64 + 1);
+                    if registry.remove(qid).is_none() {
+                        registry.insert(waiting_query(qid.0, &queries[i]));
                     }
-                    registry.check_index_invariants();
                 }
+                registry.check_index_invariants();
             }
         }
     }

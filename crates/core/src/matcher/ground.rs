@@ -972,7 +972,7 @@ mod tests {
 
     #[test]
     fn dropping_an_index_invalidates_cached_rows() {
-        use youtopia_storage::{Column, DataType, IndexKind, RowId, Schema};
+        use youtopia_storage::{Column, DataType, RowId, Schema};
         let mut catalog = Catalog::new();
         let schema = Schema::with_primary_key(
             vec![
@@ -988,9 +988,7 @@ mod tests {
                 .insert(Tuple::new(vec![Value::Int(fno), Value::from(dest)]))
                 .unwrap();
         }
-        flights
-            .create_index("by_dest", &["dest"], false, IndexKind::Hash)
-            .unwrap();
+        flights.create_index("by_dest", &["dest"], false).unwrap();
         // moving flight 2 to Paris appends it to the index posting, so
         // the index probe and the full scan disagree on order
         flights

@@ -32,7 +32,7 @@
 //!   constant-position index and unification-guided candidate pruning;
 //! * [`baseline::match_query_naive`] — the obvious algorithm: enumerate
 //!   subsets of the pending set by increasing size and test each. It is
-//!   the comparison baseline for experiment E7/E10.
+//!   the comparison baseline for experiment E7.
 
 pub mod baseline;
 pub(crate) mod committed;

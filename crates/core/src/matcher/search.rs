@@ -137,7 +137,7 @@ pub(crate) fn match_query_with(
         .filter(|c| !c.negated)
         .map(|c| &c.atom)
         .collect();
-    if registry.uses_const_index() && !atoms.is_empty() {
+    if !atoms.is_empty() {
         let mut scan = CandidateScan::default();
         let mut batch: Vec<Vec<HeadRef>> = Vec::with_capacity(atoms.len());
         registry.candidates_for_batch(&atoms, &mut batch, &mut scan);

@@ -7,24 +7,19 @@
 //! and answer constraints:
 //!
 //! * the **candidate index** answers the matcher's question *which
-//!   pending heads could satisfy this answer constraint?* Two lookup
-//!   paths exist, switchable for the ablation experiment (E10 of the
-//!   `experiments` binary; see `docs/matching.md`, "The candidate
-//!   index"): the *relation lookup* returns all heads contributed to the
-//!   constraint's answer relation (the baseline); the *constant-position
-//!   index* keeps, for every position where the constraint has a
-//!   constant, only heads carrying the same constant or a variable
-//!   there. That typically cuts candidates from *all queries on the
-//!   relation* to *the handful naming the right partner* (e.g. the index
-//!   on position 0 of `Reservation('Jerry', ?fno)` returns only Jerry's
-//!   own queries).
+//!   pending heads could satisfy this answer constraint?* (see
+//!   `docs/matching.md`, "The candidate index"). For every position
+//!   where the constraint has a constant, it keeps only heads carrying
+//!   the same constant or a variable there. That typically cuts
+//!   candidates from *all queries on the relation* to *the handful
+//!   naming the right partner* (e.g. the index on position 0 of
+//!   `Reservation('Jerry', ?fno)` returns only Jerry's own queries).
 //! * the **waiting index** answers the cascade's mirror question *which
 //!   pending queries could this committed tuple satisfy?*
 //!   ([`Registry::waiting_on`]). Every positive answer constraint is
 //!   filed once, under its relation and its first constant position, or
 //!   in the relation's unkeyed list when it has no constant
-//!   (`docs/matching.md`, "The waiting index"). It is always on: the
-//!   E10 ablation concerns the head side only.
+//!   (`docs/matching.md`, "The waiting index").
 //!
 //! Both key constants through `index_key`, so values that unify
 //! (`Int(3)` and `Float(3.0)`) share a posting and every lookup stays a
@@ -230,29 +225,12 @@ pub struct Registry {
     /// `min_deadline` is a first-element peek and `due_before` a range
     /// scan, never a registry walk.
     deadlines: BTreeSet<(u64, u64)>,
-    use_const_index: bool,
 }
 
 impl Registry {
-    /// A registry with the constant-position index enabled.
+    /// An empty registry.
     pub fn new() -> Registry {
-        Registry {
-            use_const_index: true,
-            ..Registry::default()
-        }
-    }
-
-    /// A registry using plain relation lookups (the E10 baseline).
-    pub fn without_const_index() -> Registry {
-        Registry {
-            use_const_index: false,
-            ..Registry::default()
-        }
-    }
-
-    /// Whether the constant-position index is active.
-    pub fn uses_const_index(&self) -> bool {
-        self.use_const_index
+        Registry::default()
     }
 
     fn rel_key(relation: &str) -> String {
@@ -442,17 +420,15 @@ impl Registry {
         if rel.heads.is_empty() {
             return false;
         }
-        if self.use_const_index {
-            for (pos, term) in constraint.terms.iter().enumerate() {
-                let Term::Const(v) = term else { continue };
-                let consts_empty = rel
-                    .by_const
-                    .get(pos)
-                    .and_then(|m| m.get(&*index_key(v)))
-                    .is_none_or(Posting::is_empty);
-                if consts_empty && rel.by_var.get(pos).is_none_or(Posting::is_empty) {
-                    return false;
-                }
+        for (pos, term) in constraint.terms.iter().enumerate() {
+            let Term::Const(v) = term else { continue };
+            let consts_empty = rel
+                .by_const
+                .get(pos)
+                .and_then(|m| m.get(&*index_key(v)))
+                .is_none_or(Posting::is_empty);
+            if consts_empty && rel.by_var.get(pos).is_none_or(Posting::is_empty) {
+                return false;
             }
         }
         true
@@ -471,31 +447,29 @@ impl Registry {
         scan: &mut CandidateScan,
     ) {
         // (const-postings, var-postings) per constant position of
-        // the constraint; empty when the const index is ablated off.
+        // the constraint
         let mut pos_sets: Vec<PostingPair<'_>> = Vec::new();
         let mut driver = 0usize;
         let mut driver_len = usize::MAX;
-        if self.use_const_index {
-            for (pos, term) in constraint.terms.iter().enumerate() {
-                let Term::Const(v) = term else { continue };
-                let cs = rel.by_const.get(pos).and_then(|m| m.get(&*index_key(v)));
-                let vs = rel.by_var.get(pos);
-                let len = cs.map_or(0, Posting::len) + vs.map_or(0, Posting::len);
-                if len == 0 {
-                    // no head is compatible at this position: nothing
-                    // to walk, so nothing is counted
-                    return;
-                }
-                if len < driver_len {
-                    driver = pos_sets.len();
-                    driver_len = len;
-                }
-                pos_sets.push((cs, vs));
+        for (pos, term) in constraint.terms.iter().enumerate() {
+            let Term::Const(v) = term else { continue };
+            let cs = rel.by_const.get(pos).and_then(|m| m.get(&*index_key(v)));
+            let vs = rel.by_var.get(pos);
+            let len = cs.map_or(0, Posting::len) + vs.map_or(0, Posting::len);
+            if len == 0 {
+                // no head is compatible at this position: nothing
+                // to walk, so nothing is counted
+                return;
             }
+            if len < driver_len {
+                driver = pos_sets.len();
+                driver_len = len;
+            }
+            pos_sets.push((cs, vs));
         }
         if pos_sets.is_empty() {
-            // no constant positions (or index ablated): every head on
-            // the relation is a candidate, modulo arity
+            // no constant positions: every head on the relation is a
+            // candidate, modulo arity
             for href in rel.heads.iter() {
                 scan.scanned += 1;
                 if self
@@ -654,17 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_returns_all_relation_heads() {
-        let mut reg = Registry::without_const_index();
-        reg.insert(kramer(1));
-        reg.insert(jerry(2));
-        let constraint = &reg.get(QueryId(1)).unwrap().query.constraints[0].atom;
-        // baseline: both heads on Reservation are candidates
-        assert_eq!(reg.candidates_for(constraint).len(), 2);
-        assert!(!reg.uses_const_index());
-    }
-
-    #[test]
     fn variable_positions_stay_candidates() {
         let mut reg = Registry::new();
         // a head with a variable traveler name matches any constant
@@ -810,13 +773,6 @@ mod tests {
         // the probe never prunes anything candidates_for would return
         assert!(reg.candidates_for(&ghost_name).is_empty());
         assert!(!reg.candidates_for(&matchable).is_empty());
-        // ablated index: probe falls back to relation emptiness only
-        let mut base = Registry::without_const_index();
-        base.insert(jerry(1));
-        assert!(
-            base.has_candidates(&ghost_name),
-            "no index, stays conservative"
-        );
     }
 
     #[test]
@@ -1113,10 +1069,7 @@ mod tests {
         /// waiting, deadline) equal the ones a fresh registry builds from
         /// the pending queries alone.
         pub(crate) fn check_index_invariants(&self) {
-            let mut rebuilt = Registry {
-                use_const_index: self.use_const_index,
-                ..Registry::default()
-            };
+            let mut rebuilt = Registry::new();
             for pending in self.queries.values() {
                 rebuilt.insert(pending.clone());
             }

@@ -306,10 +306,7 @@ impl ShardedCoordinator {
         ShardedCoordinator {
             shards: (0..shards)
                 .map(|i| ShardSlot {
-                    state: Mutex::new(ShardState::new(
-                        config.base.use_const_index,
-                        config.base.seed ^ i as u64,
-                    )),
+                    state: Mutex::new(ShardState::new(config.base.seed ^ i as u64)),
                     pending: AtomicUsize::new(0),
                     min_deadline: AtomicU64::new(u64::MAX),
                     stats: Mutex::default(),
@@ -352,11 +349,6 @@ impl ShardedCoordinator {
     /// The per-shard coordinator configuration.
     pub fn config(&self) -> &CoordinatorConfig {
         &self.engine.config
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Locks one shard; the returned guard publishes the shard on drop.
@@ -721,6 +713,14 @@ type HookDyn<'a> = &'a dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()
 fn hook_ref(hook: &Option<SharedApplyHook>) -> Option<HookDyn<'_>> {
     hook.as_ref()
         .map(|h| h.as_ref() as &dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>)
+}
+
+#[cfg(test)]
+impl ShardedCoordinator {
+    /// Number of shards.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
 }
 
 /// Fixtures shared by the crate's unit tests.

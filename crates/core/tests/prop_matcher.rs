@@ -253,7 +253,7 @@ proptest! {
         scenario in arb_multi_scenario(),
         constraint in arb_constraint(),
     ) {
-        let reg = registry_for_multi(&scenario, true);
+        let reg = registry_for_multi(&scenario);
         let candidates = reg.candidates_for(&constraint);
         // brute force: every pending head that unifies must be listed
         for pending in reg.iter() {
@@ -325,12 +325,8 @@ fn multi_pair_sql(me: &Value, friend: &Value, dest: &str, rel: &str) -> String {
     )
 }
 
-fn registry_for_multi(scenario: &MultiScenario, use_const_index: bool) -> Registry {
-    let mut reg = if use_const_index {
-        Registry::new()
-    } else {
-        Registry::without_const_index()
-    };
+fn registry_for_multi(scenario: &MultiScenario) -> Registry {
+    let mut reg = Registry::new();
     for (i, (me, friend, dest, rel)) in scenario.requests.iter().enumerate() {
         let id = QueryId(i as u64 + 1);
         let q = compile_sql(&multi_pair_sql(me, friend, dest, rel))
@@ -361,34 +357,31 @@ proptest! {
             randomize: false,
             ..MatchConfig::default()
         };
-        for use_const_index in [true, false] {
-            let reg = registry_for_multi(&scenario, use_const_index);
-            for trigger in 1..=scenario.requests.len() as u64 {
-                let mut rng1 = StdRng::seed_from_u64(seed);
-                let mut rng2 = StdRng::seed_from_u64(seed);
-                let mut s1 = MatchStats::default();
-                let mut s2 = MatchStats::default();
-                let staged = match_query(
-                    &reg, read.catalog(), QueryId(trigger), &config, &mut rng1, &mut s1,
-                )
-                .unwrap();
-                let naive = match_query_naive(
-                    &reg, read.catalog(), QueryId(trigger), &config, &mut rng2, &mut s2,
-                )
-                .unwrap();
-                // Observational equality: same matchability, and when a
-                // match exists, the *same* match — members and per-member
-                // answers — so the registry retains the same pending set
-                // after either matcher applies it.
-                prop_assert_eq!(
-                    &staged,
-                    &naive,
-                    "staged vs naive diverge (use_const_index={}) on trigger {} in {:?}",
-                    use_const_index,
-                    trigger,
-                    &scenario
-                );
-            }
+        let reg = registry_for_multi(&scenario);
+        for trigger in 1..=scenario.requests.len() as u64 {
+            let mut rng1 = StdRng::seed_from_u64(seed);
+            let mut rng2 = StdRng::seed_from_u64(seed);
+            let mut s1 = MatchStats::default();
+            let mut s2 = MatchStats::default();
+            let staged = match_query(
+                &reg, read.catalog(), QueryId(trigger), &config, &mut rng1, &mut s1,
+            )
+            .unwrap();
+            let naive = match_query_naive(
+                &reg, read.catalog(), QueryId(trigger), &config, &mut rng2, &mut s2,
+            )
+            .unwrap();
+            // Observational equality: same matchability, and when a
+            // match exists, the *same* match — members and per-member
+            // answers — so the registry retains the same pending set
+            // after either matcher applies it.
+            prop_assert_eq!(
+                &staged,
+                &naive,
+                "staged vs naive diverge on trigger {} in {:?}",
+                trigger,
+                &scenario
+            );
         }
     }
 }

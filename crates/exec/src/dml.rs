@@ -1,7 +1,7 @@
 //! Execution of DDL and DML statements inside a storage transaction.
 
 use youtopia_sql::{CreateIndex, CreateTable, Delete, Expr, Insert, Update};
-use youtopia_storage::{Column, IndexKind, RowId, Schema, StorageError, Transaction, Tuple, Value};
+use youtopia_storage::{Column, RowId, Schema, StorageError, Transaction, Tuple, Value};
 
 use crate::error::{ExecError, ExecResult};
 use crate::eval::EvalContext;
@@ -37,11 +37,10 @@ pub fn execute_create_table(txn: &mut Transaction, stmt: &CreateTable) -> ExecRe
     Ok(())
 }
 
-/// Executes `CREATE [UNIQUE] INDEX` (hash index; ordered indexes are
-/// created through the storage API directly).
+/// Executes `CREATE [UNIQUE] INDEX` (a hash index).
 pub fn execute_create_index(txn: &mut Transaction, stmt: &CreateIndex) -> ExecResult<()> {
     let cols: Vec<&str> = stmt.columns.iter().map(String::as_str).collect();
-    txn.create_index(&stmt.table, &stmt.name, &cols, stmt.unique, IndexKind::Hash)?;
+    txn.create_index(&stmt.table, &stmt.name, &cols, stmt.unique)?;
     Ok(())
 }
 

@@ -232,8 +232,9 @@ pub enum AccessPath {
 }
 
 /// Chooses an access path for scanning `atom` given the query's WHERE
-/// clause: a single-column hash/ordered index whose column appears in a
-/// `col = literal` conjunct is probed instead of scanning.
+/// clause: a single-column hash index whose column appears in a
+/// `col = literal` conjunct is probed instead of scanning, keyed by
+/// [`Table::probe_key`]; a literal that gives no key leaves the scan.
 ///
 /// This is deliberately conservative (single conjunct, literal only,
 /// no join predicates): the full WHERE clause is still applied
@@ -274,10 +275,10 @@ pub fn choose_access_path(
         let Some(pos) = table.schema().column_index(col.1) else {
             continue;
         };
-        if let Some(idx) = table.find_index_on(&[pos]) {
+        if let (Some(idx), Some(key)) = (table.find_index_on(&[pos]), table.probe_key(pos, lit)) {
             return AccessPath::IndexProbe {
                 index: idx.name().to_string(),
-                key: vec![lit.clone()],
+                key: vec![key],
             };
         }
     }
@@ -978,6 +979,48 @@ mod tests {
         drop(read);
         let rs = run(&db, "SELECT dest FROM Flights WHERE fno = 122");
         assert_eq!(rs.rows[0].values()[0], Value::from("Paris"));
+    }
+
+    /// A probe finds what a scan finds when the literal's type differs
+    /// from the column's: `price = 3` probes with the stored
+    /// `Float(3.0)`, and `fno = 3.0`, which no `Int` key equals, scans,
+    /// as does `price = 0`, which `-0.0` also equals.
+    #[test]
+    fn index_probe_returns_the_rows_a_scan_returns() {
+        let db = Database::new();
+        db.with_txn(|txn| {
+            txn.create_table(
+                "F",
+                Schema::new(vec![
+                    Column::new("fno", DataType::Int64),
+                    Column::new("price", DataType::Float64),
+                ]),
+            )?;
+            txn.insert("F", Tuple::new(vec![Value::Int(3), Value::Int(3)]))?;
+            txn.insert("F", Tuple::new(vec![Value::Int(5), Value::Float(-0.0)]))
+                .map(|_| ())
+        })
+        .unwrap();
+        let queries = [
+            "SELECT fno FROM F WHERE fno = 3.0",
+            "SELECT fno FROM F WHERE price = 3",
+            "SELECT fno FROM F WHERE 3 = price",
+            "SELECT fno FROM F WHERE fno = 3",
+            "SELECT fno FROM F WHERE price = NULL",
+            "SELECT fno FROM F WHERE price = 0",
+        ];
+        let scanned: Vec<Vec<i64>> = queries.iter().map(|q| ints(&run(&db, q), 0)).collect();
+        assert_eq!(
+            scanned,
+            [vec![3], vec![3], vec![3], vec![3], vec![], vec![5]]
+        );
+        db.with_txn(|txn| {
+            txn.create_index("F", "by_fno", &["fno"], false)?;
+            txn.create_index("F", "by_price", &["price"], false)
+        })
+        .unwrap();
+        let probed: Vec<Vec<i64>> = queries.iter().map(|q| ints(&run(&db, q), 0)).collect();
+        assert_eq!(probed, scanned);
     }
 
     #[test]

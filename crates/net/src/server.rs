@@ -95,6 +95,12 @@ const CLOSE_LINGER_MILLIS: u64 = 5_000;
 /// Frames handed to one `write_vectored` call.
 const MAX_IOVECS: usize = 64;
 
+/// Upper bound on the reactor's epoll sleep while any timer is armed
+/// and the clock cannot translate deadlines into wall time (mock
+/// clocks): mock-time advances are observed within one tick. With no
+/// timers armed the reactor sleeps indefinitely.
+const TICK: Duration = Duration::from_millis(25);
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -110,11 +116,6 @@ pub struct ServerConfig {
     /// Applies from accept, so a socket that never completes the
     /// handshake is bounded too.
     pub idle_timeout: Duration,
-    /// Upper bound on the reactor's epoll sleep while any timer is
-    /// armed and the clock cannot translate deadlines into wall time
-    /// (mock clocks): mock-time advances are observed within one tick.
-    /// With no timers armed the reactor sleeps indefinitely.
-    pub tick: Duration,
     /// Per-connection outbound queue cap in bytes. A connection whose
     /// queued responses exceed this is shed as a slow peer
     /// ([`ErrorCode::Backpressure`]) rather than buffered without
@@ -133,7 +134,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             connection_timeout_millis: 30_000,
             idle_timeout: Duration::from_secs(300),
-            tick: Duration::from_millis(25),
             max_outbound_bytes: 256 * 1024,
             send_buffer_bytes: None,
         }
@@ -516,14 +516,14 @@ impl Reactor {
     }
 
     /// How long the epoll wait may sleep: until the earliest live
-    /// timer, one `tick` when the clock cannot map deadlines to wall
+    /// timer, one [`TICK`] when the clock cannot map deadlines to wall
     /// time (mock clocks), or indefinitely with no timers armed.
     fn next_timeout(&mut self) -> Option<Duration> {
         loop {
             let &Reverse((due, slot, gen)) = self.timers.peek()?;
             match self.conns.get(slot).and_then(Option::as_ref) {
                 Some(c) if c.gen == gen && c.next_timer_due == due => {
-                    return Some(self.clock.timeout_until(due).unwrap_or(self.config.tick));
+                    return Some(self.clock.timeout_until(due).unwrap_or(TICK));
                 }
                 _ => {
                     self.timers.pop(); // prune stale entries eagerly

@@ -29,7 +29,6 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
 use crate::group_commit::{GroupCommit, WakeHook};
-use crate::index::IndexKind;
 use crate::schema::Schema;
 use crate::table::{RowId, Table};
 use crate::tuple::Tuple;
@@ -465,13 +464,12 @@ impl Transaction {
         index_name: &str,
         columns: &[&str],
         unique: bool,
-        kind: IndexKind,
     ) -> StorageResult<()> {
         self.check_open()?;
         self.guard
             .catalog
             .table_mut(table)?
-            .create_index(index_name, columns, unique, kind)
+            .create_index(index_name, columns, unique)
     }
 
     /// Inserts a tuple; returns its row id.

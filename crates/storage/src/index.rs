@@ -1,34 +1,19 @@
 //! Secondary indexes over tables.
 //!
-//! Two physical forms are provided: a hash index for point lookups
-//! (the common case for entangled-query candidate probes) and an ordered
-//! index for range scans. Both map a key — the projection of a row onto
-//! the indexed columns — to the set of row ids holding that key.
+//! An index is a hash map from a key — the projection of a row onto the
+//! indexed columns — to the row ids holding that key. It serves
+//! equality probes, the common case for entangled-query candidate
+//! probes and the only one the access-path chooser issues.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::error::{StorageError, StorageResult};
 use crate::table::RowId;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Physical index kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Hash map; supports equality probes only.
-    Hash,
-    /// Ordered map; supports equality probes and range scans.
-    Ordered,
-}
-
 /// An index key: the indexed columns' values, in index-column order.
 pub type IndexKey = Vec<Value>;
-
-#[derive(Debug, Clone)]
-enum IndexStore {
-    Hash(HashMap<IndexKey, Vec<RowId>>),
-    Ordered(BTreeMap<IndexKey, Vec<RowId>>),
-}
 
 /// A secondary (or primary) index on a subset of a table's columns.
 #[derive(Debug, Clone)]
@@ -36,26 +21,17 @@ pub struct Index {
     name: String,
     columns: Vec<usize>,
     unique: bool,
-    store: IndexStore,
+    postings: HashMap<IndexKey, Vec<RowId>>,
 }
 
 impl Index {
     /// Creates an empty index over the given column positions.
-    pub fn new(
-        name: impl Into<String>,
-        columns: Vec<usize>,
-        unique: bool,
-        kind: IndexKind,
-    ) -> Self {
-        let store = match kind {
-            IndexKind::Hash => IndexStore::Hash(HashMap::new()),
-            IndexKind::Ordered => IndexStore::Ordered(BTreeMap::new()),
-        };
+    pub fn new(name: impl Into<String>, columns: Vec<usize>, unique: bool) -> Self {
         Index {
             name: name.into(),
             columns,
             unique,
-            store,
+            postings: HashMap::new(),
         }
     }
 
@@ -74,14 +50,6 @@ impl Index {
         self.unique
     }
 
-    /// Physical kind of this index.
-    pub fn kind(&self) -> IndexKind {
-        match self.store {
-            IndexStore::Hash(_) => IndexKind::Hash,
-            IndexStore::Ordered(_) => IndexKind::Ordered,
-        }
-    }
-
     /// Extracts this index's key from a full row.
     pub fn key_of(&self, tuple: &Tuple) -> IndexKey {
         self.columns
@@ -92,19 +60,13 @@ impl Index {
 
     /// Number of distinct keys currently present.
     pub fn key_count(&self) -> usize {
-        match &self.store {
-            IndexStore::Hash(m) => m.len(),
-            IndexStore::Ordered(m) => m.len(),
-        }
+        self.postings.len()
     }
 
     /// Registers `rid` under the key extracted from `tuple`.
     pub fn insert(&mut self, tuple: &Tuple, rid: RowId) -> StorageResult<()> {
         let key = self.key_of(tuple);
-        let entry = match &mut self.store {
-            IndexStore::Hash(m) => m.entry(key.clone()).or_default(),
-            IndexStore::Ordered(m) => m.entry(key.clone()).or_default(),
-        };
+        let entry = self.postings.entry(key.clone()).or_default();
         if self.unique && !entry.is_empty() {
             return Err(StorageError::UniqueViolation {
                 index: self.name.clone(),
@@ -118,60 +80,22 @@ impl Index {
     /// Removes `rid` from the posting list of `tuple`'s key.
     pub fn remove(&mut self, tuple: &Tuple, rid: RowId) {
         let key = self.key_of(tuple);
-        let remove_from = |list: &mut Vec<RowId>| {
+        if let Some(list) = self.postings.get_mut(&key) {
             list.retain(|&r| r != rid);
-            list.is_empty()
-        };
-        match &mut self.store {
-            IndexStore::Hash(m) => {
-                if let Some(list) = m.get_mut(&key) {
-                    if remove_from(list) {
-                        m.remove(&key);
-                    }
-                }
-            }
-            IndexStore::Ordered(m) => {
-                if let Some(list) = m.get_mut(&key) {
-                    if remove_from(list) {
-                        m.remove(&key);
-                    }
-                }
+            if list.is_empty() {
+                self.postings.remove(&key);
             }
         }
     }
 
     /// Row ids whose key equals `key` (empty slice if none).
     pub fn probe(&self, key: &[Value]) -> &[RowId] {
-        match &self.store {
-            IndexStore::Hash(m) => m.get(key).map(Vec::as_slice).unwrap_or(&[]),
-            IndexStore::Ordered(m) => m.get(key).map(Vec::as_slice).unwrap_or(&[]),
-        }
-    }
-
-    /// Row ids whose key lies in `[low, high]` (inclusive both ends).
-    /// Only supported on ordered indexes.
-    pub fn range(&self, low: &[Value], high: &[Value]) -> StorageResult<Vec<RowId>> {
-        match &self.store {
-            IndexStore::Ordered(m) => {
-                let mut out = Vec::new();
-                for (_, rids) in m.range(low.to_vec()..=high.to_vec()) {
-                    out.extend_from_slice(rids);
-                }
-                Ok(out)
-            }
-            IndexStore::Hash(_) => Err(StorageError::Internal(format!(
-                "range scan on hash index '{}'",
-                self.name
-            ))),
-        }
+        self.postings.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Clears all entries (used when a table is truncated / rebuilt).
     pub fn clear(&mut self) {
-        match &mut self.store {
-            IndexStore::Hash(m) => m.clear(),
-            IndexStore::Ordered(m) => m.clear(),
-        }
+        self.postings.clear();
     }
 }
 
@@ -190,7 +114,7 @@ mod tests {
 
     #[test]
     fn hash_index_probe() {
-        let mut idx = Index::new("by_dest", vec![1], false, IndexKind::Hash);
+        let mut idx = Index::new("by_dest", vec![1], false);
         idx.insert(&row(122, "Paris"), RowId(1)).unwrap();
         idx.insert(&row(123, "Paris"), RowId(2)).unwrap();
         idx.insert(&row(136, "Rome"), RowId(3)).unwrap();
@@ -202,7 +126,7 @@ mod tests {
 
     #[test]
     fn unique_index_rejects_duplicates() {
-        let mut idx = Index::new("pk", vec![0], true, IndexKind::Hash);
+        let mut idx = Index::new("pk", vec![0], true);
         idx.insert(&row(122, "Paris"), RowId(1)).unwrap();
         let err = idx.insert(&row(122, "Rome"), RowId(2)).unwrap_err();
         match err {
@@ -216,7 +140,7 @@ mod tests {
 
     #[test]
     fn remove_shrinks_posting_lists() {
-        let mut idx = Index::new("by_dest", vec![1], false, IndexKind::Hash);
+        let mut idx = Index::new("by_dest", vec![1], false);
         idx.insert(&row(122, "Paris"), RowId(1)).unwrap();
         idx.insert(&row(123, "Paris"), RowId(2)).unwrap();
         idx.remove(&row(122, "Paris"), RowId(1));
@@ -229,7 +153,7 @@ mod tests {
 
     #[test]
     fn unique_key_can_be_reused_after_removal() {
-        let mut idx = Index::new("pk", vec![0], true, IndexKind::Hash);
+        let mut idx = Index::new("pk", vec![0], true);
         idx.insert(&row(1, "a"), RowId(1)).unwrap();
         idx.remove(&row(1, "a"), RowId(1));
         idx.insert(&row(1, "b"), RowId(2)).unwrap();
@@ -237,27 +161,8 @@ mod tests {
     }
 
     #[test]
-    fn ordered_index_range_scan() {
-        let mut idx = Index::new("by_fno", vec![0], false, IndexKind::Ordered);
-        for (i, fno) in [122i64, 123, 134, 136].iter().enumerate() {
-            idx.insert(&row(*fno, "x"), RowId(i as u64)).unwrap();
-        }
-        let rids = idx.range(&[Value::Int(123)], &[Value::Int(134)]).unwrap();
-        assert_eq!(rids, vec![RowId(1), RowId(2)]);
-        // full range
-        let all = idx.range(&[Value::Int(0)], &[Value::Int(999)]).unwrap();
-        assert_eq!(all.len(), 4);
-    }
-
-    #[test]
-    fn range_on_hash_index_errors() {
-        let idx = Index::new("h", vec![0], false, IndexKind::Hash);
-        assert!(idx.range(&[Value::Int(0)], &[Value::Int(1)]).is_err());
-    }
-
-    #[test]
     fn multi_column_keys() {
-        let mut idx = Index::new("c", vec![0, 1], false, IndexKind::Hash);
+        let mut idx = Index::new("c", vec![0, 1], false);
         idx.insert(&row(1, "a"), RowId(1)).unwrap();
         idx.insert(&row(1, "b"), RowId(2)).unwrap();
         assert_eq!(idx.probe(&[Value::Int(1), Value::from("a")]), &[RowId(1)]);
@@ -267,7 +172,7 @@ mod tests {
 
     #[test]
     fn clear_empties_index() {
-        let mut idx = Index::new("c", vec![0], false, IndexKind::Ordered);
+        let mut idx = Index::new("c", vec![0], false);
         idx.insert(&row(1, "a"), RowId(1)).unwrap();
         idx.clear();
         assert_eq!(idx.key_count(), 0);

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::catalog::Catalog;
     pub use crate::db::{is_transient, Database, ReadTransaction, Transaction, TRANSIENT_PREFIX};
     pub use crate::error::{StorageError, StorageResult};
-    pub use crate::index::{Index, IndexKind};
+    pub use crate::index::Index;
     pub use crate::schema::{Column, DataType, Schema};
     pub use crate::table::{RowId, Table};
     pub use crate::tuple::Tuple;

@@ -16,8 +16,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{StorageError, StorageResult};
-use crate::index::{Index, IndexKind};
-use crate::schema::Schema;
+use crate::index::Index;
+use crate::schema::{DataType, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -71,12 +71,9 @@ impl Table {
         };
         if !table.schema.primary_key().is_empty() {
             let pk_cols = table.schema.primary_key().to_vec();
-            table.indexes.push(Index::new(
-                format!("{name}_pk"),
-                pk_cols,
-                true,
-                IndexKind::Hash,
-            ));
+            table
+                .indexes
+                .push(Index::new(format!("{name}_pk"), pk_cols, true));
         }
         table
     }
@@ -213,7 +210,6 @@ impl Table {
         index_name: &str,
         columns: &[&str],
         unique: bool,
-        kind: IndexKind,
     ) -> StorageResult<()> {
         if self.indexes.iter().any(|i| i.name() == index_name) {
             return Err(StorageError::IndexAlreadyExists(index_name.to_string()));
@@ -229,7 +225,7 @@ impl Table {
                     })
             })
             .collect::<StorageResult<_>>()?;
-        let mut idx = Index::new(index_name, positions, unique, kind);
+        let mut idx = Index::new(index_name, positions, unique);
         for (&rid, tuple) in &self.rows {
             idx.insert(tuple, RowId(rid))?;
         }
@@ -267,11 +263,30 @@ impl Table {
         self.indexes.iter().find(|i| i.columns() == columns)
     }
 
+    /// The key under which an index on `column` files exactly the rows
+    /// whose value `sql_eq`s `value`: `value` coerced to the column
+    /// type, as stored values are. `None`, and the caller scans, where
+    /// `sql_eq` and the keys' `Eq` part: for NULL, which equals
+    /// nothing; for a value of another type (`Float(3.0)` against an
+    /// `Int` column); and for `Int(0)` against a `Float` column, which
+    /// `sql_eq`s both `0.0` and `-0.0`.
+    pub fn probe_key(&self, column: usize, value: &Value) -> Option<Value> {
+        let ty = self.schema.columns()[column].ty;
+        match value {
+            Value::Null => None,
+            Value::Int(0) if ty == DataType::Float64 => None,
+            v => v.compatible_with(ty).then(|| v.clone().coerce_to(ty)),
+        }
+    }
+
     /// Convenience point-probe: row ids whose `column = value`, using an
-    /// index when one exists, otherwise a scan.
+    /// index when one exists and [`Table::probe_key`] gives a key,
+    /// otherwise a scan.
     pub fn rows_where_eq(&self, column: usize, value: &Value) -> Vec<RowId> {
-        if let Some(idx) = self.find_index_on(&[column]) {
-            return idx.probe(std::slice::from_ref(value)).to_vec();
+        if let (Some(idx), Some(key)) =
+            (self.find_index_on(&[column]), self.probe_key(column, value))
+        {
+            return idx.probe(&[key]).to_vec();
         }
         self.scan()
             .filter(|(_, t)| t.values()[column].sql_eq(value))
@@ -396,8 +411,7 @@ mod tests {
     #[test]
     fn secondary_index_backfills_existing_rows() {
         let mut t = flights();
-        t.create_index("by_dest", &["dest"], false, IndexKind::Hash)
-            .unwrap();
+        t.create_index("by_dest", &["dest"], false).unwrap();
         let idx = t.index("by_dest").unwrap();
         assert_eq!(idx.probe(&[Value::from("Paris")]).len(), 3);
         assert_eq!(idx.probe(&[Value::from("Rome")]).len(), 1);
@@ -406,19 +420,16 @@ mod tests {
     #[test]
     fn create_index_on_unknown_column_fails() {
         let mut t = flights();
-        let err = t
-            .create_index("x", &["nope"], false, IndexKind::Hash)
-            .unwrap_err();
+        let err = t.create_index("x", &["nope"], false).unwrap_err();
         assert!(matches!(err, StorageError::ColumnNotFound { .. }));
     }
 
     #[test]
     fn duplicate_index_name_rejected() {
         let mut t = flights();
-        t.create_index("i", &["dest"], false, IndexKind::Hash)
-            .unwrap();
+        t.create_index("i", &["dest"], false).unwrap();
         assert!(matches!(
-            t.create_index("i", &["fno"], false, IndexKind::Hash),
+            t.create_index("i", &["fno"], false),
             Err(StorageError::IndexAlreadyExists(_))
         ));
     }
@@ -426,8 +437,7 @@ mod tests {
     #[test]
     fn drop_index_works() {
         let mut t = flights();
-        t.create_index("i", &["dest"], false, IndexKind::Hash)
-            .unwrap();
+        t.create_index("i", &["dest"], false).unwrap();
         t.drop_index("i").unwrap();
         assert!(t.index("i").is_none());
         assert!(matches!(
@@ -443,10 +453,56 @@ mod tests {
         let scan_result = t.rows_where_eq(1, &Value::from("Paris"));
         assert_eq!(scan_result.len(), 3);
         // with index: same result
-        t.create_index("by_dest", &["dest"], false, IndexKind::Hash)
-            .unwrap();
+        t.create_index("by_dest", &["dest"], false).unwrap();
         let idx_result = t.rows_where_eq(1, &Value::from("Paris"));
         assert_eq!(idx_result.len(), 3);
+    }
+
+    #[test]
+    fn rows_where_eq_probes_with_the_stored_key() {
+        let schema = Schema::new(vec![
+            Column::new("fno", DataType::Int64),
+            Column::nullable("price", DataType::Float64),
+        ]);
+        let mut t = Table::new("F", schema);
+        t.insert(Tuple::new(vec![Value::Int(3), Value::Int(3)]))
+            .unwrap();
+        t.insert(Tuple::new(vec![Value::Int(4), Value::Null]))
+            .unwrap();
+        t.insert(Tuple::new(vec![Value::Int(5), Value::Float(-0.0)]))
+            .unwrap();
+        let lookups = [
+            (0, Value::Float(3.0)),
+            (1, Value::Int(3)),
+            (0, Value::Int(3)),
+            (1, Value::Null),
+            (1, Value::Int(0)),
+            (1, Value::Float(0.0)),
+        ];
+        let eq = |t: &Table| -> Vec<Vec<RowId>> {
+            lookups
+                .iter()
+                .map(|(c, v)| t.rows_where_eq(*c, v))
+                .collect()
+        };
+        let scanned = eq(&t);
+        assert_eq!(
+            scanned,
+            [
+                vec![RowId(0)],
+                vec![RowId(0)],
+                vec![RowId(0)],
+                vec![],
+                vec![RowId(2)],
+                vec![]
+            ]
+        );
+        t.create_index("by_fno", &["fno"], false).unwrap();
+        t.create_index("by_price", &["price"], false).unwrap();
+        assert_eq!(eq(&t), scanned);
+        assert_eq!(t.probe_key(1, &Value::Int(3)), Some(Value::Float(3.0)));
+        assert_eq!(t.probe_key(0, &Value::Float(3.0)), None);
+        assert_eq!(t.probe_key(0, &Value::from("3")), None);
     }
 
     #[test]
@@ -506,8 +562,7 @@ mod tests {
         step(&t, "update");
         t.delete(RowId(50)).unwrap();
         step(&t, "delete");
-        t.create_index("by_dest", &["dest"], false, IndexKind::Hash)
-            .unwrap();
+        t.create_index("by_dest", &["dest"], false).unwrap();
         step(&t, "create_index");
         t.drop_index("by_dest").unwrap();
         step(&t, "drop_index");
