@@ -22,7 +22,7 @@
 //! through `SELECT`, but never WAL-logged and skipped by checkpoints —
 //! audit writes cost **zero** extra fsyncs. Durability comes from the
 //! coordination log itself: the events already carry audit stamps
-//! (wire tags 6–9, written only while auditing is enabled), so
+//! (present only while auditing is enabled), so
 //! `recover` rebuilds the relations from the replayed frames and the
 //! post-crash audit history matches the pre-crash run.
 //!
@@ -55,9 +55,7 @@ pub const LATENCY_TABLE: &str = "sys_tenant_latency";
 pub const LATENCY_BUCKETS: u32 = 65;
 
 /// Configuration of the audit sink. Disabled by default: a coordinator
-/// without auditing stamps no events and writes no rows, so existing
-/// logs and benchmarks are byte- and cost-identical to the pre-audit
-/// system.
+/// without auditing stamps no events and writes no rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Master switch. When off, no audit stamps are written to the
@@ -530,7 +528,6 @@ mod tests {
         sink.observe_batch(&[reg(3, "zebra/carol", 1_020, 1)]);
         sink.observe_batch(&[CoordEvent::MatchCommitted {
             qids: vec![QueryId(1)],
-            answer_writes: Vec::new(),
             at: Some(1_500),
         }]);
         sink.observe_batch(&[CoordEvent::QueryCancelled {
@@ -614,7 +611,6 @@ mod tests {
             reg(2, "acme/b", 1_005, 1),
             CoordEvent::MatchCommitted {
                 qids: vec![QueryId(1), QueryId(2)],
-                answer_writes: Vec::new(),
                 at: Some(1_200),
             },
             reg(3, "acme/c", 1_300, 0),

@@ -58,9 +58,8 @@ use crate::SystemStats;
 
 /// The audit annotation of a registration frame: the wall-clock submit
 /// time and the shard that accepted the query. Present only when the
-/// audit sink is enabled ([`crate::AuditConfig`]); frames written with
-/// auditing off carry no stamp and stay byte-identical to the
-/// pre-audit encodings.
+/// audit sink is enabled ([`crate::AuditConfig`]); with auditing off the
+/// frame's stamp presence byte reads "absent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegStamp {
     /// Submit time in clock milliseconds.
@@ -75,18 +74,16 @@ pub struct RegStamp {
 /// coordination frames ([`youtopia_storage::WalRecord::Coordination`]).
 /// The pending set of a crashed coordinator is exactly
 /// `registered − (matched ∪ cancelled ∪ expired)` over its log.
+///
+/// Each variant has one layout under one tag byte: `QueryRegistered`
+/// 10, `QueryCancelled` 11, `QueryExpired` 12, `MatchCommitted` 13,
+/// `Watermark` 4. Every optional field is a presence byte followed by
+/// its value when present. Any other tag fails [`CoordEvent::decode`]
+/// as `WalCorrupt`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordEvent {
     /// A pending entangled query was registered (logged before the
     /// submission is acknowledged).
-    ///
-    /// Three wire encodings exist: **v1** (tag 0, no deadline — every
-    /// frame written before the deadline-lifecycle PR), **v2**
-    /// (tag 5, carrying the absolute deadline), and **v3** (tag 6,
-    /// carrying an optional deadline plus the audit [`RegStamp`]).
-    /// Encoding picks the oldest tag that can represent the event, so
-    /// stamp-less logs stay byte-identical to the old formats;
-    /// decoding accepts all three.
     QueryRegistered {
         /// Submitting user.
         owner: String,
@@ -109,35 +106,27 @@ pub enum CoordEvent {
     QueryCancelled {
         /// The withdrawn query.
         qid: QueryId,
-        /// Cancellation time in clock milliseconds (tag 7 on the
-        /// wire); `None` when the audit sink is disabled (tag 1,
-        /// byte-identical to the pre-audit encoding).
+        /// Cancellation time in clock milliseconds; `None` when the
+        /// audit sink is disabled.
         at: Option<u64>,
     },
     /// A pending query was expired by a deadline sweep.
     QueryExpired {
         /// The expired query.
         qid: QueryId,
-        /// Expiry time in clock milliseconds (tag 8 on the wire);
-        /// `None` when the audit sink is disabled (tag 2).
+        /// Expiry time in clock milliseconds; `None` when the audit
+        /// sink is disabled.
         at: Option<u64>,
     },
     /// A group match committed. This event is written **inside** the
-    /// storage transaction that inserts `answer_writes`, so the match
-    /// and its answers reach the log atomically.
+    /// storage transaction that inserts the match's answer tuples, so
+    /// the match and its answers reach the log atomically; the answers
+    /// are logged once, as that transaction's storage inserts.
     MatchCommitted {
         /// Every member of the matched group.
         qids: Vec<QueryId>,
-        /// The `(relation, tuple)` answer writes of the match. Recovery
-        /// rebuilds answers from the storage frames of the same
-        /// transaction, so this duplicates them — deliberately: it
-        /// makes the coordination log self-contained (future
-        /// notification re-delivery on `reattach`, audit without
-        /// storage replay), and checkpointing drops it with the rest
-        /// of the matched history.
-        answer_writes: Vec<(String, Tuple)>,
-        /// Commit time in clock milliseconds (tag 9 on the wire);
-        /// `None` when the audit sink is disabled (tag 3).
+        /// Commit time in clock milliseconds; `None` when the audit
+        /// sink is disabled.
         at: Option<u64>,
     },
     /// An id/sequence watermark: ids at or below `qid` and sequence
@@ -168,65 +157,34 @@ impl CoordEvent {
                 deadline,
                 stamp,
             } => {
-                // oldest representable tag: v1 (tag 0) with neither
-                // deadline nor stamp — byte-identical to the
-                // pre-deadline format; v2 (tag 5) appends the
-                // deadline; v3 (tag 6) carries a deadline-presence
-                // flag plus the audit stamp
+                buf.put_u8(10);
+                put_str(&mut buf, owner);
+                put_str(&mut buf, sql);
+                buf.put_u64(qid.0);
+                buf.put_u64(*seq);
+                put_opt_u64(&mut buf, *deadline);
+                put_opt_u64(&mut buf, stamp.map(|s| s.at));
                 if let Some(stamp) = stamp {
-                    buf.put_u8(6);
-                    put_str(&mut buf, owner);
-                    put_str(&mut buf, sql);
-                    buf.put_u64(qid.0);
-                    buf.put_u64(*seq);
-                    put_opt_u64(&mut buf, *deadline);
-                    buf.put_u64(stamp.at);
                     buf.put_u32(stamp.shard);
-                } else {
-                    buf.put_u8(if deadline.is_some() { 5 } else { 0 });
-                    put_str(&mut buf, owner);
-                    put_str(&mut buf, sql);
-                    buf.put_u64(qid.0);
-                    buf.put_u64(*seq);
-                    if let Some(deadline) = deadline {
-                        buf.put_u64(*deadline);
-                    }
                 }
             }
             CoordEvent::QueryCancelled { qid, at } => {
-                buf.put_u8(if at.is_some() { 7 } else { 1 });
+                buf.put_u8(11);
                 buf.put_u64(qid.0);
-                if let Some(at) = at {
-                    buf.put_u64(*at);
-                }
+                put_opt_u64(&mut buf, *at);
             }
             CoordEvent::QueryExpired { qid, at } => {
-                buf.put_u8(if at.is_some() { 8 } else { 2 });
+                buf.put_u8(12);
                 buf.put_u64(qid.0);
-                if let Some(at) = at {
-                    buf.put_u64(*at);
-                }
+                put_opt_u64(&mut buf, *at);
             }
-            CoordEvent::MatchCommitted {
-                qids,
-                answer_writes,
-                at,
-            } => {
-                buf.put_u8(if at.is_some() { 9 } else { 3 });
+            CoordEvent::MatchCommitted { qids, at } => {
+                buf.put_u8(13);
                 buf.put_u32(qids.len() as u32);
                 for qid in qids {
                     buf.put_u64(qid.0);
                 }
-                buf.put_u32(answer_writes.len() as u32);
-                for (relation, tuple) in answer_writes {
-                    put_str(&mut buf, relation);
-                    let enc = tuple.encode();
-                    buf.put_u32(enc.len() as u32);
-                    buf.put_slice(&enc);
-                }
-                if let Some(at) = at {
-                    buf.put_u64(*at);
-                }
+                put_opt_u64(&mut buf, *at);
             }
             CoordEvent::Watermark { qid, seq } => {
                 buf.put_u8(4);
@@ -243,29 +201,24 @@ impl CoordEvent {
         if buf.remaining() < 1 {
             return Err(StorageError::WalCorrupt("empty coordination event".into()));
         }
-        let tag = buf.get_u8();
-        let event = match tag {
-            0 | 5 | 6 => {
+        let event = match buf.get_u8() {
+            10 => {
                 let owner = get_str(buf)?;
                 let sql = get_str(buf)?;
                 let qid = QueryId(get_u64(buf)?);
                 let seq = get_u64(buf)?;
-                let deadline = match tag {
-                    5 => Some(get_u64(buf)?),
-                    6 => get_opt_u64(buf)?,
-                    _ => None, // v1 frame: registered before deadlines existed
-                };
-                let stamp = if tag == 6 {
-                    let at = get_u64(buf)?;
-                    if buf.remaining() < 4 {
-                        return Err(StorageError::WalCorrupt("truncated shard".into()));
+                let deadline = get_opt_u64(buf)?;
+                let stamp = match get_opt_u64(buf)? {
+                    Some(at) => {
+                        if buf.remaining() < 4 {
+                            return Err(StorageError::WalCorrupt("truncated shard".into()));
+                        }
+                        Some(RegStamp {
+                            at,
+                            shard: buf.get_u32(),
+                        })
                     }
-                    Some(RegStamp {
-                        at,
-                        shard: buf.get_u32(),
-                    })
-                } else {
-                    None
+                    None => None,
                 };
                 CoordEvent::QueryRegistered {
                     owner,
@@ -276,15 +229,15 @@ impl CoordEvent {
                     stamp,
                 }
             }
-            1 | 7 => CoordEvent::QueryCancelled {
+            11 => CoordEvent::QueryCancelled {
                 qid: QueryId(get_u64(buf)?),
-                at: if tag == 7 { Some(get_u64(buf)?) } else { None },
+                at: get_opt_u64(buf)?,
             },
-            2 | 8 => CoordEvent::QueryExpired {
+            12 => CoordEvent::QueryExpired {
                 qid: QueryId(get_u64(buf)?),
-                at: if tag == 8 { Some(get_u64(buf)?) } else { None },
+                at: get_opt_u64(buf)?,
             },
-            3 | 9 => {
+            13 => {
                 if buf.remaining() < 4 {
                     return Err(StorageError::WalCorrupt("truncated member count".into()));
                 }
@@ -293,28 +246,9 @@ impl CoordEvent {
                 for _ in 0..n {
                     qids.push(QueryId(get_u64(buf)?));
                 }
-                if buf.remaining() < 4 {
-                    return Err(StorageError::WalCorrupt("truncated answer count".into()));
-                }
-                let n = buf.get_u32() as usize;
-                let mut answer_writes = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let relation = get_str(buf)?;
-                    if buf.remaining() < 4 {
-                        return Err(StorageError::WalCorrupt("truncated tuple length".into()));
-                    }
-                    let len = buf.get_u32() as usize;
-                    if buf.remaining() < len {
-                        return Err(StorageError::WalCorrupt("truncated tuple body".into()));
-                    }
-                    let tuple = Tuple::decode(&buf[..len])?;
-                    buf.advance(len);
-                    answer_writes.push((relation, tuple));
-                }
                 CoordEvent::MatchCommitted {
                     qids,
-                    answer_writes,
-                    at: if tag == 9 { Some(get_u64(buf)?) } else { None },
+                    at: get_opt_u64(buf)?,
                 }
             }
             4 => CoordEvent::Watermark {
@@ -525,9 +459,7 @@ impl Engine {
         self.tenants.lock().clone()
     }
 
-    /// The current audit timestamp, or `None` when auditing is off —
-    /// events built with this stamp encode to the pre-audit byte
-    /// format exactly when the sink is disabled.
+    /// The current audit timestamp, or `None` when auditing is off.
     pub(crate) fn audit_now(&self) -> Option<u64> {
         self.audit.as_ref().map(|a| a.now())
     }
@@ -708,7 +640,6 @@ impl Engine {
 
         let commit_event = CoordEvent::MatchCommitted {
             qids: m.members.clone(),
-            answer_writes: m.all_answers().cloned().collect(),
             at: self.audit_now(),
         };
         let apply_result = (|| -> StorageResult<()> {
@@ -1043,8 +974,7 @@ mod tests {
                 deadline: Some(1_234_567),
                 stamp: None,
             },
-            // v3 (tag 6) audit-stamped registrations, with and without
-            // a deadline
+            // audit-stamped registrations, with and without a deadline
             CoordEvent::QueryRegistered {
                 owner: "elaine".into(),
                 sql: "SELECT 'E', fno INTO ANSWER R CHOOSE 1".into(),
@@ -1082,24 +1012,10 @@ mod tests {
             },
             CoordEvent::MatchCommitted {
                 qids: vec![QueryId(1), QueryId(2)],
-                answer_writes: vec![
-                    (
-                        "Reservation".into(),
-                        Tuple::new(vec![Value::from("Kramer"), Value::Int(122)]),
-                    ),
-                    (
-                        "Reservation".into(),
-                        Tuple::new(vec![Value::from("Jerry"), Value::Int(122)]),
-                    ),
-                ],
                 at: None,
             },
             CoordEvent::MatchCommitted {
                 qids: vec![QueryId(3)],
-                answer_writes: vec![(
-                    "Reservation".into(),
-                    Tuple::new(vec![Value::from("Elaine"), Value::Int(9)]),
-                )],
                 at: Some(789),
             },
             CoordEvent::Watermark {
@@ -1154,7 +1070,6 @@ mod tests {
             reg(4, 4),
             CoordEvent::MatchCommitted {
                 qids: vec![QueryId(1), QueryId(3)],
-                answer_writes: Vec::new(),
                 at: None,
             },
             CoordEvent::QueryCancelled {
@@ -1206,65 +1121,6 @@ mod tests {
         assert_eq!(replayed.survivors.len(), 2);
         assert_eq!(replayed.survivors[0].deadline, Some(500));
         assert_eq!(replayed.survivors[1].deadline, None);
-    }
-
-    #[test]
-    fn deadline_less_encoding_is_byte_identical_to_v1() {
-        // v1 layout: tag 0, owner, sql, qid, seq — a deadline-less
-        // registration must still produce exactly these bytes, so old
-        // logs and new deadline-free logs are indistinguishable
-        let event = CoordEvent::QueryRegistered {
-            owner: "k".into(),
-            sql: "q".into(),
-            qid: QueryId(7),
-            seq: 3,
-            deadline: None,
-            stamp: None,
-        };
-        let mut v1 = BytesMut::new();
-        v1.put_u8(0);
-        put_str(&mut v1, "k");
-        put_str(&mut v1, "q");
-        v1.put_u64(7);
-        v1.put_u64(3);
-        assert_eq!(event.encode(), v1.to_vec());
-        // and hand-built v1 bytes decode with deadline = None
-        assert_eq!(CoordEvent::decode(&v1).unwrap(), event);
-    }
-
-    #[test]
-    fn stamp_less_terminal_encodings_are_byte_identical_to_pre_audit() {
-        // cancel / expire / match frames without an audit timestamp
-        // must keep the exact pre-audit layouts (tags 1/2/3)
-        let cancel = CoordEvent::QueryCancelled {
-            qid: QueryId(7),
-            at: None,
-        };
-        let mut old = BytesMut::new();
-        old.put_u8(1);
-        old.put_u64(7);
-        assert_eq!(cancel.encode(), old.to_vec());
-
-        let expire = CoordEvent::QueryExpired {
-            qid: QueryId(8),
-            at: None,
-        };
-        let mut old = BytesMut::new();
-        old.put_u8(2);
-        old.put_u64(8);
-        assert_eq!(expire.encode(), old.to_vec());
-
-        let commit = CoordEvent::MatchCommitted {
-            qids: vec![QueryId(1)],
-            answer_writes: Vec::new(),
-            at: None,
-        };
-        let mut old = BytesMut::new();
-        old.put_u8(3);
-        old.put_u32(1);
-        old.put_u64(1);
-        old.put_u32(0);
-        assert_eq!(commit.encode(), old.to_vec());
     }
 
     #[test]
@@ -1335,7 +1191,6 @@ mod tests {
         let frames: Vec<Vec<u8>> = [
             CoordEvent::MatchCommitted {
                 qids: vec![QueryId(2)],
-                answer_writes: Vec::new(),
                 at: None,
             },
             CoordEvent::QueryRegistered {

@@ -11,8 +11,8 @@
 //!   ([`SubmitOptions::deadline`], milliseconds in the domain of the
 //!   system's [`Clock`]);
 //! * deadlines are durable — they ride the registration's WAL frame
-//!   (the v2 [`crate::CoordEvent::QueryRegistered`] encoding), survive
-//!   checkpoints, and are rebuilt by recovery;
+//!   ([`crate::CoordEvent::QueryRegistered`]), survive checkpoints, and
+//!   are rebuilt by recovery;
 //! * the coordinator exposes `expire_due(now)`, a sweep that retires
 //!   every pending query whose deadline has passed, logging each
 //!   expiry before the removal (log-before-ack, like every other

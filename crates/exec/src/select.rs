@@ -1023,6 +1023,46 @@ mod tests {
         assert_eq!(probed, scanned);
     }
 
+    /// `0.0` and `-0.0` are one SQL value: an equality with either
+    /// zero, or with `0`, returns the rows holding both, whether the
+    /// column is scanned or indexed.
+    #[test]
+    fn float_zeros_compare_equal_with_and_without_an_index() {
+        let db = Database::new();
+        db.with_txn(|txn| {
+            txn.create_table(
+                "F",
+                Schema::new(vec![
+                    Column::new("fno", DataType::Int64),
+                    Column::new("price", DataType::Float64),
+                ]),
+            )?;
+            txn.insert("F", Tuple::new(vec![Value::Int(1), Value::Float(0.0)]))?;
+            txn.insert("F", Tuple::new(vec![Value::Int(2), Value::Float(-0.0)]))?;
+            txn.insert("F", Tuple::new(vec![Value::Int(3), Value::Float(1.0)]))
+                .map(|_| ())
+        })
+        .unwrap();
+        let queries = [
+            "SELECT fno FROM F WHERE price = 0",
+            "SELECT fno FROM F WHERE price = 0.0",
+            "SELECT fno FROM F WHERE price = -0.0",
+        ];
+        let sorted = |q: &str| {
+            let mut fnos = ints(&run(&db, q), 0);
+            fnos.sort_unstable();
+            fnos
+        };
+        for q in queries {
+            assert_eq!(sorted(q), [1, 2], "scan: {q}");
+        }
+        db.with_txn(|txn| txn.create_index("F", "by_price", &["price"], false))
+            .unwrap();
+        for q in queries {
+            assert_eq!(sorted(q), [1, 2], "index: {q}");
+        }
+    }
+
     #[test]
     fn full_scan_when_no_index_matches() {
         let db = fixture();

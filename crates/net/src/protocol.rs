@@ -850,8 +850,8 @@ mod tests {
         let logged = wal.raw_bytes().unwrap();
         let (payload, consumed) = split_frame(logged).unwrap().unwrap();
         assert_eq!(consumed, logged.len());
-        // coordination tag, u32 length, then the bytes
-        let mut expected = vec![5, 0, 0, 0, 11];
+        // coordination tag, then the bytes
+        let mut expected = vec![5];
         expected.extend_from_slice(b"register q1");
         assert_eq!(payload, expected);
         assert_eq!(encode_frame(&payload), logged);

@@ -268,13 +268,13 @@ impl Table {
     /// type, as stored values are. `None`, and the caller scans, where
     /// `sql_eq` and the keys' `Eq` part: for NULL, which equals
     /// nothing; for a value of another type (`Float(3.0)` against an
-    /// `Int` column); and for `Int(0)` against a `Float` column, which
-    /// `sql_eq`s both `0.0` and `-0.0`.
+    /// `Int` column); and for a zero of either type against a `Float`
+    /// column, since it `sql_eq`s both `0.0` and `-0.0`.
     pub fn probe_key(&self, column: usize, value: &Value) -> Option<Value> {
         let ty = self.schema.columns()[column].ty;
         match value {
             Value::Null => None,
-            Value::Int(0) if ty == DataType::Float64 => None,
+            v if ty == DataType::Float64 && v.sql_eq(&Value::Float(0.0)) => None,
             v => v.compatible_with(ty).then(|| v.clone().coerce_to(ty)),
         }
     }
@@ -494,7 +494,7 @@ mod tests {
                 vec![RowId(0)],
                 vec![],
                 vec![RowId(2)],
-                vec![]
+                vec![RowId(2)]
             ]
         );
         t.create_index("by_fno", &["fno"], false).unwrap();
@@ -503,6 +503,9 @@ mod tests {
         assert_eq!(t.probe_key(1, &Value::Int(3)), Some(Value::Float(3.0)));
         assert_eq!(t.probe_key(0, &Value::Float(3.0)), None);
         assert_eq!(t.probe_key(0, &Value::from("3")), None);
+        for zero in [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)] {
+            assert_eq!(t.probe_key(1, &zero), None, "{zero:?}");
+        }
     }
 
     #[test]

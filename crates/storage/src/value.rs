@@ -102,13 +102,16 @@ impl Value {
     }
 
     /// SQL equality with numeric type bridging: `Int(1)` equals
-    /// `Float(1.0)`. NULL never equals anything here — callers that need
-    /// three-valued logic should check [`Value::is_null`] first.
+    /// `Float(1.0)`, and floats compare by value, so `0.0` equals
+    /// `-0.0`; a NaN equals only a NaN of the same bits. NULL never
+    /// equals anything here — callers that need three-valued logic
+    /// should check [`Value::is_null`] first.
     pub fn sql_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => false,
             (Value::Int(a), Value::Float(b)) => (*a as f64) == *b,
             (Value::Float(a), Value::Int(b)) => *a == (*b as f64),
+            (Value::Float(a), Value::Float(b)) => a == b || a.to_bits() == b.to_bits(),
             (a, b) => a == b,
         }
     }
@@ -320,6 +323,20 @@ mod tests {
         assert!(Value::Float(2.0).sql_eq(&Value::Int(2)));
         assert!(!Value::Null.sql_eq(&Value::Null));
         assert!(!Value::Int(2).sql_eq(&Value::Str("2".into())));
+    }
+
+    #[test]
+    fn sql_eq_compares_floats_by_value() {
+        let zeros = [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)];
+        for a in &zeros {
+            for b in &zeros {
+                assert!(a.sql_eq(b), "{a:?} = {b:?}");
+            }
+        }
+        let nan = Value::Float(f64::NAN);
+        assert!(nan.sql_eq(&nan));
+        assert!(!nan.sql_eq(&Value::Float(-f64::NAN)));
+        assert!(!nan.sql_eq(&Value::Float(0.0)));
     }
 
     #[test]

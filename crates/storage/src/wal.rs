@@ -3,41 +3,37 @@
 //! Committed transactions append one frame per logical operation, so a
 //! database can be rebuilt by replaying the log from the start
 //! ([`crate::db::Database::recover`]). Frames are checksummed; a torn
-//! final frame (crash mid-append) is *truncated away* on replay so the
-//! log recovers to its last consistent prefix, but corruption in the
-//! middle of the log is reported as an error.
+//! or unterminated suffix (crash mid-append) is *truncated away* on
+//! replay so the log recovers to its last committed prefix (see the
+//! failure model below).
 //!
 //! The log carries two namespaces of records ([`WalRecord`]):
 //!
 //! * **storage operations** ([`WalOp`]) — table DML/DDL, replayed by
 //!   [`crate::db::Database::recover`];
-//! * **coordination frames** — opaque, length-prefixed payloads owned
-//!   by the coordination layer (pending-query registrations, match
-//!   commits). Storage treats them as pass-through bytes: they ride
-//!   the same checksummed framing, group-commit with storage
-//!   transactions, and survive checkpointing, but only the
-//!   coordinator interprets them.
+//! * **coordination frames** — opaque payloads owned by the
+//!   coordination layer (pending-query registrations, match commits).
+//!   Storage treats them as pass-through bytes: they ride the same
+//!   checksummed framing, group-commit with storage transactions, and
+//!   survive checkpointing, but only the coordinator interprets them.
 //!
 //! Frame layout: `u32 payload_len | u32 fnv1a(payload_len ∥ payload) |
 //! payload`; the payload's first byte is a record tag (`0..=4` storage
-//! ops, `5` coordination, `6` commit boundary). The checksum covers
-//! the length field so a corrupted length that still reads as
-//! in-range is detected rather than mis-framing the rest of the log.
+//! ops, `5` coordination, `6` commit boundary). A coordination
+//! payload is the tag followed by the coordination bytes, which the
+//! frame length delimits. The checksum covers the length field so a
+//! corrupted length that still reads as in-range is detected rather
+//! than mis-framing the rest of the log.
 //!
-//! # Commit boundaries (format v2)
+//! # Commit boundaries
 //!
 //! Every commit group — one transaction's redo records, or one batch
 //! of coordination frames — is terminated by a one-byte
 //! [`WalRecord::CommitBoundary`] marker frame before the group is
 //! synced. The marker is the durability receipt the replay side keys
-//! on: a suffix that does not end in a complete marker was never
-//! acknowledged to anyone, so replay may discard it wholesale.
-//!
-//! This is a *logical* format version bump (v2) realized as a new
-//! record tag rather than a file-header change: v2 readers replay v1
-//! (pre-marker) logs unchanged — a log with no marker frames keeps the
-//! v1 failure semantics below — while v1 readers fail loudly on the
-//! unknown tag `6` instead of silently misreading a v2 log.
+//! on: a record counts only when its group's marker landed, and a
+//! suffix that does not end in a complete marker was never
+//! acknowledged to anyone, so replay discards it wholesale.
 //!
 //! # Failure model
 //!
@@ -46,28 +42,23 @@
 //! subset of the unsynced suffix's bytes (append tears, out-of-order
 //! sector persistence within an unsynced multi-frame batch).
 //!
-//! With commit markers (v2 logs), recovery is automatic: the first
-//! inconsistency — a partial final frame, a checksum failure, or a
-//! clean end-of-log with no terminating marker — rolls the log back to
-//! the **last complete commit boundary** and truncates everything
-//! after it. That covers the multi-frame out-of-order tear (frame k
-//! torn, frame k+1 landed — with or without the group's trailing
-//! marker having landed) that v1 logs could only surface as
-//! `WalCorrupt` needing manual truncation. Discarded bytes are always
-//! un-acknowledged: acknowledgment happens only after the marker and
-//! the sync, so a commit whose marker is durable survives, and a
-//! commit whose marker is not was never promised to anyone.
+//! Recovery is automatic: the first inconsistency — a partial final
+//! frame, a checksum failure, or a clean end-of-log with no
+//! terminating marker — rolls the log back to the **last complete
+//! commit boundary**, or to its start when no marker landed, and
+//! truncates everything after it. That covers the multi-frame
+//! out-of-order tear (frame k torn, frame k+1 landed — with or without
+//! the group's trailing marker having landed). Discarded bytes are
+//! always un-acknowledged: acknowledgment happens only after the
+//! marker and the sync, so a commit whose marker is durable survives,
+//! and a commit whose marker is not was never promised to anyone.
 //!
 //! What stays deliberately loud:
 //!
-//! * **v1 (pre-marker) logs** keep the old rules — only a tear
-//!   confined to the final frame is truncated; a mid-log checksum
-//!   failure with frames after it is reported as `WalCorrupt`, because
-//!   without markers it is indistinguishable from bit rot on synced
-//!   data.
-//! * **Corruption before the first marker** of a v2 log (nothing was
-//!   ever committed, so there is no boundary to roll back to) is
-//!   reported like a v1 mid-log failure.
+//! * **A checksum failure before the first marker with frames after
+//!   it** is reported as `WalCorrupt`: with no boundary to roll back
+//!   to, it is indistinguishable from bit rot on synced data. A
+//!   failure confined to the final frame is a tear and rolls back.
 //! * **A checksum-valid frame that fails record decode** is reported
 //!   everywhere: a verified checksum means the bytes are exactly what
 //!   was written, so the failure is a writer bug or bit rot, never a
@@ -322,7 +313,7 @@ impl WalOp {
 /// Record tag for coordination frames (storage ops use `0..=4`).
 const COORDINATION_TAG: u8 = 5;
 
-/// Record tag for commit-boundary marker frames (format v2).
+/// Record tag for commit-boundary marker frames.
 const COMMIT_BOUNDARY_TAG: u8 = 6;
 
 /// One logical record of the log: a storage operation, an opaque
@@ -331,9 +322,9 @@ const COMMIT_BOUNDARY_TAG: u8 = 6;
 pub enum WalRecord {
     /// A table DML/DDL operation.
     Storage(WalOp),
-    /// An opaque coordination-layer payload (length-prefixed on disk).
+    /// An opaque coordination-layer payload.
     Coordination(Vec<u8>),
-    /// The end marker of one commit group (format v2). Written after
+    /// The end marker of one commit group. Written after
     /// the group's records and before the group is synced; replay
     /// rolls a damaged or unterminated suffix back to the last one
     /// (see the module-level failure model).
@@ -345,9 +336,8 @@ impl WalRecord {
         match self {
             WalRecord::Storage(op) => op.encode(),
             WalRecord::Coordination(payload) => {
-                let mut buf = BytesMut::with_capacity(payload.len() + 5);
+                let mut buf = BytesMut::with_capacity(payload.len() + 1);
                 buf.put_u8(COORDINATION_TAG);
-                buf.put_u32(payload.len() as u32);
                 buf.put_slice(payload);
                 buf
             }
@@ -361,22 +351,7 @@ impl WalRecord {
 
     fn decode(payload: &[u8]) -> StorageResult<WalRecord> {
         match payload.first() {
-            Some(&COORDINATION_TAG) => {
-                let mut buf = &payload[1..];
-                if buf.remaining() < 4 {
-                    return Err(StorageError::WalCorrupt(
-                        "truncated coordination length".into(),
-                    ));
-                }
-                let len = buf.get_u32() as usize;
-                if buf.remaining() != len {
-                    return Err(StorageError::WalCorrupt(format!(
-                        "coordination frame length {len} != body {}",
-                        buf.remaining()
-                    )));
-                }
-                Ok(WalRecord::Coordination(buf.to_vec()))
-            }
+            Some(&COORDINATION_TAG) => Ok(WalRecord::Coordination(payload[1..].to_vec())),
             Some(&COMMIT_BOUNDARY_TAG) => {
                 if payload.len() != 1 {
                     return Err(StorageError::WalCorrupt(
@@ -580,7 +555,7 @@ impl Wal {
     /// [`WalRecord::coordination`].
     ///
     /// A damaged suffix (crash mid-append) is **truncated away**, so
-    /// the log recovers to its last consistent prefix and subsequent
+    /// the log recovers to its last committed prefix and subsequent
     /// appends produce a clean log again. Corruption the decode
     /// reports is returned as [`StorageError::WalCorrupt`].
     pub fn replay_records(&mut self) -> StorageResult<Vec<WalRecord>> {
@@ -609,46 +584,39 @@ impl Wal {
         Ok(records)
     }
 
-    /// Decodes a raw byte stream of frames, returning the records
-    /// (commit-boundary markers elided — they are framing metadata,
-    /// not logical records) and the length of the consumed
-    /// (consistent) prefix.
+    /// Decodes a raw byte stream of frames, returning the committed
+    /// records (commit-boundary markers elided — they are framing
+    /// metadata, not logical records) and the length of the committed
+    /// prefix.
     ///
-    /// Marker logs (format v2, at least one [`WalRecord::CommitBoundary`]
-    /// decoded): the first inconsistency — a partial final frame, a
-    /// checksum failure anywhere after the marker, or a clean
+    /// A record counts only when its group's
+    /// [`WalRecord::CommitBoundary`] landed: the first inconsistency —
+    /// a partial final frame, a checksum failure, or a clean
     /// end-of-log whose trailing group lacks its marker — rolls the
-    /// decode back to the **last complete commit boundary**, dropping
-    /// even intact frames of the damaged group (a multi-frame batch
-    /// persisted out of order is recovered, not reported).
+    /// decode back to the **last complete commit boundary** (offset 0
+    /// when there is none), dropping even intact frames of the damaged
+    /// group (a multi-frame batch persisted out of order is recovered,
+    /// not reported).
     ///
-    /// Pre-marker logs (no boundary decoded yet) keep the v1 rules: a
-    /// tear confined to the final frame ends the decode at the
-    /// preceding frame boundary; a checksum failure before the final
-    /// frame is an error. A record-level decode failure on a
-    /// checksum-valid frame is an error everywhere (a verified
-    /// checksum means the bytes are what was written, so the failure
-    /// is not a tear).
+    /// Two failures are errors: a checksum failure before the first
+    /// marker with more bytes after its frame, and a record-level
+    /// decode failure on a checksum-valid frame (a verified checksum
+    /// means the bytes are what was written, so the failure is not a
+    /// tear).
     pub fn decode_records(bytes: &[u8]) -> StorageResult<(Vec<WalRecord>, usize)> {
         let mut records = Vec::new();
         let mut offset = 0usize;
         // Last complete commit boundary seen so far: the byte offset
         // just past its frame and the record count at that point.
-        // `None` until the first marker — that is what keeps v1 logs
-        // on the legacy semantics.
         let mut boundary: Option<(usize, usize)> = None;
-        let mut damaged = false;
         while bytes.len() - offset >= 8 {
             let len = (&bytes[offset..offset + 4]).get_u32() as usize;
             if bytes.len() - offset < 8 + len {
-                // partial final frame: torn tail
-                damaged = true;
-                break;
+                break; // partial final frame: torn tail
             }
             let checksum = (&bytes[offset + 4..offset + 8]).get_u32();
             let payload = &bytes[offset + 8..offset + 8 + len];
             if frame_checksum(len as u32, payload) != checksum {
-                damaged = true;
                 if boundary.is_some() || offset + 8 + len == bytes.len() {
                     // After a commit boundary every checksum failure
                     // is an unsynced-suffix tear (crash model: synced
@@ -667,17 +635,12 @@ impl Wal {
                 records.push(record);
             }
         }
-        // trailing bytes too short for a frame header are a tear too
-        damaged |= offset < bytes.len();
-        if let Some((end, count)) = boundary {
-            if damaged || offset > end {
-                // marker log with a damaged or unterminated suffix:
-                // roll back to the last complete commit
-                records.truncate(count);
-                return Ok((records, end));
-            }
-        }
-        Ok((records, offset))
+        // whatever follows the last complete commit — a tear, a damaged
+        // frame, or intact frames whose marker never landed — was never
+        // acknowledged: roll back to that commit
+        let (end, count) = boundary.unwrap_or((0, 0));
+        records.truncate(count);
+        Ok((records, end))
     }
 
     /// Current log size in bytes, for both sinks — served from the
@@ -755,6 +718,19 @@ mod tests {
         }
     }
 
+    /// Appends `record` as a commit group of its own.
+    fn commit(wal: &mut Wal, record: WalRecord) {
+        wal.append_record(&record).unwrap();
+        wal.append_record(&WalRecord::CommitBoundary).unwrap();
+    }
+
+    /// Commits each op as a group of its own.
+    fn commit_ops(wal: &mut Wal, ops: &[WalOp]) {
+        for op in ops {
+            commit(wal, WalRecord::Storage(op.clone()));
+        }
+    }
+
     /// The storage ops of a replay or decode, coordination skipped.
     fn ops_of(records: Vec<WalRecord>) -> Vec<WalOp> {
         records.into_iter().filter_map(WalRecord::storage).collect()
@@ -799,7 +775,7 @@ mod tests {
     #[test]
     fn memory_wal_roundtrip() {
         let mut wal = Wal::in_memory();
-        append_ops(&mut wal, &sample_ops());
+        commit_ops(&mut wal, &sample_ops());
         let replayed = replay_ops(&mut wal);
         assert_eq!(replayed, sample_ops());
     }
@@ -812,7 +788,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::open(&path).unwrap();
-            append_ops(&mut wal, &sample_ops());
+            commit_ops(&mut wal, &sample_ops());
             wal.sync().unwrap();
         }
         // reopen and replay
@@ -824,7 +800,7 @@ mod tests {
     #[test]
     fn torn_final_frame_is_tolerated() {
         let mut wal = Wal::in_memory();
-        append_ops(&mut wal, &sample_ops());
+        commit_ops(&mut wal, &sample_ops());
         let bytes = wal.raw_bytes().unwrap().to_vec();
         // chop off the last 3 bytes: final frame is torn
         let truncated = &bytes[..bytes.len() - 3];
@@ -854,13 +830,11 @@ mod tests {
     #[test]
     fn coordination_frames_roundtrip_and_interleave() {
         let mut wal = Wal::in_memory();
-        append_ops(&mut wal, &sample_ops()[..1]);
-        wal.append_record(&WalRecord::Coordination(b"register q1".to_vec()))
-            .unwrap();
-        append_ops(&mut wal, &sample_ops()[1..2]);
+        commit_ops(&mut wal, &sample_ops()[..1]);
+        commit(&mut wal, WalRecord::Coordination(b"register q1".to_vec()));
+        commit_ops(&mut wal, &sample_ops()[1..2]);
         // empty payloads are legal
-        wal.append_record(&WalRecord::Coordination(Vec::new()))
-            .unwrap();
+        commit(&mut wal, WalRecord::Coordination(Vec::new()));
         let records = wal.replay_records().unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(records[1], WalRecord::Coordination(b"register q1".to_vec()));
@@ -872,7 +846,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_so_appends_recover() {
         let mut wal = Wal::in_memory();
-        append_ops(&mut wal, &sample_ops());
+        commit_ops(&mut wal, &sample_ops());
         let mut bytes = wal.raw_bytes().unwrap().to_vec();
         bytes.truncate(bytes.len() - 3); // tear the final frame
         let mut torn = Wal::from_bytes(bytes);
@@ -880,7 +854,7 @@ mod tests {
         assert_eq!(ops.len(), sample_ops().len() - 1);
         // the torn bytes are gone: appending after replay yields a
         // clean log instead of mid-frame garbage
-        append_ops(&mut torn, &sample_ops()[..1]);
+        commit_ops(&mut torn, &sample_ops()[..1]);
         let ops = replay_ops(&mut torn);
         assert_eq!(ops.len(), sample_ops().len());
     }
@@ -888,7 +862,7 @@ mod tests {
     #[test]
     fn corrupt_final_frame_is_treated_as_torn() {
         let mut wal = Wal::in_memory();
-        append_ops(&mut wal, &sample_ops());
+        commit_ops(&mut wal, &sample_ops());
         let mut bytes = wal.raw_bytes().unwrap().to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // checksum failure confined to the tail
@@ -928,8 +902,8 @@ mod tests {
     #[test]
     fn out_of_order_tear_rolls_back_to_last_commit() {
         // frame k of group 2 torn (checksum fails), frame k+1 and the
-        // group's marker landed intact: the v1 residual gap. Replay
-        // must recover to the end of group 1, not report WalCorrupt.
+        // group's marker landed intact. Replay must recover to the end
+        // of group 1, not report WalCorrupt.
         let (mut bytes, group1_end, frame_starts) = two_group_log();
         bytes[frame_starts[0] + 8] ^= 0xff;
         let (records, consumed) = Wal::decode_records(&bytes).unwrap();
@@ -967,18 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_marker_logs_still_replay() {
-        // a v1 log (no markers anywhere) keeps its full contents and
-        // the legacy tear semantics
-        let mut wal = Wal::in_memory();
-        append_ops(&mut wal, &sample_ops());
-        let bytes = wal.raw_bytes().unwrap().to_vec();
-        let (records, consumed) = Wal::decode_records(&bytes).unwrap();
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(records.len(), sample_ops().len());
-    }
-
-    #[test]
     fn reopened_torn_file_log_reconciles_len_bytes() {
         let dir = std::env::temp_dir().join(format!("youtopia_wal_len_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1008,7 +970,7 @@ mod tests {
     #[test]
     fn schema_with_pk_survives_roundtrip() {
         let mut wal = Wal::in_memory();
-        append_ops(
+        commit_ops(
             &mut wal,
             &[WalOp::CreateTable {
                 name: "T".into(),

@@ -132,6 +132,7 @@ proptest! {
         for op in &ops {
             wal.append_record(&WalRecord::Storage(op.clone())).unwrap();
         }
+        wal.append_record(&WalRecord::CommitBoundary).unwrap();
         let replayed: Vec<WalOp> = wal
             .replay_records()
             .unwrap()
@@ -151,9 +152,12 @@ proptest! {
         ops in proptest::collection::vec(arb_wal_op(), 1..10),
         cut_fraction in 0.0f64..1.0,
     ) {
+        // each op commits as a group of its own, so a cut keeps the
+        // ops whose marker landed
         let mut wal = Wal::in_memory();
         for op in &ops {
             wal.append_record(&WalRecord::Storage(op.clone())).unwrap();
+            wal.append_record(&WalRecord::CommitBoundary).unwrap();
         }
         let bytes = wal.raw_bytes().unwrap();
         let cut = (bytes.len() as f64 * cut_fraction) as usize;

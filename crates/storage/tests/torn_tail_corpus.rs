@@ -1,11 +1,11 @@
 //! Torn-tail corpus: a crash can cut the WAL at *any* byte offset
 //! (append-mode writes land as a prefix of the frame). Replay must
-//! recover the longest consistent prefix, truncate the torn bytes
+//! recover the longest committed prefix, truncate the torn bytes
 //! away, and leave the log appendable — never report `WalCorrupt` for
 //! a tail-only tear, and never mis-frame a subsequent append.
 
 use youtopia_storage::{
-    Column, DataType, Schema, StorageError, Tuple, Value, Wal, WalOp, WalRecord,
+    Column, DataType, Database, Schema, StorageError, Tuple, Value, Wal, WalOp, WalRecord,
 };
 
 fn schema() -> Schema {
@@ -19,28 +19,33 @@ fn schema() -> Schema {
 }
 
 /// A coordination payload shaped like the core layer's registration
-/// events: `tag`, two u32-length-prefixed strings, qid and seq as
-/// big-endian u64, and — for the v2 (deadline-carrying) shape, tag 5 —
-/// a trailing deadline u64. Storage treats payloads as opaque; these
-/// shapes keep the truncation corpus representative of real logs,
-/// v1 (pre-deadline) and v2 alike.
-fn registration_payload(tag: u8, owner: &str, sql: &str, deadline: Option<u64>) -> Vec<u8> {
-    let mut buf = vec![tag];
+/// events: tag 10, two u32-length-prefixed strings, qid and seq as
+/// big-endian u64, then the optional deadline and audit stamp, each
+/// behind a presence byte (the stamp is absent here). Storage treats
+/// payloads as opaque; this shape keeps the truncation corpus
+/// representative of real logs.
+fn registration_payload(owner: &str, sql: &str, deadline: Option<u64>) -> Vec<u8> {
+    let mut buf = vec![10];
     for s in [owner, sql] {
         buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
         buf.extend_from_slice(s.as_bytes());
     }
     buf.extend_from_slice(&7u64.to_be_bytes()); // qid
     buf.extend_from_slice(&3u64.to_be_bytes()); // seq
-    if let Some(d) = deadline {
-        buf.extend_from_slice(&d.to_be_bytes());
+    match deadline {
+        Some(d) => {
+            buf.push(1);
+            buf.extend_from_slice(&d.to_be_bytes());
+        }
+        None => buf.push(0),
     }
+    buf.push(0); // no audit stamp
     buf
 }
 
 /// A mixed log: DDL + DML storage frames interleaved with coordination
-/// frames of several sizes (including empty, and both registration
-/// event shapes).
+/// frames of several sizes (including empty, and registrations with
+/// and without a deadline).
 fn corpus_records() -> Vec<WalRecord> {
     let mut records = vec![WalRecord::Storage(WalOp::CreateTable {
         name: "Flights".into(),
@@ -55,13 +60,11 @@ fn corpus_records() -> Vec<WalRecord> {
         records.push(WalRecord::Coordination(vec![i as u8; i as usize * 7]));
     }
     records.push(WalRecord::Coordination(registration_payload(
-        0,
         "kramer",
         "SELECT 'K', fno INTO ANSWER R CHOOSE 1",
         None,
     )));
     records.push(WalRecord::Coordination(registration_payload(
-        5,
         "newman",
         "SELECT 'N', fno INTO ANSWER R CHOOSE 1",
         Some(123_456),
@@ -73,24 +76,38 @@ fn corpus_records() -> Vec<WalRecord> {
     records
 }
 
-fn corpus_bytes() -> (Vec<u8>, Vec<usize>) {
+/// The corpus log. With `seal_each`, each record is committed as a
+/// group of its own (its frame, then a marker frame); without, the
+/// records form one group whose marker is not written, so every frame
+/// lies before the first marker. Returns the bytes and the boundaries:
+/// 0, then the end of each group (sealed) or frame (unsealed).
+fn corpus_bytes(seal_each: bool) -> (Vec<u8>, Vec<usize>) {
     let mut wal = Wal::in_memory();
     let mut boundaries = vec![0usize];
     for record in corpus_records() {
         wal.append_record(&record).unwrap();
+        if seal_each {
+            wal.append_record(&WalRecord::CommitBoundary).unwrap();
+        }
         boundaries.push(wal.raw_bytes().unwrap().len());
     }
     (wal.raw_bytes().unwrap().to_vec(), boundaries)
 }
 
-/// How many whole frames fit into a prefix of `cut` bytes.
+/// How many whole groups fit into a prefix of `cut` bytes.
 fn frames_below(boundaries: &[usize], cut: usize) -> usize {
     boundaries.iter().filter(|&&b| b != 0 && b <= cut).count()
 }
 
+/// Appends `record` as a commit group of its own.
+fn commit(wal: &mut Wal, record: WalRecord) {
+    wal.append_record(&record).unwrap();
+    wal.append_record(&WalRecord::CommitBoundary).unwrap();
+}
+
 #[test]
 fn truncation_at_every_offset_recovers_the_longest_prefix() {
-    let (bytes, boundaries) = corpus_bytes();
+    let (bytes, boundaries) = corpus_bytes(true);
     let records = corpus_records();
     for cut in 0..=bytes.len() {
         let (decoded, consumed) =
@@ -104,9 +121,9 @@ fn truncation_at_every_offset_recovers_the_longest_prefix() {
 
 #[test]
 fn truncated_memory_wal_is_appendable_after_replay() {
-    let (bytes, boundaries) = corpus_bytes();
+    let (bytes, boundaries) = corpus_bytes(true);
     let last_start = boundaries[boundaries.len() - 2];
-    // byte-level truncations at every offset of the last frame
+    // byte-level truncations at every offset of the last group
     for cut in last_start..bytes.len() {
         let mut wal = Wal::from_bytes(bytes[..cut].to_vec());
         let recovered = wal.replay_records().unwrap();
@@ -117,8 +134,7 @@ fn truncated_memory_wal_is_appendable_after_replay() {
             "torn bytes truncated"
         );
         // the log is clean again: appending and replaying roundtrips
-        wal.append_record(&WalRecord::Coordination(b"post-crash".to_vec()))
-            .unwrap();
+        commit(&mut wal, WalRecord::Coordination(b"post-crash".to_vec()));
         let replayed = wal.replay_records().unwrap();
         assert_eq!(replayed.len(), corpus_records().len());
         assert_eq!(
@@ -132,9 +148,9 @@ fn truncated_memory_wal_is_appendable_after_replay() {
 fn truncated_file_wal_is_truncated_on_disk_and_appendable() {
     let dir = std::env::temp_dir().join(format!("youtopia_torn_tail_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (bytes, boundaries) = corpus_bytes();
+    let (bytes, boundaries) = corpus_bytes(true);
     let last_start = boundaries[boundaries.len() - 2];
-    // sample a handful of offsets inside the last frame (full sweep is
+    // sample a handful of offsets inside the last group (full sweep is
     // the memory test's job; file IO is slower)
     let offsets: Vec<usize> = (last_start..bytes.len()).step_by(3).collect();
     for (i, &cut) in offsets.iter().enumerate() {
@@ -146,11 +162,13 @@ fn truncated_file_wal_is_truncated_on_disk_and_appendable() {
             assert_eq!(recovered.len(), corpus_records().len() - 1, "cut at {cut}");
             // the torn bytes are gone from disk
             assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, last_start);
-            wal.append_record(&WalRecord::Storage(WalOp::Delete {
-                table: "Flights".into(),
-                rid: 0,
-            }))
-            .unwrap();
+            commit(
+                &mut wal,
+                WalRecord::Storage(WalOp::Delete {
+                    table: "Flights".into(),
+                    rid: 0,
+                }),
+            );
             wal.sync().unwrap();
         }
         // a later process sees a clean log including the new append
@@ -164,7 +182,7 @@ fn truncated_file_wal_is_truncated_on_disk_and_appendable() {
     }
 }
 
-/// A marker-format (v2) log: the corpus records split into two commit
+/// The corpus records split into two commit
 /// groups, each sealed by a [`WalRecord::CommitBoundary`] frame.
 /// Returns the bytes, the end of group 1 (just past its marker), and
 /// the frame-start offsets of group 2: frame k, frame k+1, marker.
@@ -244,11 +262,10 @@ fn unsynced_group_without_its_marker_rolls_back_cleanly() {
 
 #[test]
 fn corrupt_final_frame_with_trailing_garbage_recovers_on_marker_logs() {
-    // The byte pattern that escaped the legacy tear path: the final
-    // frame is corrupt AND followed by trailing garbage, so the
-    // failure is not confined to exact end-of-buffer. With commit
-    // markers the case is decidable — everything past the last marker
-    // is unsynced, so roll back to it.
+    // The final frame is corrupt AND followed by trailing garbage,
+    // so the failure is not confined to exact end-of-buffer. After a
+    // commit marker the case is decidable — everything past the last
+    // marker is unsynced, so roll back to it.
     let (bytes, group1_end, starts) = marker_corpus();
     let all = corpus_records();
     let mut damaged = bytes.clone();
@@ -259,11 +276,10 @@ fn corrupt_final_frame_with_trailing_garbage_recovers_on_marker_logs() {
     assert_eq!(recovered, all[..all.len() - 2]);
     assert_eq!(wal.raw_bytes().map(<[u8]>::len), Some(group1_end));
 
-    // the same pattern on a legacy (marker-free) log stays loud: with
-    // no boundary to roll back to it is indistinguishable from
-    // mid-log corruption
-    let (legacy, boundaries) = corpus_bytes();
-    let mut damaged = legacy.clone();
+    // the same pattern before any marker stays loud: with no boundary
+    // to roll back to it is indistinguishable from mid-log corruption
+    let (unsealed, boundaries) = corpus_bytes(false);
+    let mut damaged = unsealed.clone();
     damaged[boundaries[boundaries.len() - 2] + 8] ^= 0xff;
     damaged.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef, 0x0d]);
     assert!(matches!(
@@ -287,9 +303,10 @@ fn corruption_of_synced_groups_is_still_detected_on_marker_logs() {
 
 #[test]
 fn mid_log_corruption_is_still_detected() {
-    let (bytes, boundaries) = corpus_bytes();
+    let (bytes, boundaries) = corpus_bytes(false);
     // flip a payload byte in every frame *except the last*: corruption
-    // before the tail must be reported, never silently truncated
+    // before the first marker and before the tail must be reported,
+    // never silently truncated
     for w in boundaries[..boundaries.len() - 2].windows(2) {
         let (start, _end) = (w[0], w[1]);
         let mut corrupted = bytes.clone();
@@ -301,5 +318,64 @@ fn mid_log_corruption_is_still_detected() {
             ),
             "corruption at frame starting {start} must be detected"
         );
+    }
+}
+
+/// The offset of every frame of `bytes`, read from the length headers.
+fn frame_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut offset = 0;
+    while offset < bytes.len() {
+        starts.push(offset);
+        let len = u32::from_be_bytes(bytes[offset..offset + 4].try_into().unwrap());
+        offset += 8 + len as usize;
+    }
+    starts
+}
+
+/// The first transaction of a log creates a table and inserts two rows.
+/// Cut inside its last insert, or just before its marker, it never
+/// committed: recovery must apply none of it, not the frames that
+/// happen to be intact, and leave an empty log that takes new commits.
+#[test]
+fn an_unterminated_first_group_recovers_nothing() {
+    let db = Database::with_wal(Wal::in_memory());
+    db.with_txn(|txn| {
+        txn.create_table("Flights", schema())?;
+        txn.insert(
+            "Flights",
+            Tuple::new(vec![Value::Int(122), Value::from("Paris")]),
+        )?;
+        txn.insert(
+            "Flights",
+            Tuple::new(vec![Value::Int(123), Value::from("Rome")]),
+        )?;
+        Ok(())
+    })
+    .unwrap();
+    let bytes = db.wal_bytes().unwrap();
+    let starts = frame_starts(&bytes);
+    assert_eq!(starts.len(), 4, "create, two inserts, marker");
+    let (last_insert, marker) = (starts[2], starts[3]);
+    for (shape, cut) in [
+        ("torn last insert", last_insert + 8 + 3),
+        ("marker missing", marker),
+    ] {
+        let (recovered, coordination) =
+            Database::recover(Wal::from_bytes(bytes[..cut].to_vec())).unwrap();
+        assert!(coordination.is_empty(), "{shape}");
+        assert!(
+            !recovered.read().catalog().has_table("Flights"),
+            "{shape}: the uncommitted transaction left a table"
+        );
+        assert_eq!(recovered.wal_bytes().map(|b| b.len()), Some(0), "{shape}");
+        // the emptied log takes a new commit and replays it
+        recovered
+            .with_txn(|txn| txn.create_table("Hotels", schema()))
+            .unwrap();
+        let (again, _) =
+            Database::recover(Wal::from_bytes(recovered.wal_bytes().unwrap())).unwrap();
+        assert!(again.read().catalog().has_table("Hotels"), "{shape}");
+        assert!(!again.read().catalog().has_table("Flights"), "{shape}");
     }
 }

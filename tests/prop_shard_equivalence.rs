@@ -122,7 +122,9 @@ fn canonical(n: &MatchNotification) -> Outcome {
 
 /// The coordination log in the form every cut of a workload agrees on
 /// (see the module docs): registration payloads sorted, every other
-/// record in log order under the lowercased relation it writes.
+/// record in log order under the lowercased relation it writes. A match
+/// frame is filed under the table of the insert before it, which its
+/// own transaction wrote.
 #[derive(Debug, PartialEq)]
 struct Log {
     registrations: Vec<Vec<u8>>,
@@ -136,6 +138,7 @@ fn read_log(db: &Database) -> Log {
         registrations: Vec::new(),
         effects: BTreeMap::new(),
     };
+    let mut last_table = String::new();
     for record in records {
         let relation = match &record {
             WalRecord::CommitBoundary => continue,
@@ -144,9 +147,7 @@ fn read_log(db: &Database) -> Log {
                     log.registrations.push(payload.clone());
                     continue;
                 }
-                Ok(CoordEvent::MatchCommitted { answer_writes, .. }) => answer_writes
-                    .first()
-                    .map_or_else(String::new, |(rel, _)| rel.clone()),
+                Ok(CoordEvent::MatchCommitted { .. }) => last_table.clone(),
                 other => panic!("no cancel, expiry or watermark here: {other:?}"),
             },
             WalRecord::Storage(
@@ -155,7 +156,10 @@ fn read_log(db: &Database) -> Log {
                 | WalOp::Insert { table, .. }
                 | WalOp::Update { table, .. }
                 | WalOp::Delete { table, .. },
-            ) => table.clone(),
+            ) => {
+                last_table.clone_from(table);
+                table.clone()
+            }
         };
         log.effects
             .entry(relation.to_ascii_lowercase())
