@@ -28,7 +28,7 @@ fn main() {
     e7_loaded_system();
     e8_admin_surface();
     e9_choose_distribution();
-    e10_ablation();
+    e10_fail_first();
     println!("\nAll experiments completed.");
 }
 
@@ -387,90 +387,63 @@ fn e9_choose_distribution() {
     );
 }
 
-fn e10_ablation() {
-    println!("== E10: forward-checking ablation (pair close on 200 standing pending) ==");
+fn e10_fail_first() {
+    println!("== E10: fail-first grounding (pair close on 200 standing pending) ==");
     println!(
         "  {:>22} | {:>10} | {:>14}",
-        "variant", "ms/close", "rows_scanned"
+        "instance", "ms/close", "rows_scanned"
     );
-    for (name, fc) in [("fc ON", true), ("fc OFF", false)] {
-        let mut last_rows = 0u64;
-        let ms = mean_ms(
-            5,
-            || {
-                let mut gen = WorkloadGen::new(29);
-                let db = gen.build_database(200, &["Paris"]).unwrap();
-                let config = CoordinatorConfig {
-                    match_config: MatchConfig {
-                        forward_checking: fc,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let co = Coordinator::with_config(db, config);
-                preload_noise(&co, &mut gen, 200, "Paris");
-                let first = WorkloadGen::pair_request("probeA", "probeB", "Paris");
-                co.submit_sql(&first.owner, &first.sql).unwrap();
-                (co, WorkloadGen::pair_request("probeB", "probeA", "Paris"))
-            },
-            |(co, closing)| {
-                let before = co.stats().match_work.rows_scanned;
-                let sub = co.submit_sql(&closing.owner, &closing.sql).unwrap();
-                assert!(matches!(sub, Submission::Answered(_)));
-                last_rows = co.stats().match_work.rows_scanned - before;
-            },
-        );
-        println!("  {name:>22} | {ms:>10.3} | {last_rows:>14}");
-    }
+    let mut last_rows = 0u64;
+    let ms = mean_ms(
+        5,
+        || {
+            let mut gen = WorkloadGen::new(29);
+            let db = gen.build_database(200, &["Paris"]).unwrap();
+            let co = Coordinator::new(db);
+            preload_noise(&co, &mut gen, 200, "Paris");
+            let first = WorkloadGen::pair_request("probeA", "probeB", "Paris");
+            co.submit_sql(&first.owner, &first.sql).unwrap();
+            (co, WorkloadGen::pair_request("probeB", "probeA", "Paris"))
+        },
+        |(co, closing)| {
+            let before = co.stats().match_work.rows_scanned;
+            let sub = co.submit_sql(&closing.owner, &closing.sql).unwrap();
+            assert!(matches!(sub, Submission::Answered(_)));
+            last_rows = co.stats().match_work.rows_scanned - before;
+        },
+    );
+    println!("  {:>22} | {ms:>10.3} | {last_rows:>14}", "pair");
+    let mut rows = 0u64;
+    let ms = mean_ms(
+        5,
+        || {
+            let mut gen = WorkloadGen::new(13);
+            let db = gen.build_database(100, &["Paris"]).unwrap();
+            let co = Coordinator::new(db);
+            let mut reqs = gen.group(0, 8, "Paris");
+            let closing = reqs.pop().unwrap();
+            for r in &reqs {
+                co.submit_sql(&r.owner, &r.sql).unwrap();
+            }
+            (co, closing)
+        },
+        |(co, closing)| {
+            let before = co.stats().match_work.rows_scanned;
+            let sub = co.submit_sql(&closing.owner, &closing.sql).unwrap();
+            assert!(matches!(sub, Submission::Answered(_)));
+            rows = co.stats().match_work.rows_scanned - before;
+        },
+    );
+    println!("  {:>22} | {ms:>10.3} | {rows:>14}", "group of 8");
+    // The library test `forward_checking_pays_only_where_grounding_backtracks`
+    // pins these rows and the backtracking instance's.
+    println!(
+        "  (nothing backtracks here, and the fail-first pick filters every \
+         unassigned domain;\n   it pays where grounding backtracks: one flight of 100 \
+         with all 50 hotels reads\n   400 rows per grounding, mean of 50 seeds)"
+    );
     println!(
         "  (the candidate index's claim is E7's: its indexed curve stays flat at \
-         10-100x\n   more pending queries)"
-    );
-
-    // Both measured sides of forward checking; the library test
-    // `forward_checking_pays_only_where_grounding_backtracks` asserts them.
-    println!(
-        "  (forward checking costs rows above: nothing backtracks, and its \
-         fail-first pick\n   filters every unassigned domain)"
-    );
-    println!("\n  forward checking on group-of-8 grounding (nothing backtracks either):");
-    println!(
-        "  {:>22} | {:>10} | {:>14}",
-        "variant", "ms/close", "rows_scanned"
-    );
-    for (name, fc) in [("fc ON", true), ("fc OFF", false)] {
-        let mut rows = 0u64;
-        let ms = mean_ms(
-            5,
-            || {
-                let mut gen = WorkloadGen::new(13);
-                let db = gen.build_database(100, &["Paris"]).unwrap();
-                let config = CoordinatorConfig {
-                    match_config: MatchConfig {
-                        forward_checking: fc,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let co = Coordinator::with_config(db, config);
-                let mut reqs = gen.group(0, 8, "Paris");
-                let closing = reqs.pop().unwrap();
-                for r in &reqs {
-                    co.submit_sql(&r.owner, &r.sql).unwrap();
-                }
-                (co, closing)
-            },
-            |(co, closing)| {
-                let before = co.stats().match_work.rows_scanned;
-                let sub = co.submit_sql(&closing.owner, &closing.sql).unwrap();
-                assert!(matches!(sub, Submission::Answered(_)));
-                rows = co.stats().match_work.rows_scanned - before;
-            },
-        );
-        println!("  {name:>22} | {ms:>10.3} | {rows:>14}");
-    }
-    println!(
-        "  (it pays where grounding backtracks: one flight of 100 with all 50 hotels \
-         reads\n   400 vs 2 960 rows per grounding, mean of 50 seeds)\n"
+         10-100x\n   more pending queries)\n"
     );
 }

@@ -205,16 +205,6 @@ mod tests {
         work_of(co, || assert_eq!(submit_all(co, &[closing]), (1, 0)))
     }
 
-    fn forward_checking(on: bool) -> CoordinatorConfig {
-        CoordinatorConfig {
-            match_config: MatchConfig {
-                forward_checking: on,
-                ..MatchConfig::default()
-            },
-            ..CoordinatorConfig::default()
-        }
-    }
-
     /// The match work one lonely arrival costs over `noise` standing
     /// queries, at E7's group bound of 3. It names the standing
     /// `noise0` as its friend, so the indexed matcher has one candidate
@@ -319,76 +309,62 @@ mod tests {
         );
     }
 
-    /// E10's pair close on 200 standing queries, with forward checking
-    /// set as given.
-    fn ablation_close(fc: bool) -> MatchStats {
-        let (co, mut gen) = paris(29, 200, forward_checking(fc));
-        preload_noise(&co, &mut gen, 200, "Paris");
-        let pair = |me, friend| WorkloadGen::pair_request(me, friend, "Paris");
-        close_work(
-            &co,
-            vec![pair("probeA", "probeB"), pair("probeB", "probeA")],
-        )
-    }
-
-    /// E10, forward checking. On E10's own workloads nothing
-    /// backtracks, and fail-first's filter passes over every unassigned
-    /// domain cost rows: 800 vs 600 on the pair, 3 700 vs 900 on the
-    /// group of 8. It pays where a wrong early pick fails late: one
-    /// flight of 100 has all 50 hotels. Without forward checking,
-    /// grounding draws flights in query order and filters the hotels
-    /// for each; with it, the smaller `(f, h)` domain goes first and
-    /// binds the flight. Summed over 50 seeds the rows are 20 000 vs
-    /// 148 000.
+    /// E10, fail-first grounding: the rows each instance reads, pinned.
+    /// On E10's own workloads nothing backtracks, and the fail-first
+    /// pick's filter passes over every unassigned domain cost rows: 800
+    /// on the pair close over 200 standing queries, 3 700 on the group
+    /// of 8. It pays where a wrong early pick fails late: one flight of
+    /// 100 has all 50 hotels, and the smaller `(f, h)` domain goes
+    /// first and binds the flight, 20 000 rows summed over 50 seeds.
+    /// Domain postings (ROADMAP item 11(a)) are to lower these pins.
     #[test]
     fn forward_checking_pays_only_where_grounding_backtracks() {
-        let on = ablation_close(true).rows_scanned;
-        let off = ablation_close(false).rows_scanned;
-        assert!(on > off, "E10 pair: {on} vs {off}");
-        let group_of_8 = |fc| {
-            let (co, mut gen) = paris(13, 100, forward_checking(fc));
-            close_work(&co, gen.group(0, 8, "Paris")).rows_scanned
-        };
-        let (on, off) = (group_of_8(true), group_of_8(false));
-        assert!(on > off, "E10 group of 8: {on} vs {off}");
-
-        let one_flight_has_the_hotels = |fc: bool| -> u64 {
-            let flights: Vec<String> = (0..100).map(|f| format!("({f}, 'Paris')")).collect();
-            let hotels: Vec<String> = (0..50).map(|h| format!("({h}, 57)")).collect();
-            (0..50)
-                .map(|seed| {
-                    let db = Database::new();
-                    for sql in [
-                        "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)".to_string(),
-                        format!("INSERT INTO Flights VALUES {}", flights.join(", ")),
-                        "CREATE TABLE Hotels (hid INT PRIMARY KEY, fno INT)".to_string(),
-                        format!("INSERT INTO Hotels VALUES {}", hotels.join(", ")),
-                    ] {
-                        run_sql(&db, &sql).expect("setup");
-                    }
-                    let co = Coordinator::with_config(
-                        db,
-                        CoordinatorConfig {
-                            seed,
-                            ..forward_checking(fc)
-                        },
-                    );
-                    let solo = Request {
-                        owner: "solo".into(),
-                        sql: "SELECT 'solo', f, h INTO ANSWER R \
-                              WHERE f IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
-                              AND (f, h) IN (SELECT fno, hid FROM Hotels) CHOOSE 1"
-                            .into(),
-                    };
-                    work_of(&co, || assert_eq!(submit_all(&co, &[solo]), (1, 0))).rows_scanned
-                })
-                .sum()
-        };
-        let (on, off) = (
-            one_flight_has_the_hotels(true),
-            one_flight_has_the_hotels(false),
+        let (co, mut gen) = paris(29, 200, CoordinatorConfig::default());
+        preload_noise(&co, &mut gen, 200, "Paris");
+        let pair = |me, friend| WorkloadGen::pair_request(me, friend, "Paris");
+        let e10_pair = close_work(
+            &co,
+            vec![pair("probeA", "probeB"), pair("probeB", "probeA")],
         );
-        assert!(on < off, "one flight has the hotels: {on} vs {off}");
+        assert_eq!(e10_pair.rows_scanned, 800, "E10 pair");
+        let (co, mut gen) = paris(13, 100, CoordinatorConfig::default());
+        let group_of_8 = close_work(&co, gen.group(0, 8, "Paris"));
+        assert_eq!(group_of_8.rows_scanned, 3_700, "E10 group of 8");
+
+        let flights: Vec<String> = (0..100).map(|f| format!("({f}, 'Paris')")).collect();
+        let hotels: Vec<String> = (0..50).map(|h| format!("({h}, 57)")).collect();
+        let one_flight_has_the_hotels: u64 = (0..50)
+            .map(|seed| {
+                let db = Database::new();
+                for sql in [
+                    "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)".to_string(),
+                    format!("INSERT INTO Flights VALUES {}", flights.join(", ")),
+                    "CREATE TABLE Hotels (hid INT PRIMARY KEY, fno INT)".to_string(),
+                    format!("INSERT INTO Hotels VALUES {}", hotels.join(", ")),
+                ] {
+                    run_sql(&db, &sql).expect("setup");
+                }
+                let co = Coordinator::with_config(
+                    db,
+                    CoordinatorConfig {
+                        seed,
+                        ..CoordinatorConfig::default()
+                    },
+                );
+                let solo = Request {
+                    owner: "solo".into(),
+                    sql: "SELECT 'solo', f, h INTO ANSWER R \
+                          WHERE f IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                          AND (f, h) IN (SELECT fno, hid FROM Hotels) CHOOSE 1"
+                        .into(),
+                };
+                work_of(&co, || assert_eq!(submit_all(&co, &[solo]), (1, 0))).rows_scanned
+            })
+            .sum();
+        assert_eq!(
+            one_flight_has_the_hotels, 20_000,
+            "one flight has the hotels"
+        );
     }
 
     #[test]

@@ -534,7 +534,8 @@ impl Engine {
 
     /// Re-runs matching for pending queries that freshly committed
     /// answer tuples may have made matchable, repeating until no
-    /// further matches fire. Each round's triggers come from
+    /// further matches fire, and returns the notifications of every
+    /// query it answered. Each round's triggers come from
     /// [`cascade_triggers`]: the registry's waiting index names the
     /// queries with a positive constraint filed under a key some fresh
     /// tuple carries (the candidate index answers the opposite question
@@ -551,7 +552,8 @@ impl Engine {
         mut fresh: Vec<(String, Tuple)>,
         hook: HookRef,
         ack: Ack,
-    ) -> CoreResult<()> {
+    ) -> CoreResult<Vec<MatchNotification>> {
+        let mut notifications = Vec::new();
         let mut triggers = Vec::new();
         while !fresh.is_empty() {
             state.stats.match_work.cascade_scanned +=
@@ -564,7 +566,10 @@ impl Engine {
                 if let Some(m) = self.try_match(state, qid)? {
                     let new_tuples: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
                     match self.apply_and_notify(state, m, hook, ack) {
-                        Ok(_) => fresh.extend(new_tuples),
+                        Ok(answered) => {
+                            notifications.extend(answered);
+                            fresh.extend(new_tuples);
+                        }
                         Err(CoreError::Storage(_)) => {
                             // group reinstated by apply_and_notify; it
                             // stays pending (e.g. inventory exhausted)
@@ -574,7 +579,7 @@ impl Engine {
                 }
             }
         }
-        Ok(())
+        Ok(notifications)
     }
 
     /// Runs the configured matcher for `trigger`. Callers hold the
@@ -701,46 +706,72 @@ impl Engine {
         Ok(notifications)
     }
 
-    /// Retries matching for every pending query of this domain until a
-    /// full sweep fires no match. Returns the notifications of all
-    /// queries answered by the sweep.
+    /// Re-matches registered queries: each of `triggers`, in the given
+    /// order, does what an arrival does — [`Self::try_match`],
+    /// [`Self::apply_and_notify`], then [`Self::cascade`] on the
+    /// committed answers. Ids no longer pending are skipped. Returns the
+    /// notifications of every query the sweep answered.
     ///
-    /// Index-first pruning: before each round the candidate index and a
-    /// value-keyed probe of the committed answer relations identify
-    /// provably-unmatchable triggers, which are skipped without ever
-    /// taking the db read lock. The skip set is recomputed after every
-    /// fired match (a commit can make a skipped trigger viable), so a
-    /// skipped `try_match` is always one that would have returned
+    /// The error rule is the cascade's: a failed apply reinstates the
+    /// group, which stays pending, and the sweep moves on; any other
+    /// error propagates.
+    ///
+    /// Index-first pruning: the candidate index and a value-keyed probe
+    /// of the committed answer relations identify provably-unmatchable
+    /// triggers ([`Self::prunable_triggers`]), which are skipped without
+    /// ever taking the db read lock. The skip set is recomputed after
+    /// every fired match (a commit can make a skipped trigger viable),
+    /// so a skipped `try_match` is always one that would have returned
     /// `None` — the sweep's outcome is bit-identical to the unpruned
     /// sweep.
+    pub(crate) fn sweep(
+        &self,
+        state: &mut ShardState,
+        triggers: &[QueryId],
+        hook: HookRef,
+        ack: Ack,
+    ) -> CoreResult<Vec<MatchNotification>> {
+        let mut notifications = Vec::new();
+        let mut skip = self.prunable_triggers(state);
+        for &qid in triggers {
+            if state.registry.get(qid).is_none() {
+                continue; // answered earlier in this sweep, or moved on
+            }
+            if skip.contains(&qid) {
+                state.stats.match_work.triggers_pruned += 1;
+                continue;
+            }
+            let Some(m) = self.try_match(state, qid)? else {
+                continue;
+            };
+            let fresh: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
+            match self.apply_and_notify(state, m, hook, ack) {
+                Ok(answered) => notifications.extend(answered),
+                // reinstated by apply_and_notify: the registry is as it
+                // was, so the skip set still holds
+                Err(CoreError::Storage(_)) => continue,
+                Err(e) => return Err(e),
+            }
+            notifications.extend(self.cascade(state, fresh, hook, ack)?);
+            skip = self.prunable_triggers(state);
+        }
+        Ok(notifications)
+    }
+
+    /// One [`Self::sweep`] over every pending query of this domain, in
+    /// ascending id order, waiting for the log. A query that is not
+    /// matchable when the sweep reaches it can become matchable later
+    /// in the sweep only through answers committed meanwhile (a match
+    /// removes pending heads and adds answers), and the cascade already
+    /// retries the queries waiting on those, so one sweep leaves
+    /// nothing matchable behind.
     pub(crate) fn retry_all(
         &self,
         state: &mut ShardState,
         hook: HookRef,
     ) -> CoreResult<Vec<MatchNotification>> {
-        let mut notifications = Vec::new();
-        loop {
-            let pending_ids: Vec<QueryId> = state.registry.iter().map(|p| p.id).collect();
-            let mut skip = self.prunable_triggers(state);
-            let mut matched_any = false;
-            for qid in pending_ids {
-                if state.registry.get(qid).is_none() {
-                    continue; // answered earlier in this sweep
-                }
-                if skip.contains(&qid) {
-                    state.stats.match_work.triggers_pruned += 1;
-                    continue;
-                }
-                if let Some(m) = self.try_match(state, qid)? {
-                    notifications.extend(self.apply_and_notify(state, m, hook, Ack::Wait)?);
-                    matched_any = true;
-                    skip = self.prunable_triggers(state);
-                }
-            }
-            if !matched_any {
-                return Ok(notifications);
-            }
-        }
+        let ids: Vec<QueryId> = state.registry.iter().map(|p| p.id).collect();
+        self.sweep(state, &ids, hook, Ack::Wait)
     }
 
     /// The pending queries that provably cannot match right now: some

@@ -444,7 +444,6 @@ mod tests {
         let small = MatchConfig {
             max_group_size: 3,
             randomize: false,
-            ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(3);
         let mut stats = MatchStats::default();
@@ -475,7 +474,6 @@ mod tests {
         let config = MatchConfig {
             max_group_size: 3,
             randomize: false,
-            ..Default::default()
         };
         match_query_naive(
             &reg,

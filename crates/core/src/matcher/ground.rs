@@ -6,8 +6,9 @@
 //! This is a finite CSP: each positive membership predicate contributes
 //! a domain (the rows of its subquery against the current database
 //! snapshot), and the search assigns memberships to rows with
-//! backtracking. With `forward_checking` on, the next membership to
-//! assign is chosen fail-first (fewest compatible rows).
+//! backtracking. The next membership to assign is always chosen
+//! fail-first: the one with the fewest rows compatible with the
+//! substitution so far.
 //!
 //! Membership rows come from the shard's [`MembershipCache`]: a
 //! subquery runs once per version of the tables it reads, and every
@@ -298,25 +299,19 @@ impl GroundingProblem {
         }
         let mut best_rows = ROW_POOL.with(|p| p.get(stats));
         let mut trial_rows = ROW_POOL.with(|p| p.get(stats));
-        // Pick the next membership: fail-first under forward checking,
-        // first-listed otherwise.
-        let pick_pos = if config.forward_checking {
-            let mut pick: Option<usize> = None;
-            for (pos, &idx) in unassigned.iter().enumerate() {
-                self.compatible_row_indices(idx, subst, &mut trial_rows, stats);
-                if pick.is_none() || trial_rows.len() < best_rows.len() {
-                    std::mem::swap(&mut best_rows, &mut trial_rows);
-                    pick = Some(pos);
-                    if best_rows.is_empty() {
-                        break; // cannot do better than zero
-                    }
+        // Pick the next membership fail-first: fewest compatible rows.
+        let mut pick: Option<usize> = None;
+        for (pos, &idx) in unassigned.iter().enumerate() {
+            self.compatible_row_indices(idx, subst, &mut trial_rows, stats);
+            if pick.is_none() || trial_rows.len() < best_rows.len() {
+                std::mem::swap(&mut best_rows, &mut trial_rows);
+                pick = Some(pos);
+                if best_rows.is_empty() {
+                    break; // cannot do better than zero
                 }
             }
-            pick.expect("unassigned is non-empty")
-        } else {
-            self.compatible_row_indices(unassigned[0], subst, &mut best_rows, stats);
-            0
-        };
+        }
+        let pick_pos = pick.expect("unassigned is non-empty");
         // Shuffling the index buffer visits the same rows in the same
         // order (and burns the same RNG draws) as shuffling a 0..len
         // order vector over materialized clones did.
@@ -1104,7 +1099,6 @@ mod tests {
         Attempt {
             trigger: u64,
             naive: bool,
-            forward_checking: bool,
         },
         Insert(i64, &'static str),
         Update(i64, &'static str),
@@ -1126,13 +1120,12 @@ mod tests {
     const CITIES: [&str; 3] = ["Paris", "Rome", "Oslo"];
 
     fn arb_step() -> impl Strategy<Value = Step> {
-        (0u8..16, 1i64..9, 0usize..3, 0u8..4).prop_map(|(kind, fno, city, bits)| {
+        (0u8..16, 1i64..9, 0usize..3, any::<bool>()).prop_map(|(kind, fno, city, naive)| {
             let city = CITIES[city];
             match kind {
                 0..=5 => Step::Attempt {
                     trigger: fno.unsigned_abs() % 6 + 1,
-                    naive: bits & 1 == 1,
-                    forward_checking: bits & 2 == 0,
+                    naive,
                 },
                 6 => Step::Insert(fno, city),
                 7 => Step::Update(fno, city),
@@ -1275,18 +1268,10 @@ mod tests {
     ) -> Attempt {
         use crate::matcher::{baseline, search};
         use rand::RngCore;
-        let Step::Attempt {
-            trigger,
-            naive,
-            forward_checking,
-        } = *step
-        else {
+        let Step::Attempt { trigger, naive } = *step else {
             unreachable!("only attempts match")
         };
-        let config = MatchConfig {
-            forward_checking,
-            ..MatchConfig::default()
-        };
+        let config = MatchConfig::default();
         let mut stats = MatchStats::default();
         let run = if naive {
             baseline::match_query_naive_with

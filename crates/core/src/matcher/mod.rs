@@ -76,10 +76,6 @@ pub struct MatchConfig {
     /// explored (the demo's largest scenario uses 4; the default leaves
     /// generous headroom).
     pub max_group_size: usize,
-    /// Forward checking: apply the current substitution to constraints
-    /// before candidate lookup, and use fail-first ordering during
-    /// grounding. Disabling this is the E10 ablation.
-    pub forward_checking: bool,
     /// Randomize candidate and row order (the `CHOOSE 1`
     /// nondeterminism of the paper). Tests disable this for
     /// reproducibility; the coordinator seeds its own RNG.
@@ -90,7 +86,6 @@ impl Default for MatchConfig {
     fn default() -> Self {
         MatchConfig {
             max_group_size: 16,
-            forward_checking: true,
             randomize: true,
         }
     }
@@ -225,7 +220,6 @@ mod tests {
     fn default_config() {
         let c = MatchConfig::default();
         assert_eq!(c.max_group_size, 16);
-        assert!(c.forward_checking);
         assert!(c.randomize);
     }
 }

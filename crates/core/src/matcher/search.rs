@@ -247,11 +247,7 @@ fn solve_obligation(
     };
     // Forward checking: resolve already-bound variables so the
     // constant-position index can prune harder.
-    let lookup_atom = if config.forward_checking {
-        scratch.subst.apply_atom(constraint_atom)
-    } else {
-        constraint_atom.clone()
-    };
+    let lookup_atom = scratch.subst.apply_atom(constraint_atom);
 
     // Assemble providers into the pooled node buffers: index-resolved
     // pending heads, then the committed tuples whose constants agree (a
@@ -620,25 +616,8 @@ mod tests {
         let small = MatchConfig {
             max_group_size: 3,
             randomize: false,
-            ..Default::default()
         };
         assert!(run_match(&db, &reg, 4, &small).is_none());
-    }
-
-    #[test]
-    fn forward_checking_off_still_correct() {
-        let db = flights_db();
-        let reg = registry_of(&[
-            (1, &pair_sql("Kramer", "Jerry")),
-            (2, &pair_sql("Jerry", "Kramer")),
-        ]);
-        let no_fc = MatchConfig {
-            forward_checking: false,
-            randomize: false,
-            ..Default::default()
-        };
-        let m = run_match(&db, &reg, 2, &no_fc).expect("still matches");
-        assert_eq!(m.members.len(), 2);
     }
 
     #[test]

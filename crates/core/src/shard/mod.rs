@@ -575,10 +575,13 @@ impl ShardedCoordinator {
     /// after database updates add new flights/hotels, and the
     /// workhorse of the recovery re-match sweep). Shards hold disjoint
     /// pending sets behind separate locks, so the sweep fans out
-    /// across the worker pool — one task per shard, each running the
-    /// index-first pruned [`Engine::retry_all`]. Results are
-    /// reassembled in shard order, so notifications and error
-    /// propagation are identical to sweeping the shards one by one.
+    /// across the worker pool — one task per shard, each running one
+    /// index-first pruned [`Engine::retry_all`] sweep over the shard's
+    /// pending ids in ascending order. A group whose apply fails (say,
+    /// the apply hook finds no seats) stays pending and the sweep goes
+    /// on; any other error is returned. Results are reassembled in
+    /// shard order, so notifications and error propagation are
+    /// identical to sweeping the shards one by one.
     pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
         let hook = self.apply_hook.lock().clone();
         let (swept, answered): (Vec<_>, Vec<_>) = self
@@ -849,14 +852,31 @@ mod tests {
         )
         .unwrap();
         let co = ShardedCoordinator::new(db.clone());
+        // the hook rejects every group answering into `Rejected`
+        co.set_apply_hook(Arc::new(|_txn, m| {
+            if m.all_answers().any(|(rel, _)| rel == "Rejected") {
+                return Err(youtopia_storage::StorageError::Internal("no seats".into()));
+            }
+            Ok(())
+        }));
         co.submit_sql("kramer", &pair_sql_on("Reservation", "Kramer", "Jerry"))
             .unwrap();
         co.submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
             .unwrap();
+        co.submit_sql("elaine", &pair_sql_on("Rejected", "Elaine", "George"))
+            .unwrap();
+        co.submit_sql("george", &pair_sql_on("Rejected", "George", "Elaine"))
+            .unwrap();
         assert!(co.retry_all().unwrap().is_empty());
         run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
-        assert_eq!(co.retry_all().unwrap().len(), 2);
-        assert_eq!(co.pending_count(), 0);
+        // the rejected pair stays pending and does not fail the sweep
+        let answered = co.retry_all().unwrap();
+        let mut owners: Vec<QueryId> = answered.iter().map(|n| n.id).collect();
+        owners.sort_unstable();
+        assert_eq!(owners, [QueryId(1), QueryId(2)]);
+        let pending: Vec<String> = co.pending_snapshot().into_iter().map(|p| p.owner).collect();
+        assert_eq!(pending, ["elaine", "george"]);
+        assert!(co.answers("Rejected").is_empty());
         co.check_routing_invariants().unwrap();
     }
 

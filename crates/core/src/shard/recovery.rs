@@ -42,7 +42,9 @@ impl ShardedCoordinator {
     ///    reproducible;
     /// 4. a matching sweep re-runs arrivals that were logged but whose
     ///    match had not committed before the crash (those matches are
-    ///    logged now, like any other).
+    ///    logged now, like any other). A group whose apply fails stays
+    ///    pending, as it would on the live path, so one rejected group
+    ///    never stops a restart.
     ///
     /// Waiters do not survive; reconnecting clients obtain fresh
     /// futures through [`ShardedCoordinator::reattach`]. The
@@ -178,7 +180,7 @@ mod tests {
     use crate::ir::QueryId;
     use crate::lifecycle::{MockClock, SubmitOptions};
     use crate::shard::testing::*;
-    use crate::shard::{ShardedConfig, ShardedCoordinator};
+    use crate::shard::{ShardedConfig, ShardedCoordinator, SharedApplyHook};
 
     use super::RECOMPILE_CHUNK;
 
@@ -421,6 +423,42 @@ mod tests {
             ShardedCoordinator::recover(Wal::from_bytes(bytes), ShardedConfig::default()).unwrap();
         assert_eq!(report2.restored_pending, 0);
         assert_eq!(co2.answers("Res").len(), 2);
+    }
+
+    /// A group whose apply the hook rejects stays pending on the live
+    /// path; the restart's sweep treats it the same way instead of
+    /// failing recovery.
+    #[test]
+    fn a_rejected_group_does_not_stop_a_restart() {
+        let no_seats: SharedApplyHook =
+            Arc::new(|_txn, _m| Err(youtopia_storage::StorageError::Internal("no seats".into())));
+        let db = flights_db_wal();
+        let co = ShardedCoordinator::new(db.clone());
+        co.set_apply_hook(Arc::clone(&no_seats));
+        co.submit_sql("kramer", &pair_sql_on("Res", "Kramer", "Jerry"))
+            .unwrap();
+        assert!(co
+            .submit_sql("jerry", &pair_sql_on("Res", "Jerry", "Kramer"))
+            .is_err());
+        assert_eq!(co.pending_count(), 2, "the rejected pair stays pending");
+        let bytes = db.wal_bytes().unwrap();
+        drop(co);
+
+        let (co2, report) = ShardedCoordinator::recover_with(
+            Wal::from_bytes(bytes),
+            ShardedConfig::default(),
+            Some(no_seats),
+            Arc::new(MockClock::new(0)),
+        )
+        .unwrap();
+        assert_eq!(report.restored_pending, 2);
+        assert_eq!(report.rematched_groups, 0);
+        assert_eq!(co2.pending_count(), 2);
+        co2.set_apply_hook(Arc::new(|_txn, _m| Ok(())));
+        assert_eq!(co2.retry_all().unwrap().len(), 2);
+        assert_eq!(co2.pending_count(), 0);
+        assert_eq!(co2.answers("Res").len(), 2);
+        co2.check_routing_invariants().unwrap();
     }
 
     #[test]

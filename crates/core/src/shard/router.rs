@@ -1,11 +1,11 @@
 //! The router: a union-find over answer-relation signatures that
 //! decides which shard a query lives on, and the coordinator's
 //! migration / placement-healing paths built on it (see the routing
-//! rule and locking protocol in the [module docs](super)).
+//! rule and locking protocol in the [module docs](super)). Queries a
+//! migration moves are re-matched by the engine's one re-match loop,
+//! a sweep per destination shard.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-
-use youtopia_storage::Tuple;
 
 use crate::engine::Ack;
 use crate::ir::{EntangledQuery, QueryId};
@@ -260,10 +260,13 @@ impl ShardedCoordinator {
     /// Re-matches queries that [`Self::apply_migrations`] moved: the
     /// merge that triggered the migration may have made them matchable
     /// against their new shard's pending set. Runs *without* the router
-    /// lock; matching, applies and cascades happen under the shard lock
-    /// only, exactly like a drain, and their log writes follow the
-    /// arrival's `ack`. Best-effort: apply failures leave the group
-    /// pending, like a cascade round.
+    /// lock; each shard's moved queries are one [`Engine::sweep`] under
+    /// the shard lock only, exactly like a drain, and its log writes
+    /// follow the arrival's `ack`. Best-effort: an apply failure leaves
+    /// its group pending, like a cascade round, and any other error is
+    /// dropped, since no caller waits on a re-match.
+    ///
+    /// [`Engine::sweep`]: crate::engine::Engine::sweep
     pub(super) fn rematch_moved(
         &self,
         moves: HashMap<usize, Vec<QueryId>>,
@@ -273,32 +276,7 @@ impl ShardedCoordinator {
         let mut answered = Vec::new();
         for (shard, qids) in moves {
             let mut state = self.shard_lock(shard);
-            // Index-first pruning: a moved query whose candidate index
-            // and committed probe both come up empty cannot match in
-            // its new shard either — skip it without a db read lock.
-            // Recomputed after every fired match, so skips are exactly
-            // the try_match calls that would return None.
-            let mut skip = self.engine.prunable_triggers(&state);
-            for qid in qids {
-                if state.registry.get(qid).is_none() {
-                    continue; // answered earlier in this loop or moved on
-                }
-                if skip.contains(&qid) {
-                    state.stats.match_work.triggers_pruned += 1;
-                    continue;
-                }
-                if let Ok(Some(gm)) = self.engine.try_match(&mut state, qid) {
-                    let fresh: Vec<(String, Tuple)> = gm.all_answers().cloned().collect();
-                    if self
-                        .engine
-                        .apply_and_notify(&mut state, gm, hook_ref(hook), ack)
-                        .is_ok()
-                    {
-                        let _ = self.engine.cascade(&mut state, fresh, hook_ref(hook), ack);
-                        skip = self.engine.prunable_triggers(&state);
-                    } // on Err the group was reinstated and stays pending
-                }
-            }
+            let _ = self.engine.sweep(&mut state, &qids, hook_ref(hook), ack);
             self.engine.flush_audit(&mut state);
             answered.append(&mut state.answered_log);
         }

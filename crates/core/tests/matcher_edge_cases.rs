@@ -227,7 +227,6 @@ fn group_size_exactly_at_the_bound_matches() {
         match_config: MatchConfig {
             max_group_size: 3,
             randomize: false,
-            ..Default::default()
         },
         ..Default::default()
     };

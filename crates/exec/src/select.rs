@@ -983,8 +983,9 @@ mod tests {
 
     /// A probe finds what a scan finds when the literal's type differs
     /// from the column's: `price = 3` probes with the stored
-    /// `Float(3.0)`, and `fno = 3.0`, which no `Int` key equals, scans,
-    /// as does `price = 0`, which `-0.0` also equals.
+    /// `Float(3.0)`, `price = 0` with the key `0.0` that a stored `-0.0`
+    /// is filed under, and `fno = 3.0`, which no `Int` key equals,
+    /// scans.
     #[test]
     fn index_probe_returns_the_rows_a_scan_returns() {
         let db = Database::new();
@@ -1060,6 +1061,47 @@ mod tests {
             .unwrap();
         for q in queries {
             assert_eq!(sorted(q), [1, 2], "index: {q}");
+        }
+    }
+
+    /// `P (price FLOAT PRIMARY KEY, n INT)` holding `(0.0, 1)`, and the
+    /// outcome of inserting `(-0.0, 2)` after it.
+    fn zero_priced() -> (Database, Result<(), ExecError>) {
+        use crate::engine::run_sql;
+        let db = Database::new();
+        run_sql(&db, "CREATE TABLE P (price FLOAT PRIMARY KEY, n INT)").unwrap();
+        run_sql(&db, "INSERT INTO P VALUES (0.0, 1)").unwrap();
+        let second = run_sql(&db, "INSERT INTO P VALUES (-0.0, 2)").map(drop);
+        (db, second)
+    }
+
+    /// A unique `FLOAT` index files `0.0` and `-0.0` under one key:
+    /// they are one SQL value, so the second zero is a duplicate.
+    #[test]
+    fn a_unique_float_index_rejects_the_other_zero() {
+        let (_, second) = zero_priced();
+        assert!(
+            matches!(
+                second,
+                Err(ExecError::Storage(
+                    youtopia_storage::StorageError::UniqueViolation { .. }
+                ))
+            ),
+            "{second:?}"
+        );
+    }
+
+    /// An equality with either zero probes the one key and finds the
+    /// one row.
+    #[test]
+    fn a_negative_zero_probe_finds_the_one_zero_row() {
+        let (db, _) = zero_priced();
+        for q in [
+            "SELECT n FROM P WHERE price = -0.0",
+            "SELECT n FROM P WHERE price = 0.0",
+            "SELECT n FROM P WHERE price = 0",
+        ] {
+            assert_eq!(ints(&run(&db, q), 0), [1], "{q}");
         }
     }
 

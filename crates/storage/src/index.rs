@@ -50,11 +50,12 @@ impl Index {
         self.unique
     }
 
-    /// Extracts this index's key from a full row.
+    /// Extracts this index's key from a full row: the indexed values,
+    /// with a float zero filed under `0.0`.
     pub fn key_of(&self, tuple: &Tuple) -> IndexKey {
         self.columns
             .iter()
-            .map(|&i| tuple.values()[i].clone())
+            .map(|&i| key_value(tuple.values()[i].clone()))
             .collect()
     }
 
@@ -96,6 +97,17 @@ impl Index {
     /// Clears all entries (used when a table is truncated / rebuilt).
     pub fn clear(&mut self) {
         self.postings.clear();
+    }
+}
+
+/// The key under which an index files a stored value: a float zero
+/// under `0.0`, since `0.0` and `-0.0` are one SQL value
+/// ([`Value::sql_eq`]) but differ bitwise; every other value under
+/// itself.
+pub(crate) fn key_value(v: Value) -> Value {
+    match &v {
+        Value::Float(f) if *f == 0.0 => Value::Float(0.0),
+        _ => v,
     }
 }
 

@@ -16,8 +16,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{StorageError, StorageResult};
-use crate::index::Index;
-use crate::schema::{DataType, Schema};
+use crate::index::{key_value, Index};
+use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -189,10 +189,15 @@ impl Table {
                 }
             }
         }
+        // An index whose key is unchanged keeps the row where it is in
+        // its posting, so an update of other columns leaves the order
+        // an index probe returns rows in untouched.
         for idx in &mut self.indexes {
-            idx.remove(&old, rid);
-            idx.insert(&tuple, rid)
-                .expect("uniqueness was pre-checked; insert cannot fail");
+            if idx.key_of(&old) != idx.key_of(&tuple) {
+                idx.remove(&old, rid);
+                idx.insert(&tuple, rid)
+                    .expect("uniqueness was pre-checked; insert cannot fail");
+            }
         }
         self.rows.insert(rid.0, tuple);
         self.version = fresh_version();
@@ -265,17 +270,18 @@ impl Table {
 
     /// The key under which an index on `column` files exactly the rows
     /// whose value `sql_eq`s `value`: `value` coerced to the column
-    /// type, as stored values are. `None`, and the caller scans, where
+    /// type, as stored values are, and filed as the index files them (a
+    /// float zero under `0.0`). `None`, and the caller scans, where
     /// `sql_eq` and the keys' `Eq` part: for NULL, which equals
-    /// nothing; for a value of another type (`Float(3.0)` against an
-    /// `Int` column); and for a zero of either type against a `Float`
-    /// column, since it `sql_eq`s both `0.0` and `-0.0`.
+    /// nothing, and for a value of another type (`Float(3.0)` against
+    /// an `Int` column).
     pub fn probe_key(&self, column: usize, value: &Value) -> Option<Value> {
         let ty = self.schema.columns()[column].ty;
         match value {
             Value::Null => None,
-            v if ty == DataType::Float64 && v.sql_eq(&Value::Float(0.0)) => None,
-            v => v.compatible_with(ty).then(|| v.clone().coerce_to(ty)),
+            v => v
+                .compatible_with(ty)
+                .then(|| key_value(v.clone().coerce_to(ty))),
         }
     }
 
@@ -397,6 +403,51 @@ mod tests {
         assert_eq!(t.get(RowId(0)).unwrap().values()[0], Value::Int(122));
     }
 
+    /// A seat decrement leaves the row where it was in the `dest`
+    /// posting, so a probe returns the rows in the same order after it;
+    /// a new primary key moves only the primary-key entry.
+    #[test]
+    fn update_refiles_only_the_indexes_whose_key_changed() {
+        let schema = Schema::with_primary_key(
+            vec![
+                Column::new("fno", DataType::Int64),
+                Column::new("dest", DataType::Str),
+                Column::new("seats", DataType::Int64),
+            ],
+            &["fno"],
+        );
+        let mut t = Table::new("Flights", schema);
+        for fno in [122, 123, 134] {
+            t.insert(Tuple::new(vec![
+                Value::Int(fno),
+                Value::from("Paris"),
+                Value::Int(10),
+            ]))
+            .unwrap();
+        }
+        t.create_index("by_dest", &["dest"], false).unwrap();
+        let paris = |t: &Table| -> Vec<u64> {
+            t.rows_where_eq(1, &Value::from("Paris"))
+                .iter()
+                .map(|r| r.0)
+                .collect()
+        };
+        let row = |fno: i64, seats: i64| {
+            Tuple::new(vec![
+                Value::Int(fno),
+                Value::from("Paris"),
+                Value::Int(seats),
+            ])
+        };
+        t.update(RowId(0), row(122, 9)).unwrap();
+        assert_eq!(paris(&t), [0, 1, 2]);
+        t.update(RowId(0), row(999, 9)).unwrap();
+        assert_eq!(paris(&t), [0, 1, 2]);
+        let pk = t.index("Flights_pk").unwrap();
+        assert!(pk.probe(&[Value::Int(122)]).is_empty());
+        assert_eq!(pk.probe(&[Value::Int(999)]), &[RowId(0)]);
+    }
+
     #[test]
     fn update_keeping_same_key_is_fine() {
         let mut t = flights();
@@ -504,7 +555,7 @@ mod tests {
         assert_eq!(t.probe_key(0, &Value::Float(3.0)), None);
         assert_eq!(t.probe_key(0, &Value::from("3")), None);
         for zero in [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)] {
-            assert_eq!(t.probe_key(1, &zero), None, "{zero:?}");
+            assert_eq!(t.probe_key(1, &zero), Some(Value::Float(0.0)), "{zero:?}");
         }
     }
 
