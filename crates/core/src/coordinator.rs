@@ -44,7 +44,7 @@ pub enum MatcherKind {
 pub struct CoordinatorConfig {
     /// Safety condition enforced at submission.
     pub safety: SafetyMode,
-    /// Matcher tuning (group-size bound, forward checking, randomize).
+    /// Matcher tuning (group-size bound, randomize).
     pub match_config: MatchConfig,
     /// Which matcher runs on arrival.
     pub matcher: MatcherKind,

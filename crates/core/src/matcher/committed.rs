@@ -26,7 +26,6 @@ use youtopia_storage::{Catalog, Tuple, Value};
 
 use crate::ir::{Atom, Term};
 use crate::matcher::MatchStats;
-use crate::registry::index_key;
 use crate::unify::unify_eq;
 
 /// The committed tuples of `atom`'s relation that could unify with it:
@@ -71,11 +70,10 @@ fn constants_agree(atom: &Atom, values: &[Value]) -> bool {
 /// satisfy this constraint" without rescanning tables per trigger.
 ///
 /// Per relation it records the arities seen and, per position, the
-/// [`index_key`]s of the stored values — the registry's canonical key,
-/// under which unify-equal values (`unify_eq`, e.g. `Int(3)` and
-/// `Float(3.0)`) coincide. The per-position test is therefore a
-/// superset of unify-equality: the probe may say "maybe" for a tuple
-/// that does not unify, but never "no" for one that does.
+/// [`Value::key`]s of the stored values, which are equal exactly where
+/// the values unify (`unify_eq`, e.g. `Int(3)` and `Float(3.0)`).
+/// Positions are tested independently, so the probe may say "maybe"
+/// for a tuple that does not unify, but never "no" for one that does.
 pub(crate) struct CommittedProbe {
     relations: HashMap<String, RelationProbe>,
 }
@@ -111,7 +109,7 @@ impl CommittedProbe {
                         .by_pos
                         .entry(pos)
                         .or_default()
-                        .insert(index_key(v).into_owned());
+                        .insert(v.key().into_owned());
                 }
             }
         }
@@ -134,7 +132,7 @@ impl CommittedProbe {
             Term::Const(v) => probe
                 .by_pos
                 .get(&pos)
-                .is_some_and(|set| set.contains(&*index_key(v))),
+                .is_some_and(|set| set.contains(&*v.key())),
             _ => true,
         })
     }

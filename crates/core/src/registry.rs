@@ -21,18 +21,19 @@
 //!   in the relation's unkeyed list when it has no constant
 //!   (`docs/matching.md`, "The waiting index").
 //!
-//! Both key constants through `index_key`, so values that unify
-//! (`Int(3)` and `Float(3.0)`) share a posting and every lookup stays a
-//! superset of what unification accepts. Both keep every posting in one
-//! layout, `Posting`: a sorted, duplicate-free `Vec`. Only
-//! [`Registry::insert`] and [`Registry::remove`] touch them, so
-//! reinstatement after a failed apply, shard migration and recovery
-//! keep them exact with no code of their own.
+//! Both key constants by [`Value::key`], storage's one key, under which
+//! two values share a posting exactly when they unify (`Int(3)` and
+//! `Float(3.0)` do), so every lookup stays a superset of what
+//! unification accepts. Both keep every posting as a storage
+//! [`Posting`], the sorted, duplicate-free `Vec` that table indexes
+//! use too. Only [`Registry::insert`] and [`Registry::remove`] touch
+//! them, so reinstatement after a failed apply, shard migration and
+//! recovery keep them exact with no code of their own.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use youtopia_storage::Value;
+use youtopia_storage::{Posting, Value};
 
 use crate::ir::{Atom, EntangledQuery, QueryId, Term};
 
@@ -50,71 +51,7 @@ pub struct CandidateScan {
     pub pruned: u64,
 }
 
-/// The canonical hash key of a constant in every index: `Int(i)` maps
-/// to the `Float` it `sql_eq`s and `-0.0` to `0.0`; everything else is
-/// its own key. Unification compares constants with
-/// [`crate::unify::unify_eq`], and any two values equal under it share
-/// a key, so a lookup by key never misses a value that unifies.
-pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
-    match v {
-        Value::Int(i) => Cow::Owned(Value::Float(*i as f64)),
-        Value::Float(f) if *f == 0.0 => Cow::Owned(Value::Float(0.0)),
-        other => Cow::Borrowed(other),
-    }
-}
-
-/// A posting list: sorted, duplicate-free entries in one `Vec`.
-/// Lookups and merges walk a slice; `insert` and `remove` binary-search
-/// their slot and shift the tail, which costs nothing at the end, where
-/// ascending query ids land.
-#[derive(Debug)]
-struct Posting<T>(Vec<T>);
-
-impl<T> Default for Posting<T> {
-    fn default() -> Self {
-        Posting(Vec::new())
-    }
-}
-
-impl<T: Ord + Copy> Posting<T> {
-    fn insert(&mut self, x: T) {
-        if let Err(at) = self.0.binary_search(&x) {
-            self.0.insert(at, x);
-        }
-    }
-
-    fn remove(&mut self, x: &T) {
-        if let Ok(at) = self.0.binary_search(x) {
-            self.0.remove(at);
-        }
-    }
-
-    fn set(&mut self, x: T, member: bool) {
-        if member {
-            self.insert(x);
-        } else {
-            self.remove(&x);
-        }
-    }
-
-    fn contains(&self, x: &T) -> bool {
-        self.0.binary_search(x).is_ok()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, T>> {
-        self.0.iter().copied()
-    }
-}
-
-/// position -> `index_key` of a constant -> posting. Positions are
+/// position -> [`Value::key`] of a constant -> posting. Positions are
 /// small and dense (an atom's arity), so the outer level is a `Vec`.
 type KeyedPostings<T> = Vec<HashMap<Value, Posting<T>>>;
 
@@ -143,9 +80,7 @@ fn set_keyed<T: Ord + Copy>(
                 by_key.remove(key.as_ref());
             }
         }
-        None if member => {
-            by_key.insert(key.into_owned(), Posting(vec![x]));
-        }
+        None if member => by_key.entry(key.into_owned()).or_default().insert(x),
         None => {}
     }
 }
@@ -203,12 +138,12 @@ pub struct HeadRef {
 struct RelationIndex {
     /// All heads on this relation.
     heads: Posting<HeadRef>,
-    /// Heads with a constant at a position, by its `index_key`.
+    /// Heads with a constant at a position, by its key.
     by_const: KeyedPostings<HeadRef>,
     /// position -> heads with a variable there.
     by_var: Vec<Posting<HeadRef>>,
     /// Queries with a positive constraint on this relation, by the
-    /// position and `index_key` of the constraint's first constant.
+    /// position and key of the constraint's first constant.
     waiting: KeyedPostings<QueryId>,
     /// Queries with a constant-free positive constraint on this
     /// relation.
@@ -260,7 +195,7 @@ impl Registry {
             let (_, rel) = current.as_mut().expect("looked up above");
             let Some(href) = head else {
                 match waiting_slot(atom) {
-                    Some((pos, v)) => set_keyed(&mut rel.waiting, pos, index_key(v), qid, member),
+                    Some((pos, v)) => set_keyed(&mut rel.waiting, pos, v.key(), qid, member),
                     None => rel.unkeyed.set(qid, member),
                 }
                 continue;
@@ -268,7 +203,7 @@ impl Registry {
             rel.heads.set(href, member);
             for (pos, term) in atom.terms.iter().enumerate() {
                 match term {
-                    Term::Const(v) => set_keyed(&mut rel.by_const, pos, index_key(v), href, member),
+                    Term::Const(v) => set_keyed(&mut rel.by_const, pos, v.key(), href, member),
                     Term::Var(_) => slot(&mut rel.by_var, pos).set(href, member),
                 }
             }
@@ -325,7 +260,7 @@ impl Registry {
 
     /// Appends to `out` every pending query with a positive answer
     /// constraint that the tuple `values` on `relation` could satisfy:
-    /// the waiting postings under `(p, index_key(values[p]))` for each
+    /// the waiting postings under `(p, values[p].key())` for each
     /// position `p`, plus the relation's unkeyed list. A constraint the
     /// tuple satisfies has its first constant unify-equal to the
     /// tuple's value there, hence the same key, so the result is a
@@ -337,7 +272,7 @@ impl Registry {
         };
         out.extend(rel.unkeyed.iter());
         for (pos, v) in values.iter().enumerate() {
-            if let Some(posting) = rel.waiting.get(pos).and_then(|m| m.get(&*index_key(v))) {
+            if let Some(posting) = rel.waiting.get(pos).and_then(|m| m.get(&*v.key())) {
                 out.extend(posting.iter());
             }
         }
@@ -425,7 +360,7 @@ impl Registry {
             let consts_empty = rel
                 .by_const
                 .get(pos)
-                .and_then(|m| m.get(&*index_key(v)))
+                .and_then(|m| m.get(&*v.key()))
                 .is_none_or(Posting::is_empty);
             if consts_empty && rel.by_var.get(pos).is_none_or(Posting::is_empty) {
                 return false;
@@ -453,7 +388,7 @@ impl Registry {
         let mut driver_len = usize::MAX;
         for (pos, term) in constraint.terms.iter().enumerate() {
             let Term::Const(v) = term else { continue };
-            let cs = rel.by_const.get(pos).and_then(|m| m.get(&*index_key(v)));
+            let cs = rel.by_const.get(pos).and_then(|m| m.get(&*v.key()));
             let vs = rel.by_var.get(pos);
             let len = cs.map_or(0, Posting::len) + vs.map_or(0, Posting::len);
             if len == 0 {
@@ -858,9 +793,7 @@ mod tests {
     #[test]
     fn unify_equal_constants_share_a_key() {
         // head R('A', 3) satisfies ('A', 3.0) IN ANSWER R, and the other
-        // way round. 0, 0.0 and -0.0 share a key too: 0 unifies with
-        // both floats, which do not unify with each other, so the index
-        // returns a superset there
+        // way round. 0, 0.0 and -0.0 are one value and share a key too
         let a = Value::from("A");
         let mut reg = Registry::new();
         reg.insert(query_of(
@@ -907,26 +840,36 @@ mod tests {
         reg.waiting_on("R", &[a.clone(), Value::Int(3)], &mut out);
         assert_eq!(out, vec![QueryId(4)]);
         reg.check_index_invariants();
-        // the contract itself: any two constants that unify share a key
+        // the contract itself: two constants unify exactly when they
+        // share a key, which is `sql_eq` plus NULL unifying with NULL
+        let big = 1i64 << 53;
         let values = [
             a,
             Value::from("3"),
             Value::Int(0),
             Value::Int(3),
             Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Int(big),
+            Value::Int(big + 1),
             Value::Float(0.0),
             Value::Float(-0.0),
             Value::Float(3.0),
+            Value::Float(3.5),
+            Value::Float(big as f64),
             Value::Float(i64::MAX as f64),
+            Value::Float(i64::MIN as f64),
             Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
             Value::Bool(true),
             Value::Null,
         ];
         for x in &values {
             for y in &values {
-                if crate::unify::unify_eq(x, y) {
-                    assert_eq!(index_key(x), index_key(y), "{x:?} unifies with {y:?}");
-                }
+                let unify = crate::unify::unify_eq(x, y);
+                assert_eq!(unify, x.key() == y.key(), "{x:?} vs {y:?}");
+                let sql = x.sql_eq(y) || x.is_null() && y.is_null();
+                assert_eq!(unify, sql, "{x:?} vs {y:?}");
             }
         }
     }
@@ -978,22 +921,6 @@ mod tests {
         reg.check_index_invariants();
     }
 
-    #[test]
-    fn postings_stay_sorted_and_duplicate_free() {
-        let mut p = Posting::default();
-        for x in [5u64, 1, 3, 5, 1] {
-            p.insert(x);
-        }
-        assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 3, 5]);
-        assert!(p.contains(&3) && !p.contains(&4));
-        p.remove(&3);
-        p.remove(&4);
-        assert_eq!((p.len(), p.iter().collect::<Vec<_>>()), (2, vec![1, 5]));
-        p.remove(&1);
-        p.remove(&5);
-        assert!(p.is_empty());
-    }
-
     impl Registry {
         /// Every posting entry of both indexes as a
         /// `(relation, index, position, key, qid, head)` row — a form
@@ -1010,7 +937,7 @@ mod tests {
                 split: impl Fn(T) -> (u64, usize),
             ) {
                 assert!(
-                    posting.0.windows(2).all(|w| w[0] < w[1]),
+                    posting.as_slice().windows(2).all(|w| w[0] < w[1]),
                     "posting {rel}/{index}/{pos}/{key} unsorted: {posting:?}"
                 );
                 for x in posting.iter() {

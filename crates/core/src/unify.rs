@@ -15,12 +15,12 @@ use youtopia_storage::Value;
 
 use crate::ir::{Atom, Term, Var};
 
-/// Whether two constants unify: `sql_eq` (which bridges `Int` and
-/// `Float`), or plain equality (which `NULL` needs, since `sql_eq`
-/// never holds for it). Every constant comparison the matchers make
-/// goes through this one test.
+/// Whether two constants unify: their [`Value::key`]s are equal. That
+/// is `sql_eq` (which bridges `Int` and `Float`) plus `NULL` unifying
+/// with `NULL`. Every constant comparison the matchers make goes
+/// through this one test.
 pub(crate) fn unify_eq(a: &Value, b: &Value) -> bool {
-    a.sql_eq(b) || a == b
+    a.key() == b.key()
 }
 
 /// One reversible mutation, recorded by `bind`/`union` so `undo_to` can

@@ -321,7 +321,9 @@ fn bool3(v: Value) -> ExecResult<Option<bool>> {
     }
 }
 
-/// Ordered comparison for the comparison operators; requires comparable
+/// Ordered comparison for the comparison operators and `BETWEEN`, by
+/// [`Value::total_cmp`]: `Equal` exactly where `sql_eq` holds, and an
+/// `Int` against a `Float` by exact value. Requires comparable
 /// (same-class) operands.
 fn compare(l: &Value, r: &Value) -> ExecResult<std::cmp::Ordering> {
     use Value::*;

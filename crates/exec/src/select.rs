@@ -6,6 +6,7 @@
 //! equality predicates on base tables ([`choose_access_path`]), which
 //! the matcher relies on when evaluating entangled database predicates.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use youtopia_sql::{
@@ -86,18 +87,13 @@ pub fn execute_select_with_scopes(
         (schema, rows, Some(input_rows))
     };
 
-    // 4. DISTINCT
+    // 4. DISTINCT: rows are equal when their values' keys are, and the
+    // first row of each stays
     if select.distinct {
         let mut seen = std::collections::HashSet::new();
-        let mut kept_out = Vec::with_capacity(out_rows.len());
-        for (i, row) in out_rows.iter().enumerate() {
-            if seen.insert(row.clone()) {
-                kept_out.push((i, row.clone()));
-            }
-        }
+        out_rows.retain(|row| seen.insert(row_key(row.values())));
         // DISTINCT breaks the out-row/in-row correspondence for sorting by
         // input columns; restrict ORDER BY to output columns in that case.
-        out_rows = kept_out.into_iter().map(|(_, r)| r).collect();
         return finish(catalog, select, out_schema, out_rows, None, outer);
     }
 
@@ -109,6 +105,13 @@ pub fn execute_select_with_scopes(
         in_rows_for_sort.map(|r| (input_schema, r)),
         outer,
     )
+}
+
+/// The [`Value::key`]s of `values`: equal exactly where every value
+/// `sql_eq`s its partner or both are NULL, the equality of `DISTINCT`
+/// and `GROUP BY`.
+fn row_key(values: &[Value]) -> Vec<Value> {
+    values.iter().map(|v| v.key().into_owned()).collect()
 }
 
 /// ORDER BY + LIMIT/OFFSET.
@@ -233,8 +236,10 @@ pub enum AccessPath {
 
 /// Chooses an access path for scanning `atom` given the query's WHERE
 /// clause: a single-column hash index whose column appears in a
-/// `col = literal` conjunct is probed instead of scanning, keyed by
-/// [`Table::probe_key`]; a literal that gives no key leaves the scan.
+/// `col = literal` conjunct is probed instead of scanning, with the
+/// literal itself: the index keys it as it keys stored values
+/// ([`Value::key`]), so the probe finds exactly the rows `sql_eq` keeps,
+/// in scan order. A NULL literal equals nothing and leaves the scan.
 ///
 /// This is deliberately conservative (single conjunct, literal only,
 /// no join predicates): the full WHERE clause is still applied
@@ -275,10 +280,10 @@ pub fn choose_access_path(
         let Some(pos) = table.schema().column_index(col.1) else {
             continue;
         };
-        if let (Some(idx), Some(key)) = (table.find_index_on(&[pos]), table.probe_key(pos, lit)) {
+        if let Some(idx) = table.find_index_on(&[pos]).filter(|_| !lit.is_null()) {
             return AccessPath::IndexProbe {
                 index: idx.name().to_string(),
-                key: vec![key],
+                key: vec![lit.clone()],
             };
         }
     }
@@ -514,7 +519,8 @@ fn execute_aggregate(
     input_rows: &[Tuple],
     outer: &[Scope<'_>],
 ) -> ExecResult<(RelSchema, Vec<Tuple>)> {
-    // group rows by the GROUP BY key
+    // group rows by the keys of their GROUP BY values; a group keeps
+    // its first row's values for output
     let mut groups: Vec<(Vec<Value>, Vec<Tuple>)> = Vec::new();
     let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
     for row in input_rows {
@@ -528,10 +534,10 @@ fn execute_aggregate(
             let ctx = EvalContext { catalog, scopes };
             key.push(ctx.eval(g)?);
         }
-        match index.get(&key) {
-            Some(&i) => groups[i].1.push(row.clone()),
-            None => {
-                index.insert(key.clone(), groups.len());
+        match index.entry(row_key(&key)) {
+            Entry::Occupied(i) => groups[*i.get()].1.push(row.clone()),
+            Entry::Vacant(slot) => {
+                slot.insert(groups.len());
                 groups.push((key, vec![row.clone()]));
             }
         }
@@ -982,10 +988,10 @@ mod tests {
     }
 
     /// A probe finds what a scan finds when the literal's type differs
-    /// from the column's: `price = 3` probes with the stored
-    /// `Float(3.0)`, `price = 0` with the key `0.0` that a stored `-0.0`
-    /// is filed under, and `fno = 3.0`, which no `Int` key equals,
-    /// scans.
+    /// from the column's: `price = 3` and `fno = 3.0` probe with the key
+    /// `3` that both the stored `Float(3.0)` and `Int(3)` are filed
+    /// under, `price = 0` with the key `0` of a stored `-0.0`, and
+    /// `price = NULL` scans.
     #[test]
     fn index_probe_returns_the_rows_a_scan_returns() {
         let db = Database::new();

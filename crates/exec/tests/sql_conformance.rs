@@ -397,3 +397,95 @@ fn show_tables_reflects_ddl() {
     };
     assert_eq!(names, ["emp"]);
 }
+
+/// A database built by `stmts`, each of which must succeed.
+fn db_of(stmts: &[&str]) -> Database {
+    let db = Database::new();
+    for sql in stmts {
+        run_sql(&db, sql).unwrap_or_else(|e| panic!("'{sql}': {e}"));
+    }
+    db
+}
+
+/// `0.0` and `-0.0` are one value for every operator: equality, the
+/// ordered comparisons, `ORDER BY`, `DISTINCT` and `GROUP BY`, which
+/// keep the first row's own value.
+#[test]
+fn float_zeros_are_one_value() {
+    let db = db_of(&[
+        "CREATE TABLE f (id INT, p FLOAT)",
+        "INSERT INTO f VALUES (1, -0.0), (2, 0.0)",
+    ]);
+    for sql in [
+        "SELECT id FROM f WHERE p = 0.0 ORDER BY id",
+        "SELECT id FROM f WHERE p >= 0.0 ORDER BY id",
+        "SELECT id FROM f WHERE p <= -0.0 ORDER BY id",
+        "SELECT id FROM f WHERE p BETWEEN 0.0 AND 0 ORDER BY id",
+        "SELECT id FROM f ORDER BY p DESC, id",
+    ] {
+        assert_eq!(rows(&db, sql), ["1", "2"], "{sql}");
+    }
+    assert!(rows(&db, "SELECT id FROM f WHERE p < 0.0").is_empty());
+    assert!(rows(&db, "SELECT id FROM f WHERE p > -0.0").is_empty());
+    assert_eq!(rows(&db, "SELECT DISTINCT p FROM f"), ["-0"]);
+    assert_eq!(rows(&db, "SELECT p, COUNT(*) FROM f GROUP BY p"), ["-0|2"]);
+}
+
+/// Equality and order are exact beyond 2^53: an `INT PRIMARY KEY`
+/// holds 2^53 and 2^53 + 1, and `2^53` written as a float equals only
+/// the first, whether the predicate probes the key's index or scans.
+/// A `FLOAT` column stores 2^53 + 1 rounded, so the same literal no
+/// longer equals it.
+#[test]
+fn numeric_equality_is_exact_beyond_2_pow_53() {
+    let db = db_of(&[
+        "CREATE TABLE big (i INT PRIMARY KEY, j INT, p FLOAT)",
+        "INSERT INTO big VALUES (9007199254740992, 9007199254740992, 1.0)",
+        "INSERT INTO big VALUES (9007199254740993, 9007199254740993, 9007199254740993)",
+    ]);
+    for sql in [
+        "SELECT i FROM big WHERE i = 9007199254740992.0",
+        "SELECT j FROM big WHERE j = 9007199254740992.0",
+        "SELECT i FROM big WHERE i < 9007199254740993 AND i >= 9007199254740992.0",
+    ] {
+        assert_eq!(rows(&db, sql), ["9007199254740992"], "{sql}");
+    }
+    assert_eq!(
+        rows(&db, "SELECT j FROM big WHERE j > 9007199254740992.0"),
+        ["9007199254740993"]
+    );
+    assert_eq!(
+        rows(&db, "SELECT COUNT(*) FROM big WHERE p = 9007199254740993"),
+        ["0"]
+    );
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT i FROM big WHERE p = 9007199254740992 ORDER BY i"
+        ),
+        ["9007199254740993"]
+    );
+}
+
+/// A statement that fails part-way is undone, and an index probe still
+/// returns the rows in scan order.
+#[test]
+fn aborted_update_leaves_the_probe_in_scan_order() {
+    let db = db_of(&[
+        "CREATE TABLE t (a INT, dest STRING, u INT)",
+        "CREATE INDEX t_dest ON t (dest)",
+        "CREATE UNIQUE INDEX t_u ON t (u)",
+        "INSERT INTO t VALUES (0, 'Paris', 0), (1, 'Paris', 1), (2, 'Paris', 2)",
+    ]);
+    assert!(run_sql(&db, "UPDATE t SET dest = 'Rome', u = 5 WHERE a <= 2").is_err());
+    let StatementOutcome::Plan(plan) =
+        run_sql(&db, "EXPLAIN SELECT a FROM t WHERE dest = 'Paris'").unwrap()
+    else {
+        panic!()
+    };
+    assert!(plan.contains("IndexProbe t via t_dest"), "{plan}");
+    assert_eq!(
+        rows(&db, "SELECT a FROM t WHERE dest = 'Paris'"),
+        ["0", "1", "2"]
+    );
+}

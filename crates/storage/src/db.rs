@@ -456,8 +456,8 @@ impl Transaction {
         Ok(())
     }
 
-    /// Creates a secondary index (not WAL-logged: indexes are derived
-    /// state and are rebuilt by DDL on recovery paths that need them).
+    /// Creates a secondary index. Indexes are not logged and no undo
+    /// entry is kept: an index is lost on restart (ROADMAP item 14).
     pub fn create_index(
         &mut self,
         table: &str,
@@ -752,6 +752,47 @@ mod tests {
         txn.drop_table("Flights").unwrap();
         txn.abort();
         assert_eq!(db.read().table("Flights").unwrap().version(), after);
+    }
+
+    /// The statement `UPDATE T SET dest = 'Rome', u = 5 WHERE a <= 2`
+    /// fails on its second row; its undo re-files row 0 under `Paris`,
+    /// and the probe still returns the rows in `RowId` order.
+    #[test]
+    fn aborted_update_leaves_probes_in_row_id_order() {
+        let db = Database::new();
+        let row = |a: i64, dest: &str, u: i64| {
+            Tuple::new(vec![Value::Int(a), Value::from(dest), Value::Int(u)])
+        };
+        db.with_txn(|txn| {
+            let schema = Schema::new(vec![
+                Column::new("a", DataType::Int64),
+                Column::new("dest", DataType::Str),
+                Column::new("u", DataType::Int64),
+            ]);
+            txn.create_table("T", schema)?;
+            txn.create_index("T", "by_dest", &["dest"], false)?;
+            txn.create_index("T", "by_u", &["u"], true)?;
+            for a in 0..3 {
+                txn.insert("T", row(a, "Paris", a))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let update = db.with_txn(|txn| {
+            for a in 0..3 {
+                txn.update("T", RowId(a as u64), row(a, "Rome", 5))?;
+            }
+            Ok(())
+        });
+        assert!(matches!(update, Err(StorageError::UniqueViolation { .. })));
+        let read = db.read();
+        let t = read.table("T").unwrap();
+        assert_eq!(
+            t.rows_where_eq(1, &Value::from("Paris")),
+            [0, 1, 2].map(RowId)
+        );
+        let scanned: Vec<RowId> = t.scan().map(|(rid, _)| rid).collect();
+        assert_eq!(scanned, [0, 1, 2].map(RowId));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`schema::Schema`] / [`schema::Column`] — table schemas with
 //!   validation and primary keys;
 //! * [`tuple::Tuple`] — rows, with a stable binary encoding;
-//! * [`table::Table`] — heap tables with hash and ordered secondary
-//!   [`index::Index`]es;
+//! * [`table::Table`] — heap tables with hash [`index::Index`]es over
+//!   sorted [`index::Posting`]s, keyed by [`value::Value::key`];
 //! * [`catalog::Catalog`] — the table namespace;
 //! * [`db::Database`] — shared handle with undo-logged
 //!   [`db::Transaction`]s (serialized writers / concurrent readers) and
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::catalog::Catalog;
     pub use crate::db::{is_transient, Database, ReadTransaction, Transaction, TRANSIENT_PREFIX};
     pub use crate::error::{StorageError, StorageResult};
-    pub use crate::index::Index;
+    pub use crate::index::{Index, Posting};
     pub use crate::schema::{Column, DataType, Schema};
     pub use crate::table::{RowId, Table};
     pub use crate::tuple::Tuple;

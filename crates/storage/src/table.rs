@@ -3,11 +3,9 @@
 //!
 //! Every table carries a content [`Table::version`], drawn from one
 //! process-wide counter: creating a table, and every mutation of its
-//! rows or indexes, takes a fresh value. Indexes count as content
-//! because the access-path chooser probes them, so they decide the
-//! order a `SELECT` returns rows in. Only `Clone` copies a version, and
-//! it copies the content with it, so two tables with one version hold
-//! the same rows and indexes — across drop-and-recreate and across
+//! rows or indexes, takes a fresh value. Only `Clone` copies a version,
+//! and it copies the content with it, so two tables with one version
+//! hold the same rows and indexes — across drop-and-recreate and across
 //! databases. Readers use it to reuse a query result while the tables
 //! it read are unchanged.
 
@@ -16,7 +14,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{StorageError, StorageResult};
-use crate::index::{key_value, Index};
+use crate::index::Index;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -105,27 +103,22 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// Checks every unique index before any is touched, so a write it
+    /// rejects leaves every index as it was.
+    fn check_unique(&self, tuple: &Tuple, rid: RowId) -> StorageResult<()> {
+        self.indexes
+            .iter()
+            .try_for_each(|idx| idx.check_unique(tuple, rid))
+    }
+
     /// Validates and inserts a tuple; returns its new row id.
     pub fn insert(&mut self, tuple: Tuple) -> StorageResult<RowId> {
         let tuple = self.schema.validate(&self.name, tuple)?;
-        // Check all unique indexes before touching any of them so a failed
-        // insert leaves every index untouched.
-        for idx in &self.indexes {
-            if idx.is_unique() {
-                let key = idx.key_of(&tuple);
-                if !idx.probe(&key).is_empty() {
-                    return Err(StorageError::UniqueViolation {
-                        index: idx.name().to_string(),
-                        key: Tuple::new(key).to_string(),
-                    });
-                }
-            }
-        }
         let rid = RowId(self.next_row_id);
+        self.check_unique(&tuple, rid)?;
         self.next_row_id += 1;
         for idx in &mut self.indexes {
-            idx.insert(&tuple, rid)
-                .expect("uniqueness was pre-checked; insert cannot fail");
+            idx.insert(&tuple, rid);
         }
         self.rows.insert(rid.0, tuple);
         self.version = fresh_version();
@@ -141,8 +134,9 @@ impl Table {
                 self.name
             )));
         }
+        self.check_unique(&tuple, rid)?;
         for idx in &mut self.indexes {
-            idx.insert(&tuple, rid)?;
+            idx.insert(&tuple, rid);
         }
         self.rows.insert(rid.0, tuple);
         self.next_row_id = self.next_row_id.max(rid.0 + 1);
@@ -176,28 +170,10 @@ impl Table {
             .get(&rid.0)
             .cloned()
             .ok_or(StorageError::RowNotFound(rid.0))?;
-        // Pre-check unique indexes, ignoring this row's own current key.
-        for idx in &self.indexes {
-            if idx.is_unique() {
-                let new_key = idx.key_of(&tuple);
-                let old_key = idx.key_of(&old);
-                if new_key != old_key && !idx.probe(&new_key).is_empty() {
-                    return Err(StorageError::UniqueViolation {
-                        index: idx.name().to_string(),
-                        key: Tuple::new(new_key).to_string(),
-                    });
-                }
-            }
-        }
-        // An index whose key is unchanged keeps the row where it is in
-        // its posting, so an update of other columns leaves the order
-        // an index probe returns rows in untouched.
+        self.check_unique(&tuple, rid)?;
         for idx in &mut self.indexes {
-            if idx.key_of(&old) != idx.key_of(&tuple) {
-                idx.remove(&old, rid);
-                idx.insert(&tuple, rid)
-                    .expect("uniqueness was pre-checked; insert cannot fail");
-            }
+            idx.remove(&old, rid);
+            idx.insert(&tuple, rid);
         }
         self.rows.insert(rid.0, tuple);
         self.version = fresh_version();
@@ -232,7 +208,8 @@ impl Table {
             .collect::<StorageResult<_>>()?;
         let mut idx = Index::new(index_name, positions, unique);
         for (&rid, tuple) in &self.rows {
-            idx.insert(tuple, RowId(rid))?;
+            idx.check_unique(tuple, RowId(rid))?;
+            idx.insert(tuple, RowId(rid));
         }
         self.indexes.push(idx);
         self.version = fresh_version();
@@ -268,31 +245,12 @@ impl Table {
         self.indexes.iter().find(|i| i.columns() == columns)
     }
 
-    /// The key under which an index on `column` files exactly the rows
-    /// whose value `sql_eq`s `value`: `value` coerced to the column
-    /// type, as stored values are, and filed as the index files them (a
-    /// float zero under `0.0`). `None`, and the caller scans, where
-    /// `sql_eq` and the keys' `Eq` part: for NULL, which equals
-    /// nothing, and for a value of another type (`Float(3.0)` against
-    /// an `Int` column).
-    pub fn probe_key(&self, column: usize, value: &Value) -> Option<Value> {
-        let ty = self.schema.columns()[column].ty;
-        match value {
-            Value::Null => None,
-            v => v
-                .compatible_with(ty)
-                .then(|| key_value(v.clone().coerce_to(ty))),
-        }
-    }
-
-    /// Convenience point-probe: row ids whose `column = value`, using an
-    /// index when one exists and [`Table::probe_key`] gives a key,
-    /// otherwise a scan.
+    /// Row ids, ascending, whose `column` value `sql_eq`s `value`: an
+    /// index probe when an index on the column exists, otherwise a
+    /// scan. NULL equals nothing, so it probes nothing.
     pub fn rows_where_eq(&self, column: usize, value: &Value) -> Vec<RowId> {
-        if let (Some(idx), Some(key)) =
-            (self.find_index_on(&[column]), self.probe_key(column, value))
-        {
-            return idx.probe(&[key]).to_vec();
+        if let Some(idx) = self.find_index_on(&[column]).filter(|_| !value.is_null()) {
+            return idx.probe(std::slice::from_ref(value)).to_vec();
         }
         self.scan()
             .filter(|(_, t)| t.values()[column].sql_eq(value))
@@ -403,11 +361,10 @@ mod tests {
         assert_eq!(t.get(RowId(0)).unwrap().values()[0], Value::Int(122));
     }
 
-    /// A seat decrement leaves the row where it was in the `dest`
-    /// posting, so a probe returns the rows in the same order after it;
-    /// a new primary key moves only the primary-key entry.
+    /// A seat decrement or a new primary key leaves the `dest` probe in
+    /// `RowId` order; the primary-key entry moves to the new key.
     #[test]
-    fn update_refiles_only_the_indexes_whose_key_changed() {
+    fn update_keeps_probes_in_row_id_order() {
         let schema = Schema::with_primary_key(
             vec![
                 Column::new("fno", DataType::Int64),
@@ -509,8 +466,11 @@ mod tests {
         assert_eq!(idx_result.len(), 3);
     }
 
+    /// An index probe returns what a scan-then-`sql_eq` returns, whatever
+    /// the literal's type: `fno = 3.0` and `price = 3` find the row, a
+    /// zero finds `-0.0`, and NULL finds nothing.
     #[test]
-    fn rows_where_eq_probes_with_the_stored_key() {
+    fn rows_where_eq_probes_what_a_scan_filters() {
         let schema = Schema::new(vec![
             Column::new("fno", DataType::Int64),
             Column::nullable("price", DataType::Float64),
@@ -551,12 +511,23 @@ mod tests {
         t.create_index("by_fno", &["fno"], false).unwrap();
         t.create_index("by_price", &["price"], false).unwrap();
         assert_eq!(eq(&t), scanned);
-        assert_eq!(t.probe_key(1, &Value::Int(3)), Some(Value::Float(3.0)));
-        assert_eq!(t.probe_key(0, &Value::Float(3.0)), None);
-        assert_eq!(t.probe_key(0, &Value::from("3")), None);
-        for zero in [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)] {
-            assert_eq!(t.probe_key(1, &zero), Some(Value::Float(0.0)), "{zero:?}");
+    }
+
+    /// Keys are exact: a unique `INT` index holds both 2^53 and
+    /// 2^53 + 1, and `Float(2^53)` equals only the first, probed or
+    /// scanned.
+    #[test]
+    fn int_keys_beyond_2_pow_53_stay_distinct() {
+        let schema = Schema::with_primary_key(vec![Column::new("i", DataType::Int64)], &["i"]);
+        let mut t = Table::new("T", schema);
+        let big = 1i64 << 53;
+        for i in [big, big + 1] {
+            t.insert(Tuple::new(vec![Value::Int(i)])).unwrap();
         }
+        let probe = Value::Float(big as f64);
+        assert_eq!(t.rows_where_eq(0, &probe), [RowId(0)], "probed");
+        t.drop_index("T_pk").unwrap();
+        assert_eq!(t.rows_where_eq(0, &probe), [RowId(0)], "scanned");
     }
 
     #[test]

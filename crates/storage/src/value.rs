@@ -2,10 +2,13 @@
 //!
 //! [`Value`] is the single dynamic scalar type flowing through the whole
 //! system: storage cells, expression evaluation, entangled-query bindings
-//! and answer-relation tuples all use it. It provides a *total* order
-//! (floats are ordered via [`f64::total_cmp`], NULL sorts first) so values
-//! can serve as index keys, and a stable binary encoding used by the WAL.
+//! and answer-relation tuples all use it. It provides one equality,
+//! [`Value::key`] (every index files values under it, and
+//! [`Value::sql_eq`] is equality of keys), a *total* order that agrees
+//! with it (NULL sorts first), and a stable binary encoding used by the
+//! WAL.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -101,25 +104,42 @@ impl Value {
         }
     }
 
-    /// SQL equality with numeric type bridging: `Int(1)` equals
-    /// `Float(1.0)`, and floats compare by value, so `0.0` equals
-    /// `-0.0`; a NaN equals only a NaN of the same bits. NULL never
-    /// equals anything here — callers that need three-valued logic
-    /// should check [`Value::is_null`] first.
-    pub fn sql_eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => false,
-            (Value::Int(a), Value::Float(b)) => (*a as f64) == *b,
-            (Value::Float(a), Value::Int(b)) => *a == (*b as f64),
-            (Value::Float(a), Value::Float(b)) => a == b || a.to_bits() == b.to_bits(),
-            (a, b) => a == b,
+    /// The key under which every index files this value, and the one
+    /// equality of the system: a `Float` that holds an integer in `i64`
+    /// range is keyed as that `Int` (so `3.0` as `3`, and both float
+    /// zeros as `0`); every other value is its own key. Inlined so that
+    /// a comparison of two keys in another crate builds no `Cow`.
+    #[inline]
+    pub fn key(&self) -> Cow<'_, Value> {
+        match self {
+            Value::Float(f) if f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(f) => {
+                Cow::Owned(Value::Int(*f as i64))
+            }
+            other => Cow::Borrowed(other),
         }
     }
 
-    /// Total-order comparison used for sorting and B-tree indexing.
+    /// SQL equality: two non-NULL values are equal exactly when their
+    /// [`Value::key`]s are. So `Int(1)` equals `Float(1.0)`, `0.0`
+    /// equals `-0.0`, a NaN equals only a NaN of the same bits, and the
+    /// relation is transitive: `Int(2^53 + 1)` does not equal
+    /// `Float(2^53)`. The one consequence of that exactness: an `Int`
+    /// that a `FLOAT` column cannot represent is stored rounded, and the
+    /// same literal no longer equals the stored value. NULL never
+    /// equals anything here — callers that need three-valued logic
+    /// should check [`Value::is_null`] first.
+    pub fn sql_eq(&self, other: &Value) -> bool {
+        !self.is_null() && !other.is_null() && self.key() == other.key()
+    }
+
+    /// Total-order comparison used for sorting and the comparison
+    /// operators.
     ///
     /// Order across type classes: NULL < Bool < numeric < Str < Bytes.
-    /// Ints and floats share the numeric class and compare by value.
+    /// Ints and floats share the numeric class and compare by exact
+    /// value, so two values compare `Equal` exactly where their
+    /// [`Value::key`]s are equal; NaNs sort at the ends by sign, as
+    /// [`f64::total_cmp`] puts them.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn class(v: &Value) -> u8 {
             match v {
@@ -134,9 +154,10 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) if a == b => Ordering::Equal,
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bytes(a), Value::Bytes(b)) => a.cmp(b),
             (a, b) => class(a).cmp(&class(b)),
@@ -164,6 +185,23 @@ impl Value {
                 format!("X'{hex}'")
             }
         }
+    }
+}
+
+/// 2^63: every float in `-2^63..2^63` truncates to an `i64` exactly.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Compares an integer with a float by exact value; a NaN sorts below
+/// every integer when its sign bit is set and above otherwise.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    if (-TWO_POW_63..TWO_POW_63).contains(&f) {
+        // the integer parts compare exactly, then the fraction
+        i.cmp(&(f as i64))
+            .then(0.0.partial_cmp(&f.fract()).expect("finite"))
+    } else {
+        // beyond `i64`, infinite or NaN: `i` as a float lies in
+        // `[-2^63, 2^63]` and ties only at 2^63, above every `i64`
+        (i as f64).total_cmp(&f).then(Ordering::Less)
     }
 }
 
@@ -337,6 +375,27 @@ mod tests {
         assert!(nan.sql_eq(&nan));
         assert!(!nan.sql_eq(&Value::Float(-f64::NAN)));
         assert!(!nan.sql_eq(&Value::Float(0.0)));
+    }
+
+    #[test]
+    fn key_is_exact_beyond_2_pow_53() {
+        let (big, two_63) = (1i64 << 53, 9_223_372_036_854_775_808.0);
+        assert_eq!(*Value::Float(big as f64).key(), Value::Int(big));
+        assert!(!Value::Int(big + 1).sql_eq(&Value::Float(big as f64)));
+        assert_eq!(
+            Value::Int(big + 1).total_cmp(&Value::Float(big as f64)),
+            Ordering::Greater
+        );
+        assert_eq!(*Value::Float(-two_63).key(), Value::Int(i64::MIN));
+        assert_eq!(*Value::Float(two_63).key(), Value::Float(two_63));
+        assert_eq!(
+            Value::Int(i64::MAX).total_cmp(&Value::Float(two_63)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Float(-0.0).total_cmp(&Value::Float(0.0)),
+            Ordering::Equal
+        );
     }
 
     #[test]

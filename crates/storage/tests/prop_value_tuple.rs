@@ -29,10 +29,9 @@ proptest! {
         let ab = a.total_cmp(&b);
         let ba = b.total_cmp(&a);
         prop_assert_eq!(ab, ba.reverse());
-        if ab == Ordering::Equal {
-            // Equal ordering must agree with Eq (lawful Ord)
-            prop_assert_eq!(&a, &b);
-        }
+        // Equal ordering is the one equality: equal keys (`0.0` and
+        // `-0.0`, `3` and `3.0`), not `Eq`, which tells them apart
+        prop_assert_eq!(ab == Ordering::Equal, a.key() == b.key());
     }
 
     #[test]
