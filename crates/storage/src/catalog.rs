@@ -36,17 +36,7 @@ impl Catalog {
         Ok(())
     }
 
-    /// Registers an already-built table (undo/replay paths).
-    pub(crate) fn restore_table(&mut self, table: Table) -> StorageResult<()> {
-        let key = Self::key(table.name());
-        if self.tables.contains_key(&key) {
-            return Err(StorageError::TableAlreadyExists(table.name().to_string()));
-        }
-        self.tables.insert(key, table);
-        Ok(())
-    }
-
-    /// Drops a table; returns it (for undo logging).
+    /// Drops a table; returns it.
     pub fn drop_table(&mut self, name: &str) -> StorageResult<Table> {
         self.tables
             .remove(&Self::key(name))
@@ -129,15 +119,6 @@ mod tests {
             cat.drop_table("T"),
             Err(StorageError::TableNotFound(_))
         ));
-    }
-
-    #[test]
-    fn restore_puts_table_back() {
-        let mut cat = Catalog::new();
-        cat.create_table("T", schema()).unwrap();
-        let t = cat.drop_table("T").unwrap();
-        cat.restore_table(t).unwrap();
-        assert!(cat.has_table("T"));
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! application* of entangled-query matches that the Youtopia coordinator
 //! requires, with rollback via the undo log on abort.
 //!
+//! Every change — table and index DDL, row inserts, updates and deletes
+//! — is one [`WalOp`] applied by one function, `apply`, which also
+//! pushes the ops that undo it. A live write applies its op and queues
+//! it as the redo record, replay applies the logged ops, rollback
+//! applies the undo ops, and a checkpoint writes the ops that recreate
+//! each table. So whatever a transaction can do is logged, undone and
+//! checkpointed alike.
+//!
 //! Durability rides the pipelined group-commit writer
 //! ([`crate::group_commit::GroupCommit`]): every commit group — a
 //! transaction's redo records, a coordination event batch — is
@@ -29,6 +37,7 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
 use crate::group_commit::{GroupCommit, WakeHook};
+use crate::index::Index;
 use crate::schema::Schema;
 use crate::table::{RowId, Table};
 use crate::tuple::Tuple;
@@ -105,9 +114,13 @@ impl Database {
         let records = wal.replay_records()?;
         let mut catalog = Catalog::new();
         let mut coordination = Vec::new();
+        let mut undo = Vec::new();
         for record in records {
             match record {
-                WalRecord::Storage(op) => apply_wal_op(&mut catalog, op)?,
+                WalRecord::Storage(op) => {
+                    apply(&mut catalog, op, &mut undo)?;
+                    undo.clear();
+                }
                 WalRecord::Coordination(payload) => coordination.push(payload),
                 WalRecord::CommitBoundary => {}
             }
@@ -323,44 +336,100 @@ impl Database {
     }
 }
 
-/// The storage records that recreate `catalog`: one `CreateTable` per
-/// table plus one `Insert` per live row. Transient system relations are
-/// derived state and stay out of the log.
+/// The storage records that recreate `catalog`: each table's
+/// [`recreate`] ops. Transient system relations are derived state and
+/// stay out of the log.
 fn snapshot(catalog: &Catalog) -> Vec<WalRecord> {
     let mut records = Vec::new();
     for name in catalog.table_names() {
-        if is_transient(&name) {
-            continue;
-        }
-        let table = catalog.table(&name).expect("name came from the catalog");
-        records.push(WalRecord::Storage(WalOp::CreateTable {
-            name: table.name().to_string(),
-            schema: table.schema().clone(),
-        }));
-        for (rid, tuple) in table.scan() {
-            records.push(WalRecord::Storage(WalOp::Insert {
-                table: table.name().to_string(),
-                rid: rid.0,
-                tuple: tuple.clone(),
-            }));
+        if !is_transient(&name) {
+            let table = catalog.table(&name).expect("name came from the catalog");
+            records.extend(recreate(table).map(WalRecord::Storage));
         }
     }
     records
 }
 
-fn apply_wal_op(catalog: &mut Catalog, op: WalOp) -> StorageResult<()> {
-    match op {
-        WalOp::CreateTable { name, schema } => catalog.create_table(&name, schema),
-        WalOp::DropTable { name } => catalog.drop_table(&name).map(|_| ()),
-        WalOp::Insert { table, rid, tuple } => {
-            catalog.table_mut(&table)?.insert_at(RowId(rid), tuple)
-        }
-        WalOp::Update { table, rid, tuple } => catalog
-            .table_mut(&table)?
-            .update(RowId(rid), tuple)
-            .map(|_| ()),
-        WalOp::Delete { table, rid } => catalog.table_mut(&table)?.delete(RowId(rid)).map(|_| ()),
+/// The ops that rebuild `table`: its `CreateTable`, one `Insert` per
+/// row, then one `CreateIndex` per index except the primary-key index
+/// that [`Table::new`] makes.
+fn recreate(table: &Table) -> impl Iterator<Item = WalOp> + '_ {
+    let name = table.name();
+    let pk = (!table.schema().primary_key().is_empty()).then(|| format!("{name}_pk"));
+    let create = WalOp::CreateTable {
+        name: name.to_string(),
+        schema: table.schema().clone(),
+    };
+    let rows = table.scan().map(move |(rid, tuple)| WalOp::Insert {
+        table: name.to_string(),
+        rid: rid.0,
+        tuple: tuple.clone(),
+    });
+    let indexes = table
+        .indexes()
+        .iter()
+        .filter(move |i| pk.as_deref() != Some(i.name()));
+    let indexes = indexes.map(|index| create_index_op(table, index));
+    std::iter::once(create).chain(rows).chain(indexes)
+}
+
+/// The op that creates `index` on `table`.
+fn create_index_op(table: &Table, index: &Index) -> WalOp {
+    let columns = index.columns().iter();
+    WalOp::CreateIndex {
+        table: table.name().to_string(),
+        name: index.name().to_string(),
+        columns: columns
+            .map(|&c| table.schema().columns()[c].name.clone())
+            .collect(),
+        unique: index.is_unique(),
     }
+}
+
+/// The one write path: applies `op` to `catalog` and pushes onto `undo`
+/// the ops that revert it, to be applied in pop order. On an error
+/// nothing changed and nothing is pushed.
+fn apply(catalog: &mut Catalog, op: WalOp, undo: &mut Vec<WalOp>) -> StorageResult<()> {
+    match op {
+        WalOp::CreateTable { name, schema } => {
+            catalog.create_table(&name, schema)?;
+            undo.push(WalOp::DropTable { name });
+        }
+        WalOp::DropTable { name } => {
+            let table = catalog.drop_table(&name)?;
+            let start = undo.len();
+            undo.extend(recreate(&table));
+            undo[start..].reverse();
+        }
+        WalOp::CreateIndex {
+            table,
+            name,
+            columns,
+            unique,
+        } => {
+            let t = catalog.table_mut(&table)?;
+            t.create_index(&name, &columns, unique)?;
+            undo.push(WalOp::DropIndex { table, name });
+        }
+        WalOp::DropIndex { table, name } => {
+            let t = catalog.table_mut(&table)?;
+            let index = t.drop_index(&name)?;
+            undo.push(create_index_op(t, &index));
+        }
+        WalOp::Insert { table, rid, tuple } => {
+            catalog.table_mut(&table)?.insert_at(RowId(rid), tuple)?;
+            undo.push(WalOp::Delete { table, rid });
+        }
+        WalOp::Update { table, rid, tuple } => {
+            let tuple = catalog.table_mut(&table)?.update(RowId(rid), tuple)?;
+            undo.push(WalOp::Update { table, rid, tuple });
+        }
+        WalOp::Delete { table, rid } => {
+            let tuple = catalog.table_mut(&table)?.delete(RowId(rid))?;
+            undo.push(WalOp::Insert { table, rid, tuple });
+        }
+    }
+    Ok(())
 }
 
 /// A read-only view of the database. Holds the shared lock; drop it to
@@ -381,29 +450,6 @@ impl ReadTransaction {
     }
 }
 
-enum UndoOp {
-    CreateTable {
-        name: String,
-    },
-    DropTable {
-        table: Table,
-    },
-    Insert {
-        table: String,
-        rid: RowId,
-    },
-    Update {
-        table: String,
-        rid: RowId,
-        old: Tuple,
-    },
-    Delete {
-        table: String,
-        rid: RowId,
-        old: Tuple,
-    },
-}
-
 /// A write transaction. Mutations are applied eagerly to the catalog and
 /// recorded in an undo log; [`Transaction::abort`] (or dropping without
 /// commit) rolls everything back, [`Transaction::commit`] appends the
@@ -411,7 +457,8 @@ enum UndoOp {
 pub struct Transaction {
     guard: ArcRwLockWriteGuard<RawRwLock, DbInner>,
     log: Option<Arc<GroupCommit>>,
-    undo: Vec<UndoOp>,
+    /// The ops that revert the writes so far, applied in pop order.
+    undo: Vec<WalOp>,
     redo: Vec<WalRecord>,
     finished: bool,
 }
@@ -425,39 +472,38 @@ impl Transaction {
         }
     }
 
+    /// Applies `op` through [`apply`], keeping its undo ops, and queues
+    /// it as a redo record unless it writes a transient system relation
+    /// (see [`TRANSIENT_PREFIX`]). The record is the op as given: replay
+    /// validates its tuple as this write did.
+    fn write(&mut self, op: WalOp) -> StorageResult<()> {
+        self.check_open()?;
+        let redo = (!is_transient(op.table())).then(|| op.clone());
+        apply(&mut self.guard.catalog, op, &mut self.undo)?;
+        self.redo.extend(redo.map(WalRecord::Storage));
+        Ok(())
+    }
+
     /// Creates a table. Tables named with the [`TRANSIENT_PREFIX`] are
     /// transient system relations: created in the catalog but never
     /// WAL-logged (their owner rebuilds them on recovery).
     pub fn create_table(&mut self, name: &str, schema: Schema) -> StorageResult<()> {
-        self.check_open()?;
-        self.guard.catalog.create_table(name, schema.clone())?;
-        self.undo.push(UndoOp::CreateTable {
+        self.write(WalOp::CreateTable {
             name: name.to_string(),
-        });
-        if !is_transient(name) {
-            self.redo.push(WalRecord::Storage(WalOp::CreateTable {
-                name: name.to_string(),
-                schema,
-            }));
-        }
-        Ok(())
+            schema,
+        })
     }
 
     /// Drops a table.
     pub fn drop_table(&mut self, name: &str) -> StorageResult<()> {
-        self.check_open()?;
-        let table = self.guard.catalog.drop_table(name)?;
-        if !is_transient(name) {
-            self.redo.push(WalRecord::Storage(WalOp::DropTable {
-                name: table.name().to_string(),
-            }));
-        }
-        self.undo.push(UndoOp::DropTable { table });
-        Ok(())
+        self.write(WalOp::DropTable {
+            name: name.to_string(),
+        })
     }
 
-    /// Creates a secondary index. Indexes are not logged and no undo
-    /// entry is kept: an index is lost on restart (ROADMAP item 14).
+    /// Creates a secondary index over the named columns and backfills
+    /// it. Logged, undone and checkpointed like any other write, so the
+    /// index survives a restart.
     pub fn create_index(
         &mut self,
         table: &str,
@@ -465,84 +511,40 @@ impl Transaction {
         columns: &[&str],
         unique: bool,
     ) -> StorageResult<()> {
-        self.check_open()?;
-        self.guard
-            .catalog
-            .table_mut(table)?
-            .create_index(index_name, columns, unique)
+        self.write(WalOp::CreateIndex {
+            table: table.to_string(),
+            name: index_name.to_string(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            unique,
+        })
     }
 
     /// Inserts a tuple; returns its row id.
     pub fn insert(&mut self, table: &str, tuple: Tuple) -> StorageResult<RowId> {
-        self.check_open()?;
-        let t = self.guard.catalog.table_mut(table)?;
-        let rid = t.insert(tuple)?;
-        self.undo.push(UndoOp::Insert {
+        let rid = self.table(table)?.next_row_id();
+        self.write(WalOp::Insert {
             table: table.to_string(),
-            rid,
-        });
-        if !is_transient(table) {
-            // the redo record is the only consumer of the stored copy;
-            // transient tables never reach the WAL, so skip the clone
-            let stored = self
-                .guard
-                .catalog
-                .table_mut(table)?
-                .get(rid)
-                .expect("row was just inserted")
-                .clone();
-            self.redo.push(WalRecord::Storage(WalOp::Insert {
-                table: table.to_string(),
-                rid: rid.0,
-                tuple: stored,
-            }));
-        }
+            rid: rid.0,
+            tuple,
+        })?;
         Ok(rid)
     }
 
     /// Updates a row in place.
     pub fn update(&mut self, table: &str, rid: RowId, tuple: Tuple) -> StorageResult<()> {
-        self.check_open()?;
-        let t = self.guard.catalog.table_mut(table)?;
-        let old = t.update(rid, tuple)?;
-        self.undo.push(UndoOp::Update {
+        self.write(WalOp::Update {
             table: table.to_string(),
-            rid,
-            old,
-        });
-        if !is_transient(table) {
-            let stored = self
-                .guard
-                .catalog
-                .table_mut(table)?
-                .get(rid)
-                .expect("row still exists")
-                .clone();
-            self.redo.push(WalRecord::Storage(WalOp::Update {
-                table: table.to_string(),
-                rid: rid.0,
-                tuple: stored,
-            }));
-        }
-        Ok(())
+            rid: rid.0,
+            tuple,
+        })
     }
 
     /// Deletes a row.
     pub fn delete(&mut self, table: &str, rid: RowId) -> StorageResult<()> {
-        self.check_open()?;
-        let old = self.guard.catalog.table_mut(table)?.delete(rid)?;
-        self.undo.push(UndoOp::Delete {
+        self.write(WalOp::Delete {
             table: table.to_string(),
-            rid,
-            old,
-        });
-        if !is_transient(table) {
-            self.redo.push(WalRecord::Storage(WalOp::Delete {
-                table: table.to_string(),
-                rid: rid.0,
-            }));
-        }
-        Ok(())
+            rid: rid.0,
+        })
     }
 
     /// Records an opaque coordination payload to be written to the WAL
@@ -626,30 +628,13 @@ impl Transaction {
     }
 
     fn rollback(&mut self) {
-        // Undo in reverse order; failures here indicate a broken invariant.
+        // Undo in reverse order; failures here indicate a broken
+        // invariant. The undo ops' own inverses are dropped.
+        let mut inverses = Vec::new();
         while let Some(op) = self.undo.pop() {
-            let result: StorageResult<()> = match op {
-                UndoOp::CreateTable { name } => self.guard.catalog.drop_table(&name).map(|_| ()),
-                UndoOp::DropTable { table } => self.guard.catalog.restore_table(table),
-                UndoOp::Insert { table, rid } => self
-                    .guard
-                    .catalog
-                    .table_mut(&table)
-                    .and_then(|t| t.delete(rid))
-                    .map(|_| ()),
-                UndoOp::Update { table, rid, old } => self
-                    .guard
-                    .catalog
-                    .table_mut(&table)
-                    .and_then(|t| t.update(rid, old))
-                    .map(|_| ()),
-                UndoOp::Delete { table, rid, old } => self
-                    .guard
-                    .catalog
-                    .table_mut(&table)
-                    .and_then(|t| t.insert_at(rid, old)),
-            };
-            result.expect("undo must not fail: storage invariant violated");
+            apply(&mut self.guard.catalog, op, &mut inverses)
+                .expect("undo must not fail: storage invariant violated");
+            inverses.clear();
         }
     }
 }
@@ -747,11 +732,11 @@ mod tests {
         // version neither the pre-transaction nor the aborted state had
         assert_ne!(after, before);
         assert_ne!(after, inside);
-        // a dropped-then-restored table is the same content, moved back
+        // undoing a drop rebuilds the table under a fresh version
         let mut txn = db.begin();
         txn.drop_table("Flights").unwrap();
         txn.abort();
-        assert_eq!(db.read().table("Flights").unwrap().version(), after);
+        assert_ne!(db.read().table("Flights").unwrap().version(), after);
     }
 
     /// The statement `UPDATE T SET dest = 'Rome', u = 5 WHERE a <= 2`
@@ -848,6 +833,84 @@ mod tests {
     }
 
     #[test]
+    fn an_aborted_create_index_leaves_no_index() {
+        let db = populated();
+        let result: StorageResult<()> = db.with_txn(|txn| {
+            txn.create_index("Flights", "by_dest", &["dest"], false)?;
+            Err(StorageError::Internal("abort".into()))
+        });
+        assert!(result.is_err());
+        let read = db.read();
+        let names: Vec<&str> = read
+            .table("Flights")
+            .unwrap()
+            .indexes()
+            .iter()
+            .map(Index::name)
+            .collect();
+        assert_eq!(names, ["Flights_pk"]);
+    }
+
+    /// Undoing a `DROP TABLE` brings back its rows under their ids and
+    /// its secondary index, whose probe still answers.
+    #[test]
+    fn an_aborted_drop_table_restores_rows_and_indexes() {
+        let db = populated();
+        db.with_txn(|txn| txn.create_index("Flights", "by_dest", &["dest"], false))
+            .unwrap();
+        let before = contents(&db);
+        let mut txn = db.begin();
+        txn.drop_table("Flights").unwrap();
+        txn.abort();
+        assert_eq!(contents(&db), before);
+        let read = db.read();
+        let flights = read.table("Flights").unwrap();
+        let names: Vec<&str> = flights.indexes().iter().map(Index::name).collect();
+        assert_eq!(names, ["Flights_pk", "by_dest"]);
+        assert_eq!(
+            flights
+                .index("by_dest")
+                .unwrap()
+                .probe(&[Value::from("Paris")]),
+            [RowId(0), RowId(1)]
+        );
+    }
+
+    /// A unique index refuses a duplicate after a restart from a file
+    /// WAL, and again after a checkpoint and a second restart.
+    #[test]
+    fn a_unique_index_survives_restart_and_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("youtopia_unique_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.wal");
+        let _ = std::fs::remove_file(&path);
+        let ab = |a: i64, b: i64| Tuple::new(vec![Value::Int(a), Value::Int(b)]);
+        let refuses_duplicate = |db: &Database| {
+            let result = db.with_txn(|txn| txn.insert("T", ab(1, 3)));
+            matches!(result, Err(StorageError::UniqueViolation { .. }))
+        };
+        let db = Database::with_wal(Wal::open(&path).unwrap());
+        db.with_txn(|txn| {
+            let columns = ["a", "b"].map(|c| Column::new(c, DataType::Int64));
+            txn.create_table("T", Schema::new(columns.to_vec()))?;
+            txn.create_index("T", "ua", &["a"], true)?;
+            txn.insert("T", ab(1, 1)).map(|_| ())
+        })
+        .unwrap();
+        assert!(refuses_duplicate(&db));
+        drop(db);
+        let (db, _) = Database::recover(Wal::open(&path).unwrap()).unwrap();
+        assert!(refuses_duplicate(&db), "after a restart");
+        db.checkpoint().unwrap();
+        drop(db);
+        let (db, _) = Database::recover(Wal::open(&path).unwrap()).unwrap();
+        assert!(refuses_duplicate(&db), "after a checkpoint and a restart");
+        assert_eq!(db.read().table("T").unwrap().len(), 1);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn txn_sees_own_writes() {
         let db = populated();
         let mut txn = db.begin();
@@ -875,7 +938,7 @@ mod tests {
         let bytes = db.wal_bytes().unwrap();
         let mut catalog = Catalog::new();
         for op in storage_ops(&bytes) {
-            apply_wal_op(&mut catalog, op).unwrap();
+            apply(&mut catalog, op, &mut Vec::new()).unwrap();
         }
         let flights = catalog.table("Flights").unwrap();
         assert_eq!(flights.len(), 1);
@@ -965,7 +1028,7 @@ mod tests {
         assert!(ops[1..].iter().all(|op| matches!(op, WalOp::Insert { .. })));
         let mut catalog = Catalog::new();
         for op in ops {
-            apply_wal_op(&mut catalog, op).unwrap();
+            apply(&mut catalog, op, &mut Vec::new()).unwrap();
         }
         let t = catalog.table("Flights").unwrap();
         assert_eq!(t.len(), 25);
@@ -977,7 +1040,7 @@ mod tests {
         let bytes2 = db.wal_bytes().unwrap();
         let mut catalog2 = Catalog::new();
         for op in storage_ops(&bytes2) {
-            apply_wal_op(&mut catalog2, op).unwrap();
+            apply(&mut catalog2, op, &mut Vec::new()).unwrap();
         }
         assert_eq!(catalog2.table("Flights").unwrap().len(), 26);
     }

@@ -162,7 +162,7 @@ impl Schema {
     /// Validates a tuple against this schema, coercing values where the
     /// engine allows it (int→float). Returns the validated (possibly
     /// coerced) tuple.
-    pub fn validate(&self, table: &str, tuple: Tuple) -> StorageResult<Tuple> {
+    pub fn validate(&self, tuple: Tuple) -> StorageResult<Tuple> {
         if tuple.arity() != self.arity() {
             return Err(StorageError::ArityMismatch {
                 expected: self.arity(),
@@ -189,9 +189,6 @@ impl Schema {
             }
             out.push(value.coerce_to(col.ty));
         }
-        // `table` is only used for error context today; keep the parameter so
-        // richer diagnostics can be added without touching call sites.
-        let _ = table;
         Ok(Tuple::new(out))
     }
 }
@@ -233,7 +230,7 @@ mod tests {
     fn validate_accepts_good_tuple_and_coerces() {
         let s = flights_schema();
         let t = Tuple::new(vec![Value::Int(122), Value::from("Paris"), Value::Int(450)]);
-        let t = s.validate("Flights", t).unwrap();
+        let t = s.validate(t).unwrap();
         // price was widened to float
         assert_eq!(t.values()[2], Value::Float(450.0));
     }
@@ -243,7 +240,7 @@ mod tests {
         let s = flights_schema();
         let t = Tuple::new(vec![Value::Int(122)]);
         assert_eq!(
-            s.validate("Flights", t).unwrap_err(),
+            s.validate(t).unwrap_err(),
             StorageError::ArityMismatch {
                 expected: 3,
                 actual: 1
@@ -255,7 +252,7 @@ mod tests {
     fn validate_rejects_type_mismatch() {
         let s = flights_schema();
         let t = Tuple::new(vec![Value::from("x"), Value::from("Paris"), Value::Null]);
-        match s.validate("Flights", t).unwrap_err() {
+        match s.validate(t).unwrap_err() {
             StorageError::TypeMismatch {
                 column,
                 expected,
@@ -274,11 +271,11 @@ mod tests {
         let s = flights_schema();
         // nullable price accepts NULL
         let ok = Tuple::new(vec![Value::Int(1), Value::from("Rome"), Value::Null]);
-        assert!(s.validate("Flights", ok).is_ok());
+        assert!(s.validate(ok).is_ok());
         // non-nullable dest rejects NULL
         let bad = Tuple::new(vec![Value::Int(1), Value::Null, Value::Null]);
         assert_eq!(
-            s.validate("Flights", bad).unwrap_err(),
+            s.validate(bad).unwrap_err(),
             StorageError::NullViolation {
                 column: "dest".into()
             }

@@ -21,8 +21,10 @@ use crate::value::Value;
 
 /// Stable identifier of a row within one table.
 ///
-/// Row ids are allocated densely and never reused, which lets undo logs
-/// and the WAL refer to rows without ambiguity.
+/// Row ids are allocated densely and not reused while a table lives,
+/// which lets undo logs and the WAL refer to rows without ambiguity. A
+/// table rebuilt from its rows (a checkpoint replayed, or a `DROP TABLE`
+/// undone) allocates after its highest live id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
@@ -113,21 +115,20 @@ impl Table {
 
     /// Validates and inserts a tuple; returns its new row id.
     pub fn insert(&mut self, tuple: Tuple) -> StorageResult<RowId> {
-        let tuple = self.schema.validate(&self.name, tuple)?;
-        let rid = RowId(self.next_row_id);
-        self.check_unique(&tuple, rid)?;
-        self.next_row_id += 1;
-        for idx in &mut self.indexes {
-            idx.insert(&tuple, rid);
-        }
-        self.rows.insert(rid.0, tuple);
-        self.version = fresh_version();
+        let rid = self.next_row_id();
+        self.insert_at(rid, tuple)?;
         Ok(rid)
     }
 
-    /// Re-inserts a row under a specific id (WAL replay / undo only).
+    /// The id the next [`Table::insert`] allocates.
+    pub(crate) fn next_row_id(&self) -> RowId {
+        RowId(self.next_row_id)
+    }
+
+    /// Validates and inserts a row under a specific id, which must be
+    /// free; later inserts allocate ids above it.
     pub(crate) fn insert_at(&mut self, rid: RowId, tuple: Tuple) -> StorageResult<()> {
-        let tuple = self.schema.validate(&self.name, tuple)?;
+        let tuple = self.schema.validate(tuple)?;
         if self.rows.contains_key(&rid.0) {
             return Err(StorageError::Internal(format!(
                 "insert_at: row {rid} already exists in '{}'",
@@ -164,7 +165,7 @@ impl Table {
 
     /// Replaces a row in place; returns the previous tuple.
     pub fn update(&mut self, rid: RowId, tuple: Tuple) -> StorageResult<Tuple> {
-        let tuple = self.schema.validate(&self.name, tuple)?;
+        let tuple = self.schema.validate(tuple)?;
         let old = self
             .rows
             .get(&rid.0)
@@ -189,7 +190,7 @@ impl Table {
     pub fn create_index(
         &mut self,
         index_name: &str,
-        columns: &[&str],
+        columns: &[impl AsRef<str>],
         unique: bool,
     ) -> StorageResult<()> {
         if self.indexes.iter().any(|i| i.name() == index_name) {
@@ -199,10 +200,10 @@ impl Table {
             .iter()
             .map(|c| {
                 self.schema
-                    .column_index(c)
+                    .column_index(c.as_ref())
                     .ok_or_else(|| StorageError::ColumnNotFound {
                         table: self.name.clone(),
-                        column: c.to_string(),
+                        column: c.as_ref().to_string(),
                     })
             })
             .collect::<StorageResult<_>>()?;
@@ -216,16 +217,15 @@ impl Table {
         Ok(())
     }
 
-    /// Drops a secondary index by name.
-    pub fn drop_index(&mut self, index_name: &str) -> StorageResult<()> {
+    /// Drops a secondary index by name; returns it.
+    pub fn drop_index(&mut self, index_name: &str) -> StorageResult<Index> {
         let pos = self
             .indexes
             .iter()
             .position(|i| i.name() == index_name)
             .ok_or_else(|| StorageError::IndexNotFound(index_name.to_string()))?;
-        self.indexes.remove(pos);
         self.version = fresh_version();
-        Ok(())
+        Ok(self.indexes.remove(pos))
     }
 
     /// Looks up an index by name.
@@ -256,15 +256,6 @@ impl Table {
             .filter(|(_, t)| t.values()[column].sql_eq(value))
             .map(|(rid, _)| rid)
             .collect()
-    }
-
-    /// Removes all rows (indexes are cleared too). Row ids are not reused.
-    pub fn truncate(&mut self) {
-        self.rows.clear();
-        for idx in &mut self.indexes {
-            idx.clear();
-        }
-        self.version = fresh_version();
     }
 }
 
@@ -541,19 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_clears_rows_and_indexes() {
-        let mut t = flights();
-        t.truncate();
-        assert!(t.is_empty());
-        assert_eq!(t.index("Flights_pk").unwrap().key_count(), 0);
-        // ids continue from where they were
-        let rid = t
-            .insert(Tuple::new(vec![Value::Int(1), Value::from("x")]))
-            .unwrap();
-        assert_eq!(rid, RowId(4));
-    }
-
-    #[test]
     fn insert_at_respects_existing_ids() {
         let mut t = flights();
         assert!(t
@@ -591,8 +569,6 @@ mod tests {
         step(&t, "create_index");
         t.drop_index("by_dest").unwrap();
         step(&t, "drop_index");
-        t.truncate();
-        step(&t, "truncate");
     }
 
     #[test]

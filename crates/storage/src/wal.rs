@@ -18,8 +18,8 @@
 //!   survive checkpointing, but only the coordinator interprets them.
 //!
 //! Frame layout: `u32 payload_len | u32 fnv1a(payload_len ∥ payload) |
-//! payload`; the payload's first byte is a record tag (`0..=4` storage
-//! ops, `5` coordination, `6` commit boundary). A coordination
+//! payload`; the payload's first byte is a record tag (`0..=4` and
+//! `7..=8` storage ops, `5` coordination, `6` commit boundary). A coordination
 //! payload is the tag followed by the coordination bytes, which the
 //! frame length delimits. The checksum covers the length field so a
 //! corrupted length that still reads as in-range is detected rather
@@ -75,7 +75,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, BytesMut};
 
-use crate::codec::{get_str, put_str};
+use crate::codec::{get_str, get_u64, put_str};
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{Column, DataType, Schema};
 use crate::tuple::Tuple;
@@ -119,6 +119,24 @@ pub enum WalOp {
         table: String,
         /// Row id.
         rid: u64,
+    },
+    /// A secondary index was created.
+    CreateIndex {
+        /// Table name.
+        table: String,
+        /// Index name.
+        name: String,
+        /// Indexed column names, in key order.
+        columns: Vec<String>,
+        /// Whether the index enforces key uniqueness.
+        unique: bool,
+    },
+    /// A secondary index was dropped.
+    DropIndex {
+        /// Table name.
+        table: String,
+        /// Index name.
+        name: String,
     },
 }
 
@@ -227,6 +245,18 @@ fn get_schema(buf: &mut &[u8]) -> StorageResult<Schema> {
 }
 
 impl WalOp {
+    /// The name of the table the op writes.
+    pub fn table(&self) -> &str {
+        match self {
+            WalOp::CreateTable { name, .. } | WalOp::DropTable { name } => name,
+            WalOp::Insert { table, .. }
+            | WalOp::Update { table, .. }
+            | WalOp::Delete { table, .. }
+            | WalOp::CreateIndex { table, .. }
+            | WalOp::DropIndex { table, .. } => table,
+        }
+    }
+
     fn encode(&self) -> BytesMut {
         let mut buf = BytesMut::with_capacity(64);
         match self {
@@ -256,6 +286,26 @@ impl WalOp {
                 put_str(&mut buf, table);
                 buf.put_u64(*rid);
             }
+            WalOp::CreateIndex {
+                table,
+                name,
+                columns,
+                unique,
+            } => {
+                buf.put_u8(7);
+                put_str(&mut buf, table);
+                put_str(&mut buf, name);
+                buf.put_u16(columns.len() as u16);
+                for column in columns {
+                    put_str(&mut buf, column);
+                }
+                buf.put_u8(*unique as u8);
+            }
+            WalOp::DropIndex { table, name } => {
+                buf.put_u8(8);
+                put_str(&mut buf, table);
+                put_str(&mut buf, name);
+            }
         }
         buf
     }
@@ -277,30 +327,45 @@ impl WalOp {
             },
             2 => {
                 let table = get_str(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(StorageError::WalCorrupt("truncated rid".into()));
-                }
-                let rid = buf.get_u64();
+                let rid = get_u64(buf)?;
                 let tuple = get_tuple(buf)?;
                 WalOp::Insert { table, rid, tuple }
             }
             3 => {
                 let table = get_str(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(StorageError::WalCorrupt("truncated rid".into()));
-                }
-                let rid = buf.get_u64();
+                let rid = get_u64(buf)?;
                 let tuple = get_tuple(buf)?;
                 WalOp::Update { table, rid, tuple }
             }
             4 => {
                 let table = get_str(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(StorageError::WalCorrupt("truncated rid".into()));
-                }
-                let rid = buf.get_u64();
+                let rid = get_u64(buf)?;
                 WalOp::Delete { table, rid }
             }
+            7 => {
+                let table = get_str(buf)?;
+                let name = get_str(buf)?;
+                if buf.remaining() < 2 {
+                    return Err(StorageError::WalCorrupt("truncated index columns".into()));
+                }
+                let columns = (0..buf.get_u16())
+                    .map(|_| get_str(buf))
+                    .collect::<StorageResult<_>>()?;
+                if buf.remaining() < 1 {
+                    return Err(StorageError::WalCorrupt("truncated unique flag".into()));
+                }
+                let unique = buf.get_u8() != 0;
+                WalOp::CreateIndex {
+                    table,
+                    name,
+                    columns,
+                    unique,
+                }
+            }
+            8 => WalOp::DropIndex {
+                table: get_str(buf)?,
+                name: get_str(buf)?,
+            },
             t => return Err(StorageError::WalCorrupt(format!("unknown op tag {t}"))),
         };
         if buf.has_remaining() {
@@ -310,7 +375,8 @@ impl WalOp {
     }
 }
 
-/// Record tag for coordination frames (storage ops use `0..=4`).
+/// Record tag for coordination frames (storage ops use `0..=4` and
+/// `7..=8`).
 const COORDINATION_TAG: u8 = 5;
 
 /// Record tag for commit-boundary marker frames.

@@ -1,13 +1,16 @@
 //! Properties of the one key: [`Value::key`] is the equality of
 //! `sql_eq`, of the total order and of every index, and an index probe
 //! returns what a scan-then-`sql_eq` filter returns, in the same order,
-//! under any history of writes and aborts.
+//! under any history of writes, index DDL and aborts — live, replayed
+//! from the log and replayed from a checkpoint.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
 
-use youtopia_storage::{Column, DataType, Database, RowId, Schema, StorageResult, Tuple, Value};
+use youtopia_storage::{
+    Column, DataType, Database, RowId, Schema, StorageResult, Table, Tuple, Value, Wal,
+};
 
 const TWO_POW_53: i64 = 1 << 53;
 const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
@@ -153,6 +156,9 @@ enum Stmt {
     /// Replaces the `n`th live row (modulo their count) by a new row.
     Update(usize, Vec<usize>),
     Delete(usize),
+    /// Creates an index on the `n`th column under a fresh name, unique
+    /// when the flag is set.
+    CreateIndex(usize, bool),
 }
 
 fn arb_row() -> impl Strategy<Value = Vec<usize>> {
@@ -165,6 +171,7 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
         arb_row().prop_map(Stmt::Insert),
         (0usize..64, arb_row()).prop_map(|(n, r)| Stmt::Update(n, r)),
         (0usize..64).prop_map(Stmt::Delete),
+        (0..COLUMNS.len(), any::<bool>()).prop_map(|(c, u)| Stmt::CreateIndex(c, u)),
     ]
 }
 
@@ -185,7 +192,12 @@ fn row_of(picks: &[usize]) -> Tuple {
     Tuple::new(values.collect())
 }
 
-fn run(txn: &mut youtopia_storage::Transaction, stmt: &Stmt) -> StorageResult<()> {
+/// Runs `stmt`; `fresh` numbers the indexes it creates.
+fn run(
+    txn: &mut youtopia_storage::Transaction,
+    stmt: &Stmt,
+    fresh: &mut usize,
+) -> StorageResult<()> {
     let live = |txn: &youtopia_storage::Transaction, n: usize| -> Option<RowId> {
         let t = txn.table("T").expect("created");
         let rids: Vec<RowId> = t.scan().map(|(rid, _)| rid).collect();
@@ -201,7 +213,70 @@ fn run(txn: &mut youtopia_storage::Transaction, stmt: &Stmt) -> StorageResult<()
             Some(rid) => txn.delete("T", rid),
             None => Ok(()),
         },
+        Stmt::CreateIndex(col, unique) => {
+            *fresh += 1;
+            let name = format!("x{fresh}");
+            txn.create_index("T", &name, &[COLUMNS[*col].0], *unique)
+        }
     }
+}
+
+/// What `T` holds: its rows under their ids, and each index's name,
+/// columns, uniqueness and probe of every probe value.
+type State = (
+    Vec<(RowId, Tuple)>,
+    Vec<(String, Vec<usize>, bool, Vec<Vec<RowId>>)>,
+);
+
+fn state(db: &Database, probes: &[Value]) -> State {
+    let read = db.read();
+    let t = read.table("T").unwrap();
+    let rows = t.scan().map(|(rid, row)| (rid, row.clone())).collect();
+    let indexes = t.indexes().iter().map(|idx| {
+        let probed = probes
+            .iter()
+            .map(|v| idx.probe(std::slice::from_ref(v)).to_vec());
+        let columns = idx.columns().to_vec();
+        (
+            idx.name().to_string(),
+            columns,
+            idx.is_unique(),
+            probed.collect(),
+        )
+    });
+    (rows, indexes.collect())
+}
+
+/// The database its log replays to.
+fn recovered(db: &Database) -> Database {
+    Database::recover(Wal::from_bytes(db.wal_bytes().unwrap()))
+        .unwrap()
+        .0
+}
+
+/// Each index probe of `t` returns exactly the rows a scan keeps by
+/// `sql_eq`, in `RowId` order.
+fn probes_equal_scans(t: &Table, probes: &[Value]) -> Result<(), TestCaseError> {
+    for idx in t.indexes() {
+        let col = idx.columns()[0];
+        for v in probes.iter().filter(|v| !v.is_null()) {
+            let scanned: Vec<RowId> = t
+                .scan()
+                .filter(|(_, row)| row.values()[col].sql_eq(v))
+                .map(|(rid, _)| rid)
+                .collect();
+            prop_assert_eq!(
+                idx.probe(std::slice::from_ref(v)),
+                &scanned[..],
+                "{} = {:?}",
+                idx.name(),
+                v
+            );
+            prop_assert_eq!(t.rows_where_eq(col, v), scanned);
+        }
+        prop_assert!(t.rows_where_eq(col, &Value::Null).is_empty());
+    }
+    Ok(())
 }
 
 proptest! {
@@ -209,10 +284,11 @@ proptest! {
 
     /// After every transaction, committed or aborted, each index probe
     /// returns exactly the rows a scan keeps by `sql_eq`, in `RowId`
-    /// order.
+    /// order, and the log replays to the same rows, indexes and probe
+    /// results; so does a checkpoint at the end.
     #[test]
     fn index_probe_equals_scan_then_filter(txns in proptest::collection::vec(arb_txn(), 1..12)) {
-        let db = Database::new();
+        let db = Database::with_wal(Wal::in_memory());
         db.with_txn(|txn| {
             let cols = COLUMNS.iter().map(|&(name, ty)| Column::nullable(name, ty));
             txn.create_table("T", Schema::new(cols.collect()))?;
@@ -223,29 +299,19 @@ proptest! {
         })
         .unwrap();
         let probes = probes();
+        let mut fresh = 0;
         for (stmts, abort) in &txns {
             let mut txn = db.begin();
-            let ok = stmts.iter().all(|s| run(&mut txn, s).is_ok());
+            let ok = stmts.iter().all(|s| run(&mut txn, s, &mut fresh).is_ok());
             if ok && !abort {
                 txn.commit().unwrap();
             } else {
                 txn.abort();
             }
-            let read = db.read();
-            let t = read.table("T").unwrap();
-            for (col, (name, _)) in COLUMNS.iter().enumerate() {
-                let idx = t.index(name).unwrap();
-                for v in probes.iter().filter(|v| !v.is_null()) {
-                    let scanned: Vec<RowId> = t
-                        .scan()
-                        .filter(|(_, row)| row.values()[col].sql_eq(v))
-                        .map(|(rid, _)| rid)
-                        .collect();
-                    prop_assert_eq!(idx.probe(std::slice::from_ref(v)), &scanned[..], "{} = {:?}", name, v);
-                    prop_assert_eq!(t.rows_where_eq(col, v), scanned);
-                }
-                prop_assert!(t.rows_where_eq(col, &Value::Null).is_empty());
-            }
+            probes_equal_scans(db.read().table("T").unwrap(), &probes)?;
+            prop_assert_eq!(state(&recovered(&db), &probes), state(&db, &probes));
         }
+        db.checkpoint().unwrap();
+        prop_assert_eq!(state(&recovered(&db), &probes), state(&db, &probes));
     }
 }

@@ -43,9 +43,9 @@ fn registration_payload(owner: &str, sql: &str, deadline: Option<u64>) -> Vec<u8
     buf
 }
 
-/// A mixed log: DDL + DML storage frames interleaved with coordination
-/// frames of several sizes (including empty, and registrations with
-/// and without a deadline).
+/// A mixed log: table and index DDL and DML storage frames interleaved
+/// with coordination frames of several sizes (including empty, and
+/// registrations with and without a deadline).
 fn corpus_records() -> Vec<WalRecord> {
     let mut records = vec![WalRecord::Storage(WalOp::CreateTable {
         name: "Flights".into(),
@@ -59,6 +59,16 @@ fn corpus_records() -> Vec<WalRecord> {
         }));
         records.push(WalRecord::Coordination(vec![i as u8; i as usize * 7]));
     }
+    records.push(WalRecord::Storage(WalOp::CreateIndex {
+        table: "Flights".into(),
+        name: "by_dest".into(),
+        columns: vec!["dest".into()],
+        unique: false,
+    }));
+    records.push(WalRecord::Storage(WalOp::DropIndex {
+        table: "Flights".into(),
+        name: "by_dest".into(),
+    }));
     records.push(WalRecord::Coordination(registration_payload(
         "kramer",
         "SELECT 'K', fno INTO ANSWER R CHOOSE 1",

@@ -216,6 +216,26 @@ mod tests {
             .is_some());
     }
 
+    /// The schema's secondary indexes come back when the database
+    /// restarts from its file WAL.
+    #[test]
+    fn schema_indexes_survive_a_restart() {
+        use youtopia_storage::Wal;
+        let dir = std::env::temp_dir().join(format!("youtopia_schema_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.wal");
+        let _ = std::fs::remove_file(&path);
+        install_schema(&Database::with_wal(Wal::open(&path).unwrap())).unwrap();
+        let (db, _) = Database::recover(Wal::open(&path).unwrap()).unwrap();
+        let read = db.read();
+        let flights = read.table("Flights").unwrap();
+        assert_eq!(flights.indexes().len(), 2);
+        assert!(flights.index("flights_by_dest").is_some());
+        drop(read);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn fig1_flights_present() {
         let db = db();

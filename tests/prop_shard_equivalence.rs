@@ -36,7 +36,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use youtopia::core::{MatchConfig, TenantStats};
-use youtopia::storage::{Wal, WalOp, WalRecord};
+use youtopia::storage::{Wal, WalRecord};
 use youtopia::{
     compile_sql, run_sql, Ack, CoordEvent, CoordinationOutcome, Coordinator, CoordinatorConfig,
     Database, MatchNotification, ShardedConfig, ShardedCoordinator, Submission, SubmitOptions,
@@ -150,15 +150,9 @@ fn read_log(db: &Database) -> Log {
                 Ok(CoordEvent::MatchCommitted { .. }) => last_table.clone(),
                 other => panic!("no cancel, expiry or watermark here: {other:?}"),
             },
-            WalRecord::Storage(
-                WalOp::CreateTable { name: table, .. }
-                | WalOp::DropTable { name: table }
-                | WalOp::Insert { table, .. }
-                | WalOp::Update { table, .. }
-                | WalOp::Delete { table, .. },
-            ) => {
-                last_table.clone_from(table);
-                table.clone()
+            WalRecord::Storage(op) => {
+                op.table().clone_into(&mut last_table);
+                last_table.clone()
             }
         };
         log.effects
