@@ -12,10 +12,13 @@
 //! nesting them under `OR`/`NOT` would require disjunctive coordination,
 //! which the paper's system (and this one) does not support.
 
-use youtopia_sql::{parse_statement, EntangledSelect, Expr, Statement};
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
+
+use youtopia_sql::{parse_statement, template_key, EntangledSelect, Expr, Statement};
 
 use crate::error::{CoreError, CoreResult};
-use crate::ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, Term, Var};
+use crate::ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};
 
 /// Parses SQL text and compiles it; errors if the statement is not an
 /// entangled query.
@@ -25,6 +28,64 @@ pub fn compile_sql(sql: &str) -> CoreResult<EntangledQuery> {
         Statement::Entangled(ent) => compile(&ent, sql),
         _ => Err(CoreError::NotEntangled),
     }
+}
+
+/// Compiled queries by [`template_key`], for compiling many texts that
+/// differ only in their string literals. Each entry is a compiled,
+/// un-namespaced query with the string values it was compiled from.
+/// A template is stored on its second text, so texts that share no
+/// template keep nothing beyond a hash each. An entry is stored only
+/// when its values are pairwise distinct and every string constant of
+/// the query is one of them, so each constant names exactly one
+/// literal. A hit rewrites the stored query with the new text's values
+/// in place of lexing, parsing and compiling it (parse and compile
+/// treat a string literal's contents as opaque). Compile errors are
+/// never stored. Recovery keeps one map per recompile task.
+#[derive(Debug, Default)]
+pub struct Templates {
+    entries: HashMap<String, (EntangledQuery, Vec<String>)>,
+    /// Hashes of the keys seen once.
+    seen: HashSet<u64>,
+    /// Texts compiled from scratch: those that missed the map.
+    pub fresh: usize,
+}
+
+impl Templates {
+    /// `compile_sql(&sql).map(|q| q.namespaced(qid))`, through the map.
+    pub fn compile(&mut self, sql: String, qid: QueryId) -> CoreResult<EntangledQuery> {
+        let Some((key, values)) = template_key(&sql) else {
+            self.fresh += 1;
+            return compile_fresh(sql, qid);
+        };
+        if let Some((template, from)) = self.entries.get(&key) {
+            return Ok(template
+                .instantiated(qid, from, &values, sql)
+                .expect("a stored template slots every string constant"));
+        }
+        self.fresh += 1;
+        if self.seen.insert(self.entries.hasher().hash_one(&key)) {
+            return compile_fresh(sql, qid);
+        }
+        let template = compile_sql(&sql)?;
+        let Some(query) = template.instantiated(qid, &values, &values, sql) else {
+            return Ok(template.namespaced(qid));
+        };
+        if (1..values.len()).all(|i| !values[..i].contains(&values[i])) {
+            self.entries.insert(key, (template, values));
+        }
+        Ok(query)
+    }
+}
+
+/// `compile_sql(&sql).map(|q| q.namespaced(qid))`, moving `sql` into
+/// the query: a recompile task then frees no text that the replaying
+/// thread allocated (a free into another thread's heap contends for
+/// its lock).
+fn compile_fresh(sql: String, qid: QueryId) -> CoreResult<EntangledQuery> {
+    let query = compile_sql(&sql)?;
+    Ok(query
+        .instantiated(qid, &[], &[], sql)
+        .expect("without slots every string constant stays as it is"))
 }
 
 /// Compiles a parsed entangled query. `sql` is kept verbatim for the

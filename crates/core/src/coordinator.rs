@@ -251,6 +251,10 @@ pub struct RecoveryReport {
     /// Wall-clock duration of the post-restore matching sweep, in
     /// microseconds.
     pub sweep_micros: u64,
+    /// Survivors compiled from scratch because they missed their
+    /// recompile task's template map; the others were rewritten from a
+    /// stored query of the same template.
+    pub fresh_compiles: usize,
 }
 
 /// The one-shard coordinator: a [`ShardedCoordinator`] built with

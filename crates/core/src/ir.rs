@@ -18,9 +18,10 @@
 //!   that refer to the joint answer relation and thereby to *other*
 //!   queries' answers.
 
+use std::cell::Cell;
 use std::fmt;
 
-use youtopia_sql::{Expr, Select};
+use youtopia_sql::{Expr, Select, SelectItem};
 use youtopia_storage::Value;
 
 /// Identifier of a registered entangled query.
@@ -51,11 +52,6 @@ impl Var {
     /// The variable's name.
     pub fn name(&self) -> &str {
         &self.0
-    }
-
-    /// The namespaced form of this variable for query `qid`.
-    pub fn namespaced(&self, qid: QueryId) -> Var {
-        Var(format!("{qid}.{}", self.0))
     }
 }
 
@@ -98,14 +94,6 @@ impl Term {
         match self {
             Term::Const(v) => Some(v),
             Term::Var(_) => None,
-        }
-    }
-
-    /// Renames the variable (if any) into `qid`'s namespace.
-    pub fn namespaced(&self, qid: QueryId) -> Term {
-        match self {
-            Term::Var(v) => Term::Var(v.namespaced(qid)),
-            c => c.clone(),
         }
     }
 }
@@ -153,14 +141,6 @@ impl Atom {
     pub fn compatible_with(&self, other: &Atom) -> bool {
         self.relation.eq_ignore_ascii_case(&other.relation) && self.arity() == other.arity()
     }
-
-    /// Renames all variables into `qid`'s namespace.
-    pub fn namespaced(&self, qid: QueryId) -> Atom {
-        Atom {
-            relation: self.relation.clone(),
-            terms: self.terms.iter().map(|t| t.namespaced(qid)).collect(),
-        }
-    }
 }
 
 impl fmt::Display for Atom {
@@ -195,15 +175,6 @@ impl Membership {
     pub fn vars(&self) -> Vec<&Var> {
         self.terms.iter().filter_map(Term::as_var).collect()
     }
-
-    /// Renames all variables into `qid`'s namespace.
-    pub fn namespaced(&self, qid: QueryId) -> Membership {
-        Membership {
-            terms: self.terms.iter().map(|t| t.namespaced(qid)).collect(),
-            select: self.select.clone(),
-            negated: self.negated,
-        }
-    }
 }
 
 impl fmt::Display for Membership {
@@ -229,16 +200,6 @@ pub struct AnswerConstraint {
     pub negated: bool,
 }
 
-impl AnswerConstraint {
-    /// Renames all variables into `qid`'s namespace.
-    pub fn namespaced(&self, qid: QueryId) -> AnswerConstraint {
-        AnswerConstraint {
-            atom: self.atom.namespaced(qid),
-            negated: self.negated,
-        }
-    }
-}
-
 impl fmt::Display for AnswerConstraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.negated {
@@ -259,77 +220,6 @@ pub struct Filter {
     pub expr: Expr,
     /// The variables the expression references, precomputed.
     pub vars: Vec<Var>,
-}
-
-impl Filter {
-    /// Renames all variables into `qid`'s namespace.
-    pub fn namespaced(&self, qid: QueryId) -> Filter {
-        Filter {
-            expr: rename_expr_vars(&self.expr, qid),
-            vars: self.vars.iter().map(|v| v.namespaced(qid)).collect(),
-        }
-    }
-}
-
-/// Rewrites every column reference in `expr` into `qid`'s namespace.
-fn rename_expr_vars(expr: &Expr, qid: QueryId) -> Expr {
-    use youtopia_sql::Expr as E;
-    match expr {
-        E::Column { table: None, name } => E::Column {
-            table: None,
-            name: format!("{qid}.{name}"),
-        },
-        E::Column { table: Some(_), .. } | E::Literal(_) => expr.clone(),
-        E::Unary { op, expr } => E::Unary {
-            op: *op,
-            expr: Box::new(rename_expr_vars(expr, qid)),
-        },
-        E::Binary { left, op, right } => E::Binary {
-            left: Box::new(rename_expr_vars(left, qid)),
-            op: *op,
-            right: Box::new(rename_expr_vars(right, qid)),
-        },
-        E::Function { name, args, star } => E::Function {
-            name: name.clone(),
-            args: args.iter().map(|a| rename_expr_vars(a, qid)).collect(),
-            star: *star,
-        },
-        E::IsNull { expr, negated } => E::IsNull {
-            expr: Box::new(rename_expr_vars(expr, qid)),
-            negated: *negated,
-        },
-        E::InList {
-            expr,
-            list,
-            negated,
-        } => E::InList {
-            expr: Box::new(rename_expr_vars(expr, qid)),
-            list: list.iter().map(|e| rename_expr_vars(e, qid)).collect(),
-            negated: *negated,
-        },
-        E::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => E::Between {
-            expr: Box::new(rename_expr_vars(expr, qid)),
-            low: Box::new(rename_expr_vars(low, qid)),
-            high: Box::new(rename_expr_vars(high, qid)),
-            negated: *negated,
-        },
-        E::Like {
-            expr,
-            pattern,
-            negated,
-        } => E::Like {
-            expr: Box::new(rename_expr_vars(expr, qid)),
-            pattern: Box::new(rename_expr_vars(pattern, qid)),
-            negated: *negated,
-        },
-        // These never appear inside compiled filters.
-        E::InSubquery { .. } | E::InAnswer { .. } | E::Exists { .. } | E::Tuple(_) => expr.clone(),
-    }
 }
 
 /// A compiled entangled query.
@@ -404,14 +294,165 @@ impl EntangledQuery {
     /// A copy with all variables namespaced by `qid` (done at
     /// registration so different queries' variables never collide).
     pub fn namespaced(&self, qid: QueryId) -> EntangledQuery {
-        EntangledQuery {
-            heads: self.heads.iter().map(|h| h.namespaced(qid)).collect(),
-            memberships: self.memberships.iter().map(|m| m.namespaced(qid)).collect(),
-            filters: self.filters.iter().map(|f| f.namespaced(qid)).collect(),
-            constraints: self.constraints.iter().map(|c| c.namespaced(qid)).collect(),
-            choose: self.choose,
-            sql: self.sql.clone(),
+        Rewrite::new(qid, &[], &[]).query(self, self.sql.clone())
+    }
+
+    /// [`EntangledQuery::namespaced`] with `sql` moved in as the text,
+    /// for another text of the same template: every string constant
+    /// equal to `from[i]` becomes `to[i]`. `None` when `from` is not
+    /// empty and some string constant equals none of it.
+    pub(crate) fn instantiated(
+        &self,
+        qid: QueryId,
+        from: &[String],
+        to: &[String],
+        sql: String,
+    ) -> Option<EntangledQuery> {
+        let rewrite = Rewrite::new(qid, from, to);
+        let query = rewrite.query(self, sql);
+        (!rewrite.unslotted.get()).then_some(query)
+    }
+}
+
+/// The one rewrite from a compiled query to a registered one: each
+/// variable moves into `qid`'s namespace, and each string constant
+/// equal to `from[i]` becomes `to[i]`. Without slots (`from` empty)
+/// constants and membership subqueries are copied as they stand.
+struct Rewrite<'a> {
+    /// `"{qid}."`, the namespace every variable name gains.
+    prefix: String,
+    from: &'a [String],
+    to: &'a [String],
+    /// Set when a string constant equals no `from[i]`.
+    unslotted: Cell<bool>,
+}
+
+impl<'a> Rewrite<'a> {
+    fn new(qid: QueryId, from: &'a [String], to: &'a [String]) -> Rewrite<'a> {
+        Rewrite {
+            prefix: format!("{qid}."),
+            from,
+            to,
+            unslotted: Cell::new(false),
         }
+    }
+
+    fn query(&self, q: &EntangledQuery, sql: String) -> EntangledQuery {
+        let mut out = EntangledQuery {
+            heads: q.heads.clone(),
+            memberships: q.memberships.clone(),
+            filters: q.filters.iter().map(|f| self.filter(f)).collect(),
+            constraints: q.constraints.clone(),
+            choose: q.choose,
+            sql,
+        };
+        let atoms = out
+            .heads
+            .iter_mut()
+            .chain(out.constraints.iter_mut().map(|c| &mut c.atom));
+        for terms in atoms.map(|a| &mut a.terms) {
+            self.terms(terms);
+        }
+        for m in &mut out.memberships {
+            self.terms(&mut m.terms);
+            self.select(&mut m.select);
+        }
+        out
+    }
+
+    fn filter(&self, f: &Filter) -> Filter {
+        let mut expr = f.expr.clone();
+        self.expr(&mut expr, true);
+        Filter {
+            expr,
+            vars: f.vars.iter().map(|v| Var(self.name(&v.0))).collect(),
+        }
+    }
+
+    fn name(&self, name: &str) -> String {
+        let mut out = String::with_capacity(self.prefix.len() + name.len());
+        out.push_str(&self.prefix);
+        out.push_str(name);
+        out
+    }
+
+    fn value(&self, v: &mut Value) {
+        if let (Value::Str(s), false) = (&mut *v, self.from.is_empty()) {
+            match self.from.iter().position(|f| f == s) {
+                Some(i) => s.clone_from(&self.to[i]),
+                None => self.unslotted.set(true),
+            }
+        }
+    }
+
+    fn terms(&self, terms: &mut [Term]) {
+        for t in terms {
+            match t {
+                Term::Var(v) => v.0 = self.name(&v.0),
+                Term::Const(c) => self.value(c),
+            }
+        }
+    }
+
+    /// Rewrites `expr` in place; its unqualified columns are namespaced
+    /// only when `vars` (a filter's columns are variables, a subquery's
+    /// are table columns).
+    fn expr(&self, expr: &mut Expr, vars: bool) {
+        use youtopia_sql::Expr as E;
+        match expr {
+            E::Column { table: None, name } if vars => *name = self.name(name),
+            E::Column { .. } => {}
+            E::Literal(v) => self.value(v),
+            E::Unary { expr, .. } | E::IsNull { expr, .. } => self.expr(expr, vars),
+            E::Binary { left, right, .. }
+            | E::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                self.expr(left, vars);
+                self.expr(right, vars);
+            }
+            E::Between {
+                expr, low, high, ..
+            } => {
+                for e in [expr, low, high] {
+                    self.expr(e, vars);
+                }
+            }
+            E::InList { expr, list, .. } => {
+                self.expr(expr, vars);
+                list.iter_mut().for_each(|e| self.expr(e, vars));
+            }
+            E::Function { args: list, .. } | E::InAnswer { exprs: list, .. } | E::Tuple(list) => {
+                list.iter_mut().for_each(|e| self.expr(e, vars));
+            }
+            E::InSubquery { exprs, query, .. } => {
+                exprs.iter_mut().for_each(|e| self.expr(e, vars));
+                self.select(query);
+            }
+            E::Exists { query, .. } => self.select(query),
+        }
+    }
+
+    /// Re-slots the string constants of a subquery (its columns are
+    /// table columns, never variables).
+    fn select(&self, s: &mut Select) {
+        if self.from.is_empty() {
+            return;
+        }
+        let items = s.items.iter_mut().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard => None,
+        });
+        let joins = s.from.iter_mut().flat_map(|t| &mut t.joins);
+        items
+            .chain(joins.map(|j| &mut j.on))
+            .chain(&mut s.where_clause)
+            .chain(&mut s.group_by)
+            .chain(&mut s.having)
+            .chain(s.order_by.iter_mut().map(|o| &mut o.expr))
+            .for_each(|e| self.expr(e, false));
     }
 }
 
@@ -489,7 +530,8 @@ mod tests {
 
     #[test]
     fn namespacing_renames_vars_only() {
-        let a = kramer_head().namespaced(QueryId(7));
+        let mut a = kramer_head();
+        Rewrite::new(QueryId(7), &[], &[]).terms(&mut a.terms);
         assert_eq!(a.terms[0], Term::constant("Kramer"));
         assert_eq!(a.terms[1], Term::Var(Var::new("q7.fno")));
     }
@@ -500,7 +542,7 @@ mod tests {
             expr: youtopia_sql::parse_expr("price < 500 AND fno <> 0").unwrap(),
             vars: vec![Var::new("price"), Var::new("fno")],
         };
-        let f2 = f.namespaced(QueryId(3));
+        let f2 = Rewrite::new(QueryId(3), &[], &[]).filter(&f);
         assert_eq!(f2.expr.to_string(), "q3.price < 500 AND q3.fno <> 0");
         assert_eq!(f2.vars, vec![Var::new("q3.price"), Var::new("q3.fno")]);
     }

@@ -78,7 +78,7 @@ pub use audit::{
     latency_bucket, latency_histogram, tenant_audit, AuditConfig, AuditRecord, LatencyBucket,
     AUDIT_TABLE, LATENCY_TABLE,
 };
-pub use compile::{compile, compile_sql};
+pub use compile::{compile, compile_sql, Templates};
 pub use coordinator::{
     Coordinator, CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind,
     PendingInfo, RecoveryReport, Submission, SystemStats,

@@ -870,12 +870,12 @@ mod tests {
     fn filter_eval_helper() {
         let db = flights_db();
         let read = db.read();
-        // build "price < 500" then namespace it into q1's variable space
-        let filter = Filter {
-            expr: youtopia_sql::parse_expr("price < 500").unwrap(),
-            vars: vec![Var::new("price")],
-        }
-        .namespaced(QueryId(1));
+        // compile "price < 500" then namespace it into q1's variable space
+        let filter = compile_sql("SELECT price INTO ANSWER R WHERE price < 500 CHOOSE 1")
+            .unwrap()
+            .namespaced(QueryId(1))
+            .filters
+            .remove(0);
         let mut s = Subst::new();
         s.bind(&Var::new("q1.price"), Value::Float(450.0));
         assert!(eval_filter_for_tests(read.catalog(), &filter, &s).unwrap());

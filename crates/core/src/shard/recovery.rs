@@ -8,9 +8,9 @@ use parking_lot::Mutex;
 
 use youtopia_storage::{Database, Wal};
 
-use crate::compile::compile_sql;
+use crate::compile::Templates;
 use crate::coordinator::RecoveryReport;
-use crate::engine::replay_coordination_frames;
+use crate::engine::{replay_coordination_frames, Survivor};
 use crate::error::{CoreError, CoreResult};
 use crate::lifecycle::{Clock, SystemClock};
 use crate::registry::Pending;
@@ -20,7 +20,9 @@ use super::{ShardedConfig, ShardedCoordinator, SharedApplyHook};
 
 /// Survivors per recompile task on the worker pool: enough that a
 /// task's claim and result vector cost nothing beside its compiles,
-/// few enough that the claimants finish close together.
+/// few enough that the claimants finish close together. Each task has
+/// a template map of its own, so the chunk also bounds how many fresh
+/// compiles a template costs: two per chunk that holds it.
 const RECOMPILE_CHUNK: usize = 256;
 
 impl ShardedCoordinator {
@@ -32,14 +34,17 @@ impl ShardedCoordinator {
     /// 2. the coordination frames fold into the surviving pending set
     ///    (`registered − (matched ∪ cancelled ∪ expired)`);
     /// 3. the survivors' SQL is re-compiled in chunks on the worker
-    ///    pool (a compile failure reports the first failing survivor in
-    ///    seq order; each keeps the compact `namespaced` copy, since the
+    ///    pool, each chunk through a [`Templates`] map of its own:
+    ///    survivors whose texts differ only in string literals share
+    ///    one compiled query, and each is rewritten from it with its own
+    ///    values (a compile failure reports the first failing survivor
+    ///    in seq order; each keeps a compact rewritten copy, since the
     ///    parser's original holds over-allocated buffers that would
-    ///    raise peak RSS), routed in seq order through a rebuilt
-    ///    union-find router, and re-registered shard by shard on the
-    ///    pool — with the same `seed ^ shard_id` RNG discipline as a
-    ///    fresh coordinator, so subsequent `CHOOSE` behavior is
-    ///    reproducible;
+    ///    raise peak RSS). The survivors are then routed in seq order
+    ///    through a rebuilt union-find router, and re-registered shard
+    ///    by shard on the pool — with the same `seed ^ shard_id` RNG
+    ///    discipline as a fresh coordinator, so subsequent `CHOOSE`
+    ///    behavior is reproducible;
     /// 4. a matching sweep re-runs arrivals that were logged but whose
     ///    match had not committed before the crash (those matches are
     ///    logged now, like any other). A group whose apply fails stays
@@ -94,31 +99,42 @@ impl ShardedCoordinator {
         };
 
         // re-compile outside any lock, in contiguous chunks on the
-        // worker pool; a failure means the log (or the compiler)
-        // changed underneath us, which recovery must surface — the
-        // first in seq order, as a one-by-one rebuild would. Each
-        // survivor keeps the compact `namespaced` copy: the parser's
-        // over-allocated original is dropped inside the task.
-        let chunks: Vec<_> = replayed.survivors.chunks(RECOMPILE_CHUNK).collect();
+        // worker pool, each through a template map of its own; a
+        // failure means the log (or the compiler) changed underneath
+        // us, which recovery must surface — the first in seq order, as
+        // a one-by-one rebuild would. Each survivor keeps a compact
+        // rewritten copy: the parser's over-allocated original stays in
+        // the task's map or is dropped inside the task. Survivors move
+        // into their task and their text into their query, so no task
+        // frees a text that the replaying thread allocated.
+        let mut survivors = replayed.survivors.into_iter();
+        let chunks: Vec<Mutex<Vec<Survivor>>> = (0..report.restored_pending)
+            .step_by(RECOMPILE_CHUNK)
+            .map(|_| Mutex::new(survivors.by_ref().take(RECOMPILE_CHUNK).collect()))
+            .collect();
         let compiled = co.fan_out(chunks.len(), |c| {
-            chunks[c]
-                .iter()
-                .map(|s| compile_sql(&s.sql).map(|q| q.namespaced(s.qid)))
-                .collect::<Vec<_>>()
+            let mut templates = Templates::default();
+            let chunk = std::mem::take(&mut *chunks[c].lock());
+            let pending: Vec<CoreResult<Pending>> = chunk
+                .into_iter()
+                .map(|s| {
+                    Ok(Pending {
+                        query: templates.compile(s.sql, s.qid)?,
+                        id: s.qid,
+                        owner: s.owner,
+                        seq: s.seq,
+                        deadline: s.deadline,
+                    })
+                })
+                .collect();
+            (pending, templates.fresh)
         });
-        let mut restored: Vec<Pending> = Vec::with_capacity(replayed.survivors.len());
-        for (survivor, query) in replayed
-            .survivors
-            .into_iter()
-            .zip(compiled.into_iter().flatten())
-        {
-            restored.push(Pending {
-                id: survivor.qid,
-                owner: survivor.owner,
-                query: query?,
-                seq: survivor.seq,
-                deadline: survivor.deadline,
-            });
+        let mut restored: Vec<Pending> = Vec::with_capacity(report.restored_pending);
+        for (pending, fresh) in compiled {
+            report.fresh_compiles += fresh;
+            for p in pending {
+                restored.push(p?);
+            }
         }
 
         // rebuild the router in submission order, then place every
@@ -267,6 +283,11 @@ mod tests {
         assert_eq!(serial_report.restored_pending, N + 1);
         assert_eq!(serial_report.rematched_groups, 1);
         assert_eq!(serial_report.expired_at_recovery, N / 10);
+        // each of the five chunks compiles the first two texts of its 8
+        // `Res` templates (the second stores the template), and the
+        // last one both `Late` texts
+        assert_eq!(serial_report.fresh_compiles, 5 * 8 * 2 + 2);
+        assert_eq!(parallel_report.fresh_compiles, 5 * 8 * 2 + 2);
         assert_eq!(
             serial_report.restored_pending,
             parallel_report.restored_pending

@@ -12,6 +12,64 @@ pub fn lex(input: &str) -> SqlResult<Vec<Token>> {
     Lexer::new(input).run()
 }
 
+/// The *template key* of `sql` and its string literals, in one byte
+/// pass: the key is `sql` with the contents of every `'…'` literal cut
+/// out (the quotes stay), and the values are those literals as [`lex`]
+/// reads them (`''` unescaped), in order. Two texts with equal keys lex
+/// to the same tokens apart from their [`TokenKind::Str`] payloads.
+///
+/// The pass follows the lexer's rules for what is not a literal:
+/// `"…"` identifiers and `--` / `/* */` comments are copied as they
+/// stand, so a `'` inside them opens nothing. `None` where a literal,
+/// a quoted identifier or a block comment is unterminated (the lexer
+/// rejects those texts).
+pub fn template_key(sql: &str) -> Option<(String, Vec<String>)> {
+    let bytes = sql.as_bytes();
+    let find = |from: usize, byte: u8| {
+        bytes[from..]
+            .iter()
+            .position(|&b| b == byte)
+            .map(|at| from + at)
+    };
+    let mut key = String::with_capacity(sql.len());
+    let mut values = Vec::new();
+    // `sql[copied..i]` is text outside literals not yet in `key`
+    let (mut copied, mut i) = (0, 0);
+    while i < bytes.len() {
+        i = match (bytes[i], bytes.get(i + 1)) {
+            (b'\'', _) => {
+                key.push_str(&sql[copied..=i]);
+                let mut value = String::new();
+                let mut from = i + 1;
+                let close = loop {
+                    let quote = find(from, b'\'')?;
+                    value.push_str(&sql[from..quote]);
+                    if bytes.get(quote + 1) != Some(&b'\'') {
+                        break quote;
+                    }
+                    value.push('\'');
+                    from = quote + 2;
+                };
+                values.push(value);
+                copied = close;
+                close + 1
+            }
+            (b'"', _) => find(i + 1, b'"')? + 1,
+            (b'-', Some(b'-')) => find(i, b'\n').unwrap_or(bytes.len()),
+            (b'/', Some(b'*')) => {
+                let mut star = find(i + 2, b'*')?;
+                while bytes.get(star + 1) != Some(&b'/') {
+                    star = find(star + 1, b'*')?;
+                }
+                star + 2
+            }
+            _ => i + 1,
+        };
+    }
+    key.push_str(&sql[copied..]);
+    Some((key, values))
+}
+
 struct Lexer<'a> {
     chars: Vec<char>,
     pos: usize,
@@ -419,6 +477,30 @@ mod tests {
         let err = lex("SELECT @").unwrap_err();
         assert!(err.message.contains('@'));
         assert_eq!(err.span, Span::new(1, 8));
+    }
+
+    #[test]
+    fn template_key_cuts_literal_contents_only() {
+        let key = |sql: &str| template_key(sql).map(|(k, v)| (k, v.join("|")));
+        let kramer = "SELECT 'Kramer', fno WHERE ('O''Hare', fno) IN ANSWER R -- it's\n";
+        assert_eq!(
+            key(kramer),
+            Some((
+                "SELECT '', fno WHERE ('', fno) IN ANSWER R -- it's\n".into(),
+                "Kramer|O'Hare".into()
+            ))
+        );
+        // a quote inside a quoted identifier or a comment opens nothing
+        assert_eq!(
+            key("\"it's\" /* 'x' */ ''"),
+            Some(("\"it's\" /* 'x' */ ''".into(), String::new()))
+        );
+        // numbers, keywords and identifiers stay in the key
+        assert_ne!(key("SELECT -1, 'a'"), key("SELECT -2, 'a'"));
+        for unterminated in ["'oops", "'it''s", "\"x", "/* x", "/*/"] {
+            assert_eq!(key(unterminated), None, "{unterminated}");
+            assert!(lex(unterminated).is_err(), "{unterminated}");
+        }
     }
 
     #[test]

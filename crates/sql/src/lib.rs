@@ -41,6 +41,6 @@ pub use ast::{
     UnaryOp, Update,
 };
 pub use error::{SqlError, SqlResult};
-pub use lexer::lex;
+pub use lexer::{lex, template_key};
 pub use parser::{parse_expr, parse_statement, parse_statements};
 pub use token::{Keyword, Span, Token, TokenKind};

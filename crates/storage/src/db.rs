@@ -350,15 +350,16 @@ fn snapshot(catalog: &Catalog) -> Vec<WalRecord> {
     records
 }
 
-/// The ops that rebuild `table`: its `CreateTable`, one `Insert` per
-/// row, then one `CreateIndex` per index except the primary-key index
-/// that [`Table::new`] makes.
+/// The ops that rebuild `table`: its `CreateTable` (with the table's
+/// next row id), one `Insert` per row, then one `CreateIndex` per index
+/// except the primary-key index that [`Table::new`] makes.
 fn recreate(table: &Table) -> impl Iterator<Item = WalOp> + '_ {
     let name = table.name();
     let pk = (!table.schema().primary_key().is_empty()).then(|| format!("{name}_pk"));
     let create = WalOp::CreateTable {
         name: name.to_string(),
         schema: table.schema().clone(),
+        next_rid: table.next_row_id().0,
     };
     let rows = table.scan().map(move |(rid, tuple)| WalOp::Insert {
         table: name.to_string(),
@@ -391,8 +392,13 @@ fn create_index_op(table: &Table, index: &Index) -> WalOp {
 /// nothing changed and nothing is pushed.
 fn apply(catalog: &mut Catalog, op: WalOp, undo: &mut Vec<WalOp>) -> StorageResult<()> {
     match op {
-        WalOp::CreateTable { name, schema } => {
+        WalOp::CreateTable {
+            name,
+            schema,
+            next_rid,
+        } => {
             catalog.create_table(&name, schema)?;
+            catalog.table_mut(&name)?.allocate_from(RowId(next_rid));
             undo.push(WalOp::DropTable { name });
         }
         WalOp::DropTable { name } => {
@@ -491,6 +497,7 @@ impl Transaction {
         self.write(WalOp::CreateTable {
             name: name.to_string(),
             schema,
+            next_rid: 0,
         })
     }
 
@@ -874,6 +881,33 @@ mod tests {
                 .probe(&[Value::from("Paris")]),
             [RowId(0), RowId(1)]
         );
+    }
+
+    /// A rebuilt table keeps its next row id: the id of a deleted tail
+    /// row is not handed out again after a checkpoint and a restart, nor
+    /// after an undone `DROP TABLE`.
+    #[test]
+    fn a_rebuilt_table_never_reuses_a_deleted_row_id() {
+        let next_insert =
+            |db: &Database| db.with_txn(|txn| txn.insert("Flights", row(200, "Oslo")));
+        let db = Database::with_wal(Wal::in_memory());
+        db.with_txn(|txn| {
+            txn.create_table("Flights", flights_schema())?;
+            for i in 0..3 {
+                txn.insert("Flights", row(i, "Paris"))?;
+            }
+            txn.delete("Flights", RowId(2)).map(|_| ())
+        })
+        .unwrap();
+
+        db.checkpoint().unwrap();
+        let (recovered, _) = Database::recover(Wal::from_bytes(db.wal_bytes().unwrap())).unwrap();
+        assert_eq!(next_insert(&recovered), Ok(RowId(3)));
+
+        let mut txn = db.begin();
+        txn.drop_table("Flights").unwrap();
+        txn.abort();
+        assert_eq!(next_insert(&db), Ok(RowId(3)));
     }
 
     /// A unique index refuses a duplicate after a restart from a file

@@ -21,10 +21,11 @@ use crate::value::Value;
 
 /// Stable identifier of a row within one table.
 ///
-/// Row ids are allocated densely and not reused while a table lives,
-/// which lets undo logs and the WAL refer to rows without ambiguity. A
-/// table rebuilt from its rows (a checkpoint replayed, or a `DROP TABLE`
-/// undone) allocates after its highest live id.
+/// Row ids are allocated densely and never reused, which lets undo logs
+/// and the WAL refer to rows without ambiguity. A table rebuilt from its
+/// rows (a checkpoint replayed, or a `DROP TABLE` undone) carries its
+/// next id over, so the ids of rows deleted before the rebuild stay
+/// retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
@@ -123,6 +124,11 @@ impl Table {
     /// The id the next [`Table::insert`] allocates.
     pub(crate) fn next_row_id(&self) -> RowId {
         RowId(self.next_row_id)
+    }
+
+    /// Makes later inserts allocate ids at or above `rid`.
+    pub(crate) fn allocate_from(&mut self, rid: RowId) {
+        self.next_row_id = self.next_row_id.max(rid.0);
     }
 
     /// Validates and inserts a row under a specific id, which must be

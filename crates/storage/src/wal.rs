@@ -89,6 +89,10 @@ pub enum WalOp {
         name: String,
         /// Its schema.
         schema: Schema,
+        /// The id its next insert allocates: 0 for a new table, and a
+        /// rebuilt one's own, so the ids of rows deleted before the
+        /// rebuild are never handed out again.
+        next_rid: u64,
     },
     /// A table was dropped.
     DropTable {
@@ -260,10 +264,15 @@ impl WalOp {
     fn encode(&self) -> BytesMut {
         let mut buf = BytesMut::with_capacity(64);
         match self {
-            WalOp::CreateTable { name, schema } => {
+            WalOp::CreateTable {
+                name,
+                schema,
+                next_rid,
+            } => {
                 buf.put_u8(0);
                 put_str(&mut buf, name);
                 put_schema(&mut buf, schema);
+                buf.put_u64(*next_rid);
             }
             WalOp::DropTable { name } => {
                 buf.put_u8(1);
@@ -320,7 +329,12 @@ impl WalOp {
             0 => {
                 let name = get_str(buf)?;
                 let schema = get_schema(buf)?;
-                WalOp::CreateTable { name, schema }
+                let next_rid = get_u64(buf)?;
+                WalOp::CreateTable {
+                    name,
+                    schema,
+                    next_rid,
+                }
             }
             1 => WalOp::DropTable {
                 name: get_str(buf)?,
@@ -817,6 +831,7 @@ mod tests {
             WalOp::CreateTable {
                 name: "Flights".into(),
                 schema: sample_schema(),
+                next_rid: 0,
             },
             WalOp::Insert {
                 table: "Flights".into(),
@@ -1041,10 +1056,14 @@ mod tests {
             &[WalOp::CreateTable {
                 name: "T".into(),
                 schema: sample_schema(),
+                next_rid: 7,
             }],
         );
         match &replay_ops(&mut wal)[0] {
-            WalOp::CreateTable { schema, .. } => {
+            WalOp::CreateTable {
+                schema, next_rid, ..
+            } => {
+                assert_eq!(*next_rid, 7);
                 assert_eq!(schema.primary_key(), &[0]);
                 assert!(schema.columns()[1].nullable);
             }

@@ -50,6 +50,7 @@ fn corpus_records() -> Vec<WalRecord> {
     let mut records = vec![WalRecord::Storage(WalOp::CreateTable {
         name: "Flights".into(),
         schema: schema(),
+        next_rid: 0,
     })];
     for i in 0..4 {
         records.push(WalRecord::Storage(WalOp::Insert {

@@ -490,6 +490,8 @@ pub fn drive_batched(
 mod tests {
     use super::*;
 
+    use youtopia_core::{QueryId, Templates};
+
     #[test]
     fn database_builder_is_deterministic() {
         let db1 = WorkloadGen::new(1)
@@ -626,5 +628,104 @@ mod tests {
         assert_eq!(q.heads.len(), 2);
         assert_eq!(q.constraints.len(), 2);
         assert_eq!(q.memberships.len(), 2);
+    }
+
+    /// SQL-escaped pieces of generated string contents: `''` escapes,
+    /// non-ASCII text, values equal to a relation or variable name, and
+    /// comment or identifier openers that stay inside the literal.
+    const ATOMS: &[&str] = &[
+        "O''Hare",
+        "Zoë",
+        "東京",
+        "Reservation",
+        "Reservation1",
+        "fno",
+        "hid",
+        "Paris",
+        "-- x",
+        "/* x",
+        "\"q",
+        " ",
+    ];
+
+    /// A generated string content: empty, one to three atoms, or
+    /// (rarely) text holding a bare quote that ends the literal early.
+    fn content(rng: &mut StdRng) -> String {
+        match rng.random_range(0..20) {
+            0 => String::new(),
+            1 => "x', fno INTO ANSWER Other --".into(),
+            2 => "unterminated'".into(),
+            _ => (0..rng.random_range(1..4))
+                .map(|_| *ATOMS.choose(rng).unwrap())
+                .collect(),
+        }
+    }
+
+    /// One request from a travel generator, with generated contents;
+    /// `me` and `friend` (and the destination) are sometimes equal.
+    fn generated_sql(rng: &mut StdRng) -> String {
+        let me = content(rng);
+        let friend = if rng.random_bool(0.2) {
+            me.clone()
+        } else {
+            content(rng)
+        };
+        let dest = if rng.random_bool(0.1) {
+            me.clone()
+        } else {
+            ["Paris", "Rome"].choose(rng).unwrap().to_string()
+        };
+        let sql = match rng.random_range(0..5) {
+            0 => WorkloadGen::pair_request(&me, &friend, &dest).sql,
+            1 => WorkloadGen::pair_flight_hotel(&me, &friend, &dest).sql,
+            2 => {
+                let size = rng.random_range(2..5);
+                let mut requests =
+                    WorkloadGen::new(rng.random_range(0..1_000)).group(0, size, &dest);
+                requests.swap_remove(0).sql
+            }
+            3 => {
+                WorkloadGen::tenant_storm(&me, 3, &dest, 2)
+                    .swap_remove(rng.random_range(0..3))
+                    .sql
+            }
+            _ => {
+                WorkloadGen::tenant_pairs(&me, 2, &dest, 2)
+                    .swap_remove(rng.random_range(0..4))
+                    .sql
+            }
+        };
+        // a compile error that the template key keeps (`CHOOSE`'s count)
+        if rng.random_bool(0.05) {
+            sql.replace("CHOOSE 1", "CHOOSE 2")
+        } else {
+            sql
+        }
+    }
+
+    /// Cached == fresh: the template path returns exactly what
+    /// compiling each text and namespacing it does, the same query
+    /// (its `sql` included) or the same error.
+    #[test]
+    fn templates_equal_fresh_compiles() {
+        let (mut texts, mut fresh) = (0, 0);
+        for case in 0..100 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut templates = Templates::default();
+            for qid in 0..80 {
+                let sql = generated_sql(&mut rng);
+                let qid = QueryId(qid);
+                let expected = compile_sql(&sql).map(|q| q.namespaced(qid));
+                assert_eq!(
+                    templates.compile(sql.clone(), qid),
+                    expected,
+                    "case {case}: {sql}"
+                );
+            }
+            texts += 80;
+            fresh += templates.fresh;
+        }
+        // the hit path ran: most texts share a template with an earlier one
+        assert!(fresh * 2 < texts, "{fresh} of {texts} compiled fresh");
     }
 }
