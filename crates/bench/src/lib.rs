@@ -266,13 +266,11 @@ mod tests {
     }
 
     /// E4: per submit, a storm of p simultaneous pairs costs the same
-    /// structural work at p = 10 and p = 200. The candidate scan does
-    /// not, yet: the committed-answer lookup (`matcher/committed.rs`)
-    /// walks every committed `Reservation` row, from stage 1 and from the
-    /// provider loop, 2p^2 + p entries over the storm (10.5 vs 200.5 per
-    /// submit). The pending-head index alone scans 3p, 1.5 per submit at
-    /// both loads: that is the target of ROADMAP item 2(a), whose answer
-    /// index turns the growth into equality.
+    /// work at p = 10 and p = 200, the candidate scan included: the
+    /// committed-answer lookup (`matcher/committed.rs`) walks only the
+    /// posting of the partner's name in `Reservation`'s index, which no
+    /// committed row of another pair is filed under, so the scan is the
+    /// pending-head index's 3p, 1.5 per submit at both loads.
     #[test]
     fn simultaneous_pairs_work_per_submit_is_independent_of_load() {
         for p in [10u64, 200] {
@@ -284,7 +282,7 @@ mod tests {
             assert_eq!(work.candidates_considered, 2 * p, "p = {p}");
             assert_eq!(work.unify_attempts, 2 * p, "p = {p}");
             assert_eq!(work.nodes_expanded, 3 * p, "p = {p}");
-            assert_eq!(work.candidates_scanned, 2 * p * p + p, "p = {p}");
+            assert_eq!(work.candidates_scanned, 3 * p, "p = {p}");
         }
     }
 

@@ -245,8 +245,9 @@ pub struct RecoveryReport {
     /// recovery time and were expired immediately (their expiry is
     /// logged like any sweep's).
     pub expired_at_recovery: usize,
-    /// Candidate triggers discarded by the post-restore matching
-    /// sweep's index pruning (from the matcher's work counters).
+    /// Sweep triggers the matcher's stage 1 refuted: some positive
+    /// constraint had neither a candidate head nor a committed answer
+    /// in the answer index (`MatchStats::triggers_pruned`).
     pub triggers_pruned: u64,
     /// Wall-clock duration of the post-restore matching sweep, in
     /// microseconds.
@@ -327,7 +328,6 @@ mod tests {
 
     use super::*;
     use crate::engine::Ack;
-    use crate::error::CoreError;
     use crate::lifecycle::{MockClock, SubmitOptions};
     use crate::shard::testing::single;
     use youtopia_exec::run_sql;
@@ -407,16 +407,33 @@ mod tests {
         co.set_apply_hook(Arc::new(|_, _| {
             Err(youtopia_storage::StorageError::Internal("no seats".into()))
         }));
-        co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
-            .unwrap();
-        let err = co
+        let Submission::Pending(mut kramer) = co
+            .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+            .unwrap()
+        else {
+            panic!("Kramer waits for Jerry");
+        };
+        let Submission::Pending(mut jerry) = co
             .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Storage(_)));
+            .unwrap()
+        else {
+            panic!("a rejected apply leaves the arrival pending");
+        };
         // both queries are still pending; no answers were written
         assert_eq!(co.pending_count(), 2);
         assert!(co.answers("Reservation").is_empty());
         assert_eq!(co.stats().groups_matched, 0);
+        assert!(jerry.try_take().is_none());
+        // once the hook admits the group, both handles get the answer
+        co.set_apply_hook(Arc::new(|_, _| Ok(())));
+        assert_eq!(co.retry_all().unwrap().len(), 2);
+        for future in [&mut kramer, &mut jerry] {
+            assert!(matches!(
+                future.try_take(),
+                Some(CoordinationOutcome::Answered(_))
+            ));
+        }
+        assert_eq!(co.answers("Reservation").len(), 2);
     }
 
     #[test]

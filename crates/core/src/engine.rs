@@ -29,7 +29,7 @@
 //! acknowledgement until [`Database::durable_lsn`] reaches the
 //! [`Database::enqueued_lsn`] it read after the call.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,7 +49,6 @@ use crate::coordinator::{
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{QueryId, Term};
-use crate::matcher::committed::CommittedProbe;
 use crate::matcher::ground::MembershipCache;
 use crate::matcher::{baseline, search, GroupMatch, MatchStats};
 use crate::registry::{Pending, Registry};
@@ -497,12 +496,14 @@ impl Engine {
 
 impl Engine {
     /// Registers an arrived (already safety-checked, namespaced)
-    /// pending query and runs arrival-driven matching, cascading
-    /// through freshly committed answers until quiescent. Returns the
-    /// query's handle: already resolved when the arrival completed a
-    /// group, otherwise parked in the waiter table — under the
-    /// caller's lock on `state`, so a completion racing in from
-    /// another arrival can never miss it.
+    /// pending query and re-matches it: a [`Self::sweep`] of one, so
+    /// the arrival cascades through the answers it commits like any
+    /// sweep's trigger. Returns the query's handle: already resolved
+    /// when the sweep answered it, otherwise parked in the waiter table
+    /// — under the caller's lock on `state`, so a completion racing in
+    /// from another arrival can never miss it. A failed apply leaves
+    /// the query pending under the sweep's error rule, so its handle is
+    /// parked too, and a later match resolves it.
     pub(crate) fn process_arrival(
         &self,
         state: &mut ShardState,
@@ -513,79 +514,93 @@ impl Engine {
         let qid = pending.id;
         state.registry.insert(pending);
         state.stats.submitted += 1;
-
-        let Some(m) = self.try_match(state, qid)? else {
-            let shared = Arc::new(TicketShared::default());
-            state.waiters.insert(qid, Arc::clone(&shared));
-            return Ok(CoordinationFuture::new(qid, shared));
-        };
-        let fresh: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
-        let n = self
-            .apply_and_notify(state, m, hook, ack)?
-            .into_iter()
-            .find(|n| n.id == qid)
-            .ok_or_else(|| CoreError::Internal("trigger missing from its own match".into()))?;
-        // Newly committed answers may satisfy pending queries'
-        // postconditions ("the system-wide answer relation"):
-        // cascade until quiescent.
-        self.cascade(state, fresh, hook, ack)?;
-        Ok(CoordinationFuture::answered(n))
+        let answered = self.sweep(state, &[qid], hook, ack)?;
+        if let Some(n) = answered.into_iter().find(|n| n.id == qid) {
+            return Ok(CoordinationFuture::answered(n));
+        }
+        let shared = Arc::new(TicketShared::default());
+        state.waiters.insert(qid, Arc::clone(&shared));
+        Ok(CoordinationFuture::new(qid, shared))
     }
 
-    /// Re-runs matching for pending queries that freshly committed
-    /// answer tuples may have made matchable, repeating until no
-    /// further matches fire, and returns the notifications of every
-    /// query it answered. Each round's triggers come from
+    /// The one loop that re-matches registered queries. Each of
+    /// `triggers`, in the given order, takes one [`Self::step`]; a
+    /// match's committed answers may satisfy pending queries'
+    /// postconditions ("the system-wide answer relation"), so the
+    /// trigger then cascades until quiescent before the next one
+    /// starts. Each cascade round's triggers come from
     /// [`cascade_triggers`]: the registry's waiting index names the
     /// queries with a positive constraint filed under a key some fresh
-    /// tuple carries (the candidate index answers the opposite question
-    /// for the matcher), and only those whose constraint then unifies
-    /// with a fresh tuple are retried, in ascending id order. That is
-    /// the list a walk of the whole registry would produce, in the same
-    /// order, so `CHOOSE` draws do not depend on how the triggers were
-    /// found; the work no longer grows with the number of queries
-    /// waiting on other keys. Apply failures (e.g. inventory races)
-    /// leave the group pending and do not abort the cascade.
-    pub(crate) fn cascade(
+    /// tuple carries, and only those whose constraint then unifies with
+    /// a fresh tuple are retried, in ascending id order — the list a
+    /// walk of the whole registry would produce, so `CHOOSE` draws do
+    /// not depend on how the triggers were found. Returns the
+    /// notifications of every query the sweep answered.
+    ///
+    /// A trigger no committed tuple or pending head can serve costs one
+    /// index probe per positive constraint: stage 1 of the matcher
+    /// refutes it before any search state is built or any `CHOOSE`
+    /// draw is made, and counts it in `triggers_pruned`.
+    pub(crate) fn sweep(
         &self,
         state: &mut ShardState,
-        mut fresh: Vec<(String, Tuple)>,
+        triggers: &[QueryId],
         hook: HookRef,
         ack: Ack,
     ) -> CoreResult<Vec<MatchNotification>> {
         let mut notifications = Vec::new();
-        let mut triggers = Vec::new();
-        while !fresh.is_empty() {
-            state.stats.match_work.cascade_scanned +=
-                cascade_triggers(&state.registry, &fresh, &mut triggers);
-            fresh.clear();
-            for &qid in &triggers {
-                if state.registry.get(qid).is_none() {
-                    continue; // answered earlier in this round
-                }
-                if let Some(m) = self.try_match(state, qid)? {
-                    let new_tuples: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
-                    match self.apply_and_notify(state, m, hook, ack) {
-                        Ok(answered) => {
-                            notifications.extend(answered);
-                            fresh.extend(new_tuples);
-                        }
-                        Err(CoreError::Storage(_)) => {
-                            // group reinstated by apply_and_notify; it
-                            // stays pending (e.g. inventory exhausted)
-                        }
-                        Err(e) => return Err(e),
-                    }
+        let mut fresh = Vec::new();
+        let mut round = Vec::new();
+        for &qid in triggers {
+            self.step(state, qid, hook, ack, &mut notifications, &mut fresh)?;
+            while !fresh.is_empty() {
+                state.stats.match_work.cascade_scanned +=
+                    cascade_triggers(&state.registry, &fresh, &mut round);
+                fresh.clear();
+                for &qid in &round {
+                    self.step(state, qid, hook, ack, &mut notifications, &mut fresh)?;
                 }
             }
         }
         Ok(notifications)
     }
 
+    /// One re-match of `qid`, unless it is no longer pending (answered
+    /// earlier in the sweep, or moved on): [`Self::try_match`], then
+    /// [`Self::apply_and_notify`]. A committed match's notifications go
+    /// to `notifications` and its answer tuples to `fresh`. The error
+    /// rule: a failed apply reinstates the group, which stays pending
+    /// (e.g. inventory exhausted), and the sweep goes on; any other
+    /// error propagates.
+    fn step(
+        &self,
+        state: &mut ShardState,
+        qid: QueryId,
+        hook: HookRef,
+        ack: Ack,
+        notifications: &mut Vec<MatchNotification>,
+        fresh: &mut Vec<(String, Tuple)>,
+    ) -> CoreResult<()> {
+        if state.registry.get(qid).is_none() {
+            return Ok(());
+        }
+        let Some(m) = self.try_match(state, qid)? else {
+            return Ok(());
+        };
+        let mark = fresh.len();
+        fresh.extend(m.all_answers().cloned());
+        match self.apply_and_notify(state, m, hook, ack) {
+            Ok(answered) => notifications.extend(answered),
+            Err(CoreError::Storage(_)) => fresh.truncate(mark),
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+
     /// Runs the configured matcher for `trigger`. Callers hold the
     /// state's lock; the database is read-locked only for the matching
     /// itself.
-    pub(crate) fn try_match(
+    fn try_match(
         &self,
         state: &mut ShardState,
         trigger: QueryId,
@@ -627,7 +642,7 @@ impl Engine {
     /// commit waits for the log under [`Ack::Wait`] only), and builds
     /// per-member notifications. On apply failure the members are
     /// re-registered and the error propagates.
-    pub(crate) fn apply_and_notify(
+    fn apply_and_notify(
         &self,
         state: &mut ShardState,
         m: GroupMatch,
@@ -706,58 +721,6 @@ impl Engine {
         Ok(notifications)
     }
 
-    /// Re-matches registered queries: each of `triggers`, in the given
-    /// order, does what an arrival does — [`Self::try_match`],
-    /// [`Self::apply_and_notify`], then [`Self::cascade`] on the
-    /// committed answers. Ids no longer pending are skipped. Returns the
-    /// notifications of every query the sweep answered.
-    ///
-    /// The error rule is the cascade's: a failed apply reinstates the
-    /// group, which stays pending, and the sweep moves on; any other
-    /// error propagates.
-    ///
-    /// Index-first pruning: the candidate index and a value-keyed probe
-    /// of the committed answer relations identify provably-unmatchable
-    /// triggers ([`Self::prunable_triggers`]), which are skipped without
-    /// ever taking the db read lock. The skip set is recomputed after
-    /// every fired match (a commit can make a skipped trigger viable),
-    /// so a skipped `try_match` is always one that would have returned
-    /// `None` — the sweep's outcome is bit-identical to the unpruned
-    /// sweep.
-    pub(crate) fn sweep(
-        &self,
-        state: &mut ShardState,
-        triggers: &[QueryId],
-        hook: HookRef,
-        ack: Ack,
-    ) -> CoreResult<Vec<MatchNotification>> {
-        let mut notifications = Vec::new();
-        let mut skip = self.prunable_triggers(state);
-        for &qid in triggers {
-            if state.registry.get(qid).is_none() {
-                continue; // answered earlier in this sweep, or moved on
-            }
-            if skip.contains(&qid) {
-                state.stats.match_work.triggers_pruned += 1;
-                continue;
-            }
-            let Some(m) = self.try_match(state, qid)? else {
-                continue;
-            };
-            let fresh: Vec<(String, Tuple)> = m.all_answers().cloned().collect();
-            match self.apply_and_notify(state, m, hook, ack) {
-                Ok(answered) => notifications.extend(answered),
-                // reinstated by apply_and_notify: the registry is as it
-                // was, so the skip set still holds
-                Err(CoreError::Storage(_)) => continue,
-                Err(e) => return Err(e),
-            }
-            notifications.extend(self.cascade(state, fresh, hook, ack)?);
-            skip = self.prunable_triggers(state);
-        }
-        Ok(notifications)
-    }
-
     /// One [`Self::sweep`] over every pending query of this domain, in
     /// ascending id order, waiting for the log. A query that is not
     /// matchable when the sweep reaches it can become matchable later
@@ -772,36 +735,6 @@ impl Engine {
     ) -> CoreResult<Vec<MatchNotification>> {
         let ids: Vec<QueryId> = state.registry.iter().map(|p| p.id).collect();
         self.sweep(state, &ids, hook, Ack::Wait)
-    }
-
-    /// The pending queries that provably cannot match right now: some
-    /// positive obligation has neither a pending candidate head
-    /// (candidate-index emptiness — a superset of the unifiable heads)
-    /// nor a committed tuple compatible with its constants
-    /// ([`CommittedProbe`]). Sound for both matchers: every positive
-    /// constraint needs *some* provider, and both tests only report
-    /// "no" when no provider can exist.
-    pub(crate) fn prunable_triggers(&self, state: &ShardState) -> HashSet<QueryId> {
-        let mut out = HashSet::new();
-        let read = self.db.read();
-        let rels = state.registry.iter().flat_map(|p| {
-            p.query
-                .constraints
-                .iter()
-                .filter(|c| !c.negated)
-                .map(|c| c.atom.relation.as_str())
-        });
-        let probe = CommittedProbe::build(read.catalog(), rels);
-        for p in state.registry.iter() {
-            let unmatchable =
-                p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
-                    !state.registry.has_candidates(&c.atom) && !probe.may_satisfy(&c.atom)
-                });
-            if unmatchable {
-                out.insert(p.id);
-            }
-        }
-        out
     }
 
     /// The one retirement path for cancellation and expiry: logs the
@@ -957,29 +890,45 @@ pub(crate) fn match_graph_of(registry: &Registry) -> MatchGraph {
     MatchGraph { edges, dangling }
 }
 
-/// Creates the answer-relation table on first use. Columns are named
-/// `c0..cN-1`, typed from the first inserted tuple, all nullable (answer
-/// relations are system tables; applications may pre-create them with
-/// richer schemas, in which case only the arity must agree).
+/// Creates the answer-relation table on first use, and gives each of
+/// its columns a single-column index (`{relation}_by_{column}`) when it
+/// has none, so committed-answer lookups probe a posting rather than
+/// scan (`matcher::committed`). Columns are named `c0..cN-1`, typed
+/// from the first inserted tuple, all nullable (answer relations are
+/// system tables; applications may pre-create them with richer schemas,
+/// in which case only the arity must agree). The DDL rides the match's
+/// transaction: a failed apply takes it back with the rows.
 pub(crate) fn ensure_answer_table(
     txn: &mut Transaction,
     relation: &str,
     first: &Tuple,
 ) -> StorageResult<()> {
-    if txn.catalog().has_table(relation) {
-        return Ok(());
+    if !txn.catalog().has_table(relation) {
+        let columns: Vec<Column> = first
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Column {
+                name: format!("c{i}"),
+                ty: v.data_type().unwrap_or(DataType::Str),
+                nullable: true,
+            })
+            .collect();
+        txn.create_table(relation, Schema::new(columns))?;
     }
-    let columns: Vec<Column> = first
-        .values()
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Column {
-            name: format!("c{i}"),
-            ty: v.data_type().unwrap_or(DataType::Str),
-            nullable: true,
+    let table = txn.catalog().table(relation)?;
+    let missing: Vec<(String, String)> = (table.schema().columns().iter().enumerate())
+        .filter(|&(pos, _)| table.find_index_on(&[pos]).is_none())
+        .map(|(_, c)| {
+            let name = format!("{}_by_{}", table.name().to_ascii_lowercase(), c.name);
+            (name, c.name.clone())
         })
+        .filter(|(name, _)| table.index(name).is_none())
         .collect();
-    txn.create_table(relation, Schema::new(columns))
+    for (name, column) in missing {
+        txn.create_index(relation, &name, &[column.as_str()], false)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

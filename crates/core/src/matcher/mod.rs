@@ -130,8 +130,9 @@ pub struct MatchStats {
     /// (before deduplication and the unify check): the cascade's whole
     /// scan, which does not grow with queries waiting on other keys.
     pub cascade_scanned: u64,
-    /// Whole match attempts skipped because the candidate index proved
-    /// some positive obligation unsatisfiable (sweep pruning).
+    /// Whole match attempts killed in stage 1: some positive obligation
+    /// has neither a candidate head nor a committed row in the answer
+    /// index, so it is unsatisfiable.
     pub triggers_pruned: u64,
     /// Scratch buffers served from the thread-local pool.
     pub pool_hits: u64,

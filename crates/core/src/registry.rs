@@ -340,35 +340,6 @@ impl Registry {
         out.truncate(constraints.len());
     }
 
-    /// Cheap emptiness probe: `false` means *provably no pending head*
-    /// can unify with `constraint` — the relation has no heads, or some
-    /// constant position of the constraint has neither a matching
-    /// constant posting nor any variable posting. `true` is
-    /// conservative (the full intersection may still come up empty).
-    ///
-    /// This is the index-first pruning test the re-match sweep runs
-    /// before taking the db read lock.
-    pub fn has_candidates(&self, constraint: &Atom) -> bool {
-        let Some(rel) = self.relations.get(&Self::rel_key(&constraint.relation)) else {
-            return false;
-        };
-        if rel.heads.is_empty() {
-            return false;
-        }
-        for (pos, term) in constraint.terms.iter().enumerate() {
-            let Term::Const(v) = term else { continue };
-            let consts_empty = rel
-                .by_const
-                .get(pos)
-                .and_then(|m| m.get(&*v.key()))
-                .is_none_or(Posting::is_empty);
-            if consts_empty && rel.by_var.get(pos).is_none_or(Posting::is_empty) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Candidate resolution against one relation's index: picks the
     /// most selective constant position as the *driver*, merge-iterates
     /// its (sorted, disjoint) constant/variable posting lists, and
@@ -693,24 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn has_candidates_probe_is_sound() {
-        let mut reg = Registry::new();
-        reg.insert(jerry(1)); // head Reservation('Jerry', ?fno)
-        let matchable = Atom::new("Reservation", vec![Term::constant("Jerry"), Term::var("x")]);
-        let ghost_name = Atom::new(
-            "Reservation",
-            vec![Term::constant("Newman"), Term::var("x")],
-        );
-        let ghost_rel = Atom::new("Ghost", vec![Term::var("x")]);
-        assert!(reg.has_candidates(&matchable));
-        assert!(!reg.has_candidates(&ghost_name), "no posting for Newman");
-        assert!(!reg.has_candidates(&ghost_rel), "relation never seen");
-        // the probe never prunes anything candidates_for would return
-        assert!(reg.candidates_for(&ghost_name).is_empty());
-        assert!(!reg.candidates_for(&matchable).is_empty());
-    }
-
-    #[test]
     fn scan_counters_account_for_pruning() {
         let mut reg = Registry::new();
         reg.insert(kramer(1));
@@ -812,9 +765,10 @@ mod tests {
             vec![],
         ));
         let hits = |v: Value| -> Vec<u64> {
-            let c = atom("R", &[a.clone(), v]);
-            assert!(reg.has_candidates(&c));
-            reg.candidates_for(&c).iter().map(|h| h.qid.0).collect()
+            reg.candidates_for(&atom("R", &[a.clone(), v]))
+                .iter()
+                .map(|h| h.qid.0)
+                .collect()
         };
         assert_eq!(hits(Value::Float(3.0)), vec![1, 2]);
         assert_eq!(hits(Value::Int(3)), vec![1, 2]);

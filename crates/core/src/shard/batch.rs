@@ -230,11 +230,10 @@ impl ShardedCoordinator {
     /// registrations to the coordination log as one marker-delimited
     /// group (buckets draining on other shards share the writer's
     /// fsync), waiting for it under [`Ack::Wait`] only, then runs
-    /// insert → match → cascade per arrival, in bucket (= submission)
-    /// order. Returns the per-request outcomes, the answered-query log,
-    /// and the ids that may still be pending afterwards (`Pending`
-    /// outcomes, plus `Err` outcomes — an apply failure reinstates the
-    /// query), which the caller must placement-heal.
+    /// one sweep per arrival, in bucket (= submission) order. Returns
+    /// the per-request outcomes, the answered-query log, and the ids of
+    /// the arrivals not answered on arrival, which may still be pending
+    /// and which the caller must placement-heal.
     fn drain_shard(
         &self,
         shard: usize,

@@ -576,10 +576,11 @@ impl ShardedCoordinator {
     /// workhorse of the recovery re-match sweep). Shards hold disjoint
     /// pending sets behind separate locks, so the sweep fans out
     /// across the worker pool — one task per shard, each running one
-    /// index-first pruned [`Engine::retry_all`] sweep over the shard's
-    /// pending ids in ascending order. A group whose apply fails (say,
-    /// the apply hook finds no seats) stays pending and the sweep goes
-    /// on; any other error is returned. Results are reassembled in
+    /// [`Engine::retry_all`] sweep over the shard's pending ids in
+    /// ascending order; a trigger the candidate and answer indexes
+    /// refute dies in the matcher's stage 1. A group whose apply fails
+    /// (say, the apply hook finds no seats) stays pending and the sweep
+    /// goes on; any other error is returned. Results are reassembled in
     /// shard order, so notifications and error propagation are
     /// identical to sweeping the shards one by one.
     pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
@@ -1193,16 +1194,24 @@ mod tests {
             let res = |me: &str, friend: &str| pair_sql_on("Reservation", me, friend);
             co.submit_sql("kramer", &res("Kramer", "Jerry")).unwrap();
             co.submit_sql("elaine", &res("Elaine", "Jerry")).unwrap();
-            assert!(co.submit_sql("jerry", &res("Jerry", "Kramer")).is_err());
+            let mut jerry = single(
+                &co,
+                "jerry",
+                &res("Jerry", "Kramer"),
+                SubmitOptions::default(),
+                Ack::Wait,
+            )
+            .unwrap();
+            assert!(jerry.try_take().is_none(), "the rejected arrival waits");
             assert_eq!(co.pending_count(), 3, "the pair is reinstated");
             check_indexes(&co);
 
-            assert_eq!(co.cancel_owner("jerry"), 1);
             failing.store(false, Ordering::Relaxed);
-            co.submit_sql("jerry", &res("Jerry", "Kramer"))
-                .unwrap()
-                .answered()
-                .expect("the pair matches");
+            assert_eq!(co.retry_all().unwrap().len(), 2, "the pair matches");
+            assert!(matches!(
+                jerry.try_take(),
+                Some(CoordinationOutcome::Answered(_))
+            ));
             // the commit cascades to Elaine, whose lone apply fails
             assert_eq!(co.pending_count(), 1, "Elaine is reinstated");
             assert_eq!(co.stats().groups_matched, 1);

@@ -458,9 +458,10 @@ mod tests {
         co.set_apply_hook(Arc::clone(&no_seats));
         co.submit_sql("kramer", &pair_sql_on("Res", "Kramer", "Jerry"))
             .unwrap();
-        assert!(co
+        let jerry = co
             .submit_sql("jerry", &pair_sql_on("Res", "Jerry", "Kramer"))
-            .is_err());
+            .unwrap();
+        assert!(matches!(jerry, Submission::Pending(_)));
         assert_eq!(co.pending_count(), 2, "the rejected pair stays pending");
         let bytes = db.wal_bytes().unwrap();
         drop(co);

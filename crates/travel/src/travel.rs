@@ -870,6 +870,31 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_arrival_is_notified_when_a_retry_books_it() {
+        let s = service();
+        // an answer table the match cannot write: the closing arrival's
+        // apply fails, and the pair stays pending with both handles
+        run_sql(s.db(), "DROP TABLE Reservation").unwrap();
+        run_sql(
+            s.db(),
+            "CREATE TABLE Reservation (traveler STRING, fno INT, note STRING)",
+        )
+        .unwrap();
+        s.coordinate_flight("jerry", "kramer", "Paris", FlightPrefs::default())
+            .unwrap();
+        let out = s
+            .coordinate_flight("kramer", "jerry", "Paris", FlightPrefs::default())
+            .unwrap();
+        assert!(matches!(out, BookingOutcome::Waiting(_)));
+        // once the table is gone the match re-creates it; the retry
+        // books the pair and tells both travelers
+        run_sql(s.db(), "DROP TABLE Reservation").unwrap();
+        assert_eq!(s.retry_pending().unwrap(), 2);
+        assert_eq!(s.notifier().inbox("jerry").len(), 1);
+        assert_eq!(s.notifier().inbox("kramer").len(), 1);
+    }
+
+    #[test]
     fn retry_pending_after_inventory_appears() {
         let s = service();
         s.coordinate_flight(

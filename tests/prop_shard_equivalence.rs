@@ -30,6 +30,8 @@
 //! (parent commit 5f192d2): same ids, seqs, snapshot order, counters,
 //! and the same seed-by-seed `CHOOSE` picks with randomization *on*.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -246,6 +248,8 @@ fn run(w: &Workload, seed: u64, shards: usize, feed: &Feed) -> Run {
     };
     co.check_routing_invariants()
         .expect("routing invariants hold");
+    // four names, so a minimal group has at most four members
+    common::assert_quiescent(&db, 4);
 
     let mut outcomes = Vec::new();
     let mut pending = Vec::new();

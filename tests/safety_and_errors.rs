@@ -4,7 +4,10 @@
 
 use youtopia::core::{CoreError, SafetyMode};
 use youtopia::travel::{TravelError, TravelService};
-use youtopia::{run_sql, Coordinator, CoordinatorConfig, Database};
+use youtopia::{
+    run_sql, CoordinationFuture, CoordinationOutcome, Coordinator, CoordinatorConfig, Database,
+    Submission,
+};
 
 fn db() -> Database {
     let d = Database::new();
@@ -156,7 +159,8 @@ fn inventory_conflicts_roll_back_the_whole_match() {
 #[test]
 fn cascade_does_not_mask_apply_failures_forever() {
     // A match whose hook always fails keeps the group pending without
-    // poisoning later submissions.
+    // poisoning later submissions: the arrival gets a pending handle,
+    // and the answer reaches it once the hook heals.
     let d = db();
     let co = Coordinator::new(d.clone());
     co.set_apply_hook(std::sync::Arc::new(|_, _| {
@@ -164,19 +168,34 @@ fn cascade_does_not_mask_apply_failures_forever() {
             "always fails".into(),
         ))
     }));
-    let err = co
-        .submit_sql(
-            "solo",
-            "SELECT 'S', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights) CHOOSE 1",
-        )
-        .unwrap_err();
-    assert!(matches!(err, CoreError::Storage(_)));
+    let mut solo = pending(co.submit_sql(
+        "solo",
+        "SELECT 'S', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights) CHOOSE 1",
+    ));
     assert_eq!(co.pending_count(), 1);
     assert!(co.answers("R").is_empty());
+    assert!(solo.try_take().is_none());
     // healing the hook and retrying succeeds
     co.set_apply_hook(std::sync::Arc::new(|_, _| Ok(())));
     assert_eq!(co.retry_all().unwrap().len(), 1);
     assert_eq!(co.pending_count(), 0);
+    assert_answered(&mut solo);
+}
+
+/// The handle of a submission that must still be pending.
+fn pending(submission: youtopia::core::CoreResult<Submission>) -> CoordinationFuture {
+    match submission.expect("the query is safe") {
+        Submission::Pending(future) => future,
+        Submission::Answered(n) => panic!("answered on arrival: {n:?}"),
+    }
+}
+
+/// `future` holds an answer (taking it).
+fn assert_answered(future: &mut CoordinationFuture) {
+    match future.try_take() {
+        Some(CoordinationOutcome::Answered(_)) => {}
+        other => panic!("expected an answer, got {other:?}"),
+    }
 }
 
 #[test]
@@ -193,20 +212,24 @@ fn unknown_query_operations_fail_cleanly() {
 #[test]
 fn answer_relation_arity_conflicts_surface_as_storage_errors() {
     // the app pre-created R with arity 3; a 2-ary entangled head cannot
-    // be applied — the match must roll back and the queries stay pending
+    // be applied — the storage error rolls the match back, and the query
+    // stays pending with its handle until the schema is fixed
     let d = db();
     run_sql(&d, "CREATE TABLE R (a STRING, b INT, c INT)").unwrap();
-    let co = Coordinator::new(d);
-    let err = co
-        .submit_sql(
-            "solo",
-            "SELECT 'S', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights) CHOOSE 1",
-        )
-        .unwrap_err();
-    assert!(matches!(err, CoreError::Storage(_)), "{err:?}");
+    let co = Coordinator::new(d.clone());
+    let mut solo = pending(co.submit_sql(
+        "solo",
+        "SELECT 'S', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights) CHOOSE 1",
+    ));
     assert_eq!(
         co.pending_count(),
         1,
         "the query survives to retry after a fix"
     );
+    assert!(co.answers("R").is_empty());
+    assert!(solo.try_take().is_none());
+    run_sql(&d, "DROP TABLE R").unwrap();
+    assert_eq!(co.retry_all().unwrap().len(), 1);
+    assert_answered(&mut solo);
+    assert_eq!(co.answers("R").len(), 1);
 }

@@ -9,6 +9,8 @@
 //! * the coordinator's accounting (submitted = answered + pending +
 //!   cancelled) balances.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -190,6 +192,7 @@ fn sharded_submit_batch_concurrent_soak() {
     use std::sync::Mutex;
 
     use youtopia::core::MatchConfig;
+    use youtopia::storage::Wal;
     use youtopia::travel::WorkloadGen;
     use youtopia::{
         CoordinatorConfig, MatchNotification, ShardedConfig, ShardedCoordinator, Submission,
@@ -201,9 +204,11 @@ fn sharded_submit_batch_concurrent_soak() {
     const RELATIONS: usize = 5;
 
     let mut generator = WorkloadGen::new(0x50A4);
-    let db = generator.build_database(60, &["Paris", "Rome"]).unwrap();
+    let db = generator
+        .build_database_with_wal(60, &["Paris", "Rome"], Wal::in_memory())
+        .unwrap();
     let co = ShardedCoordinator::with_config(
-        db,
+        db.clone(),
         ShardedConfig {
             shards: 4,
             workers: 2,
@@ -282,6 +287,8 @@ fn sharded_submit_batch_concurrent_soak() {
             .collect::<Vec<_>>()
     });
 
+    // every name has one partner, so a minimal group is a pair
+    common::assert_quiescent(&db, 2);
     // quiescence sweep: racing halves that crossed thread boundaries
     // mid-drain are matched now; nothing may remain matchable after it
     co.retry_all().unwrap();
