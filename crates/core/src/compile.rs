@@ -15,7 +15,9 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 
-use youtopia_sql::{parse_statement, template_key, EntangledSelect, Expr, Statement};
+use youtopia_sql::{
+    parse_statement, template_key, EntangledSelect, Expr, Select, SelectItem, Statement,
+};
 
 use crate::error::{CoreError, CoreResult};
 use crate::ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};
@@ -141,6 +143,7 @@ pub fn compile(ent: &EntangledSelect, sql: &str) -> CoreResult<EntangledQuery> {
                     negated,
                 } => {
                     let terms = terms_from_exprs(exprs, "membership predicate")?;
+                    check_membership_width(&terms, query)?;
                     memberships.push(Membership {
                         terms,
                         select: (**query).clone(),
@@ -190,6 +193,20 @@ fn terms_from_exprs(exprs: &[Expr], position: &str) -> CoreResult<Vec<Term>> {
             ))),
         })
         .collect()
+}
+
+/// Rejects a membership whose subquery projects a number of columns
+/// other than its tuple's terms. A `*` projects whatever the tables hold
+/// when the subquery runs, so grounding checks that width instead.
+fn check_membership_width(terms: &[Term], query: &Select) -> CoreResult<()> {
+    let width = query.items.len();
+    if width == terms.len() || query.items.contains(&SelectItem::Wildcard) {
+        return Ok(());
+    }
+    Err(CoreError::Compile(format!(
+        "membership tuple has {} terms but its subquery returns {width} columns",
+        terms.len()
+    )))
 }
 
 /// Rejects `IN ANSWER` / `IN (SELECT ...)` nested below the top-level

@@ -84,6 +84,10 @@ pub struct SystemStats {
     pub groups_matched: u64,
     /// Match attempts (one per arrival, plus retries).
     pub match_attempts: u64,
+    /// Matches whose apply failed (a hook refusal, an answer relation
+    /// of the wrong arity, an inventory race): the group was put back
+    /// and stays pending.
+    pub applies_rejected: u64,
     /// Total time spent inside the matcher, in nanoseconds.
     pub matching_nanos: u128,
     /// Aggregated matcher work counters.
@@ -123,6 +127,7 @@ impl SystemStats {
         self.answered += other.answered;
         self.groups_matched += other.groups_matched;
         self.match_attempts += other.match_attempts;
+        self.applies_rejected += other.applies_rejected;
         self.matching_nanos += other.matching_nanos;
         self.match_work.merge(&other.match_work);
         self.expired += other.expired;
@@ -426,7 +431,7 @@ mod tests {
         assert!(jerry.try_take().is_none());
         // once the hook admits the group, both handles get the answer
         co.set_apply_hook(Arc::new(|_, _| Ok(())));
-        assert_eq!(co.retry_all().unwrap().len(), 2);
+        assert_eq!(co.retry_all().len(), 2);
         for future in [&mut kramer, &mut jerry] {
             assert!(matches!(
                 future.try_take(),

@@ -501,26 +501,26 @@ impl Engine {
     /// sweep's trigger. Returns the query's handle: already resolved
     /// when the sweep answered it, otherwise parked in the waiter table
     /// — under the caller's lock on `state`, so a completion racing in
-    /// from another arrival can never miss it. A failed apply leaves
-    /// the query pending under the sweep's error rule, so its handle is
-    /// parked too, and a later match resolves it.
+    /// from another arrival can never miss it. A group that fails to
+    /// ground or to apply leaves the query pending under the sweep's
+    /// rule, so its handle is parked too, and a later match resolves it.
     pub(crate) fn process_arrival(
         &self,
         state: &mut ShardState,
         pending: Pending,
         hook: HookRef,
         ack: Ack,
-    ) -> CoreResult<CoordinationFuture> {
+    ) -> CoordinationFuture {
         let qid = pending.id;
         state.registry.insert(pending);
         state.stats.submitted += 1;
-        let answered = self.sweep(state, &[qid], hook, ack)?;
+        let answered = self.sweep(state, &[qid], hook, ack);
         if let Some(n) = answered.into_iter().find(|n| n.id == qid) {
-            return Ok(CoordinationFuture::answered(n));
+            return CoordinationFuture::answered(n);
         }
         let shared = Arc::new(TicketShared::default());
         state.waiters.insert(qid, Arc::clone(&shared));
-        Ok(CoordinationFuture::new(qid, shared))
+        CoordinationFuture::new(qid, shared)
     }
 
     /// The one loop that re-matches registered queries. Each of
@@ -535,7 +535,9 @@ impl Engine {
     /// a fresh tuple are retried, in ascending id order — the list a
     /// walk of the whole registry would produce, so `CHOOSE` draws do
     /// not depend on how the triggers were found. Returns the
-    /// notifications of every query the sweep answered.
+    /// notifications of every query the sweep answered. It cannot fail:
+    /// a trigger whose group fails to ground or to apply stays pending
+    /// ([`Self::step`]) and the sweep goes on.
     ///
     /// A trigger no committed tuple or pending head can serve costs one
     /// index probe per positive constraint: stage 1 of the matcher
@@ -547,31 +549,32 @@ impl Engine {
         triggers: &[QueryId],
         hook: HookRef,
         ack: Ack,
-    ) -> CoreResult<Vec<MatchNotification>> {
+    ) -> Vec<MatchNotification> {
         let mut notifications = Vec::new();
         let mut fresh = Vec::new();
         let mut round = Vec::new();
         for &qid in triggers {
-            self.step(state, qid, hook, ack, &mut notifications, &mut fresh)?;
+            self.step(state, qid, hook, ack, &mut notifications, &mut fresh);
             while !fresh.is_empty() {
                 state.stats.match_work.cascade_scanned +=
                     cascade_triggers(&state.registry, &fresh, &mut round);
                 fresh.clear();
                 for &qid in &round {
-                    self.step(state, qid, hook, ack, &mut notifications, &mut fresh)?;
+                    self.step(state, qid, hook, ack, &mut notifications, &mut fresh);
                 }
             }
         }
-        Ok(notifications)
+        notifications
     }
 
     /// One re-match of `qid`, unless it is no longer pending (answered
     /// earlier in the sweep, or moved on): [`Self::try_match`], then
     /// [`Self::apply_and_notify`]. A committed match's notifications go
-    /// to `notifications` and its answer tuples to `fresh`. The error
-    /// rule: a failed apply reinstates the group, which stays pending
-    /// (e.g. inventory exhausted), and the sweep goes on; any other
-    /// error propagates.
+    /// to `notifications` and its answer tuples to `fresh`. Nothing
+    /// here fails the sweep: a group that cannot be evaluated is no
+    /// match (counted in `grounding_errors`), and a failed apply
+    /// reinstates the group, which stays pending (e.g. inventory
+    /// exhausted; counted in `applies_rejected`).
     fn step(
         &self,
         state: &mut ShardState,
@@ -580,31 +583,28 @@ impl Engine {
         ack: Ack,
         notifications: &mut Vec<MatchNotification>,
         fresh: &mut Vec<(String, Tuple)>,
-    ) -> CoreResult<()> {
+    ) {
         if state.registry.get(qid).is_none() {
-            return Ok(());
+            return;
         }
-        let Some(m) = self.try_match(state, qid)? else {
-            return Ok(());
+        let Some(m) = self.try_match(state, qid) else {
+            return;
         };
         let mark = fresh.len();
         fresh.extend(m.all_answers().cloned());
         match self.apply_and_notify(state, m, hook, ack) {
             Ok(answered) => notifications.extend(answered),
-            Err(CoreError::Storage(_)) => fresh.truncate(mark),
-            Err(e) => return Err(e),
+            Err(_) => {
+                state.stats.applies_rejected += 1;
+                fresh.truncate(mark);
+            }
         }
-        Ok(())
     }
 
     /// Runs the configured matcher for `trigger`. Callers hold the
     /// state's lock; the database is read-locked only for the matching
     /// itself.
-    fn try_match(
-        &self,
-        state: &mut ShardState,
-        trigger: QueryId,
-    ) -> CoreResult<Option<GroupMatch>> {
+    fn try_match(&self, state: &mut ShardState, trigger: QueryId) -> Option<GroupMatch> {
         state.stats.match_attempts += 1;
         let started = Instant::now();
         let result = {
@@ -641,22 +641,21 @@ impl Engine {
     /// (answer-relation inserts + apply hook, one transaction, whose
     /// commit waits for the log under [`Ack::Wait`] only), and builds
     /// per-member notifications. On apply failure the members are
-    /// re-registered and the error propagates.
+    /// re-registered and the error is returned.
     fn apply_and_notify(
         &self,
         state: &mut ShardState,
         m: GroupMatch,
         hook: HookRef,
         ack: Ack,
-    ) -> CoreResult<Vec<MatchNotification>> {
-        let mut removed = Vec::with_capacity(m.members.len());
-        for &qid in &m.members {
-            let pending = state
-                .registry
-                .remove(qid)
-                .ok_or_else(|| CoreError::Internal(format!("matched query {qid} vanished")))?;
-            removed.push(pending);
-        }
+    ) -> StorageResult<Vec<MatchNotification>> {
+        // the caller holds the shard lock from match to apply, so every
+        // member the matcher read is still registered
+        let removed: Vec<Pending> = m
+            .members
+            .iter()
+            .map(|&qid| state.registry.remove(qid).expect("matched query vanished"))
+            .collect();
 
         let commit_event = CoordEvent::MatchCommitted {
             qids: m.members.clone(),
@@ -685,7 +684,7 @@ impl Engine {
             for pending in removed {
                 state.registry.insert(pending);
             }
-            return Err(CoreError::Storage(e));
+            return Err(e);
         }
         if self.audit.is_some() {
             // deferred: the caller flushes the whole drain's commit
@@ -732,7 +731,7 @@ impl Engine {
         &self,
         state: &mut ShardState,
         hook: HookRef,
-    ) -> CoreResult<Vec<MatchNotification>> {
+    ) -> Vec<MatchNotification> {
         let ids: Vec<QueryId> = state.registry.iter().map(|p| p.id).collect();
         self.sweep(state, &ids, hook, Ack::Wait)
     }

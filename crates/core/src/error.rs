@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use youtopia_exec::ExecError;
 use youtopia_storage::StorageError;
 
 /// Errors produced while compiling, registering or matching entangled
@@ -21,8 +20,6 @@ pub enum CoreError {
     Unsafe(String),
     /// A storage-layer failure while applying a match.
     Storage(StorageError),
-    /// An execution-engine failure while evaluating database predicates.
-    Exec(ExecError),
     /// The referenced pending query does not exist (already answered,
     /// cancelled, or never registered).
     UnknownQuery(u64),
@@ -52,7 +49,6 @@ impl fmt::Display for CoreError {
             CoreError::Compile(msg) => write!(f, "compile error: {msg}"),
             CoreError::Unsafe(msg) => write!(f, "unsafe entangled query: {msg}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
-            CoreError::Exec(e) => write!(f, "execution error: {e}"),
             CoreError::UnknownQuery(id) => write!(f, "unknown pending query q{id}"),
             CoreError::QuotaExceeded { tenant, reason } => {
                 write!(f, "tenant '{tenant}' quota exceeded: {reason}")
@@ -67,12 +63,6 @@ impl std::error::Error for CoreError {}
 impl From<StorageError> for CoreError {
     fn from(e: StorageError) -> Self {
         CoreError::Storage(e)
-    }
-}
-
-impl From<ExecError> for CoreError {
-    fn from(e: ExecError) -> Self {
-        CoreError::Exec(e)
     }
 }
 
@@ -109,7 +99,5 @@ mod tests {
     fn conversions() {
         let e: CoreError = StorageError::TableNotFound("t".into()).into();
         assert!(matches!(e, CoreError::Storage(_)));
-        let e: CoreError = ExecError::DivisionByZero.into();
-        assert!(matches!(e, CoreError::Exec(_)));
     }
 }

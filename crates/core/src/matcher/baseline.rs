@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 
 use youtopia_storage::Catalog;
 
-use crate::error::CoreResult;
 use crate::ir::QueryId;
 use crate::matcher::ground::{ground_group, MembershipCache};
 use crate::matcher::{GroupMatch, MatchConfig, MatchStats};
@@ -26,7 +25,7 @@ pub fn match_query_naive(
     config: &MatchConfig,
     rng: &mut StdRng,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     let mut memberships = MembershipCache::default();
     match_query_naive_with(
         registry,
@@ -49,10 +48,8 @@ pub(crate) fn match_query_naive_with(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
-    if registry.get(trigger).is_none() {
-        return Ok(None);
-    }
+) -> Option<GroupMatch> {
+    registry.get(trigger)?;
     let others: Vec<QueryId> = registry
         .iter()
         .map(|p| p.id)
@@ -75,11 +72,11 @@ pub(crate) fn match_query_naive_with(
             rng,
             memberships,
             stats,
-        )? {
-            return Ok(Some(m));
+        ) {
+            return Some(m);
         }
     }
-    Ok(None)
+    None
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -95,7 +92,7 @@ fn combos(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     if combo.len() == want {
         let mut group: Vec<QueryId> = combo.iter().map(|&i| others[i]).collect();
         group.push(trigger);
@@ -117,12 +114,12 @@ fn combos(
             rng,
             memberships,
             stats,
-        )? {
-            return Ok(Some(m));
+        ) {
+            return Some(m);
         }
         combo.pop();
     }
-    Ok(None)
+    None
 }
 
 /// Tests one fixed subset: assign a provider (within the subset) to
@@ -135,13 +132,11 @@ fn try_subset(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     // collect all positive obligations of all members
     let mut obligations: Vec<(QueryId, usize)> = Vec::new();
     for &qid in group {
-        let Some(pending) = registry.get(qid) else {
-            return Ok(None);
-        };
+        let pending = registry.get(qid)?;
         for (cidx, c) in pending.query.constraints.iter().enumerate() {
             if !c.negated {
                 obligations.push((qid, cidx));
@@ -174,7 +169,7 @@ fn assign_providers(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     if next == obligations.len() {
         return ground_group(
             registry,
@@ -217,8 +212,8 @@ fn assign_providers(
                 rng,
                 memberships,
                 stats,
-            )? {
-                return Ok(Some(m));
+            ) {
+                return Some(m);
             }
             subst.undo_to(mark);
         }
@@ -254,13 +249,13 @@ fn assign_providers(
                 rng,
                 memberships,
                 stats,
-            )? {
-                return Ok(Some(m));
+            ) {
+                return Some(m);
             }
             subst.undo_to(mark);
         }
     }
-    Ok(None)
+    None
 }
 
 #[cfg(test)]
@@ -332,7 +327,6 @@ mod tests {
             &mut rng,
             &mut stats,
         )
-        .unwrap()
         .expect("pair matches");
         assert_eq!(m.members, vec![QueryId(1), QueryId(2)]);
         assert!(stats.subsets_tested >= 1);
@@ -364,7 +358,6 @@ mod tests {
             &mut rng,
             &mut stats,
         )
-        .unwrap()
         .unwrap();
         assert_eq!(m.members, vec![QueryId(1), QueryId(2)]);
         // and the singleton alone matches as a singleton
@@ -376,7 +369,6 @@ mod tests {
             &mut rng,
             &mut stats,
         )
-        .unwrap()
         .unwrap();
         assert_eq!(m3.members, vec![QueryId(3)]);
     }
@@ -415,10 +407,8 @@ mod tests {
             let mut s1 = MatchStats::default();
             let mut s2 = MatchStats::default();
             let naive =
-                match_query_naive(&reg, read.catalog(), trigger, &cfg(), &mut rng1, &mut s1)
-                    .unwrap();
-            let incr =
-                match_query(&reg, read.catalog(), trigger, &cfg(), &mut rng2, &mut s2).unwrap();
+                match_query_naive(&reg, read.catalog(), trigger, &cfg(), &mut rng1, &mut s1);
+            let incr = match_query(&reg, read.catalog(), trigger, &cfg(), &mut rng2, &mut s2);
             assert_eq!(
                 naive.is_some(),
                 incr.is_some(),
@@ -455,7 +445,6 @@ mod tests {
             &mut rng,
             &mut stats
         )
-        .unwrap()
         .is_none());
     }
 
@@ -482,8 +471,7 @@ mod tests {
             &config,
             &mut rng,
             &mut stats,
-        )
-        .unwrap();
+        );
         // C(8,0) + C(8,1) + C(8,2) = 1 + 8 + 28
         assert_eq!(stats.subsets_tested, 37);
     }

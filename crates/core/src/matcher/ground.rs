@@ -29,11 +29,10 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use youtopia_exec::execute_select;
+use youtopia_exec::{execute_select, ExecResult};
 use youtopia_sql::{Expr, Select, SelectItem};
 use youtopia_storage::{Catalog, Tuple, Value};
 
-use crate::error::{CoreError, CoreResult};
 use crate::ir::{Atom, Filter, QueryId, Term};
 use crate::matcher::committed;
 use crate::matcher::pool::BufferPool;
@@ -65,22 +64,23 @@ struct CachedMembership {
 }
 
 /// Membership subquery results of one shard, each valid while every
-/// table it read keeps the version it had (module docs). Errors are
+/// table it read keeps the version it had (module docs). Failures are
 /// never cached, and a subquery naming a missing table runs uncached,
-/// so both surface exactly as an uncached run would raise them.
+/// so both come out exactly as an uncached run would.
 #[derive(Default)]
 pub(crate) struct MembershipCache {
     entries: VecDeque<CachedMembership>,
 }
 
 impl MembershipCache {
-    /// The arity and rows of `select` against `catalog`.
+    /// The arity and rows of `select` against `catalog`, or `None`
+    /// (counted in `grounding_errors`) when the subquery fails to run.
     fn rows(
         &mut self,
         catalog: &Catalog,
         select: &Select,
         stats: &mut MatchStats,
-    ) -> CoreResult<(usize, Rows)> {
+    ) -> Option<(usize, Rows)> {
         if let Some(pos) = self.entries.iter().position(|e| e.select == *select) {
             let entry = &self.entries[pos];
             let current = entry
@@ -89,7 +89,7 @@ impl MembershipCache {
                 .all(|(name, version)| catalog.table(name).is_ok_and(|t| t.version() == *version));
             if current {
                 stats.membership_hits += 1;
-                return Ok((entry.arity, Arc::clone(&entry.rows)));
+                return Some((entry.arity, Arc::clone(&entry.rows)));
             }
             self.entries.remove(pos);
         }
@@ -100,7 +100,10 @@ impl MembershipCache {
             .map(|name| Some((name.to_string(), catalog.table(name).ok()?.version())))
             .collect();
         stats.membership_evals += 1;
-        let result = execute_select(catalog, select)?;
+        let Ok(result) = execute_select(catalog, select) else {
+            stats.grounding_errors += 1;
+            return None;
+        };
         let arity = result.schema.arity();
         let rows: Rows = result.rows.into_iter().map(Tuple::into_values).collect();
         stats.rows_scanned += rows.len() as u64;
@@ -115,7 +118,7 @@ impl MembershipCache {
                 rows: Arc::clone(&rows),
             });
         }
-        Ok((arity, rows))
+        Some((arity, rows))
     }
 }
 
@@ -210,14 +213,17 @@ pub(crate) struct GroundingProblem {
 impl GroundingProblem {
     /// Builds the problem for `group`: reads every member's membership
     /// rows through `memberships` and collects filters, negative
-    /// constraints and heads.
+    /// constraints and heads. `None` when the group is ungroundable: a
+    /// membership subquery fails to run, or returns a width other than
+    /// its tuple's (only a `*` can: `compile` checks the others), each
+    /// counted once in `grounding_errors`.
     pub(crate) fn build(
         registry: &Registry,
         catalog: &Catalog,
         group: &[QueryId],
         memberships: &mut MembershipCache,
         stats: &mut MatchStats,
-    ) -> CoreResult<GroundingProblem> {
+    ) -> Option<GroundingProblem> {
         let mut domains = Vec::new();
         let mut neg_memberships = Vec::new();
         let mut filters = Vec::new();
@@ -225,16 +231,15 @@ impl GroundingProblem {
         let mut heads = Vec::new();
 
         for &qid in group {
-            let pending = registry.get(qid).ok_or(CoreError::UnknownQuery(qid.0))?;
+            let pending = registry
+                .get(qid)
+                .expect("group members stay registered during matching");
             let q = &pending.query;
             for m in &q.memberships {
                 let (arity, rows) = memberships.rows(catalog, &m.select, stats)?;
                 if arity != m.terms.len() {
-                    return Err(CoreError::Compile(format!(
-                        "membership tuple has {} terms but its subquery returns {} columns",
-                        m.terms.len(),
-                        arity
-                    )));
+                    stats.grounding_errors += 1;
+                    return None;
                 }
                 if m.negated {
                     neg_memberships.push(NegMembership {
@@ -258,7 +263,7 @@ impl GroundingProblem {
                 heads.push((qid, h.clone()));
             }
         }
-        Ok(GroundingProblem {
+        Some(GroundingProblem {
             members: group.to_vec(),
             domains,
             neg_memberships,
@@ -279,7 +284,7 @@ impl GroundingProblem {
         config: &MatchConfig,
         rng: &mut StdRng,
         stats: &mut MatchStats,
-    ) -> CoreResult<Option<GroupMatch>> {
+    ) -> Option<GroupMatch> {
         stats.groundings_attempted += 1;
         let unassigned: Vec<usize> = (0..self.domains.len()).collect();
         self.assign(subst, &unassigned, catalog, config, rng, stats)
@@ -293,7 +298,7 @@ impl GroundingProblem {
         config: &MatchConfig,
         rng: &mut StdRng,
         stats: &mut MatchStats,
-    ) -> CoreResult<Option<GroupMatch>> {
+    ) -> Option<GroupMatch> {
         if unassigned.is_empty() {
             return self.finalize(subst, catalog, stats);
         }
@@ -325,7 +330,7 @@ impl GroundingProblem {
             .map(|(_, &i)| i)
             .collect();
         let domain = &self.domains[unassigned[pick_pos]];
-        let mut found: Option<CoreResult<GroupMatch>> = None;
+        let mut found = None;
         for &row_pos in best_rows.iter() {
             let mark = subst.mark();
             let ok = domain
@@ -335,31 +340,18 @@ impl GroundingProblem {
                 .all(|(t, v)| subst.unify_terms(t, &Term::Const(v.clone())));
             debug_assert!(ok, "a row compatible at filter time re-unifies");
             if ok {
-                match self.assign(subst, &rest, catalog, config, rng, stats) {
-                    Ok(Some(m)) => {
-                        subst.undo_to(mark);
-                        found = Some(Ok(m));
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        subst.undo_to(mark);
-                        found = Some(Err(e));
-                        break;
-                    }
-                }
+                found = self.assign(subst, &rest, catalog, config, rng, stats);
             }
             subst.undo_to(mark);
+            if found.is_some() {
+                break;
+            }
         }
         ROW_POOL.with(|p| {
             p.put(best_rows);
             p.put(trial_rows);
         });
-        match found {
-            Some(Ok(m)) => Ok(Some(m)),
-            Some(Err(e)) => Err(e),
-            None => Ok(None),
-        }
+        found
     }
 
     /// Collects the indices of membership `idx`'s rows compatible with
@@ -411,30 +403,32 @@ impl GroundingProblem {
         subst: &Subst,
         catalog: &Catalog,
         stats: &mut MatchStats,
-    ) -> CoreResult<Option<GroupMatch>> {
+    ) -> Option<GroupMatch> {
         // 1. every head must ground (each query gets its CHOOSE 1 tuple)
         let mut ground_heads: Vec<(QueryId, String, Vec<Value>)> =
             Vec::with_capacity(self.heads.len());
         for (qid, head) in &self.heads {
-            match subst.ground_atom(head) {
-                Some(values) => {
-                    ground_heads.push((*qid, head.relation.clone(), values));
-                }
-                None => return Ok(None),
-            }
+            let values = subst.ground_atom(head)?;
+            ground_heads.push((*qid, head.relation.clone(), values));
         }
 
-        // 2. filters must evaluate to TRUE
+        // 2. filters must evaluate to TRUE; one that fails to evaluate
+        //    rejects this assignment like FALSE does
         for filter in &self.filters {
-            if !eval_filter(catalog, filter, subst)? {
-                return Ok(None);
+            match eval_filter(catalog, filter, subst) {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(_) => {
+                    stats.grounding_errors += 1;
+                    return None;
+                }
             }
         }
 
         // 3. negative memberships: the ground tuple must be absent
         for neg in &self.neg_memberships {
             let Some(values) = subst.ground_tuple(&neg.terms) else {
-                return Ok(None); // unground negation cannot be verified
+                return None; // unground negation cannot be verified
             };
             let present = neg
                 .rows
@@ -442,23 +436,21 @@ impl GroundingProblem {
                 .position(|row| row.iter().zip(&values).all(|(a, b)| unify_eq(a, b)));
             stats.rows_scanned += present.map_or(neg.rows.len(), |pos| pos + 1) as u64;
             if present.is_some() {
-                return Ok(None);
+                return None;
             }
         }
 
         // 4. negative answer constraints: the ground atom must be neither
         //    among the group's joint answers nor a committed answer
         for neg in &self.neg_constraints {
-            let Some(values) = subst.ground_atom(neg) else {
-                return Ok(None);
-            };
+            let values = subst.ground_atom(neg)?;
             let violated = ground_heads.iter().any(|(_, rel, head_vals)| {
                 rel.eq_ignore_ascii_case(&neg.relation)
                     && head_vals.len() == values.len()
                     && head_vals.iter().zip(&values).all(|(a, b)| unify_eq(a, b))
             });
             if violated {
-                return Ok(None);
+                return None;
             }
             let ground = Atom::new(
                 neg.relation.as_str(),
@@ -468,7 +460,7 @@ impl GroundingProblem {
                 .next()
                 .is_some()
             {
-                return Ok(None);
+                return None;
             }
         }
 
@@ -483,7 +475,7 @@ impl GroundingProblem {
         }
         let mut members = self.members.clone();
         members.sort();
-        Ok(Some(GroupMatch { members, answers }))
+        Some(GroupMatch { members, answers })
     }
 }
 
@@ -491,7 +483,7 @@ impl GroundingProblem {
 /// must be bound; unbound variables fail the branch (safety guarantees
 /// this cannot happen for accepted queries whose memberships all
 /// ground).
-fn eval_filter(catalog: &Catalog, filter: &Filter, subst: &Subst) -> CoreResult<bool> {
+fn eval_filter(catalog: &Catalog, filter: &Filter, subst: &Subst) -> ExecResult<bool> {
     use youtopia_exec::{ColRef, EvalContext, RelSchema};
     let mut cols = Vec::with_capacity(filter.vars.len());
     let mut values = Vec::with_capacity(filter.vars.len());
@@ -507,7 +499,7 @@ fn eval_filter(catalog: &Catalog, filter: &Filter, subst: &Subst) -> CoreResult<
     let schema = RelSchema::new(cols);
     let row = Tuple::new(values);
     let ctx = EvalContext::with_row(catalog, &schema, &row);
-    ctx.eval_predicate(&filter.expr).map_err(CoreError::Exec)
+    ctx.eval_predicate(&filter.expr)
 }
 
 /// Convenience used by both matchers: build + solve for a fixed group.
@@ -522,7 +514,7 @@ pub(crate) fn ground_group(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     let problem = GroundingProblem::build(registry, catalog, group, memberships, stats)?;
     problem.solve(subst, catalog, config, rng, stats)
 }
@@ -533,7 +525,7 @@ pub(crate) fn eval_filter_for_tests(
     catalog: &Catalog,
     filter: &Filter,
     subst: &Subst,
-) -> CoreResult<bool> {
+) -> ExecResult<bool> {
     eval_filter(catalog, filter, subst)
 }
 
@@ -607,7 +599,6 @@ mod tests {
             &mut MembershipCache::default(),
             &mut stats,
         )
-        .unwrap()
         .expect("should ground");
         assert_eq!(m.members, vec![QueryId(1)]);
         let (rel, tuple) = &m.answers[&QueryId(1)][0];
@@ -639,7 +630,6 @@ mod tests {
             &mut MembershipCache::default(),
             &mut stats,
         )
-        .unwrap()
         .unwrap();
         // only flight 122 at 450 passes the filter
         assert_eq!(m.answers[&QueryId(1)][0].1.values()[1], Value::Int(122));
@@ -665,8 +655,7 @@ mod tests {
             &mut rng(),
             &mut MembershipCache::default(),
             &mut stats,
-        )
-        .unwrap();
+        );
         assert!(m.is_none());
     }
 
@@ -704,7 +693,6 @@ mod tests {
             &mut MembershipCache::default(),
             &mut stats,
         )
-        .unwrap()
         .unwrap();
         // both get the same flight
         let k = m.answers[&QueryId(1)][0].1.values()[1].clone();
@@ -742,8 +730,7 @@ mod tests {
             &mut rng(),
             &mut MembershipCache::default(),
             &mut stats,
-        )
-        .unwrap();
+        );
         assert!(m.is_none()); // Paris ∩ Rome = ∅
     }
 
@@ -771,7 +758,6 @@ mod tests {
             &mut MembershipCache::default(),
             &mut stats,
         )
-        .unwrap()
         .unwrap();
         assert_eq!(m.answers[&QueryId(1)][0].1.values()[1], Value::Int(136));
     }
@@ -811,8 +797,7 @@ mod tests {
             &mut rng(),
             &mut MembershipCache::default(),
             &mut stats,
-        )
-        .unwrap();
+        );
         assert!(m.is_none());
     }
 
@@ -836,8 +821,7 @@ mod tests {
             &mut rng(),
             &mut MembershipCache::default(),
             &mut stats,
-        )
-        .unwrap();
+        );
         assert!(m.is_none());
     }
 
@@ -860,8 +844,7 @@ mod tests {
             &mut rng(),
             &mut MembershipCache::default(),
             &mut stats,
-        )
-        .unwrap();
+        );
         assert!(stats.rows_scanned >= 4);
         assert_eq!(stats.groundings_attempted, 1);
     }
@@ -931,7 +914,6 @@ mod tests {
                 cache,
                 stats,
             )
-            .unwrap()
             .expect("grounds")
         };
         ground(&mut cache, &mut stats);
@@ -1019,10 +1001,11 @@ mod tests {
             for _ in 0..2 {
                 assert!(cache
                     .rows(read.catalog(), &select_of(sql), &mut stats)
-                    .is_err());
+                    .is_none());
             }
         }
         assert_eq!((stats.membership_evals, stats.membership_hits), (6, 0));
+        assert_eq!(stats.grounding_errors, 6, "each failed run counts once");
         assert!(cache.entries.is_empty());
     }
 
@@ -1090,8 +1073,9 @@ mod tests {
         out
     }
 
-    /// What one attempt produced: the outcome and the next RNG draw.
-    type Attempt = (Result<Option<GroupMatch>, String>, u64);
+    /// What one attempt produced: the outcome, the evaluation failures
+    /// it met, and the next RNG draw.
+    type Attempt = (Option<GroupMatch>, u64, u64);
 
     /// A step of the cache property: a match attempt, or a write to a
     /// table some membership reads.
@@ -1116,12 +1100,15 @@ mod tests {
         Recreate,
         AddHub(&'static str),
         RemoveHub(&'static str),
+        /// `DROP TABLE Hubs` when it exists, else `CREATE TABLE Hubs`
+        /// again, empty: the memberships reading it then fail to run.
+        ToggleHubs,
     }
 
     const CITIES: [&str; 3] = ["Paris", "Rome", "Oslo"];
 
     fn arb_step() -> impl Strategy<Value = Step> {
-        (0u8..16, 1i64..9, 0usize..3, any::<bool>()).prop_map(|(kind, fno, city, naive)| {
+        (0u8..17, 1i64..9, 0usize..3, any::<bool>()).prop_map(|(kind, fno, city, naive)| {
             let city = CITIES[city];
             match kind {
                 0..=5 => Step::Attempt {
@@ -1136,7 +1123,8 @@ mod tests {
                 11 => Step::Recover,
                 12 => Step::Recreate,
                 13 => Step::AddHub(city),
-                _ => Step::RemoveHub(city),
+                14 => Step::RemoveHub(city),
+                _ => Step::ToggleHubs,
             }
         })
     }
@@ -1257,6 +1245,15 @@ mod tests {
             }
             Step::AddHub(city) => sql(db, format!("INSERT INTO Hubs VALUES ('{city}')")),
             Step::RemoveHub(city) => sql(db, format!("DELETE FROM Hubs WHERE city = '{city}'")),
+            Step::ToggleHubs => {
+                let exists = db.read().catalog().has_table("Hubs");
+                let ddl = if exists {
+                    "DROP TABLE Hubs"
+                } else {
+                    "CREATE TABLE Hubs (city STRING)"
+                };
+                sql(db, ddl.into());
+            }
         }
     }
 
@@ -1287,9 +1284,8 @@ mod tests {
             rng,
             memberships,
             &mut stats,
-        )
-        .map_err(|e| e.to_string());
-        (outcome, rng.clone().next_u64())
+        );
+        (outcome, stats.grounding_errors, rng.clone().next_u64())
     }
 
     proptest! {

@@ -130,6 +130,11 @@ pub struct MatchStats {
     /// (before deduplication and the unify check): the cascade's whole
     /// scan, which does not grow with queries waiting on other keys.
     pub cascade_scanned: u64,
+    /// Evaluation failures met while grounding, each counted once: a
+    /// membership subquery that failed to run or returned the wrong
+    /// width (its group is ungroundable), or a filter that failed to
+    /// evaluate (its assignment is rejected).
+    pub grounding_errors: u64,
     /// Whole match attempts killed in stage 1: some positive obligation
     /// has neither a candidate head nor a committed row in the answer
     /// index, so it is unsatisfiable.
@@ -156,6 +161,7 @@ impl MatchStats {
         self.candidates_scanned += other.candidates_scanned;
         self.index_pruned += other.index_pruned;
         self.cascade_scanned += other.cascade_scanned;
+        self.grounding_errors += other.grounding_errors;
         self.triggers_pruned += other.triggers_pruned;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;

@@ -28,7 +28,6 @@ use std::collections::BTreeSet;
 
 use youtopia_storage::{Catalog, Value};
 
-use crate::error::CoreResult;
 use crate::ir::{Atom, QueryId, Term};
 use crate::matcher::committed;
 use crate::matcher::ground::{ground_group, MembershipCache};
@@ -99,7 +98,7 @@ pub fn match_query(
     config: &MatchConfig,
     rng: &mut StdRng,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     let mut memberships = MembershipCache::default();
     match_query_with(
         registry,
@@ -121,10 +120,8 @@ pub(crate) fn match_query_with(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
-    let Some(pending) = registry.get(trigger) else {
-        return Ok(None);
-    };
+) -> Option<GroupMatch> {
+    let pending = registry.get(trigger)?;
     // Stage 1: batched candidate scan — all positive obligations of the
     // trigger resolved in one pass over the index. An obligation with
     // no pending candidate and no compatible committed tuple can never
@@ -147,7 +144,7 @@ pub(crate) fn match_query_with(
                 !cands.is_empty() || committed::compatible(catalog, atom, stats).next().is_some();
             if !satisfiable {
                 stats.triggers_pruned += 1;
-                return Ok(None);
+                return None;
             }
         }
     }
@@ -192,7 +189,7 @@ fn solve(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     stats.nodes_expanded += 1;
     let Some(obligation) = scratch.obligations.pop() else {
         // Structurally closed: every constraint has a provider. Ground it.
@@ -221,7 +218,7 @@ fn solve(
         stats,
     );
     NODE_POOL.with(|p| p.put(bufs));
-    if let Ok(None) = &result {
+    if result.is_none() {
         scratch.obligations.push(obligation);
     }
     result
@@ -238,7 +235,7 @@ fn solve_obligation(
     rng: &mut StdRng,
     memberships: &mut MembershipCache,
     stats: &mut MatchStats,
-) -> CoreResult<Option<GroupMatch>> {
+) -> Option<GroupMatch> {
     let constraint_atom = {
         let pending = registry
             .get(obligation.qid)
@@ -309,8 +306,8 @@ fn solve_obligation(
                 // a committed tuple adds no member and no obligations
             }
         }
-        if let Some(m) = solve(registry, catalog, scratch, config, rng, memberships, stats)? {
-            return Ok(Some(m));
+        if let Some(m) = solve(registry, catalog, scratch, config, rng, memberships, stats) {
+            return Some(m);
         }
         // Backtrack: unwind everything this provider did to the scratch.
         scratch.subst.undo_to(mark);
@@ -319,7 +316,7 @@ fn solve_obligation(
             scratch.group.remove(&qid);
         }
     }
-    Ok(None)
+    None
 }
 
 #[cfg(test)]
@@ -392,7 +389,6 @@ mod tests {
             &mut rng,
             &mut stats,
         )
-        .unwrap()
     }
 
     #[test]
@@ -590,7 +586,6 @@ mod tests {
                 &mut rng,
                 &mut stats,
             )
-            .unwrap()
             .unwrap();
             seen.insert(m.answers[&QueryId(1)][0].1.values()[1].as_int().unwrap());
         }
@@ -645,7 +640,6 @@ mod tests {
             &mut rng,
             &mut stats,
         )
-        .unwrap()
         .unwrap();
         assert!(stats.nodes_expanded >= 2);
         assert!(stats.unify_attempts >= 2);

@@ -282,13 +282,13 @@ impl ShardedCoordinator {
             if let (Some(reg), Some(admission)) = (tenants, admission) {
                 reg.track(admission, qid);
             }
-            let outcome = self
+            let future = self
                 .engine
                 .process_arrival(&mut state, pending, hook_ref(hook), ack);
-            if !matches!(&outcome, Ok(f) if f.answered_on_arrival()) {
+            if !future.answered_on_arrival() {
                 maybe_pending.push(qid);
             }
-            results.push((idx, outcome));
+            results.push((idx, Ok(future)));
         }
         // one audit transaction for every match the bucket produced
         self.engine.flush_audit(&mut state);

@@ -578,29 +578,25 @@ impl ShardedCoordinator {
     /// across the worker pool — one task per shard, each running one
     /// [`Engine::retry_all`] sweep over the shard's pending ids in
     /// ascending order; a trigger the candidate and answer indexes
-    /// refute dies in the matcher's stage 1. A group whose apply fails
-    /// (say, the apply hook finds no seats) stays pending and the sweep
-    /// goes on; any other error is returned. Results are reassembled in
-    /// shard order, so notifications and error propagation are
-    /// identical to sweeping the shards one by one.
-    pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
+    /// refute dies in the matcher's stage 1. It cannot fail: a group
+    /// that fails to ground (say, a membership names a dropped table)
+    /// or to apply (say, the apply hook finds no seats) stays pending,
+    /// counted in the stats, and the sweep goes on. Notifications are
+    /// reassembled in shard order, as sweeping the shards one by one
+    /// would return them.
+    pub fn retry_all(&self) -> Vec<MatchNotification> {
         let hook = self.apply_hook.lock().clone();
         let (swept, answered): (Vec<_>, Vec<_>) = self
             .fan_out(self.shards.len(), |shard| {
                 let mut state = self.shard_lock(shard);
-                let result = self.engine.retry_all(&mut state, hook_ref(&hook));
+                let notifications = self.engine.retry_all(&mut state, hook_ref(&hook));
                 self.engine.flush_audit(&mut state);
-                (result, std::mem::take(&mut state.answered_log))
+                (notifications, std::mem::take(&mut state.answered_log))
             })
             .into_iter()
             .unzip();
         self.retire(&answered.concat());
-
-        let mut notifications = Vec::new();
-        for result in swept {
-            notifications.extend(result?);
-        }
-        Ok(notifications)
+        swept.concat()
     }
 
     /// Total number of pending queries across shards. Lock-free: sums
@@ -868,10 +864,10 @@ mod tests {
             .unwrap();
         co.submit_sql("george", &pair_sql_on("Rejected", "George", "Elaine"))
             .unwrap();
-        assert!(co.retry_all().unwrap().is_empty());
+        assert!(co.retry_all().is_empty());
         run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
         // the rejected pair stays pending and does not fail the sweep
-        let answered = co.retry_all().unwrap();
+        let answered = co.retry_all();
         let mut owners: Vec<QueryId> = answered.iter().map(|n| n.id).collect();
         owners.sort_unstable();
         assert_eq!(owners, [QueryId(1), QueryId(2)]);
@@ -1137,7 +1133,7 @@ mod tests {
             co.submit_sql("i", &oslo("I", "J")).unwrap();
             co.submit_sql("j", &oslo("J", "I")).unwrap();
             run_sql(&db, "INSERT INTO Flights VALUES (200, 'Oslo')").unwrap();
-            assert_eq!(co.retry_all().unwrap().len(), 2);
+            assert_eq!(co.retry_all().len(), 2);
             assert_published(&co, "retry_all");
 
             // two components, then a query whose signature spans both
@@ -1207,7 +1203,7 @@ mod tests {
             check_indexes(&co);
 
             failing.store(false, Ordering::Relaxed);
-            assert_eq!(co.retry_all().unwrap().len(), 2, "the pair matches");
+            assert_eq!(co.retry_all().len(), 2, "the pair matches");
             assert!(matches!(
                 jerry.try_take(),
                 Some(CoordinationOutcome::Answered(_))

@@ -262,9 +262,8 @@ impl ShardedCoordinator {
     /// against their new shard's pending set. Runs *without* the router
     /// lock; each shard's moved queries are one [`Engine::sweep`] under
     /// the shard lock only, exactly like a drain, and its log writes
-    /// follow the arrival's `ack`. Best-effort: an apply failure leaves
-    /// its group pending, like a cascade round, and any other error is
-    /// dropped, since no caller waits on a re-match.
+    /// follow the arrival's `ack`. A group that fails to ground or to
+    /// apply stays pending, as in any sweep.
     ///
     /// [`Engine::sweep`]: crate::engine::Engine::sweep
     pub(super) fn rematch_moved(
@@ -276,7 +275,7 @@ impl ShardedCoordinator {
         let mut answered = Vec::new();
         for (shard, qids) in moves {
             let mut state = self.shard_lock(shard);
-            let _ = self.engine.sweep(&mut state, &qids, hook_ref(hook), ack);
+            self.engine.sweep(&mut state, &qids, hook_ref(hook), ack);
             self.engine.flush_audit(&mut state);
             answered.append(&mut state.answered_log);
         }

@@ -4,13 +4,15 @@
 //! group-size boundary behaviour.
 
 use youtopia_core::{
-    CoordinationOutcome, Coordinator, CoordinatorConfig, CoreError, MatchConfig, Submission,
+    CoordinationOutcome, Coordinator, CoordinatorConfig, CoreError, MatchConfig, ShardedConfig,
+    ShardedCoordinator, Submission,
 };
 use youtopia_exec::run_sql;
-use youtopia_storage::{Database, Value};
+use youtopia_storage::{Database, Value, Wal};
 
+/// Flights on an in-memory WAL, so a test can also restart from its log.
 fn flights_db() -> Database {
-    let db = Database::new();
+    let db = Database::with_wal(Wal::in_memory());
     run_sql(
         &db,
         "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)",
@@ -174,15 +176,18 @@ fn arity_mismatch_on_the_same_relation_never_unifies() {
 fn membership_subquery_errors_surface_cleanly() {
     let co = Coordinator::new(flights_db());
     // unknown table inside the membership: compile succeeds (the parser
-    // cannot know), matching surfaces the executor error
-    let err = co
+    // cannot know), and grounding cannot run it, so the query is
+    // registered, stays pending with a handle, and the failure counts
+    let sub = co
         .submit_sql(
             "a",
             "SELECT 'A', x INTO ANSWER R \
              WHERE x IN (SELECT y FROM NoSuchTable) CHOOSE 1",
         )
-        .unwrap_err();
-    assert!(matches!(err, CoreError::Exec(_)), "{err:?}");
+        .unwrap();
+    assert!(matches!(sub, Submission::Pending(_)), "{sub:?}");
+    assert_eq!(co.pending_count(), 1);
+    assert_eq!(co.stats().match_work.grounding_errors, 1);
 }
 
 #[test]
@@ -458,7 +463,7 @@ fn empty_database_leaves_everything_pending_then_retry_matches() {
     co.submit_sql("b", &pair("B", "A")).unwrap();
     assert_eq!(co.pending_count(), 2);
     run_sql(&db, "INSERT INTO Flights VALUES (7, 'Paris')").unwrap();
-    let swept = co.retry_all().unwrap();
+    let swept = co.retry_all();
     assert_eq!(swept.len(), 2);
     for t in co.answers("R") {
         assert_eq!(t.values()[1], Value::Int(7));
@@ -500,4 +505,135 @@ fn stats_survive_failed_and_successful_submissions() {
     assert_eq!(stats.submitted, 1);
     assert_eq!(stats.answered, 1);
     assert_eq!(stats.groups_matched, 1);
+}
+
+// ------------------------------------------------------------------ //
+// Evaluation failures in grounding: no match, never an error
+// ------------------------------------------------------------------ //
+
+/// Restarts from `db`'s log on one shard.
+fn restart(db: &Database) -> ShardedCoordinator {
+    let wal = Wal::from_bytes(db.wal_bytes().expect("a logged database"));
+    let config = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
+    ShardedCoordinator::recover(wal, config)
+        .expect("the restart recovers")
+        .0
+}
+
+fn paris_pair(me: &str, friend: &str) -> String {
+    format!(
+        "SELECT '{me}', fno INTO ANSWER Res \
+         WHERE fno IN (SELECT fno FROM Flights WHERE dest='Paris') \
+         AND ('{friend}', fno) IN ANSWER Res CHOOSE 1"
+    )
+}
+
+#[test]
+fn a_cascade_into_an_ungroundable_query_still_answers_the_arrival() {
+    // E waits on J's booking, but its membership names a missing table.
+    // J's arrival closes the K-J pair; the cascade then retries E, whose
+    // group cannot be grounded. That is E's failure, not J's.
+    let co = Coordinator::new(flights_db());
+    let mut e = match co
+        .submit_sql(
+            "e",
+            "SELECT 'E', fno INTO ANSWER Other \
+             WHERE fno IN (SELECT fno FROM Nope) AND ('J', fno) IN ANSWER Res CHOOSE 1",
+        )
+        .unwrap()
+    {
+        Submission::Pending(future) => future,
+        other => panic!("E waits for J: {other:?}"),
+    };
+    let Submission::Pending(mut k) = co.submit_sql("k", &paris_pair("K", "J")).unwrap() else {
+        panic!("K waits for J");
+    };
+    let j = co.submit_sql("j", &paris_pair("J", "K")).unwrap();
+    assert!(j.answered().is_some(), "J closes the pair");
+    assert!(matches!(
+        k.try_take(),
+        Some(CoordinationOutcome::Answered(_))
+    ));
+    assert_eq!(co.answers("Res").len(), 2);
+    assert!(e.try_take().is_none(), "E stays pending");
+    assert_eq!(co.pending_count(), 1);
+    assert!(co.stats().match_work.grounding_errors >= 1);
+}
+
+#[test]
+fn a_membership_on_a_missing_table_waits_for_the_table() {
+    let db = flights_db();
+    let co = Coordinator::new(db.clone());
+    let sub = co
+        .submit_sql(
+            "a",
+            "SELECT 'A', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Nope) CHOOSE 1",
+        )
+        .unwrap();
+    assert!(matches!(sub, Submission::Pending(_)), "{sub:?}");
+    // the registration was logged, and a restart recovers it
+    let co = restart(&db);
+    assert_eq!(co.pending_count(), 1);
+    // the table appears: the next sweep answers the query
+    run_sql(co.db(), "CREATE TABLE Nope (fno INT)").unwrap();
+    run_sql(co.db(), "INSERT INTO Nope VALUES (2)").unwrap();
+    let answered = co.retry_all();
+    assert_eq!(answered.len(), 1);
+    assert_eq!(answered[0].answers[0].1.values()[1], Value::Int(2));
+    assert_eq!(co.pending_count(), 0);
+}
+
+#[test]
+fn a_membership_table_dropped_under_a_waiting_query_stops_nothing() {
+    let db = flights_db();
+    run_sql(&db, "CREATE TABLE T (fno INT)").unwrap();
+    run_sql(&db, "INSERT INTO T VALUES (1), (2)").unwrap();
+    let co = Coordinator::new(db.clone());
+    let a = "SELECT 'A', fno INTO ANSWER Res \
+             WHERE fno IN (SELECT fno FROM T) AND ('B', fno) IN ANSWER Res CHOOSE 1";
+    assert!(matches!(
+        co.submit_sql("a", a).unwrap(),
+        Submission::Pending(_)
+    ));
+    run_sql(&db, "DROP TABLE T").unwrap();
+    // B closes the pair structurally, but A's membership cannot run
+    let b = co.submit_sql("b", &paris_pair("B", "A")).unwrap();
+    assert!(matches!(b, Submission::Pending(_)), "{b:?}");
+    assert_eq!(co.pending_count(), 2);
+    assert!(co.stats().match_work.grounding_errors >= 1);
+    assert!(co.retry_all().is_empty());
+    // a restart recovers both, still waiting
+    let co = restart(&db);
+    assert_eq!(co.pending_count(), 2);
+    assert!(co.answers("Res").is_empty());
+}
+
+#[test]
+fn a_filter_that_fails_to_evaluate_rejects_only_its_assignment() {
+    // 10 / (fno - 1) divides by zero on flight 1 alone: the search moves
+    // on to the next row, as it does for a filter that reads FALSE
+    let co = Coordinator::with_config(
+        flights_db(),
+        CoordinatorConfig {
+            match_config: MatchConfig {
+                randomize: false,
+                ..MatchConfig::default()
+            },
+            ..CoordinatorConfig::default()
+        },
+    );
+    let n = co
+        .submit_sql(
+            "a",
+            "SELECT 'A', fno INTO ANSWER R \
+             WHERE fno IN (SELECT fno FROM Flights) AND 10 / (fno - 1) > 0 CHOOSE 1",
+        )
+        .unwrap()
+        .answered()
+        .expect("flight 2 passes the filter");
+    assert_eq!(n.answers[0].1.values()[1], Value::Int(2));
+    assert_eq!(co.stats().match_work.grounding_errors, 1);
 }

@@ -205,7 +205,6 @@ proptest! {
                 &mut rng,
                 &mut stats,
             )
-            .unwrap()
             {
                 prop_assert!(m.members.contains(&QueryId(trigger)));
                 assert_match_sound(&scenario, &m);
@@ -229,12 +228,10 @@ proptest! {
             let mut s2 = MatchStats::default();
             let incr = match_query(
                 &reg, read.catalog(), QueryId(trigger), &config, &mut rng1, &mut s1,
-            )
-            .unwrap();
+            );
             let naive = match_query_naive(
                 &reg, read.catalog(), QueryId(trigger), &config, &mut rng2, &mut s2,
-            )
-            .unwrap();
+            );
             prop_assert_eq!(
                 incr.is_some(),
                 naive.is_some(),
@@ -365,12 +362,10 @@ proptest! {
             let mut s2 = MatchStats::default();
             let staged = match_query(
                 &reg, read.catalog(), QueryId(trigger), &config, &mut rng1, &mut s1,
-            )
-            .unwrap();
+            );
             let naive = match_query_naive(
                 &reg, read.catalog(), QueryId(trigger), &config, &mut rng2, &mut s2,
-            )
-            .unwrap();
+            );
             // Observational equality: same matchability, and when a
             // match exists, the *same* match — members and per-member
             // answers — so the registry retains the same pending set
@@ -424,7 +419,7 @@ proptest! {
             co.submit_sql(me, &pair_sql(me, friend, dest)).unwrap();
         }
         let pending_before = co.pending_count();
-        let swept = co.retry_all().unwrap();
+        let swept = co.retry_all();
         prop_assert!(
             swept.is_empty(),
             "a global sweep found {} answers the arrival-driven matcher missed in {:?}",

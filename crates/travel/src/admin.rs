@@ -187,20 +187,22 @@ impl AdminConsole {
         let s = self.coordinator.stats();
         format!(
             "submitted={} answered={} pending={} groups={} rejected_unsafe={} \
-             match_attempts={} matching_ms={:.3}\n\
-             work: candidates={} unify={}/{} groundings={} rows_scanned={} \
-             membership_evals={} membership_hits={} nodes={}",
+             match_attempts={} applies_rejected={} matching_ms={:.3}\n\
+             work: candidates={} unify={}/{} groundings={} grounding_errors={} \
+             rows_scanned={} membership_evals={} membership_hits={} nodes={}",
             s.submitted,
             s.answered,
             self.coordinator.pending_count(),
             s.groups_matched,
             s.rejected_unsafe,
             s.match_attempts,
+            s.applies_rejected,
             s.matching_nanos as f64 / 1e6,
             s.match_work.candidates_considered,
             s.match_work.unify_successes,
             s.match_work.unify_attempts,
             s.match_work.groundings_attempted,
+            s.match_work.grounding_errors,
             s.match_work.rows_scanned,
             s.match_work.membership_evals,
             s.match_work.membership_hits,
@@ -502,6 +504,17 @@ mod tests {
             out3.contains("membership_evals=1 membership_hits=1"),
             "{out3}"
         );
+        assert!(out3.contains("applies_rejected=0"), "{out3}");
+        assert!(out3.contains("grounding_errors=0"), "{out3}");
+        // a membership on a missing table cannot be grounded: the query
+        // waits, and the failure is counted
+        c.execute_as(
+            "c",
+            "SELECT 'C', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Nope) CHOOSE 1",
+        );
+        let out4 = c.render_stats();
+        assert!(out4.contains("pending=1"), "{out4}");
+        assert!(out4.contains("grounding_errors=1"), "{out4}");
     }
 
     #[test]

@@ -153,7 +153,7 @@ fn inventory_conflicts_roll_back_the_whole_match() {
     assert!(s.coordinator().pending_count() >= 2);
     // inventory returns: a retry sweep answers the pair
     run_sql(s.db(), "UPDATE Flights SET seats = 5 WHERE dest = 'Paris'").unwrap();
-    assert_eq!(s.retry_pending().unwrap(), 2);
+    assert_eq!(s.retry_pending(), 2);
 }
 
 #[test]
@@ -175,9 +175,10 @@ fn cascade_does_not_mask_apply_failures_forever() {
     assert_eq!(co.pending_count(), 1);
     assert!(co.answers("R").is_empty());
     assert!(solo.try_take().is_none());
+    assert_eq!(co.stats().applies_rejected, 1, "the refusal is counted");
     // healing the hook and retrying succeeds
     co.set_apply_hook(std::sync::Arc::new(|_, _| Ok(())));
-    assert_eq!(co.retry_all().unwrap().len(), 1);
+    assert_eq!(co.retry_all().len(), 1);
     assert_eq!(co.pending_count(), 0);
     assert_answered(&mut solo);
 }
@@ -228,8 +229,13 @@ fn answer_relation_arity_conflicts_surface_as_storage_errors() {
     );
     assert!(co.answers("R").is_empty());
     assert!(solo.try_take().is_none());
+    assert_eq!(
+        co.stats().applies_rejected,
+        1,
+        "the rejected apply is counted"
+    );
     run_sql(&d, "DROP TABLE R").unwrap();
-    assert_eq!(co.retry_all().unwrap().len(), 1);
+    assert_eq!(co.retry_all().len(), 1);
     assert_answered(&mut solo);
     assert_eq!(co.answers("R").len(), 1);
 }

@@ -116,7 +116,7 @@ fn randomized_mixed_workload_preserves_invariants() {
             }
             // 93-99: retry sweep (simulates the background retrier)
             _ => {
-                let _ = s.retry_pending().unwrap();
+                s.retry_pending();
             }
         }
         // cheap incremental invariant: no flight oversold
@@ -171,7 +171,7 @@ fn randomized_mixed_workload_preserves_invariants() {
     drop(read);
 
     // the system is quiescent: an explicit sweep finds nothing new
-    assert_eq!(s.retry_pending().unwrap(), 0, "no matchable residue");
+    assert_eq!(s.retry_pending(), 0, "no matchable residue");
 }
 
 /// Concurrency soak for the sharded coordinator: several threads
@@ -291,11 +291,8 @@ fn sharded_submit_batch_concurrent_soak() {
     common::assert_quiescent(&db, 2);
     // quiescence sweep: racing halves that crossed thread boundaries
     // mid-drain are matched now; nothing may remain matchable after it
-    co.retry_all().unwrap();
-    assert!(
-        co.retry_all().unwrap().is_empty(),
-        "sweep must reach a fixpoint"
-    );
+    co.retry_all();
+    assert!(co.retry_all().is_empty(), "sweep must reach a fixpoint");
 
     // drain the pending handles only now: a query answered at any
     // point (by a later batch, a concurrent thread, or the sweep) must
@@ -547,7 +544,7 @@ fn mixed_sync_async_soak_loses_no_completions() {
     // quiescence: nothing further is matchable, then everything still
     // pending (noise, orphaned halves of cancelled pairs) is expired —
     // which must resolve every remaining future
-    co.retry_all().unwrap();
+    co.retry_all();
     let expired = co.expire_before(u64::MAX).len();
     assert_eq!(co.pending_count(), 0, "expiry sweeps the registry clean");
     co.check_routing_invariants().unwrap();
@@ -830,7 +827,7 @@ fn session_reconnect_soak_delivers_control_answers() {
 
         // quiescence: expire the stranded noise, resolving every
         // remaining future
-        co.retry_all().unwrap();
+        co.retry_all();
         co.expire_before(u64::MAX);
         assert_eq!(co.pending_count(), 0);
         let (completions, max_in_flight) = waiter.join().expect("waiter thread");
