@@ -12,7 +12,7 @@
 //! nesting them under `OR`/`NOT` would require disjunctive coordination,
 //! which the paper's system (and this one) does not support.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasher;
 
 use youtopia_sql::{
@@ -20,10 +20,12 @@ use youtopia_sql::{
 };
 
 use crate::error::{CoreError, CoreResult};
-use crate::ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};
+use crate::ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, Term, Var};
 
 /// Parses SQL text and compiles it; errors if the statement is not an
-/// entangled query.
+/// entangled query. The query comes back un-namespaced, with a copy of
+/// `sql`. Texts that repeat should go through [`Templates::compile`],
+/// which returns the same query or error.
 pub fn compile_sql(sql: &str) -> CoreResult<EntangledQuery> {
     let stmt = parse_statement(sql).map_err(|e| CoreError::Parse(e.to_string()))?;
     match stmt {
@@ -32,62 +34,112 @@ pub fn compile_sql(sql: &str) -> CoreResult<EntangledQuery> {
     }
 }
 
+/// Slots one [`Templates`] map keeps, keys seen once included; a new
+/// key past it evicts the oldest.
+const TEMPLATE_SLOTS: usize = 1024;
+
+/// What a [`Templates`] map holds for one template key.
+#[derive(Debug)]
+enum Slot {
+    /// A key seen once: its template is stored if it comes again.
+    Seen,
+    /// The compiled template (its `sql` empty) with its key and the
+    /// string values it was compiled from.
+    Stored {
+        key: String,
+        template: EntangledQuery,
+        values: Vec<String>,
+    },
+}
+
 /// Compiled queries by [`template_key`], for compiling many texts that
-/// differ only in their string literals. Each entry is a compiled,
-/// un-namespaced query with the string values it was compiled from.
+/// differ only in their string literals: the one compile path for
+/// repeated texts. [`Templates::compile`] returns exactly what
+/// [`compile_sql`] returns, the same un-namespaced query or the same
+/// error.
+///
 /// A template is stored on its second text, so texts that share no
-/// template keep nothing beyond a hash each. An entry is stored only
-/// when its values are pairwise distinct and every string constant of
-/// the query is one of them, so each constant names exactly one
-/// literal. A hit rewrites the stored query with the new text's values
+/// template keep nothing beyond a hash each. It is stored only when its
+/// values are pairwise distinct and every string constant of the query
+/// is one of them, so each constant names exactly one literal. A hit
+/// clones the stored query and re-slots it with the new text's values
 /// in place of lexing, parsing and compiling it (parse and compile
-/// treat a string literal's contents as opaque). Compile errors are
-/// never stored. Recovery keeps one map per recompile task.
+/// treat a string literal's contents as opaque, and compiling reads no
+/// catalog, so a template is a pure function of its key). Compile
+/// errors are never stored. The map holds at most `TEMPLATE_SLOTS`
+/// keys, seen-once keys included, and evicts the oldest.
+///
+/// The TCP reactor owns one map (it has one thread, so it takes no
+/// lock); recovery keeps one map per recompile task.
 #[derive(Debug, Default)]
 pub struct Templates {
-    entries: HashMap<String, (EntangledQuery, Vec<String>)>,
-    /// Hashes of the keys seen once.
-    seen: HashSet<u64>,
+    slots: HashMap<u64, Slot>,
+    /// The hashes of `slots`, oldest first.
+    order: VecDeque<u64>,
     /// Texts compiled from scratch: those that missed the map.
     pub fresh: usize,
 }
 
 impl Templates {
-    /// `compile_sql(&sql).map(|q| q.namespaced(qid))`, through the map.
-    pub fn compile(&mut self, sql: String, qid: QueryId) -> CoreResult<EntangledQuery> {
+    /// `compile_sql(&sql)`, through the map, with `sql` moved into the
+    /// query: a recompile task then frees no text that the replaying
+    /// thread allocated (a free into another thread's heap contends for
+    /// its lock).
+    pub fn compile(&mut self, sql: String) -> CoreResult<EntangledQuery> {
         let Some((key, values)) = template_key(&sql) else {
             self.fresh += 1;
-            return compile_fresh(sql, qid);
+            return compile_sql(&sql).map(|q| EntangledQuery { sql, ..q });
         };
-        if let Some((template, from)) = self.entries.get(&key) {
-            return Ok(template
-                .instantiated(qid, from, &values, sql)
-                .expect("a stored template slots every string constant"));
+        let hash = self.slots.hasher().hash_one(&key);
+        if let Some(Slot::Stored {
+            key: stored,
+            template,
+            values: from,
+        }) = self.slots.get(&hash)
+        {
+            if *stored == key {
+                let mut query = template.clone();
+                query.sql = sql;
+                let slotted = query.reslot(from, &values);
+                debug_assert!(slotted, "a stored template slots every string constant");
+                return Ok(query);
+            }
         }
         self.fresh += 1;
-        if self.seen.insert(self.entries.hasher().hash_one(&key)) {
-            return compile_fresh(sql, qid);
-        }
-        let template = compile_sql(&sql)?;
-        let Some(query) = template.instantiated(qid, &values, &values, sql) else {
-            return Ok(template.namespaced(qid));
-        };
-        if (1..values.len()).all(|i| !values[..i].contains(&values[i])) {
-            self.entries.insert(key, (template, values));
+        let mut query = compile_sql(&sql).map(|q| EntangledQuery { sql, ..q })?;
+        match self.slots.get_mut(&hash) {
+            None => self.remember(hash),
+            Some(slot @ Slot::Seen) => {
+                let distinct = (1..values.len()).all(|i| !values[..i].contains(&values[i]));
+                if distinct && query.reslot(&values, &values) {
+                    let sql = std::mem::take(&mut query.sql);
+                    let template = query.clone();
+                    query.sql = sql;
+                    *slot = Slot::Stored {
+                        key,
+                        template,
+                        values,
+                    };
+                }
+            }
+            // another key with the same hash holds the slot
+            Some(Slot::Stored { .. }) => {}
         }
         Ok(query)
     }
-}
 
-/// `compile_sql(&sql).map(|q| q.namespaced(qid))`, moving `sql` into
-/// the query: a recompile task then frees no text that the replaying
-/// thread allocated (a free into another thread's heap contends for
-/// its lock).
-fn compile_fresh(sql: String, qid: QueryId) -> CoreResult<EntangledQuery> {
-    let query = compile_sql(&sql)?;
-    Ok(query
-        .instantiated(qid, &[], &[], sql)
-        .expect("without slots every string constant stays as it is"))
+    /// Marks `hash` seen, evicting the oldest slot at capacity.
+    fn remember(&mut self, hash: u64) {
+        if self.order.len() == TEMPLATE_SLOTS {
+            let oldest = self
+                .order
+                .pop_front()
+                .expect("a full map has an oldest slot");
+            self.slots.remove(&oldest);
+        }
+        self.order.push_back(hash);
+        self.slots.insert(hash, Slot::Seen);
+    }
 }
 
 /// Compiles a parsed entangled query. `sql` is kept verbatim for the
@@ -106,7 +158,9 @@ pub fn compile(ent: &EntangledSelect, sql: &str) -> CoreResult<EntangledQuery> {
         )));
     }
 
-    let mut heads = Vec::new();
+    // every buffer gets its exact length: registration namespaces the
+    // query in place, so a registered query keeps what is built here
+    let mut heads = Vec::with_capacity(ent.heads.iter().map(|h| h.relations.len()).sum());
     for head in &ent.heads {
         if head.exprs.is_empty() {
             return Err(CoreError::Compile(
@@ -162,6 +216,9 @@ pub fn compile(ent: &EntangledSelect, sql: &str) -> CoreResult<EntangledQuery> {
         }
     }
 
+    memberships.shrink_to_fit();
+    filters.shrink_to_fit();
+    constraints.shrink_to_fit();
     Ok(EntangledQuery {
         heads,
         memberships,
@@ -175,24 +232,29 @@ pub fn compile(ent: &EntangledSelect, sql: &str) -> CoreResult<EntangledQuery> {
 /// Converts head / constraint tuple expressions into terms: literals and
 /// free identifiers only.
 fn terms_from_exprs(exprs: &[Expr], position: &str) -> CoreResult<Vec<Term>> {
-    exprs
-        .iter()
-        .map(|e| match e {
-            Expr::Literal(v) => Ok(Term::Const(v.clone())),
-            Expr::Column { table: None, name } => Ok(Term::Var(Var::new(name.clone()))),
+    let mut terms = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        terms.push(match e {
+            Expr::Literal(v) => Term::Const(v.clone()),
+            Expr::Column { table: None, name } => Term::Var(Var::new(name.clone())),
             Expr::Column {
                 table: Some(t),
                 name,
-            } => Err(CoreError::Compile(format!(
-                "qualified reference '{t}.{name}' in an entangled {position}: entangled \
-                 queries have no FROM clause, use bare variables"
-            ))),
-            other => Err(CoreError::Compile(format!(
-                "expression '{other}' in an entangled {position}: only constants and \
-                 variables are allowed"
-            ))),
-        })
-        .collect()
+            } => {
+                return Err(CoreError::Compile(format!(
+                    "qualified reference '{t}.{name}' in an entangled {position}: entangled \
+                     queries have no FROM clause, use bare variables"
+                )))
+            }
+            other => {
+                return Err(CoreError::Compile(format!(
+                    "expression '{other}' in an entangled {position}: only constants and \
+                     variables are allowed"
+                )))
+            }
+        });
+    }
+    Ok(terms)
 }
 
 /// Rejects a membership whose subquery projects a number of columns
@@ -251,6 +313,7 @@ fn collect_vars(expr: &Expr) -> CoreResult<Vec<Var>> {
     let mut out = Vec::new();
     collect_vars_into(expr, &mut out)?;
     out.dedup();
+    out.shrink_to_fit();
     Ok(out)
 }
 
@@ -454,6 +517,44 @@ mod tests {
             .unwrap();
         assert_eq!(q.filters.len(), 2);
         assert_eq!(q.filters[0].vars, vec![Var::new("x"), Var::new("y")]);
+    }
+
+    /// More keys than the map keeps: the slots and their order stay
+    /// within the bound, every text still compiles as `compile_sql`
+    /// compiles it, and the oldest keys are the ones evicted.
+    #[test]
+    fn the_map_is_bounded_and_evicts_the_oldest_key() {
+        let sql = |key: usize, me: &str| {
+            format!(
+                "SELECT '{me}', fno INTO ANSWER R{key} WHERE fno IN \
+                 (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                 AND ('J', fno) IN ANSWER R{key} CHOOSE 1"
+            )
+        };
+        let mut templates = Templates::default();
+        let keys = TEMPLATE_SLOTS + TEMPLATE_SLOTS / 2;
+        for key in 0..keys {
+            for me in ["a", "b", "c"] {
+                let text = sql(key, me);
+                assert_eq!(templates.compile(text.clone()), compile_sql(&text));
+            }
+            assert!(templates.slots.len() <= TEMPLATE_SLOTS);
+            assert_eq!(templates.order.len(), templates.slots.len());
+        }
+        // each key compiled two texts fresh and stored its template
+        assert_eq!(templates.fresh, 2 * keys);
+        assert_eq!(templates.slots.len(), TEMPLATE_SLOTS);
+        let stored = |t: &Templates| {
+            t.slots
+                .values()
+                .filter(|s| matches!(s, Slot::Stored { .. }))
+                .count()
+        };
+        assert_eq!(stored(&templates), TEMPLATE_SLOTS);
+        templates.compile(sql(keys - 1, "d")).unwrap();
+        assert_eq!(templates.fresh, 2 * keys, "the newest key is kept");
+        templates.compile(sql(0, "d")).unwrap();
+        assert_eq!(templates.fresh, 2 * keys + 1, "the oldest key was evicted");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   that refer to the joint answer relation and thereby to *other*
 //!   queries' answers.
 
-use std::cell::Cell;
 use std::fmt;
 
 use youtopia_sql::{Expr, Select, SelectItem};
@@ -291,118 +290,96 @@ impl EntangledQuery {
             .collect()
     }
 
-    /// A copy with all variables namespaced by `qid` (done at
-    /// registration so different queries' variables never collide).
-    pub fn namespaced(&self, qid: QueryId) -> EntangledQuery {
-        Rewrite::new(qid, &[], &[]).query(self, self.sql.clone())
-    }
-
-    /// [`EntangledQuery::namespaced`] with `sql` moved in as the text,
-    /// for another text of the same template: every string constant
-    /// equal to `from[i]` becomes `to[i]`. `None` when `from` is not
-    /// empty and some string constant equals none of it.
-    pub(crate) fn instantiated(
-        &self,
-        qid: QueryId,
-        from: &[String],
-        to: &[String],
-        sql: String,
-    ) -> Option<EntangledQuery> {
-        let rewrite = Rewrite::new(qid, from, to);
-        let query = rewrite.query(self, sql);
-        (!rewrite.unslotted.get()).then_some(query)
-    }
-}
-
-/// The one rewrite from a compiled query to a registered one: each
-/// variable moves into `qid`'s namespace, and each string constant
-/// equal to `from[i]` becomes `to[i]`. Without slots (`from` empty)
-/// constants and membership subqueries are copied as they stand.
-struct Rewrite<'a> {
-    /// `"{qid}."`, the namespace every variable name gains.
-    prefix: String,
-    from: &'a [String],
-    to: &'a [String],
-    /// Set when a string constant equals no `from[i]`.
-    unslotted: Cell<bool>,
-}
-
-impl<'a> Rewrite<'a> {
-    fn new(qid: QueryId, from: &'a [String], to: &'a [String]) -> Rewrite<'a> {
-        Rewrite {
-            prefix: format!("{qid}."),
-            from,
-            to,
-            unslotted: Cell::new(false),
+    /// The query with every variable moved into `qid`'s namespace, in
+    /// place (done at registration so different queries' variables
+    /// never collide).
+    pub fn namespaced(mut self, qid: QueryId) -> EntangledQuery {
+        let prefix = format!("{qid}.");
+        Visit {
+            var: |name: &mut String| {
+                let mut out = String::with_capacity(prefix.len() + name.len());
+                out.push_str(&prefix);
+                out.push_str(name);
+                *name = out;
+            },
+            value: |_: &mut Value| {},
+            subqueries: false,
         }
+        .query(&mut self);
+        self
     }
 
-    fn query(&self, q: &EntangledQuery, sql: String) -> EntangledQuery {
-        let mut out = EntangledQuery {
-            heads: q.heads.clone(),
-            memberships: q.memberships.clone(),
-            filters: q.filters.iter().map(|f| self.filter(f)).collect(),
-            constraints: q.constraints.clone(),
-            choose: q.choose,
-            sql,
-        };
-        let atoms = out
+    /// The slot pass, in place, for another text of the same template:
+    /// every string constant equal to `from[i]` becomes `to[i]`. False
+    /// when some string constant equals none of `from` (it stays as it
+    /// is).
+    pub(crate) fn reslot(&mut self, from: &[String], to: &[String]) -> bool {
+        let mut slotted = true;
+        Visit {
+            var: |_: &mut String| {},
+            value: |v: &mut Value| {
+                if let Value::Str(s) = v {
+                    match from.iter().position(|f| f == s) {
+                        Some(i) => s.clone_from(&to[i]),
+                        None => slotted = false,
+                    }
+                }
+            },
+            subqueries: true,
+        }
+        .query(self);
+        slotted
+    }
+}
+
+/// One in-place walk over a query, shared by the namespace pass and
+/// the slot pass: `var` sees every variable name (terms, filter columns
+/// and filter variable lists), `value` every constant (terms, filter
+/// literals and, when `subqueries`, the literals of membership
+/// subqueries, whose columns are table columns, never variables).
+struct Visit<N, V> {
+    var: N,
+    value: V,
+    subqueries: bool,
+}
+
+impl<N: FnMut(&mut String), V: FnMut(&mut Value)> Visit<N, V> {
+    fn query(&mut self, q: &mut EntangledQuery) {
+        let atoms = q
             .heads
             .iter_mut()
-            .chain(out.constraints.iter_mut().map(|c| &mut c.atom));
+            .chain(q.constraints.iter_mut().map(|c| &mut c.atom));
         for terms in atoms.map(|a| &mut a.terms) {
             self.terms(terms);
         }
-        for m in &mut out.memberships {
+        for m in &mut q.memberships {
             self.terms(&mut m.terms);
             self.select(&mut m.select);
         }
-        out
-    }
-
-    fn filter(&self, f: &Filter) -> Filter {
-        let mut expr = f.expr.clone();
-        self.expr(&mut expr, true);
-        Filter {
-            expr,
-            vars: f.vars.iter().map(|v| Var(self.name(&v.0))).collect(),
+        for f in &mut q.filters {
+            self.expr(&mut f.expr, true);
+            f.vars.iter_mut().for_each(|v| (self.var)(&mut v.0));
         }
     }
 
-    fn name(&self, name: &str) -> String {
-        let mut out = String::with_capacity(self.prefix.len() + name.len());
-        out.push_str(&self.prefix);
-        out.push_str(name);
-        out
-    }
-
-    fn value(&self, v: &mut Value) {
-        if let (Value::Str(s), false) = (&mut *v, self.from.is_empty()) {
-            match self.from.iter().position(|f| f == s) {
-                Some(i) => s.clone_from(&self.to[i]),
-                None => self.unslotted.set(true),
-            }
-        }
-    }
-
-    fn terms(&self, terms: &mut [Term]) {
+    fn terms(&mut self, terms: &mut [Term]) {
         for t in terms {
             match t {
-                Term::Var(v) => v.0 = self.name(&v.0),
-                Term::Const(c) => self.value(c),
+                Term::Var(v) => (self.var)(&mut v.0),
+                Term::Const(c) => (self.value)(c),
             }
         }
     }
 
-    /// Rewrites `expr` in place; its unqualified columns are namespaced
-    /// only when `vars` (a filter's columns are variables, a subquery's
-    /// are table columns).
-    fn expr(&self, expr: &mut Expr, vars: bool) {
+    /// Walks `expr`; its unqualified columns are variables only when
+    /// `vars` (a filter's columns are variables, a subquery's are table
+    /// columns).
+    fn expr(&mut self, expr: &mut Expr, vars: bool) {
         use youtopia_sql::Expr as E;
         match expr {
-            E::Column { table: None, name } if vars => *name = self.name(name),
+            E::Column { table: None, name } if vars => (self.var)(name),
             E::Column { .. } => {}
-            E::Literal(v) => self.value(v),
+            E::Literal(v) => (self.value)(v),
             E::Unary { expr, .. } | E::IsNull { expr, .. } => self.expr(expr, vars),
             E::Binary { left, right, .. }
             | E::Like {
@@ -435,10 +412,9 @@ impl<'a> Rewrite<'a> {
         }
     }
 
-    /// Re-slots the string constants of a subquery (its columns are
-    /// table columns, never variables).
-    fn select(&self, s: &mut Select) {
-        if self.from.is_empty() {
+    /// Walks the constants of a subquery when `subqueries`.
+    fn select(&mut self, s: &mut Select) {
+        if !self.subqueries {
             return;
         }
         let items = s.items.iter_mut().filter_map(|item| match item {
@@ -530,21 +506,35 @@ mod tests {
 
     #[test]
     fn namespacing_renames_vars_only() {
-        let mut a = kramer_head();
-        Rewrite::new(QueryId(7), &[], &[]).terms(&mut a.terms);
-        assert_eq!(a.terms[0], Term::constant("Kramer"));
-        assert_eq!(a.terms[1], Term::Var(Var::new("q7.fno")));
+        let q = EntangledQuery {
+            heads: vec![kramer_head()],
+            memberships: vec![],
+            filters: vec![],
+            constraints: vec![],
+            choose: 1,
+            sql: String::new(),
+        };
+        let terms = q.namespaced(QueryId(7)).heads.remove(0).terms;
+        assert_eq!(terms[0], Term::constant("Kramer"));
+        assert_eq!(terms[1], Term::Var(Var::new("q7.fno")));
     }
 
     #[test]
     fn namespacing_renames_filter_columns() {
-        let f = Filter {
-            expr: youtopia_sql::parse_expr("price < 500 AND fno <> 0").unwrap(),
-            vars: vec![Var::new("price"), Var::new("fno")],
+        let q = EntangledQuery {
+            heads: vec![],
+            memberships: vec![],
+            filters: vec![Filter {
+                expr: youtopia_sql::parse_expr("price < 500 AND fno <> 0").unwrap(),
+                vars: vec![Var::new("price"), Var::new("fno")],
+            }],
+            constraints: vec![],
+            choose: 1,
+            sql: String::new(),
         };
-        let f2 = Rewrite::new(QueryId(3), &[], &[]).filter(&f);
-        assert_eq!(f2.expr.to_string(), "q3.price < 500 AND q3.fno <> 0");
-        assert_eq!(f2.vars, vec![Var::new("q3.price"), Var::new("q3.fno")]);
+        let f = q.namespaced(QueryId(3)).filters.remove(0);
+        assert_eq!(f.expr.to_string(), "q3.price < 500 AND q3.fno <> 0");
+        assert_eq!(f.vars, vec![Var::new("q3.price"), Var::new("q3.fno")]);
     }
 
     #[test]

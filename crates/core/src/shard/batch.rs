@@ -36,7 +36,7 @@ type DrainResult = (
 impl ShardedCoordinator {
     /// Submits a batch of `(owner, query, options)` requests — the one
     /// submit entry (a single submit is a batch of one). Entries may
-    /// carry a compile error (pass [`crate::compile_sql`]'s result),
+    /// carry a compile error (pass [`crate::Templates::compile`]'s result),
     /// which lands in the entry's outcome slot, and their own deadline,
     /// logged in their registration frame and enforced by `expire_due`
     /// sweeps. Outcomes are returned in input order.

@@ -34,17 +34,16 @@ impl ShardedCoordinator {
     /// 2. the coordination frames fold into the surviving pending set
     ///    (`registered − (matched ∪ cancelled ∪ expired)`);
     /// 3. the survivors' SQL is re-compiled in chunks on the worker
-    ///    pool, each chunk through a [`Templates`] map of its own:
-    ///    survivors whose texts differ only in string literals share
-    ///    one compiled query, and each is rewritten from it with its own
-    ///    values (a compile failure reports the first failing survivor
-    ///    in seq order; each keeps a compact rewritten copy, since the
-    ///    parser's original holds over-allocated buffers that would
-    ///    raise peak RSS). The survivors are then routed in seq order
-    ///    through a rebuilt union-find router, and re-registered shard
-    ///    by shard on the pool — with the same `seed ^ shard_id` RNG
-    ///    discipline as a fresh coordinator, so subsequent `CHOOSE`
-    ///    behavior is reproducible;
+    ///    pool, each chunk through a [`Templates`] map of its own —
+    ///    the compile path the TCP reactor uses: survivors whose texts
+    ///    differ only in string literals share one compiled query, each
+    ///    is a clone of it re-slotted with its own values, and each is
+    ///    then namespaced in place by its id (a compile failure reports
+    ///    the first failing survivor in seq order). The survivors are
+    ///    then routed in seq order through a rebuilt union-find router,
+    ///    and re-registered shard by shard on the pool — with the same
+    ///    `seed ^ shard_id` RNG discipline as a fresh coordinator, so
+    ///    subsequent `CHOOSE` behavior is reproducible;
     /// 4. a matching sweep re-runs arrivals that were logged but whose
     ///    match had not committed before the crash (those matches are
     ///    logged now, like any other). A group whose apply fails stays
@@ -102,11 +101,9 @@ impl ShardedCoordinator {
         // worker pool, each through a template map of its own; a
         // failure means the log (or the compiler) changed underneath
         // us, which recovery must surface — the first in seq order, as
-        // a one-by-one rebuild would. Each survivor keeps a compact
-        // rewritten copy: the parser's over-allocated original stays in
-        // the task's map or is dropped inside the task. Survivors move
-        // into their task and their text into their query, so no task
-        // frees a text that the replaying thread allocated.
+        // a one-by-one rebuild would. Survivors move into their task
+        // and their text into their query, so no task frees a text that
+        // the replaying thread allocated.
         let mut survivors = replayed.survivors.into_iter();
         let chunks: Vec<Mutex<Vec<Survivor>>> = (0..report.restored_pending)
             .step_by(RECOMPILE_CHUNK)
@@ -119,7 +116,7 @@ impl ShardedCoordinator {
                 .into_iter()
                 .map(|s| {
                     Ok(Pending {
-                        query: templates.compile(s.sql, s.qid)?,
+                        query: templates.compile(s.sql)?.namespaced(s.qid),
                         id: s.qid,
                         owner: s.owner,
                         seq: s.seq,

@@ -53,6 +53,17 @@
 //! closes. Without a WAL every stamp is 0, nothing is held, and each
 //! frame is written as it is queued.
 //!
+//! ## Compile path
+//!
+//! The reactor owns one [`Templates`] map and compiles every `Submit`
+//! text through it, with no lock (one thread). A text whose template
+//! key was stored skips lexing, parsing and compiling: it costs the key
+//! pass and one clone of the stored query, re-slotted with the text's
+//! own string literals. The map is bounded (the oldest key is evicted)
+//! and returns exactly the query or error that compiling the text from
+//! scratch returns, so `submit` namespaces and safety-checks it as it
+//! does any other query.
+//!
 //! ## Tenancy and session tokens
 //!
 //! Unchanged from the threaded front-end: the server installs its
@@ -73,8 +84,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use youtopia_core::{
-    compile_sql, tenant_of, Ack, Clock, CoordinationOutcome, CoreError, DeadlineSweeper, QueryId,
-    ShardedCoordinator, SubmitOptions, TenantRegistry, TenantStats, WaiterSet,
+    tenant_of, Ack, Clock, CoordinationOutcome, CoreError, DeadlineSweeper, QueryId,
+    ShardedCoordinator, SubmitOptions, Templates, TenantRegistry, TenantStats, WaiterSet,
 };
 
 use crate::error::NetResult;
@@ -238,6 +249,7 @@ impl NetServer {
             holding: Vec::new(),
             timers: BinaryHeap::new(),
             events: Vec::new(),
+            templates: Templates::default(),
             stats: Arc::clone(&stats),
             shutdown: Arc::clone(&shutdown),
         };
@@ -400,6 +412,8 @@ struct Reactor {
     /// lazily against the connection's `next_timer_due` on pop.
     timers: BinaryHeap<Reverse<(u64, usize, u64)>>,
     events: Vec<PollEvent>,
+    /// Every `Submit` compiles through this one map (module docs).
+    templates: Templates,
     stats: Arc<StatsInner>,
     shutdown: Arc<AtomicBool>,
 }
@@ -1018,7 +1032,7 @@ impl Reactor {
                 });
                 let request = (
                     owner.to_string(),
-                    compile_sql(&sql),
+                    self.templates.compile(sql),
                     SubmitOptions::with_deadline(deadline),
                 );
                 let outcome = self.co.submit(vec![request], Ack::Pipelined).pop();

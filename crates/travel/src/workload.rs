@@ -490,7 +490,7 @@ pub fn drive_batched(
 mod tests {
     use super::*;
 
-    use youtopia_core::{QueryId, Templates};
+    use youtopia_core::{check_safety, SafetyMode, Templates};
 
     #[test]
     fn database_builder_is_deterministic() {
@@ -703,29 +703,135 @@ mod tests {
         }
     }
 
+    /// A text that safety refuses in strict mode only (`x` is bound by
+    /// an answer constraint alone), or in both modes (`x` is bound by
+    /// nothing).
+    fn unsafe_sql(rng: &mut StdRng) -> String {
+        let (me, friend) = (content(rng), content(rng));
+        if rng.random_bool(0.5) {
+            format!(
+                "SELECT '{me}', x INTO ANSWER Reservation \
+                 WHERE ('{friend}', x) IN ANSWER Reservation CHOOSE 1"
+            )
+        } else {
+            format!("SELECT '{me}', x INTO ANSWER Reservation WHERE x <> '{friend}' CHOOSE 1")
+        }
+    }
+
+    /// The e2e benchmark's pair and group shapes: `me` books a flight
+    /// to Paris on `rel` together with `friends`.
+    fn member_sql(rel: &str, me: &str, friends: &[&str]) -> String {
+        if let [friend] = friends {
+            return WorkloadGen::pair_request_on(rel, me, friend, "Paris").sql;
+        }
+        let mut sql = format!(
+            "SELECT '{me}', fno INTO ANSWER {rel} \
+             WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')"
+        );
+        for friend in friends {
+            sql.push_str(&format!(" AND ('{friend}', fno) IN ANSWER {rel}"));
+        }
+        sql.push_str(" CHOOSE 1");
+        sql
+    }
+
+    /// One text of a reactor-like stream: the travel generators' texts,
+    /// the e2e shapes over 24 relations, texts that name a relation of
+    /// their own (misses), unterminated literals, statements that are
+    /// not entangled, and a membership of the wrong width.
+    fn stream_sql(rng: &mut StdRng, i: usize) -> String {
+        let (me, friend) = (content(rng), content(rng));
+        let rel = format!("Reservation{}", rng.random_range(0..24));
+        match rng.random_range(0..12) {
+            0..=2 => generated_sql(rng),
+            3..=5 => member_sql(&rel, &me, &[&friend]),
+            6 => member_sql(&rel, &me, &[&friend, "m2"]),
+            7 => member_sql(&format!("Solo{i}"), &me, &[&friend]),
+            8 => {
+                let sql = generated_sql(rng);
+                let cut = sql.find('\'').map_or(0, |at| at + 1);
+                format!("{}{me}", &sql[..cut])
+            }
+            9 => format!("SELECT fno FROM Flights WHERE dest = '{me}'"),
+            10 => format!("INSERT INTO Flights VALUES (1, '{me}', 100)"),
+            _ => format!(
+                "SELECT '{me}', fno INTO ANSWER {rel} \
+                 WHERE fno IN (SELECT fno, dest FROM Flights WHERE dest = '{friend}') CHOOSE 1"
+            ),
+        }
+    }
+
     /// Cached == fresh: the template path returns exactly what
-    /// compiling each text and namespacing it does, the same query
-    /// (its `sql` included) or the same error.
+    /// compiling each text does, the same query (its `sql` included) or
+    /// the same error. The safety verdict, under both modes, is the
+    /// same for every text of a template key: a string constant binds
+    /// no variable, so a hit could reuse its template's verdict.
     #[test]
     fn templates_equal_fresh_compiles() {
         let (mut texts, mut fresh) = (0, 0);
+        let mut verdicts = std::collections::HashMap::new();
         for case in 0..100 {
             let mut rng = StdRng::seed_from_u64(case);
             let mut templates = Templates::default();
-            for qid in 0..80 {
-                let sql = generated_sql(&mut rng);
-                let qid = QueryId(qid);
-                let expected = compile_sql(&sql).map(|q| q.namespaced(qid));
+            for _ in 0..80 {
+                let sql = if rng.random_bool(0.1) {
+                    unsafe_sql(&mut rng)
+                } else {
+                    generated_sql(&mut rng)
+                };
+                let expected = compile_sql(&sql);
                 assert_eq!(
-                    templates.compile(sql.clone(), qid),
+                    templates.compile(sql.clone()),
                     expected,
                     "case {case}: {sql}"
                 );
+                let (Ok(query), Some((key, _))) = (expected, youtopia_sql::template_key(&sql))
+                else {
+                    continue;
+                };
+                let verdict = [SafetyMode::Strict, SafetyMode::Relaxed]
+                    .map(|mode| check_safety(&query, mode));
+                let first = verdicts.entry(key).or_insert_with(|| verdict.clone());
+                assert_eq!(*first, verdict, "case {case}: {sql}");
             }
             texts += 80;
             fresh += templates.fresh;
         }
         // the hit path ran: most texts share a template with an earlier one
         assert!(fresh * 2 < texts, "{fresh} of {texts} compiled fresh");
+        let refused = |mode: usize| verdicts.values().filter(|v| v[mode].is_err()).count();
+        assert!(
+            refused(1) > 0 && refused(0) > refused(1),
+            "both modes refuse, strict more"
+        );
+    }
+
+    /// One map over a long reactor-like stream (`stream_sql`) returns
+    /// what `compile_sql` returns for every text, hit or miss.
+    #[test]
+    fn one_map_equals_compile_sql_over_a_mixed_stream() {
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut templates = Templates::default();
+            let (texts, mut errors) = (1_000, 0);
+            for i in 0..texts {
+                let sql = stream_sql(&mut rng, i);
+                let expected = compile_sql(&sql);
+                errors += usize::from(expected.is_err());
+                assert_eq!(
+                    templates.compile(sql.clone()),
+                    expected,
+                    "seed {seed}: {sql}"
+                );
+            }
+            // about a third hit, a quarter miss and compile, the rest
+            // are errors (never stored)
+            let fresh = templates.fresh;
+            assert!(texts - fresh > 250, "seed {seed}: {fresh} fresh");
+            assert!(
+                fresh - errors > 100,
+                "seed {seed}: {fresh} fresh, {errors} errors"
+            );
+        }
     }
 }
